@@ -7,7 +7,6 @@ trajectory labels produced when the quadruple is split into its
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,7 +17,10 @@ from .ingest import (
     TrajectoryTriple,
     candidate_from_json,
     candidate_to_json,
-    dumps_record,
+    iter_jsonl,
+    triple_from_json,
+    triple_to_json,
+    write_jsonl,
 )
 
 SPLITS = ("train", "val", "test")
@@ -179,23 +181,11 @@ def example_from_json(obj: dict) -> LabeledExample:
 
 def load_examples(path: str | Path) -> list[LabeledExample]:
     """Read Labeled JSONL, rejecting records that violate label entailment."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(example_from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return list(iter_jsonl(path, example_from_json))
 
 
 def dump_examples(examples: Iterable[LabeledExample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(dumps_record(example_to_json(ex)) + "\n")
+    write_jsonl(path, map(example_to_json, examples))
 
 
 # Labeled trajectory corpus (for pretraining the frozen extractor):
@@ -212,28 +202,10 @@ class LabeledTriple:
 
 
 def load_labeled_triples(path: str | Path) -> list[LabeledTriple]:
-    from .ingest import triple_from_json
-
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(LabeledTriple(triple=triple_from_json(obj),
-                                         y_tra=int(obj["y_tra"])))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return list(iter_jsonl(path, lambda obj: LabeledTriple(
+        triple=triple_from_json(obj), y_tra=int(obj["y_tra"]))))
 
 
 def dump_labeled_triples(items: Iterable[LabeledTriple], path: str | Path) -> None:
-    from .ingest import triple_to_json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            rec = triple_to_json(item.triple)
-            rec["y_tra"] = item.y_tra
-            fh.write(dumps_record(rec) + "\n")
+    write_jsonl(path, (dict(triple_to_json(item.triple), y_tra=item.y_tra)
+                       for item in items))

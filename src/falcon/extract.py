@@ -10,15 +10,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .ingest import CandidateQuadruple, TrajectoryTriple, generate_candidates, normalize_surface
+from .ingest import (
+    CandidateQuadruple,
+    TrajectoryTriple,
+    dumps_record,
+    generate_candidates,
+    iter_jsonl,
+    normalize_surface,
+    write_jsonl,
+)
 
 INTERACTION_TYPES = ("Adversarial", "Cooperative", "Neutral")
 YEAR_RANGE = (1000, 2024)
@@ -64,21 +73,8 @@ class InteractionRecord:
     type_flag: str | None = None
 
     def to_json(self) -> dict:
-        rec = {
-            "record_id": self.record_id,
-            "doc_id": self.doc_id,
-            "segment_id": self.segment_id,
-            "char_start": self.char_start,
-            "char_end": self.char_end,
-            "person1": self.person1,
-            "person2": self.person2,
-            "time_surface": self.time_surface,
-            "time_year": self.time_year,
-            "location": self.location,
-            "score": self.score,
-        }
-        for key in ("person1_id", "person2_id", "lat", "lon", "state",
-                    "interaction_type", "type_flag"):
+        rec = {key: getattr(self, key) for key in RECORD_KEYS}
+        for key in OPTIONAL_RECORD_KEYS:
             value = getattr(self, key)
             if value is not None:
                 rec[key] = value
@@ -86,11 +82,16 @@ class InteractionRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "InteractionRecord":
-        return cls(**{k: obj.get(k) for k in (
-            "record_id", "doc_id", "segment_id", "char_start", "char_end",
-            "person1", "person2", "time_surface", "time_year", "location",
-            "score", "person1_id", "person2_id", "lat", "lon", "state",
-            "interaction_type", "type_flag")})
+        """Rebuild a record; every key that ``to_json`` always writes is required."""
+        return cls(*[obj[key] for key in RECORD_KEYS],
+                   *[obj.get(key) for key in OPTIONAL_RECORD_KEYS])
+
+
+# Fields without a default are always written and required on read; the
+# rest are written only when set. Both tuples follow the field order.
+RECORD_KEYS = tuple(f.name for f in fields(InteractionRecord) if f.default is MISSING)
+OPTIONAL_RECORD_KEYS = tuple(f.name for f in fields(InteractionRecord)
+                             if f.default is not MISSING)
 
 
 def record_id_for(cand: CandidateQuadruple) -> str:
@@ -155,8 +156,11 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
                    gazetteer: dict | None = None) -> ExtractSummary:
     """Pair, score, and stream positive records per document in sorted order.
 
-    With ``state_path`` the run is resumable: completed doc_ids are recorded
-    after each document and skipped (with their counts restored) on restart.
+    With ``state_path`` the run is resumable: after each document's records
+    are flushed, its doc_id and the output's byte size replace the state file
+    atomically. A restart skips those documents (restoring their counts) and
+    truncates the output to that size, so a run killed at any point resumes
+    without duplicating or losing records.
     """
     from .training import predict
 
@@ -175,6 +179,8 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
             summary.negatives += counts["negatives"]
             summary.skipped += counts["skipped"]
             summary.documents += 1
+        # Drop the records of a document whose run died before its state write.
+        os.truncate(out_path, state["out_bytes"])
 
     mode = "a" if done else "w"
     with open(out_path, mode, encoding="utf-8") as out:
@@ -191,8 +197,7 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
                 elif pred.label == 1:
                     counts["positives"] += 1
                     rec = record_from_candidate(pred.candidate, pred.score, gazetteer)
-                    out.write(json.dumps(rec.to_json(), ensure_ascii=False,
-                                         separators=(",", ":")) + "\n")
+                    out.write(dumps_record(rec.to_json()) + "\n")
                 else:
                     counts["negatives"] += 1
             out.flush()
@@ -203,8 +208,10 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
             summary.documents += 1
             if state_path:
                 done[doc_id] = counts
-                Path(state_path).write_text(
-                    json.dumps({"done": done}, sort_keys=True), encoding="utf-8")
+                tmp = Path(f"{state_path}.tmp")
+                tmp.write_text(json.dumps({"done": done, "out_bytes": out.tell()},
+                                          sort_keys=True), encoding="utf-8")
+                os.replace(tmp, state_path)
 
     if summary_path:
         Path(summary_path).write_text(
@@ -214,20 +221,11 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
 
 
 def load_records(path: str | Path) -> list[InteractionRecord]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(InteractionRecord.from_json(json.loads(line)))
-    return out
+    return list(iter_jsonl(path, InteractionRecord.from_json))
 
 
 def dump_records(records: Iterable[InteractionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json(), ensure_ascii=False,
-                                separators=(",", ":")) + "\n")
+    write_jsonl(path, (rec.to_json() for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +289,6 @@ def make_llm_client(spec: str, model: str = "gpt-4o-mini",
     if spec.startswith("fixture:"):
         return FixtureLLMClient(spec[len("fixture:"):])
     if spec.startswith("http://") or spec.startswith("https://"):
-        import os
-
         key = api_key or os.environ.get("FALCON_LLM_API_KEY")
         return HttpChatClient(spec, model=model, api_key=key)
     raise ValueError(f"unknown llm client spec {spec!r}")

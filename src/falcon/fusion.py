@@ -256,17 +256,21 @@ class FrozenTrajectoryExtractor:
         save_archive(path, self.all_params(), meta)
 
     @classmethod
+    def from_config(cls, cfg: dict) -> "FrozenTrajectoryExtractor":
+        """An untrained, unfrozen extractor built from a saved ``config`` dict."""
+        return cls(backbone_name=cfg["backbone"], hidden_size=cfg["hidden_size"],
+                   max_tokens=cfg["max_tokens"], mlp_hidden=cfg["mlp_hidden"],
+                   seed=cfg["seed"], attention_norm=cfg["attention_norm"],
+                   weights_path=cfg.get("weights_path"))
+
+    @classmethod
     def load(cls, path: str | Path) -> "FrozenTrajectoryExtractor":
         from .training import load_archive
 
         arrays, meta = load_archive(path)
         if meta.get("kind") != "trajectory-extractor":
             raise ValueError(f"{path} is not a trajectory extractor checkpoint")
-        cfg = meta["config"]
-        extractor = cls(backbone_name=cfg["backbone"], hidden_size=cfg["hidden_size"],
-                        max_tokens=cfg["max_tokens"], mlp_hidden=cfg["mlp_hidden"],
-                        seed=cfg["seed"], attention_norm=cfg["attention_norm"],
-                        weights_path=cfg.get("weights_path"))
+        extractor = cls.from_config(meta["config"])
         extractor.set_params(arrays)
         if meta.get("frozen"):
             extractor.freeze()

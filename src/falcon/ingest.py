@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 DOCUMENT_SOURCES = ("wikipedia", "britannica", "fixture")
 
@@ -287,6 +287,37 @@ def dumps_record(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def iter_jsonl(path: str | Path, parse: Callable,
+               errors: list[RecordError] | None = None) -> Iterator:
+    """Yield ``parse(obj)`` for every non-blank line of a JSONL file.
+
+    A line that is not JSON, or that ``parse`` rejects, raises
+    ``ValueError("path:line: reason")``. When ``errors`` is a list, the bad
+    line is appended to it as a RecordError instead and reading continues.
+    An unreadable file raises OSError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                item = parse(json.loads(line))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                if errors is None:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                errors.append(RecordError(line=lineno, message=str(exc)))
+                continue
+            yield item
+
+
+def write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
+    """Write one ``dumps_record`` line per object."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(dumps_record(obj) + "\n")
+
+
 def load_triples(path: str | Path) -> TripleLoadResult:
     """Read Triple JSONL; malformed lines become error records, not crashes.
 
@@ -294,38 +325,20 @@ def load_triples(path: str | Path) -> TripleLoadResult:
     with its 1-based line number and processing continues.
     """
     result = TripleLoadResult()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                result.triples.append(triple_from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                result.errors.append(RecordError(line=lineno, message=str(exc)))
+    result.triples = list(iter_jsonl(path, triple_from_json, result.errors))
     return result
 
 
 def dump_triples(triples: Iterable[TrajectoryTriple], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for triple in triples:
-            fh.write(dumps_record(triple_to_json(triple)) + "\n")
+    write_jsonl(path, map(triple_to_json, triples))
 
 
 def load_candidates(path: str | Path) -> list[CandidateQuadruple]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(candidate_from_json(json.loads(line)))
-    return out
+    return list(iter_jsonl(path, candidate_from_json))
 
 
 def dump_candidates(cands: Iterable[CandidateQuadruple], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for cand in cands:
-            fh.write(dumps_record(candidate_to_json(cand)) + "\n")
+    write_jsonl(path, map(candidate_to_json, cands))
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +426,11 @@ def audit_coverage(gold: Sequence[CandidateQuadruple],
 # ---------------------------------------------------------------------------
 # Document readers
 
+def _document_from_json(obj: dict) -> Document:
+    return Document(doc_id=obj["doc_id"], title=obj.get("title", obj["doc_id"]),
+                    text=obj["text"], source=obj.get("source", "fixture"))
+
+
 def load_documents(path: str | Path) -> list[Document]:
     """Read a corpus directory: ``*.jsonl`` document files and/or plain ``*.txt``.
 
@@ -422,16 +440,7 @@ def load_documents(path: str | Path) -> list[Document]:
     path = Path(path)
     docs: list[Document] = []
     for file in sorted(path.glob("*.jsonl")):
-        with open(file, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                docs.append(Document(
-                    doc_id=obj["doc_id"], title=obj.get("title", obj["doc_id"]),
-                    text=obj["text"], source=obj.get("source", "fixture"),
-                ))
+        docs.extend(iter_jsonl(file, _document_from_json))
     for file in sorted(path.glob("*.txt")):
         text = file.read_text(encoding="utf-8")
         docs.append(Document(doc_id=file.stem, title=file.stem, text=text))

@@ -165,11 +165,17 @@ def modularity(graph: SignedGraph, partition: dict[str, str],
     if graph.n_edges == 0:
         raise DegenerateGraphError("degenerate graph: no edges")
     comm, n_comms = _partition_array(graph, partition)
+    if signed_mode == "verbatim" and graph.total_weight() == 0.0:
+        raise DegenerateGraphError("degenerate graph: total weight is zero")
     u, v, w = graph.edge_arrays()
+    return _edge_modularity(u, v, w, comm, graph.n_nodes, n_comms, signed_mode)
+
+
+def _edge_modularity(u, v, w, comm, n_nodes: int, n_comms: int,
+                     signed_mode: str) -> float:
+    """Modularity of one edge list; scores the original graph and every null sample."""
     if signed_mode == "verbatim":
-        if graph.total_weight() == 0.0:
-            raise DegenerateGraphError("degenerate graph: total weight is zero")
-        return float(accel.modularity_edges(u, v, w, comm, graph.n_nodes, n_comms))
+        return float(accel.modularity_edges(u, v, w, comm, n_nodes, n_comms))
     if signed_mode != "gomez":
         raise ValueError(f"unknown signed_mode {signed_mode!r}")
     pos = w > 0
@@ -179,29 +185,10 @@ def modularity(graph: SignedGraph, partition: dict[str, str],
     if w_pos + w_neg == 0.0:
         raise DegenerateGraphError("degenerate graph: no weighted edges")
     q_pos = float(accel.modularity_edges(u[pos], v[pos], w[pos], comm,
-                                         graph.n_nodes, n_comms)) if w_pos else 0.0
+                                         n_nodes, n_comms)) if w_pos else 0.0
     q_neg = float(accel.modularity_edges(u[neg], v[neg], -w[neg], comm,
-                                         graph.n_nodes, n_comms)) if w_neg else 0.0
+                                         n_nodes, n_comms)) if w_neg else 0.0
     return (w_pos * q_pos - w_neg * q_neg) / (w_pos + w_neg)
-
-
-def modularity_dense(adjacency: np.ndarray, comm: Sequence[int]) -> float:
-    """Direct double-sum evaluation of the modularity formula on a dense
-    adjacency matrix. Quadratic; meant for small graphs and cross-checks.
-    """
-    a = np.asarray(adjacency, dtype=float)
-    comm = np.asarray(comm)
-    k = a.sum(axis=1)
-    m2 = k.sum()
-    if m2 == 0.0:
-        raise DegenerateGraphError("degenerate graph: total weight is zero")
-    q = 0.0
-    n = a.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if comm[i] == comm[j]:
-                q += a[i, j] - k[i] * k[j] / m2
-    return q / m2
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +243,8 @@ def standardized_modularity(graph: SignedGraph, partition: dict[str, str],
                             n_samples: int = 1000, master_seed: int = 0,
                             swap_factor: int = 10,
                             signed_mode: str = "verbatim") -> ModularityReport:
-    """Z-score of the observed modularity against the rewired null ensemble."""
+    """Z-score of the observed modularity against the rewired null ensemble,
+    every sample scored with the same ``signed_mode`` as the original."""
     if n_samples < 2:
         raise ValueError("standardized modularity needs at least 2 null samples")
     q_original = modularity(graph, partition, signed_mode=signed_mode)
@@ -268,7 +256,7 @@ def standardized_modularity(graph: SignedGraph, partition: dict[str, str],
     for i, seed in enumerate(seeds):
         u2, v2, w2, _ = accel.rewire_edges(
             u, v, w, graph.n_nodes, swap_factor * m, 100 * m, int(seed))
-        qs[i] = accel.modularity_edges(u2, v2, w2, comm, graph.n_nodes, n_comms)
+        qs[i] = _edge_modularity(u2, v2, w2, comm, graph.n_nodes, n_comms, signed_mode)
     mu = float(np.mean(qs))
     sigma = float(np.std(qs, ddof=1))
     if sigma == 0.0 or bool(np.all(qs == qs[0])):

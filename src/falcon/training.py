@@ -397,12 +397,7 @@ class InteractionModel:
         config = TrainConfig(**meta["config"])
         frozen = None
         if "frozen_config" in meta:
-            fc = meta["frozen_config"]
-            frozen = FrozenTrajectoryExtractor(
-                backbone_name=fc["backbone"], hidden_size=fc["hidden_size"],
-                max_tokens=fc["max_tokens"], mlp_hidden=fc["mlp_hidden"],
-                seed=fc["seed"], attention_norm=fc["attention_norm"],
-                weights_path=fc.get("weights_path"))
+            frozen = FrozenTrajectoryExtractor.from_config(meta["frozen_config"])
             frozen.set_params({k[len("frozen."):]: v for k, v in arrays.items()
                                if k.startswith("frozen.")})
             frozen.freeze()
@@ -496,6 +491,37 @@ def _val_f1(model: InteractionModel, examples: Sequence[LabeledExample],
     return acc, precision, recall, f1
 
 
+def _fit(params: dict[str, np.ndarray], zero_grads, items: Sequence,
+         config: TrainConfig, batch_step, end_epoch) -> None:
+    """The epoch loop shared by both training stages.
+
+    Each epoch visits ``items`` in a seeded permutation, in minibatches of
+    ``config.batch_size``. ``batch_step(batch, grads)`` adds the batch
+    gradient into the zeroed ``grads`` and returns the batch's loss terms,
+    the total first; a non-finite total aborts before the AdamW step.
+    ``end_epoch(epoch, means)`` receives the example-weighted epoch means
+    of those terms and returns True to stop early.
+    """
+    optimizer = AdamW(params, lr=config.learning_rate,
+                      weight_decay=config.weight_decay)
+    rng = np.random.default_rng(config.seed)
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(len(items))
+        sums = None
+        for start in range(0, len(order), config.batch_size):
+            batch = [items[i] for i in order[start:start + config.batch_size]]
+            grads = zero_grads()
+            terms = batch_step(batch, grads)
+            if not math.isfinite(terms[0]):
+                raise TrainingDiverged(
+                    f"non-finite loss {terms[0]} at epoch {epoch}, batch offset {start}")
+            optimizer.step(params, grads)
+            weighted = [term * len(batch) for term in terms]
+            sums = weighted if sums is None else [a + b for a, b in zip(sums, weighted)]
+        if end_epoch(epoch, [total / len(items) for total in sums]):
+            break
+
+
 def train(model: InteractionModel, examples: Sequence[LabeledExample],
           config: TrainConfig | None = None, quiet: bool = True) -> TrainResult:
     """Train on split=='train', early-stop on validation F1, restore the best.
@@ -509,37 +535,22 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     if not train_set:
         raise ValueError("no examples with split='train'")
 
-    params = model.all_params()
-    optimizer = AdamW(params, lr=config.learning_rate,
-                      weight_decay=config.weight_decay)
-    rng = np.random.default_rng(config.seed)
     result = TrainResult()
     best_params = model.snapshot()
     best_f1 = -1.0
     stale = 0
 
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(len(train_set))
-        epoch_loss = epoch_inter = epoch_tra = 0.0
-        seen = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[start:start + config.batch_size]]
-            grads = model.zero_grads()
-            total, l_inter, l_tra = _batch_pass(model, batch, grads)
-            if not math.isfinite(total):
-                raise TrainingDiverged(
-                    f"non-finite loss {total} at epoch {epoch}, batch offset {start}")
-            optimizer.step(params, grads)
-            epoch_loss += total * len(batch)
-            epoch_inter += l_inter * len(batch)
-            epoch_tra += (l_tra or 0.0) * len(batch)
-            seen += len(batch)
+    def batch_step(batch, grads):
+        total, l_inter, l_tra = _batch_pass(model, batch, grads)
+        return total, l_inter, l_tra or 0.0
 
+    def end_epoch(epoch, means):
+        nonlocal best_params, best_f1, stale
         entry = {
             "epoch": epoch,
-            "loss": epoch_loss / seen,
-            "loss_inter": epoch_inter / seen,
-            "loss_tra": (epoch_tra / seen) if config.mt else None,
+            "loss": means[0],
+            "loss_inter": means[1],
+            "loss_tra": means[2] if config.mt else None,
             "c1": float(model.params["c"][0]) if "c" in model.params else None,
             "c2": float(model.params["c"][1]) if "c" in model.params else None,
         }
@@ -560,9 +571,9 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
         result.history.append(entry)
         if not quiet:
             print(json.dumps(entry))
-        if val_set and stale >= config.patience:
-            break
+        return bool(val_set) and stale >= config.patience
 
+    _fit(model.all_params(), model.zero_grads, train_set, config, batch_step, end_epoch)
     model.set_params(best_params)
     result.best_val_f1 = best_f1 if val_set else None
     return result
@@ -578,37 +589,21 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple],
         max_tokens=config.max_tokens, mlp_hidden=config.mlp_hidden,
         seed=config.seed, attention_norm=config.attention_norm,
         weights_path=config.weights_path)
-    params = extractor.all_params()
-    optimizer = AdamW(params, lr=config.learning_rate,
-                      weight_decay=config.weight_decay)
-    rng = np.random.default_rng(config.seed)
     history: list[dict] = []
 
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(len(corpus))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = [corpus[i] for i in order[start:start + config.batch_size]]
-            grads = extractor.zero_grads()
-            probs = np.empty(len(batch))
-            labels = np.array([item.y_tra for item in batch])
-            caches = []
-            for i, item in enumerate(batch):
-                t = item.triple
-                p, cache = extractor.forward_train(
-                    t.segment, (t.person, t.time, t.location))
-                probs[i] = p[1]
-                caches.append((p, cache))
-            loss = binary_cross_entropy(probs, labels)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"non-finite pretraining loss at epoch {epoch}")
-            for (p, cache), y in zip(caches, labels):
-                d_logits = (p - np.array([1 - y, y])) / len(batch)
-                extractor.backward_train(d_logits, cache, grads)
-            optimizer.step(params, grads)
-            epoch_loss += loss * len(batch)
-        history.append({"epoch": epoch, "loss": epoch_loss / len(corpus)})
+    def batch_step(batch, grads):
+        labels = np.array([item.y_tra for item in batch])
+        outs = [extractor.forward_train(item.triple.segment, (
+            item.triple.person, item.triple.time, item.triple.location)) for item in batch]
+        for (p, cache), y in zip(outs, labels):
+            extractor.backward_train((p - np.array([1 - y, y])) / len(batch), cache, grads)
+        return (binary_cross_entropy(np.array([p[1] for p, _ in outs]), labels),)
 
+    def end_epoch(epoch, means):
+        history.append({"epoch": epoch, "loss": means[0]})
+        return False
+
+    _fit(extractor.all_params(), extractor.zero_grads, corpus, config, batch_step, end_epoch)
     extractor.freeze()
     return extractor, history
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,44 @@ def test_extraction_resume_matches_clean_run(tmp_path, corpus, trained):
     extract_corpus(corpus.triples, trained, resumed, threshold=0.5,
                    state_path=state)
     assert resumed.read_bytes() == clean.read_bytes()
+
+
+class Killed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["before-state-write", "torn-state"])
+def test_extraction_killed_at_state_write_resumes_byte_identical(
+        tmp_path, monkeypatch, corpus, trained, torn):
+    clean = tmp_path / "clean.jsonl"
+    clean_summary = extract_corpus(corpus.triples, trained, clean, threshold=0.5)
+    doc_ids = sorted({t.segment.doc_id for t in corpus.triples})
+    victim = sorted({rec.doc_id for rec in load_records(clean)})[1]
+    kill_at = doc_ids.index(victim) + 1  # one state write per finished document
+
+    out, state = tmp_path / "out.jsonl", tmp_path / "state.json"
+    real_write_text = Path.write_text
+    state_writes = []
+
+    def write_text(self, data, *args, **kwargs):
+        if self.name.startswith(state.name):
+            state_writes.append(self)
+            if len(state_writes) == kill_at:
+                if torn:
+                    real_write_text(self, data[:len(data) // 2], *args, **kwargs)
+                raise Killed
+        return real_write_text(self, data, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", write_text)
+        with pytest.raises(Killed):
+            extract_corpus(corpus.triples, trained, out, threshold=0.5, state_path=state)
+    # the victim's records reached the output before the kill
+    assert victim in {rec.doc_id for rec in load_records(out)}
+    resumed_summary = extract_corpus(corpus.triples, trained, out, threshold=0.5,
+                                     state_path=state)
+    assert out.read_bytes() == clean.read_bytes()
+    assert resumed_summary == clean_summary
 
 
 def test_gazetteer_enrichment(tmp_path, corpus, trained):

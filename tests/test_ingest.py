@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from falcon.dataset import load_examples, load_labeled_triples
+from falcon.extract import load_records
 from falcon.ingest import (
     Document,
     EntityMention,
@@ -13,6 +15,8 @@ from falcon.ingest import (
     audit_coverage,
     dump_triples,
     generate_candidates,
+    load_candidates,
+    load_documents,
     load_triples,
     pair_candidates,
     segment_document,
@@ -143,12 +147,25 @@ def test_load_triples_overlapping_spans_collected(tmp_path):
     bad["person"]["occurrences"] = [[9, 16], [12, 20]]
     path = tmp_path / "triples.jsonl"
     with open(path, "w") as fh:
-        for rec in (good[0], bad, good[1]):
+        for rec in (good[0], bad):
             fh.write(json.dumps(rec) + "\n")
+        fh.write("{not json\n\n[1, 2]\n")
+        fh.write(json.dumps(good[1]) + "\n")
     result = load_triples(path)
     assert len(result.triples) == 2
-    assert len(result.errors) == 1
-    assert result.errors[0].line == 2
+    assert [err.line for err in result.errors] == [2, 3, 5]
+    assert "overlap" in result.errors[0].message
+
+
+@pytest.mark.parametrize("bad_line", ["{not json", "[1, 2]", "{}"])
+@pytest.mark.parametrize("loader", [load_candidates, load_documents, load_examples,
+                                    load_labeled_triples, load_records])
+def test_strict_loaders_report_file_and_line(tmp_path, loader, bad_line):
+    path = tmp_path / "input.jsonl"
+    path.write_text("\n" + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        loader(tmp_path if loader is load_documents else path)
+    assert str(info.value).startswith(f"{path}:2: ")
 
 
 def test_load_triples_unreadable_file_fatal(tmp_path):

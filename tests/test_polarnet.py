@@ -20,6 +20,7 @@ from falcon.polarnet import (
     pagerank,
     randomize_null,
     record_distance,
+    sample_seeds,
     standardized_modularity,
     to_gexf,
     trend_ratios,
@@ -429,3 +430,15 @@ def test_gexf_is_wellformed_and_complete():
     assert len(edges) == g.n_edges
     weights = {float(e.get("weight")) for e in edges}
     assert weights == set(g.edges.values())
+
+
+def test_gomez_z_score_uses_a_gomez_scored_null():
+    g = fixtures.random_signed_graph(40, 0.15, seed=2)
+    part = g.party_partition()
+    report = standardized_modularity(g, part, n_samples=50, master_seed=0,
+                                     signed_mode="gomez")
+    qs = [modularity(randomize_null(g, int(seed)), part, signed_mode="gomez")
+          for seed in sample_seeds(0, 50)]
+    assert report.q_original == modularity(g, part, signed_mode="gomez")
+    assert report.mu == pytest.approx(np.mean(qs), rel=1e-9, abs=1e-12)
+    assert report.sigma == pytest.approx(np.std(qs, ddof=1), rel=1e-9)
