@@ -1,232 +1,89 @@
-"""JIT-accelerated graph kernels with a pure-Python/NumPy fallback.
+"""The null-model kernels: degree-preserving rewiring and edge-list modularity.
 
-The two hot kernels of the analysis stage live here: degree-preserving
-edge rewiring (the null-model sampler, called N times per standardized
-modularity report) and the edge-list modularity evaluation. Both are
-compiled with numba when available; setting ``FALCON_DISABLE_NUMBA=1``
-forces the fallback path. The two paths draw from the same splitmix64
-stream and produce bit-identical outputs, so the switch is purely a
-performance knob (see ``benchmarks/bench_kernels.py``).
+``rewire_edges`` is the null-model sampler, called once per null sample of a
+standardized modularity report; ``modularity_edges`` scores an edge list
+under a node partition. The rewiring draws from splitmix64 (Steele, Lea &
+Flood 2014), which is counter-based: draw *i* under seed *s* is
+``mix(s + i * gamma)``, so blocks of draws are computed in NumPy rather than
+one at a time. Outputs are deterministic per seed and pinned by the golden
+digests in ``tests/test_accel.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MULT1 = 0xBF58476D1CE4E5B9
 _SM_MULT2 = 0x94D049BB133111EB
+_SEED_MASK = 0x7FFFFFFFFFFFFFFF  # the stream of every seed depends on this mask
+
+# There is no compiled path; kept because benchmark results record it.
+NUMBA_ACTIVE = False
 
 
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("FALCON_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-def _modularity_edges_impl(u, v, w, comm, n_nodes, n_comms):
-    # Q = s_in/2m - sum_c (S_c/2m)^2 over the signed strength k.
-    m = u.shape[0]
-    k = np.zeros(n_nodes)
-    for e in range(m):
-        k[u[e]] += w[e]
-        k[v[e]] += w[e]
-    m2 = 0.0
-    for i in range(n_nodes):
-        m2 += k[i]
-    s_in = 0.0
-    for e in range(m):
-        if comm[u[e]] == comm[v[e]]:
-            s_in += 2.0 * w[e]
-    strength = np.zeros(n_comms)
-    for i in range(n_nodes):
-        strength[comm[i]] += k[i]
-    q = s_in / m2
-    for c in range(n_comms):
-        q -= (strength[c] / m2) ** 2
+def modularity_edges(u, v, w, comm, n_nodes, n_comms):
+    """Q = s_in/2m - sum_c (S_c/2m)^2 over the signed strength k."""
+    k = np.bincount(np.stack([u, v], 1).ravel(), weights=np.repeat(w, 2),
+                    minlength=n_nodes)
+    m2 = k.sum()
+    q = 2.0 * w[comm[u] == comm[v]].sum() / m2
+    for s in np.bincount(comm, weights=k, minlength=n_comms):
+        q -= (s / m2) ** 2
     return q
 
 
-def _rewire_python(u, v, w, n_nodes, target_swaps, max_attempts, seed):
-    """Double-edge-swap rewiring + weight-multiset shuffle, pure-Python PRNG."""
-    m = u.shape[0]
-    uu = [int(x) for x in u]
-    vv = [int(x) for x in v]
-    adj = np.zeros((n_nodes, n_nodes), dtype=np.bool_)
-    for e in range(m):
-        adj[uu[e], vv[e]] = True
-        adj[vv[e], uu[e]] = True
-
-    state = int(seed) & _MASK64
-
-    def nxt():
-        nonlocal state
-        state = (state + _SM_GAMMA) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _SM_MULT1) & _MASK64
-        z = ((z ^ (z >> 27)) * _SM_MULT2) & _MASK64
-        return z ^ (z >> 31)
-
-    accepted = 0
-    attempts = 0
-    if m >= 2:
-        while accepted < target_swaps and attempts < max_attempts:
-            attempts += 1
-            e1 = nxt() % m
-            e2 = nxt() % m
-            if e1 == e2:
-                continue
-            flip = nxt() & 1
-            a, b = uu[e1], vv[e1]
-            c, d = uu[e2], vv[e2]
-            if flip:
-                c, d = d, c
-            if a == d or c == b:
-                continue
-            if adj[a, d] or adj[c, b]:
-                continue
-            adj[a, b] = adj[b, a] = False
-            adj[c, d] = adj[d, c] = False
-            adj[a, d] = adj[d, a] = True
-            adj[c, b] = adj[b, c] = True
-            uu[e1], vv[e1] = a, d
-            uu[e2], vv[e2] = c, b
-            accepted += 1
-
-    perm = list(range(m))
-    for i in range(m - 1, 0, -1):
-        j = nxt() % (i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-
-    u2 = np.array(uu, dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
-    v2 = np.array(vv, dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
-    w2 = w[np.array(perm, dtype=np.int64)] if m else w.copy()
-    return u2, v2, w2, accepted
-
-
-def _rewire_numba_impl(u, v, w, n_nodes, target_swaps, max_attempts, seed):
-    m = u.shape[0]
-    uu = u.copy()
-    vv = v.copy()
-    adj = np.zeros((n_nodes, n_nodes), dtype=np.bool_)
-    for e in range(m):
-        adj[uu[e], vv[e]] = True
-        adj[vv[e], uu[e]] = True
-
-    state = np.uint64(seed)
-    gamma = np.uint64(0x9E3779B97F4A7C15)
-    mult1 = np.uint64(0xBF58476D1CE4E5B9)
-    mult2 = np.uint64(0x94D049BB133111EB)
-
-    accepted = 0
-    attempts = 0
-    um = np.uint64(m)
-    if m >= 2:
-        while accepted < target_swaps and attempts < max_attempts:
-            attempts += 1
-            state = state + gamma
-            z = state
-            z = (z ^ (z >> np.uint64(30))) * mult1
-            z = (z ^ (z >> np.uint64(27))) * mult2
-            z = z ^ (z >> np.uint64(31))
-            e1 = int(z % um)
-            state = state + gamma
-            z = state
-            z = (z ^ (z >> np.uint64(30))) * mult1
-            z = (z ^ (z >> np.uint64(27))) * mult2
-            z = z ^ (z >> np.uint64(31))
-            e2 = int(z % um)
-            if e1 == e2:
-                continue
-            state = state + gamma
-            z = state
-            z = (z ^ (z >> np.uint64(30))) * mult1
-            z = (z ^ (z >> np.uint64(27))) * mult2
-            z = z ^ (z >> np.uint64(31))
-            flip = int(z & np.uint64(1))
-            a = uu[e1]
-            b = vv[e1]
-            c = uu[e2]
-            d = vv[e2]
-            if flip == 1:
-                c, d = d, c
-            if a == d or c == b:
-                continue
-            if adj[a, d] or adj[c, b]:
-                continue
-            adj[a, b] = False
-            adj[b, a] = False
-            adj[c, d] = False
-            adj[d, c] = False
-            adj[a, d] = True
-            adj[d, a] = True
-            adj[c, b] = True
-            adj[b, c] = True
-            uu[e1] = a
-            vv[e1] = d
-            uu[e2] = c
-            vv[e2] = b
-            accepted += 1
-
-    perm = np.arange(m, dtype=np.int64)
-    for i in range(m - 1, 0, -1):
-        state = state + gamma
-        z = state
-        z = (z ^ (z >> np.uint64(30))) * mult1
-        z = (z ^ (z >> np.uint64(27))) * mult2
-        z = z ^ (z >> np.uint64(31))
-        j = int(z % np.uint64(i + 1))
-        tmp = perm[i]
-        perm[i] = perm[j]
-        perm[j] = tmp
-
-    w2 = np.empty_like(w)
-    for i in range(m):
-        w2[i] = w[perm[i]]
-    return uu, vv, w2, accepted
-
-
-_modularity_python = _modularity_edges_impl
-_modularity_numba = None
-_rewire_numba = None
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-    _modularity_numba = njit(cache=True)(_modularity_edges_impl)
-    _rewire_numba = njit(cache=True)(_rewire_numba_impl)
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
-
-NUMBA_ACTIVE = _HAVE_NUMBA and not numba_disabled_by_env()
-
-_SEED_MASK = 0x7FFFFFFFFFFFFFFF  # keep seeds inside int64 for the jitted path
-
-if NUMBA_ACTIVE:
-    modularity_edges = _modularity_numba
-    _rewire_impl = _rewire_numba
-else:
-    modularity_edges = _modularity_python
-    _rewire_impl = _rewire_python
+def _splitmix(seed, start, count):
+    """Outputs ``start+1 .. start+count`` of the splitmix64 stream of ``seed``."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_SM_GAMMA)
+    z += np.uint64(seed)  # uint64 array arithmetic wraps modulo 2**64
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_MULT1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MULT2)
+    return z ^ (z >> np.uint64(31))
 
 
 def rewire_edges(u, v, w, n_nodes, target_swaps, max_attempts, seed):
-    return _rewire_impl(u, v, w, n_nodes, target_swaps, max_attempts,
-                        int(seed) & _SEED_MASK)
+    """Double-edge-swap rewiring, then a Fisher-Yates shuffle of the weights.
 
+    Each attempt draws two edge indices and, unless they coincide, a flip
+    bit. Returns the rewired ``(u2, v2, w2)`` and the accepted swap count.
+    """
+    seed = int(seed) & _SEED_MASK
+    m = u.shape[0]
+    uu, vv = u.tolist(), v.tolist()
+    adj = np.zeros((n_nodes, n_nodes), dtype=np.bool_)
+    adj[u, v] = adj[v, u] = True
 
-def available_paths():
-    """Kernel handles for benchmarking / cross-checking both paths."""
+    drawn = accepted = attempts = 0
+    edge, flip, i = [], [], 0
+    while m >= 2 and accepted < target_swaps and attempts < max_attempts:
+        if i + 3 > len(edge):
+            drawn += i
+            z = _splitmix(seed, drawn, 3 * min(target_swaps - accepted,
+                                               max_attempts - attempts))
+            edge, flip, i = (z % np.uint64(m)).tolist(), (z & np.uint64(1)).tolist(), 0
+        attempts += 1
+        e1, e2 = edge[i], edge[i + 1]
+        if e1 == e2:
+            i += 2
+            continue
+        a, b = uu[e1], vv[e1]
+        c, d = (vv[e2], uu[e2]) if flip[i + 2] else (uu[e2], vv[e2])
+        i += 3
+        if a == d or c == b or adj[a, d] or adj[c, b]:
+            continue
+        adj[a, b] = adj[b, a] = adj[c, d] = adj[d, c] = False
+        adj[a, d] = adj[d, a] = adj[c, b] = adj[b, c] = True
+        uu[e1], vv[e1] = a, d
+        uu[e2], vv[e2] = c, b
+        accepted += 1
+    drawn += i
 
-    def _wrap(impl):
-        def call(u, v, w, n_nodes, target_swaps, max_attempts, seed):
-            return impl(u, v, w, n_nodes, target_swaps, max_attempts,
-                        int(seed) & _SEED_MASK)
-        return call
+    bounds = np.arange(m, 1, -1, dtype=np.uint64)
+    perm = list(range(m))
+    for top, j in zip(range(m - 1, 0, -1),
+                      (_splitmix(seed, drawn, len(bounds)) % bounds).tolist()):
+        perm[top], perm[j] = perm[j], perm[top]
 
-    paths = {"python": (_modularity_python, _wrap(_rewire_python))}
-    if _HAVE_NUMBA:
-        paths["numba"] = (_modularity_numba, _wrap(_rewire_numba))
-    return paths
+    return (np.array(uu, dtype=np.int64), np.array(vv, dtype=np.int64),
+            w[np.array(perm, dtype=np.int64)], accepted)

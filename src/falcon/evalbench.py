@@ -32,6 +32,9 @@ class MetricReport:
     config_hash: str = ""
     precision_undefined: bool = False
     recall_undefined: bool = False
+    # Candidates the model could not score (context overflow); each is also
+    # counted in the confusion matrix as predicted negative.
+    skipped: int = 0
 
     @property
     def total(self) -> int:
@@ -66,6 +69,7 @@ class MetricReport:
         return {
             "dataset_id": self.dataset_id, "config_hash": self.config_hash,
             "confusion": {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn},
+            "skipped": self.skipped,
             "accuracy": self.accuracy, "precision": self.precision,
             "recall": self.recall, "f1": self.f1,
             "precision_undefined": self.precision_undefined,
@@ -95,6 +99,16 @@ def compute_metrics(predictions: Sequence[int], gold: Sequence[int],
                         config_hash=config_hash,
                         precision_undefined=(tp + fp == 0),
                         recall_undefined=(tp + fn == 0))
+
+
+def _report_predictions(preds, examples, dataset_id: str,
+                        config_hash: str) -> MetricReport:
+    """Metrics of ``predict`` output against the examples' interaction labels."""
+    report = compute_metrics([p.label if p.label is not None else 0 for p in preds],
+                             [ex.y_inter for ex in examples],
+                             dataset_id=dataset_id, config_hash=config_hash)
+    report.skipped = sum(p.skipped for p in preds)
+    return report
 
 
 @dataclass
@@ -158,10 +172,8 @@ def run_ablations(examples, base_config, frozen_extractor=None,
             train(model, examples, run_config)
             preds = predict(model, [ex.candidate for ex in test_set],
                             threshold=run_config.threshold)
-            report = compute_metrics(
-                [p.label if p.label is not None else 0 for p in preds],
-                [ex.y_inter for ex in test_set],
-                dataset_id=dataset_id, config_hash=run_config.config_hash())
+            report = _report_predictions(preds, test_set, dataset_id,
+                                         run_config.config_hash())
             table.rows.append(AblationRow(name=name,
                                           config_hash=run_config.config_hash(),
                                           report=report, seed=seed))
@@ -174,7 +186,5 @@ def evaluate_transfer(model, external_examples, dataset_id: str = "external") ->
 
     preds = predict(model, [ex.candidate for ex in external_examples],
                     threshold=model.config.threshold)
-    return compute_metrics(
-        [p.label if p.label is not None else 0 for p in preds],
-        [ex.y_inter for ex in external_examples],
-        dataset_id=dataset_id, config_hash=model.config.config_hash())
+    return _report_predictions(preds, external_examples, dataset_id,
+                               model.config.config_hash())

@@ -15,6 +15,7 @@ import re
 import time
 import urllib.error
 import urllib.request
+from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -150,6 +151,49 @@ class ExtractSummary:
                 "documents": self.documents, "excluded_lines": self.excluded_lines}
 
 
+STATE_KEYS = ("doc_id", "candidates", "positives", "negatives", "skipped", "out_bytes")
+
+
+def _add_document(summary: ExtractSummary, counts: dict) -> None:
+    summary.candidates += counts["candidates"]
+    summary.positives += counts["positives"]
+    summary.negatives += counts["negatives"]
+    summary.skipped += counts["skipped"]
+    summary.documents += 1
+
+
+def _state_entry(obj: dict) -> dict:
+    return {key: obj[key] for key in STATE_KEYS}
+
+
+def _read_state_log(state_path: str | Path) -> list[dict]:
+    """Entries of the finished documents in a resume-state log.
+
+    A torn last line (no trailing newline, or not JSON) is what a kill during
+    the append leaves; it is cut off the file so appends start on a fresh
+    line. A bad line anywhere else raises ``path:line``.
+    """
+    path = Path(state_path)
+    if not path.exists():
+        return []
+    data = path.read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep:
+        last = data.rfind(b"\n", 0, keep - 1) + 1
+        try:
+            json.loads(data[last:keep])
+        except ValueError:
+            keep = last
+    if keep < len(data):
+        os.truncate(path, keep)
+    return list(iter_jsonl(path, _state_entry))
+
+
+def _append_state(log, entry: dict) -> None:
+    log.write(dumps_record(entry) + "\n")
+    log.flush()
+
+
 def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | Path,
                    threshold: float = 0.5, summary_path: str | Path | None = None,
                    state_path: str | Path | None = None,
@@ -157,10 +201,10 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
     """Pair, score, and stream positive records per document in sorted order.
 
     With ``state_path`` the run is resumable: after each document's records
-    are flushed, its doc_id and the output's byte size replace the state file
-    atomically. A restart skips those documents (restoring their counts) and
-    truncates the output to that size, so a run killed at any point resumes
-    without duplicating or losing records.
+    are flushed, one line with its doc_id, counts and the output's byte size
+    is appended to the state log. A restart skips those documents (restoring
+    their counts) and truncates the output to the last recorded size, so a
+    run killed at any point resumes without duplicating or losing records.
     """
     from .training import predict
 
@@ -169,21 +213,16 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
         by_doc.setdefault(t.segment.doc_id, []).append(t)
 
     summary = ExtractSummary()
-    done: dict[str, dict] = {}
-    if state_path and Path(state_path).exists():
-        state = json.loads(Path(state_path).read_text(encoding="utf-8"))
-        done = state.get("done", {})
-        for counts in done.values():
-            summary.candidates += counts["candidates"]
-            summary.positives += counts["positives"]
-            summary.negatives += counts["negatives"]
-            summary.skipped += counts["skipped"]
-            summary.documents += 1
-        # Drop the records of a document whose run died before its state write.
-        os.truncate(out_path, state["out_bytes"])
+    entries = _read_state_log(state_path) if state_path else []
+    for entry in entries:
+        _add_document(summary, entry)
+    done = {entry["doc_id"] for entry in entries}
+    if entries:
+        # Drop the records of a document whose run died before its state line.
+        os.truncate(out_path, entries[-1]["out_bytes"])
 
-    mode = "a" if done else "w"
-    with open(out_path, mode, encoding="utf-8") as out:
+    with (open(out_path, "a" if done else "w", encoding="utf-8") as out,
+          open(state_path, "a", encoding="utf-8") if state_path else nullcontext() as log):
         for doc_id in sorted(by_doc):
             if doc_id in done:
                 continue
@@ -201,17 +240,9 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
                 else:
                     counts["negatives"] += 1
             out.flush()
-            summary.candidates += counts["candidates"]
-            summary.positives += counts["positives"]
-            summary.negatives += counts["negatives"]
-            summary.skipped += counts["skipped"]
-            summary.documents += 1
+            _add_document(summary, counts)
             if state_path:
-                done[doc_id] = counts
-                tmp = Path(f"{state_path}.tmp")
-                tmp.write_text(json.dumps({"done": done, "out_bytes": out.tell()},
-                                          sort_keys=True), encoding="utf-8")
-                os.replace(tmp, state_path)
+                _append_state(log, {"doc_id": doc_id, **counts, "out_bytes": out.tell()})
 
     if summary_path:
         Path(summary_path).write_text(

@@ -26,6 +26,10 @@ from .ingest import normalize_surface
 
 TYPE_WEIGHTS = {"Adversarial": -2.0, "Cooperative": 2.0, "Neutral": 1.0}
 PARTIES = ("Republican", "Democrat")
+# Each null sample aims at SWAP_FACTOR * m accepted swaps within
+# MAX_ATTEMPT_FACTOR * m attempts, m being the edge count.
+SWAP_FACTOR = 10
+MAX_ATTEMPT_FACTOR = 100
 
 
 class DegenerateGraphError(ValueError):
@@ -194,8 +198,7 @@ def _edge_modularity(u, v, w, comm, n_nodes: int, n_comms: int,
 # ---------------------------------------------------------------------------
 # Null model
 
-def randomize_null(graph: SignedGraph, seed: int, swap_factor: int = 10,
-                   max_attempt_factor: int = 100) -> SignedGraph:
+def randomize_null(graph: SignedGraph, seed: int) -> SignedGraph:
     """Degree-preserving double-edge swaps plus a uniform permutation of the
     original weight multiset onto the rewired edge set; deterministic under
     ``seed``. Graphs where no swap is possible come back weight-permuted
@@ -208,7 +211,7 @@ def randomize_null(graph: SignedGraph, seed: int, swap_factor: int = 10,
         u2, v2, w2, accepted = accel.rewire_edges(u, v, w, graph.n_nodes, 0, 0, seed)
     else:
         u2, v2, w2, accepted = accel.rewire_edges(
-            u, v, w, graph.n_nodes, swap_factor * m, max_attempt_factor * m, seed)
+            u, v, w, graph.n_nodes, SWAP_FACTOR * m, MAX_ATTEMPT_FACTOR * m, seed)
         if accepted == 0:
             warnings.warn("no degree-preserving swap was possible; "
                           "returning weight-permuted copy")
@@ -241,7 +244,6 @@ def sample_seeds(master_seed: int, n: int) -> np.ndarray:
 
 def standardized_modularity(graph: SignedGraph, partition: dict[str, str],
                             n_samples: int = 1000, master_seed: int = 0,
-                            swap_factor: int = 10,
                             signed_mode: str = "verbatim") -> ModularityReport:
     """Z-score of the observed modularity against the rewired null ensemble,
     every sample scored with the same ``signed_mode`` as the original."""
@@ -255,7 +257,7 @@ def standardized_modularity(graph: SignedGraph, partition: dict[str, str],
     qs = np.empty(n_samples)
     for i, seed in enumerate(seeds):
         u2, v2, w2, _ = accel.rewire_edges(
-            u, v, w, graph.n_nodes, swap_factor * m, 100 * m, int(seed))
+            u, v, w, graph.n_nodes, SWAP_FACTOR * m, MAX_ATTEMPT_FACTOR * m, int(seed))
         qs[i] = _edge_modularity(u2, v2, w2, comm, graph.n_nodes, n_comms, signed_mode)
     mu = float(np.mean(qs))
     sigma = float(np.std(qs, ddof=1))
@@ -439,20 +441,17 @@ def pagerank(graph: SignedGraph, damping: float = 0.85,
     n = graph.n_nodes
     if n == 0:
         return {}
-    strength = np.zeros(n)
     u, v, w = graph.edge_arrays()
-    aw = np.abs(w)
-    for a, b, x in zip(u, v, aw):
-        strength[a] += x
-        strength[b] += x
+    # Each edge (a, b) feeds b from a, then a from b, as interleaved entries.
+    ends = np.stack([u, v], 1).ravel()
+    other_ends = np.stack([v, u], 1).ravel()
+    aw = np.repeat(np.abs(w), 2)
+    strength = np.bincount(ends, weights=aw, minlength=n)
     rank = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        spread = np.zeros(n)
         share = np.divide(rank, strength, out=np.zeros_like(rank),
                           where=strength > 0)
-        for a, b, x in zip(u, v, aw):
-            spread[b] += share[a] * x
-            spread[a] += share[b] * x
+        spread = np.bincount(other_ends, weights=share[ends] * aw, minlength=n)
         dangling = rank[strength == 0].sum()
         new_rank = (1 - damping) / n + damping * (spread + dangling / n)
         if np.abs(new_rank - rank).sum() < tol:
@@ -471,11 +470,12 @@ def graph_stats(graph: SignedGraph, k_min: int = 2, damping: float = 0.85) -> Gr
     for k in degrees:
         histogram[int(k)] = histogram.get(int(k), 0) + 1
 
-    n = graph.n_nodes
-    a = np.zeros((n, n))
+    neighbours = [set() for _ in range(graph.n_nodes)]
     for (i, j) in graph.edges:
-        a[i, j] = a[j, i] = 1.0
-    triangles = float(np.trace(a @ a @ a)) / 6.0
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    # Every triangle is seen once from each of its three edges.
+    triangles = sum(len(neighbours[i] & neighbours[j]) for (i, j) in graph.edges) / 3
     triads = float(sum(k * (k - 1) / 2 for k in degrees))
     clustering = 3.0 * triangles / triads if triads else 0.0
 

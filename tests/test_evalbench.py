@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -114,3 +115,26 @@ def test_transfer_matches_hand_scored_confusion(trained):
     fn = sum(1 for p, ex in zip(preds, subset) if p.label == 0 and ex.y_inter == 1)
     tn = sum(1 for p, ex in zip(preds, subset) if p.label == 0 and ex.y_inter == 0)
     assert (report.tp, report.fp, report.fn, report.tn) == (tp, fp, fn, tn)
+
+
+def test_reports_count_skipped_candidates(corpus):
+    # A 20-token window cannot hold the marked spans of some fixture
+    # candidates. Training cannot skip, so only the test split overflows.
+    config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, ft=False)
+    model = InteractionModel(config)
+    preds = predict(model, [ex.candidate for ex in corpus.examples])
+    fits = [ex for ex, p in zip(corpus.examples, preds) if not p.skipped]
+    overflows = [ex for ex, p in zip(corpus.examples, preds) if p.skipped]
+    examples = ([replace(ex, split="train") for ex in fits[:20]]
+                + [replace(ex, split="val") for ex in fits[20:26]]
+                + [replace(ex, split="test") for ex in fits[26:36] + overflows[:4]])
+    test_set = examples[26:]
+
+    report = evaluate_transfer(model, test_set)
+    assert report.skipped == 4
+    assert report.total == len(test_set)  # a skipped candidate counts as predicted negative
+    assert report.to_json()["skipped"] == 4
+
+    table = run_ablations(examples, config)
+    assert [row.report.skipped for row in table.rows] == [4] * 6
+    assert all(row.report.total == len(test_set) for row in table.rows)

@@ -1,9 +1,8 @@
 import json
-from pathlib import Path
 
 import pytest
 
-from falcon import fixtures
+from falcon import extract, fixtures
 from falcon.dataset import split_dataset
 from falcon.extract import (
     FixtureLLMClient,
@@ -16,6 +15,7 @@ from falcon.extract import (
     parse_type,
     record_from_candidate,
 )
+from falcon.ingest import dumps_record
 from falcon.training import InteractionModel, TrainConfig, pretrain_trajectory_extractor, train
 
 
@@ -132,23 +132,22 @@ def test_extraction_killed_at_state_write_resumes_byte_identical(
     clean_summary = extract_corpus(corpus.triples, trained, clean, threshold=0.5)
     doc_ids = sorted({t.segment.doc_id for t in corpus.triples})
     victim = sorted({rec.doc_id for rec in load_records(clean)})[1]
-    kill_at = doc_ids.index(victim) + 1  # one state write per finished document
 
     out, state = tmp_path / "out.jsonl", tmp_path / "state.json"
-    real_write_text = Path.write_text
-    state_writes = []
+    real_append = extract._append_state
 
-    def write_text(self, data, *args, **kwargs):
-        if self.name.startswith(state.name):
-            state_writes.append(self)
-            if len(state_writes) == kill_at:
-                if torn:
-                    real_write_text(self, data[:len(data) // 2], *args, **kwargs)
-                raise Killed
-        return real_write_text(self, data, *args, **kwargs)
+    def append_state(log, entry):
+        # Killed after the victim's records are flushed, before its state
+        # line is complete: either nothing or half the line reaches the log.
+        if entry["doc_id"] == victim:
+            if torn:
+                log.write(dumps_record(entry)[:20])
+                log.flush()
+            raise Killed
+        real_append(log, entry)
 
     with monkeypatch.context() as patch:
-        patch.setattr(Path, "write_text", write_text)
+        patch.setattr(extract, "_append_state", append_state)
         with pytest.raises(Killed):
             extract_corpus(corpus.triples, trained, out, threshold=0.5, state_path=state)
     # the victim's records reached the output before the kill
@@ -157,6 +156,18 @@ def test_extraction_killed_at_state_write_resumes_byte_identical(
                                      state_path=state)
     assert out.read_bytes() == clean.read_bytes()
     assert resumed_summary == clean_summary
+    # the torn line was cut off, so the log holds one clean line per document
+    lines = state.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["doc_id"] for line in lines] == doc_ids
+
+
+def test_state_log_with_a_bad_inner_line_reports_its_line(tmp_path, corpus, trained):
+    out, state = tmp_path / "out.jsonl", tmp_path / "state.json"
+    extract_corpus(corpus.triples, trained, out, threshold=0.5, state_path=state)
+    lines = state.read_text(encoding="utf-8").splitlines(keepends=True)
+    state.write_text("".join([lines[0], "{not json\n", *lines[1:]]), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"state\.json:2: "):
+        extract_corpus(corpus.triples, trained, out, threshold=0.5, state_path=state)
 
 
 def test_gazetteer_enrichment(tmp_path, corpus, trained):

@@ -401,6 +401,20 @@ def test_pagerank_sums_to_one_and_favors_hub():
     assert ranks["n0"] == max(ranks.values())
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_clustering_and_pagerank_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    g = fixtures.random_signed_graph(60, 0.08, seed=seed)  # leaves isolated nodes
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n_nodes))
+    ref.add_weighted_edges_from((i, j, abs(w)) for (i, j), w in g.edges.items())
+    stats = graph_stats(g)
+    assert stats.clustering == pytest.approx(nx.transitivity(ref), abs=1e-12)
+    want = nx.pagerank(ref, alpha=0.85, weight="weight", tol=1e-13, max_iter=10000)
+    for i, node in enumerate(g.nodes):
+        assert stats.pagerank[node] == pytest.approx(want[i], abs=1e-9)
+
+
 def test_degree_histogram_counts():
     g = _graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     stats = graph_stats(g)
