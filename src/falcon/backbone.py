@@ -89,7 +89,14 @@ class DeterministicStubBackbone(EncoderBackbone):
         keys = np.array([self.token_key(t) for t in seq])
         ctx = keys.mean()
         win = self.context_window
-        local = np.array([keys[max(0, p - win):p + win + 1].mean() for p in range(n)])
+        # Mean of keys[p - win : p + win + 1] clipped to the sequence, summed
+        # left to right over zero padding (adding a zero is exact).
+        padded = np.concatenate([np.zeros(win), keys, np.zeros(win)])
+        total = padded[:n].copy()
+        for shift in range(1, 2 * win + 1):
+            total += padded[shift:shift + n]
+        p = np.arange(n)
+        local = total / (np.minimum(p + win, n - 1) - np.maximum(p - win, 0) + 1)
         pos = np.arange(1, n + 1)[:, None]
         dims = np.arange(1, self.hidden_size + 1)[None, :]
         return (np.sin(pos * dims * 0.7 + 2.0 * math.pi * keys[:, None])

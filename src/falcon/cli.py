@@ -96,10 +96,11 @@ def pretrain_tra_cmd(config_path, data_path, out_path):
     """Pretrain the trajectory extractor on labeled triples, freeze, save."""
     config = _load_train_config(config_path)
     corpus = ds.load_labeled_triples(data_path)
-    extractor, history = tr.pretrain_trajectory_extractor(corpus, config)
+    result = tr.TrainResult()
+    extractor, history = tr.pretrain_trajectory_extractor(corpus, config, result=result)
     extractor.save(out_path, history=history)
-    click.echo(json.dumps({"examples": len(corpus), "epochs": len(history),
-                           "final_loss": history[-1]["loss"],
+    click.echo(json.dumps({"examples": len(corpus), "skipped": result.skipped,
+                           "epochs": len(history), "final_loss": history[-1]["loss"],
                            "config_hash": config.config_hash()}))
 
 
@@ -124,6 +125,7 @@ def train_cmd(config_path, data_path, out_path, frozen_path):
     click.echo(json.dumps({"epochs": len(result.history),
                            "best_epoch": result.best_epoch,
                            "best_val_f1": result.best_val_f1,
+                           "skipped": result.skipped,
                            "config_hash": config.config_hash()}))
 
 

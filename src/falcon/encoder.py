@@ -7,6 +7,12 @@ weighting, projects each slot through tanh + a role-specific linear map,
 and concatenates [CLS, e_1..e_n] into a single feature vector of dimension
 (n+1)*d. Forward passes cache enough to run an exact manual backward for
 all encoder parameters (the backbone itself is not trained here).
+
+The encoder splits at the frozen/trainable boundary: :meth:`ArBertEncoder.prepare`
+runs everything that depends only on (backbone, segment, entity spans) --
+markers, tokenization, the backbone and occurrence pooling -- and
+:meth:`ArBertEncoder.forward_prepared` runs the trainable rest, so a
+training loop can prepare each distinct input once and reuse it every epoch.
 """
 
 from __future__ import annotations
@@ -210,9 +216,30 @@ class _SlotCache:
 
 @dataclass
 class EncodeCache:
-    marked: MarkedInput
-    hidden: np.ndarray
     slots: list[_SlotCache] = field(default_factory=list)
+
+
+@dataclass(frozen=True, slots=True)
+class PreparedInput:
+    """The frozen half of one encoder input, packed into one matrix.
+
+    ``rows`` holds the CLS row, then the pooled occurrence rows of each
+    entity in canonical role order; ``counts`` gives each entity's number
+    of rows. It depends only on the backbone, the segment text and the
+    entities' roles and spans (see :func:`input_key`).
+    """
+
+    roles: tuple[str, ...]
+    counts: tuple[int, ...]
+    rows: np.ndarray  # (1 + sum(counts), d)
+
+
+def input_key(segment: TextSegment, entities: Sequence[EntityMention]) -> tuple:
+    """Everything :meth:`ArBertEncoder.prepare` reads: two inputs with equal
+    keys prepare to equal :class:`PreparedInput` under one backbone. The
+    key is one flat tuple (text, role, spans, role, spans, ...), the
+    smallest form a training run's store keeps one of per input."""
+    return (segment.text, *(x for e in entities for x in (e.role, e.occurrences)))
 
 
 class ArBertEncoder:
@@ -245,29 +272,48 @@ class ArBertEncoder:
     def hidden_size(self) -> int:
         return self.backbone.hidden_size
 
-    def forward(self, segment: TextSegment, entities: Sequence[EntityMention]):
+    def prepare(self, segment: TextSegment,
+                entities: Sequence[EntityMention]) -> PreparedInput:
+        """Markers, tokenization, backbone and occurrence pooling: the part of
+        :meth:`forward` that no encoder parameter reaches. Raises
+        :class:`ContextOverflowError` when the marked spans overflow the
+        backbone window."""
         entities = canonical_entities(entities)
         marked = insert_markers(segment, entities, self.backbone)
         hidden = self.backbone.encode(marked.token_texts)
-        cache = EncodeCache(marked=marked, hidden=hidden)
+        rows = [hidden[marked.cls_index]]
+        for spans in marked.entity_spans:
+            rows.extend(pool_occurrence(hidden, span) for span in spans)
+        return PreparedInput(roles=tuple(e.role for e in entities),
+                             counts=tuple(len(spans) for spans in marked.entity_spans),
+                             rows=np.stack(rows))
 
+    def forward_prepared(self, prepared: PreparedInput):
+        """Occurrence attention, tanh and the role projections of one
+        prepared input; returns (feature vector, cache for :meth:`backward`)."""
+        cache = EncodeCache()
         parts: list[np.ndarray] = []
-        h0 = hidden[marked.cls_index]
+        h0 = prepared.rows[0]
         t0 = np.tanh(h0)
         parts.append(self.params["proj.cls.W"] @ t0 + self.params["proj.cls.b"])
         cache.slots.append(_SlotCache(key="cls", pre_tanh=h0, tanh_out=t0))
 
-        for ent, spans in zip(entities, marked.entity_spans):
-            occ = np.stack([pool_occurrence(hidden, span) for span in spans])
+        start = 1
+        for role, k in zip(prepared.roles, prepared.counts):
+            occ = prepared.rows[start:start + k]
+            start += k
             feat = aggregate_occurrences(occ, self.params["attn.w"],
                                          float(self.params["attn.b"]),
                                          norm=self.attention_norm)
-            key = _role_key(ent.role)
+            key = _role_key(role)
             t = np.tanh(feat.aggregated)
             parts.append(self.params[f"proj.{key}.W"] @ t + self.params[f"proj.{key}.b"])
             cache.slots.append(_SlotCache(key=key, pre_tanh=feat.aggregated,
                                           tanh_out=t, feature=feat))
         return np.concatenate(parts), cache
+
+    def forward(self, segment: TextSegment, entities: Sequence[EntityMention]):
+        return self.forward_prepared(self.prepare(segment, entities))
 
     def encode(self, segment: TextSegment, entities: Sequence[EntityMention]) -> FeatureVector:
         vector, cache = self.forward(segment, entities)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .backbone import get_backbone
-from .encoder import ArBertEncoder
+from .encoder import ArBertEncoder, PreparedInput
 from .ingest import EntityMention, TextSegment, TrajectoryTriple
 
 
@@ -219,11 +219,12 @@ class FrozenTrajectoryExtractor:
     def features_for(self, triple: TrajectoryTriple) -> np.ndarray:
         return self.features(triple.segment, (triple.person, triple.time, triple.location))
 
-    def forward_train(self, segment: TextSegment, entities: Sequence[EntityMention]):
-        """Class probabilities through the pretraining head, with caches."""
+    def forward_train(self, prepared: PreparedInput):
+        """Class probabilities of one prepared input (``encoder.prepare``)
+        through the pretraining head, with caches."""
         if self.frozen:
             raise RuntimeError("extractor is frozen; training forward is forbidden")
-        h_prime, enc_cache = self.encoder.forward(segment, entities)
+        h_prime, enc_cache = self.encoder.forward_prepared(prepared)
         feat, mlp_cache = self._mlp_feature(h_prime)
         logits = self.mlp_params["head.W"] @ feat
         shifted = np.exp(logits - logits.max())

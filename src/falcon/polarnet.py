@@ -84,6 +84,7 @@ class BuildReport:
     excluded_no_party: int = 0
     excluded_untyped: int = 0
     excluded_out_of_window: int = 0
+    excluded_self_pairs: int = 0  # both people normalise to one node
     dropped_zero_edges: int = 0
 
 
@@ -102,7 +103,8 @@ def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict
 
     Per-pair weights are the sum of the mapped type weights across all
     records in the window. Zero-sum pairs keep their edge (they still carry
-    a structural tie) unless ``drop_zero_edges`` is set.
+    a structural tie) unless ``drop_zero_edges`` is set. A record whose two
+    people normalise to the same key is dropped: the graph has no loops.
     """
     report = BuildReport()
     pair_weights: dict[tuple[str, str], float] = {}
@@ -119,6 +121,9 @@ def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict
                 report.excluded_out_of_window += 1
                 continue
         k1, k2 = normalize_surface(rec.person1), normalize_surface(rec.person2)
+        if k1 == k2:
+            report.excluded_self_pairs += 1
+            continue
         if k1 not in node_attrs or k2 not in node_attrs:
             report.excluded_no_party += 1
             continue

@@ -21,7 +21,7 @@ import numpy as np
 
 from .backbone import get_backbone
 from .dataset import LabeledExample, LabeledTriple, decompose_candidate
-from .encoder import ArBertEncoder, ContextOverflowError
+from .encoder import ArBertEncoder, ContextOverflowError, PreparedInput, input_key
 from .fusion import (
     FrozenTrajectoryExtractor,
     cross_attention_backward,
@@ -30,7 +30,7 @@ from .fusion import (
     gate_backward,
     gate_forward,
 )
-from .ingest import CandidateQuadruple
+from .ingest import CandidateQuadruple, TrajectoryTriple
 
 PROB_EPS = 1e-7
 C_MIN = 1e-3
@@ -300,10 +300,19 @@ class InteractionModel:
             self._frozen_feature_cache[key] = cached
         return cached
 
-    def forward_candidate(self, cand: CandidateQuadruple, with_tra: bool = False):
-        """Full forward pass; returns (p_inter, p_tra1, p_tra2, cache)."""
+    def forward_candidate(self, cand: CandidateQuadruple, with_tra: bool = False,
+                          prepare=None):
+        """Full forward pass; returns (p_inter, p_tra1, p_tra2, cache).
+
+        ``prepare(segment, entities)`` supplies the frozen half of each
+        encoder input: by default :meth:`ArBertEncoder.prepare`; training
+        passes its :class:`FeatureStore`.
+        """
         cfg = self.config
-        h_inter, cache_inter = self.encoder.forward(cand.segment, cand.entities())
+        if prepare is None:
+            prepare = self.encoder.prepare
+        h_inter, cache_inter = self.encoder.forward_prepared(
+            prepare(cand.segment, cand.entities()))
         t1, t2 = decompose_candidate(cand)
         cache: dict = {"inter": cache_inter, "h_inter": h_inter}
 
@@ -331,8 +340,8 @@ class InteractionModel:
         p_tra1 = p_tra2 = None
         if with_tra and cfg.mt:
             for name, triple in (("tra1", t1), ("tra2", t2)):
-                entities = (triple.person, triple.time, triple.location)
-                h_tra, cache_tra = self.encoder.forward(triple.segment, entities)
+                h_tra, cache_tra = self.encoder.forward_prepared(
+                    prepare(*_triple_view(triple)))
                 p = softmax2(self.params["head.tra.W"] @ h_tra)
                 cache[name] = (h_tra, cache_tra, p)
                 if name == "tra1":
@@ -408,11 +417,60 @@ class InteractionModel:
 
 
 # ---------------------------------------------------------------------------
+# Feature store
+
+class FeatureStore:
+    """The frozen half of the encoder, run once per distinct input of one
+    training run.
+
+    :meth:`add` prepares the views of one training item under their
+    :func:`~falcon.encoder.input_key`; calling the store looks a view up,
+    so it stands in for ``encoder.prepare`` in the epoch loop. A training
+    call owns its store and drops it on return; prediction sees each input
+    once and keeps none.
+    """
+
+    def __init__(self, encoder: ArBertEncoder):
+        self.encoder = encoder
+        self.inputs: dict[tuple, PreparedInput] = {}
+
+    def add(self, views) -> bool:
+        """Prepare each (segment, entities) view not stored yet; False when
+        one overflows the backbone window, so the item must be left out."""
+        for segment, entities in views:
+            key = input_key(segment, entities)
+            if key not in self.inputs:
+                try:
+                    self.inputs[key] = self.encoder.prepare(segment, entities)
+                except ContextOverflowError:
+                    return False
+        return True
+
+    def __call__(self, segment, entities) -> PreparedInput:
+        return self.inputs[input_key(segment, entities)]
+
+
+def _triple_view(triple: TrajectoryTriple) -> tuple:
+    """The (segment, entities) encoder input of one trajectory triple."""
+    return triple.segment, (triple.person, triple.time, triple.location)
+
+
+def _candidate_views(cand: CandidateQuadruple, with_tra: bool) -> list[tuple]:
+    """The encoder inputs of one candidate: the interaction view, then (with
+    the trajectory task) both trajectory views."""
+    views = [(cand.segment, cand.entities())]
+    if with_tra:
+        views += [_triple_view(t) for t in decompose_candidate(cand)]
+    return views
+
+
+# ---------------------------------------------------------------------------
 # Batched objective
 
 def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
-                grads: dict[str, np.ndarray] | None):
-    """Forward (and optionally backward) one batch; returns loss components."""
+                grads: dict[str, np.ndarray] | None, prepare=None):
+    """Forward (and optionally backward) one batch; returns loss components.
+    ``prepare`` is passed on to :meth:`InteractionModel.forward_candidate`."""
     cfg = model.config
     n = len(batch)
     caches = []
@@ -421,7 +479,8 @@ def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
     p_tra = np.empty((2, n))
     y_tra = np.array([[ex.y_tra1 for ex in batch], [ex.y_tra2 for ex in batch]])
     for i, ex in enumerate(batch):
-        pi, pt1, pt2, cache = model.forward_candidate(ex.candidate, with_tra=cfg.mt)
+        pi, pt1, pt2, cache = model.forward_candidate(ex.candidate, with_tra=cfg.mt,
+                                                      prepare=prepare)
         p_inter[i] = pi[1]
         if cfg.mt:
             p_tra[0, i] = pt1[1]
@@ -468,13 +527,14 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_val_f1: float | None = None
+    skipped: int = 0  # items left out: their marked spans overflow the window
 
 
 def _val_f1(model: InteractionModel, examples: Sequence[LabeledExample],
-            threshold: float):
+            threshold: float, prepare=None):
     tp = fp = fn = tn = 0
     for ex in examples:
-        p, _, _, _ = model.forward_candidate(ex.candidate)
+        p, _, _, _ = model.forward_candidate(ex.candidate, prepare=prepare)
         pred = 1 if p[1] >= threshold else 0
         if pred == 1 and ex.y_inter == 1:
             tp += 1
@@ -527,7 +587,10 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     """Train on split=='train', early-stop on validation F1, restore the best.
 
     Deterministic under the config seed and single-worker batch order.
-    Aborts with a diagnostic when the objective stops being finite.
+    Aborts with a diagnostic when the objective stops being finite. Each
+    distinct encoder input is prepared once, before the first epoch; train
+    and val examples whose marked spans overflow the backbone window are
+    left out and counted in ``TrainResult.skipped``.
     """
     config = (config or model.config).resolved()
     train_set = [ex for ex in examples if ex.split == "train"]
@@ -536,12 +599,21 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
         raise ValueError("no examples with split='train'")
 
     result = TrainResult()
+    store = FeatureStore(model.encoder)
+    kept_train = [ex for ex in train_set
+                  if store.add(_candidate_views(ex.candidate, model.config.mt))]
+    kept_val = [ex for ex in val_set if store.add(_candidate_views(ex.candidate, False))]
+    result.skipped = len(train_set) + len(val_set) - len(kept_train) - len(kept_val)
+    train_set, val_set = kept_train, kept_val
+    if not train_set:
+        raise ValueError("every train example overflows the backbone window")
+
     best_params = model.snapshot()
     best_f1 = -1.0
     stale = 0
 
     def batch_step(batch, grads):
-        total, l_inter, l_tra = _batch_pass(model, batch, grads)
+        total, l_inter, l_tra = _batch_pass(model, batch, grads, prepare=store)
         return total, l_inter, l_tra or 0.0
 
     def end_epoch(epoch, means):
@@ -555,7 +627,8 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
             "c2": float(model.params["c"][1]) if "c" in model.params else None,
         }
         if val_set:
-            acc, precision, recall, f1 = _val_f1(model, val_set, config.threshold)
+            acc, precision, recall, f1 = _val_f1(model, val_set, config.threshold,
+                                                 prepare=store)
             entry.update(val_acc=acc, val_precision=precision, val_recall=recall,
                          val_f1=f1)
             if f1 > best_f1:
@@ -579,9 +652,15 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     return result
 
 
-def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple],
-                                  config: TrainConfig) -> tuple[FrozenTrajectoryExtractor, list[dict]]:
-    """Train the trajectory extractor on labeled triples, then freeze it."""
+def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: TrainConfig,
+                                  result: TrainResult | None = None,
+                                  ) -> tuple[FrozenTrajectoryExtractor, list[dict]]:
+    """Train the trajectory extractor on labeled triples, then freeze it.
+
+    Each distinct triple is prepared once, before the first epoch; triples
+    whose marked spans overflow the backbone window are left out. A given
+    ``result`` receives the history and the count of left-out triples.
+    """
     if not corpus:
         raise ValueError("empty trajectory corpus")
     extractor = FrozenTrajectoryExtractor(
@@ -590,11 +669,18 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple],
         seed=config.seed, attention_norm=config.attention_norm,
         weights_path=config.weights_path)
     history: list[dict] = []
+    store = FeatureStore(extractor.encoder)
+    items = [item for item in corpus if store.add([_triple_view(item.triple)])]
+    if result is not None:
+        result.history = history
+        result.skipped = len(corpus) - len(items)
+    if not items:
+        raise ValueError("every trajectory triple overflows the backbone window")
 
     def batch_step(batch, grads):
         labels = np.array([item.y_tra for item in batch])
-        outs = [extractor.forward_train(item.triple.segment, (
-            item.triple.person, item.triple.time, item.triple.location)) for item in batch]
+        outs = [extractor.forward_train(store(*_triple_view(item.triple)))
+                for item in batch]
         for (p, cache), y in zip(outs, labels):
             extractor.backward_train((p - np.array([1 - y, y])) / len(batch), cache, grads)
         return (binary_cross_entropy(np.array([p[1] for p, _ in outs]), labels),)
@@ -603,7 +689,7 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple],
         history.append({"epoch": epoch, "loss": means[0]})
         return False
 
-    _fit(extractor.all_params(), extractor.zero_grads, corpus, config, batch_step, end_epoch)
+    _fit(extractor.all_params(), extractor.zero_grads, items, config, batch_step, end_epoch)
     extractor.freeze()
     return extractor, history
 

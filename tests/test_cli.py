@@ -4,7 +4,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from falcon.backbone import DeterministicStubBackbone
 from falcon.cli import main
+from falcon.dataset import load_labeled_triples
+from falcon.encoder import ContextOverflowError, canonical_entities, insert_markers
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +175,31 @@ def test_ablate_command(workspace):
     assert res.exit_code == 0, res.output
     table = (workspace / "ablations" / "ablations.csv").read_text()
     assert len(table.splitlines()) == 7
+
+
+def test_train_commands_report_skipped(workspace):
+    # A 20-token window cannot hold some fixture triples and candidates.
+    runner = CliRunner()
+    cfg = workspace / "short.cfg"
+    cfg.write_text("hidden_size = 4\nmax_tokens = 20\nmax_epochs = 1\nseed = 5\n"
+                   "fusion_mode = off\n")
+    trajectories = workspace / "fx" / "trajectories.jsonl"
+    res = runner.invoke(main, ["pretrain-tra", "--config", str(cfg), "--data",
+                               str(trajectories), "--out", str(workspace / "short.ckpt")])
+    assert res.exit_code == 0, res.output
+    backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=20)
+    overflowing = 0
+    for item in load_labeled_triples(trajectories):
+        t = item.triple
+        try:
+            insert_markers(t.segment, canonical_entities((t.person, t.time, t.location)),
+                           backbone)
+        except ContextOverflowError:
+            overflowing += 1
+    assert 0 < json.loads(res.output)["skipped"] == overflowing
+
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--data",
+                               str(workspace / "fx" / "labeled_split.jsonl"),
+                               "--out", str(workspace / "short_model.ckpt")])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["skipped"] > 0

@@ -41,6 +41,31 @@ def fig_entities(text=FIG_TEXT):
 
 
 # ---------------------------------------------------------------------------
+# stub backbone
+
+def _windowed_mean_loop(keys, win):
+    return np.array([keys[max(0, p - win):p + win + 1].mean() for p in range(len(keys))])
+
+
+def test_stub_windowed_mean_matches_loop_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for win in (1, 2, 3):
+        backbone = DeterministicStubBackbone(hidden_size=4, context_window=win)
+        # n tokens plus CLS: every sequence length from 1 to 2 * win + 3, then random
+        lengths = list(range(2 * win + 3)) + [int(n) for n in rng.integers(1, 200, 40)]
+        for n in lengths:
+            tokens = ["".join(chr(c) for c in rng.integers(97, 123, 5)) for _ in range(n)]
+            keys = np.array([backbone.token_key(t) for t in ["[CLS]"] + tokens])
+            local = _windowed_mean_loop(keys, win)
+            pos = np.arange(1, n + 2)[:, None]
+            dims = np.arange(1, 5)[None, :]
+            want = (np.sin(pos * dims * 0.7 + 2.0 * math.pi * keys[:, None])
+                    + 0.5 * np.cos(dims * (1.0 + keys.mean()))
+                    + 0.7 * np.sin(dims * 2.1 + 2.0 * math.pi * local[:, None]))
+            assert np.array_equal(backbone.encode(tokens), want)
+
+
+# ---------------------------------------------------------------------------
 # marker insertion
 
 def test_marker_scheme_on_canonical_sentence():

@@ -119,7 +119,7 @@ def test_transfer_matches_hand_scored_confusion(trained):
 
 def test_reports_count_skipped_candidates(corpus):
     # A 20-token window cannot hold the marked spans of some fixture
-    # candidates. Training cannot skip, so only the test split overflows.
+    # candidates; here only the test split holds them.
     config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, ft=False)
     model = InteractionModel(config)
     preds = predict(model, [ex.candidate for ex in corpus.examples])
@@ -138,3 +138,20 @@ def test_reports_count_skipped_candidates(corpus):
     table = run_ablations(examples, config)
     assert [row.report.skipped for row in table.rows] == [4] * 6
     assert all(row.report.total == len(test_set) for row in table.rows)
+
+
+def test_training_leaves_out_overflowing_examples(corpus):
+    # Some candidates of every split overflow a 20-token window. Training
+    # leaves the train and val ones out and counts them; test ones are
+    # scored as skipped.
+    config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, ft=False)
+    examples = split_dataset(corpus.examples, seed=0)
+    preds = predict(InteractionModel(config), [ex.candidate for ex in examples])
+    overflows = {split: sum(p.skipped for ex, p in zip(examples, preds) if ex.split == split)
+                 for split in ("train", "val", "test")}
+    assert min(overflows.values()) > 0
+
+    result = train(InteractionModel(config), examples, config)
+    assert result.skipped == overflows["train"] + overflows["val"]
+    table = run_ablations(examples, config)
+    assert [row.report.skipped for row in table.rows] == [overflows["test"]] * 6

@@ -187,7 +187,8 @@ def test_frozen_extractor_refuses_training_forward(small_extractor, corpus):
     extractor, _ = small_extractor
     t = corpus.labeled_triples[0].triple
     with pytest.raises(RuntimeError, match="frozen"):
-        extractor.forward_train(t.segment, (t.person, t.time, t.location))
+        extractor.forward_train(extractor.encoder.prepare(t.segment,
+                                                          (t.person, t.time, t.location)))
 
 
 def test_frozen_features_deterministic(small_extractor, corpus):

@@ -89,6 +89,22 @@ def test_unknown_party_excluded_and_counted():
     assert list(graph.edges.values()) == [1.0]
 
 
+def test_self_pair_excluded_and_counted():
+    nx = pytest.importorskip("networkx")
+
+    pairs = [("Ada", "Bo"), ("Bo", "Cy"), ("Ada", "Cy"), ("Cy", "Dee"), ("Bo", "Dee")]
+    records = [make_record(i, a, b, "Neutral") for i, (a, b) in enumerate(pairs)]
+    records.append(make_record(len(pairs), "Ada", " ada ", "Cooperative"))
+    graph, report = build_graph(records, ATTRS)
+    assert report.excluded_self_pairs == 1
+    assert report.included == len(pairs)
+    assert all(i != j for (i, j) in graph.edges)
+    assert list(graph.degree_sequence()) == [2, 3, 3, 2]
+    loop_free = nx.Graph([(a.lower(), b.lower()) for a, b in pairs])
+    assert graph_stats(graph).clustering == pytest.approx(nx.transitivity(loop_free),
+                                                          abs=1e-12)
+
+
 def test_untyped_record_excluded():
     rec = make_record(0, "Ada", "Bo", None)
     graph, report = build_graph([rec], ATTRS)

@@ -1,9 +1,14 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from falcon.dataset import split_dataset
+from falcon import fixtures
+from falcon.backbone import DeterministicStubBackbone
+from falcon.dataset import decompose_candidate, split_dataset
+from falcon.encoder import input_key
 from falcon.training import (
     AdamW,
     InteractionModel,
@@ -11,6 +16,7 @@ from falcon.training import (
     TrainingDiverged,
     _batch_pass,
     interaction_loss,
+    load_archive,
     load_config,
     multitask_loss,
     multitask_loss_grad_c,
@@ -211,6 +217,35 @@ def test_no_train_split_is_error(corpus, extractor):
         train(model, corpus.examples, config)
 
 
+def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
+    calls = []
+    encode = DeterministicStubBackbone.encode
+
+    def counting_encode(self, tokens):
+        calls.append(len(tokens))
+        return encode(self, tokens)
+
+    monkeypatch.setattr(DeterministicStubBackbone, "encode", counting_encode)
+    config = TrainConfig(hidden_size=4, max_epochs=3, seed=5, ft=False)
+    triples = corpus.labeled_triples
+    pretrain_trajectory_extractor(triples, config)
+    assert len(calls) == len({input_key(t.triple.segment, (
+        t.triple.person, t.triple.time, t.triple.location)) for t in triples})
+
+    calls.clear()
+    examples = split_dataset(corpus.examples, seed=0)
+    keys = set()
+    for ex in examples:
+        if ex.split in ("train", "val"):
+            keys.add(input_key(ex.candidate.segment, ex.candidate.entities()))
+        if ex.split == "train":
+            keys.update(input_key(t.segment, (t.person, t.time, t.location))
+                        for t in decompose_candidate(ex.candidate))
+    result = train(InteractionModel(config), examples, config)
+    assert len(result.history) == 3
+    assert len(calls) == len(keys)
+
+
 def test_adamw_clamps_adaptive_scalars():
     params = {"c": np.array([1e-9, -1e-9])}
     opt = AdamW(params, lr=0.0)
@@ -279,3 +314,40 @@ def test_config_hash_distinguishes_configs():
     b = TrainConfig(hidden_size=4, mt=False)
     assert a.config_hash() != b.config_hash()
     assert a.config_hash() == TrainConfig(hidden_size=4).config_hash()
+
+
+# ---------------------------------------------------------------------------
+# bit-identity contract
+
+# The training arithmetic's bit-identity contract: sha256 (first 16 hex
+# digits) over the sorted (name, bytes) arrays of each checkpoint of a small
+# fixture run (30 documents, d=8, 3 epochs). "gated" is the full model
+# (gated fusion, multi-task, adaptive weights); "off" drops feature transfer.
+GOLDEN_CHECKPOINTS = {"extractor": "8cc785dd57446ae9", "gated": "daaac9a95274ee34",
+                      "off": "4dc218ef8da5fa6a"}
+
+
+def _checkpoint_digest(path):
+    arrays, _ = load_archive(path)
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        digest.update(name.encode())
+        digest.update(arrays[name].tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_training_checkpoints_match_golden_digests(tmp_path):
+    corpus = fixtures.build_fixture_corpus(n_docs=30, seed=7)
+    examples = split_dataset(corpus.examples, seed=0)
+    config = TrainConfig(hidden_size=8, max_epochs=3, learning_rate=0.05,
+                         batch_size=16, patience=3, seed=5)
+    extractor, history = pretrain_trajectory_extractor(corpus.labeled_triples, config)
+    extractor.save(tmp_path / "extractor.ckpt", history=history)
+    got = {"extractor": _checkpoint_digest(tmp_path / "extractor.ckpt")}
+    for name, run in (("gated", config), ("off", replace(config, fusion_mode="off"))):
+        run = run.resolved()
+        model = InteractionModel(run, frozen=extractor if run.ft else None)
+        result = train(model, examples, run)
+        model.save(tmp_path / f"{name}.ckpt", history=result.history)
+        got[name] = _checkpoint_digest(tmp_path / f"{name}.ckpt")
+    assert got == GOLDEN_CHECKPOINTS
