@@ -16,13 +16,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .backbone import get_backbone
 from .encoder import ArBertEncoder, PreparedInput
-from .ingest import EntityMention, TextSegment, TrajectoryTriple
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -211,13 +209,10 @@ class FrozenTrajectoryExtractor:
         feat = self.mlp_params["mlp.W2"] @ a1 + self.mlp_params["mlp.b2"]
         return feat, (h_prime, a1)
 
-    def features(self, segment: TextSegment, entities: Sequence[EntityMention]) -> np.ndarray:
-        """The d-dimensional trajectory feature; no cache, no gradients."""
-        h_prime, _ = self.encoder.forward(segment, entities)
+    def features(self, prepared: PreparedInput) -> np.ndarray:
+        """The d-dimensional feature of one prepared input; no gradients."""
+        h_prime, _ = self.encoder.forward_prepared(prepared)
         return self._mlp_feature(h_prime)[0]
-
-    def features_for(self, triple: TrajectoryTriple) -> np.ndarray:
-        return self.features(triple.segment, (triple.person, triple.time, triple.location))
 
     def forward_train(self, prepared: PreparedInput):
         """Class probabilities of one prepared input (``encoder.prepare``)

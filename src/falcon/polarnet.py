@@ -30,6 +30,11 @@ PARTIES = ("Republican", "Democrat")
 # MAX_ATTEMPT_FACTOR * m attempts, m being the edge count.
 SWAP_FACTOR = 10
 MAX_ATTEMPT_FACTOR = 100
+# Verbatim modularity divides by the signed total weight. Without negative
+# weights |Q| <= 1; a scored verbatim row beyond that bound has positive and
+# negative weights that nearly cancel, and its row says so.
+VERBATIM_Q_BOUND = 1.0
+VERBATIM_Q_REASON = "verbatim |q| > 1: signed weights nearly cancel; see --signed-mode gomez"
 
 
 class DegenerateGraphError(ValueError):
@@ -502,7 +507,10 @@ def polarization_series(records: Sequence[InteractionRecord],
     """Per-year (or cumulative-to-year) standardized modularity rows.
 
     Years whose graph is too small or whose null distribution degenerates
-    produce a row with ``z`` null and a reason, never a silent gap.
+    produce a row with ``z`` null and a reason, never a silent gap. A
+    verbatim row with |q| > ``VERBATIM_Q_BOUND`` keeps its q and z and gets
+    ``VERBATIM_Q_REASON``: its signed total weight is near zero, and the
+    Gómez, Jensen & Arenas (2009) split (``signed_mode="gomez"``) applies.
     """
     years = sorted({rec.time_year for rec in records if rec.time_year is not None})
     rows: list[dict] = []
@@ -521,6 +529,8 @@ def polarization_series(records: Sequence[InteractionRecord],
                 master_seed=master_seed, signed_mode=signed_mode)
             row["q"] = report.q_original
             row["z"] = report.z
+            if signed_mode == "verbatim" and abs(report.q_original) > VERBATIM_Q_BOUND:
+                row["reason"] = VERBATIM_Q_REASON
         except DegenerateGraphError as exc:
             row["reason"] = str(exc)
         rows.append(row)

@@ -22,6 +22,7 @@ import numpy as np
 from .backbone import get_backbone
 from .dataset import LabeledExample, LabeledTriple, decompose_candidate
 from .encoder import ArBertEncoder, ContextOverflowError, PreparedInput, input_key
+from .evalbench import compute_metrics
 from .fusion import (
     FrozenTrajectoryExtractor,
     cross_attention_backward,
@@ -34,6 +35,9 @@ from .ingest import CandidateQuadruple, TrajectoryTriple
 
 PROB_EPS = 1e-7
 C_MIN = 1e-3
+# The settings that decide the frozen half of an encoder input; the frozen
+# extractor reads the model's prepared inputs when all of them are equal.
+BACKBONE_SETTINGS = ("backbone", "hidden_size", "max_tokens", "weights_path")
 
 
 class TrainingDiverged(RuntimeError):
@@ -268,7 +272,6 @@ class InteractionModel:
                                                    size=(2, 4 * d))
             if config.aw:
                 self.params["c"] = np.array([1.0, 1.0])
-        self._frozen_feature_cache: dict[tuple, np.ndarray] = {}
 
     # -- parameters ----------------------------------------------------------
     def all_params(self) -> dict[str, np.ndarray]:
@@ -290,35 +293,26 @@ class InteractionModel:
         return {k: np.zeros_like(v) for k, v in self.all_params().items()}
 
     # -- forward -------------------------------------------------------------
-    def _frozen_features(self, triple) -> np.ndarray:
-        key = (triple.segment.segment_id, triple.person.surface,
-               triple.person.occurrences, triple.time.occurrences,
-               triple.location.occurrences)
-        cached = self._frozen_feature_cache.get(key)
-        if cached is None:
-            cached = self.frozen.features_for(triple)
-            self._frozen_feature_cache[key] = cached
-        return cached
-
     def forward_candidate(self, cand: CandidateQuadruple, with_tra: bool = False,
-                          prepare=None):
+                          store: "FeatureStore | None" = None):
         """Full forward pass; returns (p_inter, p_tra1, p_tra2, cache).
-
-        ``prepare(segment, entities)`` supplies the frozen half of each
-        encoder input: by default :meth:`ArBertEncoder.prepare`; training
-        passes its :class:`FeatureStore`.
-        """
+        ``store`` holds the frozen inputs (:meth:`FeatureStore.fill_candidate`);
+        without one, a fresh store is filled and an overflow raises
+        :class:`ContextOverflowError`."""
         cfg = self.config
-        if prepare is None:
-            prepare = self.encoder.prepare
+        with_tra = with_tra and cfg.mt
+        if store is None:
+            store = FeatureStore.for_model(self)
+            reason = store.fill_candidate(cand, with_tra)
+            if reason is not None:
+                raise ContextOverflowError(reason)
         h_inter, cache_inter = self.encoder.forward_prepared(
-            prepare(cand.segment, cand.entities()))
+            store(cand.segment, cand.entities()))
         t1, t2 = decompose_candidate(cand)
         cache: dict = {"inter": cache_inter, "h_inter": h_inter}
 
         if cfg.fusion_mode == "gated":
-            f1 = self._frozen_features(t1)
-            f2 = self._frozen_features(t2)
+            f1, f2 = store.feature(t1), store.feature(t2)
             g1, gc1 = gate_forward(f1, self.params["fusion.W_gate"])
             g2, gc2 = gate_forward(f2, self.params["fusion.W_gate"])
             (a1, a2), xc = cross_attention_forward(
@@ -326,8 +320,7 @@ class InteractionModel:
             h_fused = fuse(h_inter, a1, a2)
             cache.update(gc1=gc1, gc2=gc2, xc=xc)
         elif cfg.fusion_mode == "concat":
-            f1 = self._frozen_features(t1)
-            f2 = self._frozen_features(t2)
+            f1, f2 = store.feature(t1), store.feature(t2)
             h_fused = np.concatenate([h_inter, f1, f2])
         else:
             h_fused = h_inter
@@ -338,10 +331,10 @@ class InteractionModel:
         cache["p_inter"] = p_inter
 
         p_tra1 = p_tra2 = None
-        if with_tra and cfg.mt:
+        if with_tra:
             for name, triple in (("tra1", t1), ("tra2", t2)):
                 h_tra, cache_tra = self.encoder.forward_prepared(
-                    prepare(*_triple_view(triple)))
+                    store(*_triple_view(triple)))
                 p = softmax2(self.params["head.tra.W"] @ h_tra)
                 cache[name] = (h_tra, cache_tra, p)
                 if name == "tra1":
@@ -420,34 +413,69 @@ class InteractionModel:
 # Feature store
 
 class FeatureStore:
-    """The frozen half of the encoder, run once per distinct input of one
-    training run.
+    """The frozen inputs of forward passes, each computed once per distinct
+    input while the store lives.
 
-    :meth:`add` prepares the views of one training item under their
-    :func:`~falcon.encoder.input_key`; calling the store looks a view up,
-    so it stands in for ``encoder.prepare`` in the epoch loop. A training
-    call owns its store and drops it on return; prediction sees each input
-    once and keeps none.
+    ``inputs`` maps an :func:`~falcon.encoder.input_key` to the encoder's
+    :class:`PreparedInput` (calling the store looks one up); ``features``
+    maps a trajectory view's key to the frozen extractor's feature. The
+    extractor reads ``inputs`` when ``shared`` (its backbone settings equal
+    the model's) and prepares its own inputs otherwise.
     """
 
-    def __init__(self, encoder: ArBertEncoder):
+    def __init__(self, encoder: ArBertEncoder,
+                 frozen: FrozenTrajectoryExtractor | None = None, shared: bool = False):
         self.encoder = encoder
+        self.frozen = frozen
+        self.shared = shared
         self.inputs: dict[tuple, PreparedInput] = {}
+        self.features: dict[tuple, np.ndarray] = {}
 
-    def add(self, views) -> bool:
-        """Prepare each (segment, entities) view not stored yet; False when
-        one overflows the backbone window, so the item must be left out."""
-        for segment, entities in views:
-            key = input_key(segment, entities)
-            if key not in self.inputs:
-                try:
-                    self.inputs[key] = self.encoder.prepare(segment, entities)
-                except ContextOverflowError:
-                    return False
-        return True
+    @classmethod
+    def for_model(cls, model: InteractionModel) -> "FeatureStore":
+        """An empty store for ``model``, holding frozen features when
+        feature transfer is on."""
+        if model.config.fusion_mode == "off":
+            return cls(model.encoder)
+        shared = all(model.frozen.config.get(k) == getattr(model.config, k)
+                     for k in BACKBONE_SETTINGS)
+        return cls(model.encoder, model.frozen, shared)
+
+    def fill(self, views, frozen_views=()) -> str | None:
+        """Prepare each (segment, entities) view, and the frozen feature of
+        each frozen view, not stored yet; the reason when an input overflows
+        its backbone window (leave the item out), else None."""
+        try:
+            for view in views:
+                self._prepare(*view)
+            for view in frozen_views:
+                key = input_key(*view)
+                if key not in self.features:
+                    prepared = (self._prepare(*view) if self.shared
+                                else self.frozen.encoder.prepare(*view))
+                    self.features[key] = self.frozen.features(prepared)
+        except ContextOverflowError as exc:
+            return str(exc)
+        return None
+
+    def fill_candidate(self, cand: CandidateQuadruple, with_tra: bool = False) -> str | None:
+        """:meth:`fill` for a candidate's interaction view, with ``with_tra``
+        its trajectory views, and their frozen features."""
+        tra = [_triple_view(t) for t in decompose_candidate(cand)]
+        return self.fill([(cand.segment, cand.entities())] + (tra if with_tra else []),
+                         tra if self.frozen is not None else ())
+
+    def _prepare(self, segment, entities) -> PreparedInput:
+        key = input_key(segment, entities)
+        if key not in self.inputs:
+            self.inputs[key] = self.encoder.prepare(segment, entities)
+        return self.inputs[key]
 
     def __call__(self, segment, entities) -> PreparedInput:
         return self.inputs[input_key(segment, entities)]
+
+    def feature(self, triple: TrajectoryTriple) -> np.ndarray:
+        return self.features[input_key(*_triple_view(triple))]
 
 
 def _triple_view(triple: TrajectoryTriple) -> tuple:
@@ -455,22 +483,13 @@ def _triple_view(triple: TrajectoryTriple) -> tuple:
     return triple.segment, (triple.person, triple.time, triple.location)
 
 
-def _candidate_views(cand: CandidateQuadruple, with_tra: bool) -> list[tuple]:
-    """The encoder inputs of one candidate: the interaction view, then (with
-    the trajectory task) both trajectory views."""
-    views = [(cand.segment, cand.entities())]
-    if with_tra:
-        views += [_triple_view(t) for t in decompose_candidate(cand)]
-    return views
-
-
 # ---------------------------------------------------------------------------
 # Batched objective
 
 def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
-                grads: dict[str, np.ndarray] | None, prepare=None):
+                grads: dict[str, np.ndarray] | None, store: FeatureStore | None = None):
     """Forward (and optionally backward) one batch; returns loss components.
-    ``prepare`` is passed on to :meth:`InteractionModel.forward_candidate`."""
+    ``store`` is passed on to :meth:`InteractionModel.forward_candidate`."""
     cfg = model.config
     n = len(batch)
     caches = []
@@ -480,7 +499,7 @@ def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
     y_tra = np.array([[ex.y_tra1 for ex in batch], [ex.y_tra2 for ex in batch]])
     for i, ex in enumerate(batch):
         pi, pt1, pt2, cache = model.forward_candidate(ex.candidate, with_tra=cfg.mt,
-                                                      prepare=prepare)
+                                                      store=store)
         p_inter[i] = pi[1]
         if cfg.mt:
             p_tra[0, i] = pt1[1]
@@ -530,27 +549,6 @@ class TrainResult:
     skipped: int = 0  # items left out: their marked spans overflow the window
 
 
-def _val_f1(model: InteractionModel, examples: Sequence[LabeledExample],
-            threshold: float, prepare=None):
-    tp = fp = fn = tn = 0
-    for ex in examples:
-        p, _, _, _ = model.forward_candidate(ex.candidate, prepare=prepare)
-        pred = 1 if p[1] >= threshold else 0
-        if pred == 1 and ex.y_inter == 1:
-            tp += 1
-        elif pred == 1:
-            fp += 1
-        elif ex.y_inter == 1:
-            fn += 1
-        else:
-            tn += 1
-    acc = (tp + tn) / max(1, tp + fp + fn + tn)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return acc, precision, recall, f1
-
-
 def _fit(params: dict[str, np.ndarray], zero_grads, items: Sequence,
          config: TrainConfig, batch_step, end_epoch) -> None:
     """The epoch loop shared by both training stages.
@@ -587,10 +585,12 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     """Train on split=='train', early-stop on validation F1, restore the best.
 
     Deterministic under the config seed and single-worker batch order.
-    Aborts with a diagnostic when the objective stops being finite. Each
-    distinct encoder input is prepared once, before the first epoch; train
-    and val examples whose marked spans overflow the backbone window are
-    left out and counted in ``TrainResult.skipped``.
+    Aborts with a diagnostic when the objective stops being finite. One
+    :class:`FeatureStore`, filled before the first epoch, holds each
+    distinct encoder input and frozen feature; train and val examples with
+    an input that overflows its backbone window are left out and counted in
+    ``TrainResult.skipped``. Validation is :func:`predict` on that store,
+    scored by :func:`~falcon.evalbench.compute_metrics`.
     """
     config = (config or model.config).resolved()
     train_set = [ex for ex in examples if ex.split == "train"]
@@ -599,10 +599,10 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
         raise ValueError("no examples with split='train'")
 
     result = TrainResult()
-    store = FeatureStore(model.encoder)
+    store = FeatureStore.for_model(model)
     kept_train = [ex for ex in train_set
-                  if store.add(_candidate_views(ex.candidate, model.config.mt))]
-    kept_val = [ex for ex in val_set if store.add(_candidate_views(ex.candidate, False))]
+                  if store.fill_candidate(ex.candidate, model.config.mt) is None]
+    kept_val = [ex for ex in val_set if store.fill_candidate(ex.candidate) is None]
     result.skipped = len(train_set) + len(val_set) - len(kept_train) - len(kept_val)
     train_set, val_set = kept_train, kept_val
     if not train_set:
@@ -613,7 +613,7 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     stale = 0
 
     def batch_step(batch, grads):
-        total, l_inter, l_tra = _batch_pass(model, batch, grads, prepare=store)
+        total, l_inter, l_tra = _batch_pass(model, batch, grads, store=store)
         return total, l_inter, l_tra or 0.0
 
     def end_epoch(epoch, means):
@@ -627,10 +627,12 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
             "c2": float(model.params["c"][1]) if "c" in model.params else None,
         }
         if val_set:
-            acc, precision, recall, f1 = _val_f1(model, val_set, config.threshold,
-                                                 prepare=store)
-            entry.update(val_acc=acc, val_precision=precision, val_recall=recall,
-                         val_f1=f1)
+            labels = [p.label for p in predict(model, [ex.candidate for ex in val_set],
+                                               config.threshold, store=store)]
+            report = compute_metrics(labels, [ex.y_inter for ex in val_set])
+            f1 = report.f1 / 100  # MetricReport is in percent, the history in fractions
+            entry.update(val_acc=report.accuracy / 100, val_precision=report.precision / 100,
+                         val_recall=report.recall / 100, val_f1=f1)
             if f1 > best_f1:
                 best_f1 = f1
                 best_params = model.snapshot()
@@ -670,7 +672,7 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
         weights_path=config.weights_path)
     history: list[dict] = []
     store = FeatureStore(extractor.encoder)
-    items = [item for item in corpus if store.add([_triple_view(item.triple)])]
+    items = [item for item in corpus if store.fill([_triple_view(item.triple)]) is None]
     if result is not None:
         result.history = history
         result.skipped = len(corpus) - len(items)
@@ -698,16 +700,19 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
 # Prediction
 
 def predict(model: InteractionModel, candidates: Sequence[CandidateQuadruple],
-            threshold: float = 0.5) -> list[Prediction]:
-    """Score candidates; context overflows are marked skipped, never dropped."""
+            threshold: float = 0.5, store: FeatureStore | None = None) -> list[Prediction]:
+    """Score candidates; context overflows are marked skipped, never dropped.
+    Reads and extends ``store`` (training passes its own); without one, each
+    candidate fills a fresh store, dropped once the candidate is scored."""
     out: list[Prediction] = []
     for cand in candidates:
-        try:
-            p, _, _, _ = model.forward_candidate(cand)
-        except ContextOverflowError as exc:
+        cand_store = FeatureStore.for_model(model) if store is None else store
+        reason = cand_store.fill_candidate(cand)
+        if reason is not None:
             out.append(Prediction(candidate=cand, score=None, label=None,
-                                  skipped=True, reason=str(exc)))
+                                  skipped=True, reason=reason))
             continue
+        p, _, _, _ = model.forward_candidate(cand, store=cand_store)
         score = float(p[1])
         out.append(Prediction(candidate=cand, score=score,
                               label=int(score >= threshold)))

@@ -194,7 +194,8 @@ def test_frozen_extractor_refuses_training_forward(small_extractor, corpus):
 def test_frozen_features_deterministic(small_extractor, corpus):
     extractor, _ = small_extractor
     t = corpus.labeled_triples[0].triple
-    f1 = extractor.features_for(t)
-    f2 = extractor.features_for(t)
+    view = (t.segment, (t.person, t.time, t.location))
+    f1 = extractor.features(extractor.encoder.prepare(*view))
+    f2 = extractor.features(extractor.encoder.prepare(*view))
     assert np.array_equal(f1, f2)
     assert f1.shape == (4,)

@@ -18,9 +18,11 @@ from falcon.polarnet import (
     interaction_distance,
     modularity,
     pagerank,
+    polarization_series,
     randomize_null,
     record_distance,
     sample_seeds,
+    series_to_csv,
     standardized_modularity,
     to_gexf,
     trend_ratios,
@@ -207,6 +209,35 @@ def test_gomez_mode_runs_and_differs_on_signed_graph():
     q_gomez = modularity(g, part, signed_mode="gomez")
     assert math.isfinite(q_gomez)
     assert q_gomez != pytest.approx(q_verbatim, abs=1e-12)
+
+
+def test_verbatim_modularity_beyond_one_is_flagged_not_changed():
+    attrs = dict(ATTRS, eve={"party": "Republican"}, fay={"party": "Democrat"})
+    pairs = [("Ada", "Bo", "Adversarial"), ("Cy", "Dee", "Adversarial"),
+             ("Ada", "Cy", "Cooperative"), ("Bo", "Dee", "Cooperative"),
+             ("Ada", "Dee", "Neutral"), ("Eve", "Fay", "Neutral"),
+             ("Eve", "Bo", "Adversarial"), ("Fay", "Cy", "Cooperative")]
+    records = [make_record(i, *pair) for i, pair in enumerate(pairs)]
+    graph, _ = build_graph(records, attrs)
+    assert graph.total_weight() == 2.0  # of 14 in |w|
+    (row,) = polarization_series(records, attrs, n_samples=50, master_seed=1)
+    assert row["q"] == modularity(graph, graph.party_partition()) == 1.5
+    assert row["z"] == standardized_modularity(graph, graph.party_partition(),
+                                               n_samples=50, master_seed=1).z
+    assert "--signed-mode gomez" in row["reason"]
+    line = series_to_csv([row]).splitlines()[1]
+    assert line == f"1980,1980,6,8,1.500000000,{row['z']:.6f},{row['reason']}"
+    (gomez,) = polarization_series(records, attrs, n_samples=50, master_seed=1,
+                                   signed_mode="gomez")
+    assert gomez["reason"] is None
+
+    # Without negative weights |q| <= 1, so no all-positive series is flagged.
+    records, attrs = fixtures.political_records_fixture()
+    positive = [r for r in records if r.interaction_type != "Adversarial"]
+    for cumulative in (False, True):
+        rows = polarization_series(positive, attrs, n_samples=20, master_seed=1,
+                                   cumulative=cumulative)
+        assert all(row["z"] is not None and row["reason"] is None for row in rows)
 
 
 # ---------------------------------------------------------------------------

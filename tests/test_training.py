@@ -9,8 +9,10 @@ from falcon import fixtures
 from falcon.backbone import DeterministicStubBackbone
 from falcon.dataset import decompose_candidate, split_dataset
 from falcon.encoder import input_key
+from falcon.evalbench import compute_metrics
 from falcon.training import (
     AdamW,
+    FeatureStore,
     InteractionModel,
     TrainConfig,
     TrainingDiverged,
@@ -226,24 +228,43 @@ def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
         return encode(self, tokens)
 
     monkeypatch.setattr(DeterministicStubBackbone, "encode", counting_encode)
-    config = TrainConfig(hidden_size=4, max_epochs=3, seed=5, ft=False)
+    config = TrainConfig(hidden_size=4, max_epochs=3, seed=5)
     triples = corpus.labeled_triples
-    pretrain_trajectory_extractor(triples, config)
+    extractor, _ = pretrain_trajectory_extractor(triples, config)
     assert len(calls) == len({input_key(t.triple.segment, (
         t.triple.person, t.triple.time, t.triple.location)) for t in triples})
 
-    calls.clear()
     examples = split_dataset(corpus.examples, seed=0)
-    keys = set()
-    for ex in examples:
-        if ex.split in ("train", "val"):
-            keys.add(input_key(ex.candidate.segment, ex.candidate.entities()))
-        if ex.split == "train":
-            keys.update(input_key(t.segment, (t.person, t.time, t.location))
-                        for t in decompose_candidate(ex.candidate))
-    result = train(InteractionModel(config), examples, config)
-    assert len(result.history) == 3
-    assert len(calls) == len(keys)
+    for ft in (False, True):
+        # The trajectory task reads the train examples' trajectory views; the
+        # frozen features (ft) read the val examples' ones too. The extractor
+        # has the model's backbone settings, so both encoders share one store.
+        keys = set()
+        for ex in examples:
+            if ex.split in ("train", "val"):
+                keys.add(input_key(ex.candidate.segment, ex.candidate.entities()))
+            if ex.split == "train" or (ft and ex.split == "val"):
+                keys.update(input_key(t.segment, (t.person, t.time, t.location))
+                            for t in decompose_candidate(ex.candidate))
+        calls.clear()
+        run = replace(config, ft=ft).resolved()
+        result = train(InteractionModel(run, frozen=extractor if ft else None),
+                       examples, run)
+        assert len(result.history) == 3
+        assert len(calls) == len(keys), f"ft={ft}"
+
+
+def test_training_leaves_out_examples_the_frozen_window_cannot_hold():
+    corpus = fixtures.build_fixture_corpus(n_docs=30, seed=7)
+    examples = split_dataset(corpus.examples, seed=0)
+    narrow = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, seed=5)
+    extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples, narrow)
+    config = TrainConfig(hidden_size=4, max_epochs=2, seed=5)
+    model = InteractionModel(config, frozen=extractor)
+    result = train(model, examples, config)
+    preds = predict(model, [ex.candidate for ex in examples if ex.split != "test"])
+    assert result.skipped == sum(p.skipped for p in preds) > 0
+    assert all("window holds 19" in p.reason for p in preds if p.skipped)
 
 
 def test_adamw_clamps_adaptive_scalars():
@@ -281,6 +302,29 @@ def test_context_overflow_yields_skip_not_drop(corpus, extractor):
     assert len(preds) == 5
     assert all(p.skipped for p in preds)
     assert all("context overflow" in p.reason for p in preds)
+
+
+def test_validation_is_prediction_on_the_training_store(corpus, extractor):
+    examples = split_dataset(corpus.examples, seed=0)
+    config = TrainConfig(hidden_size=4, max_epochs=1, learning_rate=5e-3, seed=5)
+    model = InteractionModel(config, frozen=extractor)
+    result = train(model, examples, config)
+    assert result.best_epoch == 0  # the model holds the last epoch's parameters
+
+    val_set = [ex for ex in examples if ex.split == "val"]
+    shared = FeatureStore.for_model(model)
+    assert shared.shared  # the extractor has the model's backbone settings
+    runs = []
+    for store in (shared, FeatureStore(model.encoder, extractor, shared=False), None):
+        if store is not None:  # filled as training fills its store
+            for ex in examples:
+                if ex.split != "test":
+                    store.fill_candidate(ex.candidate, ex.split == "train")
+        runs.append(predict(model, [ex.candidate for ex in val_set], store=store))
+    assert len({tuple((p.score, p.label) for p in preds) for preds in runs}) == 1
+    report = compute_metrics([p.label for p in runs[0]], [ex.y_inter for ex in val_set])
+    assert result.history[-1]["val_f1"] == report.f1 / 100
+    assert result.history[-1]["val_acc"] == report.accuracy / 100
 
 
 def test_checkpoint_roundtrip_predict_bit_identical(tmp_path, corpus, trained_model):
