@@ -11,13 +11,15 @@ all encoder parameters (the backbone itself is not trained here).
 The encoder splits at the frozen/trainable boundary: :meth:`ArBertEncoder.prepare`
 runs everything that depends only on (backbone, segment, entity spans) --
 markers, tokenization, the backbone and occurrence pooling -- and
-:meth:`ArBertEncoder.forward_prepared` runs the trainable rest, so a
-training loop can prepare each distinct input once and reuse it every epoch.
+:meth:`ArBertEncoder.forward_batch` runs the trainable rest over a batch of
+prepared inputs padded into one :class:`PackedInputs`, so a training loop
+can prepare each distinct input once and step in minibatches. The
+one-input entry points are batches of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,11 +72,6 @@ class FeatureVector:
 
     def __post_init__(self):
         assert self.vector.shape == (len(self.layout) * self.hidden_size,)
-
-    def slot(self, name: str) -> np.ndarray:
-        i = self.layout.index(name)
-        d = self.hidden_size
-        return self.vector[i * d:(i + 1) * d]
 
 
 def canonical_entities(entities: Sequence[EntityMention]) -> list[EntityMention]:
@@ -174,49 +171,63 @@ def pool_occurrence(hidden: np.ndarray, span: tuple[int, int]) -> np.ndarray:
     return hidden[c:d + 1].mean(axis=0)
 
 
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis; entries at -inf get weight 0."""
+    shifted = np.exp(x - x.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+def attend(occ: np.ndarray, mask: np.ndarray, attn_w: np.ndarray, attn_b,
+           norm: str = "softmax"):
+    """Masked scalar-attention pooling over the occurrence axis.
+
+    ``occ`` is (..., K, d) and ``mask`` (..., K) marks the real occurrences
+    (padding rows get weight 0). Returns (scores, weights, aggregated).
+    ``norm='softmax'`` applies a normalized exponential over the scores;
+    ``norm='literal'`` divides each score by the raw score sum, falling back
+    to uniform weights when that sum is numerically zero.
+    """
+    scores = np.tanh(occ @ attn_w + attn_b)
+    if norm == "softmax":
+        weights = softmax(np.where(mask, scores, -np.inf))
+    elif norm == "literal":
+        total = (scores * mask).sum(axis=-1, keepdims=True)
+        flat = np.abs(total) < 1e-12
+        uniform = 1.0 / mask.sum(axis=-1, keepdims=True)
+        weights = np.where(mask, np.where(flat, uniform, scores / np.where(flat, 1.0, total)),
+                           0.0)
+    else:
+        raise ValueError(f"unknown attention norm {norm!r}")
+    return scores, weights, np.einsum("...k,...kd->...d", weights, occ)
+
+
+def attend_backward(d_agg: np.ndarray, occ: np.ndarray, mask: np.ndarray,
+                    scores: np.ndarray, weights: np.ndarray, norm: str) -> np.ndarray:
+    """Gradient w.r.t. the pre-tanh attention logits (..., K) of :func:`attend`,
+    given the gradient of its aggregated output; padding rows get 0. The
+    literal norm's uniform fallback has zero gradient."""
+    d_weights = np.einsum("...kd,...d->...k", occ, d_agg)
+    d_mean = (weights * d_weights).sum(axis=-1, keepdims=True)
+    if norm == "softmax":
+        d_scores = weights * (d_weights - d_mean)
+    else:
+        total = (scores * mask).sum(axis=-1, keepdims=True)
+        flat = np.abs(total) < 1e-12
+        safe = np.where(flat, 1.0, total)
+        d_scores = np.where(mask & ~flat, d_weights / safe - d_mean / safe, 0.0)
+    return d_scores * (1.0 - scores ** 2)
+
+
 def aggregate_occurrences(occ_vectors: np.ndarray, attn_w: np.ndarray,
                           attn_b: float, norm: str = "softmax") -> EntityFeature:
-    """Fuse per-occurrence vectors with scalar tanh attention scores.
-
-    ``norm='softmax'`` (default) applies a normalized exponential over the
-    scores; ``norm='literal'`` divides each score by the raw score sum,
-    falling back to uniform weights when that sum is numerically zero.
-    """
+    """:func:`attend` over the occurrences of one entity, as a (k, d) matrix."""
     occ = np.asarray(occ_vectors, dtype=float)
     if occ.ndim != 2 or occ.shape[0] == 0:
         raise ValueError("aggregate_occurrences needs a non-empty (k, d) matrix")
-    scores = np.tanh(occ @ attn_w + attn_b)
-    if norm == "softmax":
-        shifted = np.exp(scores - scores.max())
-        weights = shifted / shifted.sum()
-    elif norm == "literal":
-        total = scores.sum()
-        if abs(total) < 1e-12:
-            weights = np.full(len(scores), 1.0 / len(scores))
-        else:
-            weights = scores / total
-    else:
-        raise ValueError(f"unknown attention norm {norm!r}")
-    aggregated = weights @ occ
+    scores, weights, aggregated = attend(occ, np.ones(len(occ), dtype=bool),
+                                         attn_w, attn_b, norm)
     return EntityFeature(occurrence_vectors=occ, scores=scores,
                          weights=weights, aggregated=aggregated)
-
-
-def _role_key(role: str) -> str:
-    return role.lower()
-
-
-@dataclass
-class _SlotCache:
-    key: str                      # parameter key ("cls" or role key)
-    pre_tanh: np.ndarray          # H before tanh (aggregated or CLS row)
-    tanh_out: np.ndarray
-    feature: EntityFeature | None = None
-
-
-@dataclass
-class EncodeCache:
-    slots: list[_SlotCache] = field(default_factory=list)
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,6 +243,51 @@ class PreparedInput:
     roles: tuple[str, ...]
     counts: tuple[int, ...]
     rows: np.ndarray  # (1 + sum(counts), d)
+
+
+@dataclass(frozen=True, slots=True)
+class PackedInputs:
+    """Prepared inputs of one role layout, padded to a common shape: the
+    unit of every batched forward. ``occ[n, s, :k]`` holds the k occurrence
+    rows of entity s of input n, flagged in ``mask``; the rest is zero."""
+
+    roles: tuple[str, ...]
+    cls: np.ndarray   # (N, d)
+    occ: np.ndarray   # (N, S, K, d)
+    mask: np.ndarray  # (N, S, K) bool
+
+    def take(self, index) -> "PackedInputs":
+        """The inputs at ``index`` (a gather along the first axis)."""
+        return PackedInputs(self.roles, self.cls[index], self.occ[index], self.mask[index])
+
+
+def pack(prepared: Sequence[PreparedInput]) -> PackedInputs:
+    """Pad inputs of one role layout into a :class:`PackedInputs`."""
+    roles = prepared[0].roles
+    n, d = len(prepared), prepared[0].rows.shape[1]
+    k = max(max(p.counts) for p in prepared)
+    occ = np.zeros((n, len(roles), k, d))
+    mask = np.zeros((n, len(roles), k), dtype=bool)
+    for i, p in enumerate(prepared):
+        if p.roles != roles:
+            raise ValueError(f"cannot pack role layouts {roles} and {p.roles} together")
+        start = 1
+        for s, count in enumerate(p.counts):
+            occ[i, s, :count] = p.rows[start:start + count]
+            mask[i, s, :count] = True
+            start += count
+    return PackedInputs(roles, np.stack([p.rows[0] for p in prepared]), occ, mask)
+
+
+@dataclass
+class EncoderCache:
+    """What :meth:`ArBertEncoder.backward` reads of a batched forward."""
+
+    keys: tuple[str, ...]  # parameter key per slot: "cls", then one per role
+    tanh_out: np.ndarray   # (B, 1 + S, d)
+    packed: PackedInputs
+    scores: np.ndarray     # (B, S, K)
+    weights: np.ndarray    # (B, S, K)
 
 
 def input_key(segment: TextSegment, entities: Sequence[EntityMention]) -> tuple:
@@ -288,69 +344,57 @@ class ArBertEncoder:
                              counts=tuple(len(spans) for spans in marked.entity_spans),
                              rows=np.stack(rows))
 
-    def forward_prepared(self, prepared: PreparedInput):
-        """Occurrence attention, tanh and the role projections of one
-        prepared input; returns (feature vector, cache for :meth:`backward`)."""
-        cache = EncodeCache()
-        parts: list[np.ndarray] = []
-        h0 = prepared.rows[0]
-        t0 = np.tanh(h0)
-        parts.append(self.params["proj.cls.W"] @ t0 + self.params["proj.cls.b"])
-        cache.slots.append(_SlotCache(key="cls", pre_tanh=h0, tanh_out=t0))
+    def forward_batch(self, packed: PackedInputs):
+        """Occurrence attention, tanh and the role projections of a batch of
+        prepared inputs; returns ((B, (1+S)*d) features, cache for
+        :meth:`backward`)."""
+        p = self.params
+        scores, weights, agg = attend(packed.occ, packed.mask, p["attn.w"], p["attn.b"],
+                                      self.attention_norm)
+        t = np.tanh(np.concatenate([packed.cls[:, None], agg], axis=1))
+        keys = ("cls",) + tuple(r.lower() for r in packed.roles)
+        w = np.stack([p[f"proj.{k}.W"] for k in keys])
+        b = np.stack([p[f"proj.{k}.b"] for k in keys])
+        out = (t.swapaxes(0, 1) @ w.swapaxes(1, 2)).swapaxes(0, 1) + b
+        return (out.reshape(len(t), -1),
+                EncoderCache(keys=keys, tanh_out=t, packed=packed, scores=scores,
+                             weights=weights))
 
-        start = 1
-        for role, k in zip(prepared.roles, prepared.counts):
-            occ = prepared.rows[start:start + k]
-            start += k
-            feat = aggregate_occurrences(occ, self.params["attn.w"],
-                                         float(self.params["attn.b"]),
-                                         norm=self.attention_norm)
-            key = _role_key(role)
-            t = np.tanh(feat.aggregated)
-            parts.append(self.params[f"proj.{key}.W"] @ t + self.params[f"proj.{key}.b"])
-            cache.slots.append(_SlotCache(key=key, pre_tanh=feat.aggregated,
-                                          tanh_out=t, feature=feat))
-        return np.concatenate(parts), cache
+    def forward_prepared(self, prepared: PreparedInput):
+        """:meth:`forward_batch` of one prepared input: (feature vector, cache)."""
+        out, cache = self.forward_batch(pack([prepared]))
+        return out[0], cache
 
     def forward(self, segment: TextSegment, entities: Sequence[EntityMention]):
         return self.forward_prepared(self.prepare(segment, entities))
 
     def encode(self, segment: TextSegment, entities: Sequence[EntityMention]) -> FeatureVector:
         vector, cache = self.forward(segment, entities)
-        layout = tuple(slot.key for slot in cache.slots)
-        return FeatureVector(vector=vector, layout=layout, hidden_size=self.hidden_size)
+        return FeatureVector(vector=vector, layout=cache.keys, hidden_size=self.hidden_size)
 
-    def backward(self, d_out: np.ndarray, cache: EncodeCache,
+    def backward(self, d_out: np.ndarray, cache: EncoderCache,
                  grads: dict[str, np.ndarray]) -> None:
-        """Accumulate parameter gradients for one forward pass.
+        """Accumulate parameter gradients of a forward pass, summed over its
+        batch.
 
-        ``d_out`` is the loss gradient w.r.t. the concatenated feature
-        vector; gradients stop at the backbone's hidden states.
+        ``d_out`` is the loss gradient w.r.t. the features, (B, (1+S)*d) or
+        one vector when B=1; gradients stop at the backbone's hidden states.
         """
-        d = self.hidden_size
-        for i, slot in enumerate(cache.slots):
-            d_slot = d_out[i * d:(i + 1) * d]
-            w_key, b_key = f"proj.{slot.key}.W", f"proj.{slot.key}.b"
-            grads[w_key] += np.outer(d_slot, slot.tanh_out)
-            grads[b_key] += d_slot
-            d_tanh = self.params[w_key].T @ d_slot
-            d_agg = d_tanh * (1.0 - slot.tanh_out ** 2)
-            if slot.feature is None:
-                continue  # CLS: gradient stops at the backbone
-            feat = slot.feature
-            occ, weights, scores = feat.occurrence_vectors, feat.weights, feat.scores
-            d_weights = occ @ d_agg
-            if self.attention_norm == "softmax":
-                d_scores = weights * (d_weights - np.dot(weights, d_weights))
-            else:
-                total = scores.sum()
-                if abs(total) < 1e-12:
-                    d_scores = np.zeros_like(scores)
-                else:
-                    d_scores = d_weights / total - np.dot(d_weights, weights) / total
-            d_z = d_scores * (1.0 - scores ** 2)
-            grads["attn.w"] += occ.T @ d_z
-            grads["attn.b"] += d_z.sum()
+        t = cache.tanh_out
+        d_slots = d_out.reshape(t.shape)
+        w = np.stack([self.params[f"proj.{k}.W"] for k in cache.keys])
+        d_w = np.einsum("bsi,bsj->sij", d_slots, t)
+        d_b = d_slots.sum(axis=0)
+        for s, key in enumerate(cache.keys):
+            grads[f"proj.{key}.W"] += d_w[s]
+            grads[f"proj.{key}.b"] += d_b[s]
+        d_pre = (d_slots.swapaxes(0, 1) @ w).swapaxes(0, 1) * (1.0 - t ** 2)
+        # slot 0 is CLS: its gradient stops at the backbone
+        packed = cache.packed
+        d_z = attend_backward(d_pre[:, 1:], packed.occ, packed.mask, cache.scores,
+                              cache.weights, self.attention_norm)
+        grads["attn.w"] += np.einsum("bsk,bskd->d", d_z, packed.occ)
+        grads["attn.b"] += d_z.sum()
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}

@@ -156,22 +156,26 @@ def run_ablations(examples, base_config, frozen_extractor=None,
     """Train and evaluate every ablation configuration on the same splits.
 
     Each row gets a fresh model built from its own config; rows that keep
-    feature transfer reuse the provided frozen extractor. Stochastic
+    feature transfer reuse the provided frozen extractor. Every row shares
+    one feature store: the configs differ only in trainable parts, so each
+    distinct input is encoded once for the whole study. Stochastic
     comparisons should pass several ``seeds`` (one row per config and seed)
     and average; by default each config runs once at the base seed.
     """
-    from .training import InteractionModel, predict, train
+    from .training import FeatureStore, InteractionModel, predict, train
 
     test_set = [ex for ex in examples if ex.split == "test"]
     table = AblationTable()
+    store = None
     for name, config in ablation_configs(base_config):
         for seed in (seeds if seeds is not None else [config.seed]):
             run_config = replace(config, seed=seed)
             frozen = frozen_extractor if run_config.fusion_mode != "off" else None
             model = InteractionModel(run_config, frozen=frozen)
-            train(model, examples, run_config)
+            store = store or FeatureStore.for_model(model, frozen_extractor)
+            train(model, examples, run_config, store=store)
             preds = predict(model, [ex.candidate for ex in test_set],
-                            threshold=run_config.threshold)
+                            threshold=run_config.threshold, store=store)
             report = _report_predictions(preds, test_set, dataset_id,
                                          run_config.config_hash())
             table.rows.append(AblationRow(name=name,

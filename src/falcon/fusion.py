@@ -13,14 +13,13 @@ The pretraining loop for the frozen extractor lives in
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .backbone import get_backbone
-from .encoder import ArBertEncoder, PreparedInput
+from .encoder import ArBertEncoder, PackedInputs, PreparedInput, pack, softmax
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -33,19 +32,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gating
+# Gating and cross-attention. Each op takes one vector per argument or a
+# batch of them along leading axes; backward sums parameter gradients over
+# the batch.
 
-@dataclass
-class GateCache:
-    h: np.ndarray
-    gate: np.ndarray
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the leading axes of the outer products a_i b_j (D.T @ X)."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def gate_forward(h: np.ndarray, w_gate: np.ndarray) -> tuple[np.ndarray, GateCache]:
-    if w_gate.shape != (h.shape[0], h.shape[0]):
+def gate_forward(h: np.ndarray, w_gate: np.ndarray):
+    """Returns (sigmoid(W_gate h) ⊙ h, cache for :func:`gate_backward`)."""
+    if w_gate.shape != (h.shape[-1], h.shape[-1]):
         raise ValueError(f"gate matrix {w_gate.shape} does not match feature {h.shape}")
-    gate = _sigmoid(w_gate @ h)
-    return gate * h, GateCache(h=h, gate=gate)
+    gate = _sigmoid(h @ w_gate.T)
+    return gate * h, (h, gate)
 
 
 def gate_features(h: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
@@ -53,25 +54,24 @@ def gate_features(h: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
     return gate_forward(h, w_gate)[0]
 
 
-def gate_backward(d_out: np.ndarray, cache: GateCache, w_gate: np.ndarray):
+def gate_backward(d_out: np.ndarray, cache: tuple, w_gate: np.ndarray):
     """Returns (d_w_gate, d_h)."""
-    d_gate = d_out * cache.h
-    d_z = d_gate * cache.gate * (1.0 - cache.gate)
-    d_w = np.outer(d_z, cache.h)
-    d_h = d_out * cache.gate + w_gate.T @ d_z
-    return d_w, d_h
+    h, gate = cache
+    d_z = d_out * h * gate * (1.0 - gate)
+    return _outer_sum(d_z, h), d_out * gate + d_z @ w_gate
 
-
-# ---------------------------------------------------------------------------
-# Cross-attention
 
 @dataclass
 class CrossAttentionCache:
     h_inter: np.ndarray
     gated: tuple[np.ndarray, np.ndarray]
     q: np.ndarray
-    alphas: np.ndarray
+    alphas: np.ndarray  # (..., 2)
     mode: str
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a * b).sum(axis=-1)
 
 
 def cross_attention_forward(h_inter: np.ndarray, h1_g: np.ndarray, h2_g: np.ndarray,
@@ -83,21 +83,19 @@ def cross_attention_forward(h_inter: np.ndarray, h1_g: np.ndarray, h2_g: np.ndar
     ``literal`` softmaxes each scalar alone, which is identically 1 and
     passes the gated vectors through unchanged.
     """
-    d = h1_g.shape[0]
-    if w_q.shape != (d, h_inter.shape[0]):
+    d = h1_g.shape[-1]
+    if w_q.shape != (d, h_inter.shape[-1]):
         raise ValueError(f"query matrix {w_q.shape} does not match "
-                         f"({d},{h_inter.shape[0]})")
-    q = w_q @ h_inter
-    scores = np.array([np.dot(q, h1_g) / d, np.dot(q, h2_g) / d])
+                         f"({d},{h_inter.shape[-1]})")
+    q = h_inter @ w_q.T
     if mode == "joint":
-        shifted = np.exp(scores - scores.max())
-        alphas = shifted / shifted.sum()
+        alphas = softmax(np.stack([_dot(q, h1_g) / d, _dot(q, h2_g) / d], axis=-1))
     elif mode == "literal":
-        alphas = np.ones(2)
+        alphas = np.ones(q.shape[:-1] + (2,))
     else:
         raise ValueError(f"unknown cross-attention mode {mode!r}")
-    out1 = alphas[0] * h1_g
-    out2 = alphas[1] * h2_g
+    out1 = alphas[..., :1] * h1_g
+    out2 = alphas[..., 1:] * h2_g
     cache = CrossAttentionCache(h_inter=h_inter, gated=(h1_g, h2_g), q=q,
                                 alphas=alphas, mode=mode)
     return (out1, out2), cache
@@ -112,37 +110,61 @@ def cross_attention_backward(d_out1: np.ndarray, d_out2: np.ndarray,
                              cache: CrossAttentionCache, w_q: np.ndarray):
     """Returns (d_w_q, d_h_inter, d_h1_g, d_h2_g)."""
     h1_g, h2_g = cache.gated
-    d = h1_g.shape[0]
+    d = h1_g.shape[-1]
     alphas = cache.alphas
-    d_h1 = alphas[0] * d_out1
-    d_h2 = alphas[1] * d_out2
+    d_h1 = alphas[..., :1] * d_out1
+    d_h2 = alphas[..., 1:] * d_out2
     if cache.mode == "literal":
-        d_w = np.zeros_like(w_q)
-        return d_w, np.zeros_like(cache.h_inter), d_h1, d_h2
-    d_alphas = np.array([np.dot(d_out1, h1_g), np.dot(d_out2, h2_g)])
-    d_scores = alphas * (d_alphas - np.dot(alphas, d_alphas))
-    d_q = (d_scores[0] * h1_g + d_scores[1] * h2_g) / d
-    d_h1 += d_scores[0] * cache.q / d
-    d_h2 += d_scores[1] * cache.q / d
-    d_w = np.outer(d_q, cache.h_inter)
-    d_h_inter = w_q.T @ d_q
-    return d_w, d_h_inter, d_h1, d_h2
+        return np.zeros_like(w_q), np.zeros_like(cache.h_inter), d_h1, d_h2
+    d_alphas = np.stack([_dot(d_out1, h1_g), _dot(d_out2, h2_g)], axis=-1)
+    d_scores = alphas * (d_alphas - _dot(alphas, d_alphas)[..., None])
+    d_q = (d_scores[..., :1] * h1_g + d_scores[..., 1:] * h2_g) / d
+    d_h1 = d_h1 + d_scores[..., :1] * cache.q / d
+    d_h2 = d_h2 + d_scores[..., 1:] * cache.q / d
+    return _outer_sum(d_q, cache.h_inter), d_q @ w_q, d_h1, d_h2
 
 
 def fuse(h_inter: np.ndarray, h1_a: np.ndarray, h2_a: np.ndarray) -> np.ndarray:
     """Concatenate (interaction, attended-1, attended-2): 5d + d + d -> 7d."""
-    d = h1_a.shape[0]
-    if h2_a.shape[0] != d or h_inter.shape[0] != 5 * d:
+    d = h1_a.shape[-1]
+    if h2_a.shape[-1] != d or h_inter.shape[-1] != 5 * d:
         raise ValueError(
-            f"fusion dim mismatch: inter {h_inter.shape[0]}, "
-            f"trajectories {h1_a.shape[0]}/{h2_a.shape[0]}")
-    return np.concatenate([h_inter, h1_a, h2_a])
+            f"fusion dim mismatch: inter {h_inter.shape[-1]}, "
+            f"trajectories {h1_a.shape[-1]}/{h2_a.shape[-1]}")
+    return np.concatenate([h_inter, h1_a, h2_a], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Frozen trajectory extractor
 
-class FrozenTrajectoryExtractor:
+class EncoderModel:
+    """Parameter plumbing of a model built on an :class:`ArBertEncoder`: the
+    encoder's parameters appear as ``enc.<name>`` beside the model's own
+    ``params``."""
+
+    encoder: ArBertEncoder
+    params: dict[str, np.ndarray]
+
+    def all_params(self) -> dict[str, np.ndarray]:
+        out = {f"enc.{k}": v for k, v in self.encoder.params.items()}
+        out.update(self.params)
+        return out
+
+    def set_params(self, arrays: dict[str, np.ndarray]) -> None:
+        for k, v in arrays.items():
+            if k.startswith("enc."):
+                self.encoder.params[k[4:]] = v.copy()
+            else:
+                self.params[k] = v.copy()
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {k: v.copy() for k, v in self.all_params().items()}
+
+    def zero_grads(self) -> dict[str, np.ndarray]:
+        return {k: np.zeros_like(v) for k, v in self.all_params().items()}
+
+
+class FrozenTrajectoryExtractor(EncoderModel):
     """Entity encoder + two-layer MLP mapping the 4d trajectory feature to d.
 
     Trained on a labeled trajectory corpus (binary cross-entropy through a
@@ -161,7 +183,7 @@ class FrozenTrajectoryExtractor:
         d = hidden_size
         m = mlp_hidden or d
         rng = np.random.default_rng(seed + 1)
-        self.mlp_params: dict[str, np.ndarray] = {
+        self.params = {
             "mlp.W1": rng.normal(0.0, 1.0 / np.sqrt(4 * d), size=(m, 4 * d)),
             "mlp.b1": np.zeros(m),
             "mlp.W2": rng.normal(0.0, 1.0 / np.sqrt(m), size=(d, m)),
@@ -179,19 +201,6 @@ class FrozenTrajectoryExtractor:
             "weights_path": weights_path,
         }
 
-    # -- parameter plumbing ------------------------------------------------
-    def all_params(self) -> dict[str, np.ndarray]:
-        params = {f"enc.{k}": v for k, v in self.encoder.params.items()}
-        params.update(self.mlp_params)
-        return params
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        for k, v in params.items():
-            if k.startswith("enc."):
-                self.encoder.params[k[4:]] = v.copy()
-            else:
-                self.mlp_params[k] = v.copy()
-
     def param_checksum(self) -> str:
         digest = hashlib.sha256()
         for k in sorted(self.all_params()):
@@ -204,44 +213,47 @@ class FrozenTrajectoryExtractor:
 
     # -- forward paths -----------------------------------------------------
     def _mlp_feature(self, h_prime: np.ndarray):
-        z1 = self.mlp_params["mlp.W1"] @ h_prime + self.mlp_params["mlp.b1"]
-        a1 = np.tanh(z1)
-        feat = self.mlp_params["mlp.W2"] @ a1 + self.mlp_params["mlp.b2"]
-        return feat, (h_prime, a1)
+        p = self.params
+        a1 = np.tanh(h_prime @ p["mlp.W1"].T + p["mlp.b1"])
+        return a1 @ p["mlp.W2"].T + p["mlp.b2"], (h_prime, a1)
+
+    def features_batch(self, packed: PackedInputs) -> np.ndarray:
+        """The (B, d) features of a batch of prepared inputs; no gradients."""
+        h_prime, _ = self.encoder.forward_batch(packed)
+        return self._mlp_feature(h_prime)[0]
 
     def features(self, prepared: PreparedInput) -> np.ndarray:
         """The d-dimensional feature of one prepared input; no gradients."""
-        h_prime, _ = self.encoder.forward_prepared(prepared)
-        return self._mlp_feature(h_prime)[0]
+        return self.features_batch(pack([prepared]))[0]
 
-    def forward_train(self, prepared: PreparedInput):
-        """Class probabilities of one prepared input (``encoder.prepare``)
-        through the pretraining head, with caches."""
+    def forward_train_batch(self, packed: PackedInputs):
+        """(B, 2) class probabilities of a batch of prepared inputs through
+        the pretraining head, with caches for :meth:`backward_train`."""
         if self.frozen:
             raise RuntimeError("extractor is frozen; training forward is forbidden")
-        h_prime, enc_cache = self.encoder.forward_prepared(prepared)
+        h_prime, enc_cache = self.encoder.forward_batch(packed)
         feat, mlp_cache = self._mlp_feature(h_prime)
-        logits = self.mlp_params["head.W"] @ feat
-        shifted = np.exp(logits - logits.max())
-        probs = shifted / shifted.sum()
-        return probs, (enc_cache, mlp_cache, feat)
+        return softmax(feat @ self.params["head.W"].T), (enc_cache, mlp_cache, feat)
+
+    def forward_train(self, prepared: PreparedInput):
+        """:meth:`forward_train_batch` of one prepared input."""
+        probs, caches = self.forward_train_batch(pack([prepared]))
+        return probs[0], caches
 
     def backward_train(self, d_logits: np.ndarray, caches, grads: dict[str, np.ndarray]):
+        """Accumulate gradients of (B, 2) logit gradients (or one row)."""
         enc_cache, (h_prime, a1), feat = caches
-        grads["head.W"] += np.outer(d_logits, feat)
-        d_feat = self.mlp_params["head.W"].T @ d_logits
-        grads["mlp.W2"] += np.outer(d_feat, a1)
-        grads["mlp.b2"] += d_feat
-        d_a1 = self.mlp_params["mlp.W2"].T @ d_feat
-        d_z1 = d_a1 * (1.0 - a1 ** 2)
-        grads["mlp.W1"] += np.outer(d_z1, h_prime)
-        grads["mlp.b1"] += d_z1
-        d_hprime = self.mlp_params["mlp.W1"].T @ d_z1
+        d_logits = d_logits.reshape(len(feat), 2)
+        p = self.params
+        grads["head.W"] += d_logits.T @ feat
+        d_feat = d_logits @ p["head.W"]
+        grads["mlp.W2"] += d_feat.T @ a1
+        grads["mlp.b2"] += d_feat.sum(axis=0)
+        d_z1 = (d_feat @ p["mlp.W2"]) * (1.0 - a1 ** 2)
+        grads["mlp.W1"] += d_z1.T @ h_prime
+        grads["mlp.b1"] += d_z1.sum(axis=0)
         enc_grads = {k[4:]: grads[k] for k in grads if k.startswith("enc.")}
-        self.encoder.backward(d_hprime, enc_cache, enc_grads)
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.all_params().items()}
+        self.encoder.backward(d_z1 @ p["mlp.W1"], enc_cache, enc_grads)
 
     # -- persistence ---------------------------------------------------------
     def save(self, path: str | Path, history: list | None = None) -> None:
@@ -271,7 +283,3 @@ class FrozenTrajectoryExtractor:
         if meta.get("frozen"):
             extractor.freeze()
         return extractor
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.config, sort_keys=True).encode()).hexdigest()[:12]

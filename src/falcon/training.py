@@ -21,9 +21,20 @@ import numpy as np
 
 from .backbone import get_backbone
 from .dataset import LabeledExample, LabeledTriple, decompose_candidate
-from .encoder import ArBertEncoder, ContextOverflowError, PreparedInput, input_key
+from .encoder import (
+    INTERACTION_ROLES,
+    TRAJECTORY_ROLES,
+    ArBertEncoder,
+    ContextOverflowError,
+    PackedInputs,
+    PreparedInput,
+    input_key,
+    pack,
+    softmax,
+)
 from .evalbench import compute_metrics
 from .fusion import (
+    EncoderModel,
     FrozenTrajectoryExtractor,
     cross_attention_backward,
     cross_attention_forward,
@@ -174,11 +185,6 @@ def multitask_loss_grad_c(l_inter: float, l_tra: float, c1: float, c2: float):
     return g1, g2
 
 
-def softmax2(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
-
-
 # ---------------------------------------------------------------------------
 # Optimizer
 
@@ -234,7 +240,7 @@ class Prediction:
     reason: str | None = None
 
 
-class InteractionModel:
+class InteractionModel(EncoderModel):
     """Trainable encoder + feature transfer + classification heads."""
 
     def __init__(self, config: TrainConfig,
@@ -273,111 +279,74 @@ class InteractionModel:
             if config.aw:
                 self.params["c"] = np.array([1.0, 1.0])
 
-    # -- parameters ----------------------------------------------------------
-    def all_params(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.params.items()}
-        out.update(self.params)
-        return out
-
-    def set_params(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, v in arrays.items():
-            if k.startswith("enc."):
-                self.encoder.params[k[4:]] = v.copy()
-            else:
-                self.params[k] = v.copy()
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.all_params().items()}
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.all_params().items()}
-
-    # -- forward -------------------------------------------------------------
-    def forward_candidate(self, cand: CandidateQuadruple, with_tra: bool = False,
-                          store: "FeatureStore | None" = None):
-        """Full forward pass; returns (p_inter, p_tra1, p_tra2, cache).
-        ``store`` holds the frozen inputs (:meth:`FeatureStore.fill_candidate`);
-        without one, a fresh store is filled and an overflow raises
-        :class:`ContextOverflowError`."""
+    # -- forward and backward -------------------------------------------------
+    def forward_batch(self, inter: PackedInputs, tra: PackedInputs | None = None,
+                      features: np.ndarray | None = None):
+        """Batched forward of B candidates (:meth:`FeatureStore.gather`):
+        returns (p_inter (B, 2), p_tra (2, B, 2) or None, cache); ``p_tra``
+        holds the two trajectory branches when ``tra`` is given."""
         cfg = self.config
-        with_tra = with_tra and cfg.mt
-        if store is None:
-            store = FeatureStore.for_model(self)
-            reason = store.fill_candidate(cand, with_tra)
-            if reason is not None:
-                raise ContextOverflowError(reason)
-        h_inter, cache_inter = self.encoder.forward_prepared(
-            store(cand.segment, cand.entities()))
-        t1, t2 = decompose_candidate(cand)
-        cache: dict = {"inter": cache_inter, "h_inter": h_inter}
-
+        p = self.params
+        h_inter, enc_cache = self.encoder.forward_batch(inter)
+        cache: dict = {"inter": enc_cache}
         if cfg.fusion_mode == "gated":
-            f1, f2 = store.feature(t1), store.feature(t2)
-            g1, gc1 = gate_forward(f1, self.params["fusion.W_gate"])
-            g2, gc2 = gate_forward(f2, self.params["fusion.W_gate"])
-            (a1, a2), xc = cross_attention_forward(
-                h_inter, g1, g2, self.params["fusion.W_Q"], mode=cfg.cross_attention)
+            g, cache["gate"] = gate_forward(features, p["fusion.W_gate"])
+            (a1, a2), cache["xattn"] = cross_attention_forward(
+                h_inter, g[0], g[1], p["fusion.W_Q"], mode=cfg.cross_attention)
             h_fused = fuse(h_inter, a1, a2)
-            cache.update(gc1=gc1, gc2=gc2, xc=xc)
         elif cfg.fusion_mode == "concat":
-            f1, f2 = store.feature(t1), store.feature(t2)
-            h_fused = np.concatenate([h_inter, f1, f2])
+            h_fused = fuse(h_inter, *features)
         else:
             h_fused = h_inter
         cache["h_fused"] = h_fused
+        p_inter = softmax(h_fused @ p["head.inter.W"].T)
 
-        logits = self.params["head.inter.W"] @ h_fused
-        p_inter = softmax2(logits)
-        cache["p_inter"] = p_inter
+        p_tra = None
+        if tra is not None:
+            h_tra, cache["tra"] = self.encoder.forward_batch(tra)
+            cache["h_tra"] = h_tra
+            p_tra = softmax(h_tra @ p["head.tra.W"].T).reshape(2, -1, 2)
+        return p_inter, p_tra, cache
 
-        p_tra1 = p_tra2 = None
-        if with_tra:
-            for name, triple in (("tra1", t1), ("tra2", t2)):
-                h_tra, cache_tra = self.encoder.forward_prepared(
-                    store(*_triple_view(triple)))
-                p = softmax2(self.params["head.tra.W"] @ h_tra)
-                cache[name] = (h_tra, cache_tra, p)
-                if name == "tra1":
-                    p_tra1 = p
-                else:
-                    p_tra2 = p
-        return p_inter, p_tra1, p_tra2, cache
-
-    # -- backward ------------------------------------------------------------
-    def backward_candidate(self, cache: dict, d_logits_inter: np.ndarray,
-                           d_logits_tra: tuple | None,
-                           grads: dict[str, np.ndarray]) -> None:
+    def backward_batch(self, cache: dict, d_logits_inter: np.ndarray,
+                       d_logits_tra: np.ndarray | None, grads: dict[str, np.ndarray]) -> None:
+        """Accumulate the gradients of (B, 2) interaction and (2, B, 2)
+        trajectory logit gradients, summed over the batch."""
         cfg = self.config
         d = cfg.hidden_size
-        h_fused = cache["h_fused"]
-        grads["head.inter.W"] += np.outer(d_logits_inter, h_fused)
-        d_fused = self.params["head.inter.W"].T @ d_logits_inter
-
+        p = self.params
+        grads["head.inter.W"] += d_logits_inter.T @ cache["h_fused"]
+        d_fused = d_logits_inter @ p["head.inter.W"]
+        d_h_inter = d_fused[:, :5 * d]
         if cfg.fusion_mode == "gated":
-            d_h_inter = d_fused[:5 * d].copy()
-            d_a1 = d_fused[5 * d:6 * d]
-            d_a2 = d_fused[6 * d:7 * d]
             d_wq, d_h_inter_x, d_g1, d_g2 = cross_attention_backward(
-                d_a1, d_a2, cache["xc"], self.params["fusion.W_Q"])
+                d_fused[:, 5 * d:6 * d], d_fused[:, 6 * d:], cache["xattn"], p["fusion.W_Q"])
             grads["fusion.W_Q"] += d_wq
-            d_h_inter += d_h_inter_x
-            d_wg1, _ = gate_backward(d_g1, cache["gc1"], self.params["fusion.W_gate"])
-            d_wg2, _ = gate_backward(d_g2, cache["gc2"], self.params["fusion.W_gate"])
-            grads["fusion.W_gate"] += d_wg1 + d_wg2
-        elif cfg.fusion_mode == "concat":
-            d_h_inter = d_fused[:5 * d]
-        else:
-            d_h_inter = d_fused
+            d_h_inter = d_h_inter + d_h_inter_x
+            d_wg, _ = gate_backward(np.stack([d_g1, d_g2]), cache["gate"], p["fusion.W_gate"])
+            grads["fusion.W_gate"] += d_wg
 
-        enc_grads = {k[4:]: grads[f"enc.{k[4:]}"] for k in grads if k.startswith("enc.")}
+        enc_grads = {k[4:]: grads[k] for k in grads if k.startswith("enc.")}
         self.encoder.backward(d_h_inter, cache["inter"], enc_grads)
-
         if d_logits_tra is not None:
-            for name, d_logits in zip(("tra1", "tra2"), d_logits_tra):
-                h_tra, cache_tra, _ = cache[name]
-                grads["head.tra.W"] += np.outer(d_logits, h_tra)
-                d_h_tra = self.params["head.tra.W"].T @ d_logits
-                self.encoder.backward(d_h_tra, cache_tra, enc_grads)
+            d_logits_tra = d_logits_tra.reshape(-1, 2)
+            grads["head.tra.W"] += d_logits_tra.T @ cache["h_tra"]
+            self.encoder.backward(d_logits_tra @ p["head.tra.W"], cache["tra"], enc_grads)
+
+    def forward_candidate(self, cand: CandidateQuadruple, with_tra: bool = False):
+        """:meth:`forward_batch` of one candidate in a fresh store; returns
+        (p_inter, p_tra1, p_tra2, cache) with the fused feature in
+        ``cache["h_fused"]``. An overflow raises :class:`ContextOverflowError`."""
+        with_tra = with_tra and self.config.mt
+        store, rows = _filled_store(self, [cand], with_tra)
+        p_inter, p_tra, cache = self.forward_batch(*store.gather(rows, with_tra))
+        p_tra1, p_tra2 = (None, None) if p_tra is None else (p_tra[0, 0], p_tra[1, 0])
+        return p_inter[0], p_tra1, p_tra2, {"h_fused": cache["h_fused"][0]}
+
+    @property
+    def uses_features(self) -> bool:
+        """Whether the model reads the frozen extractor's features."""
+        return self.config.fusion_mode != "off"
 
     # -- persistence ----------------------------------------------------------
     def save(self, path: str | Path, history: list | None = None) -> None:
@@ -414,13 +383,15 @@ class InteractionModel:
 
 class FeatureStore:
     """The frozen inputs of forward passes, each computed once per distinct
-    input while the store lives.
+    input while the store lives, and packed for batched forwards.
 
-    ``inputs`` maps an :func:`~falcon.encoder.input_key` to the encoder's
-    :class:`PreparedInput` (calling the store looks one up); ``features``
-    maps a trajectory view's key to the frozen extractor's feature. The
-    extractor reads ``inputs`` when ``shared`` (its backbone settings equal
-    the model's) and prepares its own inputs otherwise.
+    ``inputs`` maps an :func:`~falcon.encoder.input_key` to the input's row
+    in the pack of its role layout, ``features`` a trajectory view's key to
+    its row of frozen-extractor features. A filled candidate is a row of
+    indices (interaction, trajectories 1 and 2, features 1 and 2; -1 when
+    not filled); a batch gathers the packs by them. The extractor reads the
+    store's inputs when ``shared`` (its backbone settings equal the
+    model's) and prepares its own otherwise.
     """
 
     def __init__(self, encoder: ArBertEncoder,
@@ -428,54 +399,107 @@ class FeatureStore:
         self.encoder = encoder
         self.frozen = frozen
         self.shared = shared
-        self.inputs: dict[tuple, PreparedInput] = {}
-        self.features: dict[tuple, np.ndarray] = {}
+        self.inputs: dict[tuple, int] = {}
+        self.features: dict[tuple, int] = {}
+        self._prepared: dict[tuple, list[PreparedInput]] = {}  # per role layout
+        self._packs: dict[tuple, PackedInputs] = {}
+        self._features = np.empty((0, encoder.hidden_size))
+        self._pending: list[PreparedInput] = []  # inputs of features not computed yet
 
     @classmethod
-    def for_model(cls, model: InteractionModel) -> "FeatureStore":
-        """An empty store for ``model``, holding frozen features when
-        feature transfer is on."""
-        if model.config.fusion_mode == "off":
+    def for_model(cls, model: InteractionModel,
+                  frozen: FrozenTrajectoryExtractor | None = None) -> "FeatureStore":
+        """An empty store for ``model``, holding the frozen features of
+        ``frozen`` (default: the model's extractor)."""
+        frozen = frozen or model.frozen
+        if frozen is None:
             return cls(model.encoder)
-        shared = all(model.frozen.config.get(k) == getattr(model.config, k)
-                     for k in BACKBONE_SETTINGS)
-        return cls(model.encoder, model.frozen, shared)
+        return cls(model.encoder, frozen, all(frozen.config.get(k) == getattr(model.config, k)
+                                              for k in BACKBONE_SETTINGS))
 
-    def fill(self, views, frozen_views=()) -> str | None:
-        """Prepare each (segment, entities) view, and the frozen feature of
-        each frozen view, not stored yet; the reason when an input overflows
-        its backbone window (leave the item out), else None."""
-        try:
-            for view in views:
-                self._prepare(*view)
-            for view in frozen_views:
-                key = input_key(*view)
-                if key not in self.features:
-                    prepared = (self._prepare(*view) if self.shared
-                                else self.frozen.encoder.prepare(*view))
-                    self.features[key] = self.frozen.features(prepared)
-        except ContextOverflowError as exc:
-            return str(exc)
-        return None
+    def fill(self, views) -> tuple[np.ndarray, list[str | None]]:
+        """Prepare each (segment, entities) view not stored yet; returns each
+        view's row and reason (-1 and the reason when it overflows its
+        backbone window, else None)."""
+        return self._fill(views, lambda view: self._input(*view), ())
 
-    def fill_candidate(self, cand: CandidateQuadruple, with_tra: bool = False) -> str | None:
-        """:meth:`fill` for a candidate's interaction view, with ``with_tra``
-        its trajectory views, and their frozen features."""
-        tra = [_triple_view(t) for t in decompose_candidate(cand)]
-        return self.fill([(cand.segment, cand.entities())] + (tra if with_tra else []),
-                         tra if self.frozen is not None else ())
+    def fill_candidates(self, cands: Sequence[CandidateQuadruple], with_tra: bool = False,
+                        with_features: bool = True) -> tuple[np.ndarray, list[str | None]]:
+        """:meth:`fill` for each candidate's interaction view, with
+        ``with_tra`` its trajectory views, and with ``with_features`` (and an
+        extractor) their frozen features; returns (n, 5) rows and reasons."""
+        with_features = with_features and self.frozen is not None
 
-    def _prepare(self, segment, entities) -> PreparedInput:
+        def fill_one(cand):
+            tra = [_triple_view(t) for t in decompose_candidate(cand)]
+            return [self._input(cand.segment, cand.entities()),
+                    *([self._input(*v) for v in tra] if with_tra else [-1, -1]),
+                    *([self._feature(*v) for v in tra] if with_features else [-1, -1])]
+
+        out = self._fill(cands, fill_one, (5,))
+        if self._pending:  # one batched frozen forward for the new features
+            self._features = np.concatenate(
+                [self._features, self.frozen.features_batch(pack(self._pending))])
+            self._pending = []
+        return out
+
+    @staticmethod
+    def _fill(items, fill_one, shape):
+        rows = np.full((len(items), *shape), -1)
+        reasons: list[str | None] = []
+        for i, item in enumerate(items):
+            try:
+                rows[i] = fill_one(item)
+                reasons.append(None)
+            except ContextOverflowError as exc:
+                reasons.append(str(exc))
+        return rows, reasons
+
+    def _input(self, segment, entities) -> int:
         key = input_key(segment, entities)
         if key not in self.inputs:
-            self.inputs[key] = self.encoder.prepare(segment, entities)
+            prepared = self.encoder.prepare(segment, entities)
+            layout = self._prepared.setdefault(prepared.roles, [])
+            self.inputs[key] = len(layout)
+            layout.append(prepared)
+            self._packs.pop(prepared.roles, None)
         return self.inputs[key]
 
-    def __call__(self, segment, entities) -> PreparedInput:
-        return self.inputs[input_key(segment, entities)]
+    def _feature(self, segment, entities) -> int:
+        key = input_key(segment, entities)
+        if key not in self.features:
+            row = self._input(segment, entities) if self.shared else None
+            self._pending.append(self.frozen.encoder.prepare(segment, entities) if row is None
+                                 else self._prepared[TRAJECTORY_ROLES][row])
+            self.features[key] = len(self._features) + len(self._pending) - 1
+        return self.features[key]
 
-    def feature(self, triple: TrajectoryTriple) -> np.ndarray:
-        return self.features[input_key(*_triple_view(triple))]
+    def packed(self, roles: tuple[str, ...]) -> PackedInputs:
+        """Every stored input of one role layout in one pack (rebuilt after
+        an input of that layout is added)."""
+        if roles not in self._packs:
+            self._packs[roles] = pack(self._prepared[roles])
+        return self._packs[roles]
+
+    def gather(self, rows: np.ndarray, with_tra: bool = False):
+        """The frozen inputs of the candidates at ``rows`` (:meth:`fill_candidates`):
+        (interaction pack, trajectory pack of B triples 1 then B triples 2
+        when ``with_tra``, else None, (2, B, d) features or None)."""
+        tra = (self.packed(TRAJECTORY_ROLES).take(rows[:, 1:3].T.reshape(-1))
+               if with_tra else None)
+        features = self._features[rows[:, 3:5].T] if rows[0, 3] >= 0 else None
+        return self.packed(INTERACTION_ROLES).take(rows[:, 0]), tra, features
+
+
+def _filled_store(model: InteractionModel, cands, with_tra: bool,
+                  store: FeatureStore | None = None) -> tuple[FeatureStore, np.ndarray]:
+    """``store`` (default: a fresh one) filled with ``cands``, and their rows;
+    an overflow raises :class:`ContextOverflowError`."""
+    store = FeatureStore.for_model(model) if store is None else store
+    rows, reasons = store.fill_candidates(cands, with_tra, model.uses_features)
+    for reason in filter(None, reasons):
+        raise ContextOverflowError(reason)
+    return store, rows
 
 
 def _triple_view(triple: TrajectoryTriple) -> tuple:
@@ -487,27 +511,23 @@ def _triple_view(triple: TrajectoryTriple) -> tuple:
 # Batched objective
 
 def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
-                grads: dict[str, np.ndarray] | None, store: FeatureStore | None = None):
+                grads: dict[str, np.ndarray] | None, store: FeatureStore | None = None,
+                rows: np.ndarray | None = None):
     """Forward (and optionally backward) one batch; returns loss components.
-    ``store`` is passed on to :meth:`InteractionModel.forward_candidate`."""
+    ``rows`` are the examples' store rows (:meth:`FeatureStore.fill_candidates`);
+    without them the examples are filled into ``store`` (default: a fresh
+    one), and an overflow raises :class:`ContextOverflowError`."""
     cfg = model.config
     n = len(batch)
-    caches = []
-    p_inter = np.empty(n)
+    if rows is None:
+        store, rows = _filled_store(model, [ex.candidate for ex in batch], cfg.mt, store)
+    p_inter, p_tra, cache = model.forward_batch(*store.gather(rows, cfg.mt))
     y_inter = np.array([ex.y_inter for ex in batch])
-    p_tra = np.empty((2, n))
-    y_tra = np.array([[ex.y_tra1 for ex in batch], [ex.y_tra2 for ex in batch]])
-    for i, ex in enumerate(batch):
-        pi, pt1, pt2, cache = model.forward_candidate(ex.candidate, with_tra=cfg.mt,
-                                                      store=store)
-        p_inter[i] = pi[1]
-        if cfg.mt:
-            p_tra[0, i] = pt1[1]
-            p_tra[1, i] = pt2[1]
-        caches.append(cache)
-
-    l_inter = interaction_loss(p_inter, y_inter)
-    l_tra = trajectory_loss(p_tra[0], y_tra[0], p_tra[1], y_tra[1]) if cfg.mt else None
+    l_inter = interaction_loss(p_inter[:, 1], y_inter)
+    l_tra = None
+    if cfg.mt:
+        y_tra = np.array([[ex.y_tra1 for ex in batch], [ex.y_tra2 for ex in batch]])
+        l_tra = trajectory_loss(p_tra[0, :, 1], y_tra[0], p_tra[1, :, 1], y_tra[1])
 
     if cfg.mt and cfg.aw:
         c1, c2 = float(model.params["c"][0]), float(model.params["c"][1])
@@ -521,21 +541,19 @@ def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
         w_inter, w_tra = 1.0, 0.0
 
     if grads is not None:
-        for i, ex in enumerate(batch):
-            cache = caches[i]
-            d_logits_inter = (cache["p_inter"] - np.array(
-                [1 - ex.y_inter, ex.y_inter])) * (w_inter / n)
-            d_logits_tra = None
-            if cfg.mt:
-                d_logits_tra = tuple(
-                    (cache[name][2] - np.array([1 - y, y])) * (w_tra * 0.5 / n)
-                    for name, y in (("tra1", ex.y_tra1), ("tra2", ex.y_tra2)))
-            model.backward_candidate(cache, d_logits_inter, d_logits_tra, grads)
+        d_tra = (p_tra - _one_hot(y_tra)) * (w_tra * 0.5 / n) if cfg.mt else None
+        model.backward_batch(cache, (p_inter - _one_hot(y_inter)) * (w_inter / n), d_tra,
+                             grads)
         if cfg.mt and cfg.aw:
             g1, g2 = multitask_loss_grad_c(l_inter, l_tra, c1, c2)
             grads["c"] += np.array([g1, g2])
 
     return total, l_inter, l_tra
+
+
+def _one_hot(labels: np.ndarray) -> np.ndarray:
+    """(..., 2) targets [1 - y, y] of binary labels."""
+    return np.stack([1 - labels, labels], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +599,19 @@ def _fit(params: dict[str, np.ndarray], zero_grads, items: Sequence,
 
 
 def train(model: InteractionModel, examples: Sequence[LabeledExample],
-          config: TrainConfig | None = None, quiet: bool = True) -> TrainResult:
+          config: TrainConfig | None = None, quiet: bool = True,
+          store: FeatureStore | None = None) -> TrainResult:
     """Train on split=='train', early-stop on validation F1, restore the best.
 
     Deterministic under the config seed and single-worker batch order.
     Aborts with a diagnostic when the objective stops being finite. One
     :class:`FeatureStore`, filled before the first epoch, holds each
-    distinct encoder input and frozen feature; train and val examples with
-    an input that overflows its backbone window are left out and counted in
+    distinct encoder input and frozen feature; each minibatch is a gather
+    from its packed arrays. Train and val examples with an input that
+    overflows its backbone window are left out and counted in
     ``TrainResult.skipped``. Validation is :func:`predict` on that store,
-    scored by :func:`~falcon.evalbench.compute_metrics`.
+    scored by :func:`~falcon.evalbench.compute_metrics`. ``store`` lets
+    runs with the same backbone and extractor share one store.
     """
     config = (config or model.config).resolved()
     train_set = [ex for ex in examples if ex.split == "train"]
@@ -599,13 +620,15 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
         raise ValueError("no examples with split='train'")
 
     result = TrainResult()
-    store = FeatureStore.for_model(model)
-    kept_train = [ex for ex in train_set
-                  if store.fill_candidate(ex.candidate, model.config.mt) is None]
-    kept_val = [ex for ex in val_set if store.fill_candidate(ex.candidate) is None]
-    result.skipped = len(train_set) + len(val_set) - len(kept_train) - len(kept_val)
-    train_set, val_set = kept_train, kept_val
-    if not train_set:
+    store = FeatureStore.for_model(model) if store is None else store
+    rows, reasons = store.fill_candidates([ex.candidate for ex in train_set],
+                                          model.config.mt, model.uses_features)
+    kept = [i for i, reason in enumerate(reasons) if reason is None]
+    val_reasons = store.fill_candidates([ex.candidate for ex in val_set],
+                                        with_features=model.uses_features)[1]
+    val_set = [ex for ex, reason in zip(val_set, val_reasons) if reason is None]
+    result.skipped = len(reasons) - len(kept) + len(val_reasons) - len(val_set)
+    if not kept:
         raise ValueError("every train example overflows the backbone window")
 
     best_params = model.snapshot()
@@ -613,7 +636,8 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     stale = 0
 
     def batch_step(batch, grads):
-        total, l_inter, l_tra = _batch_pass(model, batch, grads, store=store)
+        total, l_inter, l_tra = _batch_pass(model, [train_set[i] for i in batch], grads,
+                                            store, rows[batch])
         return total, l_inter, l_tra or 0.0
 
     def end_epoch(epoch, means):
@@ -648,7 +672,7 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
             print(json.dumps(entry))
         return bool(val_set) and stale >= config.patience
 
-    _fit(model.all_params(), model.zero_grads, train_set, config, batch_step, end_epoch)
+    _fit(model.all_params(), model.zero_grads, kept, config, batch_step, end_epoch)
     model.set_params(best_params)
     result.best_val_f1 = best_f1 if val_set else None
     return result
@@ -659,39 +683,37 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
                                   ) -> tuple[FrozenTrajectoryExtractor, list[dict]]:
     """Train the trajectory extractor on labeled triples, then freeze it.
 
-    Each distinct triple is prepared once, before the first epoch; triples
-    whose marked spans overflow the backbone window are left out. A given
-    ``result`` receives the history and the count of left-out triples.
+    Each distinct triple is prepared once, before the first epoch, and
+    packed; each minibatch is a gather from the pack. Triples whose marked
+    spans overflow the backbone window are left out. A given ``result``
+    receives the history and the count of left-out triples.
     """
     if not corpus:
         raise ValueError("empty trajectory corpus")
-    extractor = FrozenTrajectoryExtractor(
-        backbone_name=config.backbone, hidden_size=config.hidden_size,
-        max_tokens=config.max_tokens, mlp_hidden=config.mlp_hidden,
-        seed=config.seed, attention_norm=config.attention_norm,
-        weights_path=config.weights_path)
+    extractor = FrozenTrajectoryExtractor.from_config(config.to_dict())
     history: list[dict] = []
     store = FeatureStore(extractor.encoder)
-    items = [item for item in corpus if store.fill([_triple_view(item.triple)]) is None]
+    rows, reasons = store.fill([_triple_view(item.triple) for item in corpus])
+    kept = [i for i, reason in enumerate(reasons) if reason is None]
     if result is not None:
         result.history = history
-        result.skipped = len(corpus) - len(items)
-    if not items:
+        result.skipped = len(corpus) - len(kept)
+    if not kept:
         raise ValueError("every trajectory triple overflows the backbone window")
+    packed = store.packed(TRAJECTORY_ROLES)
+    labels = np.array([item.y_tra for item in corpus])
 
     def batch_step(batch, grads):
-        labels = np.array([item.y_tra for item in batch])
-        outs = [extractor.forward_train(store(*_triple_view(item.triple)))
-                for item in batch]
-        for (p, cache), y in zip(outs, labels):
-            extractor.backward_train((p - np.array([1 - y, y])) / len(batch), cache, grads)
-        return (binary_cross_entropy(np.array([p[1] for p, _ in outs]), labels),)
+        probs, caches = extractor.forward_train_batch(packed.take(rows[batch]))
+        y = labels[batch]
+        extractor.backward_train((probs - _one_hot(y)) / len(batch), caches, grads)
+        return (binary_cross_entropy(probs[:, 1], y),)
 
     def end_epoch(epoch, means):
         history.append({"epoch": epoch, "loss": means[0]})
         return False
 
-    _fit(extractor.all_params(), extractor.zero_grads, items, config, batch_step, end_epoch)
+    _fit(extractor.all_params(), extractor.zero_grads, kept, config, batch_step, end_epoch)
     extractor.freeze()
     return extractor, history
 
@@ -701,21 +723,18 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
 
 def predict(model: InteractionModel, candidates: Sequence[CandidateQuadruple],
             threshold: float = 0.5, store: FeatureStore | None = None) -> list[Prediction]:
-    """Score candidates; context overflows are marked skipped, never dropped.
-    Reads and extends ``store`` (training passes its own); without one, each
-    candidate fills a fresh store, dropped once the candidate is scored."""
-    out: list[Prediction] = []
-    for cand in candidates:
-        cand_store = FeatureStore.for_model(model) if store is None else store
-        reason = cand_store.fill_candidate(cand)
-        if reason is not None:
-            out.append(Prediction(candidate=cand, score=None, label=None,
-                                  skipped=True, reason=reason))
-            continue
-        p, _, _, _ = model.forward_candidate(cand, store=cand_store)
-        score = float(p[1])
-        out.append(Prediction(candidate=cand, score=score,
-                              label=int(score >= threshold)))
+    """Score candidates in one batched forward; context overflows are marked
+    skipped, never dropped. Reads and extends ``store`` (training passes its
+    own); without one, the call fills a fresh store and drops it after."""
+    store = FeatureStore.for_model(model) if store is None else store
+    rows, reasons = store.fill_candidates(candidates, with_features=model.uses_features)
+    ok = [i for i, reason in enumerate(reasons) if reason is None]
+    scores = model.forward_batch(*store.gather(rows[ok]))[0][:, 1] if ok else []
+    out = [Prediction(candidate=cand, score=None, label=None, skipped=True, reason=reason)
+           for cand, reason in zip(candidates, reasons)]
+    for i, score in zip(ok, scores):
+        out[i] = Prediction(candidate=candidates[i], score=float(score),
+                            label=int(score >= threshold))
     return out
 
 

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from falcon.dataset import split_dataset
+from falcon.backbone import DeterministicStubBackbone
+from falcon.dataset import decompose_candidate, split_dataset
+from falcon.encoder import input_key
 from falcon.evalbench import (
     AblationTable,
     ablation_configs,
@@ -81,6 +83,25 @@ def test_run_ablations_produces_six_reports(corpus):
     assert csv_text.splitlines()[0] == "config,config_hash,seed,Acc,P,R,F1"
     assert len(csv_text.splitlines()) == 7
     assert isinstance(table, AblationTable)
+
+
+def test_ablations_encode_each_distinct_input_once(corpus, monkeypatch):
+    examples = split_dataset(corpus.examples[:40], seed=0)
+    config = TrainConfig(hidden_size=4, max_epochs=1, learning_rate=5e-3, seed=2)
+    extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples[:30], config)
+    calls = []
+    encode = DeterministicStubBackbone.encode
+    monkeypatch.setattr(DeterministicStubBackbone, "encode",
+                        lambda self, tokens: calls.append(tokens) or encode(self, tokens))
+    run_ablations(examples, config, frozen_extractor=extractor)
+    # The full config reads the interaction view of every split and, through
+    # the extractor (same backbone settings), every trajectory view.
+    keys = set()
+    for ex in examples:
+        keys.add(input_key(ex.candidate.segment, ex.candidate.entities()))
+        keys.update(input_key(t.segment, (t.person, t.time, t.location))
+                    for t in decompose_candidate(ex.candidate))
+    assert len(calls) == len(keys)
 
 
 @pytest.fixture(scope="module")

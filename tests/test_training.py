@@ -5,11 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from falcon import fixtures
+from falcon import fixtures, training
 from falcon.backbone import DeterministicStubBackbone
-from falcon.dataset import decompose_candidate, split_dataset
+from falcon.dataset import LabeledExample, decompose_candidate, split_dataset
 from falcon.encoder import input_key
-from falcon.evalbench import compute_metrics
+from falcon.evalbench import ABLATION_GRID, compute_metrics
+from falcon.fusion import FrozenTrajectoryExtractor
+from falcon.ingest import CandidateQuadruple, EntityMention, TextSegment
 from falcon.training import (
     AdamW,
     FeatureStore,
@@ -179,6 +181,99 @@ def test_softmax_head_outputs_sum_to_one(corpus, extractor):
 
 
 # ---------------------------------------------------------------------------
+# the assembled objective
+
+def _ragged_examples():
+    """Four labeled candidates whose entities occur one to three times each,
+    so that a batch of them pads its occurrence rows."""
+    surfaces = {"Person1": "Ada", "Person2": "Berg", "Time": "1950", "Location": "Oslo"}
+    out = []
+    for i, (counts, labels) in enumerate([((1, 1, 1, 1), (1, 1, 1)),
+                                          ((3, 1, 2, 1), (0, 1, 0)),
+                                          ((2, 3, 1, 2), (0, 0, 1)),
+                                          ((1, 2, 3, 3), (0, 1, 1))]):
+        words = ["Ada met Berg in Oslo in 1950 ."]
+        for role, extra in zip(surfaces, counts):
+            words += [f"Later {surfaces[role]} came ."] * (extra - 1)
+        text = " ".join(words)
+        mentions = []
+        for role, surface in surfaces.items():
+            spans, at = [], text.find(surface)
+            while at >= 0:
+                spans.append((at, at + len(surface)))
+                at = text.find(surface, at + len(surface))
+            assert len(spans) == counts[len(mentions)]
+            mentions.append(EntityMention(role=role, surface=surface, occurrences=tuple(spans)))
+        segment = TextSegment(segment_id=f"r{i}:s0", doc_id=f"r{i}", char_start=0,
+                              char_end=len(text), text=text)
+        out.append(LabeledExample(CandidateQuadruple(segment, *mentions), *labels, split="train"))
+    return out
+
+
+def _frozen(d, norm="softmax"):
+    extractor = FrozenTrajectoryExtractor(hidden_size=d, seed=4, attention_norm=norm)
+    extractor.freeze()
+    return extractor
+
+
+@pytest.mark.parametrize("norm", ["softmax", "literal"])
+@pytest.mark.parametrize("name", list(ABLATION_GRID))
+def test_objective_gradient_matches_finite_differences(name, norm):
+    # Central differences of _batch_pass's total loss against its backward,
+    # for every entry of every model parameter. The scale floor keeps
+    # entries whose gradient is ~0 from dividing rounding noise by ~0.
+    d, h = 2, 1e-6
+    config = replace(TrainConfig(hidden_size=d, seed=7, attention_norm=norm),
+                     **ABLATION_GRID[name]).resolved()
+    model = InteractionModel(config, frozen=_frozen(d) if config.ft else None)
+    batch = _ragged_examples()
+    grads = model.zero_grads()
+    _batch_pass(model, batch, grads)
+    for key, param in model.all_params().items():
+        flat = param.reshape(-1)
+        assert np.shares_memory(flat, param)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = _batch_pass(model, batch, None)[0]
+            flat[i] = orig - h
+            down = _batch_pass(model, batch, None)[0]
+            flat[i] = orig
+            numeric, analytic = (up - down) / (2 * h), grads[key].reshape(-1)[i]
+            err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-4)
+            assert err <= 1e-5, f"{key}[{i}]: analytic {analytic!r}, numeric {numeric!r}"
+
+
+@pytest.mark.parametrize("norm", ["softmax", "literal"])
+def test_padding_cannot_leak(norm):
+    # A candidate scored or differentiated alone (its own occurrence count
+    # sets the padding) and inside a batch padded for longer candidates.
+    config = TrainConfig(hidden_size=4, seed=3, attention_norm=norm)
+    model = InteractionModel(config, frozen=_frozen(4, norm))
+    examples = _ragged_examples()
+    cands = [ex.candidate for ex in examples]
+    together = [p.score for p in predict(model, cands)]
+    alone = [predict(model, [cand])[0].score for cand in cands]
+    assert np.allclose(together, alone, rtol=0, atol=1e-12)
+
+    rng = np.random.default_rng(0)
+    d_inter, d_tra = rng.normal(size=(4, 2)), rng.normal(size=(2, 4, 2))
+
+    def grads_of(group):
+        store = FeatureStore.for_model(model)
+        rows, _ = store.fill_candidates([cands[i] for i in group], with_tra=True)
+        _, _, cache = model.forward_batch(*store.gather(rows, with_tra=True))
+        grads = model.zero_grads()
+        model.backward_batch(cache, d_inter[group], d_tra[:, group], grads)
+        return grads
+
+    batched = grads_of([0, 1, 2, 3])
+    singles = [grads_of([i]) for i in range(4)]
+    for key, value in batched.items():
+        assert np.allclose(value, sum(g[key] for g in singles), rtol=0, atol=1e-12), key
+
+
+# ---------------------------------------------------------------------------
 # training loop
 
 def test_training_loss_decreases_most_epochs(corpus, extractor):
@@ -304,6 +399,17 @@ def test_context_overflow_yields_skip_not_drop(corpus, extractor):
     assert all("context overflow" in p.reason for p in preds)
 
 
+def test_predict_decomposes_each_candidate_once(corpus, extractor, monkeypatch):
+    calls = []
+    decompose = training.decompose_candidate
+    monkeypatch.setattr(training, "decompose_candidate",
+                        lambda cand: calls.append(cand) or decompose(cand))
+    model = InteractionModel(TrainConfig(hidden_size=4, seed=1), frozen=extractor)
+    cands = [ex.candidate for ex in corpus.examples[:12]]
+    assert not any(p.skipped for p in predict(model, cands))
+    assert len(calls) == len(cands)
+
+
 def test_validation_is_prediction_on_the_training_store(corpus, extractor):
     examples = split_dataset(corpus.examples, seed=0)
     config = TrainConfig(hidden_size=4, max_epochs=1, learning_rate=5e-3, seed=5)
@@ -317,9 +423,9 @@ def test_validation_is_prediction_on_the_training_store(corpus, extractor):
     runs = []
     for store in (shared, FeatureStore(model.encoder, extractor, shared=False), None):
         if store is not None:  # filled as training fills its store
-            for ex in examples:
-                if ex.split != "test":
-                    store.fill_candidate(ex.candidate, ex.split == "train")
+            for split in ("train", "val"):
+                store.fill_candidates([ex.candidate for ex in examples if ex.split == split],
+                                      with_tra=split == "train")
         runs.append(predict(model, [ex.candidate for ex in val_set], store=store))
     assert len({tuple((p.score, p.label) for p in preds) for preds in runs}) == 1
     report = compute_metrics([p.label for p in runs[0]], [ex.y_inter for ex in val_set])
@@ -367,12 +473,84 @@ def test_config_hash_distinguishes_configs():
 # digits) over the sorted (name, bytes) arrays of each checkpoint of a small
 # fixture run (30 documents, d=8, 3 epochs). "gated" is the full model
 # (gated fusion, multi-task, adaptive weights); "off" drops feature transfer.
-GOLDEN_CHECKPOINTS = {"extractor": "8cc785dd57446ae9", "gated": "daaac9a95274ee34",
-                      "off": "4dc218ef8da5fa6a"}
+# Recorded on the batched trainable path.
+GOLDEN_CHECKPOINTS = {"extractor": "19637527f34c1342", "gated": "2192ec436380067f",
+                      "off": "cfa01dc76599f1b8"}
+
+# The same checkpoints from the per-example path that preceded the batched
+# one, as float.hex of each array's (sum, L2 norm). Batched sums round in
+# another order: entries moved by at most 1.5e-15 (fusion.W_Q), sums and
+# norms by at most 6.3e-15. The digests were re-recorded; these references,
+# within REFERENCE_TOL (relative, or absolute near 0), keep a real change
+# from hiding behind a re-record. The "frozen." arrays of "gated" are the
+# extractor's, so they are left out here.
+PER_EXAMPLE_REFERENCE = {
+    "extractor": {
+        "enc.attn.b": ("-0x1.41ef8ec171a60p-3", "0x1.41ef8ec171a60p-3"),
+        "enc.attn.w": ("-0x1.00a3f6e56f50ap-1", "0x1.86f1bc0783506p+0"),
+        "enc.proj.cls.W": ("-0x1.2814427838dbfp+1", "0x1.f6da91a5c5205p+1"),
+        "enc.proj.cls.b": ("-0x1.056b87f085482p-4", "0x1.299bc793b2962p-1"),
+        "enc.proj.location.W": ("-0x1.c54f9727bcde1p+1", "0x1.8f486647fad1bp+1"),
+        "enc.proj.location.b": ("0x1.e5b9a3cc7f798p-5", "0x1.dcc43fb27578ap-2"),
+        "enc.proj.person.W": ("-0x1.e3b70031730c8p-2", "0x1.954eb448b730bp+1"),
+        "enc.proj.person.b": ("-0x1.ca9e370e4f914p-5", "0x1.9f373ff6dd94bp-2"),
+        "enc.proj.person1.W": ("-0x1.74e61d2b8a2dcp+1", "0x1.3d3d4673ef053p+1"),
+        "enc.proj.person1.b": ("0x0.0p+0", "0x0.0p+0"),
+        "enc.proj.person2.W": ("0x1.02bffa6b34098p+1", "0x1.811dc7ec4c5fap+1"),
+        "enc.proj.person2.b": ("0x0.0p+0", "0x0.0p+0"),
+        "enc.proj.time.W": ("-0x1.71c473eb98159p+1", "0x1.c824641eb2c1cp+1"),
+        "enc.proj.time.b": ("0x1.5f53dd47f7d2cp-1", "0x1.79358e81b988cp-2"),
+        "head.W": ("-0x1.401cabc78c506p+1", "0x1.6f808c709e03ap+0"),
+        "mlp.W1": ("-0x1.00c26ed509d48p+2", "0x1.3f38f8391e162p+2"),
+        "mlp.W2": ("-0x1.136a35c6d3ec9p+2", "0x1.3dda0e6c5e059p+1"),
+        "mlp.b1": ("0x1.b6dae049b0438p-6", "0x1.99c8f7a418ce0p-2"),
+        "mlp.b2": ("0x1.7c145b52acda1p-1", "0x1.ac484854c2fe9p-2"),
+    },
+    "gated": {
+        "c": ("0x1.9f6259a039fdap+0", "0x1.280ca339d58b0p+0"),
+        "enc.attn.b": ("0x1.ca0dce74a01a7p-3", "0x1.ca0dce74a01a7p-3"),
+        "enc.attn.w": ("-0x1.acca45ec9ea3ap-2", "0x1.066c523718d26p+0"),
+        "enc.proj.cls.W": ("-0x1.d61acc94fcfe4p+1", "0x1.8d4bcbfa765c2p+1"),
+        "enc.proj.cls.b": ("0x1.fe21dbc6dec3ap-3", "0x1.a0746a5714bc9p-2"),
+        "enc.proj.location.W": ("-0x1.4a45b8aadea66p+0", "0x1.62228b8f02acfp+1"),
+        "enc.proj.location.b": ("0x1.0f166707f2f39p-2", "0x1.121f5957e9be9p-1"),
+        "enc.proj.person.W": ("0x1.55b56d4a9d780p-1", "0x1.4edf8927dc67dp+1"),
+        "enc.proj.person.b": ("-0x1.103a63f36f038p-1", "0x1.cbcb6f09636ffp-2"),
+        "enc.proj.person1.W": ("-0x1.4b09bdf615317p+1", "0x1.45d4d6d5506cdp+1"),
+        "enc.proj.person1.b": ("0x1.529cbea90688ep-3", "0x1.33aa7bef23ce5p-2"),
+        "enc.proj.person2.W": ("0x1.d40cc58962694p+1", "0x1.9dd33e8490c9fp+1"),
+        "enc.proj.person2.b": ("-0x1.2df67f05a2d52p-4", "0x1.876048474bc71p-2"),
+        "enc.proj.time.W": ("-0x1.4dc2cbd7948a5p+1", "0x1.882063c0a21a3p+1"),
+        "enc.proj.time.b": ("0x1.82495b9244deap-3", "0x1.ee4cb57673feap-2"),
+        "fusion.W_Q": ("-0x1.e5b6f6be0f90cp+1", "0x1.0f3b8984dd5e1p+2"),
+        "fusion.W_gate": ("-0x1.48555bffe788fp+2", "0x1.54a6e1d6b5ac6p+1"),
+        "head.inter.W": ("-0x1.7ae0f059f83aep+1", "0x1.09d354071b3abp+1"),
+        "head.tra.W": ("-0x1.8444b58d0dae6p+1", "0x1.b60d7619b5f08p+0"),
+    },
+    "off": {
+        "c": ("0x1.8d5245ac05bb7p+0", "0x1.1b4f757627b33p+0"),
+        "enc.attn.b": ("0x1.901e3db24ad89p-3", "0x1.901e3db24ad89p-3"),
+        "enc.attn.w": ("-0x1.13e386057bd15p+0", "0x1.e63a9a7424401p-1"),
+        "enc.proj.cls.W": ("-0x1.34737bbac8eb0p+1", "0x1.84703834d1b4ap+1"),
+        "enc.proj.cls.b": ("0x1.1d84e11d809a5p-2", "0x1.9ccd57e2da6a4p-2"),
+        "enc.proj.location.W": ("-0x1.7054fb5b4a6b9p+1", "0x1.632d22f824cc1p+1"),
+        "enc.proj.location.b": ("0x1.70f39aa2e4ff2p-2", "0x1.f483981f47a2ep-2"),
+        "enc.proj.person.W": ("0x1.4033a7ea73808p-2", "0x1.4d3e0ddfa1357p+1"),
+        "enc.proj.person.b": ("-0x1.2776e03f2a491p+0", "0x1.ea9fe17d1a330p-2"),
+        "enc.proj.person1.W": ("-0x1.3cffa91278c4ep+1", "0x1.4ce4df6bc30dap+1"),
+        "enc.proj.person1.b": ("0x1.619e92a1d54dcp-4", "0x1.708617f4a2613p-2"),
+        "enc.proj.person2.W": ("0x1.4af9aa71a868bp+1", "0x1.989bd390a6e64p+1"),
+        "enc.proj.person2.b": ("-0x1.2ac437f6646aap-4", "0x1.210848df872ecp-2"),
+        "enc.proj.time.W": ("-0x1.948903385d718p+0", "0x1.76205a56fd1f2p+1"),
+        "enc.proj.time.b": ("0x1.3d80b54960964p-1", "0x1.6e598c748129ep-2"),
+        "head.inter.W": ("-0x1.1be8f8d94cf64p+1", "0x1.822e3bf578ba7p+0"),
+        "head.tra.W": ("-0x1.b29e17d00b6b6p+0", "0x1.e2175b8d6c0bdp+0"),
+    },
+}
+REFERENCE_TOL = 1e-12
 
 
-def _checkpoint_digest(path):
-    arrays, _ = load_archive(path)
+def _checkpoint_digest(arrays):
     digest = hashlib.sha256()
     for name in sorted(arrays):
         digest.update(name.encode())
@@ -387,11 +565,16 @@ def test_training_checkpoints_match_golden_digests(tmp_path):
                          batch_size=16, patience=3, seed=5)
     extractor, history = pretrain_trajectory_extractor(corpus.labeled_triples, config)
     extractor.save(tmp_path / "extractor.ckpt", history=history)
-    got = {"extractor": _checkpoint_digest(tmp_path / "extractor.ckpt")}
     for name, run in (("gated", config), ("off", replace(config, fusion_mode="off"))):
         run = run.resolved()
         model = InteractionModel(run, frozen=extractor if run.ft else None)
         result = train(model, examples, run)
         model.save(tmp_path / f"{name}.ckpt", history=result.history)
-        got[name] = _checkpoint_digest(tmp_path / f"{name}.ckpt")
-    assert got == GOLDEN_CHECKPOINTS
+    arrays = {name: load_archive(tmp_path / f"{name}.ckpt")[0] for name in GOLDEN_CHECKPOINTS}
+    for name, reference in PER_EXAMPLE_REFERENCE.items():
+        assert set(reference) == {k for k in arrays[name] if not k.startswith("frozen.")}
+        for key, (total, norm) in reference.items():
+            got = (float(arrays[name][key].sum()), float(np.linalg.norm(arrays[name][key])))
+            want = (float.fromhex(total), float.fromhex(norm))
+            assert np.allclose(got, want, rtol=REFERENCE_TOL, atol=REFERENCE_TOL), (name, key)
+    assert {name: _checkpoint_digest(a) for name, a in arrays.items()} == GOLDEN_CHECKPOINTS
