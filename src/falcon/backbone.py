@@ -27,7 +27,12 @@ class Token:
 
 
 class EncoderBackbone(ABC):
-    """Contract: deterministic in eval mode, one hidden row per token plus CLS."""
+    """Contract: deterministic in eval mode, one hidden row per token plus CLS.
+
+    ``tokenize_with_offsets`` returns tokens in text order that do not
+    overlap, so their starts and their ends both ascend: the entity encoder
+    maps character spans to token spans by bisecting them.
+    """
 
     hidden_size: int
     max_tokens: int

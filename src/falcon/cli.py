@@ -129,6 +129,14 @@ def train_cmd(config_path, data_path, out_path, frozen_path):
                            "config_hash": config.config_hash()}))
 
 
+def _prediction_json(p: tr.Prediction) -> dict:
+    rec = ingest.candidate_to_json(p.candidate)
+    rec.update(score=p.score, label=p.label, skipped=p.skipped)
+    if p.reason:
+        rec["reason"] = p.reason
+    return rec
+
+
 @main.command("predict")
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--candidates", "cand_path", required=True, type=click.Path(exists=True))
@@ -139,13 +147,7 @@ def predict_cmd(checkpoint, cand_path, out_path, threshold):
     model = tr.InteractionModel.load(checkpoint)
     candidates = ingest.load_candidates(cand_path)
     preds = tr.predict(model, candidates, threshold=threshold)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for p in preds:
-            rec = ingest.candidate_to_json(p.candidate)
-            rec.update(score=p.score, label=p.label, skipped=p.skipped)
-            if p.reason:
-                rec["reason"] = p.reason
-            fh.write(ingest.dumps_record(rec) + "\n")
+    ingest.write_jsonl(out_path, map(_prediction_json, preds))
     n_pos = sum(1 for p in preds if p.label == 1)
     click.echo(json.dumps({"candidates": len(preds), "positives": n_pos,
                            "skipped": sum(1 for p in preds if p.skipped)}))

@@ -10,15 +10,16 @@ all encoder parameters (the backbone itself is not trained here).
 
 The encoder splits at the frozen/trainable boundary: :meth:`ArBertEncoder.prepare`
 runs everything that depends only on (backbone, segment, entity spans) --
-markers, tokenization, the backbone and occurrence pooling -- and
-:meth:`ArBertEncoder.forward_batch` runs the trainable rest over a batch of
-prepared inputs padded into one :class:`PackedInputs`, so a training loop
-can prepare each distinct input once and step in minibatches. The
-one-input entry points are batches of one.
+markers, tokenization, the backbone and occurrence pooling -- into a
+:class:`PackedInputs` of one input, and :meth:`ArBertEncoder.forward_batch`
+runs the trainable rest over packs of many (see :func:`pack`), so a
+training loop can prepare each distinct input once and step in
+minibatches. The one-input entry points are batches of one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,7 +50,6 @@ class MarkedInput:
     marked_text: str
     tokens: list[Token]
     entity_spans: list[tuple[tuple[int, int], ...]]  # per entity, matrix coords, inclusive
-    cls_index: int = 0
 
     @property
     def token_texts(self) -> list[str]:
@@ -111,32 +111,25 @@ def insert_markers(segment: TextSegment, entities: Sequence[EntityMention],
     text = segment.text
     pieces: list[str] = []
     pos = 0
-    new_spans: dict[tuple[int, int], tuple[int, int]] = {}
-    out_len = 0
-    for start, end, ei, oi in flat:
+    for start, end, ei, _ in flat:
         marker = MARKERS[entities[ei].role]
-        pieces.append(text[pos:start])
-        out_len += start - pos
-        pieces.append(marker)
-        out_len += 1
-        new_start = out_len
-        pieces.append(text[start:end])
-        out_len += end - start
-        new_spans[(ei, oi)] = (new_start, out_len)
-        pieces.append(marker)
-        out_len += 1
+        pieces += [text[pos:start], marker, text[start:end], marker]
         pos = end
     pieces.append(text[pos:])
     marked_text = "".join(pieces)
 
     tokens = backbone.tokenize_with_offsets(marked_text)
-    entity_token_spans: list[list[tuple[int, int]]] = [[] for _ in entities]
-    for (ei, oi), (s, e) in sorted(new_spans.items()):
-        inside = [ti for ti, tok in enumerate(tokens) if tok.start >= s and tok.end <= e]
-        if not inside:
+    starts = [tok.start for tok in tokens]
+    ends = [tok.end for tok in tokens]
+    entity_token_spans = [[(0, 0)] * len(ent.occurrences) for ent in entities]
+    for j, (start, end, ei, oi) in enumerate(flat):
+        # the j-th occurrence in text order sits behind 2j + 1 markers
+        first = bisect_left(starts, start + 2 * j + 1)
+        last = bisect_right(ends, end + 2 * j + 1) - 1
+        if last < first:
             raise ValueError(
                 f"occurrence of {entities[ei].surface!r} produced no tokens")
-        entity_token_spans[ei].append((inside[0], inside[-1]))
+        entity_token_spans[ei][oi] = (first, last)
 
     window_len = backbone.max_tokens - 1  # one row reserved for CLS
     if len(tokens) > window_len:
@@ -231,25 +224,14 @@ def aggregate_occurrences(occ_vectors: np.ndarray, attn_w: np.ndarray,
 
 
 @dataclass(frozen=True, slots=True)
-class PreparedInput:
-    """The frozen half of one encoder input, packed into one matrix.
-
-    ``rows`` holds the CLS row, then the pooled occurrence rows of each
-    entity in canonical role order; ``counts`` gives each entity's number
-    of rows. It depends only on the backbone, the segment text and the
-    entities' roles and spans (see :func:`input_key`).
-    """
-
-    roles: tuple[str, ...]
-    counts: tuple[int, ...]
-    rows: np.ndarray  # (1 + sum(counts), d)
-
-
-@dataclass(frozen=True, slots=True)
 class PackedInputs:
-    """Prepared inputs of one role layout, padded to a common shape: the
-    unit of every batched forward. ``occ[n, s, :k]`` holds the k occurrence
-    rows of entity s of input n, flagged in ``mask``; the rest is zero."""
+    """The frozen half of encoder inputs of one role layout, padded to a
+    common shape: what :meth:`ArBertEncoder.prepare` returns for one input
+    and the unit of every batched forward. ``cls[n]`` is the CLS row of
+    input n and ``occ[n, s, :k]`` the k pooled occurrence rows of its
+    entity s (canonical role order), flagged in ``mask``; the rest is zero.
+    It depends only on the backbone, the segment text and the entities'
+    roles and spans (see :func:`input_key`)."""
 
     roles: tuple[str, ...]
     cls: np.ndarray   # (N, d)
@@ -261,22 +243,21 @@ class PackedInputs:
         return PackedInputs(self.roles, self.cls[index], self.occ[index], self.mask[index])
 
 
-def pack(prepared: Sequence[PreparedInput]) -> PackedInputs:
-    """Pad inputs of one role layout into a :class:`PackedInputs`."""
-    roles = prepared[0].roles
-    n, d = len(prepared), prepared[0].rows.shape[1]
-    k = max(max(p.counts) for p in prepared)
-    occ = np.zeros((n, len(roles), k, d))
+def pack(packs: Sequence[PackedInputs]) -> PackedInputs:
+    """Stack packs of one role layout, padded to the largest occurrence count."""
+    roles = packs[0].roles
+    n, k = sum(len(p.cls) for p in packs), max(p.occ.shape[2] for p in packs)
+    occ = np.zeros((n, len(roles), k, packs[0].occ.shape[3]))
     mask = np.zeros((n, len(roles), k), dtype=bool)
-    for i, p in enumerate(prepared):
+    i = 0
+    for p in packs:
         if p.roles != roles:
             raise ValueError(f"cannot pack role layouts {roles} and {p.roles} together")
-        start = 1
-        for s, count in enumerate(p.counts):
-            occ[i, s, :count] = p.rows[start:start + count]
-            mask[i, s, :count] = True
-            start += count
-    return PackedInputs(roles, np.stack([p.rows[0] for p in prepared]), occ, mask)
+        m, _, kp = p.mask.shape
+        occ[i:i + m, :, :kp] = p.occ
+        mask[i:i + m, :, :kp] = p.mask
+        i += m
+    return PackedInputs(roles, np.concatenate([p.cls for p in packs]), occ, mask)
 
 
 @dataclass
@@ -292,7 +273,7 @@ class EncoderCache:
 
 def input_key(segment: TextSegment, entities: Sequence[EntityMention]) -> tuple:
     """Everything :meth:`ArBertEncoder.prepare` reads: two inputs with equal
-    keys prepare to equal :class:`PreparedInput` under one backbone. The
+    keys prepare to equal :class:`PackedInputs` under one backbone. The
     key is one flat tuple (text, role, spans, role, spans, ...), the
     smallest form a training run's store keeps one of per input."""
     return (segment.text, *(x for e in entities for x in (e.role, e.occurrences)))
@@ -329,20 +310,23 @@ class ArBertEncoder:
         return self.backbone.hidden_size
 
     def prepare(self, segment: TextSegment,
-                entities: Sequence[EntityMention]) -> PreparedInput:
+                entities: Sequence[EntityMention]) -> PackedInputs:
         """Markers, tokenization, backbone and occurrence pooling: the part of
-        :meth:`forward` that no encoder parameter reaches. Raises
-        :class:`ContextOverflowError` when the marked spans overflow the
-        backbone window."""
+        :meth:`forward` that no encoder parameter reaches, as a pack of one.
+        Raises :class:`ContextOverflowError` when the marked spans overflow
+        the backbone window."""
         entities = canonical_entities(entities)
         marked = insert_markers(segment, entities, self.backbone)
         hidden = self.backbone.encode(marked.token_texts)
-        rows = [hidden[marked.cls_index]]
-        for spans in marked.entity_spans:
-            rows.extend(pool_occurrence(hidden, span) for span in spans)
-        return PreparedInput(roles=tuple(e.role for e in entities),
-                             counts=tuple(len(spans) for spans in marked.entity_spans),
-                             rows=np.stack(rows))
+        spans = marked.entity_spans
+        occ = np.zeros((1, len(spans), max(map(len, spans)), self.hidden_size))
+        mask = np.zeros(occ.shape[:3], dtype=bool)
+        for s, entity_spans in enumerate(spans):
+            for o, span in enumerate(entity_spans):
+                occ[0, s, o] = pool_occurrence(hidden, span)
+            mask[0, s, :len(entity_spans)] = True
+        # a copy: a view of the CLS row would keep all of ``hidden`` alive
+        return PackedInputs(tuple(e.role for e in entities), hidden[:1].copy(), occ, mask)
 
     def forward_batch(self, packed: PackedInputs):
         """Occurrence attention, tanh and the role projections of a batch of
@@ -360,13 +344,10 @@ class ArBertEncoder:
                 EncoderCache(keys=keys, tanh_out=t, packed=packed, scores=scores,
                              weights=weights))
 
-    def forward_prepared(self, prepared: PreparedInput):
-        """:meth:`forward_batch` of one prepared input: (feature vector, cache)."""
-        out, cache = self.forward_batch(pack([prepared]))
-        return out[0], cache
-
     def forward(self, segment: TextSegment, entities: Sequence[EntityMention]):
-        return self.forward_prepared(self.prepare(segment, entities))
+        """:meth:`forward_batch` of one input: (feature vector, cache)."""
+        out, cache = self.forward_batch(self.prepare(segment, entities))
+        return out[0], cache
 
     def encode(self, segment: TextSegment, entities: Sequence[EntityMention]) -> FeatureVector:
         vector, cache = self.forward(segment, entities)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import get_backbone
-from .encoder import ArBertEncoder, PackedInputs, PreparedInput, pack, softmax
+from .encoder import ArBertEncoder, PackedInputs, softmax
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -217,17 +217,13 @@ class FrozenTrajectoryExtractor(EncoderModel):
         a1 = np.tanh(h_prime @ p["mlp.W1"].T + p["mlp.b1"])
         return a1 @ p["mlp.W2"].T + p["mlp.b2"], (h_prime, a1)
 
-    def features_batch(self, packed: PackedInputs) -> np.ndarray:
-        """The (B, d) features of a batch of prepared inputs; no gradients."""
+    def features(self, packed: PackedInputs) -> np.ndarray:
+        """The (B, d) features of a pack of B prepared inputs; no gradients."""
         h_prime, _ = self.encoder.forward_batch(packed)
         return self._mlp_feature(h_prime)[0]
 
-    def features(self, prepared: PreparedInput) -> np.ndarray:
-        """The d-dimensional feature of one prepared input; no gradients."""
-        return self.features_batch(pack([prepared]))[0]
-
-    def forward_train_batch(self, packed: PackedInputs):
-        """(B, 2) class probabilities of a batch of prepared inputs through
+    def forward_train(self, packed: PackedInputs):
+        """(B, 2) class probabilities of a pack of B prepared inputs through
         the pretraining head, with caches for :meth:`backward_train`."""
         if self.frozen:
             raise RuntimeError("extractor is frozen; training forward is forbidden")
@@ -235,15 +231,9 @@ class FrozenTrajectoryExtractor(EncoderModel):
         feat, mlp_cache = self._mlp_feature(h_prime)
         return softmax(feat @ self.params["head.W"].T), (enc_cache, mlp_cache, feat)
 
-    def forward_train(self, prepared: PreparedInput):
-        """:meth:`forward_train_batch` of one prepared input."""
-        probs, caches = self.forward_train_batch(pack([prepared]))
-        return probs[0], caches
-
     def backward_train(self, d_logits: np.ndarray, caches, grads: dict[str, np.ndarray]):
-        """Accumulate gradients of (B, 2) logit gradients (or one row)."""
+        """Accumulate gradients of (B, 2) logit gradients."""
         enc_cache, (h_prime, a1), feat = caches
-        d_logits = d_logits.reshape(len(feat), 2)
         p = self.params
         grads["head.W"] += d_logits.T @ feat
         d_feat = d_logits @ p["head.W"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -27,7 +28,6 @@ from .encoder import (
     ArBertEncoder,
     ContextOverflowError,
     PackedInputs,
-    PreparedInput,
     input_key,
     pack,
     softmax,
@@ -107,40 +107,40 @@ class TrainConfig:
             json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:12]
 
 
-def _coerce(value: str, target_type):
-    text = value.strip()
-    if text.lower() in {"none", "null"}:
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
+def _coerce(text: str, hint):
+    """``text`` parsed as a field annotated ``hint`` (``T`` or ``T | None``);
+    raises KeyError or ValueError when it does not parse."""
+    kinds = typing.get_args(hint) or (hint,)
+    if type(None) in kinds and text.lower() in {"none", "null"}:
         return None
-    if target_type is bool:
-        if text.lower() in {"true", "1", "yes", "on"}:
-            return True
-        if text.lower() in {"false", "0", "no", "off"}:
-            return False
-        raise ValueError(f"cannot parse boolean from {text!r}")
-    if target_type is int:
-        return int(text)
-    if target_type is float:
-        return float(text)
-    return text
+    return _BOOLS[text.lower()] if kinds[0] is bool else kinds[0](text)
 
 
 def load_config(path: str | Path, **overrides) -> TrainConfig:
-    """Parse a ``key = value`` config file into a TrainConfig."""
-    types = {"learning_rate": float, "batch_size": int, "max_epochs": int,
-             "patience": int, "seed": int, "ft": bool, "mt": bool, "aw": bool,
-             "hidden_size": int, "max_tokens": int, "weight_decay": float,
-             "mlp_hidden": int, "threshold": float}
+    """Parse a ``key = value`` config file into a TrainConfig, each value by
+    its field's annotation. A line that is not ``key = value``, an unknown
+    key or a value that does not parse raises ``ValueError("path:line: ...")``."""
+    hints = typing.get_type_hints(TrainConfig)
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
-            if "=" not in stripped:
+            key, eq, value = (part.strip() for part in stripped.partition("="))
+            if not eq:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            values[key] = _coerce(value, types.get(key, str))
+            if key not in hints:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = _coerce(value, hints[key])
+            except (KeyError, ValueError):
+                kind = getattr(hints[key], "__name__", hints[key])
+                raise ValueError(f"{path}:{lineno}: {key} takes {kind}, not {value!r}") from None
     values.update(overrides)
     return TrainConfig(**values)
 
@@ -338,7 +338,10 @@ class InteractionModel(EncoderModel):
         (p_inter, p_tra1, p_tra2, cache) with the fused feature in
         ``cache["h_fused"]``. An overflow raises :class:`ContextOverflowError`."""
         with_tra = with_tra and self.config.mt
-        store, rows = _filled_store(self, [cand], with_tra)
+        store = FeatureStore.for_model(self)
+        rows, (reason,) = store.fill_candidates([cand], with_tra, self.uses_features)
+        if reason is not None:
+            raise ContextOverflowError(reason)
         p_inter, p_tra, cache = self.forward_batch(*store.gather(rows, with_tra))
         p_tra1, p_tra2 = (None, None) if p_tra is None else (p_tra[0, 0], p_tra[1, 0])
         return p_inter[0], p_tra1, p_tra2, {"h_fused": cache["h_fused"][0]}
@@ -382,29 +385,35 @@ class InteractionModel(EncoderModel):
 # Feature store
 
 class FeatureStore:
-    """The frozen inputs of forward passes, each computed once per distinct
-    input while the store lives, and packed for batched forwards.
+    """The frozen inputs of forward passes, each prepared once per distinct
+    input while the store lives and held once, packed for batched forwards.
 
     ``inputs`` maps an :func:`~falcon.encoder.input_key` to the input's row
     in the pack of its role layout, ``features`` a trajectory view's key to
     its row of frozen-extractor features. A filled candidate is a row of
     indices (interaction, trajectories 1 and 2, features 1 and 2; -1 when
-    not filled); a batch gathers the packs by them. The extractor reads the
-    store's inputs when ``shared`` (its backbone settings equal the
-    model's) and prepares its own otherwise.
+    not filled); a batch gathers the packs by them. The extractor reads its
+    inputs from ``frozen_inputs``: the store itself when ``shared`` (its
+    backbone settings equal the model's), else a store of its own encoder.
     """
 
     def __init__(self, encoder: ArBertEncoder,
                  frozen: FrozenTrajectoryExtractor | None = None, shared: bool = False):
         self.encoder = encoder
         self.frozen = frozen
-        self.shared = shared
+        self.frozen_inputs = (self if shared else None if frozen is None
+                              else FeatureStore(frozen.encoder))
         self.inputs: dict[tuple, int] = {}
         self.features: dict[tuple, int] = {}
-        self._prepared: dict[tuple, list[PreparedInput]] = {}  # per role layout
-        self._packs: dict[tuple, PackedInputs] = {}
+        self._packs: dict[tuple, PackedInputs] = {}  # per role layout, merged
+        self._added: dict[tuple, list[PackedInputs]] = {}  # since the last merge
         self._features = np.empty((0, encoder.hidden_size))
-        self._pending: list[PreparedInput] = []  # inputs of features not computed yet
+        self._pending: list[int] = []  # frozen_inputs rows of features not computed yet
+
+    @property
+    def shared(self) -> bool:
+        """Whether the extractor reads this store's inputs."""
+        return self.frozen_inputs is self
 
     @classmethod
     def for_model(cls, model: InteractionModel,
@@ -438,8 +447,8 @@ class FeatureStore:
 
         out = self._fill(cands, fill_one, (5,))
         if self._pending:  # one batched frozen forward for the new features
-            self._features = np.concatenate(
-                [self._features, self.frozen.features_batch(pack(self._pending))])
+            packed = self.frozen_inputs.packed(TRAJECTORY_ROLES).take(self._pending)
+            self._features = np.concatenate([self._features, self.frozen.features(packed)])
             self._pending = []
         return out
 
@@ -459,26 +468,26 @@ class FeatureStore:
         key = input_key(segment, entities)
         if key not in self.inputs:
             prepared = self.encoder.prepare(segment, entities)
-            layout = self._prepared.setdefault(prepared.roles, [])
-            self.inputs[key] = len(layout)
-            layout.append(prepared)
-            self._packs.pop(prepared.roles, None)
+            added = self._added.setdefault(prepared.roles, [])
+            merged = self._packs.get(prepared.roles)
+            self.inputs[key] = len(added) + (0 if merged is None else len(merged.cls))
+            added.append(prepared)
         return self.inputs[key]
 
     def _feature(self, segment, entities) -> int:
         key = input_key(segment, entities)
         if key not in self.features:
-            row = self._input(segment, entities) if self.shared else None
-            self._pending.append(self.frozen.encoder.prepare(segment, entities) if row is None
-                                 else self._prepared[TRAJECTORY_ROLES][row])
+            self._pending.append(self.frozen_inputs._input(segment, entities))
             self.features[key] = len(self._features) + len(self._pending) - 1
         return self.features[key]
 
     def packed(self, roles: tuple[str, ...]) -> PackedInputs:
-        """Every stored input of one role layout in one pack (rebuilt after
-        an input of that layout is added)."""
-        if roles not in self._packs:
-            self._packs[roles] = pack(self._prepared[roles])
+        """Every stored input of one role layout in one pack (merged with
+        the inputs of that layout added since the last call)."""
+        added = self._added.pop(roles, [])
+        if added:
+            merged = self._packs.get(roles)
+            self._packs[roles] = pack(added if merged is None else [merged, *added])
         return self._packs[roles]
 
     def gather(self, rows: np.ndarray, with_tra: bool = False):
@@ -491,17 +500,6 @@ class FeatureStore:
         return self.packed(INTERACTION_ROLES).take(rows[:, 0]), tra, features
 
 
-def _filled_store(model: InteractionModel, cands, with_tra: bool,
-                  store: FeatureStore | None = None) -> tuple[FeatureStore, np.ndarray]:
-    """``store`` (default: a fresh one) filled with ``cands``, and their rows;
-    an overflow raises :class:`ContextOverflowError`."""
-    store = FeatureStore.for_model(model) if store is None else store
-    rows, reasons = store.fill_candidates(cands, with_tra, model.uses_features)
-    for reason in filter(None, reasons):
-        raise ContextOverflowError(reason)
-    return store, rows
-
-
 def _triple_view(triple: TrajectoryTriple) -> tuple:
     """The (segment, entities) encoder input of one trajectory triple."""
     return triple.segment, (triple.person, triple.time, triple.location)
@@ -511,16 +509,13 @@ def _triple_view(triple: TrajectoryTriple) -> tuple:
 # Batched objective
 
 def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
-                grads: dict[str, np.ndarray] | None, store: FeatureStore | None = None,
-                rows: np.ndarray | None = None):
+                grads: dict[str, np.ndarray] | None, store: FeatureStore, rows: np.ndarray):
     """Forward (and optionally backward) one batch; returns loss components.
-    ``rows`` are the examples' store rows (:meth:`FeatureStore.fill_candidates`);
-    without them the examples are filled into ``store`` (default: a fresh
-    one), and an overflow raises :class:`ContextOverflowError`."""
+    ``rows`` are the examples' rows in ``store``
+    (:meth:`FeatureStore.fill_candidates`, with trajectories when the
+    model is multi-task)."""
     cfg = model.config
     n = len(batch)
-    if rows is None:
-        store, rows = _filled_store(model, [ex.candidate for ex in batch], cfg.mt, store)
     p_inter, p_tra, cache = model.forward_batch(*store.gather(rows, cfg.mt))
     y_inter = np.array([ex.y_inter for ex in batch])
     l_inter = interaction_loss(p_inter[:, 1], y_inter)
@@ -704,7 +699,7 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
     labels = np.array([item.y_tra for item in corpus])
 
     def batch_step(batch, grads):
-        probs, caches = extractor.forward_train_batch(packed.take(rows[batch]))
+        probs, caches = extractor.forward_train(packed.take(rows[batch]))
         y = labels[batch]
         extractor.backward_train((probs - _one_hot(y)) / len(batch), caches, grads)
         return (binary_cross_entropy(probs[:, 1], y),)

@@ -5,6 +5,7 @@ import pytest
 
 from falcon.backbone import DeterministicStubBackbone
 from falcon.encoder import (
+    MARKERS,
     ArBertEncoder,
     ContextOverflowError,
     MarkerOverlapError,
@@ -148,6 +149,72 @@ def test_context_overflow_raises():
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=32)
     with pytest.raises(ContextOverflowError, match="context overflow"):
         insert_markers(seg_of(text), entities, backbone)
+
+
+def _scan_token_spans(text, entities, backbone):
+    """Reference marking: the marked text and each occurrence's token span
+    (token coordinates, no window), found by scanning every token for
+    every occurrence."""
+    flat = sorted((start, end, ei, oi) for ei, ent in enumerate(entities)
+                  for oi, (start, end) in enumerate(ent.occurrences))
+    pieces, shifted, pos, out_len = [], {}, 0, 0
+    for start, end, ei, oi in flat:
+        marker = MARKERS[entities[ei].role]
+        pieces += [text[pos:start], marker, text[start:end], marker]
+        out_len += start - pos + 1
+        shifted[(ei, oi)] = (out_len, out_len + end - start)
+        out_len += end - start + 1
+        pos = end
+    marked_text = "".join(pieces) + text[pos:]
+    tokens = backbone.tokenize_with_offsets(marked_text)
+    spans = [[] for _ in entities]
+    for (ei, oi), (s, e) in sorted(shifted.items()):
+        inside = [ti for ti, tok in enumerate(tokens) if tok.start >= s and tok.end <= e]
+        spans[ei].append((inside[0], inside[-1]))
+    return marked_text, spans
+
+
+def _random_segment(rng, filler_words):
+    """A text with four entities of one to three words, each occurring one
+    to three times, with punctuation glued to either side of some of them."""
+    words = ["met", "in", "and", "later", "the", "said", "near", "of"]
+    surfaces = {"Person1": "Ada Lovelace", "Person2": "Berg", "Time": "12 May 1950",
+                "Location": "Oslo"}
+    slots = [role for role in surfaces for _ in range(rng.integers(1, 4))]
+    rng.shuffle(slots)
+    text, occurrences = "", {role: [] for role in surfaces}
+    for role in slots:
+        n = int(rng.integers(0, filler_words + 1))
+        text += " ".join(rng.choice(words, n)) + " " + str(rng.choice(["", "(", '"', "-"]))
+        occurrences[role].append((len(text), len(text) + len(surfaces[role])))
+        text += surfaces[role] + str(rng.choice(["", ",", ".", ")", "'s"])) + " "
+    entities = [EntityMention(role=role, surface=surfaces[role], occurrences=tuple(occ))
+                for role, occ in occurrences.items()]
+    return seg_of(text), entities
+
+
+def test_token_spans_match_scan_reference():
+    rng = np.random.default_rng(3)
+    unbounded = DeterministicStubBackbone(hidden_size=4, max_tokens=10 ** 6)
+    windowed = 0
+    for case in range(300):
+        segment, entities = _random_segment(rng, 3 if case % 2 else 40)
+        want_text, want = _scan_token_spans(segment.text, entities, unbounded)
+        full = insert_markers(segment, entities, unbounded)
+        assert full.marked_text == want_text
+        assert full.entity_spans == [tuple((c + 1, d + 1) for c, d in s) for s in want]
+        # the smallest window that holds every occurrence, plus some slack
+        lo = min(c for s in want for c, _ in s)
+        hi = max(d for s in want for _, d in s)
+        small = DeterministicStubBackbone(hidden_size=4,
+                                          max_tokens=hi - lo + 2 + int(rng.integers(0, 4)))
+        marked = insert_markers(segment, entities, small)
+        offset = full.tokens.index(marked.tokens[0])
+        windowed += offset > 0 or len(marked.tokens) < len(full.tokens)
+        assert marked.tokens == full.tokens[offset:offset + len(marked.tokens)]
+        assert marked.entity_spans == [tuple((c - offset + 1, d - offset + 1) for c, d in s)
+                                       for s in want]
+    assert windowed > 100
 
 
 # ---------------------------------------------------------------------------

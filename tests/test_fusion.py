@@ -195,7 +195,7 @@ def test_frozen_features_deterministic(small_extractor, corpus):
     extractor, _ = small_extractor
     t = corpus.labeled_triples[0].triple
     view = (t.segment, (t.person, t.time, t.location))
-    f1 = extractor.features(extractor.encoder.prepare(*view))
-    f2 = extractor.features(extractor.encoder.prepare(*view))
+    f1 = extractor.features(extractor.encoder.prepare(*view))[0]
+    f2 = extractor.features(extractor.encoder.prepare(*view))[0]
     assert np.array_equal(f1, f2)
     assert f1.shape == (4,)

@@ -136,10 +136,20 @@ def test_wo_ft_mt_is_encoder_plus_linear_head():
     assert model.params["head.inter.W"].shape == (2, 20)
 
 
+def _filled(model, batch):
+    """A store filled with ``batch`` as training fills one, and the batch's rows."""
+    store = FeatureStore.for_model(model)
+    rows, reasons = store.fill_candidates([ex.candidate for ex in batch], model.config.mt,
+                                          model.uses_features)
+    assert not any(reasons)
+    return store, rows
+
+
 def test_mt_off_objective_is_interaction_loss_alone(corpus):
     config = TrainConfig(hidden_size=4, ft=False, mt=False, seed=3)
     model = InteractionModel(config)
-    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], None)
+    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], None,
+                                        *_filled(model, corpus.examples[:4]))
     assert total == l_inter
     assert l_tra is None
 
@@ -148,14 +158,16 @@ def test_aw_off_objective_is_plain_sum(corpus, extractor):
     config = TrainConfig(hidden_size=4, aw=False, seed=3)
     model = InteractionModel(config, frozen=extractor)
     assert "c" not in model.params
-    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], None)
+    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], None,
+                                        *_filled(model, corpus.examples[:4]))
     assert total == pytest.approx(l_inter + l_tra, abs=1e-12)
 
 
 def test_adaptive_objective_uses_formula(corpus, extractor):
     config = TrainConfig(hidden_size=4, seed=3)
     model = InteractionModel(config, frozen=extractor)
-    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], None)
+    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], None,
+                                        *_filled(model, corpus.examples[:4]))
     assert total == pytest.approx(multitask_loss(l_inter, l_tra, 1.0, 1.0),
                                   abs=1e-12)
 
@@ -227,17 +239,18 @@ def test_objective_gradient_matches_finite_differences(name, norm):
                      **ABLATION_GRID[name]).resolved()
     model = InteractionModel(config, frozen=_frozen(d) if config.ft else None)
     batch = _ragged_examples()
+    filled = _filled(model, batch)
     grads = model.zero_grads()
-    _batch_pass(model, batch, grads)
+    _batch_pass(model, batch, grads, *filled)
     for key, param in model.all_params().items():
         flat = param.reshape(-1)
         assert np.shares_memory(flat, param)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = _batch_pass(model, batch, None)[0]
+            up = _batch_pass(model, batch, None, *filled)[0]
             flat[i] = orig - h
-            down = _batch_pass(model, batch, None)[0]
+            down = _batch_pass(model, batch, None, *filled)[0]
             flat[i] = orig
             numeric, analytic = (up - down) / (2 * h), grads[key].reshape(-1)[i]
             err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-4)
@@ -457,6 +470,19 @@ def test_config_file_roundtrip(tmp_path):
     assert config.fusion_mode == "concat"
     assert config.mlp_hidden is None
     assert config.seed == 42
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("learning_rat = 0.1", "unknown key 'learning_rat'"),
+    ("hidden_size = abc", "hidden_size takes int, not 'abc'"),
+    ("mt = maybe", "mt takes bool, not 'maybe'"),
+])
+def test_config_file_errors_give_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "train.cfg"
+    path.write_text(f"batch_size = 8\n# comment line\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}:3: {reason}"
 
 
 def test_config_hash_distinguishes_configs():
