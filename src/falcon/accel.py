@@ -5,8 +5,11 @@ standardized modularity report; ``modularity_edges`` scores an edge list
 under a node partition. The rewiring draws from splitmix64 (Steele, Lea &
 Flood 2014), which is counter-based: draw *i* under seed *s* is
 ``mix(s + i * gamma)``, so blocks of draws are computed in NumPy rather than
-one at a time. Outputs are deterministic per seed and pinned by the golden
-digests in ``tests/test_accel.py``.
+one at a time. The rewiring's adjacency is a flat byte table of n² bytes,
+entry ``a * n + d`` for the pair (a, d): the size of an (n, n) bool array,
+but read and written as plain ints rather than NumPy scalars. Outputs are
+deterministic per seed and pinned by the golden digests in
+``tests/test_accel.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MULT1 = 0xBF58476D1CE4E5B9
 _SM_MULT2 = 0x94D049BB133111EB
 _SEED_MASK = 0x7FFFFFFFFFFFFFFF  # the stream of every seed depends on this mask
+# A refill draws for at least this many attempts (if the cap allows).
+_REFILL_ATTEMPTS = 512
 
 # There is no compiled path; kept because benchmark results record it.
 NUMBA_ACTIVE = False
@@ -49,34 +54,43 @@ def rewire_edges(u, v, w, n_nodes, target_swaps, max_attempts, seed):
     bit. Returns the rewired ``(u2, v2, w2)`` and the accepted swap count.
     """
     seed = int(seed) & _SEED_MASK
-    m = u.shape[0]
+    m, n = u.shape[0], int(n_nodes)
     uu, vv = u.tolist(), v.tolist()
-    adj = np.zeros((n_nodes, n_nodes), dtype=np.bool_)
-    adj[u, v] = adj[v, u] = True
+    adj = bytearray(n * n)
+    for a, b in zip(uu, vv):
+        adj[a * n + b] = adj[b * n + a] = 1
 
-    drawn = accepted = attempts = 0
-    edge, flip, i = [], [], 0
+    drawn = accepted = attempts = i = 0
     while m >= 2 and accepted < target_swaps and attempts < max_attempts:
-        if i + 3 > len(edge):
-            drawn += i
-            z = _splitmix(seed, drawn, 3 * min(target_swaps - accepted,
-                                               max_attempts - attempts))
-            edge, flip, i = (z % np.uint64(m)).tolist(), (z & np.uint64(1)).tolist(), 0
-        attempts += 1
-        e1, e2 = edge[i], edge[i + 1]
-        if e1 == e2:
-            i += 2
-            continue
-        a, b = uu[e1], vv[e1]
-        c, d = (vv[e2], uu[e2]) if flip[i + 2] else (uu[e2], vv[e2])
-        i += 3
-        if a == d or c == b or adj[a, d] or adj[c, b]:
-            continue
-        adj[a, b] = adj[b, a] = adj[c, d] = adj[d, c] = False
-        adj[a, d] = adj[d, a] = adj[c, b] = adj[b, c] = True
-        uu[e1], vv[e1] = a, d
-        uu[e2], vv[e2] = c, b
-        accepted += 1
+        # An attempt uses at most 3 draws. Draws are counter-based, so a
+        # refill restarts at the first unused draw, and the block size
+        # changes no output.
+        block = min(max(target_swaps - accepted, _REFILL_ATTEMPTS), max_attempts - attempts)
+        drawn += i
+        z = _splitmix(seed, drawn, 3 * block)
+        edge, flip, i = (z % np.uint64(m)).tolist(), (z & np.uint64(1)).tolist(), 0
+        for attempts in range(attempts + 1, attempts + block + 1):
+            e1, e2 = edge[i], edge[i + 1]
+            if e1 == e2:
+                i += 2
+                continue
+            a, b = uu[e1], vv[e1]
+            if flip[i + 2]:
+                c, d = vv[e2], uu[e2]
+            else:
+                c, d = uu[e2], vv[e2]
+            i += 3
+            an, cn = a * n, c * n
+            if a == d or c == b or adj[an + d] or adj[cn + b]:
+                continue
+            bn, dn = b * n, d * n
+            adj[an + b] = adj[bn + a] = adj[cn + d] = adj[dn + c] = 0
+            adj[an + d] = adj[dn + a] = adj[cn + b] = adj[bn + c] = 1
+            uu[e1], vv[e1] = a, d
+            uu[e2], vv[e2] = c, b
+            accepted += 1
+            if accepted == target_swaps:
+                break
     drawn += i
 
     bounds = np.arange(m, 1, -1, dtype=np.uint64)

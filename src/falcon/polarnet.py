@@ -15,6 +15,7 @@ import csv
 import io
 import math
 import warnings
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -235,17 +236,23 @@ def randomize_null(graph: SignedGraph, seed: int) -> SignedGraph:
 
 @dataclass
 class ModularityReport:
+    """``accept_min`` and ``accept_mean`` are the accepted swaps over the
+    target swaps of the null samples: below 1, the attempt cap ended a
+    sample before its target, and the null may be poorly mixed."""
     q_original: float
     n_samples: int
     mu: float
     sigma: float
     z: float
     master_seed: int
+    accept_min: float
+    accept_mean: float
 
     def to_json(self) -> dict:
         return {"q_original": self.q_original, "n_samples": self.n_samples,
                 "mu": self.mu, "sigma": self.sigma, "z": self.z,
-                "master_seed": self.master_seed}
+                "master_seed": self.master_seed, "accept_min": self.accept_min,
+                "accept_mean": self.accept_mean}
 
 
 def sample_seeds(master_seed: int, n: int) -> np.ndarray:
@@ -256,26 +263,36 @@ def standardized_modularity(graph: SignedGraph, partition: dict[str, str],
                             n_samples: int = 1000, master_seed: int = 0,
                             signed_mode: str = "verbatim") -> ModularityReport:
     """Z-score of the observed modularity against the rewired null ensemble,
-    every sample scored with the same ``signed_mode`` as the original."""
+    every sample scored with the same ``signed_mode`` as the original. Warns
+    once if any sample stops short of its swap target."""
     if n_samples < 2:
         raise ValueError("standardized modularity needs at least 2 null samples")
     q_original = modularity(graph, partition, signed_mode=signed_mode)
     comm, n_comms = _partition_array(graph, partition)
     u, v, w = graph.edge_arrays()
     m = graph.n_edges
+    target = SWAP_FACTOR * m
     seeds = sample_seeds(master_seed, n_samples)
     qs = np.empty(n_samples)
+    accepted = np.empty(n_samples, dtype=np.int64)
     for i, seed in enumerate(seeds):
-        u2, v2, w2, _ = accel.rewire_edges(
-            u, v, w, graph.n_nodes, SWAP_FACTOR * m, MAX_ATTEMPT_FACTOR * m, int(seed))
+        u2, v2, w2, accepted[i] = accel.rewire_edges(
+            u, v, w, graph.n_nodes, target, MAX_ATTEMPT_FACTOR * m, int(seed))
         qs[i] = _edge_modularity(u2, v2, w2, comm, graph.n_nodes, n_comms, signed_mode)
     mu = float(np.mean(qs))
     sigma = float(np.std(qs, ddof=1))
     if sigma == 0.0 or bool(np.all(qs == qs[0])):
         raise DegenerateGraphError("degenerate null distribution: sigma is zero")
+    ratio = accepted / target
+    short = int(np.count_nonzero(accepted < target))
+    if short:
+        warnings.warn(f"{short} of {n_samples} null samples stopped short of "
+                      f"{target} swaps (min accepted/target {ratio.min():.3f}); "
+                      "the null may be poorly mixed")
     return ModularityReport(q_original=q_original, n_samples=n_samples, mu=mu,
                             sigma=sigma, z=(q_original - mu) / sigma,
-                            master_seed=master_seed)
+                            master_seed=master_seed, accept_min=float(ratio.min()),
+                            accept_mean=float(ratio.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -329,33 +346,31 @@ def trend_ratios(records: Sequence[InteractionRecord], node_attrs: dict[str, dic
     if bin_size not in ("decade", "year"):
         raise ValueError(f"unknown bin size {bin_size!r}")
     step = 10 if bin_size == "decade" else 1
-    usable = []
+    totals: Counter = Counter()  # bin -> usable records
+    inter: defaultdict = defaultdict(Counter)  # bin -> inter-party records per type
     for rec in records:
         parties = _record_parties(rec, node_attrs)
         if parties is None or rec.time_year is None:
             continue
         if rec.interaction_type not in TYPE_WEIGHTS:
             continue
-        usable.append((rec.time_year // step * step, parties[0] != parties[1],
-                       rec.interaction_type))
+        bin_start = rec.time_year // step * step
+        totals[bin_start] += 1
+        if parties[0] != parties[1]:
+            inter[bin_start][rec.interaction_type] += 1
 
     series = TrendSeries(bin_size=step)
-    if not usable:
+    if not totals:
         return series
-    lo = min(b for b, _, _ in usable)
-    hi = max(b for b, _, _ in usable)
-    for bin_start in range(lo, hi + 1, step):
-        rows = [r for r in usable if r[0] == bin_start]
-        total = len(rows)
-        inter = [r for r in rows if r[1]]
-        shares: dict = {}
-        for t in TYPE_WEIGHTS:
-            shares[t] = (sum(1 for r in inter if r[2] == t) / len(inter)
-                         if inter else None)
+    for bin_start in range(min(totals), max(totals) + 1, step):
+        total = totals[bin_start]
+        types = inter[bin_start]
+        n_inter = sum(types.values())
         series.bins.append(TrendBin(
-            bin_start=bin_start, total=total, inter_party=len(inter),
-            inter_share=(len(inter) / total) if total else None,
-            type_shares=shares))
+            bin_start=bin_start, total=total, inter_party=n_inter,
+            inter_share=(n_inter / total) if total else None,
+            type_shares={t: (types[t] / n_inter if n_inter else None)
+                         for t in TYPE_WEIGHTS}))
     return series
 
 

@@ -82,14 +82,10 @@ class TrainConfig:
     frozen_checkpoint: str | None = None
 
     def __post_init__(self):
-        for name in ("learning_rate", "batch_size", "max_epochs", "hidden_size",
-                     "max_tokens"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.fusion_mode not in ("gated", "concat", "off"):
-            raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
-        if self.optimizer != "adamw":
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for f in dataclass_fields(self):
+            problem = _field_problem(f.name, getattr(self, f.name))
+            if problem:
+                raise ValueError(problem)
 
     def resolved(self) -> "TrainConfig":
         """Normalize the ft flag against fusion_mode (off <=> no feature transfer)."""
@@ -111,6 +107,22 @@ _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
 
 
+def _field_problem(name: str, value) -> str | None:
+    """Why ``value`` is out of range for the TrainConfig field ``name``, or None."""
+    if name in ("learning_rate", "batch_size", "max_epochs", "hidden_size",
+                "max_tokens") and value <= 0:
+        return f"{name} must be positive"
+    if name == "fusion_mode" and value not in ("gated", "concat", "off"):
+        return f"unknown fusion_mode {value!r}"
+    if name == "attention_norm" and value not in ("softmax", "literal"):
+        return f"unknown attention_norm {value!r}"
+    if name == "cross_attention" and value not in ("joint", "literal"):
+        return f"unknown cross_attention {value!r}"
+    if name == "optimizer" and value != "adamw":
+        return f"unknown optimizer {value!r}"
+    return None
+
+
 def _coerce(text: str, hint):
     """``text`` parsed as a field annotated ``hint`` (``T`` or ``T | None``);
     raises KeyError or ValueError when it does not parse."""
@@ -123,7 +135,8 @@ def _coerce(text: str, hint):
 def load_config(path: str | Path, **overrides) -> TrainConfig:
     """Parse a ``key = value`` config file into a TrainConfig, each value by
     its field's annotation. A line that is not ``key = value``, an unknown
-    key or a value that does not parse raises ``ValueError("path:line: ...")``."""
+    key, a value that does not parse or one out of the field's range raises
+    ``ValueError("path:line: ...")``."""
     hints = typing.get_type_hints(TrainConfig)
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -141,6 +154,9 @@ def load_config(path: str | Path, **overrides) -> TrainConfig:
             except (KeyError, ValueError):
                 kind = getattr(hints[key], "__name__", hints[key])
                 raise ValueError(f"{path}:{lineno}: {key} takes {kind}, not {value!r}") from None
+            problem = _field_problem(key, values[key])
+            if problem:
+                raise ValueError(f"{path}:{lineno}: {problem}")
     values.update(overrides)
     return TrainConfig(**values)
 

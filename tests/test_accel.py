@@ -101,3 +101,29 @@ def test_modularity_kernel_matches_loop_reference_on_real_weights():
         comm = rng.integers(0, 3, n)
         q = accel.modularity_edges(u, v, w, comm, n, 3)
         assert q == pytest.approx(_modularity_loop(u, v, w, comm, n, 3), rel=1e-12, abs=1e-12)
+
+
+# (n, edge probability): from two nodes to the benchmark's 1,200 people.
+INVARIANT_GRAPHS = ((2, 1.0), (3, 0.9), (5, 0.6), (8, 0.5), (20, 0.5), (31, 0.2),
+                    (64, 0.08), (300, 0.01), (1200, 0.0014))
+
+
+@pytest.mark.parametrize("n, p", INVARIANT_GRAPHS)
+def test_rewire_keeps_simple_graph_degrees_and_weights(n, p):
+    rng = np.random.default_rng(n)
+    for rep in range(3):
+        graph = fixtures.random_signed_graph(n, p, seed=rep)
+        graph.edges.setdefault((n - 2, n - 1), 2.0)  # an edge on the last node
+        u, v, w = graph.edge_arrays()
+        m = len(u)
+        target = int(rng.integers(0, 20 * m + 1))
+        cap = int(rng.integers(0, 40 * m + 1))
+        u2, v2, w2, acc = accel.rewire_edges(u, v, w, n, target, cap,
+                                             int(rng.integers(0, 2**63)))
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(u2.tolist(), v2.tolist())}
+        assert not np.any(u2 == v2)
+        assert len(pairs) == m
+        assert np.array_equal(np.bincount(np.concatenate([u2, v2]), minlength=n),
+                              np.bincount(np.concatenate([u, v]), minlength=n))
+        assert sorted(w2.tolist()) == sorted(w.tolist())
+        assert 0 <= acc <= min(target, cap)

@@ -1,11 +1,12 @@
 import math
 import random
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from falcon import fixtures
+from falcon import fixtures, polarnet
 from falcon.extract import InteractionRecord
 from falcon.polarnet import (
     DegenerateGraphError,
@@ -296,6 +297,24 @@ def test_standardized_modularity_determinism_and_structure():
     assert abs(rep3.z) < 4.0
 
 
+def test_standardized_modularity_reports_a_short_null(monkeypatch):
+    # dense_20 of tests/test_accel.py: at the default cap every sample
+    # reaches its target; at 2 * m attempts none can reach 10 * m swaps.
+    g = fixtures.random_signed_graph(20, 0.5, seed=1)
+    part = g.party_partition()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = standardized_modularity(g, part, n_samples=20, master_seed=3)
+    assert full.accept_min == full.accept_mean == 1.0
+
+    monkeypatch.setattr(polarnet, "MAX_ATTEMPT_FACTOR", 2)
+    with pytest.warns(UserWarning, match="20 of 20 null samples stopped short") as rec:
+        short = standardized_modularity(g, part, n_samples=20, master_seed=3)
+    assert len(rec) == 1
+    assert 0.0 < short.accept_min <= short.accept_mean <= 0.2
+    assert short.to_json()["accept_min"] == short.accept_min
+
+
 def test_standardized_modularity_needs_two_samples():
     g = fixtures.two_clique_graph(4)
     with pytest.raises(ValueError, match="at least 2"):
@@ -350,6 +369,24 @@ def test_type_shares_sum_to_one_when_present():
         shares = [v for v in row.type_shares.values() if v is not None]
         if shares:
             assert sum(shares) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bin_size, step", [("decade", 10), ("year", 1)])
+def test_trend_ratios_match_a_rescan_of_every_bin(bin_size, step):
+    records, attrs = fixtures.political_records_fixture()
+    records.append(make_record(999, "nobody", "nemo", "Neutral", year=1961))
+    series = trend_ratios(records, attrs, bin_size=bin_size)
+    rows = [(r.time_year // step * step, polarnet._record_parties(r, attrs), r.interaction_type)
+            for r in records if polarnet._record_parties(r, attrs)]
+    assert [b.bin_start for b in series.bins] == list(
+        range(min(r[0] for r in rows), max(r[0] for r in rows) + 1, step))
+    for row in series.bins:
+        in_bin = [r for r in rows if r[0] == row.bin_start]
+        inter = [r[2] for r in in_bin if r[1][0] != r[1][1]]
+        assert (row.total, row.inter_party) == (len(in_bin), len(inter))
+        assert row.inter_share == (len(inter) / len(in_bin) if in_bin else None)
+        assert row.type_shares == {t: inter.count(t) / len(inter) if inter else None
+                                   for t in ("Adversarial", "Cooperative", "Neutral")}
 
 
 def test_adversarial_share_rises_in_political_fixture():

@@ -476,6 +476,11 @@ def test_config_file_roundtrip(tmp_path):
     ("learning_rat = 0.1", "unknown key 'learning_rat'"),
     ("hidden_size = abc", "hidden_size takes int, not 'abc'"),
     ("mt = maybe", "mt takes bool, not 'maybe'"),
+    ("batch_size = 0", "batch_size must be positive"),
+    ("fusion_mode = bogus", "unknown fusion_mode 'bogus'"),
+    ("optimizer = sgd", "unknown optimizer 'sgd'"),
+    ("attention_norm = l2", "unknown attention_norm 'l2'"),
+    ("cross_attention = bogus", "unknown cross_attention 'bogus'"),
 ])
 def test_config_file_errors_give_file_and_line(tmp_path, line, reason):
     path = tmp_path / "train.cfg"
