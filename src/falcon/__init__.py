@@ -2,11 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .dataset import LabeledExample, decompose, split_dataset, summarize
-from .encoder import ArBertEncoder, aggregate_occurrences, insert_markers, pool_occurrence
+from .dataset import LabeledExample, split_dataset, summarize
+from .encoder import ArBertEncoder, insert_markers, pool_occurrence
 from .evalbench import compute_metrics, evaluate_transfer, run_ablations
 from .extract import classify_type, extract_corpus, normalize_time
-from .fusion import FrozenTrajectoryExtractor, cross_attend, fuse, gate_features
+from .fusion import FrozenTrajectoryExtractor, fuse
 from .ingest import (
     CandidateQuadruple,
     Document,
@@ -32,7 +32,6 @@ from .polarnet import (
 from .training import (
     InteractionModel,
     TrainConfig,
-    interaction_loss,
     multitask_loss,
     predict,
     pretrain_trajectory_extractor,

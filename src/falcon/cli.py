@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -217,8 +218,8 @@ def extract_cmd(triples_path, checkpoint, out_path, summary_path, threshold,
     gazetteer = extract.load_gazetteer(gazetteer_path) if gazetteer_path else None
     summary = extract.extract_corpus(
         result.triples, model, out_path, threshold=threshold,
-        summary_path=summary_path, state_path=state_path, gazetteer=gazetteer)
-    summary.excluded_lines = len(result.errors)
+        summary_path=summary_path, state_path=state_path, gazetteer=gazetteer,
+        excluded_lines=len(result.errors))
     click.echo(json.dumps(summary.to_json()))
 
 
@@ -256,7 +257,7 @@ def _load_records_attrs(records_path, attrs_path):
 @analyze_group.command("polarization")
 @click.option("--records", "records_path", required=True, type=click.Path(exists=True))
 @click.option("--attrs", "attrs_path", required=True, type=click.Path(exists=True))
-@click.option("--null-samples", default=1000, show_default=True)
+@click.option("--null-samples", default=1000, show_default=True, type=click.IntRange(min=2))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--cumulative", is_flag=True)
 @click.option("--signed-mode", default="verbatim", show_default=True,
@@ -306,17 +307,15 @@ def analyze_trends(records_path, attrs_path, bin_size, out_csv, out_json):
 def analyze_distance(records_path, attrs_path, out_csv):
     """Per-record interaction distances (location to both birthplaces)."""
     records, attrs = _load_records_attrs(records_path, attrs_path)
-    lines = ["record_id,year,distance_km"]
     computed = 0
-    for rec in records:
-        dist = polarnet.record_distance(rec, attrs)
-        year = rec.time_year if rec.time_year is not None else ""
-        if dist is None:
-            lines.append(f"{rec.record_id},{year},")
-        else:
-            lines.append(f"{rec.record_id},{year},{dist:.3f}")
-            computed += 1
-    Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["record_id", "year", "distance_km"])
+        for rec in records:
+            dist = polarnet.record_distance(rec, attrs)
+            writer.writerow([rec.record_id, rec.time_year,
+                             "" if dist is None else f"{dist:.3f}"])
+            computed += dist is not None
     click.echo(json.dumps({"records": len(records), "computed": computed}))
 
 

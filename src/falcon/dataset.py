@@ -66,10 +66,6 @@ def decompose_candidate(cand: CandidateQuadruple) -> tuple[TrajectoryTriple, Tra
     return t1, t2
 
 
-def decompose(example: LabeledExample) -> tuple[TrajectoryTriple, TrajectoryTriple]:
-    return decompose_candidate(example.candidate)
-
-
 def split_dataset(examples: Sequence[LabeledExample],
                   ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
                   seed: int = 0,

@@ -14,7 +14,8 @@ markers, tokenization, the backbone and occurrence pooling -- into a
 :class:`PackedInputs` of one input, and :meth:`ArBertEncoder.forward_batch`
 runs the trainable rest over packs of many (see :func:`pack`), so a
 training loop can prepare each distinct input once and step in
-minibatches. The one-input entry points are batches of one.
+minibatches. Every training and scoring path runs the batched forward;
+:meth:`ArBertEncoder.forward` is the batch of one that the gradient checks use.
 """
 
 from __future__ import annotations
@@ -50,28 +51,6 @@ class MarkedInput:
     marked_text: str
     tokens: list[Token]
     entity_spans: list[tuple[tuple[int, int], ...]]  # per entity, matrix coords, inclusive
-
-    @property
-    def token_texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
-
-
-@dataclass
-class EntityFeature:
-    occurrence_vectors: np.ndarray  # (k, d)
-    scores: np.ndarray              # (k,)
-    weights: np.ndarray             # (k,)
-    aggregated: np.ndarray          # (d,)
-
-
-@dataclass
-class FeatureVector:
-    vector: np.ndarray
-    layout: tuple[str, ...]
-    hidden_size: int
-
-    def __post_init__(self):
-        assert self.vector.shape == (len(self.layout) * self.hidden_size,)
 
 
 def canonical_entities(entities: Sequence[EntityMention]) -> list[EntityMention]:
@@ -211,18 +190,6 @@ def attend_backward(d_agg: np.ndarray, occ: np.ndarray, mask: np.ndarray,
     return d_scores * (1.0 - scores ** 2)
 
 
-def aggregate_occurrences(occ_vectors: np.ndarray, attn_w: np.ndarray,
-                          attn_b: float, norm: str = "softmax") -> EntityFeature:
-    """:func:`attend` over the occurrences of one entity, as a (k, d) matrix."""
-    occ = np.asarray(occ_vectors, dtype=float)
-    if occ.ndim != 2 or occ.shape[0] == 0:
-        raise ValueError("aggregate_occurrences needs a non-empty (k, d) matrix")
-    scores, weights, aggregated = attend(occ, np.ones(len(occ), dtype=bool),
-                                         attn_w, attn_b, norm)
-    return EntityFeature(occurrence_vectors=occ, scores=scores,
-                         weights=weights, aggregated=aggregated)
-
-
 @dataclass(frozen=True, slots=True)
 class PackedInputs:
     """The frozen half of encoder inputs of one role layout, padded to a
@@ -317,7 +284,7 @@ class ArBertEncoder:
         the backbone window."""
         entities = canonical_entities(entities)
         marked = insert_markers(segment, entities, self.backbone)
-        hidden = self.backbone.encode(marked.token_texts)
+        hidden = self.backbone.encode([t.text for t in marked.tokens])
         spans = marked.entity_spans
         occ = np.zeros((1, len(spans), max(map(len, spans)), self.hidden_size))
         mask = np.zeros(occ.shape[:3], dtype=bool)
@@ -348,10 +315,6 @@ class ArBertEncoder:
         """:meth:`forward_batch` of one input: (feature vector, cache)."""
         out, cache = self.forward_batch(self.prepare(segment, entities))
         return out[0], cache
-
-    def encode(self, segment: TextSegment, entities: Sequence[EntityMention]) -> FeatureVector:
-        vector, cache = self.forward(segment, entities)
-        return FeatureVector(vector=vector, layout=cache.keys, hidden_size=self.hidden_size)
 
     def backward(self, d_out: np.ndarray, cache: EncoderCache,
                  grads: dict[str, np.ndarray]) -> None:

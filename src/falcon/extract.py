@@ -16,7 +16,7 @@ import time
 import urllib.error
 import urllib.request
 from contextlib import nullcontext
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -146,9 +146,7 @@ class ExtractSummary:
     excluded_lines: int = 0
 
     def to_json(self) -> dict:
-        return {"candidates": self.candidates, "positives": self.positives,
-                "negatives": self.negatives, "skipped": self.skipped,
-                "documents": self.documents, "excluded_lines": self.excluded_lines}
+        return asdict(self)
 
 
 STATE_KEYS = ("doc_id", "candidates", "positives", "negatives", "skipped", "out_bytes")
@@ -197,8 +195,11 @@ def _append_state(log, entry: dict) -> None:
 def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | Path,
                    threshold: float = 0.5, summary_path: str | Path | None = None,
                    state_path: str | Path | None = None,
-                   gazetteer: dict | None = None) -> ExtractSummary:
+                   gazetteer: dict | None = None, excluded_lines: int = 0) -> ExtractSummary:
     """Pair, score, and stream positive records per document in sorted order.
+
+    ``excluded_lines`` counts the triple lines the caller could not read; it
+    is reported in the summary (and its file) as is.
 
     With ``state_path`` the run is resumable: after each document's records
     are flushed, one line with its doc_id, counts and the output's byte size
@@ -212,7 +213,7 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
     for t in triples:
         by_doc.setdefault(t.segment.doc_id, []).append(t)
 
-    summary = ExtractSummary()
+    summary = ExtractSummary(excluded_lines=excluded_lines)
     entries = _read_state_log(state_path) if state_path else []
     for entry in entries:
         _add_document(summary, entry)

@@ -49,11 +49,6 @@ def gate_forward(h: np.ndarray, w_gate: np.ndarray):
     return gate * h, (h, gate)
 
 
-def gate_features(h: np.ndarray, w_gate: np.ndarray) -> np.ndarray:
-    """sigmoid(W_gate h) ⊙ h."""
-    return gate_forward(h, w_gate)[0]
-
-
 def gate_backward(d_out: np.ndarray, cache: tuple, w_gate: np.ndarray):
     """Returns (d_w_gate, d_h)."""
     h, gate = cache
@@ -99,11 +94,6 @@ def cross_attention_forward(h_inter: np.ndarray, h1_g: np.ndarray, h2_g: np.ndar
     cache = CrossAttentionCache(h_inter=h_inter, gated=(h1_g, h2_g), q=q,
                                 alphas=alphas, mode=mode)
     return (out1, out2), cache
-
-
-def cross_attend(h_inter: np.ndarray, h1_g: np.ndarray, h2_g: np.ndarray,
-                 w_q: np.ndarray, mode: str = "joint") -> tuple[np.ndarray, np.ndarray]:
-    return cross_attention_forward(h_inter, h1_g, h2_g, w_q, mode=mode)[0]
 
 
 def cross_attention_backward(d_out1: np.ndarray, d_out2: np.ndarray,

@@ -143,7 +143,6 @@ class CandidateQuadruple:
 
 @dataclass(frozen=True)
 class SegmentPolicy:
-    granularity: str = "paragraph"
     max_chars: int = 2000
 
 

@@ -16,7 +16,7 @@ import io
 import math
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -249,10 +249,7 @@ class ModularityReport:
     accept_mean: float
 
     def to_json(self) -> dict:
-        return {"q_original": self.q_original, "n_samples": self.n_samples,
-                "mu": self.mu, "sigma": self.sigma, "z": self.z,
-                "master_seed": self.master_seed, "accept_min": self.accept_min,
-                "accept_mean": self.accept_mean}
+        return asdict(self)
 
 
 def sample_seeds(master_seed: int, n: int) -> np.ndarray:

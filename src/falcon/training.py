@@ -178,11 +178,6 @@ def binary_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
 
 
-def interaction_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy of the positive-class probabilities."""
-    return binary_cross_entropy(probs, labels)
-
-
 def trajectory_loss(probs1, labels1, probs2, labels2) -> float:
     """Average of the two trajectory-branch cross-entropies."""
     return 0.5 * (binary_cross_entropy(probs1, labels1)
@@ -349,19 +344,6 @@ class InteractionModel(EncoderModel):
             grads["head.tra.W"] += d_logits_tra.T @ cache["h_tra"]
             self.encoder.backward(d_logits_tra @ p["head.tra.W"], cache["tra"], enc_grads)
 
-    def forward_candidate(self, cand: CandidateQuadruple, with_tra: bool = False):
-        """:meth:`forward_batch` of one candidate in a fresh store; returns
-        (p_inter, p_tra1, p_tra2, cache) with the fused feature in
-        ``cache["h_fused"]``. An overflow raises :class:`ContextOverflowError`."""
-        with_tra = with_tra and self.config.mt
-        store = FeatureStore.for_model(self)
-        rows, (reason,) = store.fill_candidates([cand], with_tra, self.uses_features)
-        if reason is not None:
-            raise ContextOverflowError(reason)
-        p_inter, p_tra, cache = self.forward_batch(*store.gather(rows, with_tra))
-        p_tra1, p_tra2 = (None, None) if p_tra is None else (p_tra[0, 0], p_tra[1, 0])
-        return p_inter[0], p_tra1, p_tra2, {"h_fused": cache["h_fused"][0]}
-
     @property
     def uses_features(self) -> bool:
         """Whether the model reads the frozen extractor's features."""
@@ -425,11 +407,6 @@ class FeatureStore:
         self._added: dict[tuple, list[PackedInputs]] = {}  # since the last merge
         self._features = np.empty((0, encoder.hidden_size))
         self._pending: list[int] = []  # frozen_inputs rows of features not computed yet
-
-    @property
-    def shared(self) -> bool:
-        """Whether the extractor reads this store's inputs."""
-        return self.frozen_inputs is self
 
     @classmethod
     def for_model(cls, model: InteractionModel,
@@ -534,7 +511,7 @@ def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
     n = len(batch)
     p_inter, p_tra, cache = model.forward_batch(*store.gather(rows, cfg.mt))
     y_inter = np.array([ex.y_inter for ex in batch])
-    l_inter = interaction_loss(p_inter[:, 1], y_inter)
+    l_inter = binary_cross_entropy(p_inter[:, 1], y_inter)
     l_tra = None
     if cfg.mt:
         y_tra = np.array([[ex.y_tra1 for ex in batch], [ex.y_tra2 for ex in batch]])

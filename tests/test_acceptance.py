@@ -12,8 +12,8 @@ import pytest
 
 from falcon import fixtures
 from falcon.backbone import DeterministicStubBackbone
-from falcon.dataset import dump_labeled_triples, dump_examples, split_dataset
-from falcon.encoder import ArBertEncoder, aggregate_occurrences
+from falcon.dataset import decompose_candidate, dump_labeled_triples, dump_examples, split_dataset
+from falcon.encoder import ArBertEncoder, attend
 from falcon.extract import FixtureLLMClient, classify_records, extract_corpus, load_records
 from falcon.fusion import (
     FrozenTrajectoryExtractor,
@@ -35,6 +35,7 @@ from falcon.polarnet import (
     trend_ratios,
 )
 from falcon.training import (
+    FeatureStore,
     InteractionModel,
     TrainConfig,
     multitask_loss,
@@ -71,6 +72,14 @@ def split_corpus(corpus):
 
 # ---------------------------------------------------------------------------
 
+def _forward_one(model, cand):
+    """The cache of the batched forward of ``cand`` alone, from a fresh store."""
+    store = FeatureStore.for_model(model)
+    rows, (reason,) = store.fill_candidates([cand], with_features=model.uses_features)
+    assert reason is None, reason
+    return model.forward_batch(*store.gather(rows))[2]
+
+
 def test_criterion_01_shape_contracts(corpus):
     t0 = time.time()
     ex = corpus.examples[0]
@@ -79,25 +88,23 @@ def test_criterion_01_shape_contracts(corpus):
     details = []
     for d in (4, 768):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d), seed=1)
-        quad = enc.encode(cand.segment, cand.entities())
-        ok &= quad.vector.shape == (5 * d,)
-        from falcon.dataset import decompose
-
-        t1, _ = decompose(ex)
-        tri = enc.encode(t1.segment, (t1.person, t1.time, t1.location))
-        ok &= tri.vector.shape == (4 * d,)
+        quad, _ = enc.forward(cand.segment, cand.entities())
+        ok &= quad.shape == (5 * d,)
+        t1, _ = decompose_candidate(cand)
+        tri, _ = enc.forward(t1.segment, (t1.person, t1.time, t1.location))
+        ok &= tri.shape == (4 * d,)
 
         extractor = FrozenTrajectoryExtractor(hidden_size=d, seed=2)
         extractor.freeze()
         model = InteractionModel(TrainConfig(hidden_size=d, seed=1),
                                  frozen=extractor)
-        _, _, _, cache = model.forward_candidate(cand)
-        ok &= cache["h_fused"].shape == (7 * d,)
+        cache = _forward_one(model, cand)
+        ok &= cache["h_fused"][0].shape == (7 * d,)
         ok &= model.params["head.inter.W"].shape == (2, 7 * d)
 
         off = InteractionModel(TrainConfig(hidden_size=d, ft=False, seed=1))
-        _, _, _, cache_off = off.forward_candidate(cand)
-        ok &= cache_off["h_fused"].shape == (5 * d,)
+        cache_off = _forward_one(off, cand)
+        ok &= cache_off["h_fused"][0].shape == (5 * d,)
         ok &= off.params["head.inter.W"].shape == (2, 5 * d)
         details.append(f"d={d} ok")
     elapsed = time.time() - t0
@@ -112,9 +119,10 @@ def test_criterion_02_attention_softmax_invariants():
     for _ in range(1000):
         k = int(rng.integers(1, 6))
         occ = rng.normal(size=(k, d))
-        feat = aggregate_occurrences(occ, rng.normal(size=d), float(rng.normal()))
-        ok &= abs(feat.weights.sum() - 1.0) <= 1e-6
-        ok &= bool((feat.weights >= 0).all())
+        _, weights, _ = attend(occ, np.ones(k, dtype=bool), rng.normal(size=d),
+                               float(rng.normal()))
+        ok &= abs(weights.sum() - 1.0) <= 1e-6
+        ok &= bool((weights >= 0).all())
     for _ in range(1000):
         (_, _), cache = cross_attention_forward(
             rng.normal(size=5 * d), rng.normal(size=d), rng.normal(size=d),

@@ -203,3 +203,59 @@ def test_train_commands_report_skipped(workspace):
                                "--out", str(workspace / "short_model.ckpt")])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["skipped"] > 0
+
+
+def test_extract_summary_file_counts_excluded_lines(workspace):
+    runner = CliRunner()
+    triples = workspace / "triples_with_bad_lines.jsonl"
+    triples.write_text((workspace / "fx" / "triples.jsonl").read_text()
+                       + "not json\n{\"doc_id\": \"fix0000\"}\n")
+    summary_path = workspace / "bad_lines_summary.json"
+    res = runner.invoke(main, [
+        "extract", "--triples", str(triples),
+        "--checkpoint", str(workspace / "model.ckpt"),
+        "--out", str(workspace / "bad_lines_records.jsonl"),
+        "--summary", str(summary_path)])
+    assert res.exit_code == 0, res.output
+    printed = json.loads(res.output.strip().splitlines()[-1])
+    assert printed["excluded_lines"] == 2
+    assert json.loads(summary_path.read_text()) == printed
+
+
+def _typed_records(workspace):
+    typed = workspace / "typed.jsonl"
+    if not typed.exists():
+        test_classify_and_analyze_pipeline(workspace)
+    return [json.loads(line) for line in typed.read_text().splitlines()]
+
+
+def test_distance_csv_quotes_record_ids(workspace):
+    records = _typed_records(workspace)
+    records[0]["record_id"] = 'r,"1"'
+    path = workspace / "odd_ids.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    out = workspace / "odd_distance.csv"
+    res = CliRunner().invoke(main, [
+        "analyze", "distance", "--records", str(path),
+        "--attrs", str(workspace / "fx" / "attrs.json"), "--out-csv", str(out)])
+    assert res.exit_code == 0, res.output
+    text = out.read_text()
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0] == ["record_id", "year", "distance_km"]
+    assert [row[0] for row in rows[1:]] == [rec["record_id"] for rec in records]
+    assert all(len(row) == 3 for row in rows)
+    # a plain id is written bare, as a hand-joined line would be
+    for rec, line in zip(records[1:], text.splitlines()[2:]):
+        year = "" if rec["time_year"] is None else rec["time_year"]
+        assert line.startswith(f"{rec['record_id']},{year},")
+
+
+def test_polarization_rejects_fewer_than_two_null_samples(workspace):
+    _typed_records(workspace)
+    res = CliRunner().invoke(main, [
+        "analyze", "polarization", "--records", str(workspace / "typed.jsonl"),
+        "--attrs", str(workspace / "fx" / "attrs.json"), "--null-samples", "1",
+        "--out-csv", str(workspace / "one_sample.csv")])
+    assert res.exit_code == 2, res.output
+    assert "--null-samples" in res.output
+    assert not (workspace / "one_sample.csv").exists()

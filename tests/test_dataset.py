@@ -2,7 +2,7 @@ import pytest
 
 from falcon.dataset import (
     LabeledExample,
-    decompose,
+    decompose_candidate,
     dump_examples,
     example_from_json,
     example_to_json,
@@ -19,7 +19,7 @@ def fig1a_example(corpus):
 
 def test_decompose_fig1a(corpus):
     ex = fig1a_example(corpus)
-    t1, t2 = decompose(ex)
+    t1, t2 = decompose_candidate(ex.candidate)
     assert t1.person.surface == "Berg"
     assert t2.person.surface == "Niemans"
     for t in (t1, t2):
@@ -33,15 +33,15 @@ def test_decompose_fig1a(corpus):
 
 def test_decompose_deterministic_and_idempotent(corpus):
     ex = fig1a_example(corpus)
-    first = decompose(ex)
-    second = decompose(ex)
+    first = decompose_candidate(ex.candidate)
+    second = decompose_candidate(ex.candidate)
     assert first == second
     rec = example_from_json(example_to_json(ex))
-    assert decompose(rec) == first
+    assert decompose_candidate(rec.candidate) == first
 
 
 def test_triple_count_is_twice_quadruple_count(corpus):
-    triples = [t for ex in corpus.examples for t in decompose(ex)]
+    triples = [t for ex in corpus.examples for t in decompose_candidate(ex.candidate)]
     assert len(triples) == 2 * len(corpus.examples)
 
 

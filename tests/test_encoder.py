@@ -9,7 +9,7 @@ from falcon.encoder import (
     ArBertEncoder,
     ContextOverflowError,
     MarkerOverlapError,
-    aggregate_occurrences,
+    attend,
     canonical_entities,
     insert_markers,
     pool_occurrence,
@@ -251,6 +251,12 @@ def test_pool_out_of_range_is_error():
 # ---------------------------------------------------------------------------
 # occurrence aggregation
 
+def attend_all(occ, w, b, norm="softmax"):
+    """:func:`attend` over the (k, d) occurrences of one entity, all of them
+    real: (scores, weights, aggregated)."""
+    return attend(occ, np.ones(len(occ), dtype=bool), w, b, norm)
+
+
 def test_single_occurrence_weight_is_one_regardless_of_params():
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -258,17 +264,17 @@ def test_single_occurrence_weight_is_one_regardless_of_params():
         w = rng.normal(size=4)
         b = float(rng.normal())
         for norm in ("softmax", "literal"):
-            feat = aggregate_occurrences(occ, w, b, norm=norm)
-            assert feat.weights == pytest.approx([1.0])
-            assert np.allclose(feat.aggregated, occ[0])
+            _, weights, aggregated = attend_all(occ, w, b, norm=norm)
+            assert weights == pytest.approx([1.0])
+            assert np.allclose(aggregated, occ[0])
 
 
 def test_two_identical_vectors_split_weight_evenly():
     v = np.array([0.3, -1.0, 2.0, 0.0])
     occ = np.stack([v, v])
-    feat = aggregate_occurrences(occ, np.ones(4), 0.1)
-    assert np.allclose(feat.weights, [0.5, 0.5])
-    assert np.allclose(feat.aggregated, v)
+    _, weights, aggregated = attend_all(occ, np.ones(4), 0.1)
+    assert np.allclose(weights, [0.5, 0.5])
+    assert np.allclose(aggregated, v)
 
 
 def test_aggregation_matches_scalar_oracle():
@@ -284,10 +290,10 @@ def test_aggregation_matches_scalar_oracle():
     weights = [e / sum(exps) for e in exps]
     expected = [sum(weights[k] * occ[k][j] for k in range(3)) for j in range(3)]
 
-    feat = aggregate_occurrences(occ, w_attn, b_attn)
-    assert np.allclose(feat.scores, scores, atol=1e-12)
-    assert np.allclose(feat.weights, weights, atol=1e-12)
-    assert np.allclose(feat.aggregated, expected, atol=1e-12)
+    got_scores, got_weights, aggregated = attend_all(occ, w_attn, b_attn)
+    assert np.allclose(got_scores, scores, atol=1e-12)
+    assert np.allclose(got_weights, weights, atol=1e-12)
+    assert np.allclose(aggregated, expected, atol=1e-12)
 
 
 def test_weights_sum_to_one_and_nonnegative():
@@ -295,32 +301,27 @@ def test_weights_sum_to_one_and_nonnegative():
     for _ in range(200):
         k = rng.integers(1, 6)
         occ = rng.normal(size=(k, 4))
-        feat = aggregate_occurrences(occ, rng.normal(size=4), float(rng.normal()))
-        assert feat.weights.sum() == pytest.approx(1.0, abs=1e-6)
-        assert (feat.weights >= 0).all()
+        _, weights, _ = attend_all(occ, rng.normal(size=4), float(rng.normal()))
+        assert weights.sum() == pytest.approx(1.0, abs=1e-6)
+        assert (weights >= 0).all()
 
 
 def test_permuting_occurrences_permutes_weights_only():
     rng = np.random.default_rng(3)
     occ = rng.normal(size=(4, 4))
     w, b = rng.normal(size=4), 0.2
-    base = aggregate_occurrences(occ, w, b)
+    _, base_weights, base_aggregated = attend_all(occ, w, b)
     perm = [2, 0, 3, 1]
-    feat = aggregate_occurrences(occ[perm], w, b)
-    assert np.allclose(feat.weights, base.weights[perm])
-    assert np.allclose(feat.aggregated, base.aggregated)
+    _, weights, aggregated = attend_all(occ[perm], w, b)
+    assert np.allclose(weights, base_weights[perm])
+    assert np.allclose(aggregated, base_aggregated)
 
 
 def test_literal_norm_guard_against_zero_sum():
     occ = np.array([[1.0, 0.0], [-1.0, 0.0]])
     w_attn = np.array([1.0, 0.0])
-    feat = aggregate_occurrences(occ, w_attn, 0.0, norm="literal")
-    assert np.allclose(feat.weights, [0.5, 0.5])  # uniform fallback
-
-
-def test_empty_occurrences_is_error():
-    with pytest.raises(ValueError):
-        aggregate_occurrences(np.zeros((0, 4)), np.zeros(4), 0.0)
+    _, weights, _ = attend_all(occ, w_attn, 0.0, norm="literal")
+    assert np.allclose(weights, [0.5, 0.5])  # uniform fallback
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +330,15 @@ def test_empty_occurrences_is_error():
 def test_encode_dimensions_quadruple_and_triple():
     for d in (4, 768):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d), seed=0)
-        fv = enc.encode(seg_of(FIG_TEXT), fig_entities())
-        assert fv.vector.shape == (5 * d,)
+        vector, cache = enc.forward(seg_of(FIG_TEXT), fig_entities())
+        assert vector.shape == (len(cache.keys) * d,) == (5 * d,)
     text = "Niemans in The Hague in 1950"
     entities = [mention("Person", "Niemans", text), mention("Time", "1950", text),
                 mention("Location", "The Hague", text)]
     for d in (4, 768):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d), seed=0)
-        fv = enc.encode(seg_of(text), entities)
-        assert fv.vector.shape == (4 * d,)
+        vector, cache = enc.forward(seg_of(text), entities)
+        assert vector.shape == (len(cache.keys) * d,) == (4 * d,)
 
 
 def _stub_rows_oracle(tokens, d, window=2):
@@ -365,7 +366,7 @@ def test_encode_matches_full_arithmetic_oracle():
     enc = ArBertEncoder(backbone, seed=7)
     segment = seg_of(FIG_TEXT)
     entities = fig_entities()
-    got = enc.encode(segment, entities).vector
+    got = enc.forward(segment, entities)[0]
 
     # oracle: replay every stage with independent scalar arithmetic
     marked = insert_markers(segment, entities, backbone)
@@ -400,7 +401,7 @@ def test_encode_rejects_bad_role_sets():
     text = "Niemans in 1950"
     entities = [mention("Person1", "Niemans", text), mention("Time", "1950", text)]
     with pytest.raises(ValueError, match="role set"):
-        enc.encode(seg_of(text), entities)
+        enc.forward(seg_of(text), entities)
 
 
 def test_encoder_gradients_match_finite_differences():

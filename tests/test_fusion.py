@@ -5,10 +5,9 @@ import pytest
 
 from falcon.fusion import (
     FrozenTrajectoryExtractor,
-    cross_attend,
     cross_attention_forward,
     fuse,
-    gate_features,
+    gate_forward,
 )
 from falcon.training import TrainConfig, pretrain_trajectory_extractor
 
@@ -18,12 +17,12 @@ from falcon.training import TrainConfig, pretrain_trajectory_extractor
 
 def test_gate_zero_matrix_halves_input():
     h = np.array([1.0, -2.0, 0.5])
-    out = gate_features(h, np.zeros((3, 3)))
+    out = gate_forward(h, np.zeros((3, 3)))[0]
     assert np.allclose(out, 0.5 * h)
 
 
 def test_gate_zero_input_gives_zero():
-    out = gate_features(np.zeros(4), np.random.default_rng(0).normal(size=(4, 4)))
+    out = gate_forward(np.zeros(4), np.random.default_rng(0).normal(size=(4, 4)))[0]
     assert np.array_equal(out, np.zeros(4))
 
 
@@ -35,12 +34,12 @@ def test_gate_matches_scalar_oracle():
         z = sum(w[i][j] * h[j] for j in range(3))
         sig = 1.0 / (1.0 + math.exp(-z))
         expected.append(sig * h[i])
-    assert np.allclose(gate_features(h, w), expected, atol=1e-12)
+    assert np.allclose(gate_forward(h, w)[0], expected, atol=1e-12)
 
 
 def test_gate_dim_mismatch_is_error():
     with pytest.raises(ValueError):
-        gate_features(np.zeros(3), np.zeros((4, 4)))
+        gate_forward(np.zeros(3), np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +75,7 @@ def test_cross_attention_matches_scalar_oracle():
     w_q = rng.normal(size=(d, 5 * d))
     h1 = rng.normal(size=d)
     h2 = rng.normal(size=d)
-    o1, o2 = cross_attend(h_inter, h1, h2, w_q)
+    o1, o2 = cross_attention_forward(h_inter, h1, h2, w_q)[0]
     # oracle: scalar recomputation with the 1/d scaling
     q = [sum(w_q[i][j] * h_inter[j] for j in range(5 * d)) for i in range(d)]
     s1 = sum(q[i] * h1[i] for i in range(d)) / d
@@ -94,7 +93,7 @@ def test_literal_mode_passes_gated_vectors_through():
     h_inter = rng.normal(size=5 * d)
     w_q = rng.normal(size=(d, 5 * d))
     h1, h2 = rng.normal(size=d), rng.normal(size=d)
-    o1, o2 = cross_attend(h_inter, h1, h2, w_q, mode="literal")
+    o1, o2 = cross_attention_forward(h_inter, h1, h2, w_q, mode="literal")[0]
     assert np.array_equal(o1, h1)
     assert np.array_equal(o2, h2)
 

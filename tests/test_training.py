@@ -19,7 +19,7 @@ from falcon.training import (
     TrainConfig,
     TrainingDiverged,
     _batch_pass,
-    interaction_loss,
+    binary_cross_entropy,
     load_archive,
     load_config,
     multitask_loss,
@@ -45,34 +45,34 @@ def extractor(request):
 def test_perfect_predictions_give_near_zero_loss():
     labels = np.array([1, 0, 1])
     probs = np.array([1.0, 0.0, 1.0])
-    assert interaction_loss(probs, labels) == pytest.approx(0.0, abs=1e-6)
+    assert binary_cross_entropy(probs, labels) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_uninformative_predictions_give_ln2():
     probs = np.full(8, 0.5)
     labels = np.array([0, 1] * 4)
-    assert interaction_loss(probs, labels) == pytest.approx(math.log(2), abs=1e-12)
+    assert binary_cross_entropy(probs, labels) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_interaction_loss_matches_hand_sum():
     probs = np.array([0.9, 0.2, 0.6])
     labels = np.array([1, 0, 0])
     expected = -(math.log(0.9) + math.log(0.8) + math.log(0.4)) / 3.0
-    assert interaction_loss(probs, labels) == pytest.approx(expected, abs=1e-12)
+    assert binary_cross_entropy(probs, labels) == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_rejects_nonbinary_labels():
     with pytest.raises(ValueError, match="labels"):
-        interaction_loss(np.array([0.5]), np.array([2]))
+        binary_cross_entropy(np.array([0.5]), np.array([2]))
 
 
 def test_trajectory_loss_averages_branches():
     p = np.array([0.9, 0.1])
     y = np.array([1, 0])
-    a = interaction_loss(p, y)
+    a = binary_cross_entropy(p, y)
     p2 = np.array([0.7, 0.4])
     y2 = np.array([1, 1])
-    b = interaction_loss(p2, y2)
+    b = binary_cross_entropy(p2, y2)
     assert trajectory_loss(p, y, p2, y2) == pytest.approx((a + b) / 2, abs=1e-12)
     assert trajectory_loss(np.ones(2), np.ones(2, dtype=int),
                            np.ones(2), np.ones(2, dtype=int)) == pytest.approx(
@@ -186,9 +186,10 @@ def test_feature_transfer_requires_frozen():
 def test_softmax_head_outputs_sum_to_one(corpus, extractor):
     config = TrainConfig(hidden_size=4, seed=1)
     model = InteractionModel(config, frozen=extractor)
-    for ex in corpus.examples[:20]:
-        p, p1, p2, _ = model.forward_candidate(ex.candidate, with_tra=True)
-        for probs in (p, p1, p2):
+    store, rows = _filled(model, corpus.examples[:20])
+    p_inter, p_tra, _ = model.forward_batch(*store.gather(rows, with_tra=True))
+    for i in range(20):
+        for probs in (p_inter[i], p_tra[0, i], p_tra[1, i]):
             assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -432,7 +433,7 @@ def test_validation_is_prediction_on_the_training_store(corpus, extractor):
 
     val_set = [ex for ex in examples if ex.split == "val"]
     shared = FeatureStore.for_model(model)
-    assert shared.shared  # the extractor has the model's backbone settings
+    assert shared.frozen_inputs is shared  # the extractor has the model's backbone settings
     runs = []
     for store in (shared, FeatureStore(model.encoder, extractor, shared=False), None):
         if store is not None:  # filled as training fills its store
