@@ -112,14 +112,13 @@ def pretrain_tra_cmd(config_path, data_path, out_path):
 @click.option("--frozen", "frozen_path", type=click.Path(exists=True))
 def train_cmd(config_path, data_path, out_path, frozen_path):
     """Train the interaction classifier; keeps the best validation-F1 epoch."""
-    config = _load_train_config(config_path).resolved()
+    config = _load_train_config(config_path)
     examples = ds.load_examples(data_path)
     frozen = None
     if config.fusion_mode != "off":
-        path = frozen_path or config.frozen_checkpoint
-        if not path:
+        if not frozen_path:
             raise click.UsageError("feature transfer requires --frozen checkpoint")
-        frozen = tr.FrozenTrajectoryExtractor.load(path)
+        frozen = tr.FrozenTrajectoryExtractor.load(frozen_path)
     model = tr.InteractionModel(config, frozen=frozen)
     result = tr.train(model, examples, config)
     model.save(out_path, history=result.history)
@@ -142,7 +141,8 @@ def _prediction_json(p: tr.Prediction) -> dict:
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--candidates", "cand_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--threshold", default=0.5, show_default=True)
+@click.option("--threshold", type=float,
+              help="Label threshold; defaults to the checkpoint's.")
 def predict_cmd(checkpoint, cand_path, out_path, threshold):
     """Score candidate quadruples with a trained checkpoint."""
     model = tr.InteractionModel.load(checkpoint)
@@ -177,15 +177,12 @@ def eval_cmd(checkpoint, data_path, split, out_path):
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--out-dir", "out_dir", required=True, type=click.Path())
-@click.option("--frozen", "frozen_path", type=click.Path(exists=True))
+@click.option("--frozen", "frozen_path", required=True, type=click.Path(exists=True))
 def ablate_cmd(config_path, data_path, out_dir, frozen_path):
     """Run the six-configuration ablation grid and write CSV + text tables."""
-    config = _load_train_config(config_path).resolved()
+    config = _load_train_config(config_path)
     examples = ds.load_examples(data_path)
-    frozen = None
-    path = frozen_path or config.frozen_checkpoint
-    if path:
-        frozen = tr.FrozenTrajectoryExtractor.load(path)
+    frozen = tr.FrozenTrajectoryExtractor.load(frozen_path)
     table = evalbench.run_ablations(examples, config, frozen_extractor=frozen,
                                     dataset_id=str(data_path))
     out = Path(out_dir)
@@ -203,7 +200,8 @@ def ablate_cmd(config_path, data_path, out_dir, frozen_path):
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--summary", "summary_path", type=click.Path())
-@click.option("--threshold", default=0.5, show_default=True)
+@click.option("--threshold", type=float,
+              help="Label threshold; defaults to the checkpoint's.")
 @click.option("--state", "state_path", type=click.Path(),
               help="Resume-state file; reruns skip completed documents.")
 @click.option("--gazetteer", "gazetteer_path", type=click.Path(exists=True))

@@ -14,9 +14,9 @@ from typing import Sequence
 # The six ablation rows: name -> TrainConfig field overrides.
 ABLATION_GRID = {
     "full": {},
-    "wo_ft": {"ft": False, "fusion_mode": "off"},
+    "wo_ft": {"fusion_mode": "off"},
     "wo_mt": {"mt": False},
-    "wo_ft_mt": {"ft": False, "fusion_mode": "off", "mt": False},
+    "wo_ft_mt": {"fusion_mode": "off", "mt": False},
     "wo_aw": {"aw": False},
     "concat": {"fusion_mode": "concat"},
 }
@@ -145,22 +145,19 @@ class AblationTable:
 
 def ablation_configs(base_config) -> list[tuple[str, object]]:
     """The six study configurations derived from a base config, base untouched."""
-    out = []
-    for name, overrides in ABLATION_GRID.items():
-        out.append((name, replace(base_config, **overrides).resolved()))
-    return out
+    return [(name, replace(base_config, **overrides))
+            for name, overrides in ABLATION_GRID.items()]
 
 
 def run_ablations(examples, base_config, frozen_extractor=None,
-                  dataset_id: str = "", seeds: Sequence[int] | None = None) -> AblationTable:
-    """Train and evaluate every ablation configuration on the same splits.
+                  dataset_id: str = "") -> AblationTable:
+    """Train and evaluate every ablation configuration on the same splits,
+    each once at the base seed.
 
     Each row gets a fresh model built from its own config; rows that keep
-    feature transfer reuse the provided frozen extractor. Every row shares
-    one feature store: the configs differ only in trainable parts, so each
-    distinct input is encoded once for the whole study. Stochastic
-    comparisons should pass several ``seeds`` (one row per config and seed)
-    and average; by default each config runs once at the base seed.
+    feature transfer (``concat`` always does) read the frozen extractor. Every
+    row shares one feature store: the configs differ only in trainable
+    parts, so each distinct input is encoded once for the whole study.
     """
     from .training import FeatureStore, InteractionModel, predict, train
 
@@ -168,19 +165,15 @@ def run_ablations(examples, base_config, frozen_extractor=None,
     table = AblationTable()
     store = None
     for name, config in ablation_configs(base_config):
-        for seed in (seeds if seeds is not None else [config.seed]):
-            run_config = replace(config, seed=seed)
-            frozen = frozen_extractor if run_config.fusion_mode != "off" else None
-            model = InteractionModel(run_config, frozen=frozen)
-            store = store or FeatureStore.for_model(model, frozen_extractor)
-            train(model, examples, run_config, store=store)
-            preds = predict(model, [ex.candidate for ex in test_set],
-                            threshold=run_config.threshold, store=store)
-            report = _report_predictions(preds, test_set, dataset_id,
-                                         run_config.config_hash())
-            table.rows.append(AblationRow(name=name,
-                                          config_hash=run_config.config_hash(),
-                                          report=report, seed=seed))
+        frozen = frozen_extractor if config.fusion_mode != "off" else None
+        model = InteractionModel(config, frozen=frozen)
+        store = store or FeatureStore.for_model(model, frozen_extractor)
+        train(model, examples, config, store=store)
+        preds = predict(model, [ex.candidate for ex in test_set], store=store)
+        config_hash = config.config_hash()
+        table.rows.append(AblationRow(
+            name=name, config_hash=config_hash, seed=config.seed,
+            report=_report_predictions(preds, test_set, dataset_id, config_hash)))
     return table
 
 
@@ -188,7 +181,6 @@ def evaluate_transfer(model, external_examples, dataset_id: str = "external") ->
     """Score an already-trained model on an external labeled corpus; no retraining."""
     from .training import predict
 
-    preds = predict(model, [ex.candidate for ex in external_examples],
-                    threshold=model.config.threshold)
+    preds = predict(model, [ex.candidate for ex in external_examples])
     return _report_predictions(preds, external_examples, dataset_id,
                                model.config.config_hash())

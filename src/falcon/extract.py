@@ -13,8 +13,6 @@ import json
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -32,6 +30,8 @@ from .ingest import (
 
 INTERACTION_TYPES = ("Adversarial", "Cooperative", "Neutral")
 YEAR_RANGE = (1000, 2024)
+# Tries per record before the typing step gives up on a failing transport.
+LLM_ATTEMPTS = 3
 
 _YEAR_RE = re.compile(r"(?<!\d)(\d{3,4})(?!\d)")
 
@@ -193,13 +193,15 @@ def _append_state(log, entry: dict) -> None:
 
 
 def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | Path,
-                   threshold: float = 0.5, summary_path: str | Path | None = None,
+                   threshold: float | None = None, summary_path: str | Path | None = None,
                    state_path: str | Path | None = None,
                    gazetteer: dict | None = None, excluded_lines: int = 0) -> ExtractSummary:
     """Pair, score, and stream positive records per document in sorted order.
 
-    ``excluded_lines`` counts the triple lines the caller could not read; it
-    is reported in the summary (and its file) as is.
+    A candidate is positive when its score reaches ``threshold`` (default:
+    the model's ``config.threshold``). ``excluded_lines`` counts the triple
+    lines the caller could not read; it is reported in the summary (and its
+    file) as is.
 
     With ``state_path`` the run is resumable: after each document's records
     are flushed, one line with its doc_id, counts and the output's byte size
@@ -287,18 +289,22 @@ class HttpChatClient:
     """Minimal chat-completion client against an OpenAI-style endpoint."""
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None,
-                 timeout: float = 30.0, temperature: float = 1.0):
+                 timeout: float = 30.0):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
-        self.temperature = temperature
 
     def complete(self, prompt: str) -> str:
+        # Imported here: urllib.request pulls in http.client and email, a
+        # noticeable share of the start-up of every command that never calls it.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
+            "temperature": 1.0,
         }).encode("utf-8")
         req = urllib.request.Request(self.endpoint, data=body, method="POST")
         req.add_header("Content-Type", "application/json")
@@ -355,7 +361,7 @@ def parse_type(response: str) -> str | None:
 
 
 def classify_type(record: InteractionRecord, llm_client, context: str | None = None,
-                  max_attempts: int = 3, backoff: float = 0.5) -> InteractionRecord:
+                  backoff: float = 0.5) -> InteractionRecord:
     """Attach one of the three interaction types to a record.
 
     Unparseable responses default to Neutral with a ``defaulted`` flag so the
@@ -364,12 +370,12 @@ def classify_type(record: InteractionRecord, llm_client, context: str | None = N
     """
     prompt = type_prompt(record, context)
     response = None
-    for attempt in range(max_attempts):
+    for attempt in range(LLM_ATTEMPTS):
         try:
             response = llm_client.complete(prompt)
             break
         except TransportError:
-            if attempt == max_attempts - 1:
+            if attempt == LLM_ATTEMPTS - 1:
                 record.interaction_type = None
                 record.type_flag = "unclassified"
                 return record
@@ -391,11 +397,10 @@ class TypingSummary:
     unclassified: int = 0
 
 
-def classify_records(records: Sequence[InteractionRecord], llm_client,
-                     **kwargs) -> TypingSummary:
+def classify_records(records: Sequence[InteractionRecord], llm_client) -> TypingSummary:
     summary = TypingSummary()
     for rec in records:
-        classify_type(rec, llm_client, **kwargs)
+        classify_type(rec, llm_client)
         if rec.type_flag == "unclassified":
             summary.unclassified += 1
             continue

@@ -31,11 +31,17 @@ PARTIES = ("Republican", "Democrat")
 # MAX_ATTEMPT_FACTOR * m attempts, m being the edge count.
 SWAP_FACTOR = 10
 MAX_ATTEMPT_FACTOR = 100
+# A polarization row is scored only from this many edges up.
+MIN_EDGES = 2
 # Verbatim modularity divides by the signed total weight. Without negative
 # weights |Q| <= 1; a scored verbatim row beyond that bound has positive and
 # negative weights that nearly cancel, and its row says so.
 VERBATIM_Q_BOUND = 1.0
 VERBATIM_Q_REASON = "verbatim |q| > 1: signed weights nearly cancel; see --signed-mode gomez"
+# PageRank damping, L1 convergence tolerance and iteration cap.
+PAGERANK_DAMPING = 0.85
+PAGERANK_TOL = 1e-10
+PAGERANK_ITERATIONS = 10000
 
 
 class DegenerateGraphError(ValueError):
@@ -91,7 +97,6 @@ class BuildReport:
     excluded_untyped: int = 0
     excluded_out_of_window: int = 0
     excluded_self_pairs: int = 0  # both people normalise to one node
-    dropped_zero_edges: int = 0
 
 
 def load_node_attrs(path) -> dict[str, dict]:
@@ -103,14 +108,13 @@ def load_node_attrs(path) -> dict[str, dict]:
 
 
 def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict],
-                time_window: tuple[int, int] | None = None,
-                drop_zero_edges: bool = False) -> tuple[SignedGraph, BuildReport]:
+                time_window: tuple[int, int] | None = None) -> tuple[SignedGraph, BuildReport]:
     """Aggregate typed records into a signed graph over attributed people.
 
     Per-pair weights are the sum of the mapped type weights across all
-    records in the window. Zero-sum pairs keep their edge (they still carry
-    a structural tie) unless ``drop_zero_edges`` is set. A record whose two
-    people normalise to the same key is dropped: the graph has no loops.
+    records in the window. Zero-sum pairs keep their edge: they still carry
+    a structural tie. A record whose two people normalise to the same key
+    is dropped: the graph has no loops.
     """
     report = BuildReport()
     pair_weights: dict[tuple[str, str], float] = {}
@@ -147,9 +151,6 @@ def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict
     graph = SignedGraph(nodes=nodes,
                         node_attrs={n: node_attrs[n] for n in nodes})
     for (k1, k2), weight in pair_weights.items():
-        if drop_zero_edges and weight == 0.0:
-            report.dropped_zero_edges += 1
-            continue
         key = (index[k1], index[k2])
         graph.edges[key] = weight
         graph.provenance[key] = sorted(pair_records[(k1, k2)])
@@ -260,8 +261,12 @@ def standardized_modularity(graph: SignedGraph, partition: dict[str, str],
                             n_samples: int = 1000, master_seed: int = 0,
                             signed_mode: str = "verbatim") -> ModularityReport:
     """Z-score of the observed modularity against the rewired null ensemble,
-    every sample scored with the same ``signed_mode`` as the original. Warns
-    once if any sample stops short of its swap target."""
+    every sample scored with the same ``signed_mode`` as the original.
+
+    A null in which no sample made a swap only permutes the weights (the
+    swap chain can be stuck on small graphs; Fosdick et al. 2018) and raises
+    :class:`DegenerateGraphError`. A null that stopped short of its target
+    is scored; ``accept_min`` and ``accept_mean`` say how short."""
     if n_samples < 2:
         raise ValueError("standardized modularity needs at least 2 null samples")
     q_original = modularity(graph, partition, signed_mode=signed_mode)
@@ -280,12 +285,9 @@ def standardized_modularity(graph: SignedGraph, partition: dict[str, str],
     sigma = float(np.std(qs, ddof=1))
     if sigma == 0.0 or bool(np.all(qs == qs[0])):
         raise DegenerateGraphError("degenerate null distribution: sigma is zero")
+    if not accepted.any():
+        raise DegenerateGraphError("null made no swap: weights permuted only")
     ratio = accepted / target
-    short = int(np.count_nonzero(accepted < target))
-    if short:
-        warnings.warn(f"{short} of {n_samples} null samples stopped short of "
-                      f"{target} swaps (min accepted/target {ratio.min():.3f}); "
-                      "the null may be poorly mixed")
     return ModularityReport(q_original=q_original, n_samples=n_samples, mu=mu,
                             sigma=sigma, z=(q_original - mu) / sigma,
                             master_seed=master_seed, accept_min=float(ratio.min()),
@@ -457,8 +459,7 @@ def fit_power_law(degrees: Sequence[int], k_min: int = 2) -> tuple[float | None,
     return 1.0 + len(tail) / denom, len(tail)
 
 
-def pagerank(graph: SignedGraph, damping: float = 0.85,
-             tol: float = 1e-10, max_iter: int = 10000) -> dict[str, float]:
+def pagerank(graph: SignedGraph) -> dict[str, float]:
     """Power iteration on absolute edge weights; dangling mass spread uniformly."""
     n = graph.n_nodes
     if n == 0:
@@ -470,20 +471,20 @@ def pagerank(graph: SignedGraph, damping: float = 0.85,
     aw = np.repeat(np.abs(w), 2)
     strength = np.bincount(ends, weights=aw, minlength=n)
     rank = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(PAGERANK_ITERATIONS):
         share = np.divide(rank, strength, out=np.zeros_like(rank),
                           where=strength > 0)
         spread = np.bincount(other_ends, weights=share[ends] * aw, minlength=n)
         dangling = rank[strength == 0].sum()
-        new_rank = (1 - damping) / n + damping * (spread + dangling / n)
-        if np.abs(new_rank - rank).sum() < tol:
+        new_rank = (1 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * (spread + dangling / n)
+        if np.abs(new_rank - rank).sum() < PAGERANK_TOL:
             rank = new_rank
             break
         rank = new_rank
     return {graph.nodes[i]: float(rank[i]) for i in range(n)}
 
 
-def graph_stats(graph: SignedGraph, k_min: int = 2, damping: float = 0.85) -> GraphStats:
+def graph_stats(graph: SignedGraph, k_min: int = 2) -> GraphStats:
     """Degree histogram, global clustering, power-law exponent, PageRank."""
     if graph.n_nodes == 0:
         raise ValueError("graph_stats needs a non-empty graph")
@@ -504,7 +505,7 @@ def graph_stats(graph: SignedGraph, k_min: int = 2, damping: float = 0.85) -> Gr
     alpha, tail = fit_power_law([int(k) for k in degrees], k_min=k_min)
     return GraphStats(degree_histogram=histogram, clustering=clustering,
                       alpha=alpha, alpha_k_min=k_min, alpha_tail_size=tail,
-                      pagerank=pagerank(graph, damping=damping))
+                      pagerank=pagerank(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +515,13 @@ def polarization_series(records: Sequence[InteractionRecord],
                         node_attrs: dict[str, dict],
                         n_samples: int = 1000, master_seed: int = 0,
                         cumulative: bool = False,
-                        signed_mode: str = "verbatim",
-                        min_edges: int = 2) -> list[dict]:
+                        signed_mode: str = "verbatim") -> list[dict]:
     """Per-year (or cumulative-to-year) standardized modularity rows.
 
-    Years whose graph is too small or whose null distribution degenerates
-    produce a row with ``z`` null and a reason, never a silent gap. A
+    Years whose graph has fewer than ``MIN_EDGES`` edges or whose null
+    degenerates (including a null that made no swap) produce a row with
+    ``q`` and ``z`` null and a reason, never a silent gap. A scored row
+    carries its null's ``accept_mean`` (accepted over target swaps). A
     verbatim row with |q| > ``VERBATIM_Q_BOUND`` keeps its q and z and gets
     ``VERBATIM_Q_REASON``: its signed total weight is near zero, and the
     Gómez, Jensen & Arenas (2009) split (``signed_mode="gomez"``) applies.
@@ -530,8 +532,9 @@ def polarization_series(records: Sequence[InteractionRecord],
         window = (years[0], year) if cumulative else (year, year)
         graph, _ = build_graph(records, node_attrs, time_window=window)
         row = {"year": year, "window_start": window[0], "n_nodes": graph.n_nodes,
-               "n_edges": graph.n_edges, "q": None, "z": None, "reason": None}
-        if graph.n_edges < min_edges:
+               "n_edges": graph.n_edges, "q": None, "z": None, "accept_mean": None,
+               "reason": None}
+        if graph.n_edges < MIN_EDGES:
             row["reason"] = "too few edges"
             rows.append(row)
             continue
@@ -541,6 +544,7 @@ def polarization_series(records: Sequence[InteractionRecord],
                 master_seed=master_seed, signed_mode=signed_mode)
             row["q"] = report.q_original
             row["z"] = report.z
+            row["accept_mean"] = report.accept_mean
             if signed_mode == "verbatim" and abs(report.q_original) > VERBATIM_Q_BOUND:
                 row["reason"] = VERBATIM_Q_REASON
         except DegenerateGraphError as exc:
@@ -552,12 +556,14 @@ def polarization_series(records: Sequence[InteractionRecord],
 def series_to_csv(rows: Iterable[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["year", "window_start", "n_nodes", "n_edges", "q", "z", "reason"])
+    writer.writerow(["year", "window_start", "n_nodes", "n_edges", "q", "z", "accept_mean",
+                     "reason"])
     for row in rows:
         writer.writerow([
             row["year"], row["window_start"], row["n_nodes"], row["n_edges"],
             "" if row["q"] is None else f"{row['q']:.9f}",
             "" if row["z"] is None else f"{row['z']:.6f}",
+            "" if row["accept_mean"] is None else f"{row['accept_mean']:.6f}",
             row["reason"] or "",
         ])
     return buf.getvalue()

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import typing
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
 
@@ -61,12 +61,10 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 5e-5
-    optimizer: str = "adamw"
     batch_size: int = 16
     max_epochs: int = 10
     patience: int = 3
     seed: int = 0
-    ft: bool = True
     mt: bool = True
     aw: bool = True
     fusion_mode: str = "gated"
@@ -79,21 +77,12 @@ class TrainConfig:
     weight_decay: float = 0.01
     mlp_hidden: int | None = None
     threshold: float = 0.5
-    frozen_checkpoint: str | None = None
 
     def __post_init__(self):
         for f in dataclass_fields(self):
             problem = _field_problem(f.name, getattr(self, f.name))
             if problem:
                 raise ValueError(problem)
-
-    def resolved(self) -> "TrainConfig":
-        """Normalize the ft flag against fusion_mode (off <=> no feature transfer)."""
-        if not self.ft and self.fusion_mode != "off":
-            return replace(self, fusion_mode="off")
-        if self.fusion_mode == "off" and self.ft:
-            return replace(self, ft=False)
-        return self
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
@@ -118,8 +107,6 @@ def _field_problem(name: str, value) -> str | None:
         return f"unknown attention_norm {value!r}"
     if name == "cross_attention" and value not in ("joint", "literal"):
         return f"unknown cross_attention {value!r}"
-    if name == "optimizer" and value != "adamw":
-        return f"unknown optimizer {value!r}"
     return None
 
 
@@ -256,7 +243,6 @@ class InteractionModel(EncoderModel):
 
     def __init__(self, config: TrainConfig,
                  frozen: FrozenTrajectoryExtractor | None = None):
-        config = config.resolved()
         self.config = config
         backbone = get_backbone(config.backbone, hidden_size=config.hidden_size,
                                 max_tokens=config.max_tokens,
@@ -366,6 +352,10 @@ class InteractionModel(EncoderModel):
         arrays, meta = load_archive(path)
         if meta.get("kind") != "interaction-model":
             raise ValueError(f"{path} is not an interaction model checkpoint")
+        stale = [key for key in meta["config"] if key not in TrainConfig.__dataclass_fields__]
+        if stale:
+            raise ValueError(f"{path}: checkpoint config key {stale[0]!r} is not a "
+                             "TrainConfig field; retrain with this version")
         config = TrainConfig(**meta["config"])
         frozen = None
         if "frozen_config" in meta:
@@ -587,7 +577,7 @@ def _fit(params: dict[str, np.ndarray], zero_grads, items: Sequence,
 
 
 def train(model: InteractionModel, examples: Sequence[LabeledExample],
-          config: TrainConfig | None = None, quiet: bool = True,
+          config: TrainConfig | None = None,
           store: FeatureStore | None = None) -> TrainResult:
     """Train on split=='train', early-stop on validation F1, restore the best.
 
@@ -601,7 +591,7 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     scored by :func:`~falcon.evalbench.compute_metrics`. ``store`` lets
     runs with the same backbone and extractor share one store.
     """
-    config = (config or model.config).resolved()
+    config = config or model.config
     train_set = [ex for ex in examples if ex.split == "train"]
     val_set = [ex for ex in examples if ex.split == "val"]
     if not train_set:
@@ -656,8 +646,6 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
             best_params = model.snapshot()
             result.best_epoch = epoch
         result.history.append(entry)
-        if not quiet:
-            print(json.dumps(entry))
         return bool(val_set) and stale >= config.patience
 
     _fit(model.all_params(), model.zero_grads, kept, config, batch_step, end_epoch)
@@ -710,10 +698,13 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
 # Prediction
 
 def predict(model: InteractionModel, candidates: Sequence[CandidateQuadruple],
-            threshold: float = 0.5, store: FeatureStore | None = None) -> list[Prediction]:
-    """Score candidates in one batched forward; context overflows are marked
+            threshold: float | None = None,
+            store: FeatureStore | None = None) -> list[Prediction]:
+    """Score candidates in one batched forward and label each by ``threshold``
+    (default: the model's ``config.threshold``); context overflows are marked
     skipped, never dropped. Reads and extends ``store`` (training passes its
     own); without one, the call fills a fresh store and drops it after."""
+    threshold = model.config.threshold if threshold is None else threshold
     store = FeatureStore.for_model(model) if store is None else store
     rows, reasons = store.fill_candidates(candidates, with_features=model.uses_features)
     ok = [i for i, reason in enumerate(reasons) if reason is None]

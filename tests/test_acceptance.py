@@ -102,7 +102,7 @@ def test_criterion_01_shape_contracts(corpus):
         ok &= cache["h_fused"][0].shape == (7 * d,)
         ok &= model.params["head.inter.W"].shape == (2, 7 * d)
 
-        off = InteractionModel(TrainConfig(hidden_size=d, ft=False, seed=1))
+        off = InteractionModel(TrainConfig(hidden_size=d, fusion_mode="off", seed=1))
         cache_off = _forward_one(off, cand)
         ok &= cache_off["h_fused"][0].shape == (5 * d,)
         ok &= off.params["head.inter.W"].shape == (2, 5 * d)

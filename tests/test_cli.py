@@ -1,13 +1,20 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import falcon
 from falcon.backbone import DeterministicStubBackbone
 from falcon.cli import main
 from falcon.dataset import load_labeled_triples
 from falcon.encoder import ContextOverflowError, canonical_entities, insert_markers
+from falcon.training import InteractionModel
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +266,58 @@ def test_polarization_rejects_fewer_than_two_null_samples(workspace):
     assert res.exit_code == 2, res.output
     assert "--null-samples" in res.output
     assert not (workspace / "one_sample.csv").exists()
+
+
+def test_predict_and_extract_label_by_the_checkpoints_threshold(workspace):
+    # Without --threshold, predict and extract label by the checkpoint's
+    # config.threshold, as eval and training validation do.
+    model = InteractionModel.load(workspace / "model.ckpt")
+    model.config = replace(model.config, threshold=0.9)
+    checkpoint = workspace / "threshold_90.ckpt"
+    model.save(checkpoint)
+    runner = CliRunner()
+    candidates = workspace / "threshold_candidates.jsonl"
+    res = runner.invoke(main, [
+        "ingest", "--docs", str(workspace / "fx" / "docs"),
+        "--triples", str(workspace / "fx" / "triples.jsonl"), "--out", str(candidates)])
+    assert res.exit_code == 0, res.output
+
+    def predicted(*flags):
+        out = workspace / "threshold_preds.jsonl"
+        res = runner.invoke(main, ["predict", "--checkpoint", str(checkpoint),
+                                   "--candidates", str(candidates), "--out", str(out), *flags])
+        assert res.exit_code == 0, res.output
+        return [json.loads(line) for line in out.read_text().splitlines()]
+
+    preds = predicted()
+    scores = [p["score"] for p in preds]
+    assert any(0.5 <= s < 0.9 for s in scores)  # 0.5 and 0.9 label these differently
+    assert [p["label"] for p in preds] == [int(s >= 0.9) for s in scores]
+    assert [p["label"] for p in predicted("--threshold", "0.5")] == [int(s >= 0.5) for s in scores]
+
+    records = workspace / "threshold_records.jsonl"
+    res = runner.invoke(main, ["extract", "--triples", str(workspace / "fx" / "triples.jsonl"),
+                               "--checkpoint", str(checkpoint), "--out", str(records)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["positives"] == sum(s >= 0.9 for s in scores)
+    assert all(json.loads(line)["score"] >= 0.9 for line in records.read_text().splitlines())
+
+
+def test_ablate_requires_frozen(workspace):
+    # Every ablation grid has the concat row, which reads the frozen extractor.
+    res = CliRunner().invoke(main, [
+        "ablate", "--data", str(workspace / "fx" / "labeled_split.jsonl"),
+        "--out-dir", str(workspace / "ablations_no_frozen")])
+    assert res.exit_code == 2, res.output
+    assert "Missing option '--frozen'" in res.output
+    assert "Traceback" not in res.output
+    assert not (workspace / "ablations_no_frozen").exists()
+
+
+def test_cli_import_leaves_urllib_request_unloaded():
+    # The HTTP client imports urllib.request when it sends, not at start-up.
+    code = "import sys, falcon.cli; print('urllib.request' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(falcon.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -13,6 +13,7 @@ from falcon.evalbench import (
     evaluate_transfer,
     run_ablations,
 )
+from falcon.fusion import FrozenTrajectoryExtractor
 from falcon.training import InteractionModel, TrainConfig, predict, pretrain_trajectory_extractor, train
 
 
@@ -109,7 +110,7 @@ def trained(request):
     corpus = request.getfixturevalue("corpus")
     examples = split_dataset(corpus.examples, seed=0)
     config = TrainConfig(hidden_size=4, max_epochs=4, learning_rate=5e-3,
-                         seed=5, ft=False)
+                         seed=5, fusion_mode="off")
     model = InteractionModel(config)
     train(model, examples, config)
     return model, examples
@@ -138,10 +139,18 @@ def test_transfer_matches_hand_scored_confusion(trained):
     assert (report.tp, report.fp, report.fn, report.tn) == (tp, fp, fn, tn)
 
 
+def _narrow_extractor():
+    # The ``concat`` row reads frozen features; this extractor has the
+    # 20-token window of the configs below, so it overflows on no more.
+    extractor = FrozenTrajectoryExtractor(hidden_size=4, max_tokens=20)
+    extractor.freeze()
+    return extractor
+
+
 def test_reports_count_skipped_candidates(corpus):
     # A 20-token window cannot hold the marked spans of some fixture
     # candidates; here only the test split holds them.
-    config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, ft=False)
+    config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, fusion_mode="off")
     model = InteractionModel(config)
     preds = predict(model, [ex.candidate for ex in corpus.examples])
     fits = [ex for ex, p in zip(corpus.examples, preds) if not p.skipped]
@@ -156,7 +165,7 @@ def test_reports_count_skipped_candidates(corpus):
     assert report.total == len(test_set)  # a skipped candidate counts as predicted negative
     assert report.to_json()["skipped"] == 4
 
-    table = run_ablations(examples, config)
+    table = run_ablations(examples, config, frozen_extractor=_narrow_extractor())
     assert [row.report.skipped for row in table.rows] == [4] * 6
     assert all(row.report.total == len(test_set) for row in table.rows)
 
@@ -165,7 +174,7 @@ def test_training_leaves_out_overflowing_examples(corpus):
     # Some candidates of every split overflow a 20-token window. Training
     # leaves the train and val ones out and counts them; test ones are
     # scored as skipped.
-    config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, ft=False)
+    config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, fusion_mode="off")
     examples = split_dataset(corpus.examples, seed=0)
     preds = predict(InteractionModel(config), [ex.candidate for ex in examples])
     overflows = {split: sum(p.skipped for ex, p in zip(examples, preds) if ex.split == split)
@@ -174,5 +183,5 @@ def test_training_leaves_out_overflowing_examples(corpus):
 
     result = train(InteractionModel(config), examples, config)
     assert result.skipped == overflows["train"] + overflows["val"]
-    table = run_ablations(examples, config)
+    table = run_ablations(examples, config, frozen_extractor=_narrow_extractor())
     assert [row.report.skipped for row in table.rows] == [overflows["test"]] * 6

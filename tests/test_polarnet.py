@@ -68,14 +68,6 @@ def test_opposing_records_cancel_but_edge_remains():
     assert len(graph.provenance[key]) == 2
 
 
-def test_drop_zero_edges_flag():
-    records = [make_record(0, "Ada", "Bo", "Cooperative"),
-               make_record(1, "Bo", "Ada", "Adversarial")]
-    graph, report = build_graph(records, ATTRS, drop_zero_edges=True)
-    assert graph.n_edges == 0
-    assert report.dropped_zero_edges == 1
-
-
 def test_empty_window_gives_empty_graph():
     records = [make_record(0, "Ada", "Bo", "Cooperative", year=1980)]
     graph, report = build_graph(records, ATTRS, time_window=(1990, 1999))
@@ -223,11 +215,13 @@ def test_verbatim_modularity_beyond_one_is_flagged_not_changed():
     assert graph.total_weight() == 2.0  # of 14 in |w|
     (row,) = polarization_series(records, attrs, n_samples=50, master_seed=1)
     assert row["q"] == modularity(graph, graph.party_partition()) == 1.5
-    assert row["z"] == standardized_modularity(graph, graph.party_partition(),
-                                               n_samples=50, master_seed=1).z
+    report = standardized_modularity(graph, graph.party_partition(),
+                                     n_samples=50, master_seed=1)
+    assert (row["z"], row["accept_mean"]) == (report.z, report.accept_mean)
     assert "--signed-mode gomez" in row["reason"]
     line = series_to_csv([row]).splitlines()[1]
-    assert line == f"1980,1980,6,8,1.500000000,{row['z']:.6f},{row['reason']}"
+    assert line == (f"1980,1980,6,8,1.500000000,{row['z']:.6f},"
+                    f"{row['accept_mean']:.6f},{row['reason']}")
     (gomez,) = polarization_series(records, attrs, n_samples=50, master_seed=1,
                                    signed_mode="gomez")
     assert gomez["reason"] is None
@@ -308,11 +302,29 @@ def test_standardized_modularity_reports_a_short_null(monkeypatch):
     assert full.accept_min == full.accept_mean == 1.0
 
     monkeypatch.setattr(polarnet, "MAX_ATTEMPT_FACTOR", 2)
-    with pytest.warns(UserWarning, match="20 of 20 null samples stopped short") as rec:
-        short = standardized_modularity(g, part, n_samples=20, master_seed=3)
-    assert len(rec) == 1
+    short = standardized_modularity(g, part, n_samples=20, master_seed=3)
     assert 0.0 < short.accept_min <= short.accept_mean <= 0.2
     assert short.to_json()["accept_min"] == short.accept_min
+
+
+def test_a_null_that_made_no_swap_scores_no_row():
+    # The 1967 graph of the README walkthrough: a path a-b, a-c, on which no
+    # double-edge swap is possible, so every null sample only permutes the
+    # two weights. Scored, it read z = -1.011 against 500 such samples.
+    attrs = {"abbott": {"party": "Republican"}, "corwin": {"party": "Republican"},
+             "hartley": {"party": "Democrat"}}
+    records = [make_record(0, "Abbott", "Corwin", "Neutral", year=1967),
+               make_record(1, "Abbott", "Hartley", "Adversarial", year=1967)]
+    graph, _ = build_graph(records, attrs)
+    assert (graph.n_nodes, graph.n_edges) == (3, 2)
+    with pytest.raises(DegenerateGraphError, match="null made no swap: weights permuted only"):
+        standardized_modularity(graph, graph.party_partition(), n_samples=500, master_seed=3)
+    (row,) = polarization_series(records, attrs, n_samples=500, master_seed=3)
+    assert (row["q"], row["z"], row["accept_mean"]) == (None, None, None)
+    assert row["reason"] == "null made no swap: weights permuted only"
+    assert series_to_csv([row]).splitlines() == [
+        "year,window_start,n_nodes,n_edges,q,z,accept_mean,reason",
+        "1967,1967,3,2,,,,null made no swap: weights permuted only"]
 
 
 def test_standardized_modularity_needs_two_samples():

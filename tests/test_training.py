@@ -26,6 +26,7 @@ from falcon.training import (
     multitask_loss_grad_c,
     predict,
     pretrain_trajectory_extractor,
+    save_archive,
     train,
     trajectory_loss,
 )
@@ -116,7 +117,7 @@ def test_multitask_gradient_matches_finite_differences():
 # model assembly / ablation wiring
 
 def test_fusion_off_head_consumes_5d():
-    config = TrainConfig(hidden_size=4, ft=False)
+    config = TrainConfig(hidden_size=4, fusion_mode="off")
     model = InteractionModel(config)
     assert model.params["head.inter.W"].shape == (2, 20)
     assert "fusion.W_gate" not in model.params
@@ -130,7 +131,7 @@ def test_full_model_head_consumes_7d(extractor):
 
 
 def test_wo_ft_mt_is_encoder_plus_linear_head():
-    config = TrainConfig(hidden_size=4, ft=False, mt=False)
+    config = TrainConfig(hidden_size=4, fusion_mode="off", mt=False)
     model = InteractionModel(config)
     assert set(model.params) == {"head.inter.W"}
     assert model.params["head.inter.W"].shape == (2, 20)
@@ -146,7 +147,7 @@ def _filled(model, batch):
 
 
 def test_mt_off_objective_is_interaction_loss_alone(corpus):
-    config = TrainConfig(hidden_size=4, ft=False, mt=False, seed=3)
+    config = TrainConfig(hidden_size=4, fusion_mode="off", mt=False, seed=3)
     model = InteractionModel(config)
     total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], None,
                                         *_filled(model, corpus.examples[:4]))
@@ -237,8 +238,8 @@ def test_objective_gradient_matches_finite_differences(name, norm):
     # entries whose gradient is ~0 from dividing rounding noise by ~0.
     d, h = 2, 1e-6
     config = replace(TrainConfig(hidden_size=d, seed=7, attention_norm=norm),
-                     **ABLATION_GRID[name]).resolved()
-    model = InteractionModel(config, frozen=_frozen(d) if config.ft else None)
+                     **ABLATION_GRID[name])
+    model = InteractionModel(config, frozen=_frozen(d) if config.fusion_mode != "off" else None)
     batch = _ragged_examples()
     filled = _filled(model, batch)
     grads = model.zero_grads()
@@ -356,7 +357,7 @@ def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
                 keys.update(input_key(t.segment, (t.person, t.time, t.location))
                             for t in decompose_candidate(ex.candidate))
         calls.clear()
-        run = replace(config, ft=ft).resolved()
+        run = replace(config, fusion_mode="gated" if ft else "off")
         result = train(InteractionModel(run, frozen=extractor if ft else None),
                        examples, run)
         assert len(result.history) == 3
@@ -458,15 +459,30 @@ def test_checkpoint_roundtrip_predict_bit_identical(tmp_path, corpus, trained_mo
     assert [p.label for p in a] == [p.label for p in b]
 
 
+@pytest.mark.parametrize("key, value", [("ft", True), ("optimizer", "adamw"),
+                                        ("frozen_checkpoint", None)])
+def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path, trained_model, key, value):
+    path = tmp_path / "old.ckpt"
+    trained_model.save(path)
+    arrays, meta = load_archive(path)
+    meta["config"][key] = value
+    save_archive(path, arrays, meta)
+    with pytest.raises(ValueError) as err:
+        InteractionModel.load(path)
+    assert str(err.value) == (f"{path}: checkpoint config key {key!r} is not a "
+                              "TrainConfig field; retrain with this version")
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text(
         "learning_rate = 0.005\nbatch_size = 8\nmax_epochs = 3\n"
-        "ft = true\nmt = false\nhidden_size = 4\n# comment line\n"
+        "aw = no\nmt = false\nhidden_size = 4\n# comment line\n"
         "fusion_mode = concat\nmlp_hidden = none\n")
     config = load_config(path, seed=42)
     assert config.learning_rate == pytest.approx(0.005)
     assert config.batch_size == 8
+    assert config.aw is False
     assert config.mt is False
     assert config.fusion_mode == "concat"
     assert config.mlp_hidden is None
@@ -479,7 +495,7 @@ def test_config_file_roundtrip(tmp_path):
     ("mt = maybe", "mt takes bool, not 'maybe'"),
     ("batch_size = 0", "batch_size must be positive"),
     ("fusion_mode = bogus", "unknown fusion_mode 'bogus'"),
-    ("optimizer = sgd", "unknown optimizer 'sgd'"),
+    ("optimizer = sgd", "unknown key 'optimizer'"),
     ("attention_norm = l2", "unknown attention_norm 'l2'"),
     ("cross_attention = bogus", "unknown cross_attention 'bogus'"),
 ])
@@ -598,8 +614,7 @@ def test_training_checkpoints_match_golden_digests(tmp_path):
     extractor, history = pretrain_trajectory_extractor(corpus.labeled_triples, config)
     extractor.save(tmp_path / "extractor.ckpt", history=history)
     for name, run in (("gated", config), ("off", replace(config, fusion_mode="off"))):
-        run = run.resolved()
-        model = InteractionModel(run, frozen=extractor if run.ft else None)
+        model = InteractionModel(run, frozen=extractor if name == "gated" else None)
         result = train(model, examples, run)
         model.save(tmp_path / f"{name}.ckpt", history=result.history)
     arrays = {name: load_archive(tmp_path / f"{name}.ckpt")[0] for name in GOLDEN_CHECKPOINTS}
