@@ -116,8 +116,8 @@ def register_backbone(name: str, factory) -> None:
     _BACKBONES[name] = factory
 
 
-def get_backbone(name: str, hidden_size: int = 4, max_tokens: int = 512,
-                 weights_path: str | None = None) -> EncoderBackbone:
+def get_backbone(name: str, hidden_size: int, max_tokens: int,
+                 weights_path: str | None) -> EncoderBackbone:
     """Instantiate a backbone by registry name.
 
     ``weights_path`` is forwarded to registered transformer factories; the

@@ -14,7 +14,18 @@ from . import evalbench, extract, fixtures, ingest, polarnet
 from . import training as tr
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a command's ValueError (bad input, ``path:line: reason`` for
+    a file) as ``Error: <message>`` with exit status 1, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main():
     """Spatio-temporal interaction extraction and polarization analysis."""
 
@@ -40,9 +51,8 @@ def ingest_cmd(docs, triples_path, out_path, errors_path):
     candidates = ingest.generate_candidates(known)
     ingest.dump_candidates(candidates, out_path)
     if errors_path:
-        with open(errors_path, "w", encoding="utf-8") as fh:
-            for err in result.errors:
-                fh.write(json.dumps({"line": err.line, "message": err.message}) + "\n")
+        ingest.write_jsonl(errors_path, ({"line": err.line, "message": err.message}
+                                         for err in result.errors))
     click.echo(json.dumps({
         "documents": len(documents), "triples": len(known),
         "triple_errors": len(result.errors), "candidates": len(candidates),
@@ -83,10 +93,8 @@ def dataset_split(in_path, out_path, seed, ratios, by_doc):
 # ---------------------------------------------------------------------------
 # training
 
-def _load_train_config(config_path, **overrides) -> tr.TrainConfig:
-    if config_path:
-        return tr.load_config(config_path, **overrides)
-    return tr.TrainConfig(**overrides)
+def _load_train_config(config_path) -> tr.TrainConfig:
+    return tr.load_config(config_path) if config_path else tr.TrainConfig()
 
 
 @main.command("pretrain-tra")
@@ -120,7 +128,7 @@ def train_cmd(config_path, data_path, out_path, frozen_path):
             raise click.UsageError("feature transfer requires --frozen checkpoint")
         frozen = tr.FrozenTrajectoryExtractor.load(frozen_path)
     model = tr.InteractionModel(config, frozen=frozen)
-    result = tr.train(model, examples, config)
+    result = tr.train(model, examples)
     model.save(out_path, history=result.history)
     click.echo(json.dumps({"epochs": len(result.history),
                            "best_epoch": result.best_epoch,
@@ -360,11 +368,9 @@ def fixture_cmd(out_dir, n_docs, seed):
     corpus = fixtures.build_fixture_corpus(n_docs=n_docs, seed=seed)
     out = Path(out_dir)
     (out / "docs").mkdir(parents=True, exist_ok=True)
-    with open(out / "docs" / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            fh.write(json.dumps({"doc_id": doc.doc_id, "title": doc.title,
-                                 "text": doc.text, "source": doc.source},
-                                ensure_ascii=False) + "\n")
+    ingest.write_jsonl(out / "docs" / "corpus.jsonl",
+                       ({"doc_id": doc.doc_id, "title": doc.title, "text": doc.text,
+                         "source": doc.source} for doc in corpus.documents))
     ingest.dump_triples(corpus.triples, out / "triples.jsonl")
     ds.dump_labeled_triples(corpus.labeled_triples, out / "trajectories.jsonl")
     ds.dump_examples(corpus.examples, out / "labeled.jsonl")

@@ -168,7 +168,7 @@ def run_ablations(examples, base_config, frozen_extractor=None,
         frozen = frozen_extractor if config.fusion_mode != "off" else None
         model = InteractionModel(config, frozen=frozen)
         store = store or FeatureStore.for_model(model, frozen_extractor)
-        train(model, examples, config, store=store)
+        train(model, examples, store=store)
         preds = predict(model, [ex.candidate for ex in test_set], store=store)
         config_hash = config.config_hash()
         table.rows.append(AblationRow(

@@ -6,8 +6,12 @@ Those vectors are filtered through a sigmoid gate, attended against the
 interaction feature via a query projection, and concatenated after the
 interaction feature: (5d | d | d) -> 7d.
 
-The pretraining loop for the frozen extractor lives in
-:mod:`falcon.training`; this module owns the ops and the extractor model.
+Both models over an entity encoder, the extractor here and
+:class:`~falcon.training.InteractionModel`, are described by one
+:class:`~falcon.training.TrainConfig`, which builds their backbone and
+encoder (:class:`EncoderModel`) and which their checkpoints record. The
+pretraining loop for the frozen extractor lives in :mod:`falcon.training`;
+this module owns the ops and the extractor model.
 """
 
 from __future__ import annotations
@@ -15,11 +19,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .backbone import get_backbone
 from .encoder import ArBertEncoder, PackedInputs, softmax
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -128,12 +136,20 @@ def fuse(h_inter: np.ndarray, h1_a: np.ndarray, h2_a: np.ndarray) -> np.ndarray:
 # Frozen trajectory extractor
 
 class EncoderModel:
-    """Parameter plumbing of a model built on an :class:`ArBertEncoder`: the
-    encoder's parameters appear as ``enc.<name>`` beside the model's own
-    ``params``."""
+    """A model built on an :class:`ArBertEncoder`, described by one
+    :class:`~falcon.training.TrainConfig`: ``config`` builds the backbone
+    and the encoder, and the encoder's parameters appear as ``enc.<name>``
+    beside the model's own ``params``."""
 
-    encoder: ArBertEncoder
     params: dict[str, np.ndarray]
+
+    def __init__(self, config: TrainConfig):
+        self.config = config
+        backbone = get_backbone(config.backbone, hidden_size=config.hidden_size,
+                                max_tokens=config.max_tokens,
+                                weights_path=config.weights_path)
+        self.encoder = ArBertEncoder(backbone, seed=config.seed,
+                                     attention_norm=config.attention_norm)
 
     def all_params(self) -> dict[str, np.ndarray]:
         out = {f"enc.{k}": v for k, v in self.encoder.params.items()}
@@ -162,17 +178,11 @@ class FrozenTrajectoryExtractor(EncoderModel):
     may call :meth:`features` but no gradient path exists into it.
     """
 
-    def __init__(self, backbone_name: str = "deterministic-stub",
-                 hidden_size: int = 4, max_tokens: int = 512,
-                 mlp_hidden: int | None = None, seed: int = 0,
-                 attention_norm: str = "softmax",
-                 weights_path: str | None = None):
-        backbone = get_backbone(backbone_name, hidden_size=hidden_size,
-                                max_tokens=max_tokens, weights_path=weights_path)
-        self.encoder = ArBertEncoder(backbone, seed=seed, attention_norm=attention_norm)
-        d = hidden_size
-        m = mlp_hidden or d
-        rng = np.random.default_rng(seed + 1)
+    def __init__(self, config: TrainConfig):
+        super().__init__(config)
+        d = config.hidden_size
+        m = config.mlp_hidden or d
+        rng = np.random.default_rng(config.seed + 1)
         self.params = {
             "mlp.W1": rng.normal(0.0, 1.0 / np.sqrt(4 * d), size=(m, 4 * d)),
             "mlp.b1": np.zeros(m),
@@ -181,15 +191,6 @@ class FrozenTrajectoryExtractor(EncoderModel):
             "head.W": rng.normal(0.0, 1.0 / np.sqrt(d), size=(2, d)),
         }
         self.frozen = False
-        self.config = {
-            "backbone": backbone_name,
-            "hidden_size": hidden_size,
-            "max_tokens": max_tokens,
-            "mlp_hidden": m,
-            "seed": seed,
-            "attention_norm": attention_norm,
-            "weights_path": weights_path,
-        }
 
     def param_checksum(self) -> str:
         digest = hashlib.sha256()
@@ -239,26 +240,18 @@ class FrozenTrajectoryExtractor(EncoderModel):
     def save(self, path: str | Path, history: list | None = None) -> None:
         from .training import save_archive
 
-        meta = {"kind": "trajectory-extractor", "config": self.config,
+        meta = {"kind": "trajectory-extractor", "config": self.config.to_dict(),
                 "frozen": self.frozen, "history": history or []}
         save_archive(path, self.all_params(), meta)
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "FrozenTrajectoryExtractor":
-        """An untrained, unfrozen extractor built from a saved ``config`` dict."""
-        return cls(backbone_name=cfg["backbone"], hidden_size=cfg["hidden_size"],
-                   max_tokens=cfg["max_tokens"], mlp_hidden=cfg["mlp_hidden"],
-                   seed=cfg["seed"], attention_norm=cfg["attention_norm"],
-                   weights_path=cfg.get("weights_path"))
-
-    @classmethod
     def load(cls, path: str | Path) -> "FrozenTrajectoryExtractor":
-        from .training import load_archive
+        from .training import config_from_meta, load_archive
 
         arrays, meta = load_archive(path)
         if meta.get("kind") != "trajectory-extractor":
             raise ValueError(f"{path} is not a trajectory extractor checkpoint")
-        extractor = cls.from_config(meta["config"])
+        extractor = cls(config_from_meta(path, meta["config"]))
         extractor.set_params(arrays)
         if meta.get("frozen"):
             extractor.freeze()

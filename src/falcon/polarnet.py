@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
@@ -213,20 +212,12 @@ def _edge_modularity(u, v, w, comm, n_nodes: int, n_comms: int,
 def randomize_null(graph: SignedGraph, seed: int) -> SignedGraph:
     """Degree-preserving double-edge swaps plus a uniform permutation of the
     original weight multiset onto the rewired edge set; deterministic under
-    ``seed``. Graphs where no swap is possible come back weight-permuted
-    with a warning.
+    ``seed``. A graph where no swap is possible comes back weight-permuted.
     """
     m = graph.n_edges
     u, v, w = graph.edge_arrays()
-    if m < 2:
-        warnings.warn("graph has fewer than 2 edges; returning weight-permuted copy")
-        u2, v2, w2, accepted = accel.rewire_edges(u, v, w, graph.n_nodes, 0, 0, seed)
-    else:
-        u2, v2, w2, accepted = accel.rewire_edges(
-            u, v, w, graph.n_nodes, SWAP_FACTOR * m, MAX_ATTEMPT_FACTOR * m, seed)
-        if accepted == 0:
-            warnings.warn("no degree-preserving swap was possible; "
-                          "returning weight-permuted copy")
+    u2, v2, w2, _ = accel.rewire_edges(
+        u, v, w, graph.n_nodes, SWAP_FACTOR * m, MAX_ATTEMPT_FACTOR * m, seed)
     null = SignedGraph(nodes=list(graph.nodes), node_attrs=graph.node_attrs)
     for i in range(m):
         a, b = int(u2[i]), int(v2[i])

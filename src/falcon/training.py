@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .backbone import get_backbone
 from .dataset import LabeledExample, LabeledTriple, decompose_candidate
 from .encoder import (
     INTERACTION_ROLES,
@@ -119,7 +118,7 @@ def _coerce(text: str, hint):
     return _BOOLS[text.lower()] if kinds[0] is bool else kinds[0](text)
 
 
-def load_config(path: str | Path, **overrides) -> TrainConfig:
+def load_config(path: str | Path) -> TrainConfig:
     """Parse a ``key = value`` config file into a TrainConfig, each value by
     its field's annotation. A line that is not ``key = value``, an unknown
     key, a value that does not parse or one out of the field's range raises
@@ -144,7 +143,16 @@ def load_config(path: str | Path, **overrides) -> TrainConfig:
             problem = _field_problem(key, values[key])
             if problem:
                 raise ValueError(f"{path}:{lineno}: {problem}")
-    values.update(overrides)
+    return TrainConfig(**values)
+
+
+def config_from_meta(path: str | Path, values: dict) -> TrainConfig:
+    """The TrainConfig a checkpoint's meta records as ``values``; a key that
+    TrainConfig no longer has raises ``ValueError("path: ...")``."""
+    stale = [key for key in values if key not in TrainConfig.__dataclass_fields__]
+    if stale:
+        raise ValueError(f"{path}: checkpoint config key {stale[0]!r} is not a "
+                         "TrainConfig field; retrain with this version")
     return TrainConfig(**values)
 
 
@@ -243,12 +251,7 @@ class InteractionModel(EncoderModel):
 
     def __init__(self, config: TrainConfig,
                  frozen: FrozenTrajectoryExtractor | None = None):
-        self.config = config
-        backbone = get_backbone(config.backbone, hidden_size=config.hidden_size,
-                                max_tokens=config.max_tokens,
-                                weights_path=config.weights_path)
-        self.encoder = ArBertEncoder(backbone, seed=config.seed,
-                                     attention_norm=config.attention_norm)
+        super().__init__(config)
         self.frozen = frozen
         if config.fusion_mode != "off":
             if frozen is None:
@@ -344,7 +347,7 @@ class InteractionModel(EncoderModel):
             arrays = dict(arrays)
             for k, v in self.frozen.all_params().items():
                 arrays[f"frozen.{k}"] = v
-            meta["frozen_config"] = self.frozen.config
+            meta["frozen_config"] = self.frozen.config.to_dict()
         save_archive(path, arrays, meta)
 
     @classmethod
@@ -352,14 +355,10 @@ class InteractionModel(EncoderModel):
         arrays, meta = load_archive(path)
         if meta.get("kind") != "interaction-model":
             raise ValueError(f"{path} is not an interaction model checkpoint")
-        stale = [key for key in meta["config"] if key not in TrainConfig.__dataclass_fields__]
-        if stale:
-            raise ValueError(f"{path}: checkpoint config key {stale[0]!r} is not a "
-                             "TrainConfig field; retrain with this version")
-        config = TrainConfig(**meta["config"])
+        config = config_from_meta(path, meta["config"])
         frozen = None
         if "frozen_config" in meta:
-            frozen = FrozenTrajectoryExtractor.from_config(meta["frozen_config"])
+            frozen = FrozenTrajectoryExtractor(config_from_meta(path, meta["frozen_config"]))
             frozen.set_params({k[len("frozen."):]: v for k, v in arrays.items()
                                if k.startswith("frozen.")})
             frozen.freeze()
@@ -406,8 +405,9 @@ class FeatureStore:
         frozen = frozen or model.frozen
         if frozen is None:
             return cls(model.encoder)
-        return cls(model.encoder, frozen, all(frozen.config.get(k) == getattr(model.config, k)
-                                              for k in BACKBONE_SETTINGS))
+        shared = all(getattr(frozen.config, k) == getattr(model.config, k)
+                     for k in BACKBONE_SETTINGS)
+        return cls(model.encoder, frozen, shared)
 
     def fill(self, views) -> tuple[np.ndarray, list[str | None]]:
         """Prepare each (segment, entities) view not stored yet; returns each
@@ -577,11 +577,11 @@ def _fit(params: dict[str, np.ndarray], zero_grads, items: Sequence,
 
 
 def train(model: InteractionModel, examples: Sequence[LabeledExample],
-          config: TrainConfig | None = None,
           store: FeatureStore | None = None) -> TrainResult:
     """Train on split=='train', early-stop on validation F1, restore the best.
 
-    Deterministic under the config seed and single-worker batch order.
+    Deterministic under ``model.config`` (its seed, epochs and patience)
+    and single-worker batch order.
     Aborts with a diagnostic when the objective stops being finite. One
     :class:`FeatureStore`, filled before the first epoch, holds each
     distinct encoder input and frozen feature; each minibatch is a gather
@@ -591,7 +591,7 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     scored by :func:`~falcon.evalbench.compute_metrics`. ``store`` lets
     runs with the same backbone and extractor share one store.
     """
-    config = config or model.config
+    config = model.config
     train_set = [ex for ex in examples if ex.split == "train"]
     val_set = [ex for ex in examples if ex.split == "val"]
     if not train_set:
@@ -600,7 +600,7 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     result = TrainResult()
     store = FeatureStore.for_model(model) if store is None else store
     rows, reasons = store.fill_candidates([ex.candidate for ex in train_set],
-                                          model.config.mt, model.uses_features)
+                                          config.mt, model.uses_features)
     kept = [i for i, reason in enumerate(reasons) if reason is None]
     val_reasons = store.fill_candidates([ex.candidate for ex in val_set],
                                         with_features=model.uses_features)[1]
@@ -666,7 +666,7 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
     """
     if not corpus:
         raise ValueError("empty trajectory corpus")
-    extractor = FrozenTrajectoryExtractor.from_config(config.to_dict())
+    extractor = FrozenTrajectoryExtractor(config)
     history: list[dict] = []
     store = FeatureStore(extractor.encoder)
     rows, reasons = store.fill([_triple_view(item.triple) for item in corpus])

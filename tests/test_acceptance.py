@@ -94,7 +94,7 @@ def test_criterion_01_shape_contracts(corpus):
         tri, _ = enc.forward(t1.segment, (t1.person, t1.time, t1.location))
         ok &= tri.shape == (4 * d,)
 
-        extractor = FrozenTrajectoryExtractor(hidden_size=d, seed=2)
+        extractor = FrozenTrajectoryExtractor(TrainConfig(hidden_size=d, seed=2))
         extractor.freeze()
         model = InteractionModel(TrainConfig(hidden_size=d, seed=1),
                                  frozen=extractor)
@@ -263,7 +263,7 @@ def test_criterion_05_frozen_extractor_contract(corpus, split_corpus):
     checksum_before = extractor.param_checksum()
 
     model = InteractionModel(config, frozen=extractor)
-    result = train(model, split_corpus, config)
+    result = train(model, split_corpus)
     n_train = sum(1 for ex in split_corpus if ex.split == "train")
     steps = len(result.history) * math.ceil(n_train / config.batch_size)
     checksum_after = extractor.param_checksum()
@@ -365,7 +365,7 @@ def test_criterion_09_fixture_training(corpus):
     cfg = TrainConfig(hidden_size=8, max_epochs=60, learning_rate=1e-2,
                       batch_size=16, seed=5, patience=60)
     model = InteractionModel(cfg, frozen=extractor)
-    train(model, examples, cfg)
+    train(model, examples)
 
     train_set = [ex for ex in examples if ex.split == "train"]
     val_set = [ex for ex in examples if ex.split == "val"]
@@ -396,7 +396,7 @@ def _run_e2e(corpus, out_dir):
     extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples, cfg)
     extractor.save(out_dir / "extractor.ckpt")
     model = InteractionModel(cfg, frozen=extractor)
-    train(model, examples, cfg)
+    train(model, examples)
     model.save(out_dir / "model.ckpt")
 
     from falcon.ingest import load_triples

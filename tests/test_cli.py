@@ -314,6 +314,36 @@ def test_ablate_requires_frozen(workspace):
     assert not (workspace / "ablations_no_frozen").exists()
 
 
+@pytest.mark.parametrize("command, reason", [
+    ("train", "no examples with split='train'"),
+    ("ablate", "no examples with split='train'"),
+    ("pretrain-tra", "{data}:1: 'person'"),
+])
+def test_bad_input_is_an_error_line_not_a_traceback(workspace, command, reason):
+    # Training reads unsplit examples; pretraining reads quadruples, not triples.
+    data = workspace / "fx" / "labeled.jsonl"
+    out = ["--out-dir", str(workspace / "bad_ablations")] if command == "ablate" else [
+        "--out", str(workspace / f"bad_{command}.ckpt")]
+    frozen = [] if command == "pretrain-tra" else ["--frozen", str(workspace / "extractor.ckpt")]
+    res = CliRunner().invoke(main, [command, "--data", str(data), *out, *frozen])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"Error: {reason.format(data=data)}\n"
+
+
+def test_ingest_errors_file_lists_each_bad_triple_line(workspace):
+    triples = workspace / "bad_triples.jsonl"
+    lines = (workspace / "fx" / "triples.jsonl").read_text().splitlines()
+    triples.write_text("\n".join([lines[0], "not json", lines[1], '{"doc_id": "é"}']) + "\n")
+    errors = workspace / "triple_errors.jsonl"
+    res = CliRunner().invoke(main, [
+        "ingest", "--docs", str(workspace / "fx" / "docs"), "--triples", str(triples),
+        "--out", str(workspace / "bad_candidates.jsonl"), "--errors", str(errors)])
+    assert res.exit_code == 0, res.output
+    written = [json.loads(line) for line in errors.read_text(encoding="utf-8").splitlines()]
+    assert [e["line"] for e in written] == [2, 4]
+    assert all(e["message"] for e in written)
+
+
 def test_cli_import_leaves_urllib_request_unloaded():
     # The HTTP client imports urllib.request when it sends, not at start-up.
     code = "import sys, falcon.cli; print('urllib.request' in sys.modules)"

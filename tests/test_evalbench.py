@@ -112,7 +112,7 @@ def trained(request):
     config = TrainConfig(hidden_size=4, max_epochs=4, learning_rate=5e-3,
                          seed=5, fusion_mode="off")
     model = InteractionModel(config)
-    train(model, examples, config)
+    train(model, examples)
     return model, examples
 
 
@@ -142,7 +142,7 @@ def test_transfer_matches_hand_scored_confusion(trained):
 def _narrow_extractor():
     # The ``concat`` row reads frozen features; this extractor has the
     # 20-token window of the configs below, so it overflows on no more.
-    extractor = FrozenTrajectoryExtractor(hidden_size=4, max_tokens=20)
+    extractor = FrozenTrajectoryExtractor(TrainConfig(hidden_size=4, max_tokens=20))
     extractor.freeze()
     return extractor
 
@@ -181,7 +181,7 @@ def test_training_leaves_out_overflowing_examples(corpus):
                  for split in ("train", "val", "test")}
     assert min(overflows.values()) > 0
 
-    result = train(InteractionModel(config), examples, config)
+    result = train(InteractionModel(config), examples)
     assert result.skipped == overflows["train"] + overflows["val"]
     table = run_ablations(examples, config, frozen_extractor=_narrow_extractor())
     assert [row.report.skipped for row in table.rows] == [overflows["test"]] * 6

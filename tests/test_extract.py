@@ -73,7 +73,7 @@ def trained(request):
     extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples, config)
     examples = split_dataset(corpus.examples, seed=0)
     model = InteractionModel(config, frozen=extractor)
-    train(model, examples, config)
+    train(model, examples)
     return model
 
 

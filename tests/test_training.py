@@ -225,7 +225,7 @@ def _ragged_examples():
 
 
 def _frozen(d, norm="softmax"):
-    extractor = FrozenTrajectoryExtractor(hidden_size=d, seed=4, attention_norm=norm)
+    extractor = FrozenTrajectoryExtractor(TrainConfig(hidden_size=d, seed=4, attention_norm=norm))
     extractor.freeze()
     return extractor
 
@@ -296,7 +296,7 @@ def test_training_loss_decreases_most_epochs(corpus, extractor):
     config = TrainConfig(hidden_size=4, max_epochs=10, learning_rate=5e-3,
                          seed=5, patience=10)
     model = InteractionModel(config, frozen=extractor)
-    result = train(model, examples, config)
+    result = train(model, examples)
     losses = [h["loss"] for h in result.history]
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
     assert drops >= 0.8 * (len(losses) - 1)
@@ -308,7 +308,7 @@ def test_training_deterministic_under_seed(corpus, extractor):
     histories = []
     for _ in range(2):
         model = InteractionModel(config, frozen=extractor)
-        histories.append(train(model, examples, config).history)
+        histories.append(train(model, examples).history)
     assert histories[0] == histories[1]
 
 
@@ -319,14 +319,14 @@ def test_training_divergence_aborts(corpus, extractor):
     model = InteractionModel(config, frozen=extractor)
     model.params["head.inter.W"][:] = np.inf
     with pytest.raises(TrainingDiverged):
-        train(model, examples, config)
+        train(model, examples)
 
 
 def test_no_train_split_is_error(corpus, extractor):
     config = TrainConfig(hidden_size=4, seed=1)
     model = InteractionModel(config, frozen=extractor)
     with pytest.raises(ValueError, match="train"):
-        train(model, corpus.examples, config)
+        train(model, corpus.examples)
 
 
 def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
@@ -358,8 +358,7 @@ def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
                             for t in decompose_candidate(ex.candidate))
         calls.clear()
         run = replace(config, fusion_mode="gated" if ft else "off")
-        result = train(InteractionModel(run, frozen=extractor if ft else None),
-                       examples, run)
+        result = train(InteractionModel(run, frozen=extractor if ft else None), examples)
         assert len(result.history) == 3
         assert len(calls) == len(keys), f"ft={ft}"
 
@@ -371,7 +370,7 @@ def test_training_leaves_out_examples_the_frozen_window_cannot_hold():
     extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples, narrow)
     config = TrainConfig(hidden_size=4, max_epochs=2, seed=5)
     model = InteractionModel(config, frozen=extractor)
-    result = train(model, examples, config)
+    result = train(model, examples)
     preds = predict(model, [ex.candidate for ex in examples if ex.split != "test"])
     assert result.skipped == sum(p.skipped for p in preds) > 0
     assert all("window holds 19" in p.reason for p in preds if p.skipped)
@@ -395,7 +394,7 @@ def trained_model(request, extractor):
     config = TrainConfig(hidden_size=4, max_epochs=4, learning_rate=5e-3,
                          seed=5, patience=10)
     model = InteractionModel(config, frozen=extractor)
-    train(model, examples, config)
+    train(model, examples)
     return model
 
 
@@ -429,7 +428,7 @@ def test_validation_is_prediction_on_the_training_store(corpus, extractor):
     examples = split_dataset(corpus.examples, seed=0)
     config = TrainConfig(hidden_size=4, max_epochs=1, learning_rate=5e-3, seed=5)
     model = InteractionModel(config, frozen=extractor)
-    result = train(model, examples, config)
+    result = train(model, examples)
     assert result.best_epoch == 0  # the model holds the last epoch's parameters
 
     val_set = [ex for ex in examples if ex.split == "val"]
@@ -462,15 +461,41 @@ def test_checkpoint_roundtrip_predict_bit_identical(tmp_path, corpus, trained_mo
 @pytest.mark.parametrize("key, value", [("ft", True), ("optimizer", "adamw"),
                                         ("frozen_checkpoint", None)])
 def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path, trained_model, key, value):
+    # A model's config, the config of its frozen extractor, and an extractor
+    # checkpoint's config are each refused.
     path = tmp_path / "old.ckpt"
-    trained_model.save(path)
+    for field, save, load in (
+            ("config", trained_model.save, InteractionModel.load),
+            ("frozen_config", trained_model.save, InteractionModel.load),
+            ("config", trained_model.frozen.save, FrozenTrajectoryExtractor.load)):
+        save(path)
+        arrays, meta = load_archive(path)
+        meta[field][key] = value
+        save_archive(path, arrays, meta)
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == (f"{path}: checkpoint config key {key!r} is not a "
+                                  "TrainConfig field; retrain with this version"), field
+
+
+def test_extractor_checkpoint_with_the_old_seven_key_config_loads(tmp_path, corpus, extractor):
+    # Extractor checkpoints once stored these seven keys, mlp_hidden resolved.
+    path = tmp_path / "extractor.ckpt"
+    extractor.save(path)
     arrays, meta = load_archive(path)
-    meta["config"][key] = value
+    cfg = extractor.config
+    meta["config"] = {"backbone": cfg.backbone, "hidden_size": cfg.hidden_size,
+                      "max_tokens": cfg.max_tokens, "mlp_hidden": cfg.hidden_size,
+                      "seed": cfg.seed, "attention_norm": cfg.attention_norm,
+                      "weights_path": cfg.weights_path}
     save_archive(path, arrays, meta)
-    with pytest.raises(ValueError) as err:
-        InteractionModel.load(path)
-    assert str(err.value) == (f"{path}: checkpoint config key {key!r} is not a "
-                              "TrainConfig field; retrain with this version")
+    loaded = FrozenTrajectoryExtractor.load(path)
+    assert loaded.frozen
+    assert loaded.param_checksum() == extractor.param_checksum()
+    t = corpus.labeled_triples[0].triple
+    view = (t.segment, (t.person, t.time, t.location))
+    assert np.array_equal(loaded.features(loaded.encoder.prepare(*view)),
+                          extractor.features(extractor.encoder.prepare(*view)))
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -478,8 +503,8 @@ def test_config_file_roundtrip(tmp_path):
     path.write_text(
         "learning_rate = 0.005\nbatch_size = 8\nmax_epochs = 3\n"
         "aw = no\nmt = false\nhidden_size = 4\n# comment line\n"
-        "fusion_mode = concat\nmlp_hidden = none\n")
-    config = load_config(path, seed=42)
+        "fusion_mode = concat\nmlp_hidden = none\nseed = 42\n")
+    config = load_config(path)
     assert config.learning_rate == pytest.approx(0.005)
     assert config.batch_size == 8
     assert config.aw is False
@@ -615,7 +640,7 @@ def test_training_checkpoints_match_golden_digests(tmp_path):
     extractor.save(tmp_path / "extractor.ckpt", history=history)
     for name, run in (("gated", config), ("off", replace(config, fusion_mode="off"))):
         model = InteractionModel(run, frozen=extractor if name == "gated" else None)
-        result = train(model, examples, run)
+        result = train(model, examples)
         model.save(tmp_path / f"{name}.ckpt", history=result.history)
     arrays = {name: load_archive(tmp_path / f"{name}.ckpt")[0] for name in GOLDEN_CHECKPOINTS}
     for name, reference in PER_EXAMPLE_REFERENCE.items():
