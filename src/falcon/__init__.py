@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .dataset import LabeledExample, split_dataset, summarize
-from .encoder import ArBertEncoder, insert_markers, pool_occurrence
+from .encoder import ArBertEncoder, insert_markers, pool_spans
 from .evalbench import compute_metrics, evaluate_transfer, run_ablations
 from .extract import classify_type, extract_corpus, normalize_time
 from .fusion import FrozenTrajectoryExtractor, fuse

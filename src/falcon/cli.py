@@ -113,6 +113,15 @@ def pretrain_tra_cmd(config_path, data_path, out_path):
                            "config_hash": config.config_hash()}))
 
 
+def _load_training_examples(data_path) -> list:
+    """The labeled examples of ``data_path``, which must have a train split."""
+    examples = ds.load_examples(data_path)
+    if not any(ex.split == "train" for ex in examples):
+        raise ValueError(f"{data_path}: no examples with split='train' "
+                         "(run falcon dataset split)")
+    return examples
+
+
 @main.command("train")
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
@@ -121,7 +130,7 @@ def pretrain_tra_cmd(config_path, data_path, out_path):
 def train_cmd(config_path, data_path, out_path, frozen_path):
     """Train the interaction classifier; keeps the best validation-F1 epoch."""
     config = _load_train_config(config_path)
-    examples = ds.load_examples(data_path)
+    examples = _load_training_examples(data_path)
     frozen = None
     if config.fusion_mode != "off":
         if not frozen_path:
@@ -189,7 +198,7 @@ def eval_cmd(checkpoint, data_path, split, out_path):
 def ablate_cmd(config_path, data_path, out_dir, frozen_path):
     """Run the six-configuration ablation grid and write CSV + text tables."""
     config = _load_train_config(config_path)
-    examples = ds.load_examples(data_path)
+    examples = _load_training_examples(data_path)
     frozen = tr.FrozenTrajectoryExtractor.load(frozen_path)
     table = evalbench.run_ablations(examples, config, frozen_extractor=frozen,
                                     dataset_id=str(data_path))

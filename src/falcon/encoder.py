@@ -8,25 +8,29 @@ and concatenates [CLS, e_1..e_n] into a single feature vector of dimension
 (n+1)*d. Forward passes cache enough to run an exact manual backward for
 all encoder parameters (the backbone itself is not trained here).
 
-The encoder splits at the frozen/trainable boundary: :meth:`ArBertEncoder.prepare`
-runs everything that depends only on (backbone, segment, entity spans) --
-markers, tokenization, the backbone and occurrence pooling -- into a
-:class:`PackedInputs` of one input, and :meth:`ArBertEncoder.forward_batch`
-runs the trainable rest over packs of many (see :func:`pack`), so a
-training loop can prepare each distinct input once and step in
-minibatches. Every training and scoring path runs the batched forward;
-:meth:`ArBertEncoder.forward` is the batch of one that the gradient checks use.
+The encoder splits at the frozen/trainable boundary. The frozen half
+depends only on (backbone, segment, entity spans) and runs in two steps:
+:meth:`ArBertEncoder.mark` inserts the markers and tokenizes one input into
+a :class:`MarkedInput` (here a window overflow is known), and
+:meth:`ArBertEncoder.encode_marked` runs the backbone and occurrence pooling
+of many marked inputs, one backbone call and one pooling gather per run of
+at most ``ENCODE_BUDGET`` padded token rows, into a :class:`PackedInputs`.
+:meth:`ArBertEncoder.prepare` is that path for one input.
+:meth:`ArBertEncoder.forward_batch` runs the trainable rest over packs of
+many (see :func:`pack`), so a training loop can prepare each distinct input
+once and step in minibatches. Every training and scoring path runs the
+batched forward; :meth:`ArBertEncoder.forward` is the batch of one that the
+gradient checks use.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .backbone import EncoderBackbone, Token
+from .backbone import EncoderBackbone
 from .ingest import EntityMention, TextSegment
 
 MARKERS = {"Person1": "#", "Person2": "$", "Time": "*", "Location": "&", "Person": "#"}
@@ -37,6 +41,11 @@ TRAJECTORY_ROLES = ("Person", "Time", "Location")
 # Parameter key per role; cls has its own projection.
 ROLE_KEYS = ("cls", "person1", "person2", "person", "time", "location")
 
+# Padded token rows per backbone call (see :meth:`ArBertEncoder.encode_marked`).
+# Measured on the perfbench ``train`` pass: from 256 to 4,096 rows its time
+# stays flat within noise, while its peak RSS grows with the budget.
+ENCODE_BUDGET = 512
+
 
 class ContextOverflowError(Exception):
     """Marked occurrences cannot fit inside one backbone window."""
@@ -46,10 +55,12 @@ class MarkerOverlapError(ValueError):
     """Occurrence spans of different entities overlap."""
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MarkedInput:
-    marked_text: str
-    tokens: list[Token]
+    """One marked input, windowed: what the backbone encodes of it."""
+
+    roles: tuple[str, ...]
+    tokens: list[str]
     entity_spans: list[tuple[tuple[int, int], ...]]  # per entity, matrix coords, inclusive
 
 
@@ -87,24 +98,14 @@ def insert_markers(segment: TextSegment, entities: Sequence[EntityMention],
                 f"({entities[ei].role} {entities[ei].surface!r})")
         prev_end = end
 
-    text = segment.text
-    pieces: list[str] = []
-    pos = 0
+    cuts = []
     for start, end, ei, _ in flat:
         marker = MARKERS[entities[ei].role]
-        pieces += [text[pos:start], marker, text[start:end], marker]
-        pos = end
-    pieces.append(text[pos:])
-    marked_text = "".join(pieces)
-
-    tokens = backbone.tokenize_with_offsets(marked_text)
-    starts = [tok.start for tok in tokens]
-    ends = [tok.end for tok in tokens]
+        cuts += [(start, marker), (end, marker)]
+    tokens, brackets = backbone.tokenize_marked(segment.text, cuts)
     entity_token_spans = [[(0, 0)] * len(ent.occurrences) for ent in entities]
-    for j, (start, end, ei, oi) in enumerate(flat):
-        # the j-th occurrence in text order sits behind 2j + 1 markers
-        first = bisect_left(starts, start + 2 * j + 1)
-        last = bisect_right(ends, end + 2 * j + 1) - 1
+    for j, (_, _, ei, oi) in enumerate(flat):
+        first, last = brackets[2 * j] + 1, brackets[2 * j + 1] - 1
         if last < first:
             raise ValueError(
                 f"occurrence of {entities[ei].surface!r} produced no tokens")
@@ -131,16 +132,22 @@ def insert_markers(segment: TextSegment, entities: Sequence[EntityMention],
     # shift token coords by +1: row 0 of the hidden matrix is CLS
     matrix_spans = [tuple((c + 1, d + 1) for (c, d) in spans)
                     for spans in entity_token_spans]
-    return MarkedInput(marked_text=marked_text, tokens=tokens,
+    return MarkedInput(roles=tuple(e.role for e in entities), tokens=tokens,
                        entity_spans=matrix_spans)
 
 
-def pool_occurrence(hidden: np.ndarray, span: tuple[int, int]) -> np.ndarray:
-    """Arithmetic mean of hidden rows span[0]..span[1] inclusive."""
-    c, d = span
-    if not (0 <= c <= d < hidden.shape[0]):
-        raise ValueError(f"span ({c},{d}) out of range for {hidden.shape[0]} rows")
-    return hidden[c:d + 1].mean(axis=0)
+def pool_spans(hidden: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of rows first[m]..last[m] (inclusive) of ``hidden``
+    (R, d), for each m: one gather padded to the longest span, zeroed past
+    each span's end and summed in row order, so each row equals
+    ``hidden[first[m]:last[m] + 1].mean(axis=0)`` bit for bit."""
+    if not (0 <= first.min() and (first <= last).all() and last.max() < len(hidden)):
+        raise ValueError(f"a span is empty or out of range for {len(hidden)} rows")
+    counts = last - first + 1
+    index = first[:, None] + np.arange(counts.max())
+    rows = hidden[np.minimum(index, last[:, None])]
+    rows[index > last[:, None]] = 0.0
+    return rows.sum(axis=1) / counts[:, None]
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -227,6 +234,22 @@ def pack(packs: Sequence[PackedInputs]) -> PackedInputs:
     return PackedInputs(roles, np.concatenate([p.cls for p in packs]), occ, mask)
 
 
+def _budget_runs(marked: Sequence[MarkedInput]):
+    """Consecutive runs of ``marked`` whose padded backbone block, inputs
+    times (1 + longest token list) rows, holds at most ``ENCODE_BUDGET``
+    rows; an input longer than that is a run of its own."""
+    run: list[MarkedInput] = []
+    longest = 0
+    for m in marked:
+        longest = max(longest, len(m.tokens) + 1)
+        if run and (len(run) + 1) * longest > ENCODE_BUDGET:
+            yield run
+            run, longest = [], len(m.tokens) + 1
+        run.append(m)
+    if run:
+        yield run
+
+
 @dataclass
 class EncoderCache:
     """What :meth:`ArBertEncoder.backward` reads of a batched forward."""
@@ -276,24 +299,42 @@ class ArBertEncoder:
     def hidden_size(self) -> int:
         return self.backbone.hidden_size
 
+    def mark(self, segment: TextSegment, entities: Sequence[EntityMention]) -> MarkedInput:
+        """Markers and tokenization of one input, entities in canonical role
+        order. Raises :class:`ContextOverflowError` when the marked spans
+        overflow the backbone window."""
+        return insert_markers(segment, canonical_entities(entities), self.backbone)
+
+    def encode_marked(self, marked: Sequence[MarkedInput]) -> PackedInputs:
+        """The backbone and occurrence pooling of marked inputs of one role
+        layout, as one pack: one backbone call and one pooling gather per
+        run of inputs whose padded block stays within ``ENCODE_BUDGET``."""
+        k = max(len(spans) for m in marked for spans in m.entity_spans)
+        cls = np.empty((len(marked), self.hidden_size))
+        occ = np.zeros((len(marked), len(marked[0].roles), k, self.hidden_size))
+        mask = np.zeros(occ.shape[:3], dtype=bool)
+        done = 0
+        for run in _budget_runs(marked):
+            hidden = self.backbone.encode_batch([m.tokens for m in run])
+            n = hidden.shape[1]
+            # per occurrence: (input, slot, occurrence, first row, last row)
+            cells = np.array([(done + i, s, o, i * n + c, i * n + e)
+                              for i, m in enumerate(run)
+                              for s, spans in enumerate(m.entity_spans)
+                              for o, (c, e) in enumerate(spans)])
+            at = (cells[:, 0], cells[:, 1], cells[:, 2])
+            occ[at] = pool_spans(hidden.reshape(n * len(run), -1), cells[:, 3], cells[:, 4])
+            mask[at] = True
+            cls[done:done + len(run)] = hidden[:, 0]
+            done += len(run)
+        return PackedInputs(marked[0].roles, cls, occ, mask)
+
     def prepare(self, segment: TextSegment,
                 entities: Sequence[EntityMention]) -> PackedInputs:
         """Markers, tokenization, backbone and occurrence pooling: the part of
-        :meth:`forward` that no encoder parameter reaches, as a pack of one.
-        Raises :class:`ContextOverflowError` when the marked spans overflow
-        the backbone window."""
-        entities = canonical_entities(entities)
-        marked = insert_markers(segment, entities, self.backbone)
-        hidden = self.backbone.encode([t.text for t in marked.tokens])
-        spans = marked.entity_spans
-        occ = np.zeros((1, len(spans), max(map(len, spans)), self.hidden_size))
-        mask = np.zeros(occ.shape[:3], dtype=bool)
-        for s, entity_spans in enumerate(spans):
-            for o, span in enumerate(entity_spans):
-                occ[0, s, o] = pool_occurrence(hidden, span)
-            mask[0, s, :len(entity_spans)] = True
-        # a copy: a view of the CLS row would keep all of ``hidden`` alive
-        return PackedInputs(tuple(e.role for e in entities), hidden[:1].copy(), occ, mask)
+        :meth:`forward` that no encoder parameter reaches, as a pack of one
+        (:meth:`mark`, then :meth:`encode_marked`)."""
+        return self.encode_marked([self.mark(segment, entities)])
 
     def forward_batch(self, packed: PackedInputs):
         """Occurrence attention, tanh and the role projections of a batch of

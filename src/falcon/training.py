@@ -26,6 +26,7 @@ from .encoder import (
     TRAJECTORY_ROLES,
     ArBertEncoder,
     ContextOverflowError,
+    MarkedInput,
     PackedInputs,
     input_key,
     pack,
@@ -379,8 +380,11 @@ class FeatureStore:
     in the pack of its role layout, ``features`` a trajectory view's key to
     its row of frozen-extractor features. A filled candidate is a row of
     indices (interaction, trajectories 1 and 2, features 1 and 2; -1 when
-    not filled); a batch gathers the packs by them. The extractor reads its
-    inputs from ``frozen_inputs``: the store itself when ``shared`` (its
+    not filled); a batch gathers the packs by them. A new input is marked
+    when it is filled, so a window overflow is known per candidate; its
+    backbone pass and pooling wait for :meth:`packed`, which runs them for
+    every input of the layout marked since, in batches. The extractor reads
+    its inputs from ``frozen_inputs``: the store itself when ``shared`` (its
     backbone settings equal the model's), else a store of its own encoder.
     """
 
@@ -392,8 +396,8 @@ class FeatureStore:
                               else FeatureStore(frozen.encoder))
         self.inputs: dict[tuple, int] = {}
         self.features: dict[tuple, int] = {}
-        self._packs: dict[tuple, PackedInputs] = {}  # per role layout, merged
-        self._added: dict[tuple, list[PackedInputs]] = {}  # since the last merge
+        self._packs: dict[tuple, PackedInputs] = {}  # per role layout
+        self._marked: dict[tuple, list[MarkedInput]] = {}  # not encoded yet
         self._features = np.empty((0, encoder.hidden_size))
         self._pending: list[int] = []  # frozen_inputs rows of features not computed yet
 
@@ -450,11 +454,11 @@ class FeatureStore:
     def _input(self, segment, entities) -> int:
         key = input_key(segment, entities)
         if key not in self.inputs:
-            prepared = self.encoder.prepare(segment, entities)
-            added = self._added.setdefault(prepared.roles, [])
-            merged = self._packs.get(prepared.roles)
-            self.inputs[key] = len(added) + (0 if merged is None else len(merged.cls))
-            added.append(prepared)
+            marked = self.encoder.mark(segment, entities)
+            pending = self._marked.setdefault(marked.roles, [])
+            packed = self._packs.get(marked.roles)
+            self.inputs[key] = len(pending) + (0 if packed is None else len(packed.cls))
+            pending.append(marked)
         return self.inputs[key]
 
     def _feature(self, segment, entities) -> int:
@@ -465,12 +469,13 @@ class FeatureStore:
         return self.features[key]
 
     def packed(self, roles: tuple[str, ...]) -> PackedInputs:
-        """Every stored input of one role layout in one pack (merged with
-        the inputs of that layout added since the last call)."""
-        added = self._added.pop(roles, [])
-        if added:
+        """Every stored input of one role layout in one pack (the inputs of
+        that layout marked since the last call encoded and merged in)."""
+        marked = self._marked.pop(roles, [])
+        if marked:
+            added = self.encoder.encode_marked(marked)
             merged = self._packs.get(roles)
-            self._packs[roles] = pack(added if merged is None else [merged, *added])
+            self._packs[roles] = added if merged is None else pack([merged, added])
         return self._packs[roles]
 
     def gather(self, rows: np.ndarray, with_tra: bool = False):

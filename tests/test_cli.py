@@ -315,8 +315,8 @@ def test_ablate_requires_frozen(workspace):
 
 
 @pytest.mark.parametrize("command, reason", [
-    ("train", "no examples with split='train'"),
-    ("ablate", "no examples with split='train'"),
+    ("train", "{data}: no examples with split='train' (run falcon dataset split)"),
+    ("ablate", "{data}: no examples with split='train' (run falcon dataset split)"),
     ("pretrain-tra", "{data}:1: 'person'"),
 ])
 def test_bad_input_is_an_error_line_not_a_traceback(workspace, command, reason):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from falcon.backbone import DeterministicStubBackbone
+from falcon.backbone import DeterministicStubBackbone, EncoderBackbone, mark
 from falcon.encoder import (
+    ENCODE_BUDGET,
     MARKERS,
     ArBertEncoder,
     ContextOverflowError,
@@ -12,7 +13,8 @@ from falcon.encoder import (
     attend,
     canonical_entities,
     insert_markers,
-    pool_occurrence,
+    pack,
+    pool_spans,
 )
 from falcon.ingest import EntityMention, TextSegment
 
@@ -48,6 +50,46 @@ def _windowed_mean_loop(keys, win):
     return np.array([keys[max(0, p - win):p + win + 1].mean() for p in range(len(keys))])
 
 
+def _tokenize_loop(text):
+    """Reference tokenizer: runs split at ``str.isspace`` and marker characters,
+    each marker character a token of its own."""
+    tokens, i = [], 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i + 1
+        if text[i] not in "#$*&":
+            while j < len(text) and not text[j].isspace() and text[j] not in "#$*&":
+                j += 1
+        tokens.append((text[i:j], i, j))
+        i = j
+    return tokens
+
+
+def test_stub_tokenizer_matches_loop_reference():
+    rng = np.random.default_rng(4)
+    backbone = DeterministicStubBackbone(hidden_size=4)
+    alphabet = list("ab,.'#$*&") + [" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2003",
+                                     "\u3000", "\u200b", "é"]
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet, int(rng.integers(0, 40))))
+        got = [(tok.text, tok.start, tok.end) for tok in backbone.tokenize_with_offsets(text)]
+        assert got == _tokenize_loop(text)
+
+
+def _stub_rows_formula(backbone, tokens):
+    """The stub's formula over one token list in NumPy, its windowed mean
+    taken by a loop: the same operations as the stub, so equal bit for bit."""
+    keys = np.array([backbone.token_key(t) for t in ["[CLS]"] + list(tokens)])
+    local = _windowed_mean_loop(keys, backbone.context_window)
+    pos = np.arange(1, len(keys) + 1)[:, None]
+    dims = np.arange(1, backbone.hidden_size + 1)[None, :]
+    return (np.sin(pos * dims * 0.7 + 2.0 * math.pi * keys[:, None])
+            + 0.5 * np.cos(dims * (1.0 + keys.mean()))
+            + 0.7 * np.sin(dims * 2.1 + 2.0 * math.pi * local[:, None]))
+
+
 def test_stub_windowed_mean_matches_loop_formula_bit_for_bit():
     rng = np.random.default_rng(12)
     for win in (1, 2, 3):
@@ -56,14 +98,24 @@ def test_stub_windowed_mean_matches_loop_formula_bit_for_bit():
         lengths = list(range(2 * win + 3)) + [int(n) for n in rng.integers(1, 200, 40)]
         for n in lengths:
             tokens = ["".join(chr(c) for c in rng.integers(97, 123, 5)) for _ in range(n)]
-            keys = np.array([backbone.token_key(t) for t in ["[CLS]"] + tokens])
-            local = _windowed_mean_loop(keys, win)
-            pos = np.arange(1, n + 2)[:, None]
-            dims = np.arange(1, 5)[None, :]
-            want = (np.sin(pos * dims * 0.7 + 2.0 * math.pi * keys[:, None])
-                    + 0.5 * np.cos(dims * (1.0 + keys.mean()))
-                    + 0.7 * np.sin(dims * 2.1 + 2.0 * math.pi * local[:, None]))
-            assert np.array_equal(backbone.encode(tokens), want)
+            assert np.array_equal(backbone.encode(tokens), _stub_rows_formula(backbone, tokens))
+
+
+def test_encode_batch_rows_equal_encode_and_oracle_on_ragged_batches():
+    rng = np.random.default_rng(21)
+    for d, max_tokens in ((4, 64), (8, 64), (16, 512)):
+        backbone = DeterministicStubBackbone(hidden_size=d, max_tokens=max_tokens)
+        lengths = [1, max_tokens] + [int(n) for n in rng.integers(1, max_tokens + 1, 30)]
+        batch = [["".join(chr(c) for c in rng.integers(97, 123, int(rng.integers(1, 8))))
+                  for _ in range(n)] for n in lengths]
+        hidden = backbone.encode_batch(batch)
+        assert hidden.shape == (len(batch), max_tokens + 1, d)
+        for b, tokens in enumerate(batch):
+            rows = hidden[b, :len(tokens) + 1]
+            assert rows.tobytes() == backbone.encode(tokens).tobytes()
+            assert rows.tobytes() == _stub_rows_formula(backbone, tokens).tobytes()
+            # math.sin and np.sin may differ in the last place
+            assert np.allclose(rows, _stub_rows_oracle(tokens, d), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +124,9 @@ def test_stub_windowed_mean_matches_loop_formula_bit_for_bit():
 def test_marker_scheme_on_canonical_sentence():
     backbone = DeterministicStubBackbone(hidden_size=4)
     marked = insert_markers(seg_of(FIG_TEXT), fig_entities(), backbone)
-    assert marked.marked_text == "#Niemans# met $Berg$ in &The Hague& in *1950*"
+    assert marked.tokens == ["#", "Niemans", "#", "met", "$", "Berg", "$", "in",
+                             "&", "The", "Hague", "&", "in", "*", "1950", "*"]
+    assert marked.entity_spans == [((2, 2),), ((6, 6),), ((15, 15),), ((10, 11),)]
 
 
 def test_trajectory_person_uses_hash_marker():
@@ -81,7 +135,8 @@ def test_trajectory_person_uses_hash_marker():
                 mention("Location", "The Hague", text)]
     backbone = DeterministicStubBackbone(hidden_size=4)
     marked = insert_markers(seg_of(text), entities, backbone)
-    assert marked.marked_text == "#Niemans# in &The Hague& in *1950*"
+    assert marked.tokens == ["#", "Niemans", "#", "in", "&", "The", "Hague", "&",
+                             "in", "*", "1950", "*"]
 
 
 def test_two_occurrences_both_wrapped():
@@ -90,7 +145,7 @@ def test_two_occurrences_both_wrapped():
                 mention("Time", "1950", text), mention("Location", "Oslo", text)]
     backbone = DeterministicStubBackbone(hidden_size=4)
     marked = insert_markers(seg_of(text), canonical_entities(entities), backbone)
-    assert marked.marked_text.count("$") == 4
+    assert marked.tokens.count("$") == 4
     berg_spans = marked.entity_spans[1]
     assert len(berg_spans) == 2
 
@@ -106,12 +161,14 @@ def test_token_spans_detokenize_to_surfaces():
           mention("Location", "The Hague", "Both Ada and Berg lived in The Hague in 1950, Ada said.")]),
     ]:
         marked = insert_markers(seg_of(text), entities, backbone)
+        marked_text = _scan_token_spans(text, entities, backbone)[0]
+        ref = backbone.tokenize_with_offsets(marked_text)
+        assert marked.tokens == [tok.text for tok in ref]
         for ent, spans in zip(entities, marked.entity_spans):
             for c, d in spans:
                 # matrix coords -> token coords
-                toks = marked.tokens[c - 1:d]
-                start, end = toks[0].start, toks[-1].end
-                recovered = marked.marked_text[start:end]
+                start, end = ref[c - 1].start, ref[d - 1].end
+                recovered = marked_text[start:end]
                 assert " ".join(recovered.split()).casefold() == ent.norm
 
 
@@ -134,10 +191,14 @@ def test_window_selected_when_text_long():
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=64)
     marked = insert_markers(seg_of(text), entities, backbone)
     assert len(marked.tokens) == 63
+    marked_text, full_spans = _scan_token_spans(text, entities, backbone)
+    ref = backbone.tokenize_with_offsets(marked_text)
+    offset = full_spans[0][0][0] - (marked.entity_spans[0][0][0] - 1)
+    assert marked.tokens == [tok.text for tok in ref[offset:offset + 63]]
     for ent, spans in zip(entities, marked.entity_spans):
         for c, d in spans:
-            toks = marked.tokens[c - 1:d]
-            got = marked.marked_text[toks[0].start:toks[-1].end]
+            toks = ref[offset + c - 1:offset + d]
+            got = marked_text[toks[0].start:toks[-1].end]
             assert " ".join(got.split()).casefold() == ent.norm
 
 
@@ -201,7 +262,7 @@ def test_token_spans_match_scan_reference():
         segment, entities = _random_segment(rng, 3 if case % 2 else 40)
         want_text, want = _scan_token_spans(segment.text, entities, unbounded)
         full = insert_markers(segment, entities, unbounded)
-        assert full.marked_text == want_text
+        assert full.tokens == [tok.text for tok in unbounded.tokenize_with_offsets(want_text)]
         assert full.entity_spans == [tuple((c + 1, d + 1) for c, d in s) for s in want]
         # the smallest window that holds every occurrence, plus some slack
         lo = min(c for s in want for c, _ in s)
@@ -209,7 +270,7 @@ def test_token_spans_match_scan_reference():
         small = DeterministicStubBackbone(hidden_size=4,
                                           max_tokens=hi - lo + 2 + int(rng.integers(0, 4)))
         marked = insert_markers(segment, entities, small)
-        offset = full.tokens.index(marked.tokens[0])
+        offset = full.entity_spans[0][0][0] - marked.entity_spans[0][0][0]
         windowed += offset > 0 or len(marked.tokens) < len(full.tokens)
         assert marked.tokens == full.tokens[offset:offset + len(marked.tokens)]
         assert marked.entity_spans == [tuple((c - offset + 1, d - offset + 1) for c, d in s)
@@ -217,35 +278,177 @@ def test_token_spans_match_scan_reference():
     assert windowed > 100
 
 
+def _cuts(entities):
+    """The (offset, marker) cuts :func:`insert_markers` makes for ``entities``."""
+    flat = sorted((start, end, ent.role) for ent in entities for start, end in ent.occurrences)
+    return [cut for start, end, role in flat
+            for cut in ((start, MARKERS[role]), (end, MARKERS[role]))]
+
+
+def _assert_splice_matches_marked_text(backbone, text, cuts):
+    """The stub's spliced tokens equal the tokens of the marked text, each
+    bracket is its marker's token, and the default method agrees."""
+    want = [tok.text for tok in backbone.tokenize_with_offsets(mark(text, cuts))]
+    tokens, brackets = backbone.tokenize_marked(text, cuts)
+    assert tokens == want
+    assert [tokens[b] for b in brackets] == [marker for _, marker in cuts]
+    assert EncoderBackbone.tokenize_marked(backbone, text, cuts) == (tokens, brackets)
+    return tokens, brackets
+
+
+def test_spliced_tokens_match_marked_text_on_random_segments():
+    rng = np.random.default_rng(5)
+    backbone = DeterministicStubBackbone(hidden_size=4)
+    for case in range(300):
+        segment, entities = _random_segment(rng, 3 if case % 2 else 40)
+        _assert_splice_matches_marked_text(backbone, segment.text, _cuts(entities))
+
+
+def test_spliced_tokens_match_marked_text_on_random_cuts():
+    # cuts anywhere: inside tokens, in whitespace, next to literal markers, stacked
+    rng = np.random.default_rng(6)
+    backbone = DeterministicStubBackbone(hidden_size=4)
+    for _ in range(2000):
+        text = "".join(rng.choice(list("ab  #$*&\t"), int(rng.integers(0, 30))))
+        offsets = np.sort(rng.integers(0, len(text) + 1, 2 * int(rng.integers(1, 5))))
+        markers = rng.choice(list("#$*&"), len(offsets) // 2)
+        cuts = [(int(offset), str(markers[k // 2])) for k, offset in enumerate(offsets)]
+        _assert_splice_matches_marked_text(backbone, text, cuts)
+
+
+def test_splice_hand_cases():
+    backbone = DeterministicStubBackbone(hidden_size=4)
+    # a cut inside a token splits it there and nowhere else
+    assert _assert_splice_matches_marked_text(
+        backbone, "xBergy met Ada", [(1, "$"), (5, "$")]) == (
+        ["x", "$", "Berg", "$", "y", "met", "Ada"], [1, 3])
+    # literal marker characters in the text stay tokens of their own
+    assert _assert_splice_matches_marked_text(
+        backbone, "a#b $c* &d& e", [(2, "#"), (3, "#"), (9, "&"), (10, "&")]) == (
+        ["a", "#", "#", "b", "#", "$", "c", "*", "&", "&", "d", "&", "&", "e"],
+        [2, 4, 9, 11])
+    # adjacent occurrences: two cuts at one offset
+    assert _assert_splice_matches_marked_text(
+        backbone, "AdaBerg met", [(0, "#"), (3, "#"), (3, "$"), (7, "$")]) == (
+        ["#", "Ada", "#", "$", "Berg", "$", "met"], [0, 2, 3, 5])
+    text = "AdaBerg met in Oslo in 1950"
+    entities = [mention("Person1", "Ada", text), mention("Person2", "Berg", text),
+                mention("Time", "1950", text), mention("Location", "Oslo", text)]
+    marked = insert_markers(seg_of(text), entities, backbone)
+    assert [marked.tokens[c - 1:d] for spans in marked.entity_spans for c, d in spans] == [
+        ["Ada"], ["Berg"], ["1950"], ["Oslo"]]
+
+
+class _PlainBackbone(EncoderBackbone):
+    """Implements only the abstract methods, by the stub's, and so inherits
+    the default ``tokenize_marked`` and ``encode_batch``."""
+
+    def __init__(self, stub):
+        self.stub, self.hidden_size, self.max_tokens = stub, stub.hidden_size, stub.max_tokens
+
+    def tokenize_with_offsets(self, text):
+        return self.stub.tokenize_with_offsets(text)
+
+    def encode(self, tokens):
+        return self.stub.encode(tokens)
+
+
+def _assert_packs_equal(a, b):
+    assert a.roles == b.roles
+    for x, y in ((a.cls, b.cls), (a.occ, b.occ), (a.mask, b.mask)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_default_backbone_methods_give_the_stubs_packs():
+    rng = np.random.default_rng(8)
+    # the small window makes some inputs windowed and some overflow
+    for d, max_tokens in ((4, 48), (8, 512)):
+        stub = DeterministicStubBackbone(hidden_size=d, max_tokens=max_tokens)
+        fast, plain = ArBertEncoder(stub), ArBertEncoder(_PlainBackbone(stub))
+        marked = []
+        for case in range(60):
+            segment, entities = _random_segment(rng, 0 if case % 2 else 3)
+            try:
+                m = fast.mark(segment, entities)
+            except ContextOverflowError:
+                with pytest.raises(ContextOverflowError):
+                    plain.mark(segment, entities)
+                continue
+            assert plain.mark(segment, entities) == m
+            marked.append(m)
+        assert len(marked) > 20
+        _assert_packs_equal(fast.encode_marked(marked), plain.encode_marked(marked))
+
+
+def test_encode_marked_keeps_each_backbone_call_within_budget(monkeypatch):
+    rng = np.random.default_rng(9)
+    calls = []
+    encode_batch = DeterministicStubBackbone.encode_batch
+
+    def counting(self, batch):
+        calls.append((len(batch), 1 + max(map(len, batch))))
+        return encode_batch(self, batch)
+
+    monkeypatch.setattr(DeterministicStubBackbone, "encode_batch", counting)
+    enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=4, max_tokens=10 ** 6))
+    marked = [enc.mark(*_random_segment(rng, 3 if case % 2 else 300)) for case in range(300)]
+    packed = enc.encode_marked(marked)
+    assert sum(n for n, _ in calls) == len(marked) and len(calls) > 5
+    assert any(rows > ENCODE_BUDGET for _, rows in calls)  # an input longer than the budget
+    assert all(n * rows <= ENCODE_BUDGET or n == 1 for n, rows in calls)
+    calls.clear()
+    one_by_one = [enc.encode_marked([m]) for m in marked]
+    assert len(calls) == len(marked)
+    _assert_packs_equal(packed, pack(one_by_one))
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
+def pool_one(hidden, span):
+    """:func:`pool_spans` of one span."""
+    return pool_spans(hidden, np.array([span[0]]), np.array([span[1]]))[0]
+
+
 def test_pool_single_token_is_that_row():
     hidden = np.arange(20.0).reshape(5, 4)
-    assert np.array_equal(pool_occurrence(hidden, (2, 2)), hidden[2])
+    assert np.array_equal(pool_one(hidden, (2, 2)), hidden[2])
 
 
 def test_pool_identical_rows_returns_the_row():
     v = np.array([1.0, -2.0, 0.5, 3.0])
     hidden = np.stack([v, v, v])
-    assert np.allclose(pool_occurrence(hidden, (1, 2)), v)
+    assert np.allclose(pool_one(hidden, (1, 2)), v)
 
 
 def test_pool_matches_hand_mean():
     rng = np.random.default_rng(0)
     hidden = rng.normal(size=(5, 4))
-    got = pool_occurrence(hidden, (1, 3))
+    got = pool_one(hidden, (1, 3))
     # oracle: explicit scalar re-summation
     want = np.array([sum(hidden[t][j] for t in (1, 2, 3)) / 3.0 for j in range(4)])
     assert np.allclose(got, want, atol=1e-12)
 
 
+def test_batched_pooling_equals_per_span_mean():
+    rng = np.random.default_rng(10)
+    for case in range(3000):
+        d = (4, 8, 16, 768)[case % 4]
+        hidden = rng.normal(size=(int(rng.integers(1, 60)), d))
+        first = rng.integers(0, len(hidden), int(rng.integers(1, 6)))
+        last = np.array([rng.integers(c, len(hidden)) for c in first])
+        got = pool_spans(hidden, first, last)
+        for m, (c, e) in enumerate(zip(first, last)):
+            assert got[m].tobytes() == hidden[c:e + 1].mean(axis=0).tobytes()
+
+
 def test_pool_out_of_range_is_error():
     hidden = np.zeros((3, 4))
+    for span in ((2, 3), (-1, 1), (2, 1)):
+        with pytest.raises(ValueError):
+            pool_one(hidden, span)
     with pytest.raises(ValueError):
-        pool_occurrence(hidden, (2, 3))
-    with pytest.raises(ValueError):
-        pool_occurrence(hidden, (-1, 1))
+        pool_spans(hidden, np.array([0, 1]), np.array([2, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +573,7 @@ def test_encode_matches_full_arithmetic_oracle():
 
     # oracle: replay every stage with independent scalar arithmetic
     marked = insert_markers(segment, entities, backbone)
-    rows = _stub_rows_oracle([t.text for t in marked.tokens], d)
+    rows = _stub_rows_oracle(marked.tokens, d)
 
     def project(key, vec):
         w = enc.params[f"proj.{key}.W"]

@@ -90,10 +90,10 @@ def test_ablations_encode_each_distinct_input_once(corpus, monkeypatch):
     examples = split_dataset(corpus.examples[:40], seed=0)
     config = TrainConfig(hidden_size=4, max_epochs=1, learning_rate=5e-3, seed=2)
     extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples[:30], config)
-    calls = []
-    encode = DeterministicStubBackbone.encode
-    monkeypatch.setattr(DeterministicStubBackbone, "encode",
-                        lambda self, tokens: calls.append(tokens) or encode(self, tokens))
+    calls = []  # one entry per encoded row
+    encode_batch = DeterministicStubBackbone.encode_batch
+    monkeypatch.setattr(DeterministicStubBackbone, "encode_batch",
+                        lambda self, batch: calls.extend(batch) or encode_batch(self, batch))
     run_ablations(examples, config, frozen_extractor=extractor)
     # The full config reads the interaction view of every split and, through
     # the extractor (same backbone settings), every trajectory view.

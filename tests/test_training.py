@@ -8,7 +8,7 @@ import pytest
 from falcon import fixtures, training
 from falcon.backbone import DeterministicStubBackbone
 from falcon.dataset import LabeledExample, decompose_candidate, split_dataset
-from falcon.encoder import input_key
+from falcon.encoder import ENCODE_BUDGET, input_key
 from falcon.evalbench import ABLATION_GRID, compute_metrics
 from falcon.fusion import FrozenTrajectoryExtractor
 from falcon.ingest import CandidateQuadruple, EntityMention, TextSegment
@@ -330,14 +330,14 @@ def test_no_train_split_is_error(corpus, extractor):
 
 
 def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
-    calls = []
-    encode = DeterministicStubBackbone.encode
+    calls = []  # one entry per encoded row: (rows of its call, padded length)
+    encode_batch = DeterministicStubBackbone.encode_batch
 
-    def counting_encode(self, tokens):
-        calls.append(len(tokens))
-        return encode(self, tokens)
+    def counting_encode_batch(self, batch):
+        calls.extend([(len(batch), 1 + max(map(len, batch)))] * len(batch))
+        return encode_batch(self, batch)
 
-    monkeypatch.setattr(DeterministicStubBackbone, "encode", counting_encode)
+    monkeypatch.setattr(DeterministicStubBackbone, "encode_batch", counting_encode_batch)
     config = TrainConfig(hidden_size=4, max_epochs=3, seed=5)
     triples = corpus.labeled_triples
     extractor, _ = pretrain_trajectory_extractor(triples, config)
@@ -361,6 +361,8 @@ def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
         result = train(InteractionModel(run, frozen=extractor if ft else None), examples)
         assert len(result.history) == 3
         assert len(calls) == len(keys), f"ft={ft}"
+        assert all(n * rows <= ENCODE_BUDGET or n == 1 for n, rows in calls)
+        assert max(n for n, _ in calls) > 1  # batched
 
 
 def test_training_leaves_out_examples_the_frozen_window_cannot_hold():
