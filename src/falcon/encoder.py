@@ -150,10 +150,28 @@ def pool_spans(hidden: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.nd
     return rows.sum(axis=1) / counts[:, None]
 
 
+def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` over the last axis, each row of ``x`` multiplied on its
+    own: (..., k) by (..., j, k), leading axes broadcast. A row's result
+    depends only on that row and ``w``, not on how many rows share the call
+    (a BLAS product of many rows takes a different path per row count), so
+    a candidate scores the same bits alone, with its document or in any
+    batch."""
+    return (x[..., None, :] @ np.swapaxes(w, -1, -2))[..., 0, :]
+
+
+def last_axis_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, kept as an axis of 1, added in order from the
+    first entry: trailing zero padding leaves the bits unchanged, where
+    ``np.sum``'s pairwise order changes with the axis length."""
+    return np.cumsum(x, axis=-1)[..., -1:]
+
+
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis; entries at -inf get weight 0."""
+    """Softmax over the last axis; entries at -inf get weight 0, and padding
+    at -inf leaves the other weights' bits unchanged."""
     shifted = np.exp(x - x.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    return shifted / last_axis_sum(shifted)
 
 
 def attend(occ: np.ndarray, mask: np.ndarray, attn_w: np.ndarray, attn_b,
@@ -166,11 +184,11 @@ def attend(occ: np.ndarray, mask: np.ndarray, attn_w: np.ndarray, attn_b,
     ``norm='literal'`` divides each score by the raw score sum, falling back
     to uniform weights when that sum is numerically zero.
     """
-    scores = np.tanh(occ @ attn_w + attn_b)
+    scores = np.tanh(row_matmul(occ, attn_w[None])[..., 0] + attn_b)
     if norm == "softmax":
         weights = softmax(np.where(mask, scores, -np.inf))
     elif norm == "literal":
-        total = (scores * mask).sum(axis=-1, keepdims=True)
+        total = last_axis_sum(scores * mask)
         flat = np.abs(total) < 1e-12
         uniform = 1.0 / mask.sum(axis=-1, keepdims=True)
         weights = np.where(mask, np.where(flat, uniform, scores / np.where(flat, 1.0, total)),
@@ -347,7 +365,7 @@ class ArBertEncoder:
         keys = ("cls",) + tuple(r.lower() for r in packed.roles)
         w = np.stack([p[f"proj.{k}.W"] for k in keys])
         b = np.stack([p[f"proj.{k}.b"] for k in keys])
-        out = (t.swapaxes(0, 1) @ w.swapaxes(1, 2)).swapaxes(0, 1) + b
+        out = row_matmul(t, w) + b
         return (out.reshape(len(t), -1),
                 EncoderCache(keys=keys, tanh_out=t, packed=packed, scores=scores,
                              weights=weights))

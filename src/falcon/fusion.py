@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .backbone import get_backbone
-from .encoder import ArBertEncoder, PackedInputs, softmax
+from .encoder import ArBertEncoder, PackedInputs, row_matmul, softmax
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -53,7 +53,7 @@ def gate_forward(h: np.ndarray, w_gate: np.ndarray):
     """Returns (sigmoid(W_gate h) ⊙ h, cache for :func:`gate_backward`)."""
     if w_gate.shape != (h.shape[-1], h.shape[-1]):
         raise ValueError(f"gate matrix {w_gate.shape} does not match feature {h.shape}")
-    gate = _sigmoid(h @ w_gate.T)
+    gate = _sigmoid(row_matmul(h, w_gate))
     return gate * h, (h, gate)
 
 
@@ -90,7 +90,7 @@ def cross_attention_forward(h_inter: np.ndarray, h1_g: np.ndarray, h2_g: np.ndar
     if w_q.shape != (d, h_inter.shape[-1]):
         raise ValueError(f"query matrix {w_q.shape} does not match "
                          f"({d},{h_inter.shape[-1]})")
-    q = h_inter @ w_q.T
+    q = row_matmul(h_inter, w_q)
     if mode == "joint":
         alphas = softmax(np.stack([_dot(q, h1_g) / d, _dot(q, h2_g) / d], axis=-1))
     elif mode == "literal":
@@ -205,8 +205,8 @@ class FrozenTrajectoryExtractor(EncoderModel):
     # -- forward paths -----------------------------------------------------
     def _mlp_feature(self, h_prime: np.ndarray):
         p = self.params
-        a1 = np.tanh(h_prime @ p["mlp.W1"].T + p["mlp.b1"])
-        return a1 @ p["mlp.W2"].T + p["mlp.b2"], (h_prime, a1)
+        a1 = np.tanh(row_matmul(h_prime, p["mlp.W1"]) + p["mlp.b1"])
+        return row_matmul(a1, p["mlp.W2"]) + p["mlp.b2"], (h_prime, a1)
 
     def features(self, packed: PackedInputs) -> np.ndarray:
         """The (B, d) features of a pack of B prepared inputs; no gradients."""
@@ -220,7 +220,7 @@ class FrozenTrajectoryExtractor(EncoderModel):
             raise RuntimeError("extractor is frozen; training forward is forbidden")
         h_prime, enc_cache = self.encoder.forward_batch(packed)
         feat, mlp_cache = self._mlp_feature(h_prime)
-        return softmax(feat @ self.params["head.W"].T), (enc_cache, mlp_cache, feat)
+        return softmax(row_matmul(feat, self.params["head.W"])), (enc_cache, mlp_cache, feat)
 
     def backward_train(self, d_logits: np.ndarray, caches, grads: dict[str, np.ndarray]):
         """Accumulate gradients of (B, 2) logit gradients."""

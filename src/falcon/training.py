@@ -30,6 +30,7 @@ from .encoder import (
     PackedInputs,
     input_key,
     pack,
+    row_matmul,
     softmax,
 )
 from .evalbench import compute_metrics
@@ -200,17 +201,31 @@ class AdamW:
 
     Biases and the adaptive-weight scalars are exempt from decay; the
     adaptive scalars are clamped to |c| >= 1e-3 after each step.
+
+    The moments live in flat vectors over every parameter (in the order of
+    the ``params`` given at construction), so a step is a few elementwise
+    calls over one vector plus one gather and one write-back per array; the
+    arithmetic is the per-array update's, element for element.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
                  weight_decay: float = 0.01, betas=(0.9, 0.999), eps: float = 1e-8):
         self.lr = lr
-        self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.names = list(params)
+        self.slices, n = [], 0
+        for name in self.names:
+            self.slices.append(slice(n, n + params[name].size))
+            n += params[name].size
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        # weight_decay on decayed entries, 0 on exempt ones (0 * p adds nothing)
+        self.decay = np.zeros(n)
+        for name, at in zip(self.names, self.slices):
+            if not self._decay_exempt(name):
+                self.decay[at] = weight_decay
 
     @staticmethod
     def _decay_exempt(name: str) -> bool:
@@ -220,16 +235,14 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if not self._decay_exempt(name):
-                update = update + self.weight_decay * p
-            p -= self.lr * update
+        g = np.concatenate([grads[k].ravel() for k in self.names])
+        p = np.concatenate([params[k].ravel() for k in self.names])
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
+        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps) + self.decay * p
+        p -= self.lr * update
+        for name, at in zip(self.names, self.slices):
+            params[name][...] = p[at].reshape(params[name].shape)
         if "c" in params:
             c = params["c"]
             np.copyto(c, np.sign(c) * np.maximum(np.abs(c), C_MIN))
@@ -300,13 +313,13 @@ class InteractionModel(EncoderModel):
         else:
             h_fused = h_inter
         cache["h_fused"] = h_fused
-        p_inter = softmax(h_fused @ p["head.inter.W"].T)
+        p_inter = softmax(row_matmul(h_fused, p["head.inter.W"]))
 
         p_tra = None
         if tra is not None:
             h_tra, cache["tra"] = self.encoder.forward_batch(tra)
             cache["h_tra"] = h_tra
-            p_tra = softmax(h_tra @ p["head.tra.W"].T).reshape(2, -1, 2)
+            p_tra = softmax(row_matmul(h_tra, p["head.tra.W"])).reshape(2, -1, 2)
         return p_inter, p_tra, cache
 
     def backward_batch(self, cache: dict, d_logits_inter: np.ndarray,
@@ -708,7 +721,9 @@ def predict(model: InteractionModel, candidates: Sequence[CandidateQuadruple],
     """Score candidates in one batched forward and label each by ``threshold``
     (default: the model's ``config.threshold``); context overflows are marked
     skipped, never dropped. Reads and extends ``store`` (training passes its
-    own); without one, the call fills a fresh store and drops it after."""
+    own); without one, the call fills a fresh store and drops it after. A
+    candidate's score is the same bits whatever else the call scores (see
+    :func:`~falcon.encoder.row_matmul`)."""
     threshold = model.config.threshold if threshold is None else threshold
     store = FeatureStore.for_model(model) if store is None else store
     rows, reasons = store.fill_candidates(candidates, with_features=model.uses_features)

@@ -520,6 +520,27 @@ def test_permuting_occurrences_permutes_weights_only():
     assert np.allclose(aggregated, base_aggregated)
 
 
+@pytest.mark.parametrize("norm", ["softmax", "literal"])
+def test_padding_and_batch_leave_attention_bits_unchanged(norm):
+    # An entity with k occurrences attended alone, and packed beside one
+    # with 12 occurrences, which pads it past the 8 entries where np.sum
+    # switches to pairwise adding.
+    rng = np.random.default_rng(4)
+    w, b = rng.normal(size=8), 0.1
+    wide = rng.normal(size=(12, 8))
+    for k in [*range(1, 9)] * 20:
+        occ = rng.normal(size=(k, 8))
+        alone = attend_all(occ, w, b, norm)
+        padded = np.zeros((2, 12, 8))
+        padded[0, :k], padded[1] = occ, wide
+        mask = np.zeros((2, 12), dtype=bool)
+        mask[0, :k] = mask[1] = True
+        scores, weights, agg = attend(padded, mask, w, b, norm)
+        assert (scores[0, :k] == alone[0]).all(), k
+        assert (weights[0, :k] == alone[1]).all() and (weights[0, k:] == 0).all(), k
+        assert (agg[0] == alone[2]).all(), k
+
+
 def test_literal_norm_guard_against_zero_sum():
     occ = np.array([[1.0, 0.0], [-1.0, 0.0]])
     w_attn = np.array([1.0, 0.0])

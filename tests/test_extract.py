@@ -15,7 +15,7 @@ from falcon.extract import (
     parse_type,
     record_from_candidate,
 )
-from falcon.ingest import dumps_record
+from falcon.ingest import dumps_record, generate_candidates
 from falcon.training import InteractionModel, TrainConfig, pretrain_trajectory_extractor, train
 
 
@@ -159,6 +159,39 @@ def test_extraction_killed_at_state_write_resumes_byte_identical(
     # the torn line was cut off, so the log holds one clean line per document
     lines = state.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["doc_id"] for line in lines] == doc_ids
+
+
+@pytest.fixture(scope="module")
+def trained8(request):
+    corpus = request.getfixturevalue("corpus")
+    config = TrainConfig(hidden_size=8, max_epochs=3, learning_rate=0.05, seed=5)
+    extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples, config)
+    model = InteractionModel(config, frozen=extractor)
+    train(model, split_dataset(corpus.examples, seed=0))
+    return model
+
+
+def test_extraction_resumed_inside_a_chunk_matches_clean_run(tmp_path, corpus, trained8):
+    # A resume that starts at a document inside one of the clean run's
+    # chunks scores the rest of that chunk in other batches. At d=8 a BLAS
+    # product over many rows rounds a row differently with the row count,
+    # so the bytes match only while a score depends on its candidate alone.
+    clean = tmp_path / "clean.jsonl"
+    extract_corpus(corpus.triples, trained8, clean, threshold=0.5)
+    by_doc: dict = {}
+    for triple in corpus.triples:
+        by_doc.setdefault(triple.segment.doc_id, []).append(triple)
+    firsts = {chunk[0][0] for chunk in extract._document_chunks(
+        (doc_id, generate_candidates(by_doc[doc_id])) for doc_id in sorted(by_doc))}
+    inside = [i for i, doc_id in enumerate(sorted(by_doc)) if doc_id not in firsts]
+    assert len(inside) > 20
+    for k in inside[::5]:
+        out, state = tmp_path / f"out{k}.jsonl", tmp_path / f"state{k}.json"
+        head = set(sorted(by_doc)[:k])
+        extract_corpus([t for t in corpus.triples if t.segment.doc_id in head], trained8,
+                       out, threshold=0.5, state_path=state)
+        extract_corpus(corpus.triples, trained8, out, threshold=0.5, state_path=state)
+        assert out.read_bytes() == clean.read_bytes(), k
 
 
 def test_state_log_with_a_bad_inner_line_reports_its_line(tmp_path, corpus, trained):
