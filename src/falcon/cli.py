@@ -41,20 +41,25 @@ def main():
 def ingest_cmd(docs, triples_path, out_path, errors_path):
     """Validate triples against a document corpus and emit candidate quadruples."""
     documents = ingest.load_documents(docs)
-    doc_ids = {d.doc_id for d in documents}
+    text_of = {d.doc_id: d.text for d in documents}
     result = ingest.load_triples(triples_path)
-    known = [t for t in result.triples if t.segment.doc_id in doc_ids]
+    known = [t for t in result.triples if t.segment.doc_id in text_of]
     orphans = len(result.triples) - len(known)
     if orphans:
         click.echo(f"warning: {orphans} triples reference unknown documents",
                    err=True)
-    candidates = ingest.generate_candidates(known)
+    placed = [t for t in known if t.segment.text
+              == text_of[t.segment.doc_id][t.segment.char_start:t.segment.char_end]]
+    if len(placed) < len(known):
+        click.echo(f"warning: {len(known) - len(placed)} triples' segment text "
+                   "differs from their document at their offsets", err=True)
+    candidates = ingest.generate_candidates(placed)
     ingest.dump_candidates(candidates, out_path)
     if errors_path:
         ingest.write_jsonl(errors_path, ({"line": err.line, "message": err.message}
                                          for err in result.errors))
     click.echo(json.dumps({
-        "documents": len(documents), "triples": len(known),
+        "documents": len(documents), "triples": len(placed),
         "triple_errors": len(result.errors), "candidates": len(candidates),
     }))
 

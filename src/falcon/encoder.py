@@ -2,11 +2,12 @@
 
 The encoder wraps every occurrence of every entity in role-specific marker
 characters, runs the backbone, mean-pools each occurrence's hidden rows,
-fuses multiple occurrences of one entity with a learned scalar-attention
-weighting, projects each slot through tanh + a role-specific linear map,
-and concatenates [CLS, e_1..e_n] into a single feature vector of dimension
-(n+1)*d. Forward passes cache enough to run an exact manual backward for
-all encoder parameters (the backbone itself is not trained here).
+fuses multiple occurrences of one entity by a softmax over learned
+scalar-attention scores, projects each slot through tanh + a role-specific
+linear map, and concatenates [CLS, e_1..e_n] into a single feature vector of
+dimension (n+1)*d. Forward passes cache enough to run an exact manual
+backward for all encoder parameters (the backbone itself is not trained
+here).
 
 The encoder splits at the frozen/trainable boundary. The frozen half
 depends only on (backbone, segment, entity spans) and runs in two steps:
@@ -174,45 +175,27 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return shifted / last_axis_sum(shifted)
 
 
-def attend(occ: np.ndarray, mask: np.ndarray, attn_w: np.ndarray, attn_b,
-           norm: str = "softmax"):
+def attend(occ: np.ndarray, mask: np.ndarray, attn_w: np.ndarray, attn_b):
     """Masked scalar-attention pooling over the occurrence axis.
 
-    ``occ`` is (..., K, d) and ``mask`` (..., K) marks the real occurrences
-    (padding rows get weight 0). Returns (scores, weights, aggregated).
-    ``norm='softmax'`` applies a normalized exponential over the scores;
-    ``norm='literal'`` divides each score by the raw score sum, falling back
-    to uniform weights when that sum is numerically zero.
+    ``occ`` is (..., K, d) and ``mask`` (..., K) marks the real occurrences.
+    Each occurrence scores tanh(w·occ + b), and the weights are the softmax
+    of the real occurrences' scores, so they form a distribution; padding
+    rows get weight 0. Returns (scores, weights, aggregated).
     """
     scores = np.tanh(row_matmul(occ, attn_w[None])[..., 0] + attn_b)
-    if norm == "softmax":
-        weights = softmax(np.where(mask, scores, -np.inf))
-    elif norm == "literal":
-        total = last_axis_sum(scores * mask)
-        flat = np.abs(total) < 1e-12
-        uniform = 1.0 / mask.sum(axis=-1, keepdims=True)
-        weights = np.where(mask, np.where(flat, uniform, scores / np.where(flat, 1.0, total)),
-                           0.0)
-    else:
-        raise ValueError(f"unknown attention norm {norm!r}")
+    weights = softmax(np.where(mask, scores, -np.inf))
     return scores, weights, np.einsum("...k,...kd->...d", weights, occ)
 
 
-def attend_backward(d_agg: np.ndarray, occ: np.ndarray, mask: np.ndarray,
-                    scores: np.ndarray, weights: np.ndarray, norm: str) -> np.ndarray:
+def attend_backward(d_agg: np.ndarray, occ: np.ndarray, scores: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the pre-tanh attention logits (..., K) of :func:`attend`,
-    given the gradient of its aggregated output; padding rows get 0. The
-    literal norm's uniform fallback has zero gradient."""
+    given the gradient of its aggregated output; padding rows have weight 0,
+    so their gradient is 0."""
     d_weights = np.einsum("...kd,...d->...k", occ, d_agg)
     d_mean = (weights * d_weights).sum(axis=-1, keepdims=True)
-    if norm == "softmax":
-        d_scores = weights * (d_weights - d_mean)
-    else:
-        total = (scores * mask).sum(axis=-1, keepdims=True)
-        flat = np.abs(total) < 1e-12
-        safe = np.where(flat, 1.0, total)
-        d_scores = np.where(mask & ~flat, d_weights / safe - d_mean / safe, 0.0)
-    return d_scores * (1.0 - scores ** 2)
+    return weights * (d_weights - d_mean) * (1.0 - scores ** 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,12 +279,8 @@ class ArBertEncoder:
     as fixed.
     """
 
-    def __init__(self, backbone: EncoderBackbone, seed: int = 0,
-                 attention_norm: str = "softmax"):
-        if attention_norm not in ("softmax", "literal"):
-            raise ValueError(f"unknown attention norm {attention_norm!r}")
+    def __init__(self, backbone: EncoderBackbone, seed: int = 0):
         self.backbone = backbone
-        self.attention_norm = attention_norm
         d = backbone.hidden_size
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(d)
@@ -359,8 +338,7 @@ class ArBertEncoder:
         prepared inputs; returns ((B, (1+S)*d) features, cache for
         :meth:`backward`)."""
         p = self.params
-        scores, weights, agg = attend(packed.occ, packed.mask, p["attn.w"], p["attn.b"],
-                                      self.attention_norm)
+        scores, weights, agg = attend(packed.occ, packed.mask, p["attn.w"], p["attn.b"])
         t = np.tanh(np.concatenate([packed.cls[:, None], agg], axis=1))
         keys = ("cls",) + tuple(r.lower() for r in packed.roles)
         w = np.stack([p[f"proj.{k}.W"] for k in keys])
@@ -394,8 +372,7 @@ class ArBertEncoder:
         d_pre = (d_slots.swapaxes(0, 1) @ w).swapaxes(0, 1) * (1.0 - t ** 2)
         # slot 0 is CLS: its gradient stops at the backbone
         packed = cache.packed
-        d_z = attend_backward(d_pre[:, 1:], packed.occ, packed.mask, cache.scores,
-                              cache.weights, self.attention_norm)
+        d_z = attend_backward(d_pre[:, 1:], packed.occ, cache.scores, cache.weights)
         grads["attn.w"] += np.einsum("bsk,bskd->d", d_z, packed.occ)
         grads["attn.b"] += d_z.sum()
 

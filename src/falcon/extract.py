@@ -351,33 +351,28 @@ class HttpChatClient:
             raise TransportError(f"malformed completion payload: {payload!r}") from exc
 
 
-def make_llm_client(spec: str, model: str = "gpt-4o-mini",
-                    api_key: str | None = None):
-    """Build a client from a CLI spec: ``fixture:<path>`` or ``http(s)://...``."""
+def make_llm_client(spec: str, model: str = "gpt-4o-mini"):
+    """Build a client from a CLI spec: ``fixture:<path>`` or ``http(s)://...``;
+    an HTTP client sends the key in ``FALCON_LLM_API_KEY``, if set."""
     if spec.startswith("fixture:"):
         return FixtureLLMClient(spec[len("fixture:"):])
     if spec.startswith("http://") or spec.startswith("https://"):
-        key = api_key or os.environ.get("FALCON_LLM_API_KEY")
-        return HttpChatClient(spec, model=model, api_key=key)
+        return HttpChatClient(spec, model=model,
+                              api_key=os.environ.get("FALCON_LLM_API_KEY"))
     raise ValueError(f"unknown llm client spec {spec!r}")
 
 
-def type_prompt(record: InteractionRecord, context: str | None = None) -> str:
+def type_prompt(record: InteractionRecord) -> str:
     year = record.time_year if record.time_year is not None else record.time_surface
-    lines = [
+    return (
         f"Two political figures, {record.person1} and {record.person2}, "
-        f"interacted in {record.location} in {year}.",
-    ]
-    if context:
-        lines.append(f"Context: {context}")
-    lines.append(
+        f"interacted in {record.location} in {year}.\n"
         "Classify this interaction. Answer with exactly one word:\n"
         "Adversarial - conflicting political interests (campaigns against each "
         "other, debates, lawsuits).\n"
         "Cooperative - joint action toward shared political goals (co-sponsored "
         "work, endorsements, coalitions).\n"
         "Neutral - personal, ceremonial, or otherwise non-political contact.")
-    return "\n".join(lines)
 
 
 _TYPE_RE = re.compile("|".join(INTERACTION_TYPES), re.IGNORECASE)
@@ -390,7 +385,7 @@ def parse_type(response: str) -> str | None:
     return match.group(0).capitalize()
 
 
-def classify_type(record: InteractionRecord, llm_client, context: str | None = None,
+def classify_type(record: InteractionRecord, llm_client,
                   backoff: float = 0.5) -> InteractionRecord:
     """Attach one of the three interaction types to a record.
 
@@ -398,7 +393,7 @@ def classify_type(record: InteractionRecord, llm_client, context: str | None = N
     record accounting stays total; transport failures are retried with
     exponential backoff and finally marked ``unclassified``.
     """
-    prompt = type_prompt(record, context)
+    prompt = type_prompt(record)
     response = None
     for attempt in range(LLM_ATTEMPTS):
         try:

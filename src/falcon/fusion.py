@@ -2,9 +2,10 @@
 
 A frozen extractor (its own entity encoder plus a small MLP head, trained
 separately on labeled trajectories) produces one d-vector per trajectory.
-Those vectors are filtered through a sigmoid gate, attended against the
-interaction feature via a query projection, and concatenated after the
-interaction feature: (5d | d | d) -> 7d.
+Those vectors are filtered through a sigmoid gate, then cross-attended: a
+query projection of the interaction feature scores each gated vector, one
+softmax over the two scores weights them, and the weighted vectors are
+concatenated after the interaction feature: (5d | d | d) -> 7d.
 
 Both models over an entity encoder, the extractor here and
 :class:`~falcon.training.InteractionModel`, are described by one
@@ -70,7 +71,6 @@ class CrossAttentionCache:
     gated: tuple[np.ndarray, np.ndarray]
     q: np.ndarray
     alphas: np.ndarray  # (..., 2)
-    mode: str
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,29 +78,21 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cross_attention_forward(h_inter: np.ndarray, h1_g: np.ndarray, h2_g: np.ndarray,
-                            w_q: np.ndarray, mode: str = "joint"):
-    """Score each gated trajectory vector against a query of the interaction
-    feature; scores are scaled by 1/d (not 1/sqrt(d)).
-
-    ``joint`` (default) softmaxes the two scores against each other;
-    ``literal`` softmaxes each scalar alone, which is identically 1 and
-    passes the gated vectors through unchanged.
+                            w_q: np.ndarray):
+    """Score each gated trajectory vector against a query ``W_Q h_inter`` of
+    the interaction feature, scaled by 1/d (not 1/sqrt(d)), and weight each
+    vector by the joint softmax of the two scores: the two weights sum to 1.
     """
     d = h1_g.shape[-1]
     if w_q.shape != (d, h_inter.shape[-1]):
         raise ValueError(f"query matrix {w_q.shape} does not match "
                          f"({d},{h_inter.shape[-1]})")
     q = row_matmul(h_inter, w_q)
-    if mode == "joint":
-        alphas = softmax(np.stack([_dot(q, h1_g) / d, _dot(q, h2_g) / d], axis=-1))
-    elif mode == "literal":
-        alphas = np.ones(q.shape[:-1] + (2,))
-    else:
-        raise ValueError(f"unknown cross-attention mode {mode!r}")
+    alphas = softmax(np.stack([_dot(q, h1_g) / d, _dot(q, h2_g) / d], axis=-1))
     out1 = alphas[..., :1] * h1_g
     out2 = alphas[..., 1:] * h2_g
     cache = CrossAttentionCache(h_inter=h_inter, gated=(h1_g, h2_g), q=q,
-                                alphas=alphas, mode=mode)
+                                alphas=alphas)
     return (out1, out2), cache
 
 
@@ -110,15 +102,11 @@ def cross_attention_backward(d_out1: np.ndarray, d_out2: np.ndarray,
     h1_g, h2_g = cache.gated
     d = h1_g.shape[-1]
     alphas = cache.alphas
-    d_h1 = alphas[..., :1] * d_out1
-    d_h2 = alphas[..., 1:] * d_out2
-    if cache.mode == "literal":
-        return np.zeros_like(w_q), np.zeros_like(cache.h_inter), d_h1, d_h2
     d_alphas = np.stack([_dot(d_out1, h1_g), _dot(d_out2, h2_g)], axis=-1)
     d_scores = alphas * (d_alphas - _dot(alphas, d_alphas)[..., None])
     d_q = (d_scores[..., :1] * h1_g + d_scores[..., 1:] * h2_g) / d
-    d_h1 = d_h1 + d_scores[..., :1] * cache.q / d
-    d_h2 = d_h2 + d_scores[..., 1:] * cache.q / d
+    d_h1 = alphas[..., :1] * d_out1 + d_scores[..., :1] * cache.q / d
+    d_h2 = alphas[..., 1:] * d_out2 + d_scores[..., 1:] * cache.q / d
     return _outer_sum(d_q, cache.h_inter), d_q @ w_q, d_h1, d_h2
 
 
@@ -148,8 +136,7 @@ class EncoderModel:
         backbone = get_backbone(config.backbone, hidden_size=config.hidden_size,
                                 max_tokens=config.max_tokens,
                                 weights_path=config.weights_path)
-        self.encoder = ArBertEncoder(backbone, seed=config.seed,
-                                     attention_norm=config.attention_norm)
+        self.encoder = ArBertEncoder(backbone, seed=config.seed)
 
     def all_params(self) -> dict[str, np.ndarray]:
         out = {f"enc.{k}": v for k, v in self.encoder.params.items()}

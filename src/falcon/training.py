@@ -47,6 +47,8 @@ from .ingest import CandidateQuadruple, TrajectoryTriple
 
 PROB_EPS = 1e-7
 C_MIN = 1e-3
+# AdamW's moment decay rates and the floor of its update's denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # The settings that decide the frozen half of an encoder input; the frozen
 # extractor reads the model's prepared inputs when all of them are equal.
 BACKBONE_SETTINGS = ("backbone", "hidden_size", "max_tokens", "weights_path")
@@ -69,8 +71,6 @@ class TrainConfig:
     mt: bool = True
     aw: bool = True
     fusion_mode: str = "gated"
-    attention_norm: str = "softmax"
-    cross_attention: str = "joint"
     backbone: str = "deterministic-stub"
     hidden_size: int = 4
     max_tokens: int = 512
@@ -104,10 +104,6 @@ def _field_problem(name: str, value) -> str | None:
         return f"{name} must be positive"
     if name == "fusion_mode" and value not in ("gated", "concat", "off"):
         return f"unknown fusion_mode {value!r}"
-    if name == "attention_norm" and value not in ("softmax", "literal"):
-        return f"unknown attention_norm {value!r}"
-    if name == "cross_attention" and value not in ("joint", "literal"):
-        return f"unknown cross_attention {value!r}"
     return None
 
 
@@ -209,10 +205,8 @@ class AdamW:
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 weight_decay: float = 0.01, betas=(0.9, 0.999), eps: float = 1e-8):
+                 weight_decay: float = 0.01):
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.names = list(params)
         self.slices, n = [], 0
@@ -233,13 +227,13 @@ class AdamW:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         g = np.concatenate([grads[k].ravel() for k in self.names])
         p = np.concatenate([params[k].ravel() for k in self.names])
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
-        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps) + self.decay * p
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
+        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS) + self.decay * p
         p -= self.lr * update
         for name, at in zip(self.names, self.slices):
             params[name][...] = p[at].reshape(params[name].shape)
@@ -306,7 +300,7 @@ class InteractionModel(EncoderModel):
         if cfg.fusion_mode == "gated":
             g, cache["gate"] = gate_forward(features, p["fusion.W_gate"])
             (a1, a2), cache["xattn"] = cross_attention_forward(
-                h_inter, g[0], g[1], p["fusion.W_Q"], mode=cfg.cross_attention)
+                h_inter, g[0], g[1], p["fusion.W_Q"])
             h_fused = fuse(h_inter, a1, a2)
         elif cfg.fusion_mode == "concat":
             h_fused = fuse(h_inter, *features)

@@ -1,6 +1,7 @@
 import pytest
 
 from falcon import fixtures
+from fixture_builders import build_audit_fixture
 
 
 @pytest.fixture(scope="session")
@@ -10,4 +11,4 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def audit_fixture():
-    return fixtures.build_audit_fixture()
+    return build_audit_fixture()

@@ -344,6 +344,24 @@ def test_ingest_errors_file_lists_each_bad_triple_line(workspace):
     assert all(e["message"] for e in written)
 
 
+def test_ingest_excludes_a_triple_whose_segment_text_is_not_at_its_offsets(workspace):
+    # The second triple's offsets shifted by 3: its doc_id is known, but its
+    # segment_text no longer matches the document there.
+    lines = (workspace / "fx" / "triples.jsonl").read_text().splitlines()[:3]
+    shifted = json.loads(lines[1])
+    shifted["char_start"] += 3
+    shifted["char_end"] += 3
+    triples = workspace / "shifted_triples.jsonl"
+    triples.write_text("\n".join([lines[0], json.dumps(shifted), lines[2]]) + "\n")
+    res = CliRunner().invoke(main, [
+        "ingest", "--docs", str(workspace / "fx" / "docs"), "--triples", str(triples),
+        "--out", str(workspace / "shifted_candidates.jsonl")])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["triples"] == 2
+    assert res.stderr == ("warning: 1 triples' segment text differs from their "
+                          "document at their offsets\n")
+
+
 def test_cli_import_leaves_urllib_request_unloaded():
     # The HTTP client imports urllib.request when it sends, not at start-up.
     code = "import sys, falcon.cli; print('urllib.request' in sys.modules)"

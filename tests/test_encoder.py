@@ -454,10 +454,10 @@ def test_pool_out_of_range_is_error():
 # ---------------------------------------------------------------------------
 # occurrence aggregation
 
-def attend_all(occ, w, b, norm="softmax"):
+def attend_all(occ, w, b):
     """:func:`attend` over the (k, d) occurrences of one entity, all of them
     real: (scores, weights, aggregated)."""
-    return attend(occ, np.ones(len(occ), dtype=bool), w, b, norm)
+    return attend(occ, np.ones(len(occ), dtype=bool), w, b)
 
 
 def test_single_occurrence_weight_is_one_regardless_of_params():
@@ -466,10 +466,9 @@ def test_single_occurrence_weight_is_one_regardless_of_params():
         occ = rng.normal(size=(1, 4))
         w = rng.normal(size=4)
         b = float(rng.normal())
-        for norm in ("softmax", "literal"):
-            _, weights, aggregated = attend_all(occ, w, b, norm=norm)
-            assert weights == pytest.approx([1.0])
-            assert np.allclose(aggregated, occ[0])
+        _, weights, aggregated = attend_all(occ, w, b)
+        assert weights == pytest.approx([1.0])
+        assert np.allclose(aggregated, occ[0])
 
 
 def test_two_identical_vectors_split_weight_evenly():
@@ -520,8 +519,7 @@ def test_permuting_occurrences_permutes_weights_only():
     assert np.allclose(aggregated, base_aggregated)
 
 
-@pytest.mark.parametrize("norm", ["softmax", "literal"])
-def test_padding_and_batch_leave_attention_bits_unchanged(norm):
+def test_padding_and_batch_leave_attention_bits_unchanged():
     # An entity with k occurrences attended alone, and packed beside one
     # with 12 occurrences, which pads it past the 8 entries where np.sum
     # switches to pairwise adding.
@@ -530,22 +528,15 @@ def test_padding_and_batch_leave_attention_bits_unchanged(norm):
     wide = rng.normal(size=(12, 8))
     for k in [*range(1, 9)] * 20:
         occ = rng.normal(size=(k, 8))
-        alone = attend_all(occ, w, b, norm)
+        alone = attend_all(occ, w, b)
         padded = np.zeros((2, 12, 8))
         padded[0, :k], padded[1] = occ, wide
         mask = np.zeros((2, 12), dtype=bool)
         mask[0, :k] = mask[1] = True
-        scores, weights, agg = attend(padded, mask, w, b, norm)
+        scores, weights, agg = attend(padded, mask, w, b)
         assert (scores[0, :k] == alone[0]).all(), k
         assert (weights[0, :k] == alone[1]).all() and (weights[0, k:] == 0).all(), k
         assert (agg[0] == alone[2]).all(), k
-
-
-def test_literal_norm_guard_against_zero_sum():
-    occ = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    w_attn = np.array([1.0, 0.0])
-    _, weights, _ = attend_all(occ, w_attn, 0.0, norm="literal")
-    assert np.allclose(weights, [0.5, 0.5])  # uniform fallback
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from falcon import extract, fixtures
+from falcon import extract
 from falcon.dataset import split_dataset
 from falcon.extract import (
     FixtureLLMClient,
@@ -17,6 +17,7 @@ from falcon.extract import (
 )
 from falcon.ingest import dumps_record, generate_candidates
 from falcon.training import InteractionModel, TrainConfig, pretrain_trajectory_extractor, train
+from fixture_builders import time_surface_fixture
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ def test_five_digit_number_not_a_year():
 
 
 def test_time_fixture_agreement_at_least_98_percent():
-    entries = fixtures.time_surface_fixture()
+    entries = time_surface_fixture()
     assert len(entries) == 200
     agree = sum(1 for surface, label in entries if normalize_time(surface) == label)
     assert agree / len(entries) >= 0.98

@@ -87,17 +87,6 @@ def test_cross_attention_matches_scalar_oracle():
     assert np.allclose(o2, [a2 * x for x in h2], atol=1e-12)
 
 
-def test_literal_mode_passes_gated_vectors_through():
-    d = 4
-    rng = np.random.default_rng(3)
-    h_inter = rng.normal(size=5 * d)
-    w_q = rng.normal(size=(d, 5 * d))
-    h1, h2 = rng.normal(size=d), rng.normal(size=d)
-    o1, o2 = cross_attention_forward(h_inter, h1, h2, w_q, mode="literal")[0]
-    assert np.array_equal(o1, h1)
-    assert np.array_equal(o2, h2)
-
-
 def test_attention_weights_sum_to_one():
     rng = np.random.default_rng(4)
     d = 4

@@ -29,6 +29,7 @@ from falcon.polarnet import (
     trend_ratios,
     type_party_totals,
 )
+from fixture_builders import partition_blind_graph, two_clique_graph
 
 
 def make_record(i, p1, p2, itype, year=1980, location="Boston",
@@ -134,7 +135,7 @@ def test_single_community_is_exactly_zero():
 
 
 def test_two_disjoint_cliques_match_oracle():
-    g = fixtures.two_clique_graph(4, bridge_weight=0.0)
+    g = two_clique_graph(4, bridge_weight=0.0)
     del g.edges[(3, 4)]
     part = g.party_partition()
     assert modularity(g, part) == pytest.approx(_modularity_oracle(g, part),
@@ -160,7 +161,7 @@ def test_hundred_random_graphs_match_oracle():
 
 
 def test_modularity_invariant_to_label_and_node_relabeling():
-    g = fixtures.two_clique_graph(5)
+    g = two_clique_graph(5)
     part = g.party_partition()
     q = modularity(g, part)
     renamed = {node: {"Republican": "blue", "Democrat": "gold"}[party]
@@ -178,7 +179,7 @@ def test_modularity_invariant_to_label_and_node_relabeling():
 
 
 def test_modularity_scale_invariant_for_positive_weights():
-    g = fixtures.two_clique_graph(5)
+    g = two_clique_graph(5)
     part = g.party_partition()
     q = modularity(g, part)
     for lam in (0.5, 3.0, 17.0):
@@ -278,7 +279,7 @@ def test_unswappable_graph_permutes_weights():
 
 
 def test_standardized_modularity_determinism_and_structure():
-    g = fixtures.two_clique_graph(10)
+    g = two_clique_graph(10)
     part = g.party_partition()
     rep1 = standardized_modularity(g, part, n_samples=100, master_seed=42)
     rep2 = standardized_modularity(g, part, n_samples=100, master_seed=42)
@@ -286,7 +287,7 @@ def test_standardized_modularity_determinism_and_structure():
     assert rep1.z > 3.0
     assert rep1.n_samples == 100
 
-    blind = fixtures.partition_blind_graph()
+    blind = partition_blind_graph()
     rep3 = standardized_modularity(blind, blind.party_partition(),
                                    n_samples=100, master_seed=7)
     assert abs(rep3.z) < 4.0
@@ -329,7 +330,7 @@ def test_a_null_that_made_no_swap_scores_no_row():
 
 
 def test_standardized_modularity_needs_two_samples():
-    g = fixtures.two_clique_graph(4)
+    g = two_clique_graph(4)
     with pytest.raises(ValueError, match="at least 2"):
         standardized_modularity(g, g.party_partition(), n_samples=1)
 
@@ -530,7 +531,7 @@ def test_edges_csv_layout():
 
 
 def test_gexf_is_wellformed_and_complete():
-    g = fixtures.two_clique_graph(3)
+    g = two_clique_graph(3)
     doc = to_gexf(g)
     root = ET.fromstring(doc)
     ns = "{http://www.gexf.net/1.2draft}"

@@ -228,21 +228,19 @@ def _ragged_examples():
                                                   ((1, 2, 3, 3), (0, 1, 1))])]
 
 
-def _frozen(d, norm="softmax"):
-    extractor = FrozenTrajectoryExtractor(TrainConfig(hidden_size=d, seed=4, attention_norm=norm))
+def _frozen(d):
+    extractor = FrozenTrajectoryExtractor(TrainConfig(hidden_size=d, seed=4))
     extractor.freeze()
     return extractor
 
 
-@pytest.mark.parametrize("norm", ["softmax", "literal"])
 @pytest.mark.parametrize("name", list(ABLATION_GRID))
-def test_objective_gradient_matches_finite_differences(name, norm):
+def test_objective_gradient_matches_finite_differences(name):
     # Central differences of _batch_pass's total loss against its backward,
     # for every entry of every model parameter. The scale floor keeps
     # entries whose gradient is ~0 from dividing rounding noise by ~0.
     d, h = 2, 1e-6
-    config = replace(TrainConfig(hidden_size=d, seed=7, attention_norm=norm),
-                     **ABLATION_GRID[name])
+    config = replace(TrainConfig(hidden_size=d, seed=7), **ABLATION_GRID[name])
     model = InteractionModel(config, frozen=_frozen(d) if config.fusion_mode != "off" else None)
     batch = _ragged_examples()
     filled = _filled(model, batch)
@@ -263,13 +261,11 @@ def test_objective_gradient_matches_finite_differences(name, norm):
             assert err <= 1e-5, f"{key}[{i}]: analytic {analytic!r}, numeric {numeric!r}"
 
 
-@pytest.mark.parametrize("norm", ["softmax", "literal"])
-def test_a_candidates_score_does_not_depend_on_its_batch(corpus, norm):
+def test_a_candidates_score_does_not_depend_on_its_batch(corpus):
     # Each candidate scored alone, with its document, and in one call over
     # the corpus plus candidates with up to 12 occurrences of an entity: the
     # batch size and the occurrence padding differ in each, the bits do not.
-    config = TrainConfig(hidden_size=8, seed=3, attention_norm=norm)
-    model = InteractionModel(config, frozen=_frozen(8, norm))
+    model = InteractionModel(TrainConfig(hidden_size=8, seed=3), frozen=_frozen(8))
     by_doc: dict = {}
     for triple in corpus.triples:
         by_doc.setdefault(triple.segment.doc_id, []).append(triple)
@@ -283,12 +279,10 @@ def test_a_candidates_score_does_not_depend_on_its_batch(corpus, norm):
     assert [predict(model, [cand])[0].score for cand in everything] == scores
 
 
-@pytest.mark.parametrize("norm", ["softmax", "literal"])
-def test_padding_cannot_leak(norm):
+def test_padding_cannot_leak():
     # A candidate differentiated alone (its own occurrence count sets the
     # padding) and inside a batch padded for longer candidates.
-    config = TrainConfig(hidden_size=4, seed=3, attention_norm=norm)
-    model = InteractionModel(config, frozen=_frozen(4, norm))
+    model = InteractionModel(TrainConfig(hidden_size=4, seed=3), frozen=_frozen(4))
     cands = [ex.candidate for ex in _ragged_examples()]
     rng = np.random.default_rng(0)
     d_inter, d_tra = rng.normal(size=(4, 2)), rng.normal(size=(2, 4, 2))
@@ -480,7 +474,9 @@ def test_checkpoint_roundtrip_predict_bit_identical(tmp_path, corpus, trained_mo
 
 
 @pytest.mark.parametrize("key, value", [("ft", True), ("optimizer", "adamw"),
-                                        ("frozen_checkpoint", None)])
+                                        ("frozen_checkpoint", None),
+                                        ("attention_norm", "softmax"),
+                                        ("cross_attention", "joint")])
 def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path, trained_model, key, value):
     # A model's config, the config of its frozen extractor, and an extractor
     # checkpoint's config are each refused.
@@ -497,26 +493,6 @@ def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path, trained_model
             load(path)
         assert str(err.value) == (f"{path}: checkpoint config key {key!r} is not a "
                                   "TrainConfig field; retrain with this version"), field
-
-
-def test_extractor_checkpoint_with_the_old_seven_key_config_loads(tmp_path, corpus, extractor):
-    # Extractor checkpoints once stored these seven keys, mlp_hidden resolved.
-    path = tmp_path / "extractor.ckpt"
-    extractor.save(path)
-    arrays, meta = load_archive(path)
-    cfg = extractor.config
-    meta["config"] = {"backbone": cfg.backbone, "hidden_size": cfg.hidden_size,
-                      "max_tokens": cfg.max_tokens, "mlp_hidden": cfg.hidden_size,
-                      "seed": cfg.seed, "attention_norm": cfg.attention_norm,
-                      "weights_path": cfg.weights_path}
-    save_archive(path, arrays, meta)
-    loaded = FrozenTrajectoryExtractor.load(path)
-    assert loaded.frozen
-    assert loaded.param_checksum() == extractor.param_checksum()
-    t = corpus.labeled_triples[0].triple
-    view = (t.segment, (t.person, t.time, t.location))
-    assert np.array_equal(loaded.features(loaded.encoder.prepare(*view)),
-                          extractor.features(extractor.encoder.prepare(*view)))
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -542,8 +518,8 @@ def test_config_file_roundtrip(tmp_path):
     ("batch_size = 0", "batch_size must be positive"),
     ("fusion_mode = bogus", "unknown fusion_mode 'bogus'"),
     ("optimizer = sgd", "unknown key 'optimizer'"),
-    ("attention_norm = l2", "unknown attention_norm 'l2'"),
-    ("cross_attention = bogus", "unknown cross_attention 'bogus'"),
+    ("attention_norm = l2", "unknown key 'attention_norm'"),
+    ("cross_attention = bogus", "unknown key 'cross_attention'"),
 ])
 def test_config_file_errors_give_file_and_line(tmp_path, line, reason):
     path = tmp_path / "train.cfg"
