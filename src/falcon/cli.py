@@ -6,12 +6,17 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from . import dataset as ds
-from . import evalbench, extract, fixtures, ingest, polarnet
-from . import training as tr
+from . import evalbench, extract, fixtures, ingest
+
+# `training` and `polarnet` load NumPy, so only the commands that compute with
+# them import them, and the other commands start without it.
+if TYPE_CHECKING:
+    from . import training as tr
 
 
 class _Group(click.Group):
@@ -99,6 +104,8 @@ def dataset_split(in_path, out_path, seed, ratios, by_doc):
 # training
 
 def _load_train_config(config_path) -> tr.TrainConfig:
+    from . import training as tr
+
     return tr.load_config(config_path) if config_path else tr.TrainConfig()
 
 
@@ -108,6 +115,8 @@ def _load_train_config(config_path) -> tr.TrainConfig:
 @click.option("--out", "out_path", required=True, type=click.Path())
 def pretrain_tra_cmd(config_path, data_path, out_path):
     """Pretrain the trajectory extractor on labeled triples, freeze, save."""
+    from . import training as tr
+
     config = _load_train_config(config_path)
     corpus = ds.load_labeled_triples(data_path)
     result = tr.TrainResult()
@@ -134,6 +143,8 @@ def _load_training_examples(data_path) -> list:
 @click.option("--frozen", "frozen_path", type=click.Path(exists=True))
 def train_cmd(config_path, data_path, out_path, frozen_path):
     """Train the interaction classifier; keeps the best validation-F1 epoch."""
+    from . import training as tr
+
     config = _load_train_config(config_path)
     examples = _load_training_examples(data_path)
     frozen = None
@@ -167,6 +178,8 @@ def _prediction_json(p: tr.Prediction) -> dict:
               help="Label threshold; defaults to the checkpoint's.")
 def predict_cmd(checkpoint, cand_path, out_path, threshold):
     """Score candidate quadruples with a trained checkpoint."""
+    from . import training as tr
+
     model = tr.InteractionModel.load(checkpoint)
     candidates = ingest.load_candidates(cand_path)
     preds = tr.predict(model, candidates, threshold=threshold)
@@ -183,6 +196,8 @@ def predict_cmd(checkpoint, cand_path, out_path, threshold):
 @click.option("--out", "out_path", type=click.Path())
 def eval_cmd(checkpoint, data_path, split, out_path):
     """Evaluate a checkpoint on one split of a labeled dataset."""
+    from . import training as tr
+
     model = tr.InteractionModel.load(checkpoint)
     examples = ds.load_examples(data_path)
     subset = [ex for ex in examples if split == "all" or ex.split == split]
@@ -202,6 +217,8 @@ def eval_cmd(checkpoint, data_path, split, out_path):
 @click.option("--frozen", "frozen_path", required=True, type=click.Path(exists=True))
 def ablate_cmd(config_path, data_path, out_dir, frozen_path):
     """Run the six-configuration ablation grid and write CSV + text tables."""
+    from . import training as tr
+
     config = _load_train_config(config_path)
     examples = _load_training_examples(data_path)
     frozen = tr.FrozenTrajectoryExtractor.load(frozen_path)
@@ -230,6 +247,8 @@ def ablate_cmd(config_path, data_path, out_dir, frozen_path):
 def extract_cmd(triples_path, checkpoint, out_path, summary_path, threshold,
                 state_path, gazetteer_path):
     """Run the corpus extraction: triples -> candidates -> positive records."""
+    from . import training as tr
+
     model = tr.InteractionModel.load(checkpoint)
     result = ingest.load_triples(triples_path)
     if result.errors:
@@ -269,6 +288,8 @@ def analyze_group():
 
 
 def _load_records_attrs(records_path, attrs_path):
+    from . import polarnet
+
     records = extract.load_records(records_path)
     attrs = polarnet.load_node_attrs(attrs_path)
     return records, attrs
@@ -288,6 +309,8 @@ def _load_records_attrs(records_path, attrs_path):
 def analyze_polarization(records_path, attrs_path, null_samples, seed, cumulative,
                          signed_mode, state_filter, out_csv, out_json):
     """Yearly standardized-modularity series for the party partition."""
+    from . import polarnet
+
     records, attrs = _load_records_attrs(records_path, attrs_path)
     if state_filter:
         records = [r for r in records if r.state == state_filter]
@@ -310,6 +333,8 @@ def analyze_polarization(records_path, attrs_path, null_samples, seed, cumulativ
 @click.option("--out-json", "out_json", type=click.Path())
 def analyze_trends(records_path, attrs_path, bin_size, out_csv, out_json):
     """Inter-party share and per-type shares among inter-party interactions."""
+    from . import polarnet
+
     records, attrs = _load_records_attrs(records_path, attrs_path)
     series = polarnet.trend_ratios(records, attrs, bin_size=bin_size)
     Path(out_csv).write_text(series.to_csv(), encoding="utf-8")
@@ -326,6 +351,8 @@ def analyze_trends(records_path, attrs_path, bin_size, out_csv, out_json):
 @click.option("--out-csv", "out_csv", required=True, type=click.Path())
 def analyze_distance(records_path, attrs_path, out_csv):
     """Per-record interaction distances (location to both birthplaces)."""
+    from . import polarnet
+
     records, attrs = _load_records_attrs(records_path, attrs_path)
     computed = 0
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
@@ -346,6 +373,8 @@ def analyze_distance(records_path, attrs_path, out_csv):
 @click.option("--out-json", "out_json", required=True, type=click.Path())
 def analyze_stats(records_path, attrs_path, k_min, out_json):
     """Degree histogram, clustering, power-law exponent, PageRank."""
+    from . import polarnet
+
     records, attrs = _load_records_attrs(records_path, attrs_path)
     graph, _ = polarnet.build_graph(records, attrs)
     stats = polarnet.graph_stats(graph, k_min=k_min)
@@ -362,6 +391,8 @@ def analyze_stats(records_path, attrs_path, k_min, out_json):
 @click.option("--out-gexf", "out_gexf", type=click.Path())
 def analyze_export(records_path, attrs_path, out_edges, out_gexf):
     """Write the weighted edge list (CSV) and a GEXF file for layout tools."""
+    from . import polarnet
+
     records, attrs = _load_records_attrs(records_path, attrs_path)
     graph, _ = polarnet.build_graph(records, attrs)
     Path(out_edges).write_text(polarnet.edges_csv(graph), encoding="utf-8")

@@ -25,6 +25,7 @@ from .ingest import (
     dumps_record,
     generate_candidates,
     iter_jsonl,
+    load_json_table,
     normalize_surface,
     write_jsonl,
 )
@@ -33,6 +34,8 @@ INTERACTION_TYPES = ("Adversarial", "Cooperative", "Neutral")
 YEAR_RANGE = (1000, 2024)
 # Tries per record before the typing step gives up on a failing transport.
 LLM_ATTEMPTS = 3
+# Seconds the HTTP client waits on a silent endpoint before the try fails.
+LLM_TIMEOUT_S = 30.0
 # Candidates per scoring call of ``extract_corpus``: whole documents are
 # grouped up to this many, a larger document is a call of its own. On the
 # perfbench ``extract`` corpus (d=8, 2 vCPU) the command's CPU time is flat
@@ -112,9 +115,7 @@ def record_id_for(cand: CandidateQuadruple) -> str:
 
 def load_gazetteer(path: str | Path) -> dict:
     """Location surface -> {lat, lon, state?}, keys normalized for lookup."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {normalize_surface(k): v for k, v in raw.items()}
+    return {normalize_surface(k): v for k, v in load_json_table(path).items()}
 
 
 def record_from_candidate(cand: CandidateQuadruple, score: float,
@@ -318,12 +319,10 @@ class FixtureLLMClient:
 class HttpChatClient:
     """Minimal chat-completion client against an OpenAI-style endpoint."""
 
-    def __init__(self, endpoint: str, model: str, api_key: str | None = None,
-                 timeout: float = 30.0):
+    def __init__(self, endpoint: str, model: str, api_key: str | None = None):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
         # Imported here: urllib.request pulls in http.client and email, a
@@ -341,7 +340,7 @@ class HttpChatClient:
         if self.api_key:
             req.add_header("Authorization", f"Bearer {self.api_key}")
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(req, timeout=LLM_TIMEOUT_S) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, ValueError) as exc:
             raise TransportError(str(exc)) from exc

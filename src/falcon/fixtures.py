@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .dataset import LabeledExample, LabeledTriple
 from .extract import InteractionRecord
@@ -24,7 +25,9 @@ from .ingest import (
     normalize_surface,
     pair_candidates,
 )
-from .polarnet import SignedGraph
+
+if TYPE_CHECKING:
+    from .polarnet import SignedGraph
 
 NAMES = [
     "Niemans", "Berg", "Joseph", "Mary", "Ashford", "Blake", "Corwin", "Devlin",
@@ -260,6 +263,9 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
 # Graph fixtures
 
 def _make_graph(n: int, edges: dict, parties=None) -> SignedGraph:
+    # Imported here: polarnet loads NumPy, which `falcon fixture` never needs.
+    from .polarnet import SignedGraph
+
     nodes = [f"n{i:02d}" for i in range(n)]
     attrs = {}
     for i, node in enumerate(nodes):

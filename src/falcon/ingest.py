@@ -10,7 +10,6 @@ text segment.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -139,66 +138,6 @@ class CandidateQuadruple:
 
 
 # ---------------------------------------------------------------------------
-# Segmentation
-
-@dataclass(frozen=True)
-class SegmentPolicy:
-    max_chars: int = 2000
-
-
-_PARAGRAPH_SEP = re.compile(r"\n\s*\n")
-
-
-def _paragraph_spans(text: str) -> list[tuple[int, int]]:
-    spans = []
-    pos = 0
-    for sep in _PARAGRAPH_SEP.finditer(text):
-        spans.append((pos, sep.start()))
-        pos = sep.end()
-    spans.append((pos, len(text)))
-    trimmed = []
-    for start, end in spans:
-        chunk = text[start:end]
-        lead = len(chunk) - len(chunk.lstrip())
-        trail = len(chunk) - len(chunk.rstrip())
-        if start + lead < end - trail:
-            trimmed.append((start + lead, end - trail))
-    return trimmed
-
-
-def segment_document(doc: Document, policy: SegmentPolicy | None = None) -> list[TextSegment]:
-    """Split a document into paragraph segments, greedily merged up to max_chars.
-
-    A single paragraph longer than the cap stays intact: paragraph
-    granularity is the floor. Offsets index into ``doc.text`` so the
-    inter-segment gaps reconstruct the document exactly.
-    """
-    policy = policy or SegmentPolicy()
-    if not doc.text.strip():
-        return []
-    paragraphs = _paragraph_spans(doc.text)
-    groups: list[tuple[int, int]] = []
-    cur_start, cur_end = paragraphs[0]
-    for start, end in paragraphs[1:]:
-        if end - cur_start <= policy.max_chars:
-            cur_end = end
-        else:
-            groups.append((cur_start, cur_end))
-            cur_start, cur_end = start, end
-    groups.append((cur_start, cur_end))
-    return [
-        TextSegment(
-            segment_id=f"{doc.doc_id}:s{i}",
-            doc_id=doc.doc_id,
-            char_start=start,
-            char_end=end,
-            text=doc.text[start:end],
-        )
-        for i, (start, end) in enumerate(groups)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Triple / candidate JSONL
 
 @dataclass(frozen=True)
@@ -310,6 +249,26 @@ def iter_jsonl(path: str | Path, parse: Callable,
             yield item
 
 
+def load_json_table(path: str | Path) -> dict[str, dict]:
+    """Read a JSON object whose every value is an object (key -> attributes).
+
+    Bad JSON, a top level that is not an object, or a value that is not an
+    object raises ``ValueError("path: reason")``. An unreadable file raises
+    OSError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            table = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(table, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(table).__name__}")
+    for key, value in table.items():
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: value of {key!r} is not a JSON object")
+    return table
+
+
 def write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
     """Write one ``dumps_record`` line per object."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -410,16 +369,6 @@ def generate_candidates(triples: Sequence[TrajectoryTriple]) -> list[CandidateQu
     for key in sorted(groups):
         out.extend(pair_candidates(groups[key]))
     return out
-
-
-def audit_coverage(gold: Sequence[CandidateQuadruple],
-                   produced: Sequence[CandidateQuadruple]) -> float:
-    """|gold ∩ produced| / |gold| under (doc_id, normalized-quadruple) identity."""
-    if not gold:
-        raise ValueError("undefined coverage: empty gold set")
-    gold_keys = {c.key() for c in gold}
-    produced_keys = {c.key() for c in produced}
-    return len(gold_keys & produced_keys) / len(gold_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import accel
 from .extract import InteractionRecord
-from .ingest import normalize_surface
+from .ingest import load_json_table, normalize_surface
 
 TYPE_WEIGHTS = {"Adversarial": -2.0, "Cooperative": 2.0, "Neutral": 1.0}
 PARTIES = ("Republican", "Democrat")
@@ -99,11 +99,9 @@ class BuildReport:
 
 
 def load_node_attrs(path) -> dict[str, dict]:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {normalize_surface(k): dict(v, name=k) for k, v in raw.items()}
+    """Person name -> attributes plus ``name``, keys normalized for lookup."""
+    return {normalize_surface(k): dict(v, name=k)
+            for k, v in load_json_table(path).items()}
 
 
 def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict],

@@ -14,6 +14,8 @@ from falcon.backbone import DeterministicStubBackbone
 from falcon.cli import main
 from falcon.dataset import load_labeled_triples
 from falcon.encoder import ContextOverflowError, canonical_entities, insert_markers
+from falcon.extract import dump_records
+from falcon.fixtures import political_records_fixture
 from falcon.training import InteractionModel
 
 
@@ -362,10 +364,74 @@ def test_ingest_excludes_a_triple_whose_segment_text_is_not_at_its_offsets(works
                           "document at their offsets\n")
 
 
+@pytest.mark.parametrize("command", ["analyze stats", "extract"])
+@pytest.mark.parametrize("text, reason", [
+    ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('{"A B": 3}', "value of 'A B' is not a JSON object"),
+], ids=["bad-json", "top-level-list", "value-not-object"])
+def test_bad_keyed_json_is_an_error_line_not_a_traceback(workspace, tmp_path, command,
+                                                         text, reason):
+    # The attrs table and the gazetteer are read by one reader.
+    bad = tmp_path / "table.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    if command == "extract":
+        args = ["extract", "--triples", str(workspace / "fx" / "triples.jsonl"),
+                "--checkpoint", str(workspace / "model.ckpt"), "--out", str(out),
+                "--gazetteer", str(bad)]
+    else:
+        _typed_records(workspace)
+        args = ["analyze", "stats", "--records", str(workspace / "typed.jsonl"),
+                "--attrs", str(bad), "--out-json", str(out)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert res.output == f"Error: {bad}: {reason}\n"
+    assert not out.exists()
+
+
+def _run_python(code, cwd=None) -> str:
+    """Stdout of ``code`` run in a fresh interpreter, with this falcon on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(falcon.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_cli_import_leaves_urllib_request_unloaded():
     # The HTTP client imports urllib.request when it sends, not at start-up.
-    code = "import sys, falcon.cli; print('urllib.request' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(falcon.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = _run_python("import sys, falcon.cli; print('urllib.request' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    out = _run_python("import sys, falcon.cli; print('numpy' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_commands_without_arrays_run_without_numpy(tmp_path):
+    # Only the commands that compute with training or polarnet import them.
+    records, _ = political_records_fixture(per_year=2)
+    dump_records(records, tmp_path / "records.jsonl")
+    commands = [
+        ["fixture", "--out-dir", "fx", "--docs", "5"],
+        ["ingest", "--docs", "fx/docs", "--triples", "fx/triples.jsonl",
+         "--out", "fx/candidates.jsonl"],
+        ["dataset", "summarize", "--in", "fx/labeled.jsonl"],
+        ["dataset", "split", "--in", "fx/labeled.jsonl", "--out", "fx/split.jsonl"],
+        ["classify-type", "--records", "records.jsonl",
+         "--llm", "fixture:fx/llm_responses.json", "--out", "typed.jsonl"],
+    ]
+    out = _run_python(
+        "import sys\n"
+        "from falcon.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        "    print('numpy loaded:', 'numpy' in sys.modules, *args[:2])\n",
+        cwd=tmp_path)
+    assert [line for line in out.splitlines() if line.startswith("numpy loaded:")] == [
+        "numpy loaded: False fixture --out-dir",
+        "numpy loaded: False ingest --docs",
+        "numpy loaded: False dataset summarize",
+        "numpy loaded: False dataset split",
+        "numpy loaded: False classify-type --records",
+    ]

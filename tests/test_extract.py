@@ -1,4 +1,6 @@
+import http.server
 import json
+import threading
 
 import pytest
 
@@ -6,6 +8,7 @@ from falcon import extract
 from falcon.dataset import split_dataset
 from falcon.extract import (
     FixtureLLMClient,
+    HttpChatClient,
     TransportError,
     classify_records,
     classify_type,
@@ -283,3 +286,74 @@ def test_transport_exhaustion_marks_unclassified(corpus):
     assert rec.interaction_type is None
     assert rec.type_flag == "unclassified"
     assert client.calls == 3
+
+
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    """Records each request and answers with the server's status and payload."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append({
+            "body": json.loads(body),
+            "content_type": self.headers.get("Content-Type"),
+            "authorization": self.headers.get("Authorization"),
+        })
+        self.send_response(self.server.status)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(json.dumps(self.server.payload).encode("utf-8"))
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """A chat-completion endpoint on the loopback interface, served from a thread."""
+    # urllib would send even a loopback request through a proxy named in the
+    # environment.
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.requests = []
+    server.status = 200
+    server.payload = {"choices": [{"message": {"content": "Cooperative"}}]}
+    server.url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("api_key, authorization", [
+    ("sk-test", "Bearer sk-test"),
+    (None, None),
+])
+def test_http_client_posts_the_prompt(chat_server, api_key, authorization):
+    client = HttpChatClient(chat_server.url, model="gpt-test", api_key=api_key)
+    assert client.complete("Who met whom?") == "Cooperative"
+    assert chat_server.requests == [{
+        "body": {"model": "gpt-test",
+                 "messages": [{"role": "user", "content": "Who met whom?"}],
+                 "temperature": 1.0},
+        "content_type": "application/json",
+        "authorization": authorization,
+    }]
+
+
+@pytest.mark.parametrize("status, payload, message", [
+    (500, {"error": "overloaded"}, "500"),
+    (200, {"error": "no choices"}, "malformed completion payload"),
+])
+def test_http_client_failures_are_transport_errors(chat_server, status, payload, message):
+    chat_server.status = status
+    chat_server.payload = payload
+    client = HttpChatClient(chat_server.url, model="gpt-test")
+    with pytest.raises(TransportError, match=message):
+        client.complete("Who met whom?")
+    assert len(chat_server.requests) == 1
