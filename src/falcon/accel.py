@@ -1,15 +1,16 @@
 """The null-model kernels: degree-preserving rewiring and edge-list modularity.
 
 ``rewire_edges`` is the null-model sampler, called once per null sample of a
-standardized modularity report; ``modularity_edges`` scores an edge list
-under a node partition. The rewiring draws from splitmix64 (Steele, Lea &
-Flood 2014), which is counter-based: draw *i* under seed *s* is
-``mix(s + i * gamma)``, so blocks of draws are computed in NumPy rather than
-one at a time. The rewiring's adjacency is a flat byte table of n² bytes,
-entry ``a * n + d`` for the pair (a, d): the size of an (n, n) bool array,
-but read and written as plain ints rather than NumPy scalars. Outputs are
-deterministic per seed and pinned by the golden digests in
-``tests/test_accel.py``.
+standardized modularity report: a double-edge-swap chain run for a fixed
+number of steps, a rejected swap counting as a step. ``modularity_edges``
+scores an edge list under a node partition. The rewiring draws from
+splitmix64 (Steele, Lea & Flood 2014), which is counter-based: draw *i*
+under seed *s* is ``mix(s + i * gamma)``, so blocks of draws are computed in
+NumPy rather than one at a time. The rewiring's adjacency is a flat byte
+table of n² bytes, entry ``a * n + d`` for the pair (a, d): the size of an
+(n, n) bool array, but read and written as plain ints rather than NumPy
+scalars. Outputs are deterministic per seed and pinned by the golden digests
+in ``tests/test_accel.py``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MULT1 = 0xBF58476D1CE4E5B9
 _SM_MULT2 = 0x94D049BB133111EB
 _SEED_MASK = 0x7FFFFFFFFFFFFFFF  # the stream of every seed depends on this mask
-# A refill draws for at least this many attempts (if the cap allows).
-_REFILL_ATTEMPTS = 512
+# The draws of at most this many steps are held at once.
+_BLOCK_STEPS = 512
 
 # There is no compiled path; kept because benchmark results record it.
 NUMBA_ACTIVE = False
@@ -47,11 +48,16 @@ def _splitmix(seed, start, count):
     return z ^ (z >> np.uint64(31))
 
 
-def rewire_edges(u, v, w, n_nodes, target_swaps, max_attempts, seed):
-    """Double-edge-swap rewiring, then a Fisher-Yates shuffle of the weights.
+def rewire_edges(u, v, w, n_nodes, steps, seed):
+    """Double-edge-swap chain of ``steps`` steps, then a Fisher-Yates shuffle
+    of the weights.
 
-    Each attempt draws two edge indices and, unless they coincide, a flip
-    bit. Returns the rewired ``(u2, v2, w2)`` and the accepted swap count.
+    Each step draws two edge indices and, unless they coincide, a flip bit,
+    and proposes that swap. A rejected proposal is a step that keeps the
+    current graph (Fosdick et al. 2018), so the chain's stationary
+    distribution is uniform over the simple graphs with the degree sequence
+    of ``(u, v)``. Returns the rewired ``(u2, v2, w2)`` and the accepted
+    swap count.
     """
     seed = int(seed) & _SEED_MASK
     m, n = u.shape[0], int(n_nodes)
@@ -60,16 +66,15 @@ def rewire_edges(u, v, w, n_nodes, target_swaps, max_attempts, seed):
     for a, b in zip(uu, vv):
         adj[a * n + b] = adj[b * n + a] = 1
 
-    drawn = accepted = attempts = i = 0
-    while m >= 2 and accepted < target_swaps and attempts < max_attempts:
-        # An attempt uses at most 3 draws. Draws are counter-based, so a
-        # refill restarts at the first unused draw, and the block size
-        # changes no output.
-        block = min(max(target_swaps - accepted, _REFILL_ATTEMPTS), max_attempts - attempts)
-        drawn += i
+    drawn = accepted = 0
+    for start in range(0, steps if m >= 2 else 0, _BLOCK_STEPS):
+        # A step uses at most 3 draws. Draws are counter-based, so a block
+        # starts at the first unused draw, and the block size changes no
+        # output.
+        block = min(_BLOCK_STEPS, steps - start)
         z = _splitmix(seed, drawn, 3 * block)
         edge, flip, i = (z % np.uint64(m)).tolist(), (z & np.uint64(1)).tolist(), 0
-        for attempts in range(attempts + 1, attempts + block + 1):
+        for _ in range(block):
             e1, e2 = edge[i], edge[i + 1]
             if e1 == e2:
                 i += 2
@@ -89,9 +94,7 @@ def rewire_edges(u, v, w, n_nodes, target_swaps, max_attempts, seed):
             uu[e1], vv[e1] = a, d
             uu[e2], vv[e2] = c, b
             accepted += 1
-            if accepted == target_swaps:
-                break
-    drawn += i
+        drawn += i
 
     bounds = np.arange(m, 1, -1, dtype=np.uint64)
     perm = list(range(m))

@@ -26,10 +26,8 @@ from .ingest import load_json_table, normalize_surface
 
 TYPE_WEIGHTS = {"Adversarial": -2.0, "Cooperative": 2.0, "Neutral": 1.0}
 PARTIES = ("Republican", "Democrat")
-# Each null sample aims at SWAP_FACTOR * m accepted swaps within
-# MAX_ATTEMPT_FACTOR * m attempts, m being the edge count.
-SWAP_FACTOR = 10
-MAX_ATTEMPT_FACTOR = 100
+# Each null sample runs STEP_FACTOR * m swap steps, m being the edge count.
+STEP_FACTOR = 10
 # A polarization row is scored only from this many edges up.
 MIN_EDGES = 2
 # Verbatim modularity divides by the signed total weight. Without negative
@@ -208,14 +206,17 @@ def _edge_modularity(u, v, w, comm, n_nodes: int, n_comms: int,
 # Null model
 
 def randomize_null(graph: SignedGraph, seed: int) -> SignedGraph:
-    """Degree-preserving double-edge swaps plus a uniform permutation of the
-    original weight multiset onto the rewired edge set; deterministic under
-    ``seed``. A graph where no swap is possible comes back weight-permuted.
+    """``STEP_FACTOR * m`` steps of the double-edge-swap chain, a rejected
+    swap counting as a step, plus a uniform permutation of the original
+    weight multiset onto the rewired edge set; deterministic under ``seed``.
+    A graph where no swap is possible comes back weight-permuted.
+
+    This is the reference null sample: ``standardized_modularity`` draws the
+    same samples without building a graph for each.
     """
     m = graph.n_edges
     u, v, w = graph.edge_arrays()
-    u2, v2, w2, _ = accel.rewire_edges(
-        u, v, w, graph.n_nodes, SWAP_FACTOR * m, MAX_ATTEMPT_FACTOR * m, seed)
+    u2, v2, w2, _ = accel.rewire_edges(u, v, w, graph.n_nodes, STEP_FACTOR * m, seed)
     null = SignedGraph(nodes=list(graph.nodes), node_attrs=graph.node_attrs)
     for i in range(m):
         a, b = int(u2[i]), int(v2[i])
@@ -226,17 +227,16 @@ def randomize_null(graph: SignedGraph, seed: int) -> SignedGraph:
 
 @dataclass
 class ModularityReport:
-    """``accept_min`` and ``accept_mean`` are the accepted swaps over the
-    target swaps of the null samples: below 1, the attempt cap ended a
-    sample before its target, and the null may be poorly mixed."""
+    """``accept_rate`` is the mean over the null samples of accepted swaps
+    over steps; a rate near 0 means the chain rarely left the graph it
+    started from."""
     q_original: float
     n_samples: int
     mu: float
     sigma: float
     z: float
     master_seed: int
-    accept_min: float
-    accept_mean: float
+    accept_rate: float
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -252,35 +252,33 @@ def standardized_modularity(graph: SignedGraph, partition: dict[str, str],
     """Z-score of the observed modularity against the rewired null ensemble,
     every sample scored with the same ``signed_mode`` as the original.
 
-    A null in which no sample made a swap only permutes the weights (the
-    swap chain can be stuck on small graphs; Fosdick et al. 2018) and raises
-    :class:`DegenerateGraphError`. A null that stopped short of its target
-    is scored; ``accept_min`` and ``accept_mean`` say how short."""
+    Each sample is that of :func:`randomize_null` under its seed. A null in
+    which no sample made a swap only permutes the weights (the swap chain
+    can be stuck on small graphs; Fosdick et al. 2018) and raises
+    :class:`DegenerateGraphError`, whatever the spread of its scores."""
     if n_samples < 2:
         raise ValueError("standardized modularity needs at least 2 null samples")
     q_original = modularity(graph, partition, signed_mode=signed_mode)
     comm, n_comms = _partition_array(graph, partition)
     u, v, w = graph.edge_arrays()
-    m = graph.n_edges
-    target = SWAP_FACTOR * m
+    steps = STEP_FACTOR * graph.n_edges
     seeds = sample_seeds(master_seed, n_samples)
     qs = np.empty(n_samples)
     accepted = np.empty(n_samples, dtype=np.int64)
     for i, seed in enumerate(seeds):
         u2, v2, w2, accepted[i] = accel.rewire_edges(
-            u, v, w, graph.n_nodes, target, MAX_ATTEMPT_FACTOR * m, int(seed))
+            u, v, w, graph.n_nodes, steps, int(seed))
         qs[i] = _edge_modularity(u2, v2, w2, comm, graph.n_nodes, n_comms, signed_mode)
     mu = float(np.mean(qs))
     sigma = float(np.std(qs, ddof=1))
-    if sigma == 0.0 or bool(np.all(qs == qs[0])):
-        raise DegenerateGraphError("degenerate null distribution: sigma is zero")
     if not accepted.any():
         raise DegenerateGraphError("null made no swap: weights permuted only")
-    ratio = accepted / target
+    if sigma == 0.0 or bool(np.all(qs == qs[0])):
+        raise DegenerateGraphError("degenerate null distribution: sigma is zero")
     return ModularityReport(q_original=q_original, n_samples=n_samples, mu=mu,
                             sigma=sigma, z=(q_original - mu) / sigma,
-                            master_seed=master_seed, accept_min=float(ratio.min()),
-                            accept_mean=float(ratio.mean()))
+                            master_seed=master_seed,
+                            accept_rate=float(np.mean(accepted / steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +508,7 @@ def polarization_series(records: Sequence[InteractionRecord],
     Years whose graph has fewer than ``MIN_EDGES`` edges or whose null
     degenerates (including a null that made no swap) produce a row with
     ``q`` and ``z`` null and a reason, never a silent gap. A scored row
-    carries its null's ``accept_mean`` (accepted over target swaps). A
+    carries its null's ``accept_rate`` (accepted swaps over steps). A
     verbatim row with |q| > ``VERBATIM_Q_BOUND`` keeps its q and z and gets
     ``VERBATIM_Q_REASON``: its signed total weight is near zero, and the
     Gómez, Jensen & Arenas (2009) split (``signed_mode="gomez"``) applies.
@@ -521,7 +519,7 @@ def polarization_series(records: Sequence[InteractionRecord],
         window = (years[0], year) if cumulative else (year, year)
         graph, _ = build_graph(records, node_attrs, time_window=window)
         row = {"year": year, "window_start": window[0], "n_nodes": graph.n_nodes,
-               "n_edges": graph.n_edges, "q": None, "z": None, "accept_mean": None,
+               "n_edges": graph.n_edges, "q": None, "z": None, "accept_rate": None,
                "reason": None}
         if graph.n_edges < MIN_EDGES:
             row["reason"] = "too few edges"
@@ -533,7 +531,7 @@ def polarization_series(records: Sequence[InteractionRecord],
                 master_seed=master_seed, signed_mode=signed_mode)
             row["q"] = report.q_original
             row["z"] = report.z
-            row["accept_mean"] = report.accept_mean
+            row["accept_rate"] = report.accept_rate
             if signed_mode == "verbatim" and abs(report.q_original) > VERBATIM_Q_BOUND:
                 row["reason"] = VERBATIM_Q_REASON
         except DegenerateGraphError as exc:
@@ -545,14 +543,14 @@ def polarization_series(records: Sequence[InteractionRecord],
 def series_to_csv(rows: Iterable[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["year", "window_start", "n_nodes", "n_edges", "q", "z", "accept_mean",
+    writer.writerow(["year", "window_start", "n_nodes", "n_edges", "q", "z", "accept_rate",
                      "reason"])
     for row in rows:
         writer.writerow([
             row["year"], row["window_start"], row["n_nodes"], row["n_edges"],
             "" if row["q"] is None else f"{row['q']:.9f}",
             "" if row["z"] is None else f"{row['z']:.6f}",
-            "" if row["accept_mean"] is None else f"{row['accept_mean']:.6f}",
+            "" if row["accept_rate"] is None else f"{row['accept_rate']:.6f}",
             row["reason"] or "",
         ])
     return buf.getvalue()

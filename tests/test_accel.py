@@ -5,25 +5,27 @@ import numpy as np
 import pytest
 
 from falcon import accel, fixtures
+from falcon.polarnet import STEP_FACTOR
 
 # The null model's bit-identity contract: sha256 (first 16 hex digits) of the
 # rewired (u2, v2, w2, accepted) plus the modularity of the rewired graph under
-# a three-way partition. The last seed is at least 2**64 and has bit 63 set,
-# both of which the seed mask clears; "dense_20" caps attempts at 2 * m so
-# the cap binds, and "tiny_4" admits no swap at all.
+# a three-way partition, after (steps factor) * m steps. The last seed is at
+# least 2**64 and has bit 63 set, both of which the seed mask clears;
+# "dense_20" stops after 2 * m steps, far from mixed, and "tiny_4" admits no
+# swap at all.
 GOLDEN_SEEDS = (0, 1, 2**62 + 17, 2**63 - 1, 2**64 + 2**63 + 12345)
 GOLDEN_GRAPHS = {
-    "null_model_fixture": (fixtures.null_model_fixture, 100),
+    "null_model_fixture": (fixtures.null_model_fixture, STEP_FACTOR),
     "sparse_975": (lambda: fixtures.random_signed_graph(
-        975, 0.0021, seed=2, weights=(-2.0, 1.0, 2.0)), 100),
+        975, 0.0021, seed=2, weights=(-2.0, 1.0, 2.0)), STEP_FACTOR),
     "dense_20": (lambda: fixtures.random_signed_graph(20, 0.5, seed=1), 2),
     "tiny_4": (lambda: fixtures.random_signed_graph(4, 0.7, seed=4), 100),
 }
 GOLDEN_DIGESTS = {
-    "null_model_fixture": ("859ea9752879b5fa", "05939fac0d91e7b2", "256ed87fe30b3f28",
-                           "42ebc39484247be4", "b5542c03d5b2fad4"),
-    "sparse_975": ("5ebacbb1501fb930", "98786923bcca628a", "3ce35fe8252eda19",
-                   "04945d8fdeece734", "3e4aac6ed58bf81a"),
+    "null_model_fixture": ("c6483109edde272d", "663f41887c6a6709", "eba66ff19a2ad3de",
+                           "97a61e3cf04376f7", "d6729de19f2633a1"),
+    "sparse_975": ("403ee8b212d750fb", "7b3be468993cd9e8", "72b91512687e7c50",
+                   "5bd81942728ea3cd", "d12072b429cc9628"),
     "dense_20": ("4bb859bb10d6f85d", "52f0d51ac4efff91", "f82cdfbcd9a13fe6",
                  "5331f84de6543e61", "45ed48993380145b"),
     "tiny_4": ("27e44bc35d32ec8e", "36049f19baff406b", "0d5b95b84d4ec2c2",
@@ -31,12 +33,11 @@ GOLDEN_DIGESTS = {
 }
 
 
-def _null_digest(graph, seed, attempt_factor):
+def _null_digest(graph, seed, steps_factor):
     u, v, w = graph.edge_arrays()
-    m = len(u)
     comm = np.arange(graph.n_nodes, dtype=np.int64) % 3
-    u2, v2, w2, acc = accel.rewire_edges(u, v, w, graph.n_nodes, 10 * m,
-                                         attempt_factor * m, seed)
+    u2, v2, w2, acc = accel.rewire_edges(u, v, w, graph.n_nodes,
+                                         steps_factor * len(u), seed)
     q = accel.modularity_edges(u2, v2, w2, comm, graph.n_nodes, 3)
     h = hashlib.sha256()
     for arr, dtype in ((u2, "<i8"), (v2, "<i8"), (w2, "<f8")):
@@ -47,9 +48,9 @@ def _null_digest(graph, seed, attempt_factor):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
 def test_null_model_matches_golden_digests(name):
-    make, attempt_factor = GOLDEN_GRAPHS[name]
+    make, steps_factor = GOLDEN_GRAPHS[name]
     graph = make()
-    got = tuple(_null_digest(graph, seed, attempt_factor) for seed in GOLDEN_SEEDS)
+    got = tuple(_null_digest(graph, seed, steps_factor) for seed in GOLDEN_SEEDS)
     assert got == GOLDEN_DIGESTS[name]
 
 
@@ -57,13 +58,13 @@ def test_rewire_on_empty_and_single_edge_graphs():
     u = np.zeros(0, dtype=np.int64)
     v = np.zeros(0, dtype=np.int64)
     w = np.zeros(0, dtype=np.float64)
-    u2, v2, w2, acc = accel.rewire_edges(u, v, w, 4, 0, 0, 1)
+    u2, v2, w2, acc = accel.rewire_edges(u, v, w, 4, 0, 1)
     assert len(u2) == 0 and acc == 0
 
     u = np.array([0], dtype=np.int64)
     v = np.array([1], dtype=np.int64)
     w = np.array([2.0])
-    u2, v2, w2, acc = accel.rewire_edges(u, v, w, 4, 10, 100, 1)
+    u2, v2, w2, acc = accel.rewire_edges(u, v, w, 4, 100, 1)
     assert acc == 0
     assert (u2[0], v2[0], w2[0]) == (0, 1, 2.0)
 
@@ -116,9 +117,8 @@ def test_rewire_keeps_simple_graph_degrees_and_weights(n, p):
         graph.edges.setdefault((n - 2, n - 1), 2.0)  # an edge on the last node
         u, v, w = graph.edge_arrays()
         m = len(u)
-        target = int(rng.integers(0, 20 * m + 1))
-        cap = int(rng.integers(0, 40 * m + 1))
-        u2, v2, w2, acc = accel.rewire_edges(u, v, w, n, target, cap,
+        steps = int(rng.integers(0, 40 * m + 1))
+        u2, v2, w2, acc = accel.rewire_edges(u, v, w, n, steps,
                                              int(rng.integers(0, 2**63)))
         pairs = {(min(a, b), max(a, b)) for a, b in zip(u2.tolist(), v2.tolist())}
         assert not np.any(u2 == v2)
@@ -126,4 +126,4 @@ def test_rewire_keeps_simple_graph_degrees_and_weights(n, p):
         assert np.array_equal(np.bincount(np.concatenate([u2, v2]), minlength=n),
                               np.bincount(np.concatenate([u, v]), minlength=n))
         assert sorted(w2.tolist()) == sorted(w.tolist())
-        assert 0 <= acc <= min(target, cap)
+        assert 0 <= acc <= steps
