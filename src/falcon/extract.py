@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import re
 import time
@@ -95,8 +96,7 @@ class InteractionRecord:
     @classmethod
     def from_json(cls, obj: dict) -> "InteractionRecord":
         """Rebuild a record; every key that ``to_json`` always writes is required."""
-        return cls(*[obj[key] for key in RECORD_KEYS],
-                   *[obj.get(key) for key in OPTIONAL_RECORD_KEYS])
+        return cls(*_required_values(obj), *map(obj.get, OPTIONAL_RECORD_KEYS))
 
 
 # Fields without a default are always written and required on read; the
@@ -104,6 +104,7 @@ class InteractionRecord:
 RECORD_KEYS = tuple(f.name for f in fields(InteractionRecord) if f.default is MISSING)
 OPTIONAL_RECORD_KEYS = tuple(f.name for f in fields(InteractionRecord)
                              if f.default is not MISSING)
+_required_values = operator.itemgetter(*RECORD_KEYS)  # KeyError names a missing key
 
 
 def record_id_for(cand: CandidateQuadruple) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -20,6 +21,7 @@ PERSON_ROLES = ("Person1", "Person2", "Person")
 ENTITY_ROLES = PERSON_ROLES + ("Time", "Location")
 
 
+@lru_cache(maxsize=1 << 12)  # a corpus repeats a few thousand names
 def normalize_surface(surface: str) -> str:
     """Case-fold and collapse whitespace; the equality used for co-occurrence."""
     return " ".join(surface.split()).casefold()

@@ -102,20 +102,10 @@ def load_node_attrs(path) -> dict[str, dict]:
             for k, v in load_json_table(path).items()}
 
 
-def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict],
-                time_window: tuple[int, int] | None = None) -> tuple[SignedGraph, BuildReport]:
-    """Aggregate typed records into a signed graph over attributed people.
-
-    Per-pair weights are the sum of the mapped type weights across all
-    records in the window. Zero-sum pairs keep their edge: they still carry
-    a structural tie. A record whose two people normalise to the same key
-    is dropped: the graph has no loops.
-    """
-    report = BuildReport()
-    pair_weights: dict[tuple[str, str], float] = {}
-    pair_records: dict[tuple[str, str], list[str]] = {}
-    present: set[str] = set()
-
+def _included_pairs(records, node_attrs, report: BuildReport,
+                    time_window: tuple[int, int] | None = None):
+    """(record, normalized pair, type weight) of each record a graph includes;
+    ``report`` counts the rest."""
     for rec in records:
         if rec.interaction_type not in TYPE_WEIGHTS:
             report.excluded_untyped += 1
@@ -135,21 +125,62 @@ def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict
         if "party" not in node_attrs[k1] or "party" not in node_attrs[k2]:
             report.excluded_no_party += 1
             continue
-        pair = (k1, k2) if k1 <= k2 else (k2, k1)
-        pair_weights[pair] = pair_weights.get(pair, 0.0) + TYPE_WEIGHTS[rec.interaction_type]
-        pair_records.setdefault(pair, []).append(rec.record_id)
-        present.update(pair)
         report.included += 1
+        yield rec, ((k1, k2) if k1 <= k2 else (k2, k1)), TYPE_WEIGHTS[rec.interaction_type]
 
-    nodes = sorted(present)
+
+def _graph_from_pairs(pair_weights: dict, node_attrs: dict[str, dict],
+                      pair_records: dict | None = None) -> SignedGraph:
+    nodes = sorted({k for pair in pair_weights for k in pair})
     index = {node: i for i, node in enumerate(nodes)}
-    graph = SignedGraph(nodes=nodes,
-                        node_attrs={n: node_attrs[n] for n in nodes})
+    graph = SignedGraph(nodes=nodes, node_attrs={n: node_attrs[n] for n in nodes})
     for (k1, k2), weight in pair_weights.items():
         key = (index[k1], index[k2])
         graph.edges[key] = weight
-        graph.provenance[key] = sorted(pair_records[(k1, k2)])
-    return graph, report
+        if pair_records is not None:
+            graph.provenance[key] = sorted(pair_records[(k1, k2)])
+    return graph
+
+
+def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict],
+                time_window: tuple[int, int] | None = None) -> tuple[SignedGraph, BuildReport]:
+    """Aggregate typed records into a signed graph over attributed people.
+
+    Per-pair weights are the sum of the mapped type weights across all
+    records in the window. Zero-sum pairs keep their edge: they still carry
+    a structural tie. A record whose two people normalise to the same key
+    is dropped: the graph has no loops.
+    """
+    report = BuildReport()
+    pair_weights: dict[tuple[str, str], float] = {}
+    pair_records: dict[tuple[str, str], list[str]] = {}
+    for rec, pair, weight in _included_pairs(records, node_attrs, report, time_window):
+        pair_weights[pair] = pair_weights.get(pair, 0.0) + weight
+        pair_records.setdefault(pair, []).append(rec.record_id)
+    return _graph_from_pairs(pair_weights, node_attrs, pair_records), report
+
+
+def _window_graphs(records: Sequence[InteractionRecord], node_attrs: dict[str, dict],
+                   cumulative: bool):
+    """``(year, window, graph)`` for each year with a dated record: the
+    graph of ``build_graph`` over that year, or over every year up to it,
+    from one pass over the records. The type weights are small integers, so
+    a pair's weight sums exactly in any order."""
+    dated = [rec for rec in records if rec.time_year is not None]
+    by_year: defaultdict = defaultdict(dict)  # year -> pair -> summed weight
+    for rec, pair, weight in _included_pairs(dated, node_attrs, BuildReport()):
+        pairs = by_year[rec.time_year]
+        pairs[pair] = pairs.get(pair, 0.0) + weight
+    years = sorted({rec.time_year for rec in dated})
+    upto: dict[tuple[str, str], float] = {}
+    for year in years:
+        pairs = by_year.get(year, {})
+        if cumulative:
+            for pair, weight in pairs.items():
+                upto[pair] = upto.get(pair, 0.0) + weight
+            pairs = upto
+        window = (years[0], year) if cumulative else (year, year)
+        yield year, window, _graph_from_pairs(pairs, node_attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +213,29 @@ def modularity(graph: SignedGraph, partition: dict[str, str],
     return _edge_modularity(u, v, w, comm, graph.n_nodes, n_comms, signed_mode)
 
 
-def _edge_modularity(u, v, w, comm, n_nodes: int, n_comms: int,
-                     signed_mode: str) -> float:
-    """Modularity of one edge list; scores the original graph and every null sample."""
+def _edge_modularity(u, v, w, comm, n_nodes: int, n_comms: int, signed_mode: str,
+                     lane=None, n_lanes: int = 1):
+    """Modularity of one edge list, or of ``n_lanes`` edge lists at once given
+    the ``lane`` of each edge (laid out as ``accel.modularity_edges`` takes
+    them); scores the original graph and every null sample."""
+    if lane is None:
+        return float(_edge_modularity(u, v, w, comm, n_nodes, n_comms, signed_mode,
+                                      np.zeros(len(u), dtype=np.int64))[0])
     if signed_mode == "verbatim":
-        return float(accel.modularity_edges(u, v, w, comm, n_nodes, n_comms))
+        return accel.modularity_edges(u, v, w, comm, n_nodes, n_comms, lane, n_lanes)
     if signed_mode != "gomez":
         raise ValueError(f"unknown signed_mode {signed_mode!r}")
     pos = w > 0
     neg = w < 0
-    w_pos = float(w[pos].sum())
-    w_neg = float(-w[neg].sum())
-    if w_pos + w_neg == 0.0:
+    w_pos = np.bincount(lane[pos], weights=w[pos], minlength=n_lanes)
+    w_neg = np.bincount(lane[neg], weights=-w[neg], minlength=n_lanes)
+    if np.any(w_pos + w_neg == 0.0):
         raise DegenerateGraphError("degenerate graph: no weighted edges")
-    q_pos = float(accel.modularity_edges(u[pos], v[pos], w[pos], comm,
-                                         n_nodes, n_comms)) if w_pos else 0.0
-    q_neg = float(accel.modularity_edges(u[neg], v[neg], -w[neg], comm,
-                                         n_nodes, n_comms)) if w_neg else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # a lane with no such edge
+        q_pos = np.where(w_pos != 0, accel.modularity_edges(
+            u[pos], v[pos], w[pos], comm, n_nodes, n_comms, lane[pos], n_lanes), 0.0)
+        q_neg = np.where(w_neg != 0, accel.modularity_edges(
+            u[neg], v[neg], -w[neg], comm, n_nodes, n_comms, lane[neg], n_lanes), 0.0)
     return (w_pos * q_pos - w_neg * q_neg) / (w_pos + w_neg)
 
 
@@ -258,27 +295,64 @@ def standardized_modularity(graph: SignedGraph, partition: dict[str, str],
     :class:`DegenerateGraphError`, whatever the spread of its scores."""
     if n_samples < 2:
         raise ValueError("standardized modularity needs at least 2 null samples")
-    q_original = modularity(graph, partition, signed_mode=signed_mode)
-    comm, n_comms = _partition_array(graph, partition)
-    u, v, w = graph.edge_arrays()
-    steps = STEP_FACTOR * graph.n_edges
-    seeds = sample_seeds(master_seed, n_samples)
-    qs = np.empty(n_samples)
-    accepted = np.empty(n_samples, dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        u2, v2, w2, accepted[i] = accel.rewire_edges(
-            u, v, w, graph.n_nodes, steps, int(seed))
-        qs[i] = _edge_modularity(u2, v2, w2, comm, graph.n_nodes, n_comms, signed_mode)
-    mu = float(np.mean(qs))
-    sigma = float(np.std(qs, ddof=1))
-    if not accepted.any():
-        raise DegenerateGraphError("null made no swap: weights permuted only")
-    if sigma == 0.0 or bool(np.all(qs == qs[0])):
-        raise DegenerateGraphError("degenerate null distribution: sigma is zero")
-    return ModularityReport(q_original=q_original, n_samples=n_samples, mu=mu,
-                            sigma=sigma, z=(q_original - mu) / sigma,
-                            master_seed=master_seed,
-                            accept_rate=float(np.mean(accepted / steps)))
+    (report,) = _standardize([(graph, partition)], n_samples, master_seed, signed_mode)
+    if isinstance(report, DegenerateGraphError):
+        raise report
+    return report
+
+
+def _standardize(windows, n_samples: int, master_seed: int, signed_mode: str):
+    """The :func:`standardized_modularity` report of each ``(graph,
+    partition)`` window, or the :class:`DegenerateGraphError` that stops it.
+
+    The null samples of every window are lanes of one
+    ``accel.rewire_ensemble``, all windows under the same seeds, and each
+    group of lanes it yields is scored in one lane-offset modularity call."""
+    results: list = []
+    scored, specs, comms = [], [], []  # per window with a q: result index, arrays, comm
+    for graph, partition in windows:
+        try:
+            results.append(modularity(graph, partition, signed_mode=signed_mode))
+        except DegenerateGraphError as exc:
+            results.append(exc)
+            continue
+        u, v, w = graph.edge_arrays()
+        scored.append(len(results) - 1)
+        specs.append((u, v, w, graph.n_nodes, STEP_FACTOR * len(u)))
+        comms.append(_partition_array(graph, partition))
+    if not scored:
+        return results
+    m = np.array([len(spec[0]) for spec in specs])
+    n = np.array([spec[3] for spec in specs])
+    n_comms = max(c for _, c in comms)  # community slots per lane
+    qs = np.empty((len(scored), n_samples))
+    accepted = np.empty((len(scored), n_samples), dtype=np.int64)
+    seeds = sample_seeds(master_seed, n_samples).tolist()
+    lanes = [(j, seed) for j in range(len(scored)) for seed in seeds]
+    for idx, u2, v2, w2, acc in accel.rewire_ensemble(specs, lanes):
+        win = idx // n_samples
+        lane_n, lane_m, lane_ids = n[win], m[win], np.arange(len(idx))
+        shift = np.repeat(np.cumsum(lane_n) - lane_n, lane_m)  # lane offsets of node ids
+        comm = (np.concatenate([comms[j][0] for j in win.tolist()])
+                + np.repeat(lane_ids * n_comms, lane_n))
+        qs.flat[idx] = _edge_modularity(u2 + shift, v2 + shift, w2, comm, int(lane_n.sum()),
+                                        n_comms, signed_mode, np.repeat(lane_ids, lane_m),
+                                        len(idx))
+        accepted.flat[idx] = acc
+    for j, i in enumerate(scored):
+        mu = float(np.mean(qs[j]))
+        sigma = float(np.std(qs[j], ddof=1))
+        if not accepted[j].any():
+            results[i] = DegenerateGraphError("null made no swap: weights permuted only")
+        elif sigma == 0.0 or bool(np.all(qs[j] == qs[j][0])):
+            results[i] = DegenerateGraphError("degenerate null distribution: sigma is zero")
+        else:
+            q = results[i]
+            results[i] = ModularityReport(
+                q_original=q, n_samples=n_samples, mu=mu, sigma=sigma,
+                z=(q - mu) / sigma, master_seed=master_seed,
+                accept_rate=float(np.mean(accepted[j] / specs[j][4])))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -513,30 +587,30 @@ def polarization_series(records: Sequence[InteractionRecord],
     ``VERBATIM_Q_REASON``: its signed total weight is near zero, and the
     Gómez, Jensen & Arenas (2009) split (``signed_mode="gomez"``) applies.
     """
-    years = sorted({rec.time_year for rec in records if rec.time_year is not None})
+    if n_samples < 2:
+        raise ValueError("standardized modularity needs at least 2 null samples")
     rows: list[dict] = []
-    for year in years:
-        window = (years[0], year) if cumulative else (year, year)
-        graph, _ = build_graph(records, node_attrs, time_window=window)
+    windows = []  # (row, graph) of each window with enough edges to score
+    for year, window, graph in _window_graphs(records, node_attrs, cumulative):
         row = {"year": year, "window_start": window[0], "n_nodes": graph.n_nodes,
                "n_edges": graph.n_edges, "q": None, "z": None, "accept_rate": None,
                "reason": None}
+        rows.append(row)
         if graph.n_edges < MIN_EDGES:
             row["reason"] = "too few edges"
-            rows.append(row)
+        else:
+            windows.append((row, graph))
+    reports = _standardize([(graph, graph.party_partition()) for _, graph in windows],
+                           n_samples, master_seed, signed_mode)
+    for (row, _), report in zip(windows, reports):
+        if isinstance(report, DegenerateGraphError):
+            row["reason"] = str(report)
             continue
-        try:
-            report = standardized_modularity(
-                graph, graph.party_partition(), n_samples=n_samples,
-                master_seed=master_seed, signed_mode=signed_mode)
-            row["q"] = report.q_original
-            row["z"] = report.z
-            row["accept_rate"] = report.accept_rate
-            if signed_mode == "verbatim" and abs(report.q_original) > VERBATIM_Q_BOUND:
-                row["reason"] = VERBATIM_Q_REASON
-        except DegenerateGraphError as exc:
-            row["reason"] = str(exc)
-        rows.append(row)
+        row["q"] = report.q_original
+        row["z"] = report.z
+        row["accept_rate"] = report.accept_rate
+        if signed_mode == "verbatim" and abs(report.q_original) > VERBATIM_Q_BOUND:
+            row["reason"] = VERBATIM_Q_REASON
     return rows
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from falcon import accel, fixtures
-from falcon.polarnet import STEP_FACTOR
+from falcon.polarnet import STEP_FACTOR, build_graph
 
 # The null model's bit-identity contract: sha256 (first 16 hex digits) of the
 # rewired (u2, v2, w2, accepted) plus the modularity of the rewired graph under
@@ -127,3 +127,75 @@ def test_rewire_keeps_simple_graph_degrees_and_weights(n, p):
                               np.bincount(np.concatenate([u, v]), minlength=n))
         assert sorted(w2.tolist()) == sorted(w.tolist())
         assert 0 <= acc <= steps
+
+
+def _political_windows():
+    records, attrs = fixtures.political_records_fixture()
+    years = sorted({rec.time_year for rec in records})
+    return [build_graph(records, attrs, (years[0], year))[0] for year in years]
+
+
+def _ensemble_graphs():
+    """Graphs of many sizes, each with a step count not tied to its size."""
+    graphs = [fixtures.random_signed_graph(n, p, seed=s) for n, p, s in (
+        (20, 0.5, 1), (37, 0.09, 2), (8, 0.5, 3), (4, 0.7, 4), (3, 0.9, 5), (64, 0.08, 6))]
+    two = fixtures.random_signed_graph(4, 0.0, seed=0)
+    two.edges.update({(0, 1): 2.0, (2, 3): -1.0})  # m = 2: the two draws often coincide
+    path = fixtures.random_signed_graph(3, 0.0, seed=0)
+    path.edges.update({(0, 1): 1.0, (0, 2): 2.0})  # no swap is possible
+    single = fixtures.random_signed_graph(2, 1.0, seed=0)  # m = 1: no step runs
+    empty = fixtures.random_signed_graph(5, 0.0, seed=0)
+    graphs += [two, path, single, empty] + _political_windows()
+    rng = np.random.default_rng(18)
+    specs = []
+    for graph in graphs:
+        u, v, w = graph.edge_arrays()
+        specs.append((u, v, w, graph.n_nodes, int(rng.integers(0, 25 * len(u) + 2))))
+    return specs
+
+
+@pytest.mark.parametrize("budget, lockstep_lanes", [
+    (accel.ENSEMBLE_BUDGET, accel.LOCKSTEP_LANES),  # as shipped
+    (1 << 40, 1),  # one lockstep group
+    (150_000, 6),  # many groups, on both steppers
+    (1 << 40, 10**9),  # rewire_edges lane by lane
+])
+def test_every_ensemble_lane_equals_the_one_lane_call(monkeypatch, budget, lockstep_lanes):
+    monkeypatch.setattr(accel, "ENSEMBLE_BUDGET", budget)
+    monkeypatch.setattr(accel, "LOCKSTEP_LANES", lockstep_lanes)
+    specs = _ensemble_graphs()
+    seeds = GOLDEN_SEEDS + tuple(range(3, 15))
+    lanes = [(g, seed) for g in range(len(specs)) for seed in seeds]
+    seen = []
+    for idx, u2, v2, w2, acc in accel.rewire_ensemble(specs, lanes):
+        assert len(idx) == len(acc)
+        end = 0
+        for i, accepted in zip(idx.tolist(), acc.tolist()):
+            g, seed = lanes[i]
+            ru, rv, rw, racc = accel.rewire_edges(*specs[g], seed)
+            start, end = end, end + len(ru)
+            assert np.array_equal(u2[start:end], ru) and np.array_equal(v2[start:end], rv)
+            assert np.array_equal(w2[start:end], rw) and accepted == racc
+        assert end == len(u2) == len(v2) == len(w2)
+        seen += idx.tolist()
+    assert sorted(seen) == list(range(len(lanes)))
+
+
+def test_modularity_kernel_scores_lanes_as_one_lane_calls():
+    # Real weights: the lane sums must add in the order of the one-lane call.
+    rng = np.random.default_rng(7)
+    lanes = []
+    for n, m in ((10, 20), (3, 2), (40, 90)):
+        u = rng.integers(0, n, m)
+        lanes.append((u, (u + rng.integers(1, n, m)) % n, rng.uniform(-1.0, 3.0, m),
+                      rng.integers(0, 3, n), n))
+    shift = np.cumsum([0] + [n for *_, n in lanes])
+    q = accel.modularity_edges(
+        np.concatenate([u + s for (u, *_), s in zip(lanes, shift)]),
+        np.concatenate([v + s for (_, v, *_), s in zip(lanes, shift)]),
+        np.concatenate([w for _, _, w, _, _ in lanes]),
+        np.concatenate([comm + 3 * i for i, (*_, comm, _) in enumerate(lanes)]),
+        int(shift[-1]), 3,
+        np.repeat(np.arange(len(lanes)), [len(u) for u, *_ in lanes]), len(lanes))
+    assert q.tolist() == [accel.modularity_edges(u, v, w, comm, n, 3)
+                          for u, v, w, comm, n in lanes]

@@ -352,6 +352,43 @@ def test_standardized_modularity_needs_two_samples():
         standardized_modularity(g, g.party_partition(), n_samples=1)
 
 
+def test_polarization_series_needs_two_samples_before_any_work():
+    # Neither series has a window to score, so no null is ever drawn.
+    with pytest.raises(ValueError, match="at least 2"):
+        polarization_series([], ATTRS, n_samples=1)
+    with pytest.raises(ValueError, match="at least 2"):
+        polarization_series([make_record(0, "Ada", "Bo", "Cooperative")], ATTRS,
+                            n_samples=1)
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+@pytest.mark.parametrize("signed_mode", ["verbatim", "gomez"])
+def test_series_rows_do_not_depend_on_how_lanes_are_grouped(monkeypatch, cumulative,
+                                                            signed_mode):
+    records, attrs = fixtures.political_records_fixture()
+    kwargs = dict(n_samples=12, master_seed=5, cumulative=cumulative,
+                  signed_mode=signed_mode)
+    shipped = polarization_series(records, attrs, **kwargs)
+    assert sum(row["z"] is not None for row in shipped) >= 10
+    ran = {"_lockstep": 0, "rewire_edges": 0}  # calls of each stepper
+    for name in ran:
+        def counted(*args, fn=getattr(accel, name), name=name):
+            ran[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(accel, name, counted)
+    # A lane of the largest window fits no second lane into its group, so
+    # it runs rewire_edges; the smaller windows' lanes share groups and run
+    # in lockstep.
+    years = sorted({rec.time_year for rec in records})
+    sizes = [accel._lane_bytes(graph.n_nodes, graph.n_edges) for graph in (
+        build_graph(records, attrs, (years[0] if cumulative else year, year))[0]
+        for year in years) if graph.n_edges >= polarnet.MIN_EDGES]
+    monkeypatch.setattr(accel, "ENSEMBLE_BUDGET", max(sizes) + min(sizes) - 1)
+    monkeypatch.setattr(accel, "LOCKSTEP_LANES", 2)
+    assert polarization_series(records, attrs, **kwargs) == shipped
+    assert ran["_lockstep"] >= 2 and ran["rewire_edges"] >= 2
+
+
 def test_degenerate_null_distribution_is_error():
     # Two disjoint edges swap freely (a null that made no swap would give
     # the other reason), but under one community every graph scores q = 0,
