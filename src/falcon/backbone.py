@@ -4,8 +4,7 @@ A backbone turns text into tokens with character offsets and produces one
 hidden vector per token (row 0 is the sequence-level CLS vector), for a
 padded batch of token lists at a time. The package ships a closed-form
 deterministic stub so every pipeline stage runs without pretrained weights;
-transformer backbones plug in through the same interface by name + weights
-path.
+a transformer backbone would subclass :class:`EncoderBackbone` the same way.
 """
 
 from __future__ import annotations
@@ -98,8 +97,6 @@ class DeterministicStubBackbone(EncoderBackbone):
     pretrained model.
     """
 
-    name = "deterministic-stub"
-
     def __init__(self, hidden_size: int = 4, max_tokens: int = 512,
                  context_window: int = 2):
         self.hidden_size = hidden_size
@@ -185,28 +182,3 @@ def _scan(text: str) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]
     matches = list(_TOKEN.finditer(text))
     return (tuple(m.group() for m in matches), tuple(m.start() for m in matches),
             tuple(m.end() for m in matches))
-
-
-_BACKBONES = {DeterministicStubBackbone.name: DeterministicStubBackbone}
-
-
-def register_backbone(name: str, factory) -> None:
-    _BACKBONES[name] = factory
-
-
-def get_backbone(name: str, hidden_size: int, max_tokens: int,
-                 weights_path: str | None) -> EncoderBackbone:
-    """Instantiate a backbone by registry name.
-
-    ``weights_path`` is forwarded to registered transformer factories; the
-    stub ignores it.
-    """
-    try:
-        factory = _BACKBONES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backbone {name!r}; registered: {sorted(_BACKBONES)}") from None
-    if factory is DeterministicStubBackbone:
-        return factory(hidden_size=hidden_size, max_tokens=max_tokens)
-    return factory(hidden_size=hidden_size, max_tokens=max_tokens,
-                   weights_path=weights_path)

@@ -369,7 +369,7 @@ def analyze_distance(records_path, attrs_path, out_csv):
 @analyze_group.command("stats")
 @click.option("--records", "records_path", required=True, type=click.Path(exists=True))
 @click.option("--attrs", "attrs_path", required=True, type=click.Path(exists=True))
-@click.option("--k-min", default=2, show_default=True)
+@click.option("--k-min", default=2, show_default=True, type=click.IntRange(min=1))
 @click.option("--out-json", "out_json", required=True, type=click.Path())
 def analyze_stats(records_path, attrs_path, k_min, out_json):
     """Degree histogram, clustering, power-law exponent, PageRank."""

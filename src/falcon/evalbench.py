@@ -149,7 +149,7 @@ def ablation_configs(base_config) -> list[tuple[str, object]]:
             for name, overrides in ABLATION_GRID.items()]
 
 
-def run_ablations(examples, base_config, frozen_extractor=None,
+def run_ablations(examples, base_config, frozen_extractor,
                   dataset_id: str = "") -> AblationTable:
     """Train and evaluate every ablation configuration on the same splits,
     each once at the base seed.

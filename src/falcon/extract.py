@@ -37,6 +37,8 @@ YEAR_RANGE = (1000, 2024)
 LLM_ATTEMPTS = 3
 # Seconds the HTTP client waits on a silent endpoint before the try fails.
 LLM_TIMEOUT_S = 30.0
+# Seconds before the first retry of a failed try; each later wait doubles.
+LLM_BACKOFF_S = 0.5
 # Candidates per scoring call of ``extract_corpus``: whole documents are
 # grouped up to this many, a larger document is a call of its own. On the
 # perfbench ``extract`` corpus (d=8, 2 vCPU) the command's CPU time is flat
@@ -385,8 +387,7 @@ def parse_type(response: str) -> str | None:
     return match.group(0).capitalize()
 
 
-def classify_type(record: InteractionRecord, llm_client,
-                  backoff: float = 0.5) -> InteractionRecord:
+def classify_type(record: InteractionRecord, llm_client) -> InteractionRecord:
     """Attach one of the three interaction types to a record.
 
     Unparseable responses default to Neutral with a ``defaulted`` flag so the
@@ -404,7 +405,7 @@ def classify_type(record: InteractionRecord, llm_client,
                 record.interaction_type = None
                 record.type_flag = "unclassified"
                 return record
-            time.sleep(backoff * (2 ** attempt))
+            time.sleep(LLM_BACKOFF_S * (2 ** attempt))
     parsed = parse_type(response)
     if parsed is None:
         record.interaction_type = "Neutral"

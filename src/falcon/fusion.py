@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .backbone import get_backbone
+from .backbone import DeterministicStubBackbone
 from .encoder import ArBertEncoder, PackedInputs, row_matmul, softmax
 
 if TYPE_CHECKING:
@@ -133,9 +133,7 @@ class EncoderModel:
 
     def __init__(self, config: TrainConfig):
         self.config = config
-        backbone = get_backbone(config.backbone, hidden_size=config.hidden_size,
-                                max_tokens=config.max_tokens,
-                                weights_path=config.weights_path)
+        backbone = DeterministicStubBackbone(config.hidden_size, config.max_tokens)
         self.encoder = ArBertEncoder(backbone, seed=config.seed)
 
     def all_params(self) -> dict[str, np.ndarray]:
@@ -168,12 +166,11 @@ class FrozenTrajectoryExtractor(EncoderModel):
     def __init__(self, config: TrainConfig):
         super().__init__(config)
         d = config.hidden_size
-        m = config.mlp_hidden or d
         rng = np.random.default_rng(config.seed + 1)
         self.params = {
-            "mlp.W1": rng.normal(0.0, 1.0 / np.sqrt(4 * d), size=(m, 4 * d)),
-            "mlp.b1": np.zeros(m),
-            "mlp.W2": rng.normal(0.0, 1.0 / np.sqrt(m), size=(d, m)),
+            "mlp.W1": rng.normal(0.0, 1.0 / np.sqrt(4 * d), size=(d, 4 * d)),
+            "mlp.b1": np.zeros(d),
+            "mlp.W2": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)),
             "mlp.b2": np.zeros(d),
             "head.W": rng.normal(0.0, 1.0 / np.sqrt(d), size=(2, d)),
         }

@@ -53,7 +53,6 @@ class SignedGraph:
     nodes: list[str]
     node_attrs: dict[str, dict]
     edges: dict[tuple[int, int], float] = field(default_factory=dict)
-    provenance: dict[tuple[int, int], list[str]] = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -129,16 +128,12 @@ def _included_pairs(records, node_attrs, report: BuildReport,
         yield rec, ((k1, k2) if k1 <= k2 else (k2, k1)), TYPE_WEIGHTS[rec.interaction_type]
 
 
-def _graph_from_pairs(pair_weights: dict, node_attrs: dict[str, dict],
-                      pair_records: dict | None = None) -> SignedGraph:
+def _graph_from_pairs(pair_weights: dict, node_attrs: dict[str, dict]) -> SignedGraph:
     nodes = sorted({k for pair in pair_weights for k in pair})
     index = {node: i for i, node in enumerate(nodes)}
     graph = SignedGraph(nodes=nodes, node_attrs={n: node_attrs[n] for n in nodes})
     for (k1, k2), weight in pair_weights.items():
-        key = (index[k1], index[k2])
-        graph.edges[key] = weight
-        if pair_records is not None:
-            graph.provenance[key] = sorted(pair_records[(k1, k2)])
+        graph.edges[(index[k1], index[k2])] = weight
     return graph
 
 
@@ -153,11 +148,9 @@ def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict
     """
     report = BuildReport()
     pair_weights: dict[tuple[str, str], float] = {}
-    pair_records: dict[tuple[str, str], list[str]] = {}
-    for rec, pair, weight in _included_pairs(records, node_attrs, report, time_window):
+    for _, pair, weight in _included_pairs(records, node_attrs, report, time_window):
         pair_weights[pair] = pair_weights.get(pair, 0.0) + weight
-        pair_records.setdefault(pair, []).append(rec.record_id)
-    return _graph_from_pairs(pair_weights, node_attrs, pair_records), report
+    return _graph_from_pairs(pair_weights, node_attrs), report
 
 
 def _window_graphs(records: Sequence[InteractionRecord], node_attrs: dict[str, dict],
@@ -511,6 +504,8 @@ def fit_power_law(degrees: Sequence[int], k_min: int = 2) -> tuple[float | None,
     """Discrete maximum-likelihood exponent over degrees >= k_min:
     alpha = 1 + n / sum(ln(k_i / (k_min - 0.5))).
     """
+    if k_min < 1:
+        raise ValueError("k_min must be at least 1")
     tail = [k for k in degrees if k >= k_min]
     if not tail:
         return None, 0

@@ -47,11 +47,13 @@ from .ingest import CandidateQuadruple, TrajectoryTriple
 
 PROB_EPS = 1e-7
 C_MIN = 1e-3
-# AdamW's moment decay rates and the floor of its update's denominator
+# AdamW's moment decay rates, the floor of its update's denominator and
+# its decoupled weight decay
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ADAM_WEIGHT_DECAY = 0.01
 # The settings that decide the frozen half of an encoder input; the frozen
 # extractor reads the model's prepared inputs when all of them are equal.
-BACKBONE_SETTINGS = ("backbone", "hidden_size", "max_tokens", "weights_path")
+BACKBONE_SETTINGS = ("hidden_size", "max_tokens")
 
 
 class TrainingDiverged(RuntimeError):
@@ -71,12 +73,8 @@ class TrainConfig:
     mt: bool = True
     aw: bool = True
     fusion_mode: str = "gated"
-    backbone: str = "deterministic-stub"
     hidden_size: int = 4
     max_tokens: int = 512
-    weights_path: str | None = None
-    weight_decay: float = 0.01
-    mlp_hidden: int | None = None
     threshold: float = 0.5
 
     def __post_init__(self):
@@ -107,15 +105,6 @@ def _field_problem(name: str, value) -> str | None:
     return None
 
 
-def _coerce(text: str, hint):
-    """``text`` parsed as a field annotated ``hint`` (``T`` or ``T | None``);
-    raises KeyError or ValueError when it does not parse."""
-    kinds = typing.get_args(hint) or (hint,)
-    if type(None) in kinds and text.lower() in {"none", "null"}:
-        return None
-    return _BOOLS[text.lower()] if kinds[0] is bool else kinds[0](text)
-
-
 def load_config(path: str | Path) -> TrainConfig:
     """Parse a ``key = value`` config file into a TrainConfig, each value by
     its field's annotation. A line that is not ``key = value``, an unknown
@@ -133,11 +122,12 @@ def load_config(path: str | Path) -> TrainConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             if key not in hints:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            hint = hints[key]
             try:
-                values[key] = _coerce(value, hints[key])
+                values[key] = _BOOLS[value.lower()] if hint is bool else hint(value)
             except (KeyError, ValueError):
-                kind = getattr(hints[key], "__name__", hints[key])
-                raise ValueError(f"{path}:{lineno}: {key} takes {kind}, not {value!r}") from None
+                raise ValueError(f"{path}:{lineno}: {key} takes {hint.__name__}, "
+                                 f"not {value!r}") from None
             problem = _field_problem(key, values[key])
             if problem:
                 raise ValueError(f"{path}:{lineno}: {problem}")
@@ -204,8 +194,7 @@ class AdamW:
     arithmetic is the per-array update's, element for element.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 weight_decay: float = 0.01):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = lr
         self.t = 0
         self.names = list(params)
@@ -215,11 +204,11 @@ class AdamW:
             n += params[name].size
         self.m = np.zeros(n)
         self.v = np.zeros(n)
-        # weight_decay on decayed entries, 0 on exempt ones (0 * p adds nothing)
+        # ADAM_WEIGHT_DECAY on decayed entries, 0 on exempt ones (0 * p adds nothing)
         self.decay = np.zeros(n)
         for name, at in zip(self.names, self.slices):
             if not self._decay_exempt(name):
-                self.decay[at] = weight_decay
+                self.decay[at] = ADAM_WEIGHT_DECAY
 
     @staticmethod
     def _decay_exempt(name: str) -> bool:
@@ -568,8 +557,7 @@ def _fit(params: dict[str, np.ndarray], zero_grads, items: Sequence,
     ``end_epoch(epoch, means)`` receives the example-weighted epoch means
     of those terms and returns True to stop early.
     """
-    optimizer = AdamW(params, lr=config.learning_rate,
-                      weight_decay=config.weight_decay)
+    optimizer = AdamW(params, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(items))

@@ -270,6 +270,20 @@ def test_polarization_rejects_fewer_than_two_null_samples(workspace):
     assert not (workspace / "one_sample.csv").exists()
 
 
+@pytest.mark.parametrize("k_min", ["0", "-1"])
+def test_stats_rejects_k_min_below_one(workspace, k_min):
+    # fit_power_law takes ln(k / (k_min - 0.5)), undefined for k_min < 1
+    _typed_records(workspace)
+    out = workspace / f"stats_k{k_min}.json"
+    res = CliRunner().invoke(main, [
+        "analyze", "stats", "--records", str(workspace / "typed.jsonl"),
+        "--attrs", str(workspace / "fx" / "attrs.json"), "--k-min", k_min,
+        "--out-json", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "--k-min" in res.output
+    assert not out.exists()
+
+
 def test_predict_and_extract_label_by_the_checkpoints_threshold(workspace):
     # Without --threshold, predict and extract label by the checkpoint's
     # config.threshold, as eval and training validation do.

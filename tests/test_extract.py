@@ -273,16 +273,18 @@ class _FailingClient:
         return self.answer
 
 
-def test_transport_retry_then_success(corpus):
+def test_transport_retry_then_success(corpus, monkeypatch):
+    monkeypatch.setattr(extract, "LLM_BACKOFF_S", 0.0)
     client = _FailingClient(failures=2)
-    rec = classify_type(record_stub(corpus), client, backoff=0.0)
+    rec = classify_type(record_stub(corpus), client)
     assert rec.interaction_type == "Neutral"
     assert client.calls == 3
 
 
-def test_transport_exhaustion_marks_unclassified(corpus):
+def test_transport_exhaustion_marks_unclassified(corpus, monkeypatch):
+    monkeypatch.setattr(extract, "LLM_BACKOFF_S", 0.0)
     client = _FailingClient(failures=10)
-    rec = classify_type(record_stub(corpus), client, backoff=0.0)
+    rec = classify_type(record_stub(corpus), client)
     assert rec.interaction_type is None
     assert rec.type_flag == "unclassified"
     assert client.calls == 3

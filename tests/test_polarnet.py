@@ -63,11 +63,10 @@ def test_single_cooperative_record_weight_two():
 def test_opposing_records_cancel_but_edge_remains():
     records = [make_record(0, "Ada", "Bo", "Cooperative"),
                make_record(1, "Bo", "Ada", "Adversarial")]
-    graph, _ = build_graph(records, ATTRS)
+    graph, report = build_graph(records, ATTRS)
     assert graph.n_edges == 1
-    key = next(iter(graph.edges))
-    assert graph.edges[key] == 0.0
-    assert len(graph.provenance[key]) == 2
+    assert list(graph.edges.values()) == [0.0]
+    assert report.included == 2
 
 
 def test_empty_window_gives_empty_graph():
@@ -543,6 +542,12 @@ def test_power_law_fit_recovers_exponent():
     alpha, tail = fit_power_law(k.tolist(), k_min=2)
     assert tail == 20_000
     assert 2.3 <= alpha <= 2.6
+
+
+@pytest.mark.parametrize("k_min", [0, -1])
+def test_power_law_fit_refuses_k_min_below_one(k_min):
+    with pytest.raises(ValueError, match="k_min must be at least 1"):
+        fit_power_law([1, 2, 3], k_min=k_min)
 
 
 def test_pagerank_sums_to_one_and_favors_hub():

@@ -476,7 +476,11 @@ def test_checkpoint_roundtrip_predict_bit_identical(tmp_path, corpus, trained_mo
 @pytest.mark.parametrize("key, value", [("ft", True), ("optimizer", "adamw"),
                                         ("frozen_checkpoint", None),
                                         ("attention_norm", "softmax"),
-                                        ("cross_attention", "joint")])
+                                        ("cross_attention", "joint"),
+                                        ("backbone", "deterministic-stub"),
+                                        ("weights_path", None),
+                                        ("mlp_hidden", None),
+                                        ("weight_decay", 0.01)])
 def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path, trained_model, key, value):
     # A model's config, the config of its frozen extractor, and an extractor
     # checkpoint's config are each refused.
@@ -500,14 +504,13 @@ def test_config_file_roundtrip(tmp_path):
     path.write_text(
         "learning_rate = 0.005\nbatch_size = 8\nmax_epochs = 3\n"
         "aw = no\nmt = false\nhidden_size = 4\n# comment line\n"
-        "fusion_mode = concat\nmlp_hidden = none\nseed = 42\n")
+        "fusion_mode = concat\nseed = 42\n")
     config = load_config(path)
     assert config.learning_rate == pytest.approx(0.005)
     assert config.batch_size == 8
     assert config.aw is False
     assert config.mt is False
     assert config.fusion_mode == "concat"
-    assert config.mlp_hidden is None
     assert config.seed == 42
 
 
@@ -520,6 +523,10 @@ def test_config_file_roundtrip(tmp_path):
     ("optimizer = sgd", "unknown key 'optimizer'"),
     ("attention_norm = l2", "unknown key 'attention_norm'"),
     ("cross_attention = bogus", "unknown key 'cross_attention'"),
+    ("backbone = deterministic-stub", "unknown key 'backbone'"),
+    ("weights_path = /models/bert", "unknown key 'weights_path'"),
+    ("mlp_hidden = 8", "unknown key 'mlp_hidden'"),
+    ("weight_decay = 0.01", "unknown key 'weight_decay'"),
 ])
 def test_config_file_errors_give_file_and_line(tmp_path, line, reason):
     path = tmp_path / "train.cfg"
