@@ -25,7 +25,9 @@ from .ingest import (
     TrajectoryTriple,
     dumps_record,
     generate_candidates,
+    is_jsonl_line,
     iter_jsonl,
+    load_json,
     load_json_table,
     normalize_surface,
     write_jsonl,
@@ -179,9 +181,10 @@ def _state_entry(obj: dict) -> dict:
 def _read_state_log(state_path: str | Path) -> list[dict]:
     """Entries of the finished documents in a resume-state log.
 
-    A torn last line (no trailing newline, or not JSON) is what a kill during
-    the append leaves; it is cut off the file so appends start on a fresh
-    line. A bad line anywhere else raises ``path:line``.
+    A torn last line (no trailing newline, or a line that :func:`iter_jsonl`
+    cannot decode) is what a kill during the append leaves; it is cut off the
+    file so appends start on a fresh line. A bad line anywhere else raises
+    ``path:line``.
     """
     path = Path(state_path)
     if not path.exists():
@@ -190,9 +193,7 @@ def _read_state_log(state_path: str | Path) -> list[dict]:
     keep = data.rfind(b"\n") + 1
     if keep:
         last = data.rfind(b"\n", 0, keep - 1) + 1
-        try:
-            json.loads(data[last:keep])
-        except ValueError:
+        if not is_jsonl_line(data[last:keep]):
             keep = last
     if keep < len(data):
         os.truncate(path, keep)
@@ -307,8 +308,7 @@ class FixtureLLMClient:
     """Replays canned responses from a JSON list, cycling by call index."""
 
     def __init__(self, path: str | Path):
-        with open(path, "r", encoding="utf-8") as fh:
-            self.responses = json.load(fh)
+        self.responses = load_json(path)
         if not isinstance(self.responses, list) or not self.responses:
             raise ValueError(f"{path}: expected a non-empty JSON list of responses")
         self.calls = 0

@@ -15,6 +15,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+import orjson
+
 DOCUMENT_SOURCES = ("wikipedia", "britannica", "fixture")
 
 PERSON_ROLES = ("Person1", "Person2", "Person")
@@ -224,31 +226,58 @@ def candidate_from_json(obj: dict) -> CandidateQuadruple:
 
 
 def dumps_record(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    """One JSONL line. A non-finite float raises ValueError: the readers
+    reject ``NaN`` and ``Infinity``, so falcon never writes them."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
 def iter_jsonl(path: str | Path, parse: Callable,
                errors: list[RecordError] | None = None) -> Iterator:
     """Yield ``parse(obj)`` for every non-blank line of a JSONL file.
 
-    A line that is not JSON, or that ``parse`` rejects, raises
+    A line ends at a newline byte and is decoded by ``orjson``, which takes
+    strict JSON in UTF-8 (no ``NaN``, ``Infinity`` or lone surrogates). A
+    line that is not JSON, or that ``parse`` rejects, raises
     ``ValueError("path:line: reason")``. When ``errors`` is a list, the bad
     line is appended to it as a RecordError instead and reading continues.
     An unreadable file raises OSError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                item = parse(json.loads(line))
+                item = parse(orjson.loads(line))
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 if errors is None:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
                 errors.append(RecordError(line=lineno, message=str(exc)))
                 continue
             yield item
+
+
+def is_jsonl_line(line: bytes) -> bool:
+    """Whether :func:`iter_jsonl` decodes ``line``: a blank line, which it
+    skips, or one JSON value."""
+    line = line.strip()
+    try:
+        if line:
+            orjson.loads(line)
+    except ValueError:
+        return False
+    return True
+
+
+def load_json(path: str | Path):
+    """The JSON value of a whole file, decoded as :func:`iter_jsonl` decodes a
+    line. Bad JSON raises ``ValueError("path: reason")``; an unreadable file
+    raises OSError."""
+    data = Path(path).read_bytes()
+    try:
+        return orjson.loads(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_json_table(path: str | Path) -> dict[str, dict]:
@@ -258,11 +287,7 @@ def load_json_table(path: str | Path) -> dict[str, dict]:
     object raises ``ValueError("path: reason")``. An unreadable file raises
     OSError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            table = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    table = load_json(path)
     if not isinstance(table, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(table).__name__}")
     for key, value in table.items():

@@ -102,6 +102,10 @@ def _field_problem(name: str, value) -> str | None:
         return f"{name} must be positive"
     if name == "fusion_mode" and value not in ("gated", "concat", "off"):
         return f"unknown fusion_mode {value!r}"
+    if name == "threshold" and not 0.0 <= value <= 1.0:
+        return "threshold must be in [0, 1]"
+    if name == "seed" and value < 0:
+        return "seed must not be negative"
     return None
 
 

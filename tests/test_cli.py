@@ -380,7 +380,7 @@ def test_ingest_excludes_a_triple_whose_segment_text_is_not_at_its_offsets(works
 
 @pytest.mark.parametrize("command", ["analyze stats", "extract"])
 @pytest.mark.parametrize("text, reason", [
-    ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("{not json", "unexpected character: line 1 column 2 (char 1)"),
     ("[1, 2]", "expected a JSON object, got list"),
     ('{"A B": 3}', "value of 'A B' is not a JSON object"),
 ], ids=["bad-json", "top-level-list", "value-not-object"])

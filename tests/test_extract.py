@@ -18,7 +18,7 @@ from falcon.extract import (
     parse_type,
     record_from_candidate,
 )
-from falcon.ingest import dumps_record, generate_candidates
+from falcon.ingest import dumps_record, generate_candidates, iter_jsonl
 from falcon.training import InteractionModel, TrainConfig, pretrain_trajectory_extractor, train
 from fixture_builders import time_surface_fixture
 
@@ -207,6 +207,22 @@ def test_state_log_with_a_bad_inner_line_reports_its_line(tmp_path, corpus, trai
         extract_corpus(corpus.triples, trained, out, threshold=0.5, state_path=state)
 
 
+@pytest.mark.parametrize("token", ["NaN", "1e400", '"\\ud800"'],
+                         ids=["nan", "overflow", "lone-surrogate"])
+def test_state_log_last_line_the_reader_refuses_is_cut_as_torn(tmp_path, corpus, trained,
+                                                               token):
+    out, state = tmp_path / "out.jsonl", tmp_path / "state.json"
+    extract_corpus(corpus.triples, trained, out, threshold=0.5, state_path=state)
+    lines = state.read_text(encoding="utf-8").splitlines(keepends=True)
+    torn = lines[-1].replace("{", f'{{"note":{token},', 1)
+    (tmp_path / "torn.jsonl").write_text(torn, encoding="utf-8")
+    with pytest.raises(ValueError, match=r"torn\.jsonl:1: "):
+        list(iter_jsonl(tmp_path / "torn.jsonl", dict))
+    state.write_text("".join(lines[:-1]) + torn, encoding="utf-8")
+    assert len(extract._read_state_log(state)) == len(lines) - 1
+    assert state.read_text(encoding="utf-8") == "".join(lines[:-1])
+
+
 def test_gazetteer_enrichment(tmp_path, corpus, trained):
     gaz = {k.casefold(): v for k, v in corpus.gazetteer.items()}
     out = tmp_path / "records.jsonl"
@@ -234,6 +250,18 @@ def test_fixture_client_round_robin(tmp_path, corpus):
     rec = classify_type(record_stub(corpus), client)
     assert rec.interaction_type == "Cooperative"
     assert rec.type_flag is None
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[NaN]", "unexpected character: line 1 column 2 (char 1)"),
+    ("[]", "expected a non-empty JSON list of responses"),
+], ids=["bad-json", "empty-list"])
+def test_fixture_client_names_its_file_on_bad_input(tmp_path, text, reason):
+    path = tmp_path / "canned.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        FixtureLLMClient(path)
+    assert str(info.value) == f"{path}: {reason}"
 
 
 def test_batch_counts_match_canned_distribution(tmp_path, corpus):

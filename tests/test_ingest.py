@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import struct
 
 import pytest
 
@@ -11,12 +12,15 @@ from falcon.ingest import (
     TextSegment,
     TrajectoryTriple,
     dump_triples,
+    dumps_record,
     generate_candidates,
+    iter_jsonl,
     load_candidates,
     load_documents,
     load_triples,
     pair_candidates,
     triple_to_json,
+    write_jsonl,
 )
 
 
@@ -88,6 +92,59 @@ def test_strict_loaders_report_file_and_line(tmp_path, loader, bad_line):
     with pytest.raises(ValueError) as info:
         loader(tmp_path if loader is load_documents else path)
     assert str(info.value).startswith(f"{path}:2: ")
+
+
+# ---------------------------------------------------------------------------
+# JSON decoding: strict orjson on read, no token on write that the reader refuses
+
+RECORD = {"record_id": "r0", "doc_id": "d1", "segment_id": "d1:s0", "char_start": 0,
+          "char_end": 9, "person1": "A", "person2": "B", "time_surface": "1950",
+          "time_year": 1950, "location": "Lima", "score": 0.5}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_dumps_record_refuses_a_non_finite_float(value):
+    with pytest.raises(ValueError):
+        dumps_record({"score": value})
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_record_with_a_non_finite_token_is_refused_at_its_line(tmp_path, token):
+    good = dumps_record(RECORD)
+    path = tmp_path / "records.jsonl"
+    path.write_text(good + "\n" + good.replace('"score":0.5', f'"score":{token}') + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_records(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+
+
+@pytest.mark.parametrize("token", ["NaN", "1e400", '"\\ud800"'],
+                         ids=["nan", "overflow", "lone-surrogate"])
+def test_load_triples_collects_a_line_the_decoder_refuses(tmp_path, token):
+    good = dumps_record(triple_to_json(_fig1a_triples()[0]))
+    path = tmp_path / "triples.jsonl"
+    path.write_text(good + "\n" + good.replace("{", f'{{"note":{token},', 1) + "\n",
+                    encoding="utf-8")
+    result = load_triples(path)
+    assert len(result.triples) == 1
+    assert [err.line for err in result.errors] == [2]
+
+
+def test_random_doubles_read_back_bit_identical(tmp_path):
+    # Written by the stdlib encoder, read by orjson: each finite double,
+    # subnormals and signed zero included, keeps its bits.
+    rng = random.Random(20)
+    values = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+    while len(values) < 12_000:
+        (value,) = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))
+        if value == value and abs(value) != float("inf"):
+            values.append(value)
+    values.extend(rng.uniform(-1e3, 1e3) for _ in range(2_000))
+    path = tmp_path / "doubles.jsonl"
+    write_jsonl(path, ({"x": value} for value in values))
+    back = list(iter_jsonl(path, lambda obj: obj["x"]))
+    assert [struct.pack("<d", v) for v in back] == [struct.pack("<d", v) for v in values]
 
 
 def test_load_triples_unreadable_file_fatal(tmp_path):

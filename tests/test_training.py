@@ -527,6 +527,10 @@ def test_config_file_roundtrip(tmp_path):
     ("weights_path = /models/bert", "unknown key 'weights_path'"),
     ("mlp_hidden = 8", "unknown key 'mlp_hidden'"),
     ("weight_decay = 0.01", "unknown key 'weight_decay'"),
+    ("threshold = 1.5", "threshold must be in [0, 1]"),
+    ("threshold = -0.1", "threshold must be in [0, 1]"),
+    ("threshold = nan", "threshold must be in [0, 1]"),
+    ("seed = -1", "seed must not be negative"),
 ])
 def test_config_file_errors_give_file_and_line(tmp_path, line, reason):
     path = tmp_path / "train.cfg"
