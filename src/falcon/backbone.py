@@ -1,19 +1,16 @@
-"""Encoder backbones: the tokenize-and-embed layer beneath the entity encoder.
+"""The backbone beneath the entity encoder: marked text in, token rows out.
 
-A backbone turns text into tokens with character offsets and produces one
-hidden vector per token (row 0 is the sequence-level CLS vector), for a
-padded batch of token lists at a time. The package ships a closed-form
-deterministic stub so every pipeline stage runs without pretrained weights;
-a transformer backbone would subclass :class:`EncoderBackbone` the same way.
+A closed-form deterministic stub stands in for the paper's pretrained BERT,
+whose weights this package does not hold. It splices markers into the tokens
+of a text and gives one hidden row per token plus CLS (row 0), for a padded
+batch of token lists at a time.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Sequence
 
@@ -22,74 +19,7 @@ import numpy as np
 MARKER_CHARS = "#$*&"
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    start: int
-    end: int
-
-
-def mark(text: str, cuts: Sequence[tuple[int, str]]) -> str:
-    """``text`` with the marker of each (offset, marker) cut inserted at its
-    offset; the cuts ascend."""
-    pieces, pos = [], 0
-    for offset, marker in cuts:
-        pieces += [text[pos:offset], marker]
-        pos = offset
-    pieces.append(text[pos:])
-    return "".join(pieces)
-
-
-class EncoderBackbone(ABC):
-    """Contract: deterministic in eval mode, one hidden row per token plus CLS.
-
-    ``tokenize_with_offsets`` returns tokens in text order that do not
-    overlap, so their starts and their ends both ascend. ``encode`` returns
-    the hidden rows of one token list. A subclass need implement only these
-    two: the defaults of :meth:`tokenize_marked` (tokenize the marked text)
-    and :meth:`encode_batch` (one ``encode`` per list) build on them, and a
-    backbone overrides either where it can do the same work for less.
-    """
-
-    hidden_size: int
-    max_tokens: int
-
-    @abstractmethod
-    def tokenize_with_offsets(self, text: str) -> list[Token]:
-        ...
-
-    @abstractmethod
-    def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        """Hidden states of shape (len(tokens) + 1, hidden_size); row 0 is CLS."""
-        ...
-
-    def tokenize_marked(self, text: str, cuts: Sequence[tuple[int, str]]
-                        ) -> tuple[list[str], list[int]]:
-        """The tokens of ``mark(text, cuts)`` and, per cut, a token index
-        that brackets it: the cuts come in (open, close) pairs, one per
-        entity occurrence in text order, and occurrence j spans the tokens
-        strictly between index 2j and index 2j + 1."""
-        tokens = self.tokenize_with_offsets(mark(text, cuts))
-        starts = [tok.start for tok in tokens]
-        ends = [tok.end for tok in tokens]
-        # cut k's marker sits at offset + k of the marked text
-        brackets = [bisect_left(starts, offset + k + 1) - 1 if k % 2 == 0
-                    else bisect_right(ends, offset + k)
-                    for k, (offset, _) in enumerate(cuts)]
-        return [tok.text for tok in tokens], brackets
-
-    def encode_batch(self, batch: Sequence[Sequence[str]]) -> np.ndarray:
-        """Hidden states of B token lists, (B, 1 + longest, hidden_size):
-        row b holds ``encode(batch[b])`` in its first len(batch[b]) + 1
-        rows; the rows past them are padding."""
-        rows = [self.encode(tokens) for tokens in batch]
-        out = np.zeros((len(rows), max(map(len, rows)), self.hidden_size))
-        for b, hidden in enumerate(rows):
-            out[b, :len(hidden)] = hidden
-        return out
-
-
-class DeterministicStubBackbone(EncoderBackbone):
+class DeterministicStubBackbone:
     """Closed-form pseudo-embeddings: position- and token-dependent sinusoids
     plus global and windowed context terms, so the CLS row responds to the
     whole input and each token row responds to its neighborhood. Exists to
@@ -109,14 +39,13 @@ class DeterministicStubBackbone(EncoderBackbone):
         total = sum(token.encode("utf-8"))
         return ((total * 2654435761) % 1000003) / 1000003.0
 
-    def tokenize_with_offsets(self, text: str) -> list[Token]:
-        return [Token(*tok) for tok in zip(*_scan(text))]
-
     def tokenize_marked(self, text: str, cuts: Sequence[tuple[int, str]]
                         ) -> tuple[list[str], list[int]]:
-        """Splices the markers into the tokens of the unmarked text (scanned
-        once per text): marker characters end a token, so a cut splits the
-        token it falls inside and leaves every other token whole."""
+        """The tokens of ``text`` with each (offset, marker) cut's marker
+        inserted, and per cut the index of its marker token. The ascending
+        cuts pair up per entity occurrence, so occurrence j spans the tokens
+        strictly between brackets 2j and 2j + 1. A marker ends a token, so a
+        cut splits the token it falls inside and leaves the rest whole."""
         texts, starts, ends = _scan(text)
         out: list[str] = []
         brackets: list[int] = []
@@ -143,9 +72,12 @@ class DeterministicStubBackbone(EncoderBackbone):
         return out, brackets
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
+        """Hidden states of shape (len(tokens) + 1, hidden_size); row 0 is CLS."""
         return self.encode_batch([tokens])[0]
 
     def encode_batch(self, batch: Sequence[Sequence[str]]) -> np.ndarray:
+        """(B, 1 + longest, hidden_size): row b holds ``encode(batch[b])`` in
+        its first len(batch[b]) + 1 rows, then padding."""
         lengths = np.array([len(tokens) + 1 for tokens in batch])
         n = int(lengths.max())
         keys = np.zeros((len(batch), n))

@@ -1,13 +1,13 @@
 """Entity-aware encoding: markers, occurrence pooling, attention, projections.
 
 The encoder wraps every occurrence of every entity in role-specific marker
-characters, runs the backbone, mean-pools each occurrence's hidden rows,
-fuses multiple occurrences of one entity by a softmax over learned
-scalar-attention scores, projects each slot through tanh + a role-specific
-linear map, and concatenates [CLS, e_1..e_n] into a single feature vector of
-dimension (n+1)*d. Forward passes cache enough to run an exact manual
-backward for all encoder parameters (the backbone itself is not trained
-here).
+characters, runs the backbone (:mod:`falcon.backbone`'s stub of BERT),
+mean-pools each occurrence's hidden rows, fuses multiple occurrences of one
+entity by a softmax over learned scalar-attention scores, projects each slot
+through tanh + a role-specific linear map, and concatenates [CLS, e_1..e_n]
+into a single feature vector of dimension (n+1)*d. Forward passes cache
+enough to run an exact manual backward for all encoder parameters (the
+backbone itself is not trained here).
 
 The encoder splits at the frozen/trainable boundary. The frozen half
 depends only on (backbone, segment, entity spans) and runs in two steps:
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backbone import EncoderBackbone
+from .backbone import DeterministicStubBackbone
 from .ingest import EntityMention, TextSegment
 
 MARKERS = {"Person1": "#", "Person2": "$", "Time": "*", "Location": "&", "Person": "#"}
@@ -79,7 +79,7 @@ def canonical_entities(entities: Sequence[EntityMention]) -> list[EntityMention]
 
 
 def insert_markers(segment: TextSegment, entities: Sequence[EntityMention],
-                   backbone: EncoderBackbone) -> MarkedInput:
+                   backbone: DeterministicStubBackbone) -> MarkedInput:
     """Wrap every entity occurrence in its marker character and map the
     occurrences to token spans (inclusive, in hidden-matrix coordinates
     where row 0 is CLS). Selects a window centered on the marked
@@ -271,7 +271,7 @@ def input_key(segment: TextSegment, entities: Sequence[EntityMention]) -> tuple:
 
 
 class ArBertEncoder:
-    """Attention-enhanced entity encoder over a pluggable backbone.
+    """Attention-enhanced entity encoder over the backbone.
 
     Trainable parameters: the occurrence-attention map (``attn.w``,
     ``attn.b``) and one tanh-linear projection per role slot. Gradients for
@@ -279,7 +279,7 @@ class ArBertEncoder:
     as fixed.
     """
 
-    def __init__(self, backbone: EncoderBackbone, seed: int = 0):
+    def __init__(self, backbone: DeterministicStubBackbone, seed: int = 0):
         self.backbone = backbone
         d = backbone.hidden_size
         rng = np.random.default_rng(seed)

@@ -28,8 +28,7 @@ from .ingest import (
     is_jsonl_line,
     iter_jsonl,
     load_json,
-    load_json_table,
-    normalize_surface,
+    load_name_table,
     write_jsonl,
 )
 
@@ -120,7 +119,7 @@ def record_id_for(cand: CandidateQuadruple) -> str:
 
 def load_gazetteer(path: str | Path) -> dict:
     """Location surface -> {lat, lon, state?}, keys normalized for lookup."""
-    return {normalize_surface(k): v for k, v in load_json_table(path).items()}
+    return {norm: value for norm, (_, value) in load_name_table(path).items()}
 
 
 def record_from_candidate(cand: CandidateQuadruple, score: float,

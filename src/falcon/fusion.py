@@ -17,7 +17,6 @@ this module owns the ops and the extractor model.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -175,13 +174,6 @@ class FrozenTrajectoryExtractor(EncoderModel):
             "head.W": rng.normal(0.0, 1.0 / np.sqrt(d), size=(2, d)),
         }
         self.frozen = False
-
-    def param_checksum(self) -> str:
-        digest = hashlib.sha256()
-        for k in sorted(self.all_params()):
-            digest.update(k.encode())
-            digest.update(self.all_params()[k].tobytes())
-        return digest.hexdigest()
 
     def freeze(self) -> None:
         self.frozen = True

@@ -280,20 +280,25 @@ def load_json(path: str | Path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def load_json_table(path: str | Path) -> dict[str, dict]:
-    """Read a JSON object whose every value is an object (key -> attributes).
+def load_name_table(path: str | Path) -> dict[str, tuple[str, dict]]:
+    """Read a JSON object whose every value is an object (name -> attributes),
+    as ``normalize_surface(name)`` -> (name, attributes).
 
-    Bad JSON, a top level that is not an object, or a value that is not an
-    object raises ``ValueError("path: reason")``. An unreadable file raises
-    OSError.
+    Bad JSON, a top level that is not an object, a value that is not an
+    object, or two names that normalise alike raises ``ValueError("path:
+    reason")``. An unreadable file raises OSError.
     """
     table = load_json(path)
     if not isinstance(table, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(table).__name__}")
-    for key, value in table.items():
+    out: dict[str, tuple[str, dict]] = {}
+    for name, value in table.items():
         if not isinstance(value, dict):
-            raise ValueError(f"{path}: value of {key!r} is not a JSON object")
-    return table
+            raise ValueError(f"{path}: value of {name!r} is not a JSON object")
+        first, _ = out.setdefault(normalize_surface(name), (name, value))
+        if first != name:
+            raise ValueError(f"{path}: keys {first!r} and {name!r} normalise to one name")
+    return out
 
 
 def write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import accel
 from .extract import InteractionRecord
-from .ingest import load_json_table, normalize_surface
+from .ingest import load_name_table, normalize_surface
 
 TYPE_WEIGHTS = {"Adversarial": -2.0, "Cooperative": 2.0, "Neutral": 1.0}
-PARTIES = ("Republican", "Democrat")
 # Each null sample runs STEP_FACTOR * m swap steps, m being the edge count.
 STEP_FACTOR = 10
 # A polarization row is scored only from this many edges up.
@@ -76,9 +75,6 @@ class SignedGraph:
             deg[j] += 1
         return deg
 
-    def weight_multiset(self) -> np.ndarray:
-        return np.sort(np.array(list(self.edges.values()), dtype=np.float64))
-
     def total_weight(self) -> float:
         return float(sum(self.edges.values()))
 
@@ -97,8 +93,8 @@ class BuildReport:
 
 def load_node_attrs(path) -> dict[str, dict]:
     """Person name -> attributes plus ``name``, keys normalized for lookup."""
-    return {normalize_surface(k): dict(v, name=k)
-            for k, v in load_json_table(path).items()}
+    return {norm: dict(value, name=name)
+            for norm, (name, value) in load_name_table(path).items()}
 
 
 def _included_pairs(records, node_attrs, report: BuildReport,
@@ -276,31 +272,24 @@ def sample_seeds(master_seed: int, n: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(n, dtype=np.uint64)
 
 
-def standardized_modularity(graph: SignedGraph, partition: dict[str, str],
+def standardized_modularity(windows: Sequence[tuple[SignedGraph, dict[str, str]]],
                             n_samples: int = 1000, master_seed: int = 0,
-                            signed_mode: str = "verbatim") -> ModularityReport:
-    """Z-score of the observed modularity against the rewired null ensemble,
-    every sample scored with the same ``signed_mode`` as the original.
+                            signed_mode: str = "verbatim") -> list:
+    """Per ``(graph, partition)`` window, the z-score of its modularity
+    against the rewired null ensemble, every sample scored in the same
+    ``signed_mode``: a :class:`ModularityReport`, or the
+    :class:`DegenerateGraphError` that stops it.
 
     Each sample is that of :func:`randomize_null` under its seed. A null in
     which no sample made a swap only permutes the weights (the swap chain
-    can be stuck on small graphs; Fosdick et al. 2018) and raises
-    :class:`DegenerateGraphError`, whatever the spread of its scores."""
-    if n_samples < 2:
-        raise ValueError("standardized modularity needs at least 2 null samples")
-    (report,) = _standardize([(graph, partition)], n_samples, master_seed, signed_mode)
-    if isinstance(report, DegenerateGraphError):
-        raise report
-    return report
-
-
-def _standardize(windows, n_samples: int, master_seed: int, signed_mode: str):
-    """The :func:`standardized_modularity` report of each ``(graph,
-    partition)`` window, or the :class:`DegenerateGraphError` that stops it.
+    can be stuck on small graphs; Fosdick et al. 2018) and is degenerate,
+    whatever the spread of its scores.
 
     The null samples of every window are lanes of one
     ``accel.rewire_ensemble``, all windows under the same seeds, and each
     group of lanes it yields is scored in one lane-offset modularity call."""
+    if n_samples < 2:
+        raise ValueError("standardized modularity needs at least 2 null samples")
     results: list = []
     scored, specs, comms = [], [], []  # per window with a q: result index, arrays, comm
     for graph, partition in windows:
@@ -382,9 +371,11 @@ class TrendSeries:
 
 
 def _record_parties(rec: InteractionRecord, node_attrs: dict[str, dict]):
-    a1 = node_attrs.get(normalize_surface(rec.person1))
-    a2 = node_attrs.get(normalize_surface(rec.person2))
-    if not a1 or not a2 or "party" not in a1 or "party" not in a2:
+    """The parties of a record's two people, or None if either has no party or
+    both are one person (a self-pair, which :func:`build_graph` leaves out too)."""
+    k1, k2 = normalize_surface(rec.person1), normalize_surface(rec.person2)
+    a1, a2 = node_attrs.get(k1), node_attrs.get(k2)
+    if k1 == k2 or not a1 or not a2 or "party" not in a1 or "party" not in a2:
         return None
     return a1["party"], a2["party"]
 
@@ -595,8 +586,8 @@ def polarization_series(records: Sequence[InteractionRecord],
             row["reason"] = "too few edges"
         else:
             windows.append((row, graph))
-    reports = _standardize([(graph, graph.party_partition()) for _, graph in windows],
-                           n_samples, master_seed, signed_mode)
+    reports = standardized_modularity([(g, g.party_partition()) for _, g in windows],
+                                      n_samples, master_seed, signed_mode)
     for (row, _), report in zip(windows, reports):
         if isinstance(report, DegenerateGraphError):
             row["reason"] = str(report)

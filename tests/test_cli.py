@@ -383,7 +383,9 @@ def test_ingest_excludes_a_triple_whose_segment_text_is_not_at_its_offsets(works
     ("{not json", "unexpected character: line 1 column 2 (char 1)"),
     ("[1, 2]", "expected a JSON object, got list"),
     ('{"A B": 3}', "value of 'A B' is not a JSON object"),
-], ids=["bad-json", "top-level-list", "value-not-object"])
+    ('{"Ada Byron": {"party": "Republican"}, "ada  byron": {"party": "Democrat"}}',
+     "keys 'Ada Byron' and 'ada  byron' normalise to one name"),
+], ids=["bad-json", "top-level-list", "value-not-object", "name-collision"])
 def test_bad_keyed_json_is_an_error_line_not_a_traceback(workspace, tmp_path, command,
                                                          text, reason):
     # The attrs table and the gazetteer are read by one reader.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from falcon.backbone import DeterministicStubBackbone, EncoderBackbone, mark
+from falcon.backbone import DeterministicStubBackbone, _scan
 from falcon.encoder import (
     ENCODE_BUDGET,
     MARKERS,
@@ -51,8 +51,9 @@ def _windowed_mean_loop(keys, win):
 
 
 def _tokenize_loop(text):
-    """Reference tokenizer: runs split at ``str.isspace`` and marker characters,
-    each marker character a token of its own."""
+    """Reference tokenizer, as (text, start, end) per token: runs split at
+    ``str.isspace`` and marker characters, each marker character a token of
+    its own."""
     tokens, i = [], 0
     while i < len(text):
         if text[i].isspace():
@@ -69,13 +70,11 @@ def _tokenize_loop(text):
 
 def test_stub_tokenizer_matches_loop_reference():
     rng = np.random.default_rng(4)
-    backbone = DeterministicStubBackbone(hidden_size=4)
     alphabet = list("ab,.'#$*&") + [" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2003",
                                      "\u3000", "\u200b", "é"]
     for _ in range(2000):
         text = "".join(rng.choice(alphabet, int(rng.integers(0, 40))))
-        got = [(tok.text, tok.start, tok.end) for tok in backbone.tokenize_with_offsets(text)]
-        assert got == _tokenize_loop(text)
+        assert list(zip(*_scan(text))) == _tokenize_loop(text)
 
 
 def _stub_rows_formula(backbone, tokens):
@@ -161,13 +160,13 @@ def test_token_spans_detokenize_to_surfaces():
           mention("Location", "The Hague", "Both Ada and Berg lived in The Hague in 1950, Ada said.")]),
     ]:
         marked = insert_markers(seg_of(text), entities, backbone)
-        marked_text = _scan_token_spans(text, entities, backbone)[0]
-        ref = backbone.tokenize_with_offsets(marked_text)
-        assert marked.tokens == [tok.text for tok in ref]
+        marked_text = _scan_token_spans(text, entities)[0]
+        ref = _tokenize_loop(marked_text)
+        assert marked.tokens == [tok for tok, _, _ in ref]
         for ent, spans in zip(entities, marked.entity_spans):
             for c, d in spans:
                 # matrix coords -> token coords
-                start, end = ref[c - 1].start, ref[d - 1].end
+                start, end = ref[c - 1][1], ref[d - 1][2]
                 recovered = marked_text[start:end]
                 assert " ".join(recovered.split()).casefold() == ent.norm
 
@@ -191,14 +190,14 @@ def test_window_selected_when_text_long():
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=64)
     marked = insert_markers(seg_of(text), entities, backbone)
     assert len(marked.tokens) == 63
-    marked_text, full_spans = _scan_token_spans(text, entities, backbone)
-    ref = backbone.tokenize_with_offsets(marked_text)
+    marked_text, full_spans = _scan_token_spans(text, entities)
+    ref = _tokenize_loop(marked_text)
     offset = full_spans[0][0][0] - (marked.entity_spans[0][0][0] - 1)
-    assert marked.tokens == [tok.text for tok in ref[offset:offset + 63]]
+    assert marked.tokens == [tok for tok, _, _ in ref[offset:offset + 63]]
     for ent, spans in zip(entities, marked.entity_spans):
         for c, d in spans:
             toks = ref[offset + c - 1:offset + d]
-            got = marked_text[toks[0].start:toks[-1].end]
+            got = marked_text[toks[0][1]:toks[-1][2]]
             assert " ".join(got.split()).casefold() == ent.norm
 
 
@@ -212,7 +211,18 @@ def test_context_overflow_raises():
         insert_markers(seg_of(text), entities, backbone)
 
 
-def _scan_token_spans(text, entities, backbone):
+def mark(text, cuts):
+    """``text`` with the marker of each (offset, marker) cut inserted at its
+    offset; the cuts ascend."""
+    pieces, pos = [], 0
+    for offset, marker in cuts:
+        pieces += [text[pos:offset], marker]
+        pos = offset
+    pieces.append(text[pos:])
+    return "".join(pieces)
+
+
+def _scan_token_spans(text, entities):
     """Reference marking: the marked text and each occurrence's token span
     (token coordinates, no window), found by scanning every token for
     every occurrence."""
@@ -227,10 +237,10 @@ def _scan_token_spans(text, entities, backbone):
         out_len += end - start + 1
         pos = end
     marked_text = "".join(pieces) + text[pos:]
-    tokens = backbone.tokenize_with_offsets(marked_text)
+    tokens = _tokenize_loop(marked_text)
     spans = [[] for _ in entities]
     for (ei, oi), (s, e) in sorted(shifted.items()):
-        inside = [ti for ti, tok in enumerate(tokens) if tok.start >= s and tok.end <= e]
+        inside = [ti for ti, (_, start, end) in enumerate(tokens) if start >= s and end <= e]
         spans[ei].append((inside[0], inside[-1]))
     return marked_text, spans
 
@@ -260,9 +270,9 @@ def test_token_spans_match_scan_reference():
     windowed = 0
     for case in range(300):
         segment, entities = _random_segment(rng, 3 if case % 2 else 40)
-        want_text, want = _scan_token_spans(segment.text, entities, unbounded)
+        want_text, want = _scan_token_spans(segment.text, entities)
         full = insert_markers(segment, entities, unbounded)
-        assert full.tokens == [tok.text for tok in unbounded.tokenize_with_offsets(want_text)]
+        assert full.tokens == [tok for tok, _, _ in _tokenize_loop(want_text)]
         assert full.entity_spans == [tuple((c + 1, d + 1) for c, d in s) for s in want]
         # the smallest window that holds every occurrence, plus some slack
         lo = min(c for s in want for c, _ in s)
@@ -286,13 +296,15 @@ def _cuts(entities):
 
 
 def _assert_splice_matches_marked_text(backbone, text, cuts):
-    """The stub's spliced tokens equal the tokens of the marked text, each
-    bracket is its marker's token, and the default method agrees."""
-    want = [tok.text for tok in backbone.tokenize_with_offsets(mark(text, cuts))]
+    """The stub's spliced tokens equal the tokens of the marked text, and
+    each bracket is its marker's token."""
+    ref = _tokenize_loop(mark(text, cuts))
     tokens, brackets = backbone.tokenize_marked(text, cuts)
-    assert tokens == want
+    assert tokens == [tok for tok, _, _ in ref]
     assert [tokens[b] for b in brackets] == [marker for _, marker in cuts]
-    assert EncoderBackbone.tokenize_marked(backbone, text, cuts) == (tokens, brackets)
+    # cut k's marker is the token that starts at offset + k of the marked text
+    starts = [start for _, start, _ in ref]
+    assert brackets == [starts.index(offset + k) for k, (offset, _) in enumerate(cuts)]
     return tokens, brackets
 
 
@@ -339,45 +351,10 @@ def test_splice_hand_cases():
         ["Ada"], ["Berg"], ["1950"], ["Oslo"]]
 
 
-class _PlainBackbone(EncoderBackbone):
-    """Implements only the abstract methods, by the stub's, and so inherits
-    the default ``tokenize_marked`` and ``encode_batch``."""
-
-    def __init__(self, stub):
-        self.stub, self.hidden_size, self.max_tokens = stub, stub.hidden_size, stub.max_tokens
-
-    def tokenize_with_offsets(self, text):
-        return self.stub.tokenize_with_offsets(text)
-
-    def encode(self, tokens):
-        return self.stub.encode(tokens)
-
-
 def _assert_packs_equal(a, b):
     assert a.roles == b.roles
     for x, y in ((a.cls, b.cls), (a.occ, b.occ), (a.mask, b.mask)):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
-def test_default_backbone_methods_give_the_stubs_packs():
-    rng = np.random.default_rng(8)
-    # the small window makes some inputs windowed and some overflow
-    for d, max_tokens in ((4, 48), (8, 512)):
-        stub = DeterministicStubBackbone(hidden_size=d, max_tokens=max_tokens)
-        fast, plain = ArBertEncoder(stub), ArBertEncoder(_PlainBackbone(stub))
-        marked = []
-        for case in range(60):
-            segment, entities = _random_segment(rng, 0 if case % 2 else 3)
-            try:
-                m = fast.mark(segment, entities)
-            except ContextOverflowError:
-                with pytest.raises(ContextOverflowError):
-                    plain.mark(segment, entities)
-                continue
-            assert plain.mark(segment, entities) == m
-            marked.append(m)
-        assert len(marked) > 20
-        _assert_packs_equal(fast.encode_marked(marked), plain.encode_marked(marked))
 
 
 def test_encode_marked_keeps_each_backbone_call_within_budget(monkeypatch):
