@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-MARKER_CHARS = "#$*&"
+# The marker spliced around each entity mention, per role.
+MARKERS = {"Person1": "#", "Person2": "$", "Time": "*", "Location": "&", "Person": "#"}
 
 
 class DeterministicStubBackbone:
@@ -105,7 +106,8 @@ class DeterministicStubBackbone:
 
 # One marker character, or a run of characters that are neither whitespace
 # (``\s`` is ``str.isspace``) nor markers.
-_TOKEN = re.compile(f"[{re.escape(MARKER_CHARS)}]|[^\\s{re.escape(MARKER_CHARS)}]+")
+_MARKER_CHARS = re.escape("".join(dict.fromkeys(MARKERS.values())))
+_TOKEN = re.compile(f"[{_MARKER_CHARS}]|[^\\s{_MARKER_CHARS}]+")
 
 
 @lru_cache(maxsize=8)  # the views of one segment are marked one after another

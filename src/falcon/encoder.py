@@ -31,10 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .backbone import DeterministicStubBackbone
+from .backbone import MARKERS, DeterministicStubBackbone
 from .ingest import EntityMention, TextSegment
-
-MARKERS = {"Person1": "#", "Person2": "$", "Time": "*", "Location": "&", "Person": "#"}
 
 INTERACTION_ROLES = ("Person1", "Person2", "Time", "Location")
 TRAJECTORY_ROLES = ("Person", "Time", "Location")

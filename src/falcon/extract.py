@@ -15,7 +15,7 @@ import os
 import re
 import time
 from contextlib import nullcontext
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, make_dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -80,8 +80,6 @@ class InteractionRecord:
     time_year: int | None
     location: str
     score: float
-    person1_id: str | None = None
-    person2_id: str | None = None
     lat: float | None = None
     lon: float | None = None
     state: str | None = None
@@ -149,27 +147,18 @@ def record_from_candidate(cand: CandidateQuadruple, score: float,
     return rec
 
 
-@dataclass
-class ExtractSummary:
-    candidates: int = 0
-    positives: int = 0
-    negatives: int = 0
-    skipped: int = 0
-    documents: int = 0
-    excluded_lines: int = 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-STATE_KEYS = ("doc_id", "candidates", "positives", "negatives", "skipped", "out_bytes")
+# A document's candidates and what became of them: its state-log line holds
+# these counts, and the summary holds their sums over the documents.
+DOC_COUNTS = ("candidates", "positives", "negatives", "skipped")
+ExtractSummary = make_dataclass(
+    "ExtractSummary", [(key, int, 0) for key in (*DOC_COUNTS, "documents", "excluded_lines")],
+    namespace={"to_json": asdict, "__module__": __name__})
+STATE_KEYS = ("doc_id", *DOC_COUNTS, "out_bytes")
 
 
 def _add_document(summary: ExtractSummary, counts: dict) -> None:
-    summary.candidates += counts["candidates"]
-    summary.positives += counts["positives"]
-    summary.negatives += counts["negatives"]
-    summary.skipped += counts["skipped"]
+    for key in DOC_COUNTS:
+        setattr(summary, key, getattr(summary, key) + counts[key])
     summary.documents += 1
 
 
@@ -265,8 +254,8 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
             preds = iter(predict(model, [c for _, cands in chunk for c in cands],
                                  threshold=threshold))
             for doc_id, candidates in chunk:
-                counts = {"candidates": len(candidates), "positives": 0,
-                          "negatives": 0, "skipped": 0}
+                counts = dict.fromkeys(DOC_COUNTS, 0)
+                counts["candidates"] = len(candidates)
                 for pred in islice(preds, len(candidates)):
                     if pred.skipped:
                         counts["skipped"] += 1

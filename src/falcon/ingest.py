@@ -280,15 +280,27 @@ def load_json(path: str | Path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _refuse_repeated_keys(path, pairs: list) -> None:
+    """An ``object_pairs_hook`` that refuses a key given twice in one object.
+    It builds no value: the table is the one orjson decoded."""
+    if len(dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"{path}: key {repeated!r} appears twice")
+
+
 def load_name_table(path: str | Path) -> dict[str, tuple[str, dict]]:
     """Read a JSON object whose every value is an object (name -> attributes),
     as ``normalize_surface(name)`` -> (name, attributes).
 
-    Bad JSON, a top level that is not an object, a value that is not an
-    object, or two names that normalise alike raises ``ValueError("path:
-    reason")``. An unreadable file raises OSError.
+    Bad JSON, a key given twice in one object, a top level that is not an
+    object, a value that is not an object, or two names that normalise alike
+    raises ``ValueError("path: reason")``. An unreadable file raises OSError.
     """
     table = load_json(path)
+    # orjson keeps the last of two equal keys; the stdlib decoder sees each pair.
+    json.loads(Path(path).read_bytes(),
+               object_pairs_hook=lambda pairs: _refuse_repeated_keys(path, pairs))
     if not isinstance(table, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(table).__name__}")
     out: dict[str, tuple[str, dict]] = {}

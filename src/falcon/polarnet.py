@@ -21,10 +21,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import accel
-from .extract import InteractionRecord
+from .extract import INTERACTION_TYPES, InteractionRecord
 from .ingest import load_name_table, normalize_surface
 
-TYPE_WEIGHTS = {"Adversarial": -2.0, "Cooperative": 2.0, "Neutral": 1.0}
+TYPE_WEIGHTS = dict(zip(INTERACTION_TYPES, (-2.0, 2.0, 1.0)))
 # Each null sample runs STEP_FACTOR * m swap steps, m being the edge count.
 STEP_FACTOR = 10
 # A polarization row is scored only from this many edges up.
@@ -99,8 +99,9 @@ def load_node_attrs(path) -> dict[str, dict]:
 
 def _included_pairs(records, node_attrs, report: BuildReport,
                     time_window: tuple[int, int] | None = None):
-    """(record, normalized pair, type weight) of each record a graph includes;
-    ``report`` counts the rest."""
+    """(record, normalized pair, type weight) of each record that every party
+    analysis counts: typed, in the window, two distinct people, both with a
+    party. ``report`` counts the rest."""
     for rec in records:
         if rec.interaction_type not in TYPE_WEIGHTS:
             report.excluded_untyped += 1
@@ -199,17 +200,15 @@ def modularity(graph: SignedGraph, partition: dict[str, str],
     if signed_mode == "verbatim" and graph.total_weight() == 0.0:
         raise DegenerateGraphError("degenerate graph: total weight is zero")
     u, v, w = graph.edge_arrays()
-    return _edge_modularity(u, v, w, comm, graph.n_nodes, n_comms, signed_mode)
+    return float(_edge_modularity(u, v, w, comm, graph.n_nodes, n_comms, signed_mode,
+                                  np.zeros(len(u), dtype=np.int64), 1)[0])
 
 
 def _edge_modularity(u, v, w, comm, n_nodes: int, n_comms: int, signed_mode: str,
-                     lane=None, n_lanes: int = 1):
-    """Modularity of one edge list, or of ``n_lanes`` edge lists at once given
-    the ``lane`` of each edge (laid out as ``accel.modularity_edges`` takes
-    them); scores the original graph and every null sample."""
-    if lane is None:
-        return float(_edge_modularity(u, v, w, comm, n_nodes, n_comms, signed_mode,
-                                      np.zeros(len(u), dtype=np.int64))[0])
+                     lane, n_lanes: int):
+    """Modularity of ``n_lanes`` edge lists at once given the ``lane`` of each
+    edge (laid out as ``accel.modularity_edges`` takes them); scores the
+    original graph (one lane) and every null sample."""
     if signed_mode == "verbatim":
         return accel.modularity_edges(u, v, w, comm, n_nodes, n_comms, lane, n_lanes)
     if signed_mode != "gomez":
@@ -358,31 +357,22 @@ class TrendSeries:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["bin", "total", "inter_party", "inter_share",
-                         "adversarial_share", "cooperative_share", "neutral_share"])
+                         *(f"{t.lower()}_share" for t in INTERACTION_TYPES)])
         for row in self.bins:
             shares = row.type_shares
             writer.writerow([
                 row.bin_start, row.total, row.inter_party,
                 "" if row.inter_share is None else f"{row.inter_share:.6f}",
                 *("" if shares.get(t) is None else f"{shares[t]:.6f}"
-                  for t in ("Adversarial", "Cooperative", "Neutral")),
+                  for t in INTERACTION_TYPES),
             ])
         return buf.getvalue()
 
 
-def _record_parties(rec: InteractionRecord, node_attrs: dict[str, dict]):
-    """The parties of a record's two people, or None if either has no party or
-    both are one person (a self-pair, which :func:`build_graph` leaves out too)."""
-    k1, k2 = normalize_surface(rec.person1), normalize_surface(rec.person2)
-    a1, a2 = node_attrs.get(k1), node_attrs.get(k2)
-    if k1 == k2 or not a1 or not a2 or "party" not in a1 or "party" not in a2:
-        return None
-    return a1["party"], a2["party"]
-
-
 def trend_ratios(records: Sequence[InteractionRecord], node_attrs: dict[str, dict],
                  bin_size: str = "decade") -> TrendSeries:
-    """Per-bin inter-party share plus type shares among inter-party records.
+    """Per-bin inter-party share plus type shares among inter-party records,
+    over the dated records that :func:`build_graph` includes.
 
     Bins span the observed year range; bins without interactions report
     null ratios rather than zero.
@@ -390,17 +380,13 @@ def trend_ratios(records: Sequence[InteractionRecord], node_attrs: dict[str, dic
     if bin_size not in ("decade", "year"):
         raise ValueError(f"unknown bin size {bin_size!r}")
     step = 10 if bin_size == "decade" else 1
-    totals: Counter = Counter()  # bin -> usable records
+    totals: Counter = Counter()  # bin -> included records
     inter: defaultdict = defaultdict(Counter)  # bin -> inter-party records per type
-    for rec in records:
-        parties = _record_parties(rec, node_attrs)
-        if parties is None or rec.time_year is None:
-            continue
-        if rec.interaction_type not in TYPE_WEIGHTS:
-            continue
+    dated = [rec for rec in records if rec.time_year is not None]
+    for rec, (k1, k2), _ in _included_pairs(dated, node_attrs, BuildReport()):
         bin_start = rec.time_year // step * step
         totals[bin_start] += 1
-        if parties[0] != parties[1]:
+        if node_attrs[k1]["party"] != node_attrs[k2]["party"]:
             inter[bin_start][rec.interaction_type] += 1
 
     series = TrendSeries(bin_size=step)
@@ -414,19 +400,17 @@ def trend_ratios(records: Sequence[InteractionRecord], node_attrs: dict[str, dic
             bin_start=bin_start, total=total, inter_party=n_inter,
             inter_share=(n_inter / total) if total else None,
             type_shares={t: (types[t] / n_inter if n_inter else None)
-                         for t in TYPE_WEIGHTS}))
+                         for t in INTERACTION_TYPES}))
     return series
 
 
 def type_party_totals(records: Sequence[InteractionRecord],
                       node_attrs: dict[str, dict]) -> dict:
-    """Intra-/inter-party record counts per interaction type."""
-    totals = {t: {"intra": 0, "inter": 0} for t in TYPE_WEIGHTS}
-    for rec in records:
-        parties = _record_parties(rec, node_attrs)
-        if parties is None or rec.interaction_type not in TYPE_WEIGHTS:
-            continue
-        kind = "inter" if parties[0] != parties[1] else "intra"
+    """Intra-/inter-party counts per interaction type of the records that
+    :func:`build_graph` includes."""
+    totals = {t: {"intra": 0, "inter": 0} for t in INTERACTION_TYPES}
+    for rec, (k1, k2), _ in _included_pairs(records, node_attrs, BuildReport()):
+        kind = "inter" if node_attrs[k1]["party"] != node_attrs[k2]["party"] else "intra"
         totals[rec.interaction_type][kind] += 1
     return totals
 

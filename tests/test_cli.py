@@ -385,7 +385,9 @@ def test_ingest_excludes_a_triple_whose_segment_text_is_not_at_its_offsets(works
     ('{"A B": 3}', "value of 'A B' is not a JSON object"),
     ('{"Ada Byron": {"party": "Republican"}, "ada  byron": {"party": "Democrat"}}',
      "keys 'Ada Byron' and 'ada  byron' normalise to one name"),
-], ids=["bad-json", "top-level-list", "value-not-object", "name-collision"])
+    ('{"Ada Byron": {"party": "Republican"}, "Ada Byron": {"party": "Democrat"}}',
+     "key 'Ada Byron' appears twice"),
+], ids=["bad-json", "top-level-list", "value-not-object", "name-collision", "duplicate-key"])
 def test_bad_keyed_json_is_an_error_line_not_a_traceback(workspace, tmp_path, command,
                                                          text, reason):
     # The attrs table and the gazetteer are read by one reader.

@@ -9,6 +9,7 @@ import pytest
 
 from falcon import accel, fixtures, polarnet
 from falcon.extract import InteractionRecord
+from falcon.ingest import normalize_surface
 from falcon.polarnet import (
     DegenerateGraphError,
     SignedGraph,
@@ -113,6 +114,29 @@ def test_a_self_pair_changes_no_graph_trend_or_total():
         assert (trend_ratios(with_pair, attrs, bin_size).to_csv()
                 == trend_ratios(records, attrs, bin_size).to_csv())
     assert type_party_totals(with_pair, attrs) == type_party_totals(records, attrs)
+
+
+def test_every_party_analysis_counts_the_same_records():
+    # The political fixture plus one record of each kind that no party
+    # analysis counts, and one undated record, which only the trends leave out.
+    records, attrs = fixtures.political_records_fixture()
+    n = len(records)
+    attrs = dict(attrs, zed={"name": "Zed"})  # a person without a party
+    a, b = (value["name"] for value in list(attrs.values())[:2])
+    records += [make_record(900, a, b, None),
+                make_record(901, a, b, "Neutral", year=None),
+                make_record(902, a, "Nemo", "Neutral"),
+                make_record(903, a, "Zed", "Neutral"),
+                make_record(904, a, f" {a.upper()} ", "Neutral")]
+    _, report = build_graph(records, attrs)
+    assert (report.included, report.excluded_untyped, report.excluded_no_party,
+            report.excluded_self_pairs) == (n + 1, 1, 2, 1)
+    totals = type_party_totals(records, attrs)
+    assert sum(sum(kinds.values()) for kinds in totals.values()) == report.included
+    dated = [r for r in records if r.time_year is not None]
+    for bin_size in ("decade", "year"):
+        series = trend_ratios(records, attrs, bin_size)
+        assert sum(row.total for row in series.bins) == build_graph(dated, attrs)[1].included == n
 
 
 def test_untyped_record_excluded():
@@ -457,8 +481,10 @@ def test_trend_ratios_match_a_rescan_of_every_bin(bin_size, step):
     records, attrs = fixtures.political_records_fixture()
     records.append(make_record(999, "nobody", "nemo", "Neutral", year=1961))
     series = trend_ratios(records, attrs, bin_size=bin_size)
-    rows = [(r.time_year // step * step, polarnet._record_parties(r, attrs), r.interaction_type)
-            for r in records if polarnet._record_parties(r, attrs)]
+    parties = [tuple(attrs.get(normalize_surface(name), {}).get("party")
+                     for name in (r.person1, r.person2)) for r in records]
+    rows = [(r.time_year // step * step, pair, r.interaction_type)
+            for r, pair in zip(records, parties) if None not in pair]
     assert [b.bin_start for b in series.bins] == list(
         range(min(r[0] for r in rows), max(r[0] for r in rows) + 1, step))
     for row in series.bins:
