@@ -287,12 +287,11 @@ def analyze_group():
     """Signed-network analyses over typed interaction records."""
 
 
-def _load_records_attrs(records_path, attrs_path):
+def _load_table_attrs(records_path, attrs_path):
+    """The typed records as one column table, and the person attributes."""
     from . import polarnet
 
-    records = extract.load_records(records_path)
-    attrs = polarnet.load_node_attrs(attrs_path)
-    return records, attrs
+    return polarnet.load_record_table(records_path), polarnet.load_node_attrs(attrs_path)
 
 
 @analyze_group.command("polarization")
@@ -311,11 +310,11 @@ def analyze_polarization(records_path, attrs_path, null_samples, seed, cumulativ
     """Yearly standardized-modularity series for the party partition."""
     from . import polarnet
 
-    records, attrs = _load_records_attrs(records_path, attrs_path)
+    table, attrs = _load_table_attrs(records_path, attrs_path)
     if state_filter:
-        records = [r for r in records if r.state == state_filter]
+        table = table.take(table.in_state(state_filter))
     rows = polarnet.polarization_series(
-        records, attrs, n_samples=null_samples, master_seed=seed,
+        table, attrs, n_samples=null_samples, master_seed=seed,
         cumulative=cumulative, signed_mode=signed_mode)
     Path(out_csv).write_text(polarnet.series_to_csv(rows), encoding="utf-8")
     if out_json:
@@ -335,10 +334,10 @@ def analyze_trends(records_path, attrs_path, bin_size, out_csv, out_json):
     """Inter-party share and per-type shares among inter-party interactions."""
     from . import polarnet
 
-    records, attrs = _load_records_attrs(records_path, attrs_path)
-    series = polarnet.trend_ratios(records, attrs, bin_size=bin_size)
+    table, attrs = _load_table_attrs(records_path, attrs_path)
+    series = polarnet.trend_ratios(table, attrs, bin_size=bin_size)
     Path(out_csv).write_text(series.to_csv(), encoding="utf-8")
-    totals = polarnet.type_party_totals(records, attrs)
+    totals = polarnet.type_party_totals(table, attrs)
     if out_json:
         Path(out_json).write_text(json.dumps(totals, indent=2) + "\n",
                                   encoding="utf-8")
@@ -353,17 +352,16 @@ def analyze_distance(records_path, attrs_path, out_csv):
     """Per-record interaction distances (location to both birthplaces)."""
     from . import polarnet
 
-    records, attrs = _load_records_attrs(records_path, attrs_path)
-    computed = 0
+    table, attrs = _load_table_attrs(records_path, attrs_path)
+    distances = polarnet.record_distances(table, attrs)
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_id", "year", "distance_km"])
-        for rec in records:
-            dist = polarnet.record_distance(rec, attrs)
-            writer.writerow([rec.record_id, rec.time_year,
+        for record_id, year, dist in zip(table.record_id, table.year.tolist(), distances):
+            writer.writerow([record_id, "" if year == polarnet.NO_YEAR else year,
                              "" if dist is None else f"{dist:.3f}"])
-            computed += dist is not None
-    click.echo(json.dumps({"records": len(records), "computed": computed}))
+    click.echo(json.dumps({"records": len(table),
+                           "computed": sum(d is not None for d in distances)}))
 
 
 @analyze_group.command("stats")
@@ -375,8 +373,8 @@ def analyze_stats(records_path, attrs_path, k_min, out_json):
     """Degree histogram, clustering, power-law exponent, PageRank."""
     from . import polarnet
 
-    records, attrs = _load_records_attrs(records_path, attrs_path)
-    graph, _ = polarnet.build_graph(records, attrs)
+    table, attrs = _load_table_attrs(records_path, attrs_path)
+    graph, _ = polarnet.build_graph(table, attrs)
     stats = polarnet.graph_stats(graph, k_min=k_min)
     Path(out_json).write_text(json.dumps(stats.to_json(), indent=2) + "\n",
                               encoding="utf-8")
@@ -393,8 +391,8 @@ def analyze_export(records_path, attrs_path, out_edges, out_gexf):
     """Write the weighted edge list (CSV) and a GEXF file for layout tools."""
     from . import polarnet
 
-    records, attrs = _load_records_attrs(records_path, attrs_path)
-    graph, _ = polarnet.build_graph(records, attrs)
+    table, attrs = _load_table_attrs(records_path, attrs_path)
+    graph, _ = polarnet.build_graph(table, attrs)
     Path(out_edges).write_text(polarnet.edges_csv(graph), encoding="utf-8")
     if out_gexf:
         Path(out_gexf).write_text(polarnet.to_gexf(graph), encoding="utf-8")

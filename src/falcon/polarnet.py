@@ -14,15 +14,17 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter, defaultdict
+import operator
+from array import array
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from . import accel
-from .extract import INTERACTION_TYPES, InteractionRecord
-from .ingest import load_name_table, normalize_surface
+from .extract import INTERACTION_TYPES, RECORD_KEYS, InteractionRecord
+from .ingest import iter_jsonl, load_name_table, normalize_surface
 
 TYPE_WEIGHTS = dict(zip(INTERACTION_TYPES, (-2.0, 2.0, 1.0)))
 # Each null sample runs STEP_FACTOR * m swap steps, m being the edge count.
@@ -42,6 +44,164 @@ PAGERANK_ITERATIONS = 10000
 
 class DegenerateGraphError(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Records as columns
+
+# The year column's marker of an undated record; a year is above it.
+_INT64 = np.iinfo(np.int64)
+NO_YEAR = _INT64.min
+_TYPE_CODES = {t: i for i, t in enumerate(INTERACTION_TYPES)}
+_CODE_WEIGHTS = np.array([TYPE_WEIGHTS[t] for t in INTERACTION_TYPES])
+# The four required values the table keeps, out of all of them in RECORD_KEYS
+# order: a line that lacks any required key fails as ``load_records`` fails.
+_required_values = operator.itemgetter(*RECORD_KEYS)
+_kept_values = operator.itemgetter(*map(RECORD_KEYS.index,
+                                        ("record_id", "person1", "person2", "time_year")))
+_NUMBER = (int, float)
+
+
+@dataclass
+class RecordTable:
+    """Typed interaction records as columns, one row per record in input order.
+
+    ``person1``/``person2`` index ``keys``, the sorted normalised names of the
+    people. ``year`` is ``NO_YEAR`` for an undated record. ``type_code``
+    indexes ``INTERACTION_TYPES``; -1 marks an untyped record (no type, or
+    another string). ``lat``/``lon`` are NaN where missing. ``state`` indexes
+    ``states``, -1 where missing. ``record_id`` is kept for ``distance``.
+    """
+    keys: list[str]
+    person1: np.ndarray
+    person2: np.ndarray
+    year: np.ndarray
+    type_code: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    states: list[str]
+    state: np.ndarray
+    record_id: list[str]
+
+    def __len__(self) -> int:
+        return len(self.record_id)
+
+    @classmethod
+    def from_records(cls, records: Iterable[InteractionRecord]) -> "RecordTable":
+        """The table of ``records``, through the per-row checks of
+        :func:`load_record_table`."""
+        builder = _TableBuilder()
+        for rec in records:
+            builder.add(rec.to_json())
+        return builder.table()
+
+    def in_state(self, state: str) -> np.ndarray:
+        """Mask of the records geocoded to ``state``."""
+        if state not in self.states:
+            return np.zeros(len(self), dtype=bool)
+        return self.state == self.states.index(state)
+
+    def take(self, mask: np.ndarray) -> "RecordTable":
+        """The rows where ``mask`` holds, over the same keys and states."""
+        return RecordTable(
+            keys=self.keys, person1=self.person1[mask], person2=self.person2[mask],
+            year=self.year[mask], type_code=self.type_code[mask], lat=self.lat[mask],
+            lon=self.lon[mask], states=self.states, state=self.state[mask],
+            record_id=list(compress(self.record_id, mask.tolist())))
+
+
+Records = Union[RecordTable, Sequence[InteractionRecord]]
+
+
+def _refused(key: str, value, expected: str) -> ValueError:
+    return ValueError(f"{key} must be {expected}, not {type(value).__name__}")
+
+
+class _TableBuilder:
+    """Appends one record object per ``add``: it checks the value of every
+    column the table keeps and interns each person surface and state."""
+
+    def __init__(self):
+        self.surfaces: dict[str, int] = {}  # person surface -> id in first-seen order
+        self.states: dict[str, int] = {}
+        self.person1, self.person2 = array("i"), array("i")
+        self.year = array("q")
+        self.type_code = array("b")
+        self.lat, self.lon = array("d"), array("d")
+        self.state = array("i")
+        self.record_id: list[str] = []
+
+    def add(self, obj: dict) -> None:
+        record_id, person1, person2, year = _kept_values(_required_values(obj))
+        itype, lat, lon, state = (obj.get("interaction_type"), obj.get("lat"),
+                                  obj.get("lon"), obj.get("state"))
+        if type(person1) is not str:
+            raise _refused("person1", person1, "a string")
+        if type(person2) is not str:
+            raise _refused("person2", person2, "a string")
+        if year is None:
+            year = NO_YEAR
+        elif type(year) is not int:  # a bool is refused too
+            raise _refused("time_year", year, "an integer or null")
+        elif not NO_YEAR < year <= _INT64.max:
+            raise ValueError(f"time_year {year} is out of range")
+        if itype is not None and type(itype) is not str:
+            raise _refused("interaction_type", itype, "a string or null")
+        if lat is None:
+            lat = math.nan
+        elif type(lat) not in _NUMBER:
+            raise _refused("lat", lat, "a number or null")
+        if lon is None:
+            lon = math.nan
+        elif type(lon) not in _NUMBER:
+            raise _refused("lon", lon, "a number or null")
+        if state is None:
+            state = -1
+        elif type(state) is str:
+            state = self.states.setdefault(state, len(self.states))
+        else:
+            raise _refused("state", state, "a string or null")
+        surfaces = self.surfaces
+        self.person1.append(surfaces.setdefault(person1, len(surfaces)))
+        self.person2.append(surfaces.setdefault(person2, len(surfaces)))
+        self.year.append(year)
+        self.type_code.append(_TYPE_CODES.get(itype, -1))
+        self.lat.append(lat)
+        self.lon.append(lon)
+        self.state.append(state)
+        self.record_id.append(record_id)
+
+    def table(self) -> RecordTable:
+        """The table; ``normalize_surface`` runs once per distinct surface."""
+        norms = [normalize_surface(surface) for surface in self.surfaces]
+        keys = sorted(set(norms))
+        index = {key: i for i, key in enumerate(keys)}
+        key_of = np.array([index[norm] for norm in norms], dtype=np.int32)
+        return RecordTable(
+            keys=keys, person1=key_of[np.frombuffer(self.person1, dtype=np.int32)],
+            person2=key_of[np.frombuffer(self.person2, dtype=np.int32)],
+            year=np.frombuffer(self.year, dtype=np.int64),
+            type_code=np.frombuffer(self.type_code, dtype=np.int8),
+            lat=np.frombuffer(self.lat), lon=np.frombuffer(self.lon),
+            states=list(self.states), state=np.frombuffer(self.state, dtype=np.int32),
+            record_id=self.record_id)
+
+
+def load_record_table(path) -> RecordTable:
+    """The typed records of a JSONL file as a :class:`RecordTable`.
+
+    A line that is not a record object, lacks a required key, or holds a
+    value of the wrong type in a kept column raises
+    ``ValueError("path:line: reason")``.
+    """
+    builder = _TableBuilder()
+    for _ in iter_jsonl(path, builder.add):
+        pass
+    return builder.table()
+
+
+def _as_table(records: Records) -> RecordTable:
+    return records if isinstance(records, RecordTable) else RecordTable.from_records(records)
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +229,8 @@ class SignedGraph:
         return u, v, w
 
     def degree_sequence(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        for (i, j) in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        ends = np.array(list(self.edges), dtype=np.int64).ravel()
+        return np.bincount(ends, minlength=self.n_nodes)
 
     def total_weight(self) -> float:
         return float(sum(self.edges.values()))
@@ -91,50 +248,74 @@ class BuildReport:
     excluded_self_pairs: int = 0  # both people normalise to one node
 
 
+def _is_point(value) -> bool:
+    return (type(value) is list and len(value) == 2
+            and type(value[0]) in _NUMBER and type(value[1]) in _NUMBER)
+
+
 def load_node_attrs(path) -> dict[str, dict]:
-    """Person name -> attributes plus ``name``, keys normalized for lookup."""
-    return {norm: dict(value, name=name)
-            for norm, (name, value) in load_name_table(path).items()}
+    """Person name -> attributes plus ``name``, keys normalized for lookup.
+    A ``party`` that is not a string, or a ``birthplace`` that is not two
+    numbers, raises ``ValueError("path: reason")``; the decoder refuses a
+    number that is not finite."""
+    attrs = {}
+    for norm, (name, value) in load_name_table(path).items():
+        if "party" in value and type(value["party"]) is not str:
+            raise ValueError(f"{path}: party of {name!r} is not a string")
+        if "birthplace" in value and not _is_point(value["birthplace"]):
+            raise ValueError(f"{path}: birthplace of {name!r} is not two finite numbers")
+        attrs[norm] = dict(value, name=name)
+    return attrs
 
 
-def _included_pairs(records, node_attrs, report: BuildReport,
-                    time_window: tuple[int, int] | None = None):
-    """(record, normalized pair, type weight) of each record that every party
-    analysis counts: typed, in the window, two distinct people, both with a
-    party. ``report`` counts the rest."""
-    for rec in records:
-        if rec.interaction_type not in TYPE_WEIGHTS:
-            report.excluded_untyped += 1
-            continue
-        if time_window is not None:
-            if rec.time_year is None or not (
-                    time_window[0] <= rec.time_year <= time_window[1]):
-                report.excluded_out_of_window += 1
-                continue
-        k1, k2 = normalize_surface(rec.person1), normalize_surface(rec.person2)
-        if k1 == k2:
-            report.excluded_self_pairs += 1
-            continue
-        if k1 not in node_attrs or k2 not in node_attrs:
-            report.excluded_no_party += 1
-            continue
-        if "party" not in node_attrs[k1] or "party" not in node_attrs[k2]:
-            report.excluded_no_party += 1
-            continue
-        report.included += 1
-        yield rec, ((k1, k2) if k1 <= k2 else (k2, k1)), TYPE_WEIGHTS[rec.interaction_type]
+def _included(table: RecordTable, node_attrs: dict[str, dict], report: BuildReport,
+              time_window: tuple[int, int] | None = None):
+    """``(mask, party)``: the mask of the records that every party analysis
+    counts (typed, in the window, two distinct people, both with a party),
+    and each person's party code (-1 without a party). ``report`` counts the
+    rest under the first condition each record fails, in that order."""
+    codes: dict = {}
+    party = np.array([codes.setdefault(attrs["party"], len(codes))
+                      if "party" in (attrs := node_attrs.get(key, {})) else -1
+                      for key in table.keys], dtype=np.int64)
+    conditions = [("excluded_untyped", table.type_code >= 0)]
+    if time_window is not None:
+        year = table.year
+        conditions.append(("excluded_out_of_window", (year != NO_YEAR)
+                           & (year >= time_window[0]) & (year <= time_window[1])))
+    conditions += [("excluded_self_pairs", table.person1 != table.person2),
+                   ("excluded_no_party",
+                    (party[table.person1] >= 0) & (party[table.person2] >= 0))]
+    mask = np.ones(len(table), dtype=bool)
+    left = len(table)
+    for name, holds in conditions:
+        mask &= holds
+        kept = int(np.count_nonzero(mask))
+        setattr(report, name, getattr(report, name) + left - kept)
+        left = kept
+    report.included += left
+    return mask, party
 
 
-def _graph_from_pairs(pair_weights: dict, node_attrs: dict[str, dict]) -> SignedGraph:
-    nodes = sorted({k for pair in pair_weights for k in pair})
-    index = {node: i for i, node in enumerate(nodes)}
-    graph = SignedGraph(nodes=nodes, node_attrs={n: node_attrs[n] for n in nodes})
-    for (k1, k2), weight in pair_weights.items():
-        graph.edges[(index[k1], index[k2])] = weight
-    return graph
+def _graph(table: RecordTable, rows, node_attrs: dict[str, dict]) -> SignedGraph:
+    """The graph of the included ``rows`` (a mask or indexes): one edge per
+    pair of people, weighted by the sum of its records' type weights, nodes
+    and edges in sorted order. The weights are small integers, so each sum
+    is exact in any order."""
+    a, b = table.person1[rows], table.person2[rows]
+    n = len(table.keys)
+    pairs, pair_of = np.unique(np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b),
+                               return_inverse=True)
+    weights = np.bincount(pair_of, weights=_CODE_WEIGHTS[table.type_code[rows]],
+                          minlength=len(pairs))
+    people, ends = np.unique(np.concatenate([pairs // n, pairs % n]), return_inverse=True)
+    nodes = [table.keys[i] for i in people.tolist()]
+    edges = zip(ends[:len(pairs)].tolist(), ends[len(pairs):].tolist())
+    return SignedGraph(nodes=nodes, node_attrs={k: node_attrs[k] for k in nodes},
+                       edges=dict(zip(edges, weights.tolist())))
 
 
-def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict],
+def build_graph(records: Records, node_attrs: dict[str, dict],
                 time_window: tuple[int, int] | None = None) -> tuple[SignedGraph, BuildReport]:
     """Aggregate typed records into a signed graph over attributed people.
 
@@ -143,34 +324,27 @@ def build_graph(records: Sequence[InteractionRecord], node_attrs: dict[str, dict
     a structural tie. A record whose two people normalise to the same key
     is dropped: the graph has no loops.
     """
+    table = _as_table(records)
     report = BuildReport()
-    pair_weights: dict[tuple[str, str], float] = {}
-    for _, pair, weight in _included_pairs(records, node_attrs, report, time_window):
-        pair_weights[pair] = pair_weights.get(pair, 0.0) + weight
-    return _graph_from_pairs(pair_weights, node_attrs), report
+    included, _ = _included(table, node_attrs, report, time_window)
+    return _graph(table, included, node_attrs), report
 
 
-def _window_graphs(records: Sequence[InteractionRecord], node_attrs: dict[str, dict],
-                   cumulative: bool):
+def _window_graphs(table: RecordTable, node_attrs: dict[str, dict], cumulative: bool):
     """``(year, window, graph)`` for each year with a dated record: the
-    graph of ``build_graph`` over that year, or over every year up to it,
-    from one pass over the records. The type weights are small integers, so
-    a pair's weight sums exactly in any order."""
-    dated = [rec for rec in records if rec.time_year is not None]
-    by_year: defaultdict = defaultdict(dict)  # year -> pair -> summed weight
-    for rec, pair, weight in _included_pairs(dated, node_attrs, BuildReport()):
-        pairs = by_year[rec.time_year]
-        pairs[pair] = pairs.get(pair, 0.0) + weight
-    years = sorted({rec.time_year for rec in dated})
-    upto: dict[tuple[str, str], float] = {}
-    for year in years:
-        pairs = by_year.get(year, {})
-        if cumulative:
-            for pair, weight in pairs.items():
-                upto[pair] = upto.get(pair, 0.0) + weight
-            pairs = upto
+    graph of ``build_graph`` over that year, or over every year up to it.
+    The included dated records are sorted by year once, so each window is a
+    run of them (a prefix when cumulative)."""
+    included, _ = _included(table, node_attrs, BuildReport())
+    dated = table.year != NO_YEAR
+    years = np.unique(table.year[dated]).tolist()
+    rows = np.flatnonzero(included & dated)
+    rows = rows[np.argsort(table.year[rows], kind="stable")]
+    ends = np.searchsorted(table.year[rows], years, side="right").tolist()
+    starts = [0] * len(ends) if cumulative else [0, *ends[:-1]]
+    for year, start, end in zip(years, starts, ends):
         window = (years[0], year) if cumulative else (year, year)
-        yield year, window, _graph_from_pairs(pairs, node_attrs)
+        yield year, window, _graph(table, rows[start:end], node_attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +543,7 @@ class TrendSeries:
         return buf.getvalue()
 
 
-def trend_ratios(records: Sequence[InteractionRecord], node_attrs: dict[str, dict],
+def trend_ratios(records: Records, node_attrs: dict[str, dict],
                  bin_size: str = "decade") -> TrendSeries:
     """Per-bin inter-party share plus type shares among inter-party records,
     over the dated records that :func:`build_graph` includes.
@@ -380,39 +554,41 @@ def trend_ratios(records: Sequence[InteractionRecord], node_attrs: dict[str, dic
     if bin_size not in ("decade", "year"):
         raise ValueError(f"unknown bin size {bin_size!r}")
     step = 10 if bin_size == "decade" else 1
-    totals: Counter = Counter()  # bin -> included records
-    inter: defaultdict = defaultdict(Counter)  # bin -> inter-party records per type
-    dated = [rec for rec in records if rec.time_year is not None]
-    for rec, (k1, k2), _ in _included_pairs(dated, node_attrs, BuildReport()):
-        bin_start = rec.time_year // step * step
-        totals[bin_start] += 1
-        if node_attrs[k1]["party"] != node_attrs[k2]["party"]:
-            inter[bin_start][rec.interaction_type] += 1
-
+    table = _as_table(records)
+    included, party = _included(table, node_attrs, BuildReport())
+    rows = included & (table.year != NO_YEAR)
     series = TrendSeries(bin_size=step)
-    if not totals:
+    if not rows.any():
         return series
-    for bin_start in range(min(totals), max(totals) + 1, step):
-        total = totals[bin_start]
-        types = inter[bin_start]
-        n_inter = sum(types.values())
+    bins = table.year[rows] // step
+    first = int(bins.min())
+    bins -= first
+    n_bins = int(bins.max()) + 1
+    inter = party[table.person1[rows]] != party[table.person2[rows]]
+    n_types = len(INTERACTION_TYPES)
+    by_type = np.bincount(bins[inter] * n_types + table.type_code[rows][inter],
+                          minlength=n_bins * n_types).reshape(n_bins, n_types)
+    totals = np.bincount(bins, minlength=n_bins)
+    for i, (total, types) in enumerate(zip(totals.tolist(), by_type.tolist())):
+        n_inter = sum(types)
         series.bins.append(TrendBin(
-            bin_start=bin_start, total=total, inter_party=n_inter,
+            bin_start=(first + i) * step, total=total, inter_party=n_inter,
             inter_share=(n_inter / total) if total else None,
-            type_shares={t: (types[t] / n_inter if n_inter else None)
-                         for t in INTERACTION_TYPES}))
+            type_shares={t: (count / n_inter if n_inter else None)
+                         for t, count in zip(INTERACTION_TYPES, types)}))
     return series
 
 
-def type_party_totals(records: Sequence[InteractionRecord],
-                      node_attrs: dict[str, dict]) -> dict:
+def type_party_totals(records: Records, node_attrs: dict[str, dict]) -> dict:
     """Intra-/inter-party counts per interaction type of the records that
     :func:`build_graph` includes."""
-    totals = {t: {"intra": 0, "inter": 0} for t in INTERACTION_TYPES}
-    for rec, (k1, k2), _ in _included_pairs(records, node_attrs, BuildReport()):
-        kind = "inter" if node_attrs[k1]["party"] != node_attrs[k2]["party"] else "intra"
-        totals[rec.interaction_type][kind] += 1
-    return totals
+    table = _as_table(records)
+    included, party = _included(table, node_attrs, BuildReport())
+    inter = party[table.person1[included]] != party[table.person2[included]]
+    counts = np.bincount(table.type_code[included] * 2 + inter,
+                         minlength=2 * len(INTERACTION_TYPES)).tolist()
+    return {t: {"intra": counts[2 * i], "inter": counts[2 * i + 1]}
+            for i, t in enumerate(INTERACTION_TYPES)}
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +617,22 @@ def interaction_distance(location: tuple[float, float] | None,
             + haversine_km(location[0], location[1], birthplace2[0], birthplace2[1]))
 
 
-def record_distance(rec: InteractionRecord, node_attrs: dict[str, dict]) -> float | None:
-    if rec.lat is None or rec.lon is None:
-        return None
-    a1 = node_attrs.get(normalize_surface(rec.person1), {})
-    a2 = node_attrs.get(normalize_surface(rec.person2), {})
-    bp1 = a1.get("birthplace")
-    bp2 = a2.get("birthplace")
-    return interaction_distance(
-        (rec.lat, rec.lon),
-        tuple(bp1) if bp1 else None,
-        tuple(bp2) if bp2 else None)
+def record_distances(records: Records, node_attrs: dict[str, dict]) -> list[float | None]:
+    """Per record, :func:`interaction_distance` from its location to both
+    people's ``birthplace``; None where any of the three is missing. Each
+    distance is computed with ``math``, as one call per record would."""
+    table = _as_table(records)
+    birthplaces = [node_attrs.get(key, {}).get("birthplace") for key in table.keys]
+    placed = np.array([bool(bp) for bp in birthplaces], dtype=bool)
+    computed = np.flatnonzero(~np.isnan(table.lat) & ~np.isnan(table.lon)
+                              & placed[table.person1] & placed[table.person2])
+    distances: list[float | None] = [None] * len(table)
+    for i, lat, lon, p1, p2 in zip(computed.tolist(), table.lat[computed].tolist(),
+                                   table.lon[computed].tolist(),
+                                   table.person1[computed].tolist(),
+                                   table.person2[computed].tolist()):
+        distances[i] = interaction_distance((lat, lon), birthplaces[p1], birthplaces[p2])
+    return distances
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +723,7 @@ def graph_stats(graph: SignedGraph, k_min: int = 2) -> GraphStats:
 # ---------------------------------------------------------------------------
 # Time series and exports
 
-def polarization_series(records: Sequence[InteractionRecord],
+def polarization_series(records: Records,
                         node_attrs: dict[str, dict],
                         n_samples: int = 1000, master_seed: int = 0,
                         cumulative: bool = False,
@@ -561,7 +742,7 @@ def polarization_series(records: Sequence[InteractionRecord],
         raise ValueError("standardized modularity needs at least 2 null samples")
     rows: list[dict] = []
     windows = []  # (row, graph) of each window with enough edges to score
-    for year, window, graph in _window_graphs(records, node_attrs, cumulative):
+    for year, window, graph in _window_graphs(_as_table(records), node_attrs, cumulative):
         row = {"year": year, "window_start": window[0], "n_nodes": graph.n_nodes,
                "n_edges": graph.n_edges, "q": None, "z": None, "accept_rate": None,
                "reason": None}

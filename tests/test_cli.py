@@ -453,3 +453,168 @@ def test_commands_without_arrays_run_without_numpy(tmp_path):
         "numpy loaded: False dataset split",
         "numpy loaded: False classify-type --records",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Pinned analysis outputs
+
+def _analysis_inputs(root):
+    """The political fixture plus one record of each kind that the party
+    analyses leave out or treat apart: untyped, undated, an unknown person,
+    a person without a party, and a self-pair. Returns (records, attrs) paths."""
+    records, attrs = political_records_fixture()
+    by_name = {v["name"]: {k: x for k, x in v.items() if k != "name"}
+               for v in attrs.values()}
+    by_name["Zed Partyless"] = {"birthplace": [44.0, -93.0], "state": "Minnesota"}
+    first, second = list(by_name)[:2]
+    extra = [(first, second, None, 1990), (first, second, "Cooperative", None),
+             (first, "Nemo Unknown", "Neutral", 1995),
+             (second, "Zed Partyless", "Adversarial", 2000),
+             (first, f"  {first.upper()} ", "Cooperative", 2005)]
+    for i, (p1, p2, itype, year) in enumerate(extra):
+        records.append(replace(records[i], record_id=f"extra{i}", person1=p1, person2=p2,
+                               interaction_type=itype, time_year=year))
+    dump_records(records, root / "typed.jsonl")
+    (root / "attrs.json").write_text(json.dumps(by_name, indent=2, sort_keys=True))
+    return root / "typed.jsonl", root / "attrs.json"
+
+
+# SHA-256 of every output file and of each command's stdout, on the inputs of
+# ``_analysis_inputs``. Any change to what an analysis counts or prints moves one.
+ANALYSIS_DIGESTS = {
+    "cumulative_Massachusetts.csv":
+        "e017767038a8d0472736032737b9eed8c10d31b93abc7e376bca1e2ade28e58b",
+    "cumulative_Massachusetts.json":
+        "96a5b8195de4ab2e93932b4bcc4a8822f94dec368202ca401d30ea9fb54149ca",
+    "cumulative_all.csv":
+        "3ffb5d4e7b8924829d65d3a0147afa9968321e27ba7fe0f6c54b66001e131c54",
+    "cumulative_all.json":
+        "1043031e62f936ffb29d5d897211377c587a2c5a62de39ab5f4869207f1fc84e",
+    "distance.csv":
+        "a6213cf48f577202ddcb80b1fce45663c2aad1deacf1b7c4bc22aab5bdb48fb3",
+    "distance.stdout":
+        "739a5dbc5cb6cd83a2c07988dd1e85ee0738c301659945471ac8bd6afaec5d43",
+    "edges.csv":
+        "201d4b2ee900d461e33e0524ddf12cdadc65a102367fc6bdaf2a2a207ca1d9bd",
+    "export.stdout":
+        "5f3706e410bdb784b958abc44f9f7463a304ff8df1f52bc2fbe7a92c6b650bd5",
+    "graph.gexf":
+        "46222bee0c9acbf79d8b5bdb675b6e554d807fa3883274d6eb286b2459f7d635",
+    "polarization_cumulative_Massachusetts.stdout":
+        "f82e3ca78534db36abcb257d0d149f959ed4a128e0caa2f5126f8760a9ce186d",
+    "polarization_cumulative_all.stdout":
+        "b81d2fe4605b18d3eb7da41ecd207d94cd2caba26301c0e7a12067390745d4cb",
+    "polarization_yearly_Massachusetts.stdout":
+        "d73386f4144afa55eac45883d03e2c451967acb55daea113dd47d01dfba75787",
+    "polarization_yearly_all.stdout":
+        "b81d2fe4605b18d3eb7da41ecd207d94cd2caba26301c0e7a12067390745d4cb",
+    "stats.json":
+        "0bec5d9c5a55ddcb700170b7da923ba347ea4975971a08071fc49203f89bc597",
+    "stats.stdout":
+        "8ca84ea94ed39579ec8b393afdacecdbce9ae6d7b35e8571408d392237ad5790",
+    "totals_decade.json":
+        "e55e4c69d580c37f7054724d1efd19fa738255433bcdb24ee6c1838f15fdc82a",
+    "totals_year.json":
+        "e55e4c69d580c37f7054724d1efd19fa738255433bcdb24ee6c1838f15fdc82a",
+    "trends_decade.csv":
+        "79582e5a8d02f24a50df024b38183d51a2e08755757886a44049fae03015484c",
+    "trends_decade.stdout":
+        "5ed74770c1323472680ad239cdfc428d7ba066e59b1d73899222b69d182dd167",
+    "trends_year.csv":
+        "dd79bdb5418ea6477ae47aeec8fba6bf29d077ea660994efeedc9629a98052e0",
+    "trends_year.stdout":
+        "6543d54190ae2fc0e088ec0fbd689b2b8249dab5e2c967195049bd19baae6c53",
+    "yearly_Massachusetts.csv":
+        "2ea04fda5c8cb3d9eaa1856732158518680fd3806f058f91ee65d234ebc739ab",
+    "yearly_Massachusetts.json":
+        "5cb2f8ec8fbe81c14b578a5cd53c3fb039d6902201e5deaeca15eda4d0f2cdf4",
+    "yearly_all.csv":
+        "c9af3b9474513e7c5edbef93d7d771490afc0ba9774b8c037dc7785b04c9c554",
+    "yearly_all.json":
+        "13fc99ae1b3e2edca3dfed0d5f7dfc2bc407a3d5b274dea2cec347c8e04e329a",
+}
+
+
+def test_every_analyze_output_matches_its_pinned_digest(tmp_path):
+    import hashlib
+
+    records, attrs = _analysis_inputs(tmp_path)
+    common = ["--records", str(records), "--attrs", str(attrs)]
+    polar = ["--null-samples", "20", "--seed", "3"]
+    runs = {}
+    for name, flags in [("yearly", []), ("cumulative", ["--cumulative"])]:
+        for state in ("", "Massachusetts"):
+            tag = f"{name}_{state or 'all'}"
+            runs[f"polarization_{tag}"] = [
+                "analyze", "polarization", *common, *polar, *flags,
+                *(["--state-filter", state] if state else []),
+                "--out-csv", f"{tag}.csv", "--out-json", f"{tag}.json"]
+    runs["stats"] = ["analyze", "stats", *common, "--out-json", "stats.json"]
+    runs["export"] = ["analyze", "export", *common, "--out-edges", "edges.csv",
+                      "--out-gexf", "graph.gexf"]
+    for bin_size in ("decade", "year"):
+        runs[f"trends_{bin_size}"] = [
+            "analyze", "trends", *common, "--bin", bin_size,
+            "--out-csv", f"trends_{bin_size}.csv", "--out-json", f"totals_{bin_size}.json"]
+    runs["distance"] = ["analyze", "distance", *common, "--out-csv", "distance.csv"]
+    digests = {}
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        for name, args in runs.items():
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+            digests[f"{name}.stdout"] = hashlib.sha256(res.stdout.encode()).hexdigest()
+        for path in sorted(Path().iterdir()):
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == ANALYSIS_DIGESTS
+
+
+ANALYZE_OUTPUTS = {
+    "polarization": ["--null-samples", "2", "--out-csv", "out.csv"],
+    "trends": ["--out-csv", "out.csv"],
+    "distance": ["--out-csv", "out.csv"],
+    "stats": ["--out-json", "out.json"],
+    "export": ["--out-edges", "out.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ANALYZE_OUTPUTS))
+@pytest.mark.parametrize("key, value, reason", [
+    ("time_year", "1999", "time_year must be an integer or null, not str"),
+    ("time_year", True, "time_year must be an integer or null, not bool"),
+    ("person1", 7, "person1 must be a string, not int"),
+    ("interaction_type", 1, "interaction_type must be a string or null, not int"),
+    ("lat", "42.0", "lat must be a number or null, not str"),
+    ("state", ["MA"], "state must be a string or null, not list"),
+])
+def test_a_bad_record_value_is_an_error_line(tmp_path, command, key, value, reason):
+    records, attrs = _analysis_inputs(tmp_path)
+    lines = records.read_text().splitlines()
+    bad = json.loads(lines[1])
+    bad[key] = value
+    lines[1] = json.dumps(bad)
+    records.write_text("\n".join(lines) + "\n")
+    res = CliRunner().invoke(main, ["analyze", command, "--records", str(records),
+                                    "--attrs", str(attrs), *ANALYZE_OUTPUTS[command]])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"Error: {records}:2: {reason}\n"
+
+
+@pytest.mark.parametrize("command, field, value, reason", [
+    ("export", "party", 1, "party of {name!r} is not a string"),
+    ("distance", "birthplace", "Boston", "birthplace of {name!r} is not two finite numbers"),
+    ("distance", "birthplace", [42.0], "birthplace of {name!r} is not two finite numbers"),
+    ("distance", "birthplace", [True, 1.0],
+     "birthplace of {name!r} is not two finite numbers"),
+    ("trends", "party", None, "party of {name!r} is not a string"),
+])
+def test_a_bad_attrs_value_is_an_error_line(tmp_path, command, field, value, reason):
+    records, attrs = _analysis_inputs(tmp_path)
+    table = json.loads(attrs.read_text())
+    name = sorted(table)[0]
+    table[name][field] = value
+    attrs.write_text(json.dumps(table))
+    res = CliRunner().invoke(main, ["analyze", command, "--records", str(records),
+                                    "--attrs", str(attrs), *ANALYZE_OUTPUTS[command]])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"Error: {attrs}: {reason.format(name=name)}\n"

@@ -22,6 +22,7 @@ from falcon.ingest import (
     triple_to_json,
     write_jsonl,
 )
+from falcon.polarnet import load_record_table
 
 
 def make_segment(text, doc_id="d1", seg_id="d1:s0", start=0):
@@ -85,7 +86,7 @@ def test_load_triples_overlapping_spans_collected(tmp_path):
 
 @pytest.mark.parametrize("bad_line", ["{not json", "[1, 2]", "{}"])
 @pytest.mark.parametrize("loader", [load_candidates, load_documents, load_examples,
-                                    load_labeled_triples, load_records])
+                                    load_labeled_triples, load_records, load_record_table])
 def test_strict_loaders_report_file_and_line(tmp_path, loader, bad_line):
     path = tmp_path / "input.jsonl"
     path.write_text("\n" + bad_line + "\n", encoding="utf-8")

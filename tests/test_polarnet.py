@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from falcon import accel, fixtures, polarnet
-from falcon.extract import InteractionRecord
+from falcon.extract import InteractionRecord, dump_records
 from falcon.ingest import normalize_surface
 from falcon.polarnet import (
+    NO_YEAR,
     DegenerateGraphError,
+    RecordTable,
     SignedGraph,
     build_graph,
     edges_csv,
@@ -19,11 +21,12 @@ from falcon.polarnet import (
     graph_stats,
     haversine_km,
     interaction_distance,
+    load_record_table,
     modularity,
     pagerank,
     polarization_series,
     randomize_null,
-    record_distance,
+    record_distances,
     sample_seeds,
     series_to_csv,
     standardized_modularity,
@@ -49,6 +52,44 @@ ATTRS = {
     "cy": {"party": "Republican", "birthplace": [40.0, -74.0]},
     "dee": {"party": "Democrat", "birthplace": [38.0, -77.0]},
 }
+
+
+# ---------------------------------------------------------------------------
+# records as columns
+
+def test_record_table_columns(tmp_path):
+    records = [make_record(0, "Ada", "Bo", "Cooperative", lat=42.0, lon=-71),
+               make_record(1, " bo ", "Cy", None, year=None),
+               make_record(2, "Cy", "ADA", "Friendly")]
+    records[0].state = "MA"
+    path = tmp_path / "typed.jsonl"
+    dump_records(records, path)
+    table = load_record_table(path)
+    assert table.keys == ["ada", "bo", "cy"]
+    assert table.person1.tolist() == [0, 1, 2] and table.person2.tolist() == [1, 2, 0]
+    assert table.year.tolist() == [1980, NO_YEAR, 1980]
+    assert table.type_code.tolist() == [1, -1, -1]
+    assert table.lat[0] == 42.0 and table.lon[0] == -71.0
+    assert np.isnan(table.lat[1:]).all() and np.isnan(table.lon[1:]).all()
+    assert (table.states, table.state.tolist()) == (["MA"], [0, -1, -1])
+    assert table.record_id == ["r000", "r001", "r002"]
+    assert table.in_state("MA").tolist() == [True, False, False]
+    assert not table.in_state("Ohio").any()
+    assert table.take(table.in_state("MA")).record_id == ["r000"]
+
+
+def test_loaded_table_equals_the_table_of_the_records(tmp_path):
+    records, _ = fixtures.political_records_fixture()
+    records.append(make_record(999, "Nemo", " nemo", None, year=None))
+    path = tmp_path / "typed.jsonl"
+    dump_records(records, path)
+    loaded, built = load_record_table(path), RecordTable.from_records(records)
+    for name in RecordTable.__dataclass_fields__:
+        got, want = getattr(loaded, name), getattr(built, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), name
+        else:
+            assert got == want, name
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +580,12 @@ def test_quarter_circumference_leg():
 def test_missing_geocode_gives_null():
     assert interaction_distance(None, (0, 0), (0, 0)) is None
     rec = make_record(0, "Ada", "Bo", "Neutral")
-    assert record_distance(rec, ATTRS) is None
+    assert record_distances([rec], ATTRS) == [None]
 
 
 def test_record_distance_uses_attr_birthplaces():
     rec = make_record(0, "Ada", "Bo", "Neutral", lat=42.0, lon=-71.0)
-    got = record_distance(rec, ATTRS)
+    (got,) = record_distances([rec], ATTRS)
     want = haversine_km(42.0, -71.0, 42.0, -71.0) + haversine_km(
         42.0, -71.0, 30.0, -97.0)
     assert got == pytest.approx(want, abs=1e-9)
