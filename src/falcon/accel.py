@@ -40,19 +40,16 @@ LOCKSTEP_LANES = 64
 NUMBA_ACTIVE = False
 
 
-def modularity_edges(u, v, w, comm, n_nodes, n_comms, lane=None, n_lanes=1):
+def modularity_edges(u, v, w, comm, n_nodes, n_comms, lane, n_lanes):
     """Q = s_in/2m - sum_c (S_c/2m)^2 over the signed strength k.
 
-    Given ``lane``, the lane of each edge, scores ``n_lanes`` graphs in one
-    call and returns their Qs: ``u`` and ``v`` then index one table of
+    Scores ``n_lanes`` graphs in one call, given ``lane``, the lane of each
+    edge, and returns their Qs: ``u`` and ``v`` index one table of
     ``n_nodes`` nodes that holds every lane's nodes, and ``comm`` maps a node
     of lane l to community ``l * n_comms + c``. Every sum is a ``bincount``,
     which adds in input order, so a lane's Q does not depend on the lanes
     scored with it.
     """
-    if lane is None:
-        return modularity_edges(u, v, w, comm, n_nodes, n_comms,
-                                np.zeros(len(u), dtype=np.int64))[0]
     k = np.bincount(np.stack([u, v], 1).ravel(), weights=np.repeat(w, 2),
                     minlength=n_nodes)
     m2 = 2.0 * np.bincount(lane, weights=w, minlength=n_lanes)

@@ -115,9 +115,19 @@ def record_id_for(cand: CandidateQuadruple) -> str:
     return hashlib.sha1(key.encode()).hexdigest()[:12]
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a bool is not a number
+
+
+_GAZETTEER_CHECKS = (("lat", _is_number, "a number"), ("lon", _is_number, "a number"),
+                     ("state", lambda value: type(value) is str, "a string"))
+
+
 def load_gazetteer(path: str | Path) -> dict:
-    """Location surface -> {lat, lon, state?}, keys normalized for lookup."""
-    return {norm: value for norm, (_, value) in load_name_table(path).items()}
+    """Location surface -> {lat, lon, state?}, keys normalized for lookup.
+    A ``lat`` or ``lon`` that is not a number, or a ``state`` that is not a
+    string, raises ``ValueError("path: reason")``."""
+    return {norm: value for norm, (_, value) in load_name_table(path, _GAZETTEER_CHECKS).items()}
 
 
 def record_from_candidate(cand: CandidateQuadruple, score: float,

@@ -271,7 +271,7 @@ def _make_graph(n: int, edges: dict, parties=None) -> SignedGraph:
     for i, node in enumerate(nodes):
         party = parties[i] if parties else ("Republican" if i % 2 == 0 else "Democrat")
         attrs[node] = {"name": node, "party": party}
-    return SignedGraph(nodes=nodes, node_attrs=attrs, edges=dict(edges))
+    return SignedGraph.from_mapping(nodes, attrs, edges)
 
 
 def random_signed_graph(n: int, p: float, seed: int,

@@ -289,13 +289,15 @@ def _refuse_repeated_keys(path, pairs: list) -> None:
         raise ValueError(f"{path}: key {repeated!r} appears twice")
 
 
-def load_name_table(path: str | Path) -> dict[str, tuple[str, dict]]:
+def load_name_table(path: str | Path, checks=()) -> dict[str, tuple[str, dict]]:
     """Read a JSON object whose every value is an object (name -> attributes),
     as ``normalize_surface(name)`` -> (name, attributes).
 
     Bad JSON, a key given twice in one object, a top level that is not an
     object, a value that is not an object, or two names that normalise alike
-    raises ``ValueError("path: reason")``. An unreadable file raises OSError.
+    raises ``ValueError("path: reason")``, as does a value that fails its
+    ``(key, test, what)`` triple of ``checks``: ``key of 'name' is not what``.
+    An unreadable file raises OSError.
     """
     table = load_json(path)
     # orjson keeps the last of two equal keys; the stdlib decoder sees each pair.
@@ -307,6 +309,9 @@ def load_name_table(path: str | Path) -> dict[str, tuple[str, dict]]:
     for name, value in table.items():
         if not isinstance(value, dict):
             raise ValueError(f"{path}: value of {name!r} is not a JSON object")
+        for key, test, what in checks:
+            if key in value and not test(value[key]):
+                raise ValueError(f"{path}: {key} of {name!r} is not {what}")
         first, _ = out.setdefault(normalize_surface(name), (name, value))
         if first != name:
             raise ValueError(f"{path}: keys {first!r} and {name!r} normalise to one name")

@@ -207,11 +207,50 @@ def _as_table(records: Records) -> RecordTable:
 # ---------------------------------------------------------------------------
 # Graph construction
 
+def _canonical_edges(a, b, w):
+    """The edges ``(a, b, w)`` as ``(u, v, w)`` with ``u < v``, sorted by ``(u, v)``."""
+    u, v = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((v, u))
+    return u[order], v[order], w[order]
+
+
 @dataclass
 class SignedGraph:
+    """Nodes and the edges as three columns: edge e joins nodes ``u[e] < v[e]``
+    with weight ``w[e]``, sorted by ``(u, v)``, no pair twice. Construction
+    refuses a graph that breaks this."""
     nodes: list[str]
     node_attrs: dict[str, dict]
-    edges: dict[tuple[int, int], float] = field(default_factory=dict)
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        self.u, self.v = (np.asarray(x, dtype=np.int64) for x in (self.u, self.v))
+        self.w = np.asarray(self.w, dtype=np.float64)
+        u, v, n = self.u, self.v, self.n_nodes
+        if not len(u) == len(v) == len(self.w):
+            raise ValueError("edge columns differ in length")
+        step = np.diff(u * n + v, prepend=-1)  # the pair codes rise along sorted edges
+        for bad, what in (((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n), "names no node"),
+                          (u == v, "is a loop"), ((u > v) | (step < 0), "is out of order"),
+                          (step == 0, "repeats a pair")):
+            if bad.any():
+                e = int(np.argmax(bad))
+                raise ValueError(f"edge {e} ({u[e]}, {v[e]}) {what}")
+
+    @classmethod
+    def from_mapping(cls, nodes: list[str], node_attrs: dict[str, dict],
+                     edges: dict[tuple[int, int], float]) -> "SignedGraph":
+        """The graph of a ``{(i, j): w}`` mapping, each pair in either order."""
+        ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        w = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+        return cls(nodes, node_attrs, *_canonical_edges(ends[:, 0], ends[:, 1], w))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SignedGraph) and self.nodes == other.nodes
+                and self.node_attrs == other.node_attrs
+                and all(map(np.array_equal, (self.u, self.v, self.w), (other.u, other.v, other.w))))
 
     @property
     def n_nodes(self) -> int:
@@ -219,21 +258,13 @@ class SignedGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
-
-    def edge_arrays(self):
-        keys = sorted(self.edges)
-        u = np.array([k[0] for k in keys], dtype=np.int64)
-        v = np.array([k[1] for k in keys], dtype=np.int64)
-        w = np.array([self.edges[k] for k in keys], dtype=np.float64)
-        return u, v, w
+        return len(self.u)
 
     def degree_sequence(self) -> np.ndarray:
-        ends = np.array(list(self.edges), dtype=np.int64).ravel()
-        return np.bincount(ends, minlength=self.n_nodes)
+        return np.bincount(np.concatenate([self.u, self.v]), minlength=self.n_nodes)
 
     def total_weight(self) -> float:
-        return float(sum(self.edges.values()))
+        return float(self.w.sum())
 
     def party_partition(self) -> dict[str, str]:
         return {node: self.node_attrs[node].get("party", "?") for node in self.nodes}
@@ -253,19 +284,17 @@ def _is_point(value) -> bool:
             and type(value[0]) in _NUMBER and type(value[1]) in _NUMBER)
 
 
+_ATTR_CHECKS = (("party", lambda value: type(value) is str, "a string"),
+                ("birthplace", _is_point, "two finite numbers"))
+
+
 def load_node_attrs(path) -> dict[str, dict]:
     """Person name -> attributes plus ``name``, keys normalized for lookup.
     A ``party`` that is not a string, or a ``birthplace`` that is not two
     numbers, raises ``ValueError("path: reason")``; the decoder refuses a
     number that is not finite."""
-    attrs = {}
-    for norm, (name, value) in load_name_table(path).items():
-        if "party" in value and type(value["party"]) is not str:
-            raise ValueError(f"{path}: party of {name!r} is not a string")
-        if "birthplace" in value and not _is_point(value["birthplace"]):
-            raise ValueError(f"{path}: birthplace of {name!r} is not two finite numbers")
-        attrs[norm] = dict(value, name=name)
-    return attrs
+    return {norm: dict(value, name=name)
+            for norm, (name, value) in load_name_table(path, _ATTR_CHECKS).items()}
 
 
 def _included(table: RecordTable, node_attrs: dict[str, dict], report: BuildReport,
@@ -310,9 +339,8 @@ def _graph(table: RecordTable, rows, node_attrs: dict[str, dict]) -> SignedGraph
                           minlength=len(pairs))
     people, ends = np.unique(np.concatenate([pairs // n, pairs % n]), return_inverse=True)
     nodes = [table.keys[i] for i in people.tolist()]
-    edges = zip(ends[:len(pairs)].tolist(), ends[len(pairs):].tolist())
     return SignedGraph(nodes=nodes, node_attrs={k: node_attrs[k] for k in nodes},
-                       edges=dict(zip(edges, weights.tolist())))
+                       u=ends[:len(pairs)], v=ends[len(pairs):], w=weights)
 
 
 def build_graph(records: Records, node_attrs: dict[str, dict],
@@ -373,9 +401,8 @@ def modularity(graph: SignedGraph, partition: dict[str, str],
     comm, n_comms = _partition_array(graph, partition)
     if signed_mode == "verbatim" and graph.total_weight() == 0.0:
         raise DegenerateGraphError("degenerate graph: total weight is zero")
-    u, v, w = graph.edge_arrays()
-    return float(_edge_modularity(u, v, w, comm, graph.n_nodes, n_comms, signed_mode,
-                                  np.zeros(len(u), dtype=np.int64), 1)[0])
+    return float(_edge_modularity(graph.u, graph.v, graph.w, comm, graph.n_nodes, n_comms,
+                                  signed_mode, np.zeros(graph.n_edges, dtype=np.int64), 1)[0])
 
 
 def _edge_modularity(u, v, w, comm, n_nodes: int, n_comms: int, signed_mode: str,
@@ -413,15 +440,9 @@ def randomize_null(graph: SignedGraph, seed: int) -> SignedGraph:
     This is the reference null sample: ``standardized_modularity`` draws the
     same samples without building a graph for each.
     """
-    m = graph.n_edges
-    u, v, w = graph.edge_arrays()
-    u2, v2, w2, _ = accel.rewire_edges(u, v, w, graph.n_nodes, STEP_FACTOR * m, seed)
-    null = SignedGraph(nodes=list(graph.nodes), node_attrs=graph.node_attrs)
-    for i in range(m):
-        a, b = int(u2[i]), int(v2[i])
-        key = (a, b) if a < b else (b, a)
-        null.edges[key] = float(w2[i])
-    return null
+    u2, v2, w2, _ = accel.rewire_edges(graph.u, graph.v, graph.w, graph.n_nodes,
+                                       STEP_FACTOR * graph.n_edges, seed)
+    return SignedGraph(list(graph.nodes), graph.node_attrs, *_canonical_edges(u2, v2, w2))
 
 
 @dataclass
@@ -471,9 +492,8 @@ def standardized_modularity(windows: Sequence[tuple[SignedGraph, dict[str, str]]
         except DegenerateGraphError as exc:
             results.append(exc)
             continue
-        u, v, w = graph.edge_arrays()
         scored.append(len(results) - 1)
-        specs.append((u, v, w, graph.n_nodes, STEP_FACTOR * len(u)))
+        specs.append((graph.u, graph.v, graph.w, graph.n_nodes, STEP_FACTOR * graph.n_edges))
         comms.append(_partition_array(graph, partition))
     if not scored:
         return results
@@ -676,7 +696,7 @@ def pagerank(graph: SignedGraph) -> dict[str, float]:
     n = graph.n_nodes
     if n == 0:
         return {}
-    u, v, w = graph.edge_arrays()
+    u, v, w = graph.u, graph.v, graph.w
     # Each edge (a, b) feeds b from a, then a from b, as interleaved entries.
     ends = np.stack([u, v], 1).ravel()
     other_ends = np.stack([v, u], 1).ravel()
@@ -705,12 +725,13 @@ def graph_stats(graph: SignedGraph, k_min: int = 2) -> GraphStats:
     for k in degrees:
         histogram[int(k)] = histogram.get(int(k), 0) + 1
 
+    edges = list(zip(graph.u.tolist(), graph.v.tolist()))
     neighbours = [set() for _ in range(graph.n_nodes)]
-    for (i, j) in graph.edges:
+    for (i, j) in edges:
         neighbours[i].add(j)
         neighbours[j].add(i)
     # Every triangle is seen once from each of its three edges.
-    triangles = sum(len(neighbours[i] & neighbours[j]) for (i, j) in graph.edges) / 3
+    triangles = sum(len(neighbours[i] & neighbours[j]) for (i, j) in edges) / 3
     triads = float(sum(k * (k - 1) / 2 for k in degrees))
     clustering = 3.0 * triangles / triads if triads else 0.0
 
@@ -785,8 +806,8 @@ def edges_csv(graph: SignedGraph) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["person1", "person2", "weight"])
-    for (i, j) in sorted(graph.edges):
-        writer.writerow([graph.nodes[i], graph.nodes[j], graph.edges[(i, j)]])
+    for i, j, weight in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
+        writer.writerow([graph.nodes[i], graph.nodes[j], weight])
     return buf.getvalue()
 
 
@@ -812,8 +833,8 @@ def to_gexf(graph: SignedGraph) -> str:
         lines.append('      </node>')
     lines.append('    </nodes>')
     lines.append('    <edges>')
-    for eid, (i, j) in enumerate(sorted(graph.edges)):
-        weight = graph.edges[(i, j)]
+    for eid, (i, j, weight) in enumerate(zip(graph.u.tolist(), graph.v.tolist(),
+                                            graph.w.tolist())):
         lines.append(f'      <edge id="{eid}" source="{i}" target="{j}" '
                      f'weight="{weight}"/>')
     lines.append('    </edges>')

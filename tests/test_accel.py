@@ -34,11 +34,11 @@ GOLDEN_DIGESTS = {
 
 
 def _null_digest(graph, seed, steps_factor):
-    u, v, w = graph.edge_arrays()
     comm = np.arange(graph.n_nodes, dtype=np.int64) % 3
-    u2, v2, w2, acc = accel.rewire_edges(u, v, w, graph.n_nodes,
-                                         steps_factor * len(u), seed)
-    q = accel.modularity_edges(u2, v2, w2, comm, graph.n_nodes, 3)
+    u2, v2, w2, acc = accel.rewire_edges(graph.u, graph.v, graph.w, graph.n_nodes,
+                                         steps_factor * graph.n_edges, seed)
+    q = accel.modularity_edges(u2, v2, w2, comm, graph.n_nodes, 3,
+                               np.zeros(len(u2), dtype=np.int64), 1)[0]
     h = hashlib.sha256()
     for arr, dtype in ((u2, "<i8"), (v2, "<i8"), (w2, "<f8")):
         h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
@@ -74,7 +74,7 @@ def test_modularity_kernel_handles_isolated_nodes():
     v = np.array([1, 2], dtype=np.int64)
     w = np.array([1.0, 1.0])
     comm = np.array([0, 0, 0, 1], dtype=np.int64)  # node 3 isolated
-    q = accel.modularity_edges(u, v, w, comm, 4, 2)
+    q = accel.modularity_edges(u, v, w, comm, 4, 2, np.zeros(2, dtype=np.int64), 1)[0]
     assert q == 0.0  # all edges internal to community 0, k3 = 0
 
 
@@ -100,7 +100,7 @@ def test_modularity_kernel_matches_loop_reference_on_real_weights():
         v = (u + rng.integers(1, n, m)) % n
         w = rng.uniform(-1.0, 3.0, m)
         comm = rng.integers(0, 3, n)
-        q = accel.modularity_edges(u, v, w, comm, n, 3)
+        q = accel.modularity_edges(u, v, w, comm, n, 3, np.zeros(m, dtype=np.int64), 1)[0]
         assert q == pytest.approx(_modularity_loop(u, v, w, comm, n, 3), rel=1e-12, abs=1e-12)
 
 
@@ -114,8 +114,9 @@ def test_rewire_keeps_simple_graph_degrees_and_weights(n, p):
     rng = np.random.default_rng(n)
     for rep in range(3):
         graph = fixtures.random_signed_graph(n, p, seed=rep)
-        graph.edges.setdefault((n - 2, n - 1), 2.0)  # an edge on the last node
-        u, v, w = graph.edge_arrays()
+        u, v, w = graph.u, graph.v, graph.w
+        if not len(u) or (u[-1], v[-1]) != (n - 2, n - 1):  # an edge on the last node
+            u, v, w = np.append(u, n - 2), np.append(v, n - 1), np.append(w, 2.0)
         m = len(u)
         steps = int(rng.integers(0, 40 * m + 1))
         u2, v2, w2, acc = accel.rewire_edges(u, v, w, n, steps,
@@ -139,18 +140,16 @@ def _ensemble_graphs():
     """Graphs of many sizes, each with a step count not tied to its size."""
     graphs = [fixtures.random_signed_graph(n, p, seed=s) for n, p, s in (
         (20, 0.5, 1), (37, 0.09, 2), (8, 0.5, 3), (4, 0.7, 4), (3, 0.9, 5), (64, 0.08, 6))]
-    two = fixtures.random_signed_graph(4, 0.0, seed=0)
-    two.edges.update({(0, 1): 2.0, (2, 3): -1.0})  # m = 2: the two draws often coincide
-    path = fixtures.random_signed_graph(3, 0.0, seed=0)
-    path.edges.update({(0, 1): 1.0, (0, 2): 2.0})  # no swap is possible
+    two = fixtures._make_graph(4, {(0, 1): 2.0, (2, 3): -1.0})  # m = 2: draws often coincide
+    path = fixtures._make_graph(3, {(0, 1): 1.0, (0, 2): 2.0})  # no swap is possible
     single = fixtures.random_signed_graph(2, 1.0, seed=0)  # m = 1: no step runs
     empty = fixtures.random_signed_graph(5, 0.0, seed=0)
     graphs += [two, path, single, empty] + _political_windows()
     rng = np.random.default_rng(18)
     specs = []
     for graph in graphs:
-        u, v, w = graph.edge_arrays()
-        specs.append((u, v, w, graph.n_nodes, int(rng.integers(0, 25 * len(u) + 2))))
+        specs.append((graph.u, graph.v, graph.w, graph.n_nodes,
+                      int(rng.integers(0, 25 * graph.n_edges + 2))))
     return specs
 
 
@@ -197,5 +196,6 @@ def test_modularity_kernel_scores_lanes_as_one_lane_calls():
         np.concatenate([comm + 3 * i for i, (*_, comm, _) in enumerate(lanes)]),
         int(shift[-1]), 3,
         np.repeat(np.arange(len(lanes)), [len(u) for u, *_ in lanes]), len(lanes))
-    assert q.tolist() == [accel.modularity_edges(u, v, w, comm, n, 3)
+    assert q.tolist() == [accel.modularity_edges(u, v, w, comm, n, 3,
+                                                 np.zeros(len(u), dtype=np.int64), 1)[0]
                           for u, v, w, comm, n in lanes]

@@ -408,6 +408,27 @@ def test_bad_keyed_json_is_an_error_line_not_a_traceback(workspace, tmp_path, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, reason", [
+    ("lat", "42.36", "lat of 'Boston' is not a number"),
+    ("lon", True, "lon of 'Boston' is not a number"),
+    ("lat", None, "lat of 'Boston' is not a number"),
+    ("state", 7, "state of 'Boston' is not a string"),
+])
+def test_a_bad_gazetteer_value_is_an_error_line(workspace, tmp_path, key, value, reason):
+    gazetteer = json.loads((workspace / "fx" / "gazetteer.json").read_text())
+    gazetteer["Boston"][key] = value
+    bad = tmp_path / "gazetteer.json"
+    bad.write_text(json.dumps(gazetteer))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, [
+        "extract", "--triples", str(workspace / "fx" / "triples.jsonl"),
+        "--checkpoint", str(workspace / "model.ckpt"), "--out", str(out),
+        "--gazetteer", str(bad)])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"Error: {bad}: {reason}\n"
+    assert not out.exists()
+
+
 def _run_python(code, cwd=None) -> str:
     """Stdout of ``code`` run in a fresh interpreter, with this falcon on its path."""
     env = dict(os.environ, PYTHONPATH=str(Path(falcon.__file__).parents[1]))

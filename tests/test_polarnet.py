@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -54,6 +55,14 @@ ATTRS = {
 }
 
 
+def _columns(g):
+    return g.u.tolist(), g.v.tolist(), g.w.tolist()
+
+
+def _pairs(g):
+    return frozenset(zip(g.u.tolist(), g.v.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # records as columns
 
@@ -98,7 +107,7 @@ def test_loaded_table_equals_the_table_of_the_records(tmp_path):
 def test_single_cooperative_record_weight_two():
     graph, report = build_graph([make_record(0, "Ada", "Bo", "Cooperative")], ATTRS)
     assert graph.n_edges == 1
-    assert list(graph.edges.values()) == [2.0]
+    assert graph.w.tolist() == [2.0]
     assert report.included == 1
 
 
@@ -107,7 +116,7 @@ def test_opposing_records_cancel_but_edge_remains():
                make_record(1, "Bo", "Ada", "Adversarial")]
     graph, report = build_graph(records, ATTRS)
     assert graph.n_edges == 1
-    assert list(graph.edges.values()) == [0.0]
+    assert graph.w.tolist() == [0.0]
     assert report.included == 2
 
 
@@ -124,7 +133,7 @@ def test_unknown_party_excluded_and_counted():
     graph, report = build_graph(records, ATTRS)
     assert report.excluded_no_party == 1
     assert graph.n_edges == 1
-    assert list(graph.edges.values()) == [1.0]
+    assert graph.w.tolist() == [1.0]
 
 
 def test_self_pair_excluded_and_counted():
@@ -136,7 +145,7 @@ def test_self_pair_excluded_and_counted():
     graph, report = build_graph(records, ATTRS)
     assert report.excluded_self_pairs == 1
     assert report.included == len(pairs)
-    assert all(i != j for (i, j) in graph.edges)
+    assert not np.any(graph.u == graph.v)
     assert list(graph.degree_sequence()) == [2, 3, 3, 2]
     loop_free = nx.Graph([(a.lower(), b.lower()) for a, b in pairs])
     assert graph_stats(graph).clustering == pytest.approx(nx.transitivity(loop_free),
@@ -187,6 +196,49 @@ def test_untyped_record_excluded():
     assert graph.n_edges == 0
 
 
+def _assert_stored_in_order(g):
+    """Edge e joins u[e] < v[e], the pairs rise strictly, and every end is a node."""
+    assert g.u.dtype == g.v.dtype == np.int64 and g.w.dtype == np.float64
+    assert len(g.u) == len(g.v) == len(g.w) == g.n_edges
+    pairs = list(zip(g.u.tolist(), g.v.tolist()))
+    assert all(0 <= i < j < g.n_nodes for i, j in pairs)
+    assert pairs == sorted(set(pairs))
+
+
+def test_every_graph_is_stored_in_edge_order():
+    records, attrs = fixtures.political_records_fixture()
+    graphs = [build_graph(records, attrs)[0], build_graph(records, attrs, (1970, 1990))[0]]
+    table = RecordTable.from_records(records)
+    for cumulative in (False, True):
+        graphs += [g for *_, g in polarnet._window_graphs(table, attrs, cumulative)]
+    fixture = fixtures.null_model_fixture()
+    graphs += [fixture, *(randomize_null(g, seed) for g in graphs[:2] + [fixture]
+                          for seed in (0, 1, 2**63 + 5))]
+    assert len(graphs) == 2 + 2 * 13 + 1 + 3 * 3
+    for g in graphs:
+        _assert_stored_in_order(g)
+
+
+@pytest.mark.parametrize("u, v, reason", [
+    ([0, 2], [1, 2], "edge 1 (2, 2) is a loop"),
+    ([0, 0], [1, 1], "edge 1 (0, 1) repeats a pair"),
+    ([0, 0], [2, 1], "edge 1 (0, 1) is out of order"),
+    ([1, 0], [2, 2], "edge 1 (0, 2) is out of order"),
+    ([1], [0], "edge 0 (1, 0) is out of order"),
+    ([0], [3], "edge 0 (0, 3) names no node"),
+])
+def test_signed_graph_refuses_a_loop_a_repeated_pair_and_an_unsorted_edge(u, v, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        SignedGraph(list("abc"), {}, u, v, [1.0] * len(u))
+
+
+def test_a_mapping_with_a_pair_in_both_orders_is_refused():
+    graph = SignedGraph.from_mapping(list("abc"), {}, {(2, 0): 1.0, (1, 0): 2.0})
+    assert _columns(graph) == ([0, 0], [1, 2], [2.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape("edge 1 (0, 1) repeats a pair")):
+        SignedGraph.from_mapping(list("abc"), {}, {(0, 1): 1.0, (1, 0): 2.0})
+
+
 # ---------------------------------------------------------------------------
 # modularity
 
@@ -194,7 +246,7 @@ def _modularity_oracle(graph: SignedGraph, partition):
     """Direct double-sum over the dense matrix, scalar arithmetic only."""
     n = graph.n_nodes
     a = [[0.0] * n for _ in range(n)]
-    for (i, j), w in graph.edges.items():
+    for i, j, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
         a[i][j] += w
         a[j][i] += w
     k = [sum(row) for row in a]
@@ -215,7 +267,8 @@ def test_single_community_is_exactly_zero():
 
 def test_two_disjoint_cliques_match_oracle():
     g = two_clique_graph(4, bridge_weight=0.0)
-    del g.edges[(3, 4)]
+    keep = ~((g.u == 3) & (g.v == 4))  # drop the bridge
+    g = SignedGraph(g.nodes, g.node_attrs, g.u[keep], g.v[keep], g.w[keep])
     part = g.party_partition()
     assert modularity(g, part) == pytest.approx(_modularity_oracle(g, part),
                                                 abs=1e-12)
@@ -250,10 +303,9 @@ def test_modularity_invariant_to_label_and_node_relabeling():
     perm = list(range(g.n_nodes))
     random.Random(0).shuffle(perm)
     remap = {old: new for new, old in enumerate(perm)}
-    g2 = SignedGraph(nodes=[g.nodes[old] for old in perm],
-                     node_attrs=g.node_attrs,
-                     edges={tuple(sorted((remap[i], remap[j]))): w
-                            for (i, j), w in g.edges.items()})
+    g2 = SignedGraph.from_mapping(
+        [g.nodes[old] for old in perm], g.node_attrs,
+        {(remap[i], remap[j]): w for i, j, w in zip(*_columns(g))})
     assert modularity(g2, part) == pytest.approx(q, abs=1e-12)
 
 
@@ -262,15 +314,13 @@ def test_modularity_scale_invariant_for_positive_weights():
     part = g.party_partition()
     q = modularity(g, part)
     for lam in (0.5, 3.0, 17.0):
-        g2 = SignedGraph(nodes=list(g.nodes), node_attrs=g.node_attrs,
-                         edges={k: lam * w for k, w in g.edges.items()})
+        g2 = SignedGraph(list(g.nodes), g.node_attrs, g.u, g.v, lam * g.w)
         assert modularity(g2, part) == pytest.approx(q, abs=1e-12)
 
 
 def test_zero_total_weight_is_degenerate():
-    g = SignedGraph(nodes=["a", "b", "c", "d"],
-                    node_attrs={x: {"party": "R"} for x in "abcd"},
-                    edges={(0, 1): 2.0, (2, 3): -2.0})
+    g = SignedGraph.from_mapping(["a", "b", "c", "d"], {x: {"party": "R"} for x in "abcd"},
+                                 {(0, 1): 2.0, (2, 3): -2.0})
     with pytest.raises(DegenerateGraphError):
         modularity(g, {x: "R" for x in "abcd"})
 
@@ -321,11 +371,11 @@ def test_verbatim_modularity_beyond_one_is_flagged_not_changed():
 def test_null_preserves_degrees_and_weights():
     g = fixtures.null_model_fixture()
     base_deg = g.degree_sequence()
-    base_w = np.sort(list(g.edges.values()))
+    base_w = np.sort(g.w)
     for seed in range(20):
         null = randomize_null(g, seed=seed)
         assert np.array_equal(null.degree_sequence(), base_deg)
-        assert np.array_equal(np.sort(list(null.edges.values())), base_w)
+        assert np.array_equal(np.sort(null.w), base_w)
         assert null.nodes == g.nodes
 
 
@@ -333,7 +383,7 @@ def test_null_deterministic_per_seed_and_varied_across_seeds():
     g = fixtures.random_signed_graph(20, 0.25, seed=8, weights=(1.0, 2.0))
     a = randomize_null(g, seed=5)
     b = randomize_null(g, seed=5)
-    assert a.edges == b.edges
+    assert a == b
     rng = random.Random(0)
     differing = 0
     pairs = 0
@@ -342,19 +392,17 @@ def test_null_deterministic_per_seed_and_varied_across_seeds():
         if s1 == s2:
             continue
         pairs += 1
-        if (set(randomize_null(g, seed=s1).edges)
-                != set(randomize_null(g, seed=s2).edges)):
+        if _pairs(randomize_null(g, seed=s1)) != _pairs(randomize_null(g, seed=s2)):
             differing += 1
     assert differing / pairs >= 0.99
 
 
 def test_unswappable_graph_permutes_weights():
-    g = SignedGraph(nodes=["a", "b"], node_attrs={"a": {}, "b": {}},
-                    edges={(0, 1): 2.0})
+    g = SignedGraph.from_mapping(["a", "b"], {"a": {}, "b": {}}, {(0, 1): 2.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the null's edges are the only signal
         null = randomize_null(g, seed=0)
-    assert null.edges == g.edges
+    assert null == g
 
 
 def test_null_is_uniform_over_the_graphs_with_the_degree_sequence():
@@ -363,8 +411,8 @@ def test_null_is_uniform_over_the_graphs_with_the_degree_sequence():
     # weights each graph by that number: it reads 130.6 at these 10,000
     # seeds, but 83.4, a pass, at 5,000, hence the sample size.
     kite = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
-    g = SignedGraph(nodes=list("abcdef"), node_attrs={x: {} for x in "abcdef"},
-                    edges={e: 1.0 for e in kite})
+    g = SignedGraph.from_mapping(list("abcdef"), {x: {} for x in "abcdef"},
+                                 dict.fromkeys(kite, 1.0))
     degrees = g.degree_sequence().tolist()
     graphs = []
     for edges in itertools.combinations(itertools.combinations(range(6), 2), len(kite)):
@@ -378,7 +426,7 @@ def test_null_is_uniform_over_the_graphs_with_the_degree_sequence():
     counts = dict.fromkeys(graphs, 0)
     n = 10000
     for seed in sample_seeds(0, n):
-        counts[frozenset(randomize_null(g, int(seed)).edges)] += 1
+        counts[_pairs(randomize_null(g, int(seed)))] += 1
     expected = n / len(graphs)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 90.57  # the 0.999 quantile of chi-square at 53 df
@@ -471,9 +519,8 @@ def test_degenerate_null_distribution_is_error():
     # Two disjoint edges swap freely (a null that made no swap would give
     # the other reason), but under one community every graph scores q = 0,
     # so sigma == 0.
-    g = SignedGraph(nodes=["a", "b", "c", "d"],
-                    node_attrs={x: {"party": "R"} for x in "abcd"},
-                    edges={(0, 1): 1.0, (2, 3): 1.0})
+    g = SignedGraph.from_mapping(["a", "b", "c", "d"], {x: {"party": "R"} for x in "abcd"},
+                                 {(0, 1): 1.0, (2, 3): 1.0})
     (report,) = standardized_modularity([(g, dict.fromkeys("abcd", "R"))], n_samples=20,
                                         master_seed=0)
     assert isinstance(report, DegenerateGraphError)
@@ -595,9 +642,9 @@ def test_record_distance_uses_attr_birthplaces():
 # graph statistics
 
 def _graph_from_edges(n, pairs, weight=1.0):
-    return SignedGraph(nodes=[f"n{i}" for i in range(n)],
-                       node_attrs={f"n{i}": {"party": "R"} for i in range(n)},
-                       edges={p: weight for p in pairs})
+    return SignedGraph.from_mapping([f"n{i}" for i in range(n)],
+                                    {f"n{i}": {"party": "R"} for i in range(n)},
+                                    dict.fromkeys(pairs, weight))
 
 
 def test_triangle_clustering_is_one():
@@ -645,7 +692,7 @@ def test_clustering_and_pagerank_match_networkx(seed):
     g = fixtures.random_signed_graph(60, 0.08, seed=seed)  # leaves isolated nodes
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n_nodes))
-    ref.add_weighted_edges_from((i, j, abs(w)) for (i, j), w in g.edges.items())
+    ref.add_weighted_edges_from((i, j, abs(w)) for i, j, w in zip(*_columns(g)))
     stats = graph_stats(g)
     assert stats.clustering == pytest.approx(nx.transitivity(ref), abs=1e-12)
     want = nx.pagerank(ref, alpha=0.85, weight="weight", tol=1e-13, max_iter=10000)
@@ -681,7 +728,7 @@ def test_gexf_is_wellformed_and_complete():
     assert len(nodes) == g.n_nodes
     assert len(edges) == g.n_edges
     weights = {float(e.get("weight")) for e in edges}
-    assert weights == set(g.edges.values())
+    assert weights == set(g.w.tolist())
 
 
 @pytest.mark.parametrize("signed_mode", ["verbatim", "gomez"])
@@ -694,9 +741,8 @@ def test_z_score_uses_a_null_scored_in_the_same_mode(signed_mode):
                                         signed_mode=signed_mode)
     qs = [modularity(randomize_null(g, int(seed)), part, signed_mode=signed_mode)
           for seed in sample_seeds(0, 50)]
-    u, v, w = g.edge_arrays()
     steps = polarnet.STEP_FACTOR * g.n_edges
-    rates = [accel.rewire_edges(u, v, w, g.n_nodes, steps, int(seed))[3] / steps
+    rates = [accel.rewire_edges(g.u, g.v, g.w, g.n_nodes, steps, int(seed))[3] / steps
              for seed in sample_seeds(0, 50)]
     assert report.accept_rate == np.mean(rates)
     assert report.q_original == modularity(g, part, signed_mode=signed_mode)
