@@ -639,3 +639,97 @@ def test_a_bad_attrs_value_is_an_error_line(tmp_path, command, field, value, rea
                                     "--attrs", str(attrs), *ANALYZE_OUTPUTS[command]])
     assert res.exit_code == 1, res.output
     assert res.output == f"Error: {attrs}: {reason.format(name=name)}\n"
+
+
+# ---------------------------------------------------------------------------
+# Pinned extraction outputs
+
+def _extract_runs(fx_dir: str) -> dict:
+    """The commands of :func:`test_every_extract_output_matches_its_pinned_digest`,
+    by name: two trained models, then `extract` and `classify-type` with each.
+    The "full" model has a 512-token window. The "short" one has a 22-token
+    window over an extractor with a 16-token window, so some candidates
+    overflow the model's window and some only the extractor's; `predict`
+    writes each skipped candidate's reason."""
+    fx = Path(fx_dir)
+    llm = f"fixture:{fx / 'llm_responses.json'}"
+    runs = {
+        "fixture": ["fixture", "--out-dir", str(fx), "--docs", "12", "--seed", "11"],
+        "split": ["dataset", "split", "--in", str(fx / "labeled.jsonl"),
+                  "--out", "split.jsonl", "--seed", "0"],
+        "candidates": ["ingest", "--docs", str(fx / "docs"),
+                       "--triples", str(fx / "triples.jsonl"), "--out", "candidates.jsonl"],
+    }
+    for name, extractor_cfg, model_cfg in (("full", "full.cfg", "full.cfg"),
+                                           ("short", "narrow.cfg", "short.cfg")):
+        runs[f"{name}_pretrain"] = ["pretrain-tra", "--config", extractor_cfg,
+                                    "--data", str(fx / "trajectories.jsonl"),
+                                    "--out", f"{name}_extractor.ckpt"]
+        runs[f"{name}_train"] = ["train", "--config", model_cfg, "--data", "split.jsonl",
+                                 "--out", f"{name}.ckpt",
+                                 "--frozen", f"{name}_extractor.ckpt"]
+        runs[f"{name}_extract"] = ["extract", "--triples", str(fx / "triples.jsonl"),
+                                   "--checkpoint", f"{name}.ckpt",
+                                   "--out", f"{name}_records.jsonl",
+                                   "--summary", f"{name}_summary.json",
+                                   "--gazetteer", str(fx / "gazetteer.json")]
+        runs[f"{name}_classify"] = ["classify-type", "--records", f"{name}_records.jsonl",
+                                    "--llm", llm, "--out", f"{name}_typed.jsonl"]
+    runs["short_predict"] = ["predict", "--checkpoint", "short.ckpt",
+                             "--candidates", "candidates.jsonl",
+                             "--out", "short_preds.jsonl"]
+    return runs
+
+
+# SHA-256 of what extraction writes and prints on the runs of ``_extract_runs``:
+# the records, summary and typed records of both models, the short model's
+# predictions with their skip reasons, and each extract's stdout. Scoring
+# moves one when any bit of a score, label or skip reason changes.
+EXTRACT_DIGESTS = {
+    "full_extract.stdout":
+        "6889eac4db0d650343a7889c8bbb48ac3252c0f016231feb5d4f7c77d8742e0a",
+    "full_records.jsonl":
+        "aeb7b7056039fc8a7da3b7c35a98ada063449411c789e6126f18387687d46add",
+    "full_summary.json":
+        "57e0f9dfbcedf10e85675146fb526a9760784e4d15c816de205607c7eb00ab2b",
+    "full_typed.jsonl":
+        "655c24bd411ac5cb65566e1bb7f505c4fb4e8bc033a50c077a1b31b836764fae",
+    "short_extract.stdout":
+        "a07ef2f36ab379d5775cbb489091b8199592c8017a17fa888b58f20ce1e771a4",
+    "short_preds.jsonl":
+        "bae3aa456dfbd5e32a399a403808935d4c4b2120afdc38d5115a52400e32892c",
+    "short_records.jsonl":
+        "990ea0c2224b1b770f16e16772245b73e38a7673f2faea9813ad732dcc149759",
+    "short_summary.json":
+        "e92759d738ba9147a85cc44e2da94bdcc6830a6fe9e54044eccaa989ec801140",
+    "short_typed.jsonl":
+        "2c302b8c261d8f71e49dfa9d22dddd3ff481759158301699ad117a6484156718",
+}
+
+
+def test_every_extract_output_matches_its_pinned_digest(tmp_path):
+    import hashlib
+
+    configs = {"full.cfg": "", "narrow.cfg": "max_tokens = 16\n",
+               "short.cfg": "max_tokens = 22\n"}
+    runner = CliRunner()
+    digests = {}
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        for path, extra in configs.items():
+            Path(path).write_text("hidden_size = 4\nlearning_rate = 0.005\nmax_epochs = 2\n"
+                                  "batch_size = 16\nseed = 5\n" + extra)
+        for name, args in _extract_runs(str(tmp_path / "fx")).items():
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, (name, res.output)
+            if name.endswith("_extract"):
+                digests[f"{name}.stdout"] = hashlib.sha256(res.stdout.encode()).hexdigest()
+        for path in sorted(Path().glob("*_*.json*")):
+            if path.name != "split.jsonl":
+                digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        short = json.loads(Path("short_summary.json").read_text())
+        reasons = [json.loads(line).get("reason")
+                   for line in Path("short_preds.jsonl").read_text().splitlines()]
+    assert short["skipped"] > 0 and short["positives"] > 0
+    assert any(r and "window holds 21" in r for r in reasons)
+    assert any(r and "window holds 15" in r for r in reasons)
+    assert digests == EXTRACT_DIGESTS
