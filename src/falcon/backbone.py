@@ -1,16 +1,15 @@
 """The backbone beneath the entity encoder: marked text in, token rows out.
 
 A closed-form deterministic stub stands in for the paper's pretrained BERT,
-whose weights this package does not hold. It splices markers into the tokens
-of a text and gives one hidden row per token plus CLS (row 0), for a padded
-batch of token lists at a time.
+whose weights this package does not hold. It tokenizes many marked views of
+many texts in one array pass (:meth:`DeterministicStubBackbone.tokenize_views`),
+each token reduced to its float input key, and gives one hidden row per
+token plus CLS (row 0), for a padded batch of key rows at a time.
 """
 
 from __future__ import annotations
 
 import math
-import re
-from bisect import bisect_right
 from functools import lru_cache
 from typing import Sequence
 
@@ -19,6 +18,67 @@ import numpy as np
 # The marker spliced around each entity mention, per role.
 MARKERS = {"Person1": "#", "Person2": "$", "Time": "*", "Location": "&", "Person": "#"}
 
+# The code points of ``str.isspace`` (what ``\s`` matches), all below 0x3001.
+SPACE_CODES = (0x9, 0xA, 0xB, 0xC, 0xD, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0,
+               0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+
+_WORD, _SPACE, _MARKER = 0, 1, 2
+
+
+def _char_classes() -> np.ndarray:
+    """The class of each code point up to the last space, and one entry past
+    it for every higher code point."""
+    classes = bytearray(max(SPACE_CODES) + 2)  # _WORD
+    for code in SPACE_CODES:
+        classes[code] = _SPACE
+    for marker in MARKERS.values():
+        classes[ord(marker)] = _MARKER
+    return np.frombuffer(bytes(classes), dtype=np.uint8)
+
+
+_CHAR_CLASS = _char_classes()
+
+# token_key's hash: a token's UTF-8 byte sum times _KEY_MUL, modulo _KEY_MOD.
+_KEY_MUL, _KEY_MOD = 2654435761, 1000003
+
+
+def _utf8_byte_sums(codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum of the UTF-8 bytes of each code point, into ``out`` (int64)
+    when given."""
+    out = np.empty(len(codes), dtype=np.int64) if out is None else out
+    out[:] = codes  # an ASCII character is its one byte
+    wide = np.flatnonzero(codes >= 0x80)
+    if len(wide):
+        c = out[wide]
+        low, mid, high = (0x80 | (c >> shift) & 0x3F for shift in (0, 6, 12))
+        out[wide] = np.select([c < 0x800, c < 0x10000],
+                              [(0xC0 | c >> 6) + low, (0xE0 | c >> 12) + mid + low],
+                              (0xF0 | c >> 18) + high + mid + low)
+    return out
+
+
+def _keys(byte_sums: np.ndarray) -> np.ndarray:
+    """:meth:`DeterministicStubBackbone.token_key` of tokens with these UTF-8
+    byte sums (int64, overwritten), reduced modulo _KEY_MOD first so no
+    product overflows."""
+    byte_sums %= _KEY_MOD
+    byte_sums *= _KEY_MUL % _KEY_MOD
+    byte_sums %= _KEY_MOD
+    return byte_sums / _KEY_MOD
+
+
+def _scan_joined(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tokens of ``text`` as (starts, ends), and the sum of the UTF-8
+    bytes of its characters before each offset."""
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    kind = _CHAR_CLASS[np.minimum(codes, len(_CHAR_CLASS) - 1)]
+    word, marker = kind == _WORD, kind == _MARKER
+    edge = np.diff(word, prepend=False, append=False)  # True where a word run starts or ends
+    cum = np.zeros(len(codes) + 1, dtype=np.int64)
+    np.cumsum(_utf8_byte_sums(codes, cum[1:]), out=cum[1:])
+    return (np.flatnonzero(marker | edge[:-1] & word),
+            np.flatnonzero(marker | edge[1:] & word) + 1, cum)
+
 
 class DeterministicStubBackbone:
     """Closed-form pseudo-embeddings: position- and token-dependent sinusoids
@@ -26,6 +86,10 @@ class DeterministicStubBackbone:
     whole input and each token row responds to its neighborhood. Exists to
     make tests and fixtures runnable (and hand-checkable) without any
     pretrained model.
+
+    Its tokens are runs of characters that are neither ``str.isspace`` nor a
+    marker character, and each marker character alone. A token enters the
+    formula as its key (:meth:`token_key`).
     """
 
     def __init__(self, hidden_size: int = 4, max_tokens: int = 512,
@@ -38,58 +102,101 @@ class DeterministicStubBackbone:
     @lru_cache(maxsize=1 << 16)
     def token_key(token: str) -> float:
         total = sum(token.encode("utf-8"))
-        return ((total * 2654435761) % 1000003) / 1000003.0
+        return ((total * _KEY_MUL) % _KEY_MOD) / _KEY_MOD
 
-    def tokenize_marked(self, text: str, cuts: Sequence[tuple[int, str]]
-                        ) -> tuple[list[str], list[int]]:
-        """The tokens of ``text`` with each (offset, marker) cut's marker
-        inserted, and per cut the index of its marker token. The ascending
-        cuts pair up per entity occurrence, so occurrence j spans the tokens
-        strictly between brackets 2j and 2j + 1. A marker ends a token, so a
-        cut splits the token it falls inside and leaves the rest whole."""
-        texts, starts, ends = _scan(text)
-        out: list[str] = []
-        brackets: list[int] = []
-        i, rest = 0, None  # next token to emit; where its unemitted rest starts if cut
-        for offset, marker in cuts:
-            j = bisect_right(ends, offset)  # tokens before j end at or before the cut
-            if j > i:
-                if rest is not None:
-                    out.append(text[rest:ends[i]])
-                    i, rest = i + 1, None
-                out += texts[i:j]
-                i = j
-            if i < len(starts):
-                start = starts[i] if rest is None else rest
-                if start < offset:  # the cut falls inside token i
-                    out.append(text[start:offset])
-                    rest = offset
-            brackets.append(len(out))
-            out.append(marker)
-        if rest is not None:
-            out.append(text[rest:ends[i]])
-            i += 1
-        out += texts[i:]
-        return out, brackets
+    def tokenize_views(self, texts: Sequence[str], view_text: np.ndarray,
+                       cut_view: np.ndarray, cut_offset: np.ndarray, cut_marker: np.ndarray):
+        """The tokens of many marked views in one array pass.
+
+        View v is ``texts[view_text[v]]`` with the marker of each of its cuts
+        inserted: cut k puts the character ``chr(cut_marker[k])`` at offset
+        ``cut_offset[k]`` of view ``cut_view[k]``. The cuts are grouped by
+        view, in view order, and ascend within a view. A marker ends a
+        token, so a cut splits the token it falls inside and leaves the rest
+        whole.
+
+        Returns (keys, spans, bounds, brackets), the tokens of every view one
+        view after another: view v's tokens are ``bounds[v]:bounds[v + 1]``;
+        ``keys`` holds each token's :meth:`token_key`, ``spans`` its (start,
+        end) in its view's marked text, and ``brackets[k]`` the index of cut
+        k's marker among its view's tokens.
+        """
+        starts = np.cumsum([0] + [len(t) + 1 for t in texts])  # of each text, joined by "\n"
+        tok_start, tok_end, cum = _scan_joined("\n".join(texts))
+
+        # every token of each view's text, then each cut strictly inside a token
+        view_start = starts[view_text]
+        first = np.searchsorted(tok_start, view_start)
+        counts = np.searchsorted(tok_start, starts[view_text + 1]) - first
+        n_views = len(view_text)
+        tok = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        at = view_start[cut_view] + cut_offset
+        inside = np.searchsorted(tok_end, at, side="right")
+        split = np.flatnonzero(inside < len(tok_start))
+        split = split[tok_start[inside[split]] < at[split]]
+        # two cuts at one offset split a token once
+        split = split[np.diff(cut_view[split] * len(cum) + at[split], prepend=-1) != 0]
+
+        # pieces (a token, or its rest after a split) and markers, each at its
+        # offset, sorted by (view, offset, marker first), cuts in their order
+        view = np.concatenate([np.repeat(np.arange(n_views), counts), cut_view[split], cut_view])
+        offset = np.concatenate([tok_start[tok], at[split], at])
+        tok = np.concatenate([tok, inside[split], np.full(len(at), -1)])
+        order = np.argsort((view * len(cum) + offset) * 2 + (tok >= 0), kind="stable")
+        view, offset, tok = view[order], offset[order], tok[order]
+        del order  # these arrays are a fill's peak memory: each goes once read
+        is_marker = tok < 0
+        cut_at = np.flatnonzero(is_marker)  # the markers stay in cut order
+        piece = np.flatnonzero(~is_marker)
+        end = tok_end[tok[piece]]
+        # a piece ends where the next piece of its token in its view starts
+        cont = (tok[piece[1:]] == tok[piece[:-1]]) & (view[piece[1:]] == view[piece[:-1]])
+        del tok
+        end[:-1][cont] = offset[piece[1:]][cont]
+        keys = np.empty(len(offset))
+        total = cum[end]
+        total -= cum[offset[piece]]
+        keys[piece] = _keys(total)
+        keys[cut_at] = _keys(_utf8_byte_sums(cut_marker))
+
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(view, minlength=n_views))])
+        # from a global offset to one in the view's marked text: less the
+        # view's start, plus the markers before it in its view
+        per_view = np.bincount(cut_view, minlength=n_views)
+        shift = np.cumsum(is_marker)
+        shift -= is_marker
+        shift -= (np.cumsum(per_view) - per_view + view_start)[view]
+        del view
+        spans = np.empty((len(shift), 2), dtype=np.int32)
+        spans[:, 0] = offset + shift
+        spans[:, 1] = spans[:, 0] + 1
+        spans[piece, 1] = end + shift[piece]
+        brackets = cut_at - bounds[cut_view]
+        return keys, spans, bounds, brackets
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Hidden states of shape (len(tokens) + 1, hidden_size); row 0 is CLS."""
-        return self.encode_batch([tokens])[0]
+        return self.encode_batch([np.array([self.token_key(t) for t in tokens], dtype=float)])[0]
 
-    def encode_batch(self, batch: Sequence[Sequence[str]]) -> np.ndarray:
-        """(B, 1 + longest, hidden_size): row b holds ``encode(batch[b])`` in
-        its first len(batch[b]) + 1 rows, then padding."""
-        lengths = np.array([len(tokens) + 1 for tokens in batch])
+    def encode_batch(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """(B, 1 + longest, hidden_size) for B rows of token keys: row b holds
+        the hidden states of ``rows[b]`` in its first len(rows[b]) + 1 rows,
+        then padding."""
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) + 1
         n = int(lengths.max())
-        keys = np.zeros((len(batch), n))
-        keys[np.arange(n) < lengths[:, None]] = [
-            self.token_key(t) for tokens in batch for t in ("[CLS]", *tokens)]
-        # per row, so each mean sums exactly the keys of one list
-        ctx = np.array([row[:m].mean() for row, m in zip(keys, lengths)])
+        keys = np.zeros((len(rows), n))
+        keys[:, 0] = self.token_key("[CLS]")
+        keys[:, 1:][np.arange(n - 1) < lengths[:, None] - 1] = np.concatenate(rows)
+        # each mean sums exactly the keys of one row: a sum over the zero
+        # padding would round differently
+        ctx = np.empty(len(rows))
+        for m in np.flatnonzero(np.bincount(lengths)):  # each length once
+            same = np.flatnonzero(lengths == m)
+            ctx[same] = keys[same, :m].sum(axis=1) / m
         win = self.context_window
-        # Mean of keys[p - win : p + win + 1] clipped to the list, summed
+        # Mean of keys[p - win : p + win + 1] clipped to the row, summed
         # left to right over zero padding (adding a zero is exact).
-        padded = np.zeros((len(batch), n + 2 * win))
+        padded = np.zeros((len(rows), n + 2 * win))
         padded[:, win:win + n] = keys
         total = padded[:, :n].copy()
         for shift in range(1, 2 * win + 1):
@@ -102,17 +209,3 @@ class DeterministicStubBackbone:
         return (np.sin(pos * dims * 0.7 + 2.0 * math.pi * keys[:, :, None])
                 + 0.5 * np.cos(dims * (1.0 + ctx[:, None, None]))
                 + 0.7 * np.sin(dims * 2.1 + 2.0 * math.pi * local[:, :, None]))
-
-
-# One marker character, or a run of characters that are neither whitespace
-# (``\s`` is ``str.isspace``) nor markers.
-_MARKER_CHARS = re.escape("".join(dict.fromkeys(MARKERS.values())))
-_TOKEN = re.compile(f"[{_MARKER_CHARS}]|[^\\s{_MARKER_CHARS}]+")
-
-
-@lru_cache(maxsize=8)  # the views of one segment are marked one after another
-def _scan(text: str) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
-    """The stub's tokens of ``text`` as (texts, starts, ends)."""
-    matches = list(_TOKEN.finditer(text))
-    return (tuple(m.group() for m in matches), tuple(m.start() for m in matches),
-            tuple(m.end() for m in matches))

@@ -249,12 +249,13 @@ def extract_cmd(triples_path, checkpoint, out_path, summary_path, threshold,
     """Run the corpus extraction: triples -> candidates -> positive records."""
     from . import training as tr
 
+    # the cheapest input first: a bad gazetteer fails before any other work
+    gazetteer = extract.load_gazetteer(gazetteer_path) if gazetteer_path else None
     model = tr.InteractionModel.load(checkpoint)
     result = ingest.load_triples(triples_path)
     if result.errors:
         click.echo(f"warning: {len(result.errors)} malformed triple lines skipped",
                    err=True)
-    gazetteer = extract.load_gazetteer(gazetteer_path) if gazetteer_path else None
     summary = extract.extract_corpus(
         result.triples, model, out_path, threshold=threshold,
         summary_path=summary_path, state_path=state_path, gazetteer=gazetteer,

@@ -11,12 +11,15 @@ backbone itself is not trained here).
 
 The encoder splits at the frozen/trainable boundary. The frozen half
 depends only on (backbone, segment, entity spans) and runs in two steps:
-:meth:`ArBertEncoder.mark` inserts the markers and tokenizes one input into
-a :class:`MarkedInput` (here a window overflow is known), and
-:meth:`ArBertEncoder.encode_marked` runs the backbone and occurrence pooling
-of many marked inputs, one backbone call and one pooling gather per run of
-at most ``ENCODE_BUDGET`` padded token rows, into a :class:`PackedInputs`.
-:meth:`ArBertEncoder.prepare` is that path for one input.
+:meth:`ArBertEncoder.mark` inserts the markers and tokenizes many inputs
+in one array pass (:func:`insert_markers`, over the backbone's
+``tokenize_views``) into :class:`MarkedInput` values, each token's backbone
+key and character span with no token strings (here a window overflow is
+known), and :meth:`ArBertEncoder.encode_marked` runs the backbone and
+occurrence pooling of many marked inputs, one backbone call and one
+pooling gather per run of at most ``ENCODE_BUDGET`` padded token rows,
+into a :class:`PackedInputs`. :meth:`ArBertEncoder.prepare` is that path
+for one input.
 :meth:`ArBertEncoder.forward_batch` runs the trainable rest over packs of
 many (see :func:`pack`), so a training loop can prepare each distinct input
 once and step in minibatches. Every training and scoring path runs the
@@ -27,6 +30,7 @@ gradient checks use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -56,11 +60,19 @@ class MarkerOverlapError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class MarkedInput:
-    """One marked input, windowed: what the backbone encodes of it."""
+    """One marked input, windowed: what the backbone encodes of it.
+
+    ``keys`` (n,) holds each token's backbone input, and ``spans`` (n, 2)
+    its (start, end) in the marked text, the segment text with every
+    marker in. ``occurrences`` (k, 4) holds (entity, occurrence, first
+    row, last row) per entity occurrence, by entity then occurrence; the
+    rows are inclusive, in the hidden matrix where row 0 is CLS.
+    """
 
     roles: tuple[str, ...]
-    tokens: list[str]
-    entity_spans: list[tuple[tuple[int, int], ...]]  # per entity, matrix coords, inclusive
+    keys: np.ndarray
+    spans: np.ndarray
+    occurrences: np.ndarray
 
 
 def canonical_entities(entities: Sequence[EntityMention]) -> list[EntityMention]:
@@ -76,63 +88,94 @@ def canonical_entities(entities: Sequence[EntityMention]) -> list[EntityMention]
     return [by_role[r] for r in order]
 
 
-def insert_markers(segment: TextSegment, entities: Sequence[EntityMention],
-                   backbone: DeterministicStubBackbone) -> MarkedInput:
-    """Wrap every entity occurrence in its marker character and map the
-    occurrences to token spans (inclusive, in hidden-matrix coordinates
-    where row 0 is CLS). Selects a window centered on the marked
+def insert_markers(views: Sequence[tuple[TextSegment, Sequence[EntityMention]]],
+                   backbone: DeterministicStubBackbone) -> list[MarkedInput | Exception]:
+    """Wrap every entity occurrence of each (segment, entities) view in its
+    marker character and map the occurrences to token spans (inclusive, in
+    hidden-matrix coordinates where row 0 is CLS), every view in one
+    backbone tokenizer pass. Selects a window centered on the marked
     occurrences when the marked text exceeds the backbone's token budget.
+
+    Returns per view its :class:`MarkedInput`, or the error marking it
+    raises: :class:`MarkerOverlapError` when occurrences overlap, a
+    ``ValueError`` when an occurrence holds no token, and
+    :class:`ContextOverflowError` when the occurrences do not fit in one
+    window.
     """
-    entities = list(entities)
-    flat: list[tuple[int, int, int, int]] = []  # (start, end, ent_idx, occ_idx)
-    for ei, ent in enumerate(entities):
-        for oi, (start, end) in enumerate(ent.occurrences):
-            flat.append((start, end, ei, oi))
-    flat.sort()
-    prev_end = -1
-    for start, end, ei, _ in flat:
-        if start < prev_end:
-            raise MarkerOverlapError(
-                f"occurrence spans overlap near offset {start} "
-                f"({entities[ei].role} {entities[ei].surface!r})")
-        prev_end = end
+    if not views:
+        return []
+    texts: dict[str, int] = {}
+    view_text, view_roles, entity_roles, spans, n_occ = [], [], [], [], []
+    for segment, entities in views:
+        view_text.append(texts.setdefault(segment.text, len(texts)))
+        roles = tuple([e.role for e in entities])
+        view_roles.append(roles)
+        entity_roles += roles
+        for ent in entities:
+            spans += ent.occurrences
+            n_occ.append(len(ent.occurrences))
+    # per occurrence, by view, entity and occurrence
+    n_views = len(views)
+    n_ent = np.fromiter(map(len, view_roles), dtype=np.int64, count=n_views)
+    n_occ = np.array(n_occ, dtype=np.int64)
+    view = np.repeat(np.repeat(np.arange(n_views), n_ent), n_occ)
+    entity = np.repeat(np.arange(len(n_occ)) - np.repeat(np.cumsum(n_ent) - n_ent, n_ent), n_occ)
+    index = np.arange(len(view)) - np.repeat(np.cumsum(n_occ) - n_occ, n_occ)
+    start, end = np.fromiter(chain.from_iterable(spans), dtype=np.int64).reshape(-1, 2).T
+    marker = np.repeat([ord(MARKERS[role]) for role in entity_roles], n_occ).astype(np.int64)
 
-    cuts = []
-    for start, end, ei, _ in flat:
-        marker = MARKERS[entities[ei].role]
-        cuts += [(start, marker), (end, marker)]
-    tokens, brackets = backbone.tokenize_marked(segment.text, cuts)
-    entity_token_spans = [[(0, 0)] * len(ent.occurrences) for ent in entities]
-    for j, (_, _, ei, oi) in enumerate(flat):
-        first, last = brackets[2 * j] + 1, brackets[2 * j + 1] - 1
-        if last < first:
-            raise ValueError(
-                f"occurrence of {entities[ei].surface!r} produced no tokens")
-        entity_token_spans[ei][oi] = (first, last)
+    out: list[MarkedInput | Exception | None] = [None] * n_views
 
+    def fail(error, j, message):  # occurrence j's view fails with its first error
+        v = int(view[j])
+        if out[v] is None:
+            ent = views[v][1][entity[j]]
+            out[v] = error(message.format(start=start[j], role=ent.role, surface=ent.surface))
+
+    # in text order per view (ties in entity order), as the markers go in
+    order = np.lexsort((end, start, view))
+    after = order[1:][(view[order[1:]] == view[order[:-1]])
+                      & (start[order[1:]] < end[order[:-1]])]
+    for j in after:
+        fail(MarkerOverlapError, j,
+             "occurrence spans overlap near offset {start} ({role} {surface!r})")
+    order = order[np.array([error is None for error in out], dtype=bool)[view[order]]]
+
+    keys, token_spans, bounds, brackets = backbone.tokenize_views(
+        list(texts), np.array(view_text, dtype=np.int64), np.repeat(view[order], 2),
+        np.stack([start[order], end[order]], axis=1).ravel(), np.repeat(marker[order], 2))
+    first, last = np.zeros(len(view), dtype=np.int64), np.zeros(len(view), dtype=np.int64)
+    first[order], last[order] = brackets[0::2] + 1, brackets[1::2] - 1
+    for j in order[last[order] < first[order]]:
+        fail(ValueError, j, "occurrence of {surface!r} produced no tokens")
+
+    # the window: every token, or window_len of them around the occurrences
     window_len = backbone.max_tokens - 1  # one row reserved for CLS
-    if len(tokens) > window_len:
-        lo = min(span[0] for spans in entity_token_spans for span in spans)
-        hi = max(span[1] for spans in entity_token_spans for span in spans)
-        if hi - lo + 1 > window_len:
-            raise ContextOverflowError(
-                f"context overflow: marked occurrences span {hi - lo + 1} tokens, "
+    lo = np.full(n_views, np.iinfo(np.int64).max)
+    hi = np.full(n_views, -1)
+    np.minimum.at(lo, view[order], first[order])
+    np.maximum.at(hi, view[order], last[order])
+    length = np.diff(bounds)
+    begin = np.clip((lo + hi) // 2 - window_len // 2, hi - window_len + 1, lo)
+    begin = np.where(length > window_len,
+                     np.maximum(0, np.minimum(begin, length - window_len)), 0)
+    for v in np.flatnonzero((length > window_len) & (hi - lo + 1 > window_len)).tolist():
+        if out[v] is None:
+            out[v] = ContextOverflowError(
+                f"context overflow: marked occurrences span {hi[v] - lo[v] + 1} tokens, "
                 f"window holds {window_len}")
-        mid = (lo + hi) // 2
-        start = mid - window_len // 2
-        start = min(start, lo)
-        start = max(start, hi - window_len + 1)
-        start = max(0, min(start, len(tokens) - window_len))
-        tokens = tokens[start:start + window_len]
-        entity_token_spans = [
-            [(c - start, d - start) for (c, d) in spans] for spans in entity_token_spans
-        ]
 
-    # shift token coords by +1: row 0 of the hidden matrix is CLS
-    matrix_spans = [tuple((c + 1, d + 1) for (c, d) in spans)
-                    for spans in entity_token_spans]
-    return MarkedInput(roles=tuple(e.role for e in entities), tokens=tokens,
-                       entity_spans=matrix_spans)
+    shift = 1 - begin[view]  # row 0 of the hidden matrix is CLS
+    rows = np.stack([entity, index, first + shift, last + shift], axis=1)
+    occ_bounds = np.concatenate([[0], np.cumsum(np.bincount(view, minlength=n_views))]).tolist()
+    token_bounds = (bounds[:-1] + begin).tolist()
+    token_ends = (bounds[:-1] + begin + np.minimum(length, window_len)).tolist()
+    for v, roles in enumerate(view_roles):
+        if out[v] is None:
+            a, b = token_bounds[v], token_ends[v]
+            out[v] = MarkedInput(roles, keys[a:b], token_spans[a:b],
+                                 rows[occ_bounds[v]:occ_bounds[v + 1]])
+    return out
 
 
 def pool_spans(hidden: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -235,15 +278,15 @@ def pack(packs: Sequence[PackedInputs]) -> PackedInputs:
 
 def _budget_runs(marked: Sequence[MarkedInput]):
     """Consecutive runs of ``marked`` whose padded backbone block, inputs
-    times (1 + longest token list) rows, holds at most ``ENCODE_BUDGET``
-    rows; an input longer than that is a run of its own."""
+    times (1 + most tokens) rows, holds at most ``ENCODE_BUDGET`` rows; an
+    input longer than that is a run of its own."""
     run: list[MarkedInput] = []
     longest = 0
     for m in marked:
-        longest = max(longest, len(m.tokens) + 1)
+        longest = max(longest, len(m.keys) + 1)
         if run and (len(run) + 1) * longest > ENCODE_BUDGET:
             yield run
-            run, longest = [], len(m.tokens) + 1
+            run, longest = [], len(m.keys) + 1
         run.append(m)
     if run:
         yield run
@@ -294,32 +337,45 @@ class ArBertEncoder:
     def hidden_size(self) -> int:
         return self.backbone.hidden_size
 
-    def mark(self, segment: TextSegment, entities: Sequence[EntityMention]) -> MarkedInput:
-        """Markers and tokenization of one input, entities in canonical role
-        order. Raises :class:`ContextOverflowError` when the marked spans
-        overflow the backbone window."""
-        return insert_markers(segment, canonical_entities(entities), self.backbone)
+    def mark(self, views: Sequence[tuple[TextSegment, Sequence[EntityMention]]]
+             ) -> list[MarkedInput | Exception]:
+        """Markers and tokenization of (segment, entities) inputs, entities
+        in canonical role order, all in one pass: per input its marked form
+        or the error marking it raises (:func:`insert_markers`; a
+        ``ValueError`` for an unsupported role set)."""
+        canonical: list = []
+        for segment, entities in views:
+            try:
+                canonical.append((segment, canonical_entities(entities)))
+            except ValueError as exc:
+                canonical.append(exc)
+        marked = iter(insert_markers([v for v in canonical if isinstance(v, tuple)],
+                                     self.backbone))
+        return [v if isinstance(v, Exception) else next(marked) for v in canonical]
 
     def encode_marked(self, marked: Sequence[MarkedInput]) -> PackedInputs:
         """The backbone and occurrence pooling of marked inputs of one role
         layout, as one pack: one backbone call and one pooling gather per
         run of inputs whose padded block stays within ``ENCODE_BUDGET``."""
-        k = max(len(spans) for m in marked for spans in m.entity_spans)
+        cells = np.concatenate([m.occurrences for m in marked])
+        counts = np.fromiter((len(m.occurrences) for m in marked), dtype=np.int64,
+                             count=len(marked))
+        item = np.repeat(np.arange(len(marked)), counts)  # each occurrence's input
+        ends = np.cumsum(counts)
         cls = np.empty((len(marked), self.hidden_size))
-        occ = np.zeros((len(marked), len(marked[0].roles), k, self.hidden_size))
+        occ = np.zeros((len(marked), len(marked[0].roles), int(cells[:, 1].max()) + 1,
+                        self.hidden_size))
         mask = np.zeros(occ.shape[:3], dtype=bool)
         done = 0
         for run in _budget_runs(marked):
-            hidden = self.backbone.encode_batch([m.tokens for m in run])
+            hidden = self.backbone.encode_batch([m.keys for m in run])
             n = hidden.shape[1]
-            # per occurrence: (input, slot, occurrence, first row, last row)
-            cells = np.array([(done + i, s, o, i * n + c, i * n + e)
-                              for i, m in enumerate(run)
-                              for s, spans in enumerate(m.entity_spans)
-                              for o, (c, e) in enumerate(spans)])
-            at = (cells[:, 0], cells[:, 1], cells[:, 2])
-            occ[at] = pool_spans(hidden.reshape(n * len(run), -1), cells[:, 3], cells[:, 4])
-            mask[at] = True
+            at = slice(ends[done] - counts[done], ends[done + len(run) - 1])
+            row = (item[at] - done) * n  # the run's first hidden row of each occurrence's input
+            where = (item[at], cells[at, 0], cells[at, 1])
+            occ[where] = pool_spans(hidden.reshape(n * len(run), -1),
+                                    row + cells[at, 2], row + cells[at, 3])
+            mask[where] = True
             cls[done:done + len(run)] = hidden[:, 0]
             done += len(run)
         return PackedInputs(marked[0].roles, cls, occ, mask)
@@ -328,8 +384,12 @@ class ArBertEncoder:
                 entities: Sequence[EntityMention]) -> PackedInputs:
         """Markers, tokenization, backbone and occurrence pooling: the part of
         :meth:`forward` that no encoder parameter reaches, as a pack of one
-        (:meth:`mark`, then :meth:`encode_marked`)."""
-        return self.encode_marked([self.mark(segment, entities)])
+        (:meth:`mark`, then :meth:`encode_marked`); raises what marking
+        raises."""
+        marked, = self.mark([(segment, entities)])
+        if isinstance(marked, Exception):
+            raise marked
+        return self.encode_marked([marked])
 
     def forward_batch(self, packed: PackedInputs):
         """Occurrence attention, tanh and the role projections of a batch of

@@ -65,16 +65,15 @@ class EntityMention:
     role: str
     surface: str
     occurrences: tuple[tuple[int, int], ...]
+    # normalize_surface(surface), computed once (``replace`` computes it again)
+    norm: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.role not in ENTITY_ROLES:
             raise ValueError(f"unknown entity role {self.role!r}")
         if not self.occurrences:
             raise ValueError(f"{self.role} mention {self.surface!r} has no occurrences")
-
-    @property
-    def norm(self) -> str:
-        return normalize_surface(self.surface)
+        object.__setattr__(self, "norm", normalize_surface(self.surface))
 
 
 def validate_mention(mention: EntityMention, segment_text: str) -> None:

@@ -380,10 +380,11 @@ class FeatureStore:
     in the pack of its role layout, ``features`` a trajectory view's key to
     its row of frozen-extractor features. A filled candidate is a row of
     indices (interaction, trajectories 1 and 2, features 1 and 2; -1 when
-    not filled); a batch gathers the packs by them. A new input is marked
-    when it is filled, so a window overflow is known per candidate; its
-    backbone pass and pooling wait for :meth:`packed`, which runs them for
-    every input of the layout marked since, in batches. The extractor reads
+    not filled); a batch gathers the packs by them. A fill marks its new
+    inputs, all of them in one pass per store, so a window overflow is
+    known per candidate; their backbone pass and pooling wait for
+    :meth:`packed`, which runs them for every input of the layout marked
+    since, in batches. The extractor reads
     its inputs from ``frozen_inputs``: the store itself when ``shared`` (its
     backbone settings equal the model's), else a store of its own encoder.
     """
@@ -417,7 +418,8 @@ class FeatureStore:
         """Prepare each (segment, entities) view not stored yet; returns each
         view's row and reason (-1 and the reason when it overflows its
         backbone window, else None)."""
-        return self._fill(views, lambda view: self._input(*view), ())
+        rows, reasons = self._fill(views, lambda view: [view], [(self, False)])
+        return rows[:, 0], reasons
 
     def fill_candidates(self, cands: Sequence[CandidateQuadruple], with_tra: bool = False,
                         with_features: bool = True) -> tuple[np.ndarray, list[str | None]]:
@@ -425,48 +427,73 @@ class FeatureStore:
         ``with_tra`` its trajectory views, and with ``with_features`` (and an
         extractor) their frozen features; returns (n, 5) rows and reasons."""
         with_features = with_features and self.frozen is not None
+        columns = [(self, False), *[(self, False) if with_tra else None] * 2,
+                   *[(self.frozen_inputs, True) if with_features else None] * 2]
 
-        def fill_one(cand):
+        def views(cand):
             tra = [_triple_view(t) for t in decompose_candidate(cand)]
-            return [self._input(cand.segment, cand.entities()),
-                    *([self._input(*v) for v in tra] if with_tra else [-1, -1]),
-                    *([self._feature(*v) for v in tra] if with_features else [-1, -1])]
+            return [(cand.segment, cand.entities()), *tra, *tra]
 
-        out = self._fill(cands, fill_one, (5,))
+        out = self._fill(cands, views, columns)
         if self._pending:  # one batched frozen forward for the new features
             packed = self.frozen_inputs.packed(TRAJECTORY_ROLES).take(self._pending)
             self._features = np.concatenate([self._features, self.frozen.features(packed)])
             self._pending = []
         return out
 
-    @staticmethod
-    def _fill(items, fill_one, shape):
-        rows = np.full((len(items), *shape), -1)
+    def _fill(self, items, views, columns):
+        """Rows and reasons of ``items``. ``views(item)`` gives one view per
+        column; a column is (store, is_feature), or None when not filled.
+        Every view that its store does not hold yet is marked first, in one
+        pass per store with the store's own encoder. Then the items take
+        their rows in order, and an item stops at its first view that
+        overflows its window (its row stays -1), or raises what its first
+        view that cannot be marked raises."""
+        plans, new = [], {}  # new: per store, each view it lacks by input key
+        for item in items:
+            keys = []
+            for column, view in zip(columns, views(item)):
+                key = None
+                if column is not None:
+                    key = input_key(*view)
+                    if key not in column[0].inputs:
+                        new.setdefault(column[0], {}).setdefault(key, view)
+                keys.append(key)
+            plans.append(keys)
+        marks = {store: dict(zip(lacking, store.encoder.mark(list(lacking.values()))))
+                 for store, lacking in new.items()}
+        rows = np.full((len(items), len(columns)), -1)
         reasons: list[str | None] = []
-        for i, item in enumerate(items):
+        for i, keys in enumerate(plans):
             try:
-                rows[i] = fill_one(item)
+                rows[i] = [-1 if key is None else self._row(*column, key, marks)
+                           for column, key in zip(columns, keys)]
                 reasons.append(None)
             except ContextOverflowError as exc:
                 reasons.append(str(exc))
         return rows, reasons
 
-    def _input(self, segment, entities) -> int:
-        key = input_key(segment, entities)
+    def _row(self, store: "FeatureStore", is_feature: bool, key: tuple, marks) -> int:
+        """The row of one filled view: its input's row in ``store``, or its
+        feature's row in this store."""
+        if not is_feature:
+            return store._add(key, marks)
+        if key not in self.features:
+            self._pending.append(store._add(key, marks))
+            self.features[key] = len(self._features) + len(self._pending) - 1
+        return self.features[key]
+
+    def _add(self, key: tuple, marks) -> int:
+        """The row of the input at ``key``, stored from ``marks`` when new."""
         if key not in self.inputs:
-            marked = self.encoder.mark(segment, entities)
+            marked = marks[self][key]
+            if isinstance(marked, Exception):
+                raise marked.with_traceback(None)
             pending = self._marked.setdefault(marked.roles, [])
             packed = self._packs.get(marked.roles)
             self.inputs[key] = len(pending) + (0 if packed is None else len(packed.cls))
             pending.append(marked)
         return self.inputs[key]
-
-    def _feature(self, segment, entities) -> int:
-        key = input_key(segment, entities)
-        if key not in self.features:
-            self._pending.append(self.frozen_inputs._input(segment, entities))
-            self.features[key] = len(self._features) + len(self._pending) - 1
-        return self.features[key]
 
     def packed(self, roles: tuple[str, ...]) -> PackedInputs:
         """Every stored input of one role layout in one pack (the inputs of

@@ -1,5 +1,6 @@
 """Fixture builders that only the tests use: the coverage-audit corpus, the
-hand-labeled time surfaces and two graphs with a known community answer.
+hand-labeled time surfaces, encoder views that cannot be marked and two
+graphs with a known community answer.
 They build on the package's fixture pieces (:mod:`falcon.fixtures`)."""
 
 import random
@@ -17,11 +18,36 @@ from falcon.fixtures import (
 from falcon.ingest import (
     CandidateQuadruple,
     Document,
+    EntityMention,
+    TextSegment,
     TrajectoryTriple,
     normalize_surface,
     pair_candidates,
 )
 from falcon.polarnet import SignedGraph
+
+
+# ---------------------------------------------------------------------------
+# Encoder views, one of each marking outcome
+
+def _trajectory_view(text, person, time, location):
+    """A (segment, entities) trajectory view, one occurrence per entity."""
+    segment = TextSegment(segment_id="t:s0", doc_id="t", char_start=0, char_end=len(text),
+                          text=text)
+    return segment, [EntityMention(role=role, surface=text[a:b], occurrences=((a, b),))
+                     for role, (a, b) in (("Person", person), ("Time", time),
+                                          ("Location", location))]
+
+
+def unmarkable_views():
+    """Trajectory views by name: one that marks, and one each whose
+    occurrences overlap, overflow a 32-token window, and hold whitespace
+    alone."""
+    text = "Ada met Berg in Oslo in 1950"
+    return {"ok": _trajectory_view(text, (0, 3), (24, 28), (16, 20)),
+            "overlap": _trajectory_view(text, (0, 3), (2, 6), (16, 20)),
+            "overflow": _trajectory_view(text + " x" * 40, (0, 3), (24, 28), (107, 108)),
+            "empty": _trajectory_view(text, (0, 3), (24, 28), (3, 4))}
 
 
 # ---------------------------------------------------------------------------

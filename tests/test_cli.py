@@ -197,14 +197,10 @@ def test_train_commands_report_skipped(workspace):
                                str(trajectories), "--out", str(workspace / "short.ckpt")])
     assert res.exit_code == 0, res.output
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=20)
-    overflowing = 0
-    for item in load_labeled_triples(trajectories):
-        t = item.triple
-        try:
-            insert_markers(t.segment, canonical_entities((t.person, t.time, t.location)),
-                           backbone)
-        except ContextOverflowError:
-            overflowing += 1
+    triples = [item.triple for item in load_labeled_triples(trajectories)]
+    marked = insert_markers([(t.segment, canonical_entities((t.person, t.time, t.location)))
+                             for t in triples], backbone)
+    overflowing = sum(isinstance(m, ContextOverflowError) for m in marked)
     assert 0 < json.loads(res.output)["skipped"] == overflowing
 
     res = runner.invoke(main, ["train", "--config", str(cfg), "--data",
@@ -426,6 +422,20 @@ def test_a_bad_gazetteer_value_is_an_error_line(workspace, tmp_path, key, value,
         "--gazetteer", str(bad)])
     assert res.exit_code == 1, res.output
     assert res.output == f"Error: {bad}: {reason}\n"
+    assert not out.exists()
+
+
+def test_a_bad_gazetteer_fails_before_the_checkpoint_is_read(workspace, tmp_path):
+    bad = tmp_path / "gazetteer.json"
+    bad.write_text(json.dumps({"Boston": {"lat": "42.36"}}))
+    corrupt = tmp_path / "model.ckpt"
+    corrupt.write_bytes(b"not a checkpoint")
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, [
+        "extract", "--triples", str(workspace / "fx" / "triples.jsonl"),
+        "--checkpoint", str(corrupt), "--out", str(out), "--gazetteer", str(bad)])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"Error: {bad}: lat of 'Boston' is not a number\n"
     assert not out.exists()
 
 

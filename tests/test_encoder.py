@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from falcon.backbone import DeterministicStubBackbone, _scan
+from falcon.backbone import SPACE_CODES, DeterministicStubBackbone
 from falcon.encoder import (
     ENCODE_BUDGET,
     MARKERS,
@@ -17,6 +18,7 @@ from falcon.encoder import (
     pool_spans,
 )
 from falcon.ingest import EntityMention, TextSegment
+from fixture_builders import unmarkable_views
 
 
 def seg_of(text):
@@ -68,13 +70,23 @@ def _tokenize_loop(text):
     return tokens
 
 
+def test_whitespace_class_is_str_isspace():
+    assert set(SPACE_CODES) == {c for c in range(0x110000) if chr(c).isspace()}
+
+
+# Characters of one to four UTF-8 bytes, Unicode whitespace (a no-break
+# space, a line separator, an ideographic space, and more), a zero-width
+# space (not whitespace) and literal marker characters.
+ALPHABET = list("ab,.'#$*&") + [" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2003",
+                                 "\u2028", "\u3000", "\u200b", "é", "ß", "€", "中",
+                                 "\U0001d11e", "\U0001f600"]
+
+
 def test_stub_tokenizer_matches_loop_reference():
     rng = np.random.default_rng(4)
-    alphabet = list("ab,.'#$*&") + [" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2003",
-                                     "\u3000", "\u200b", "é"]
-    for _ in range(2000):
-        text = "".join(rng.choice(alphabet, int(rng.integers(0, 40))))
-        assert list(zip(*_scan(text))) == _tokenize_loop(text)
+    backbone = DeterministicStubBackbone(hidden_size=4)
+    texts = ["".join(rng.choice(ALPHABET, int(rng.integers(0, 40)))) for _ in range(2000)]
+    _assert_splice_matches_marked_text(backbone, [(text, []) for text in texts])
 
 
 def _stub_rows_formula(backbone, tokens):
@@ -107,7 +119,8 @@ def test_encode_batch_rows_equal_encode_and_oracle_on_ragged_batches():
         lengths = [1, max_tokens] + [int(n) for n in rng.integers(1, max_tokens + 1, 30)]
         batch = [["".join(chr(c) for c in rng.integers(97, 123, int(rng.integers(1, 8))))
                   for _ in range(n)] for n in lengths]
-        hidden = backbone.encode_batch(batch)
+        hidden = backbone.encode_batch([[backbone.token_key(t) for t in tokens]
+                                        for tokens in batch])
         assert hidden.shape == (len(batch), max_tokens + 1, d)
         for b, tokens in enumerate(batch):
             rows = hidden[b, :len(tokens) + 1]
@@ -120,12 +133,33 @@ def test_encode_batch_rows_equal_encode_and_oracle_on_ragged_batches():
 # ---------------------------------------------------------------------------
 # marker insertion
 
+def entity_spans(marked):
+    """Per entity, its occurrences' (first, last) hidden rows."""
+    spans = [[] for _ in marked.roles]
+    for slot, _, first, last in marked.occurrences.tolist():
+        spans[slot].append((first, last))
+    return [tuple(s) for s in spans]
+
+
+def mark_one(segment, entities, backbone):
+    """:func:`insert_markers` of one view, raising its error, and the view's
+    tokens rebuilt from their spans in the marked text; each token's key is
+    its ``token_key``."""
+    marked, = insert_markers([(segment, entities)], backbone)
+    if isinstance(marked, Exception):
+        raise marked
+    text = mark(segment.text, _cuts(entities))
+    tokens = [text[start:end] for start, end in marked.spans.tolist()]
+    assert marked.keys.tolist() == [backbone.token_key(t) for t in tokens]
+    return marked, tokens
+
+
 def test_marker_scheme_on_canonical_sentence():
     backbone = DeterministicStubBackbone(hidden_size=4)
-    marked = insert_markers(seg_of(FIG_TEXT), fig_entities(), backbone)
-    assert marked.tokens == ["#", "Niemans", "#", "met", "$", "Berg", "$", "in",
-                             "&", "The", "Hague", "&", "in", "*", "1950", "*"]
-    assert marked.entity_spans == [((2, 2),), ((6, 6),), ((15, 15),), ((10, 11),)]
+    marked, tokens = mark_one(seg_of(FIG_TEXT), fig_entities(), backbone)
+    assert tokens == ["#", "Niemans", "#", "met", "$", "Berg", "$", "in",
+                      "&", "The", "Hague", "&", "in", "*", "1950", "*"]
+    assert entity_spans(marked) == [((2, 2),), ((6, 6),), ((15, 15),), ((10, 11),)]
 
 
 def test_trajectory_person_uses_hash_marker():
@@ -133,9 +167,9 @@ def test_trajectory_person_uses_hash_marker():
     entities = [mention("Person", "Niemans", text), mention("Time", "1950", text),
                 mention("Location", "The Hague", text)]
     backbone = DeterministicStubBackbone(hidden_size=4)
-    marked = insert_markers(seg_of(text), entities, backbone)
-    assert marked.tokens == ["#", "Niemans", "#", "in", "&", "The", "Hague", "&",
-                             "in", "*", "1950", "*"]
+    tokens = mark_one(seg_of(text), entities, backbone)[1]
+    assert tokens == ["#", "Niemans", "#", "in", "&", "The", "Hague", "&",
+                      "in", "*", "1950", "*"]
 
 
 def test_two_occurrences_both_wrapped():
@@ -143,9 +177,9 @@ def test_two_occurrences_both_wrapped():
     entities = [mention("Person1", "Ada", text), mention("Person2", "Berg", text),
                 mention("Time", "1950", text), mention("Location", "Oslo", text)]
     backbone = DeterministicStubBackbone(hidden_size=4)
-    marked = insert_markers(seg_of(text), canonical_entities(entities), backbone)
-    assert marked.tokens.count("$") == 4
-    berg_spans = marked.entity_spans[1]
+    marked, tokens = mark_one(seg_of(text), canonical_entities(entities), backbone)
+    assert tokens.count("$") == 4
+    berg_spans = entity_spans(marked)[1]
     assert len(berg_spans) == 2
 
 
@@ -159,11 +193,11 @@ def test_token_spans_detokenize_to_surfaces():
           mention("Time", "1950", "Both Ada and Berg lived in The Hague in 1950, Ada said."),
           mention("Location", "The Hague", "Both Ada and Berg lived in The Hague in 1950, Ada said.")]),
     ]:
-        marked = insert_markers(seg_of(text), entities, backbone)
+        marked, tokens = mark_one(seg_of(text), entities, backbone)
         marked_text = _scan_token_spans(text, entities)[0]
         ref = _tokenize_loop(marked_text)
-        assert marked.tokens == [tok for tok, _, _ in ref]
-        for ent, spans in zip(entities, marked.entity_spans):
+        assert tokens == [tok for tok, _, _ in ref]
+        for ent, spans in zip(entities, entity_spans(marked)):
             for c, d in spans:
                 # matrix coords -> token coords
                 start, end = ref[c - 1][1], ref[d - 1][2]
@@ -179,26 +213,52 @@ def test_overlapping_entity_spans_rejected():
     l = mention("Location", "Oslo", text)
     backbone = DeterministicStubBackbone(hidden_size=4)
     with pytest.raises(MarkerOverlapError):
-        insert_markers(seg_of(text), [p1, p2, t, l], backbone)
+        mark_one(seg_of(text), [p1, p2, t, l], backbone)
 
 
-def test_window_selected_when_text_long():
-    filler = "filler " * 120
-    text = filler + FIG_TEXT + " " + filler
+@pytest.mark.parametrize("before, after, offset", [(120, 120, None), (0, 120, 0), (120, 0, -63)],
+                         ids=["middle", "start", "end"])
+def test_window_selected_when_text_long(before, after, offset):
+    # the window centers on the occurrences, clamped to the text's tokens
+    text = "filler " * before + FIG_TEXT + " " + "filler " * after
     entities = [mention("Person1", "Niemans", text), mention("Person2", "Berg", text),
                 mention("Time", "1950", text), mention("Location", "The Hague", text)]
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=64)
-    marked = insert_markers(seg_of(text), entities, backbone)
-    assert len(marked.tokens) == 63
+    marked, tokens = mark_one(seg_of(text), entities, backbone)
+    assert len(tokens) == 63
     marked_text, full_spans = _scan_token_spans(text, entities)
     ref = _tokenize_loop(marked_text)
-    offset = full_spans[0][0][0] - (marked.entity_spans[0][0][0] - 1)
-    assert marked.tokens == [tok for tok, _, _ in ref[offset:offset + 63]]
-    for ent, spans in zip(entities, marked.entity_spans):
+    if offset is None:
+        offset = full_spans[0][0][0] - (entity_spans(marked)[0][0][0] - 1)
+    offset %= len(ref)
+    assert tokens == [tok for tok, _, _ in ref[offset:offset + 63]]
+    for ent, spans in zip(entities, entity_spans(marked)):
         for c, d in spans:
             toks = ref[offset + c - 1:offset + d]
             got = marked_text[toks[0][1]:toks[-1][2]]
             assert " ".join(got.split()).casefold() == ent.norm
+
+
+def test_one_pass_marks_each_view_as_it_marks_it_alone_errors_included():
+    backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=32)
+    views = unmarkable_views()
+    names = ["ok", "overlap", "overflow", "empty", "ok", "overflow"]
+    together = insert_markers([views[name] for name in names], backbone)
+    assert [type(m).__name__ for m in together] == [
+        "MarkedInput", "MarkerOverlapError", "ContextOverflowError", "ValueError",
+        "MarkedInput", "ContextOverflowError"]
+    assert str(together[1]) == "occurrence spans overlap near offset 2 (Time 'a me')"
+    assert str(together[2]) == ("context overflow: marked occurrences span 51 tokens, "
+                                "window holds 31")
+    assert str(together[3]) == "occurrence of ' ' produced no tokens"
+    for name, got in zip(names, together):
+        alone, = insert_markers([views[name]], backbone)
+        if isinstance(got, Exception):
+            assert type(got) is type(alone) and str(got) == str(alone)
+        else:
+            assert got.keys.tobytes() == alone.keys.tobytes()
+            assert got.spans.tobytes() == alone.spans.tobytes()
+            assert got.occurrences.tobytes() == alone.occurrences.tobytes()
 
 
 def test_context_overflow_raises():
@@ -208,7 +268,7 @@ def test_context_overflow_raises():
                 mention("Time", "1950", text), mention("Location", "Oslo", text)]
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=32)
     with pytest.raises(ContextOverflowError, match="context overflow"):
-        insert_markers(seg_of(text), entities, backbone)
+        mark_one(seg_of(text), entities, backbone)
 
 
 def mark(text, cuts):
@@ -264,28 +324,47 @@ def _random_segment(rng, filler_words):
     return seg_of(text), entities
 
 
-def test_token_spans_match_scan_reference():
+# One character for another, so every offset stays valid: letters of two,
+# three and four UTF-8 bytes, Unicode whitespace for spaces and punctuation,
+# and literal marker characters glued to the occurrences.
+UNICODE = str.maketrans({"e": "é", "a": "€", "o": "\U0001d11e", "i": "中", " ": "\u3000",
+                         ",": "\xa0", ".": "\u2028", "'": "#", "(": "$", "-": "&"})
+
+
+@pytest.mark.parametrize("table", [None, UNICODE], ids=["ascii", "unicode"])
+def test_token_spans_match_scan_reference(table):
     rng = np.random.default_rng(3)
     unbounded = DeterministicStubBackbone(hidden_size=4, max_tokens=10 ** 6)
     windowed = 0
+    views, fulls = [], []
     for case in range(300):
         segment, entities = _random_segment(rng, 3 if case % 2 else 40)
+        if table:
+            segment = seg_of(segment.text.translate(table))
+            entities = [replace(e, surface=e.surface.translate(table)) for e in entities]
         want_text, want = _scan_token_spans(segment.text, entities)
-        full = insert_markers(segment, entities, unbounded)
-        assert full.tokens == [tok for tok, _, _ in _tokenize_loop(want_text)]
-        assert full.entity_spans == [tuple((c + 1, d + 1) for c, d in s) for s in want]
+        full, full_tokens = mark_one(segment, entities, unbounded)
+        assert full_tokens == [tok for tok, _, _ in _tokenize_loop(want_text)]
+        assert entity_spans(full) == [tuple((c + 1, d + 1) for c, d in s) for s in want]
         # the smallest window that holds every occurrence, plus some slack
         lo = min(c for s in want for c, _ in s)
         hi = max(d for s in want for _, d in s)
         small = DeterministicStubBackbone(hidden_size=4,
                                           max_tokens=hi - lo + 2 + int(rng.integers(0, 4)))
-        marked = insert_markers(segment, entities, small)
-        offset = full.entity_spans[0][0][0] - marked.entity_spans[0][0][0]
-        windowed += offset > 0 or len(marked.tokens) < len(full.tokens)
-        assert marked.tokens == full.tokens[offset:offset + len(marked.tokens)]
-        assert marked.entity_spans == [tuple((c - offset + 1, d - offset + 1) for c, d in s)
-                                       for s in want]
+        marked, tokens = mark_one(segment, entities, small)
+        offset = entity_spans(full)[0][0][0] - entity_spans(marked)[0][0][0]
+        windowed += offset > 0 or len(tokens) < len(full_tokens)
+        assert tokens == full_tokens[offset:offset + len(tokens)]
+        assert entity_spans(marked) == [
+            tuple((c - offset + 1, d - offset + 1) for c, d in s) for s in want]
+        views.append((segment, entities))
+        fulls.append(full)
     assert windowed > 100
+    # one pass over every view marks each view as it marks it alone
+    for together, alone in zip(insert_markers(views, unbounded), fulls):
+        assert together.keys.tobytes() == alone.keys.tobytes()
+        assert together.spans.tobytes() == alone.spans.tobytes()
+        assert together.occurrences.tobytes() == alone.occurrences.tobytes()
 
 
 def _cuts(entities):
@@ -295,59 +374,99 @@ def _cuts(entities):
             for cut in ((start, MARKERS[role]), (end, MARKERS[role]))]
 
 
-def _assert_splice_matches_marked_text(backbone, text, cuts):
-    """The stub's spliced tokens equal the tokens of the marked text, and
-    each bracket is its marker's token."""
-    ref = _tokenize_loop(mark(text, cuts))
-    tokens, brackets = backbone.tokenize_marked(text, cuts)
-    assert tokens == [tok for tok, _, _ in ref]
-    assert [tokens[b] for b in brackets] == [marker for _, marker in cuts]
-    # cut k's marker is the token that starts at offset + k of the marked text
-    starts = [start for _, start, _ in ref]
-    assert brackets == [starts.index(offset + k) for k, (offset, _) in enumerate(cuts)]
-    return tokens, brackets
+def _assert_splice_matches_marked_text(backbone, views):
+    """Tokenize (text, cuts) views in one pass. Each view's token spans are
+    the loop tokenizer's over its marked text, each key is its token's
+    ``token_key``, and each bracket is its marker's token. Returns per view
+    the tokens, rebuilt from their spans, and the brackets."""
+    texts = {}
+    view_text = [texts.setdefault(text, len(texts)) for text, _ in views]
+    cuts = [(v, offset, marker) for v, (_, view_cuts) in enumerate(views)
+            for offset, marker in view_cuts]
+    keys, spans, bounds, brackets = backbone.tokenize_views(
+        list(texts), np.array(view_text, dtype=np.int64),
+        np.array([v for v, _, _ in cuts], dtype=np.int64),
+        np.array([offset for _, offset, _ in cuts], dtype=np.int64),
+        np.array([ord(marker) for _, _, marker in cuts], dtype=np.int64))
+    out, k = [], 0
+    for v, (text, view_cuts) in enumerate(views):
+        marked_text = mark(text, view_cuts)
+        ref = _tokenize_loop(marked_text)
+        got = spans[bounds[v]:bounds[v + 1]].tolist()
+        assert got == [[start, end] for _, start, end in ref]
+        tokens = [marked_text[start:end] for start, end in got]
+        assert keys[bounds[v]:bounds[v + 1]].tolist() == [backbone.token_key(t) for t in tokens]
+        view_brackets = brackets[k:k + len(view_cuts)].tolist()
+        k += len(view_cuts)
+        assert [tokens[b] for b in view_brackets] == [marker for _, marker in view_cuts]
+        # cut j's marker is the token that starts at offset + j of the marked text
+        starts = [start for _, start, _ in ref]
+        assert view_brackets == [starts.index(offset + j)
+                                 for j, (offset, _) in enumerate(view_cuts)]
+        out.append((tokens, view_brackets))
+    return out
 
 
 def test_spliced_tokens_match_marked_text_on_random_segments():
     rng = np.random.default_rng(5)
     backbone = DeterministicStubBackbone(hidden_size=4)
+    views = []
     for case in range(300):
         segment, entities = _random_segment(rng, 3 if case % 2 else 40)
-        _assert_splice_matches_marked_text(backbone, segment.text, _cuts(entities))
+        views.append((segment.text, _cuts(entities)))
+    _assert_splice_matches_marked_text(backbone, views)
 
 
 def test_spliced_tokens_match_marked_text_on_random_cuts():
     # cuts anywhere: inside tokens, in whitespace, next to literal markers, stacked
     rng = np.random.default_rng(6)
     backbone = DeterministicStubBackbone(hidden_size=4)
+    views = []
     for _ in range(2000):
         text = "".join(rng.choice(list("ab  #$*&\t"), int(rng.integers(0, 30))))
         offsets = np.sort(rng.integers(0, len(text) + 1, 2 * int(rng.integers(1, 5))))
         markers = rng.choice(list("#$*&"), len(offsets) // 2)
-        cuts = [(int(offset), str(markers[k // 2])) for k, offset in enumerate(offsets)]
-        _assert_splice_matches_marked_text(backbone, text, cuts)
+        views.append((text, [(int(offset), str(markers[k // 2]))
+                             for k, offset in enumerate(offsets)]))
+    _assert_splice_matches_marked_text(backbone, views)
+
+
+def test_spliced_tokens_match_marked_text_on_unicode_views_of_shared_texts():
+    # three views of each text, some with no cut; non-ASCII letters, Unicode
+    # whitespace, literal markers and stacked cuts
+    rng = np.random.default_rng(8)
+    backbone = DeterministicStubBackbone(hidden_size=4)
+    views = []
+    for _ in range(700):
+        text = "".join(rng.choice(ALPHABET, int(rng.integers(0, 30))))
+        for _ in range(3):
+            offsets = np.sort(rng.integers(0, len(text) + 1, 2 * int(rng.integers(0, 5))))
+            markers = rng.choice(list("#$*&"), len(offsets) // 2)
+            views.append((text, [(int(offset), str(markers[k // 2]))
+                                 for k, offset in enumerate(offsets)]))
+    _assert_splice_matches_marked_text(backbone, views)
 
 
 def test_splice_hand_cases():
     backbone = DeterministicStubBackbone(hidden_size=4)
     # a cut inside a token splits it there and nowhere else
     assert _assert_splice_matches_marked_text(
-        backbone, "xBergy met Ada", [(1, "$"), (5, "$")]) == (
-        ["x", "$", "Berg", "$", "y", "met", "Ada"], [1, 3])
+        backbone, [("xBergy met Ada", [(1, "$"), (5, "$")])]) == [(
+            ["x", "$", "Berg", "$", "y", "met", "Ada"], [1, 3])]
     # literal marker characters in the text stay tokens of their own
     assert _assert_splice_matches_marked_text(
-        backbone, "a#b $c* &d& e", [(2, "#"), (3, "#"), (9, "&"), (10, "&")]) == (
-        ["a", "#", "#", "b", "#", "$", "c", "*", "&", "&", "d", "&", "&", "e"],
-        [2, 4, 9, 11])
+        backbone, [("a#b $c* &d& e", [(2, "#"), (3, "#"), (9, "&"), (10, "&")])]) == [(
+            ["a", "#", "#", "b", "#", "$", "c", "*", "&", "&", "d", "&", "&", "e"],
+            [2, 4, 9, 11])]
     # adjacent occurrences: two cuts at one offset
     assert _assert_splice_matches_marked_text(
-        backbone, "AdaBerg met", [(0, "#"), (3, "#"), (3, "$"), (7, "$")]) == (
-        ["#", "Ada", "#", "$", "Berg", "$", "met"], [0, 2, 3, 5])
+        backbone, [("AdaBerg met", [(0, "#"), (3, "#"), (3, "$"), (7, "$")])]) == [(
+            ["#", "Ada", "#", "$", "Berg", "$", "met"], [0, 2, 3, 5])]
     text = "AdaBerg met in Oslo in 1950"
     entities = [mention("Person1", "Ada", text), mention("Person2", "Berg", text),
                 mention("Time", "1950", text), mention("Location", "Oslo", text)]
-    marked = insert_markers(seg_of(text), entities, backbone)
-    assert [marked.tokens[c - 1:d] for spans in marked.entity_spans for c, d in spans] == [
+    marked, tokens = mark_one(seg_of(text), entities, backbone)
+    assert [tokens[c - 1:d] for spans in entity_spans(marked) for c, d in spans] == [
         ["Ada"], ["Berg"], ["1950"], ["Oslo"]]
 
 
@@ -368,7 +487,7 @@ def test_encode_marked_keeps_each_backbone_call_within_budget(monkeypatch):
 
     monkeypatch.setattr(DeterministicStubBackbone, "encode_batch", counting)
     enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=4, max_tokens=10 ** 6))
-    marked = [enc.mark(*_random_segment(rng, 3 if case % 2 else 300)) for case in range(300)]
+    marked = enc.mark([_random_segment(rng, 3 if case % 2 else 300) for case in range(300)])
     packed = enc.encode_marked(marked)
     assert sum(n for n, _ in calls) == len(marked) and len(calls) > 5
     assert any(rows > ENCODE_BUDGET for _, rows in calls)  # an input longer than the budget
@@ -561,8 +680,8 @@ def test_encode_matches_full_arithmetic_oracle():
     got = enc.forward(segment, entities)[0]
 
     # oracle: replay every stage with independent scalar arithmetic
-    marked = insert_markers(segment, entities, backbone)
-    rows = _stub_rows_oracle(marked.tokens, d)
+    marked, tokens = mark_one(segment, entities, backbone)
+    rows = _stub_rows_oracle(tokens, d)
 
     def project(key, vec):
         w = enc.params[f"proj.{key}.W"]
@@ -571,7 +690,7 @@ def test_encode_matches_full_arithmetic_oracle():
         return [sum(w[i][j] * tan[j] for j in range(d)) + b[i] for i in range(d)]
 
     expected = list(project("cls", rows[0]))
-    for ent, spans in zip(entities, marked.entity_spans):
+    for ent, spans in zip(entities, entity_spans(marked)):
         pooled = []
         for c, dd in spans:
             pooled.append([sum(rows[t][j] for t in range(c, dd + 1)) / (dd - c + 1)

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,17 @@ from falcon.ingest import (
     write_jsonl,
 )
 from falcon.polarnet import load_record_table
+
+
+def test_a_mention_carries_its_normalized_surface():
+    mention = EntityMention(role="Person1", surface=" Ada\u3000 LOVELACE ",
+                            occurrences=((0, 3),))
+    assert mention.norm == "ada lovelace"
+    # replace builds a new mention, so its surface is normalized again
+    assert replace(mention, surface="Berg").norm == "berg"
+    assert replace(mention, role="Person").norm == "ada lovelace"
+    assert "norm" not in repr(mention)
+    assert mention == replace(mention) and hash(mention) == hash(replace(mention))
 
 
 def make_segment(text, doc_id="d1", seg_id="d1:s0", start=0):

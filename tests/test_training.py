@@ -8,7 +8,7 @@ import pytest
 from falcon import fixtures, training
 from falcon.backbone import DeterministicStubBackbone
 from falcon.dataset import LabeledExample, decompose_candidate, split_dataset
-from falcon.encoder import ENCODE_BUDGET, input_key
+from falcon.encoder import ENCODE_BUDGET, ArBertEncoder, MarkerOverlapError, input_key
 from falcon.evalbench import ABLATION_GRID, compute_metrics
 from falcon.fusion import FrozenTrajectoryExtractor
 from falcon.ingest import CandidateQuadruple, EntityMention, TextSegment, generate_candidates
@@ -30,6 +30,7 @@ from falcon.training import (
     train,
     trajectory_loss,
 )
+from fixture_builders import unmarkable_views
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +427,31 @@ def test_context_overflow_yields_skip_not_drop(corpus, extractor):
     assert len(preds) == 5
     assert all(p.skipped for p in preds)
     assert all("context overflow" in p.reason for p in preds)
+
+
+def test_a_candidate_stops_at_its_first_view_that_overflows(corpus, extractor):
+    # No interaction view fits the model's 8-token window, so no candidate
+    # reaches its trajectory features: the extractor's store keeps none.
+    model = InteractionModel(TrainConfig(hidden_size=4, max_tokens=8, seed=1), frozen=extractor)
+    store = FeatureStore.for_model(model)
+    assert store.frozen_inputs is not store
+    rows, reasons = store.fill_candidates([ex.candidate for ex in corpus.examples[:5]])
+    assert (rows == -1).all() and all("window holds 7" in r for r in reasons)
+    assert not store.inputs and not store.features and not store.frozen_inputs.inputs
+
+
+def test_a_fill_raises_what_its_first_unmarkable_view_raises():
+    views = unmarkable_views()
+    store = FeatureStore(ArBertEncoder(DeterministicStubBackbone(hidden_size=4, max_tokens=32)))
+    rows, reasons = store.fill([views[name] for name in ("ok", "overflow", "ok", "overflow")])
+    assert rows.tolist() == [0, -1, 0, -1]
+    assert reasons[0] is reasons[2] is None and reasons[1] == reasons[3]
+    assert reasons[1].startswith("context overflow")
+    with pytest.raises(ValueError, match="produced no tokens"):
+        store.fill([views[name] for name in ("overflow", "empty", "overlap")])
+    with pytest.raises(MarkerOverlapError):
+        store.fill([views[name] for name in ("ok", "overlap", "empty")])
+    assert len(store.inputs) == 1
 
 
 def test_predict_decomposes_each_candidate_once(corpus, extractor, monkeypatch):
