@@ -3,8 +3,10 @@
 A closed-form deterministic stub stands in for the paper's pretrained BERT,
 whose weights this package does not hold. It tokenizes many marked views of
 many texts in one array pass (:meth:`DeterministicStubBackbone.tokenize_views`),
-each token reduced to its float input key, and gives one hidden row per
-token plus CLS (row 0), for a padded batch of key rows at a time.
+each token reduced to its float input key. An input's hidden matrix has
+one row per token plus CLS (row 0), and the stub computes only the rows
+asked for, at (input, position) pairs of many inputs in one call
+(:meth:`DeterministicStubBackbone.encode_at`).
 """
 
 from __future__ import annotations
@@ -176,36 +178,47 @@ class DeterministicStubBackbone:
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Hidden states of shape (len(tokens) + 1, hidden_size); row 0 is CLS."""
-        return self.encode_batch([np.array([self.token_key(t) for t in tokens], dtype=float)])[0]
+        n = len(tokens) + 1
+        return self.encode_at([np.array([self.token_key(t) for t in tokens], dtype=float)],
+                              np.zeros(n, dtype=np.int64), np.arange(n))
 
-    def encode_batch(self, rows: Sequence[np.ndarray]) -> np.ndarray:
-        """(B, 1 + longest, hidden_size) for B rows of token keys: row b holds
-        the hidden states of ``rows[b]`` in its first len(rows[b]) + 1 rows,
-        then padding."""
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) + 1
-        n = int(lengths.max())
-        keys = np.zeros((len(rows), n))
-        keys[:, 0] = self.token_key("[CLS]")
-        keys[:, 1:][np.arange(n - 1) < lengths[:, None] - 1] = np.concatenate(rows)
-        # each mean sums exactly the keys of one row: a sum over the zero
+    def encode_at(self, inputs: Sequence[np.ndarray], item: np.ndarray,
+                  pos: np.ndarray) -> np.ndarray:
+        """(R, hidden_size): row r is the hidden state at position ``pos[r]``
+        (0 is CLS, p > 0 the p-th token) of the input whose token keys are
+        ``inputs[item[r]]``. Only these rows are computed, each by the same
+        float operations as in the input's full hidden matrix, so it equals
+        that row of :meth:`encode` bit for bit. (A transformer would compute
+        every row of each input and gather these.)"""
+        win = self.context_window
+        lengths = np.fromiter(map(len, inputs), dtype=np.int64, count=len(inputs)) + 1
+        item, pos = np.asarray(item, dtype=np.int64), np.asarray(pos, dtype=np.int64)
+        if len(pos) and not ((0 <= pos) & (pos < lengths[item])).all():
+            raise ValueError("a position is out of range for its input")
+        # every input's keys, CLS first, one after another with win zeros
+        # before and after each: a window sums over zeros past its input's
+        # ends, as over the zero padding of a padded block
+        start = np.cumsum(lengths + win) - lengths  # each input's CLS
+        keys = np.zeros(int(start[-1] + lengths[-1]) + win)
+        keys[start] = self.token_key("[CLS]")
+        n_tok = lengths - 1
+        keys[np.repeat(start + 1 - np.cumsum(n_tok) + n_tok, n_tok)
+             + np.arange(n_tok.sum())] = np.concatenate(inputs)
+        # each mean sums exactly the keys of one input, as one row of a
+        # (inputs, length) block: np.add.reduceat or a sum over zero
         # padding would round differently
-        ctx = np.empty(len(rows))
+        ctx = np.empty(len(inputs))
         for m in np.flatnonzero(np.bincount(lengths)):  # each length once
             same = np.flatnonzero(lengths == m)
-            ctx[same] = keys[same, :m].sum(axis=1) / m
-        win = self.context_window
-        # Mean of keys[p - win : p + win + 1] clipped to the row, summed
-        # left to right over zero padding (adding a zero is exact).
-        padded = np.zeros((len(rows), n + 2 * win))
-        padded[:, win:win + n] = keys
-        total = padded[:, :n].copy()
-        for shift in range(1, 2 * win + 1):
-            total += padded[:, shift:shift + n]
-        p = np.arange(n)
-        width = np.minimum(p + win, lengths[:, None] - 1) - np.maximum(p - win, 0) + 1
-        local = total / np.maximum(width, 1)  # padding rows would have width <= 0
-        pos = np.arange(1, n + 1)[:, None]
+            ctx[same] = keys[start[same, None] + np.arange(m)].sum(axis=1) / m
+        # mean of keys[p - win : p + win + 1] clipped to the input, summed
+        # left to right (adding a zero is exact)
+        at = start[item] + pos
+        total = keys[at - win]
+        for shift in range(1 - win, win + 1):
+            total += keys[at + shift]
+        local = total / (np.minimum(pos + win, lengths[item] - 1) - np.maximum(pos - win, 0) + 1)
         dims = np.arange(1, self.hidden_size + 1)[None, :]
-        return (np.sin(pos * dims * 0.7 + 2.0 * math.pi * keys[:, :, None])
-                + 0.5 * np.cos(dims * (1.0 + ctx[:, None, None]))
-                + 0.7 * np.sin(dims * 2.1 + 2.0 * math.pi * local[:, :, None]))
+        return (np.sin((pos + 1)[:, None] * dims * 0.7 + 2.0 * math.pi * keys[at][:, None])
+                + (0.5 * np.cos(dims * (1.0 + ctx[:, None])))[item]
+                + 0.7 * np.sin(dims * 2.1 + 2.0 * math.pi * local[:, None]))

@@ -53,13 +53,13 @@ def decompose_candidate(cand: CandidateQuadruple) -> tuple[TrajectoryTriple, Tra
     """
     t1 = TrajectoryTriple(
         segment=cand.segment,
-        person=replace(cand.person1, role="Person"),
+        person=cand.person1.with_role("Person"),
         time=cand.time,
         location=cand.location,
     )
     t2 = TrajectoryTriple(
         segment=cand.segment,
-        person=replace(cand.person2, role="Person"),
+        person=cand.person2.with_role("Person"),
         time=cand.time,
         location=cand.location,
     )

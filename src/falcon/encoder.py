@@ -16,10 +16,11 @@ in one array pass (:func:`insert_markers`, over the backbone's
 ``tokenize_views``) into :class:`MarkedInput` values, each token's backbone
 key and character span with no token strings (here a window overflow is
 known), and :meth:`ArBertEncoder.encode_marked` runs the backbone and
-occurrence pooling of many marked inputs, one backbone call and one
-pooling gather per run of at most ``ENCODE_BUDGET`` padded token rows,
-into a :class:`PackedInputs`. :meth:`ArBertEncoder.prepare` is that path
-for one input.
+occurrence pooling of many marked inputs into a :class:`PackedInputs`.
+The backbone computes only the hidden rows that pooling reads, each
+input's CLS row and the rows inside its occurrence spans, in one call and
+one pooling gather per run of at most ``ENCODE_BUDGET`` such rows.
+:meth:`ArBertEncoder.prepare` is that path for one input.
 :meth:`ArBertEncoder.forward_batch` runs the trainable rest over packs of
 many (see :func:`pack`), so a training loop can prepare each distinct input
 once and step in minibatches. Every training and scoring path runs the
@@ -44,9 +45,9 @@ TRAJECTORY_ROLES = ("Person", "Time", "Location")
 # Parameter key per role; cls has its own projection.
 ROLE_KEYS = ("cls", "person1", "person2", "person", "time", "location")
 
-# Padded token rows per backbone call (see :meth:`ArBertEncoder.encode_marked`).
-# Measured on the perfbench ``train`` pass: from 256 to 4,096 rows its time
-# stays flat within noise, while its peak RSS grows with the budget.
+# Hidden rows computed per backbone call (see :meth:`ArBertEncoder.encode_marked`).
+# It bounds the call's temporaries: unbounded, a perfbench ``train`` pass
+# computes each store in one call, and its heap peak rises by about 6 %.
 ENCODE_BUDGET = 512
 
 
@@ -66,7 +67,8 @@ class MarkedInput:
     its (start, end) in the marked text, the segment text with every
     marker in. ``occurrences`` (k, 4) holds (entity, occurrence, first
     row, last row) per entity occurrence, by entity then occurrence; the
-    rows are inclusive, in the hidden matrix where row 0 is CLS.
+    rows are inclusive, in the hidden matrix where row 0 is CLS; marking
+    leaves no two occurrences sharing a row.
     """
 
     roles: tuple[str, ...]
@@ -276,20 +278,18 @@ def pack(packs: Sequence[PackedInputs]) -> PackedInputs:
     return PackedInputs(roles, np.concatenate([p.cls for p in packs]), occ, mask)
 
 
-def _budget_runs(marked: Sequence[MarkedInput]):
-    """Consecutive runs of ``marked`` whose padded backbone block, inputs
-    times (1 + most tokens) rows, holds at most ``ENCODE_BUDGET`` rows; an
-    input longer than that is a run of its own."""
-    run: list[MarkedInput] = []
-    longest = 0
-    for m in marked:
-        longest = max(longest, len(m.keys) + 1)
-        if run and (len(run) + 1) * longest > ENCODE_BUDGET:
-            yield run
-            run, longest = [], len(m.keys) + 1
-        run.append(m)
-    if run:
-        yield run
+def _budget_runs(rows: list[int]):
+    """(start, stop) of consecutive runs of inputs, where input i needs
+    ``rows[i]`` hidden rows, that need at most ``ENCODE_BUDGET`` rows each;
+    an input that needs more is a run of its own."""
+    start = total = 0
+    for i, n in enumerate(rows):
+        if total and total + n > ENCODE_BUDGET:
+            yield start, i
+            start, total = i, 0
+        total += n
+    if rows:
+        yield start, len(rows)
 
 
 @dataclass
@@ -355,29 +355,36 @@ class ArBertEncoder:
 
     def encode_marked(self, marked: Sequence[MarkedInput]) -> PackedInputs:
         """The backbone and occurrence pooling of marked inputs of one role
-        layout, as one pack: one backbone call and one pooling gather per
-        run of inputs whose padded block stays within ``ENCODE_BUDGET``."""
+        layout, as one pack. The backbone computes only the rows pooling
+        reads: each input's CLS row and the rows of its occurrence spans,
+        each row once where the spans are disjoint, as marking makes them.
+        One backbone call and one pooling gather per run of inputs that
+        need at most ``ENCODE_BUDGET`` rows."""
         cells = np.concatenate([m.occurrences for m in marked])
         counts = np.fromiter((len(m.occurrences) for m in marked), dtype=np.int64,
                              count=len(marked))
         item = np.repeat(np.arange(len(marked)), counts)  # each occurrence's input
-        ends = np.cumsum(counts)
+        sizes = cells[:, 3] - cells[:, 2] + 1  # the rows of each occurrence span
+        occ_bounds = np.concatenate([[0], np.cumsum(counts)])
+        needs = 1 + np.diff(np.concatenate([[0], np.cumsum(sizes)])[occ_bounds])  # per input
         cls = np.empty((len(marked), self.hidden_size))
         occ = np.zeros((len(marked), len(marked[0].roles), int(cells[:, 1].max()) + 1,
                         self.hidden_size))
         mask = np.zeros(occ.shape[:3], dtype=bool)
-        done = 0
-        for run in _budget_runs(marked):
-            hidden = self.backbone.encode_batch([m.keys for m in run])
-            n = hidden.shape[1]
-            at = slice(ends[done] - counts[done], ends[done + len(run) - 1])
-            row = (item[at] - done) * n  # the run's first hidden row of each occurrence's input
+        for a, b in _budget_runs(needs.tolist()):
+            at = slice(occ_bounds[a], occ_bounds[b])
+            n, size = b - a, sizes[at]
+            # the run's rows: CLS of each input, then each occurrence's rows in order
+            first = n + np.cumsum(size) - size
+            spans = np.repeat(cells[at, 2] - first, size) + np.arange(n, first[-1] + size[-1])
+            hidden = self.backbone.encode_at(
+                [m.keys for m in marked[a:b]],
+                np.concatenate([np.arange(n), np.repeat(item[at] - a, size)]),
+                np.concatenate([np.zeros(n, dtype=np.int64), spans]))
             where = (item[at], cells[at, 0], cells[at, 1])
-            occ[where] = pool_spans(hidden.reshape(n * len(run), -1),
-                                    row + cells[at, 2], row + cells[at, 3])
+            occ[where] = pool_spans(hidden, first, first + size - 1)
             mask[where] = True
-            cls[done:done + len(run)] = hidden[:, 0]
-            done += len(run)
+            cls[a:b] = hidden[:n]
         return PackedInputs(marked[0].roles, cls, occ, mask)
 
     def prepare(self, segment: TextSegment,

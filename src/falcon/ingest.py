@@ -10,7 +10,7 @@ text segment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -69,11 +69,30 @@ class EntityMention:
     norm: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.role not in ENTITY_ROLES:
-            raise ValueError(f"unknown entity role {self.role!r}")
+        _check_role(self.role)
         if not self.occurrences:
             raise ValueError(f"{self.role} mention {self.surface!r} has no occurrences")
         object.__setattr__(self, "norm", normalize_surface(self.surface))
+
+    def with_role(self, role: str) -> "EntityMention":
+        """This mention in another role, as ``replace(self, role=role)``
+        makes it, checking only the role: the other fields, ``norm``
+        included, are this mention's, already checked."""
+        _check_role(role)
+        mention = object.__new__(type(self))
+        # set in __init__'s order, so the instance keeps the class's shared
+        # key layout (its __dict__ would take 60 more bytes)
+        set_field = object.__setattr__
+        set_field(mention, "role", role)
+        set_field(mention, "surface", self.surface)
+        set_field(mention, "occurrences", self.occurrences)
+        set_field(mention, "norm", self.norm)
+        return mention
+
+
+def _check_role(role: str) -> None:
+    if role not in ENTITY_ROLES:
+        raise ValueError(f"unknown entity role {role!r}")
 
 
 def validate_mention(mention: EntityMention, segment_text: str) -> None:
@@ -394,8 +413,8 @@ def pair_candidates(triples: Sequence[TrajectoryTriple]) -> list[CandidateQuadru
                 b.person.norm, b.person.surface) else (b, a)
             cand = CandidateQuadruple(
                 segment=first.segment,
-                person1=replace(first.person, role="Person1"),
-                person2=replace(second.person, role="Person2"),
+                person1=first.person.with_role("Person1"),
+                person2=second.person.with_role("Person2"),
                 time=_merge_occurrences(first.time, second.time, "Time"),
                 location=_merge_occurrences(first.location, second.location, "Location"),
             )

@@ -152,9 +152,9 @@ def config_from_meta(path: str | Path, values: dict) -> TrainConfig:
 # Losses
 
 def _check_labels(labels: np.ndarray) -> None:
-    bad = set(np.unique(labels)) - {0, 1}
-    if bad:
-        raise ValueError(f"labels outside {{0,1}}: {sorted(bad)}")
+    bad = (labels != 0) & (labels != 1)
+    if bad.any():
+        raise ValueError(f"labels outside {{0,1}}: {sorted(set(labels[bad].tolist()))}")
 
 
 def binary_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -486,6 +486,34 @@ def test_commands_without_arrays_run_without_numpy(tmp_path):
     ]
 
 
+def test_training_commands_run_without_numpy_ma(tmp_path):
+    # numpy.ma costs 31-38 ms of import; no training command needs it.
+    setup = [["fixture", "--out-dir", "fx", "--docs", "20"],
+             ["dataset", "split", "--in", "fx/labeled.jsonl", "--out", "fx/split.jsonl"]]
+    commands = [
+        ["pretrain-tra", "--config", "train.cfg", "--data", "fx/trajectories.jsonl",
+         "--out", "extractor.ckpt"],
+        ["train", "--config", "train.cfg", "--data", "fx/split.jsonl", "--out", "model.ckpt",
+         "--frozen", "extractor.ckpt"],
+        ["eval", "--checkpoint", "model.ckpt", "--data", "fx/split.jsonl"],
+    ]
+    (tmp_path / "train.cfg").write_text("hidden_size = 4\nmax_epochs = 2\nseed = 5\n")
+    out = _run_python(
+        "import sys\n"
+        "from falcon.cli import main\n"
+        f"for args in {setup!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        f"for args in {commands!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        "    print('numpy.ma loaded:', 'numpy.ma' in sys.modules, args[0])\n",
+        cwd=tmp_path)
+    assert [line for line in out.splitlines() if line.startswith("numpy.ma loaded:")] == [
+        "numpy.ma loaded: False pretrain-tra",
+        "numpy.ma loaded: False train",
+        "numpy.ma loaded: False eval",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Pinned analysis outputs
 

@@ -7,10 +7,14 @@ import pytest
 from falcon.backbone import SPACE_CODES, DeterministicStubBackbone
 from falcon.encoder import (
     ENCODE_BUDGET,
+    INTERACTION_ROLES,
     MARKERS,
+    TRAJECTORY_ROLES,
     ArBertEncoder,
     ContextOverflowError,
+    MarkedInput,
     MarkerOverlapError,
+    PackedInputs,
     attend,
     canonical_entities,
     insert_markers,
@@ -112,22 +116,36 @@ def test_stub_windowed_mean_matches_loop_formula_bit_for_bit():
             assert np.array_equal(backbone.encode(tokens), _stub_rows_formula(backbone, tokens))
 
 
-def test_encode_batch_rows_equal_encode_and_oracle_on_ragged_batches():
+def test_encode_at_rows_equal_encode_and_oracle_at_random_positions():
     rng = np.random.default_rng(21)
-    for d, max_tokens in ((4, 64), (8, 64), (16, 512)):
-        backbone = DeterministicStubBackbone(hidden_size=d, max_tokens=max_tokens)
-        lengths = [1, max_tokens] + [int(n) for n in rng.integers(1, max_tokens + 1, 30)]
+    for d, max_tokens, win in ((4, 64, 2), (8, 64, 1), (16, 512, 3)):
+        backbone = DeterministicStubBackbone(hidden_size=d, max_tokens=max_tokens,
+                                             context_window=win)
+        lengths = [0, 1, max_tokens] + [int(n) for n in rng.integers(1, max_tokens + 1, 30)]
         batch = [["".join(chr(c) for c in rng.integers(97, 123, int(rng.integers(1, 8))))
                   for _ in range(n)] for n in lengths]
-        hidden = backbone.encode_batch([[backbone.token_key(t) for t in tokens]
-                                        for tokens in batch])
-        assert hidden.shape == (len(batch), max_tokens + 1, d)
+        # random (input, position) pairs, some repeated, in no order, CLS included
+        item = rng.integers(0, len(batch), 400)
+        pos = (rng.random(400) * (np.array(lengths)[item] + 1)).astype(np.int64)
+        pos[:len(batch)], item[:len(batch)] = 0, np.arange(len(batch))
+        hidden = backbone.encode_at([[backbone.token_key(t) for t in tokens]
+                                     for tokens in batch], item, pos)
+        assert hidden.shape == (len(item), d)
+        full = [backbone.encode(tokens) for tokens in batch]
         for b, tokens in enumerate(batch):
-            rows = hidden[b, :len(tokens) + 1]
-            assert rows.tobytes() == backbone.encode(tokens).tobytes()
-            assert rows.tobytes() == _stub_rows_formula(backbone, tokens).tobytes()
+            rows, at = hidden[item == b], pos[item == b]
+            assert rows.tobytes() == full[b][at].tobytes()
+            assert rows.tobytes() == _stub_rows_formula(backbone, tokens)[at].tobytes()
             # math.sin and np.sin may differ in the last place
-            assert np.allclose(rows, _stub_rows_oracle(tokens, d), rtol=0, atol=1e-12)
+            assert np.allclose(rows, np.array(_stub_rows_oracle(tokens, d, win))[at],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pos", [-1, 4])
+def test_encode_at_rejects_a_position_outside_its_input(pos):
+    backbone = DeterministicStubBackbone(hidden_size=4)
+    with pytest.raises(ValueError, match="out of range"):
+        backbone.encode_at([np.ones(3), np.ones(5)], np.array([1, 0]), np.array([0, pos]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,26 +494,122 @@ def _assert_packs_equal(a, b):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _long_occurrence_segment(words):
+    """A segment whose Person1 occurrence is ``words`` words long."""
+    surface = " ".join(["Ada"] * words)
+    text = f"{surface} met Berg in Oslo in 1950"
+    return seg_of(text), [EntityMention("Person1", surface, ((0, len(surface)),)),
+                          mention("Person2", "Berg", text), mention("Location", "Oslo", text),
+                          mention("Time", "1950", text)]
+
+
 def test_encode_marked_keeps_each_backbone_call_within_budget(monkeypatch):
     rng = np.random.default_rng(9)
-    calls = []
-    encode_batch = DeterministicStubBackbone.encode_batch
+    calls = []  # per backbone call: (inputs, item, pos)
+    encode_at = DeterministicStubBackbone.encode_at
 
-    def counting(self, batch):
-        calls.append((len(batch), 1 + max(map(len, batch))))
-        return encode_batch(self, batch)
+    def counting(self, inputs, item, pos):
+        calls.append((inputs, item, pos))
+        return encode_at(self, inputs, item, pos)
 
-    monkeypatch.setattr(DeterministicStubBackbone, "encode_batch", counting)
+    monkeypatch.setattr(DeterministicStubBackbone, "encode_at", counting)
     enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=4, max_tokens=10 ** 6))
-    marked = enc.mark([_random_segment(rng, 3 if case % 2 else 300) for case in range(300)])
+    views = [_random_segment(rng, 3 if case % 2 else 300) for case in range(300)]
+    views[150:150] = [_long_occurrence_segment(ENCODE_BUDGET + 20)]
+    marked = enc.mark(views)
     packed = enc.encode_marked(marked)
-    assert sum(n for n, _ in calls) == len(marked) and len(calls) > 5
-    assert any(rows > ENCODE_BUDGET for _, rows in calls)  # an input longer than the budget
-    assert all(n * rows <= ENCODE_BUDGET or n == 1 for n, rows in calls)
+    assert sum(len(inputs) for inputs, _, _ in calls) == len(marked) and len(calls) > 5
+    # at most ENCODE_BUDGET rows a call, unless the call holds one input that
+    # needs more (the long occurrence)
+    assert all(len(item) <= ENCODE_BUDGET or len(inputs) == 1 for inputs, item, _ in calls)
+    assert any(len(item) > ENCODE_BUDGET for _, item, _ in calls)
+    # across calls, each CLS row and each row inside an occurrence span, once
+    computed, done = [], 0
+    for inputs, item, pos in calls:
+        for j, keys in enumerate(inputs):
+            assert keys.tobytes() == marked[done + j].keys.tobytes()
+        computed += zip((done + item).tolist(), pos.tolist())
+        done += len(inputs)
+    read = {(i, 0) for i in range(len(marked))} | {
+        (i, p) for i, m in enumerate(marked) for _, _, a, b in m.occurrences.tolist()
+        for p in range(a, b + 1)}
+    assert len(computed) == len(read) and set(computed) == read
     calls.clear()
     one_by_one = [enc.encode_marked([m]) for m in marked]
     assert len(calls) == len(marked)
     _assert_packs_equal(packed, pack(one_by_one))
+
+
+def _pooled_by_full_encode(backbone, marked, tokens):
+    """The pack of one marked input by the backbone's full hidden matrix of
+    its tokens and a mean per span."""
+    hidden = backbone.encode(tokens)
+    occ = np.zeros((1, len(marked.roles), int(marked.occurrences[:, 1].max()) + 1,
+                    backbone.hidden_size))
+    mask = np.zeros(occ.shape[:3], dtype=bool)
+    for s, o, first, last in marked.occurrences.tolist():
+        occ[0, s, o] = hidden[first:last + 1].mean(axis=0)
+        mask[0, s, o] = True
+    return PackedInputs(marked.roles, hidden[:1], occ, mask)
+
+
+def _one_token_inputs(backbone, words):
+    """Trajectory inputs of one token, every occurrence on it, and one of two
+    tokens: not what marking makes (its markers are tokens too, and no two
+    occurrences share a row), but inputs that encode_marked pools all the
+    same."""
+    out = []
+    for tokens in ([w] for w in words):
+        occurrences = np.array([[s, 0, 1, 1] for s in range(3)], dtype=np.int64)
+        keys = np.array([backbone.token_key(t) for t in tokens])
+        out.append((MarkedInput(TRAJECTORY_ROLES, keys, np.zeros((1, 2), dtype=np.int32),
+                                occurrences), tokens))
+    tokens = words[:2]
+    occurrences = np.array([[0, 0, 1, 2], [1, 0, 1, 1], [2, 0, 2, 2]], dtype=np.int64)
+    keys = np.array([backbone.token_key(t) for t in tokens])
+    out.append((MarkedInput(TRAJECTORY_ROLES, keys, np.zeros((2, 2), dtype=np.int32),
+                            occurrences), tokens))
+    return out
+
+
+@pytest.mark.parametrize("hidden_size", [4, 8, 16, 768])
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_encode_marked_equals_full_encode_and_span_means(hidden_size, window):
+    rng = np.random.default_rng(100 * hidden_size + window)
+    wide = DeterministicStubBackbone(hidden_size, 10 ** 6, window)
+    cases = []  # (backbone, marked, tokens), one backbone per max_tokens
+    views = [_random_segment(rng, int(rng.integers(0, 12))) for _ in range(24)]
+    views += [_long_occurrence_segment(2 * window + 2 + int(rng.integers(0, 6)))
+              for _ in range(3)]
+    views += [(segment, [replace(person, role="Person"), *rest])  # trajectory views
+              for segment, (person, _, *rest) in views[::2]]
+    for segment, entities in views:
+        marked, tokens = mark_one(segment, entities, wide)
+        cases.append((wide, marked, tokens))
+        # windowed: tight around the occurrences (they touch the first and
+        # the last token), then a little wider
+        rows = marked.occurrences[:, 2:]
+        tight = int(rows.max() - rows.min()) + 2
+        for max_tokens in (tight, tight + int(rng.integers(1, 4))):
+            if max_tokens <= len(tokens):
+                narrow = DeterministicStubBackbone(hidden_size, max_tokens, window)
+                cases.append((narrow, *mark_one(segment, entities, narrow)))
+    assert any(m.occurrences[:, 2].min() == 1 and m.occurrences[:, 3].max() == len(m.keys)
+               for _, m, _ in cases)
+    enc = ArBertEncoder(wide)  # no parameter reaches encode_marked
+    for backbone, marked, tokens in cases:
+        enc.backbone = backbone
+        _assert_packs_equal(enc.encode_marked([marked]),
+                            _pooled_by_full_encode(backbone, marked, tokens))
+    # many inputs in one call, one-token inputs among them
+    enc.backbone = wide
+    for layout in (INTERACTION_ROLES, TRAJECTORY_ROLES):
+        batch = [(m, t) for b, m, t in cases if b is wide and m.roles == layout]
+        if layout == TRAJECTORY_ROLES:
+            batch += _one_token_inputs(wide, ["Ada", "Oslo", "#"])
+        rng.shuffle(batch)
+        _assert_packs_equal(enc.encode_marked([m for m, _ in batch]),
+                            pack([_pooled_by_full_encode(wide, m, t) for m, t in batch]))
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,11 @@ def test_ablations_encode_each_distinct_input_once(corpus, monkeypatch):
     examples = split_dataset(corpus.examples[:40], seed=0)
     config = TrainConfig(hidden_size=4, max_epochs=1, learning_rate=5e-3, seed=2)
     extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples[:30], config)
-    calls = []  # one entry per encoded row
-    encode_batch = DeterministicStubBackbone.encode_batch
-    monkeypatch.setattr(DeterministicStubBackbone, "encode_batch",
-                        lambda self, batch: calls.extend(batch) or encode_batch(self, batch))
+    calls = []  # per backbone call: its inputs
+    encode_at = DeterministicStubBackbone.encode_at
+    monkeypatch.setattr(DeterministicStubBackbone, "encode_at",
+                        lambda self, inputs, item, pos:
+                        calls.append(len(inputs)) or encode_at(self, inputs, item, pos))
     run_ablations(examples, config, frozen_extractor=extractor)
     # The full config reads the interaction view of every split and, through
     # the extractor (same backbone settings), every trajectory view.
@@ -102,7 +103,8 @@ def test_ablations_encode_each_distinct_input_once(corpus, monkeypatch):
         keys.add(input_key(ex.candidate.segment, ex.candidate.entities()))
         keys.update(input_key(t.segment, (t.person, t.time, t.location))
                     for t in decompose_candidate(ex.candidate))
-    assert len(calls) == len(keys)
+    assert sum(calls) == len(keys)
+    assert max(calls) > 1  # batched
 
 
 @pytest.fixture(scope="module")

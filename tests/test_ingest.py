@@ -37,6 +37,25 @@ def test_a_mention_carries_its_normalized_surface():
     assert mention == replace(mention) and hash(mention) == hash(replace(mention))
 
 
+@pytest.mark.parametrize("role", ["Person", "Person1", "Person2", "Time", "Location"])
+def test_a_mention_in_another_role_is_what_replace_makes(role):
+    mention = EntityMention(role="Person", surface=" Ada\u3000 LOVELACE ",
+                            occurrences=((0, 3), (9, 12)))
+    got, want = mention.with_role(role), replace(mention, role=role)
+    assert type(got) is type(want) and got.__dict__ == want.__dict__  # norm included
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert mention.role == "Person"
+
+
+def test_a_mention_refuses_an_unknown_role_as_replace_does():
+    mention = EntityMention(role="Person", surface="Ada", occurrences=((0, 3),))
+    with pytest.raises(ValueError) as want:
+        replace(mention, role="Place")
+    with pytest.raises(ValueError) as got:
+        mention.with_role("Place")
+    assert str(got.value) == str(want.value) == "unknown entity role 'Place'"
+
+
 def make_segment(text, doc_id="d1", seg_id="d1:s0", start=0):
     return TextSegment(segment_id=seg_id, doc_id=doc_id, char_start=start,
                        char_end=start + len(text), text=text)

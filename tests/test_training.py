@@ -64,8 +64,12 @@ def test_interaction_loss_matches_hand_sum():
 
 
 def test_loss_rejects_nonbinary_labels():
-    with pytest.raises(ValueError, match="labels"):
+    with pytest.raises(ValueError) as info:
         binary_cross_entropy(np.array([0.5]), np.array([2]))
+    assert str(info.value) == "labels outside {0,1}: [2]"
+    with pytest.raises(ValueError) as info:
+        binary_cross_entropy(np.full(5, 0.5), np.array([2, 1, -1, 2, 0]))
+    assert str(info.value) == "labels outside {0,1}: [-1, 2]"
 
 
 def test_trajectory_loss_averages_branches():
@@ -343,39 +347,53 @@ def test_no_train_split_is_error(corpus, extractor):
         train(model, corpus.examples)
 
 
+def _rows_read(encoder, views):
+    """The hidden rows encoding (segment, entities) views reads: each
+    view's CLS row and the rows inside its occurrence spans."""
+    return sum(1 + int((m.occurrences[:, 3] - m.occurrences[:, 2] + 1).sum())
+               for m in encoder.mark(views))
+
+
 def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
-    calls = []  # one entry per encoded row: (rows of its call, padded length)
-    encode_batch = DeterministicStubBackbone.encode_batch
+    calls = []  # per backbone call: (inputs, rows computed)
+    encode_at = DeterministicStubBackbone.encode_at
 
-    def counting_encode_batch(self, batch):
-        calls.extend([(len(batch), 1 + max(map(len, batch)))] * len(batch))
-        return encode_batch(self, batch)
+    def counting_encode_at(self, inputs, item, pos):
+        calls.append((len(inputs), len(item)))
+        return encode_at(self, inputs, item, pos)
 
-    monkeypatch.setattr(DeterministicStubBackbone, "encode_batch", counting_encode_batch)
+    monkeypatch.setattr(DeterministicStubBackbone, "encode_at", counting_encode_at)
     config = TrainConfig(hidden_size=4, max_epochs=3, seed=5)
+    marker = ArBertEncoder(DeterministicStubBackbone(config.hidden_size, config.max_tokens))
     triples = corpus.labeled_triples
     extractor, _ = pretrain_trajectory_extractor(triples, config)
-    assert len(calls) == len({input_key(t.triple.segment, (
-        t.triple.person, t.triple.time, t.triple.location)) for t in triples})
+    views = {input_key(t.triple.segment, (t.triple.person, t.triple.time, t.triple.location)):
+             (t.triple.segment, (t.triple.person, t.triple.time, t.triple.location))
+             for t in triples}
+    assert sum(n for n, _ in calls) == len(views)
+    assert sum(rows for _, rows in calls) == _rows_read(marker, list(views.values()))
 
     examples = split_dataset(corpus.examples, seed=0)
     for ft in (False, True):
         # The trajectory task reads the train examples' trajectory views; the
         # frozen features (ft) read the val examples' ones too. The extractor
         # has the model's backbone settings, so both encoders share one store.
-        keys = set()
+        views = {}
         for ex in examples:
             if ex.split in ("train", "val"):
-                keys.add(input_key(ex.candidate.segment, ex.candidate.entities()))
+                view = (ex.candidate.segment, ex.candidate.entities())
+                views[input_key(*view)] = view
             if ex.split == "train" or (ft and ex.split == "val"):
-                keys.update(input_key(t.segment, (t.person, t.time, t.location))
-                            for t in decompose_candidate(ex.candidate))
+                for t in decompose_candidate(ex.candidate):
+                    view = (t.segment, (t.person, t.time, t.location))
+                    views[input_key(*view)] = view
         calls.clear()
         run = replace(config, fusion_mode="gated" if ft else "off")
         result = train(InteractionModel(run, frozen=extractor if ft else None), examples)
         assert len(result.history) == 3
-        assert len(calls) == len(keys), f"ft={ft}"
-        assert all(n * rows <= ENCODE_BUDGET or n == 1 for n, rows in calls)
+        assert sum(n for n, _ in calls) == len(views), f"ft={ft}"
+        assert sum(rows for _, rows in calls) == _rows_read(marker, list(views.values()))
+        assert all(rows <= ENCODE_BUDGET or n == 1 for n, rows in calls)
         assert max(n for n, _ in calls) > 1  # batched
 
 
