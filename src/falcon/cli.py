@@ -48,23 +48,27 @@ def ingest_cmd(docs, triples_path, out_path, errors_path):
     documents = ingest.load_documents(docs)
     text_of = {d.doc_id: d.text for d in documents}
     result = ingest.load_triples(triples_path)
-    known = [t for t in result.triples if t.segment.doc_id in text_of]
-    orphans = len(result.triples) - len(known)
+    table = result.triples
+    # per segment envelope: whether its document is known, and whether its
+    # text is the document's at its offsets
+    known = [doc_id in text_of for doc_id, *_ in table.envelopes]
+    placed = [ok and text == text_of[doc_id][start:end]
+              for ok, (doc_id, _, start, end, text) in zip(known, table.envelopes)]
+    orphans = sum(not known[seg] for seg in table.segment)
     if orphans:
         click.echo(f"warning: {orphans} triples reference unknown documents",
                    err=True)
-    placed = [t for t in known if t.segment.text
-              == text_of[t.segment.doc_id][t.segment.char_start:t.segment.char_end]]
-    if len(placed) < len(known):
-        click.echo(f"warning: {len(known) - len(placed)} triples' segment text "
+    rows = [row for row, seg in enumerate(table.segment) if placed[seg]]
+    if len(rows) < len(table) - orphans:
+        click.echo(f"warning: {len(table) - orphans - len(rows)} triples' segment text "
                    "differs from their document at their offsets", err=True)
-    candidates = ingest.generate_candidates(placed)
-    ingest.dump_candidates(candidates, out_path)
+    candidates = ingest.generate_candidates(table.take(rows))
+    ingest.dump_candidates(candidates.objects(), out_path)
     if errors_path:
         ingest.write_jsonl(errors_path, ({"line": err.line, "message": err.message}
                                          for err in result.errors))
     click.echo(json.dumps({
-        "documents": len(documents), "triples": len(placed),
+        "documents": len(documents), "triples": len(rows),
         "triple_errors": len(result.errors), "candidates": len(candidates),
     }))
 

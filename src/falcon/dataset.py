@@ -1,8 +1,9 @@
-"""Labeled examples, splits, summaries, and the quadruple-to-triple decomposition.
+"""Labeled examples, splits and summaries.
 
 Every labeled example carries the interaction label plus the two per-person
-trajectory labels produced when the quadruple is split into its
-(person, time, location) halves; an interaction entails both presences.
+trajectory labels of the quadruple's (person, time, location) halves (its
+trajectory views, :func:`falcon.encoder.candidate_views`); an interaction
+entails both presences.
 """
 
 from __future__ import annotations
@@ -43,27 +44,6 @@ class LabeledExample:
             raise ValueError("label entailment violated: y_inter=1 requires both y_tra=1")
         if self.split is not None and self.split not in SPLITS:
             raise ValueError(f"unknown split {self.split!r}")
-
-
-def decompose_candidate(cand: CandidateQuadruple) -> tuple[TrajectoryTriple, TrajectoryTriple]:
-    """Split a quadruple into its two trajectory triples.
-
-    Triple 1 carries Person1, triple 2 carries Person2; the time and
-    location mentions are shared by reference.
-    """
-    t1 = TrajectoryTriple(
-        segment=cand.segment,
-        person=cand.person1.with_role("Person"),
-        time=cand.time,
-        location=cand.location,
-    )
-    t2 = TrajectoryTriple(
-        segment=cand.segment,
-        person=cand.person2.with_role("Person"),
-        time=cand.time,
-        location=cand.location,
-    )
-    return t1, t2
 
 
 def split_dataset(examples: Sequence[LabeledExample],

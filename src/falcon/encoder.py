@@ -10,13 +10,19 @@ enough to run an exact manual backward for all encoder parameters (the
 backbone itself is not trained here).
 
 The encoder splits at the frozen/trainable boundary. The frozen half
-depends only on (backbone, segment, entity spans) and runs in two steps:
-:meth:`ArBertEncoder.mark` inserts the markers and tokenizes many inputs
-in one array pass (:func:`insert_markers`, over the backbone's
-``tokenize_views``) into :class:`MarkedInput` values, each token's backbone
-key and character span with no token strings (here a window overflow is
-known), and :meth:`ArBertEncoder.encode_marked` runs the backbone and
-occurrence pooling of many marked inputs into a :class:`PackedInputs`.
+depends only on (backbone, segment, entity spans). Its inputs arrive as
+columns: :class:`Views` read the segments and mentions of a
+:class:`~falcon.ingest.MentionTable` as arrays (:func:`candidate_views`
+gives a candidate table's interaction and trajectory views, and
+:func:`views_of` builds views from (segment, entities) objects), and
+:func:`input_keys` gives each view the key a store holds it by. The frozen
+half runs in two steps: :meth:`ArBertEncoder.mark` inserts the markers and
+tokenizes many inputs in one array pass (:func:`insert_markers`, over the
+backbone's ``tokenize_views``) into :class:`MarkedInput` values, each
+token's backbone key and character span with no token strings (here a
+window overflow is known), and :meth:`ArBertEncoder.encode_marked` runs
+the backbone and occurrence pooling of many marked inputs into a
+:class:`PackedInputs`.
 The backbone computes only the hidden rows that pooling reads, each
 input's CLS row and the rows inside its occurrence spans, in one call and
 one pooling gather per run of at most ``ENCODE_BUDGET`` such rows.
@@ -31,16 +37,16 @@ gradient checks use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .backbone import MARKERS, DeterministicStubBackbone
-from .ingest import EntityMention, TextSegment
+from .ingest import INTERACTION_ROLES, TRAJECTORY_ROLES, EntityMention, MentionTable, TextSegment
 
-INTERACTION_ROLES = ("Person1", "Person2", "Time", "Location")
-TRAJECTORY_ROLES = ("Person", "Time", "Location")
+# A candidate's trajectory triples: the slots of its Person1, then its
+# Person2, with its Time and Location (the quadruple's two halves)
+TRAJECTORY_SLOTS = ((0, 2, 3), (1, 2, 3))
 
 # Parameter key per role; cls has its own projection.
 ROLE_KEYS = ("cls", "person1", "person2", "person", "time", "location")
@@ -90,49 +96,149 @@ def canonical_entities(entities: Sequence[EntityMention]) -> list[EntityMention]
     return [by_role[r] for r in order]
 
 
-def insert_markers(views: Sequence[tuple[TextSegment, Sequence[EntityMention]]],
-                   backbone: DeterministicStubBackbone) -> list[MarkedInput | Exception]:
-    """Wrap every entity occurrence of each (segment, entities) view in its
-    marker character and map the occurrences to token spans (inclusive, in
-    hidden-matrix coordinates where row 0 is CLS), every view in one
-    backbone tokenizer pass. Selects a window centered on the marked
-    occurrences when the marked text exceeds the backbone's token budget.
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
+class Views:
+    """Encoder inputs of one role layout, as columns of a
+    :class:`~falcon.ingest.MentionTable`: view v is the text of the table's
+    segment envelope ``text[v]`` with, in slot s, the table's mention
+    ``mention[v, s]`` in role ``roles[s]``. ``bounds``, ``starts`` and
+    ``ends`` are the table's occurrence columns as arrays."""
 
-    Returns per view its :class:`MarkedInput`, or the error marking it
-    raises: :class:`MarkerOverlapError` when occurrences overlap, a
-    ``ValueError`` when an occurrence holds no token, and
-    :class:`ContextOverflowError` when the occurrences do not fit in one
-    window.
+    roles: tuple[str, ...]
+    table: MentionTable
+    text: np.ndarray     # (V,)
+    mention: np.ndarray  # (V, S)
+    bounds: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+    @classmethod
+    def of(cls, table: MentionTable) -> "Views":
+        """One view per row of ``table``: its mentions in the table's roles."""
+        arity = len(table.roles)
+        return cls(table.roles, table, np.array(table.segment, dtype=np.int64),
+                   np.arange(len(table) * arity, dtype=np.int64).reshape(-1, arity),
+                   np.array(table.bounds, dtype=np.int64), np.array(table.starts, dtype=np.int64),
+                   np.array(table.ends, dtype=np.int64))
+
+    def take(self, index) -> "Views":
+        """The views at ``index``."""
+        return Views(self.roles, self.table, self.text[index], self.mention[index],
+                     self.bounds, self.starts, self.ends)
+
+    def occurrences(self) -> tuple[np.ndarray, np.ndarray]:
+        """(counts, index): the (V, S) occurrence counts of each view's
+        entities, and every occurrence's index into ``starts``/``ends``, by
+        view, entity and occurrence."""
+        m = self.mention.ravel()
+        first, counts = self.bounds[m], self.bounds[m + 1] - self.bounds[m]
+        index = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        return counts.reshape(self.mention.shape), index
+
+
+def candidate_views(cands: MentionTable) -> tuple[Views, Views]:
+    """The encoder inputs of candidates: each candidate's interaction view,
+    and its trajectory views (:data:`TRAJECTORY_SLOTS`), every candidate's
+    Person1 view, then every candidate's Person2 view."""
+    inter = Views.of(cands)
+    tra = inter.mention[:, TRAJECTORY_SLOTS].transpose(1, 0, 2).reshape(-1, len(TRAJECTORY_ROLES))
+    return inter, Views(TRAJECTORY_ROLES, cands, np.tile(inter.text, len(TRAJECTORY_SLOTS)), tra,
+                        inter.bounds, inter.starts, inter.ends)
+
+
+def views_of(pairs: Sequence[tuple[TextSegment, Sequence[EntityMention]]]) -> Views:
+    """(segment, entities) pairs of one role layout as views, the entities in
+    canonical order (:func:`canonical_entities`, which raises on a role set
+    of neither layout)."""
+    entities = [canonical_entities(entities) for _, entities in pairs]
+    roles = {tuple(e.role for e in ents) for ents in entities}
+    if len(roles) > 1:
+        raise ValueError(f"views of more than one role layout: {sorted(roles)}")
+    table = MentionTable(roles.pop() if roles else TRAJECTORY_ROLES)
+    for (segment, _), ents in zip(pairs, entities):
+        table.add(segment, ents)
+    return Views.of(table)
+
+
+def input_keys(views: Views) -> list[tuple]:
+    """Everything :meth:`ArBertEncoder.encode_marked` reads of each view, as
+    one hashable key: two views with equal keys prepare to equal
+    :class:`PackedInputs` under one backbone. The key is (roles, text,
+    bytes) with the bytes of the view's occurrence counts and spans, the
+    smallest form a training run's store keeps one of per input."""
+    counts, index = views.occurrences()
+    n_views, n_slots = counts.shape
+    per_view = counts.sum(axis=1)
+    size = n_slots + 2 * per_view
+    at = np.cumsum(size) - size
+    flat = np.empty(int(size.sum()), dtype=np.int64)
+    flat[(at[:, None] + np.arange(n_slots)).ravel()] = counts.ravel()
+    rank = np.arange(len(index)) - np.repeat(np.cumsum(per_view) - per_view, per_view)
+    spans = np.repeat(at + n_slots, per_view) + 2 * rank
+    flat[spans] = views.starts[index]
+    flat[spans + 1] = views.ends[index]
+    data = flat.tobytes()
+    envelopes = views.table.envelopes
+    return [(views.roles, envelopes[seg][4], data[8 * a:8 * b])
+            for seg, a, b in zip(views.text.tolist(), at.tolist(), (at + size).tolist())]
+
+
+def insert_markers(views: Sequence[Views],
+                   backbone: DeterministicStubBackbone) -> list[MarkedInput | Exception]:
+    """Wrap every entity occurrence of each view in its role's marker
+    character and map the occurrences to token spans (inclusive, in
+    hidden-matrix coordinates where row 0 is CLS), every view of every
+    :class:`Views` of ``views`` (of any layouts) in one backbone tokenizer
+    pass. Selects a window centered on the marked occurrences when
+    the marked text exceeds the backbone's token budget.
+
+    Returns per view, one :class:`Views` after another, its
+    :class:`MarkedInput`, or the error marking it raises:
+    :class:`MarkerOverlapError` when occurrences overlap, a ``ValueError``
+    when an occurrence holds no token, and :class:`ContextOverflowError`
+    when the occurrences do not fit in one window.
     """
-    if not views:
+    parts = [part for part in views if len(part)]
+    if not parts:
         return []
+    # per view: its distinct text, its part and its entities; per entity, by
+    # view: its slot, its occurrence count and its marker
     texts: dict[str, int] = {}
-    view_text, view_roles, entity_roles, spans, n_occ = [], [], [], [], []
-    for segment, entities in views:
-        view_text.append(texts.setdefault(segment.text, len(texts)))
-        roles = tuple([e.role for e in entities])
-        view_roles.append(roles)
-        entity_roles += roles
-        for ent in entities:
-            spans += ent.occurrences
-            n_occ.append(len(ent.occurrences))
+    view_text, n_ent, slot, n_occ, marker, occ_start, occ_end = ([] for _ in range(7))
+    for part in parts:
+        envelopes, inverse = np.unique(part.text, return_inverse=True)
+        ids = [texts.setdefault(part.table.envelopes[e][4], len(texts)) for e in envelopes.tolist()]
+        view_text.append(np.array(ids, dtype=np.int64)[inverse])
+        counts, occ = part.occurrences()
+        n_ent.append(np.full(len(part), counts.shape[1]))
+        slot.append(np.tile(np.arange(counts.shape[1]), len(part)))
+        n_occ.append(counts.ravel())
+        marker.append(np.tile([ord(MARKERS[role]) for role in part.roles], len(part)))
+        occ_start.append(part.starts[occ])
+        occ_end.append(part.ends[occ])
+    view_part = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    part_start = np.cumsum([0] + [len(part) for part in parts])
+    view_text, n_ent, slot, n_occ, marker, start, end = map(
+        np.concatenate, (view_text, n_ent, slot, n_occ, marker, occ_start, occ_end))
     # per occurrence, by view, entity and occurrence
-    n_views = len(views)
-    n_ent = np.fromiter(map(len, view_roles), dtype=np.int64, count=n_views)
-    n_occ = np.array(n_occ, dtype=np.int64)
+    n_views = len(view_text)
     view = np.repeat(np.repeat(np.arange(n_views), n_ent), n_occ)
-    entity = np.repeat(np.arange(len(n_occ)) - np.repeat(np.cumsum(n_ent) - n_ent, n_ent), n_occ)
+    entity = np.repeat(slot, n_occ)
     index = np.arange(len(view)) - np.repeat(np.cumsum(n_occ) - n_occ, n_occ)
-    start, end = np.fromiter(chain.from_iterable(spans), dtype=np.int64).reshape(-1, 2).T
-    marker = np.repeat([ord(MARKERS[role]) for role in entity_roles], n_occ).astype(np.int64)
+    marker = np.repeat(marker, n_occ)
 
     out: list[MarkedInput | Exception | None] = [None] * n_views
 
     def fail(error, j, message):  # occurrence j's view fails with its first error
-        v = int(view[j])
+        v, e = int(view[j]), int(entity[j])
         if out[v] is None:
-            ent = views[v][1][entity[j]]
-            out[v] = error(message.format(start=start[j], role=ent.role, surface=ent.surface))
+            part = parts[view_part[v]]
+            m = part.mention[v - part_start[view_part[v]], e]
+            out[v] = error(message.format(start=start[j], role=part.roles[e],
+                                          surface=part.table.surfaces[part.table.surface[m]]))
 
     # in text order per view (ties in entity order), as the markers go in
     order = np.lexsort((end, start, view))
@@ -144,7 +250,7 @@ def insert_markers(views: Sequence[tuple[TextSegment, Sequence[EntityMention]]],
     order = order[np.array([error is None for error in out], dtype=bool)[view[order]]]
 
     keys, token_spans, bounds, brackets = backbone.tokenize_views(
-        list(texts), np.array(view_text, dtype=np.int64), np.repeat(view[order], 2),
+        list(texts), view_text, np.repeat(view[order], 2),
         np.stack([start[order], end[order]], axis=1).ravel(), np.repeat(marker[order], 2))
     first, last = np.zeros(len(view), dtype=np.int64), np.zeros(len(view), dtype=np.int64)
     first[order], last[order] = brackets[0::2] + 1, brackets[1::2] - 1
@@ -172,10 +278,10 @@ def insert_markers(views: Sequence[tuple[TextSegment, Sequence[EntityMention]]],
     occ_bounds = np.concatenate([[0], np.cumsum(np.bincount(view, minlength=n_views))]).tolist()
     token_bounds = (bounds[:-1] + begin).tolist()
     token_ends = (bounds[:-1] + begin + np.minimum(length, window_len)).tolist()
-    for v, roles in enumerate(view_roles):
+    for v, p in enumerate(view_part.tolist()):
         if out[v] is None:
             a, b = token_bounds[v], token_ends[v]
-            out[v] = MarkedInput(roles, keys[a:b], token_spans[a:b],
+            out[v] = MarkedInput(parts[p].roles, keys[a:b], token_spans[a:b],
                                  rows[occ_bounds[v]:occ_bounds[v + 1]])
     return out
 
@@ -303,14 +409,6 @@ class EncoderCache:
     weights: np.ndarray    # (B, S, K)
 
 
-def input_key(segment: TextSegment, entities: Sequence[EntityMention]) -> tuple:
-    """Everything :meth:`ArBertEncoder.prepare` reads: two inputs with equal
-    keys prepare to equal :class:`PackedInputs` under one backbone. The
-    key is one flat tuple (text, role, spans, role, spans, ...), the
-    smallest form a training run's store keeps one of per input."""
-    return (segment.text, *(x for e in entities for x in (e.role, e.occurrences)))
-
-
 class ArBertEncoder:
     """Attention-enhanced entity encoder over the backbone.
 
@@ -337,21 +435,10 @@ class ArBertEncoder:
     def hidden_size(self) -> int:
         return self.backbone.hidden_size
 
-    def mark(self, views: Sequence[tuple[TextSegment, Sequence[EntityMention]]]
-             ) -> list[MarkedInput | Exception]:
-        """Markers and tokenization of (segment, entities) inputs, entities
-        in canonical role order, all in one pass: per input its marked form
-        or the error marking it raises (:func:`insert_markers`; a
-        ``ValueError`` for an unsupported role set)."""
-        canonical: list = []
-        for segment, entities in views:
-            try:
-                canonical.append((segment, canonical_entities(entities)))
-            except ValueError as exc:
-                canonical.append(exc)
-        marked = iter(insert_markers([v for v in canonical if isinstance(v, tuple)],
-                                     self.backbone))
-        return [v if isinstance(v, Exception) else next(marked) for v in canonical]
+    def mark(self, views: Sequence[Views]) -> list[MarkedInput | Exception]:
+        """Markers and tokenization of many inputs in one pass: per view its
+        marked form or the error marking it raises (:func:`insert_markers`)."""
+        return insert_markers(views, self.backbone)
 
     def encode_marked(self, marked: Sequence[MarkedInput]) -> PackedInputs:
         """The backbone and occurrence pooling of marked inputs of one role
@@ -393,7 +480,7 @@ class ArBertEncoder:
         :meth:`forward` that no encoder parameter reaches, as a pack of one
         (:meth:`mark`, then :meth:`encode_marked`); raises what marking
         raises."""
-        marked, = self.mark([(segment, entities)])
+        marked, = self.mark([views_of([(segment, entities)])])
         if isinstance(marked, Exception):
             raise marked
         return self.encode_marked([marked])

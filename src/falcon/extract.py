@@ -4,6 +4,13 @@ Positively classified candidates become interaction records with a
 normalized year, optional geocodes from a gazetteer file, and (after the
 typing step) one of three interaction types. Extraction is resumable by
 document and byte-identical across clean re-runs.
+
+:func:`extract_corpus` works on columns from the triples to the record
+lines: it pairs a triple table into a candidate table
+(:func:`~falcon.ingest.generate_candidates`), scores chunks of its rows
+(:func:`~falcon.training.score_candidates`) and builds each record line from
+the kept row's columns (:func:`record_json`). :class:`InteractionRecord` is
+the record as the typing step and the analyses read it back.
 """
 
 from __future__ import annotations
@@ -14,14 +21,15 @@ import operator
 import os
 import re
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, make_dataclass
-from itertools import islice
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .ingest import (
-    CandidateQuadruple,
+    MentionTable,
     TrajectoryTriple,
     dumps_record,
     generate_candidates,
@@ -51,6 +59,7 @@ EXTRACT_CHUNK = 64
 _YEAR_RE = re.compile(r"(?<!\d)(\d{3,4})(?!\d)")
 
 
+@lru_cache(maxsize=1 << 12)  # a corpus repeats a few thousand time surfaces
 def normalize_time(surface: str) -> int | None:
     """Extract a single plausible 3-4 digit year; None when absent or ambiguous.
 
@@ -106,13 +115,8 @@ RECORD_KEYS = tuple(f.name for f in fields(InteractionRecord) if f.default is MI
 OPTIONAL_RECORD_KEYS = tuple(f.name for f in fields(InteractionRecord)
                              if f.default is not MISSING)
 _required_values = operator.itemgetter(*RECORD_KEYS)  # KeyError names a missing key
-
-
-def record_id_for(cand: CandidateQuadruple) -> str:
-    key = json.dumps([cand.segment.doc_id, cand.segment.segment_id,
-                      cand.person1.norm, cand.person2.norm,
-                      cand.time.norm, cand.location.norm])
-    return hashlib.sha1(key.encode()).hexdigest()[:12]
+# The gazetteer values a record takes, in the order of OPTIONAL_RECORD_KEYS
+_GEOCODE_KEYS = ("lat", "lon", "state")
 
 
 def _is_number(value) -> bool:
@@ -130,30 +134,29 @@ def load_gazetteer(path: str | Path) -> dict:
     return {norm: value for norm, (_, value) in load_name_table(path, _GAZETTEER_CHECKS).items()}
 
 
-def record_from_candidate(cand: CandidateQuadruple, score: float,
-                          gazetteer: dict | None = None) -> InteractionRecord:
-    year = normalize_time(cand.time.surface)
+def record_json(cands: MentionTable, row: int, score: float,
+                gazetteer: dict | None = None) -> dict:
+    """The interaction record of candidate ``row`` of a table, as
+    :meth:`InteractionRecord.to_json` writes it: its id hashes the segment
+    and the normalized surfaces; its year is the time surface's
+    (:func:`normalize_time`) when inside ``YEAR_RANGE``; a gazetteer entry
+    of its location adds the entry's lat, lon and state."""
+    doc_id, segment_id, char_start, char_end, _ = cands.envelopes[cands.segment[row]]
+    person1, person2, time_, location = cands.surface[4 * row:4 * row + 4]
+    norms, surfaces = cands.norms, cands.surfaces
+    key = json.dumps([doc_id, segment_id, norms[person1], norms[person2], norms[time_],
+                      norms[location]])
+    year = normalize_time(surfaces[time_])
     if year is not None and not (YEAR_RANGE[0] <= year <= YEAR_RANGE[1]):
         year = None
-    rec = InteractionRecord(
-        record_id=record_id_for(cand),
-        doc_id=cand.segment.doc_id,
-        segment_id=cand.segment.segment_id,
-        char_start=cand.segment.char_start,
-        char_end=cand.segment.char_end,
-        person1=cand.person1.surface,
-        person2=cand.person2.surface,
-        time_surface=cand.time.surface,
-        time_year=year,
-        location=cand.location.surface,
-        score=score,
-    )
-    if gazetteer:
-        hit = gazetteer.get(cand.location.norm)
-        if hit:
-            rec.lat = hit.get("lat")
-            rec.lon = hit.get("lon")
-            rec.state = hit.get("state")
+    rec = dict(zip(RECORD_KEYS, (
+        hashlib.sha1(key.encode()).hexdigest()[:12], doc_id, segment_id, char_start, char_end,
+        surfaces[person1], surfaces[person2], surfaces[time_], year, surfaces[location], score)))
+    hit = gazetteer.get(norms[location]) if gazetteer else None
+    if hit:
+        for name in _GEOCODE_KEYS:
+            if hit.get(name) is not None:
+                rec[name] = hit[name]
     return rec
 
 
@@ -203,11 +206,11 @@ def _append_state(log, entry: dict) -> None:
     log.flush()
 
 
-def _document_chunks(docs: Iterable[tuple[str, list]]):
+def _document_chunks(docs: Iterable[tuple[str, Sequence]]):
     """Consecutive runs of (doc_id, candidates) that hold at most
     ``EXTRACT_CHUNK`` candidates together; a larger document is a run of
     its own."""
-    run: list[tuple[str, list]] = []
+    run: list[tuple[str, Sequence]] = []
     size = 0
     for doc in docs:
         if run and size + len(doc[1]) > EXTRACT_CHUNK:
@@ -219,21 +222,26 @@ def _document_chunks(docs: Iterable[tuple[str, list]]):
         yield run
 
 
-def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | Path,
-                   threshold: float | None = None, summary_path: str | Path | None = None,
+def extract_corpus(triples: MentionTable | Sequence[TrajectoryTriple], model,
+                   out_path: str | Path, threshold: float | None = None,
+                   summary_path: str | Path | None = None,
                    state_path: str | Path | None = None,
                    gazetteer: dict | None = None, excluded_lines: int = 0) -> ExtractSummary:
     """Pair, score, and stream positive records per document in sorted order.
 
-    A candidate is positive when its score reaches ``threshold`` (default:
-    the model's ``config.threshold``). ``excluded_lines`` counts the triple
-    lines the caller could not read; it is reported in the summary (and its
-    file) as is.
+    ``triples`` is a triple table (:func:`~falcon.ingest.load_triples`) or a
+    sequence of triples (through
+    :meth:`~falcon.ingest.MentionTable.from_triples`). A candidate is
+    positive when its score reaches ``threshold`` (default: the model's
+    ``config.threshold``). ``excluded_lines`` counts the triple lines the
+    caller could not read; it is reported in the summary (and its file) as
+    is.
 
-    Documents are scored in chunks of whole documents, one ``predict`` call
-    per chunk of at most ``EXTRACT_CHUNK`` candidates. A candidate's score
-    depends only on the candidate and the model, not on its chunk, so the
-    output is the same bytes however the documents are chunked.
+    Documents are scored in chunks of whole documents, one
+    :func:`~falcon.training.score_candidates` call per chunk of at most
+    ``EXTRACT_CHUNK`` candidates. A candidate's score depends only on the
+    candidate and the model, not on its chunk, so the output is the same
+    bytes however the documents are chunked.
 
     With ``state_path`` the run is resumable: after each document's records
     are flushed, one line with its doc_id, counts and the output's byte size
@@ -241,11 +249,11 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
     their counts) and truncates the output to the last recorded size, so a
     run killed at any point resumes without duplicating or losing records.
     """
-    from .training import predict
+    from .training import score_candidates
 
-    by_doc: dict[str, list[TrajectoryTriple]] = {}
-    for t in triples:
-        by_doc.setdefault(t.segment.doc_id, []).append(t)
+    if not isinstance(triples, MentionTable):
+        triples = MentionTable.from_triples(triples)
+    threshold = model.config.threshold if threshold is None else threshold
 
     summary = ExtractSummary(excluded_lines=excluded_lines)
     entries = _read_state_log(state_path) if state_path else []
@@ -255,24 +263,33 @@ def extract_corpus(triples: Sequence[TrajectoryTriple], model, out_path: str | P
     if entries:
         # Drop the records of a document whose run died before its state line.
         os.truncate(out_path, entries[-1]["out_bytes"])
+    doc_ids = triples.doc_ids()
+    if done:
+        triples = triples.take(row for row, doc_id in enumerate(doc_ids) if doc_id not in done)
+    # a document's candidates are consecutive rows, the documents in sorted order
+    cands = generate_candidates(triples)
+    sizes = Counter(cands.doc_ids())
+    pending, end = [], 0
+    for doc_id in sorted(set(doc_ids) - done):
+        pending.append((doc_id, range(end, end + sizes[doc_id])))
+        end += sizes[doc_id]
 
     with (open(out_path, "a" if done else "w", encoding="utf-8") as out,
           open(state_path, "a", encoding="utf-8") if state_path else nullcontext() as log):
-        pending = ((doc_id, generate_candidates(by_doc[doc_id]))
-                   for doc_id in sorted(by_doc) if doc_id not in done)
         for chunk in _document_chunks(pending):
-            preds = iter(predict(model, [c for _, cands in chunk for c in cands],
-                                 threshold=threshold))
-            for doc_id, candidates in chunk:
+            first = chunk[0][1].start
+            scores, reasons = score_candidates(model, cands.take(range(first, chunk[-1][1].stop)))
+            scores = scores.tolist()
+            for doc_id, rows in chunk:
                 counts = dict.fromkeys(DOC_COUNTS, 0)
-                counts["candidates"] = len(candidates)
-                for pred in islice(preds, len(candidates)):
-                    if pred.skipped:
+                counts["candidates"] = len(rows)
+                for row in rows:
+                    score = scores[row - first]
+                    if reasons[row - first] is not None:
                         counts["skipped"] += 1
-                    elif pred.label == 1:
+                    elif score >= threshold:
                         counts["positives"] += 1
-                        rec = record_from_candidate(pred.candidate, pred.score, gazetteer)
-                        out.write(dumps_record(rec.to_json()) + "\n")
+                        out.write(dumps_record(record_json(cands, row, score, gazetteer)) + "\n")
                     else:
                         counts["negatives"] += 1
                 out.flush()

@@ -22,8 +22,8 @@ from .ingest import (
     EntityMention,
     TextSegment,
     TrajectoryTriple,
+    generate_candidates,
     normalize_surface,
-    pair_candidates,
 )
 
 if TYPE_CHECKING:
@@ -218,6 +218,8 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
             "profession": ["Politics & Law", "Education", "Journalism"][i % 3],
         }
 
+    paragraphs = []  # (segment, rendered, person a) of each paragraph, in order
+
     def add_paragraph_set(doc_id, person_a, specs):
         doc, rows = _build_doc(doc_id, person_a, specs)
         corpus.documents.append(doc)
@@ -226,9 +228,7 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
             corpus.triples.extend([ta, tb])
             corpus.labeled_triples.append(LabeledTriple(ta, rendered.y_tra_a))
             corpus.labeled_triples.append(LabeledTriple(tb, rendered.y_tra_b))
-            cands = pair_candidates([ta, tb])
-            if cands:
-                corpus.examples.append(_attach_labels(cands[0], rendered, a))
+            paragraphs.append((segment, rendered, a))
 
     # canonical docs
     fig1a = _pos_met("Niemans", "Berg", "1950", "The Hague")
@@ -251,6 +251,14 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
             template = rng.choice(POSITIVE_TEMPLATES + NEGATIVE_TEMPLATES)
             specs.append((template(person_a, b, t, l), person_a, b, t, l))
         add_paragraph_set(f"fix{i:04d}", person_a, specs)
+
+    # each paragraph is a segment of its two triples: at most one candidate
+    cands = {(c.segment.doc_id, c.segment.segment_id): c
+             for c in generate_candidates(corpus.triples).objects()}
+    for segment, rendered, a in paragraphs:
+        cand = cands.get((segment.doc_id, segment.segment_id))
+        if cand:
+            corpus.examples.append(_attach_labels(cand, rendered, a))
 
     corpus.llm_responses = [
         "Cooperative", "Adversarial", "Neutral", "Cooperative",

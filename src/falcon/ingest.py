@@ -5,6 +5,16 @@ Raw biography documents plus externally-extracted trajectory triples
 (person1, person2, time, location) come out, generated by pairing triples
 that co-occur (same normalized time and location surfaces) within one
 text segment.
+
+Triples and candidates travel as columns (:class:`MentionTable`): each
+distinct segment envelope and surface is held once, and mentions are
+arrays of surface ids and occurrence spans. :func:`load_triples` decodes
+each line once into such a table and checks the spans per column;
+:func:`generate_candidates` pairs a table into another. The objects
+(:class:`TrajectoryTriple`, :class:`CandidateQuadruple`) are what the
+labeled files, the fixtures and the tests speak; they enter and leave the
+columns through :meth:`MentionTable.from_triples`,
+:meth:`MentionTable.from_candidates` and :meth:`MentionTable.objects`.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -21,6 +32,10 @@ DOCUMENT_SOURCES = ("wikipedia", "britannica", "fixture")
 
 PERSON_ROLES = ("Person1", "Person2", "Person")
 ENTITY_ROLES = PERSON_ROLES + ("Time", "Location")
+# The roles of a candidate quadruple and of a trajectory triple, in the
+# order of their mentions (the encoder's canonical order)
+INTERACTION_ROLES = ("Person1", "Person2", "Time", "Location")
+TRAJECTORY_ROLES = ("Person", "Time", "Location")
 
 
 @lru_cache(maxsize=1 << 12)  # a corpus repeats a few thousand names
@@ -65,7 +80,7 @@ class EntityMention:
     role: str
     surface: str
     occurrences: tuple[tuple[int, int], ...]
-    # normalize_surface(surface), computed once (``replace`` computes it again)
+    # normalize_surface(surface), computed once
     norm: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -73,21 +88,6 @@ class EntityMention:
         if not self.occurrences:
             raise ValueError(f"{self.role} mention {self.surface!r} has no occurrences")
         object.__setattr__(self, "norm", normalize_surface(self.surface))
-
-    def with_role(self, role: str) -> "EntityMention":
-        """This mention in another role, as ``replace(self, role=role)``
-        makes it, checking only the role: the other fields, ``norm``
-        included, are this mention's, already checked."""
-        _check_role(role)
-        mention = object.__new__(type(self))
-        # set in __init__'s order, so the instance keeps the class's shared
-        # key layout (its __dict__ would take 60 more bytes)
-        set_field = object.__setattr__
-        set_field(mention, "role", role)
-        set_field(mention, "surface", self.surface)
-        set_field(mention, "occurrences", self.occurrences)
-        set_field(mention, "norm", self.norm)
-        return mention
 
 
 def _check_role(role: str) -> None:
@@ -153,11 +153,6 @@ class CandidateQuadruple:
     def entities(self) -> tuple[EntityMention, ...]:
         return (self.person1, self.person2, self.time, self.location)
 
-    def key(self) -> tuple:
-        """Corpus-level identity: doc id plus normalized surfaces, persons unordered."""
-        pair = tuple(sorted((self.person1.norm, self.person2.norm)))
-        return (self.segment.doc_id, pair, self.time.norm, self.location.norm)
-
 
 # ---------------------------------------------------------------------------
 # Triple / candidate JSONL
@@ -168,9 +163,217 @@ class RecordError:
     message: str
 
 
+class MentionTable:
+    """Rows of role-tagged mentions in text segments, as columns: the
+    trajectory triples of a file (``TRAJECTORY_ROLES``) or the candidate
+    quadruples paired from them (``INTERACTION_ROLES``).
+
+    Row i lies in the segment envelope ``envelopes[segment[i]]``, a
+    (doc_id, segment_id, char_start, char_end, text) tuple held once however
+    many rows share it. Its mention in role ``roles[k]`` is mention
+    ``m = i * len(roles) + k``: its surface is ``surfaces[surface[m]]``
+    (normalized: ``norms[surface[m]]``), each distinct surface held once, and
+    its occurrences are the spans ``(starts[j], ends[j])`` for j in
+    ``bounds[m]:bounds[m + 1]``. Envelopes and surfaces take ids in the
+    order first seen, so a table does not depend on the hash seed. A table
+    made ``like`` another (:meth:`take`, :func:`generate_candidates`) shares
+    its envelopes and surfaces.
+    """
+
+    _SHARED = ("envelopes", "_envelope_ids", "surfaces", "norms", "_surface_ids")
+
+    def __init__(self, roles: tuple[str, ...], like: "MentionTable | None" = None):
+        self.roles = roles
+        if like is None:
+            self.envelopes: list[tuple] = []
+            self._envelope_ids: dict[tuple, int] = {}
+            self.surfaces: list[str] = []
+            self.norms: list[str] = []
+            self._surface_ids: dict[str, int] = {}
+        else:
+            for name in self._SHARED:
+                setattr(self, name, getattr(like, name))
+        self.segment: list[int] = []
+        self.surface: list[int] = []
+        self.bounds: list[int] = [0]
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.segment)
+
+    def _envelope(self, envelope: tuple) -> int:
+        seg = self._envelope_ids.get(envelope)
+        if seg is None:
+            seg = self._envelope_ids[envelope] = len(self.envelopes)
+            self.envelopes.append(envelope)
+        return seg
+
+    def _surface(self, surface: str) -> int:
+        sid = self._surface_ids.get(surface)
+        if sid is None:
+            sid = self._surface_ids[surface] = len(self.surfaces)
+            self.surfaces.append(surface)
+            self.norms.append(normalize_surface(surface))
+        return sid
+
+    def _mention(self, surface: int, starts: list[int], ends: list[int]) -> None:
+        """Append a mention: the id of its surface and its occurrences."""
+        self.surface.append(surface)
+        self.starts += starts
+        self.ends += ends
+        self.bounds.append(len(self.starts))
+
+    def add(self, segment: TextSegment, entities: Sequence[EntityMention]) -> None:
+        """Append one row: its segment and one mention per role, in the order
+        of ``roles`` (the mentions' own roles are not read)."""
+        self.segment.append(self._envelope((segment.doc_id, segment.segment_id,
+                                            segment.char_start, segment.char_end,
+                                            segment.text)))
+        for e in entities:
+            self.surface.append(self._surface(e.surface))
+            for start, end in e.occurrences:
+                self.starts.append(start)
+                self.ends.append(end)
+            self.bounds.append(len(self.starts))
+
+    def add_json(self, obj) -> None:
+        """Append the triple of one decoded Triple JSONL line. A line whose
+        values all have their JSON types (strings, integer offsets, spans of
+        two integers) and whose segment is well formed goes into the columns
+        as read; any other goes through :func:`triple_from_json`, which
+        raises what is wrong with it or returns the triple to append. The
+        spans are checked apart, per column (:meth:`span_faults`)."""
+        if not self._add_checked_json(obj):
+            t = triple_from_json(obj)
+            self.add(t.segment, (t.person, t.time, t.location))
+
+    def _add_checked_json(self, obj) -> bool:
+        """:meth:`add_json` of a line that needs no conversion; False, with
+        nothing appended, for any other."""
+        try:
+            envelope = (obj["doc_id"], obj["segment_id"], obj["char_start"], obj["char_end"],
+                        obj["segment_text"])
+            mentions = [(m["surface"], m["occurrences"])
+                        for m in (obj["person"], obj["time"], obj["location"])]
+            seg = self._envelope_ids.get(envelope)
+        except (KeyError, TypeError):  # not an object, a key missing, or an unhashable value
+            return False
+        if seg is None:
+            doc_id, segment_id, start, end, text = envelope
+            if not (type(doc_id) is str and type(segment_id) is str and type(text) is str
+                    and type(start) is int and type(end) is int
+                    and 0 <= start < end and len(text) == end - start):
+                return False
+        for surface, occurrences in mentions:
+            if type(surface) is not str or type(occurrences) is not list or not occurrences:
+                return False
+            for span in occurrences:
+                if (type(span) is not list or len(span) != 2
+                        or type(span[0]) is not int or type(span[1]) is not int):
+                    return False
+        self.segment.append(self._envelope(envelope) if seg is None else seg)
+        starts, ends = self.starts, self.ends
+        for surface, occurrences in mentions:
+            self.surface.append(self._surface(surface))
+            for start, end in occurrences:
+                starts.append(start)
+                ends.append(end)
+            self.bounds.append(len(starts))
+        return True
+
+    def span_faults(self) -> list[int]:
+        """The rows with a mention whose occurrences :func:`validate_mention`
+        refuses: one outside its segment, one that overlaps or precedes the
+        one before it, or one whose text does not normalise to the mention's
+        surface."""
+        arity, bounds, starts, ends, norms = (len(self.roles), self.bounds, self.starts,
+                                              self.ends, self.norms)
+        texts = [envelope[4] for envelope in self.envelopes]
+        faults: list[int] = []
+        for m, (text, sid, a, b) in enumerate(zip(
+                [texts[seg] for seg in self.segment for _ in range(arity)], self.surface,
+                bounds, islice(bounds, 1, None))):
+            prev = 0
+            for j in range(a, b):
+                start, end = starts[j], ends[j]
+                if (not prev <= start < end <= len(text)
+                        or normalize_surface(text[start:end]) != norms[sid]):
+                    if not faults or faults[-1] != m // arity:
+                        faults.append(m // arity)
+                    break
+                prev = end
+        return faults
+
+    def take(self, rows: Iterable[int]) -> "MentionTable":
+        """The rows at ``rows``, in that order, as a table like this one."""
+        out = MentionTable(self.roles, like=self)
+        arity, bounds = len(self.roles), self.bounds
+        if isinstance(rows, range) and rows.step == 1:  # a run of rows: slices
+            first, last = rows.start * arity, rows.stop * arity
+            out.segment = self.segment[rows.start:rows.stop]
+            out.surface = self.surface[first:last]
+            out.starts = self.starts[bounds[first]:bounds[last]]
+            out.ends = self.ends[bounds[first]:bounds[last]]
+            out.bounds = [b - bounds[first] for b in bounds[first:last + 1]]
+            return out
+        rows = list(rows)
+        mentions = [m for row in rows for m in range(row * arity, row * arity + arity)]
+        out.segment = [self.segment[row] for row in rows]
+        out.surface = [self.surface[m] for m in mentions]
+        out.starts = [x for m in mentions for x in self.starts[bounds[m]:bounds[m + 1]]]
+        out.ends = [x for m in mentions for x in self.ends[bounds[m]:bounds[m + 1]]]
+        out.bounds = [0, *accumulate(bounds[m + 1] - bounds[m] for m in mentions)]
+        return out
+
+    def doc_ids(self) -> list[str]:
+        """Each row's doc_id."""
+        return [self.envelopes[seg][0] for seg in self.segment]
+
+    def objects(self) -> list:
+        """The rows as :class:`TrajectoryTriple` or :class:`CandidateQuadruple`
+        objects, by the table's roles."""
+        build = TrajectoryTriple if self.roles == TRAJECTORY_ROLES else CandidateQuadruple
+        arity, bounds, starts, ends = len(self.roles), self.bounds, self.starts, self.ends
+        surfaces, surface = self.surfaces, self.surface
+        segments: dict[int, TextSegment] = {}
+        out = []
+        for row, seg in enumerate(self.segment):
+            if seg not in segments:
+                doc_id, segment_id, start, end, text = self.envelopes[seg]
+                segments[seg] = TextSegment(segment_id, doc_id, start, end, text)
+            out.append(build(segments[seg], *[
+                EntityMention(role, surfaces[surface[m]],
+                              tuple(zip(starts[bounds[m]:bounds[m + 1]],
+                                        ends[bounds[m]:bounds[m + 1]])))
+                for m, role in enumerate(self.roles, row * arity)]))
+        return out
+
+    @classmethod
+    def from_triples(cls, triples: Iterable[TrajectoryTriple]) -> "MentionTable":
+        """Triples as a table, through the span checks of :func:`load_triples`:
+        a triple that fails them raises what its ``validate`` raises."""
+        triples = list(triples)
+        table = cls(TRAJECTORY_ROLES)
+        for t in triples:
+            table.add(t.segment, (t.person, t.time, t.location))
+        for row in table.span_faults():
+            triples[row].validate()
+        return table
+
+    @classmethod
+    def from_candidates(cls, cands: Iterable[CandidateQuadruple]) -> "MentionTable":
+        """Candidates as a table, as they are: their loader and the pairer
+        check them, and marking refuses spans that it cannot mark."""
+        table = cls(INTERACTION_ROLES)
+        for cand in cands:
+            table.add(cand.segment, cand.entities())
+        return table
+
+
 @dataclass
 class TripleLoadResult:
-    triples: list[TrajectoryTriple] = field(default_factory=list)
+    triples: MentionTable
     errors: list[RecordError] = field(default_factory=list)
 
 
@@ -243,15 +446,17 @@ def candidate_from_json(obj: dict) -> CandidateQuadruple:
     return cand
 
 
-def dumps_record(obj: dict) -> str:
-    """One JSONL line. A non-finite float raises ValueError: the readers
-    reject ``NaN`` and ``Infinity``, so falcon never writes them."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+# One JSONL line of a JSON value: json.dumps with these options, through one
+# encoder built once. A non-finite float raises ValueError: the readers
+# reject ``NaN`` and ``Infinity``, so falcon never writes them.
+dumps_record = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
+                                allow_nan=False).encode
 
 
 def iter_jsonl(path: str | Path, parse: Callable,
-               errors: list[RecordError] | None = None) -> Iterator:
-    """Yield ``parse(obj)`` for every non-blank line of a JSONL file.
+               errors: list[RecordError] | None = None, numbered: bool = False) -> Iterator:
+    """Yield ``parse(obj)`` for every non-blank line of a JSONL file, as
+    ``(line, parse(obj))`` when ``numbered``.
 
     A line ends at a newline byte and is decoded by ``orjson``, which takes
     strict JSON in UTF-8 (no ``NaN``, ``Infinity`` or lone surrogates). A
@@ -272,7 +477,7 @@ def iter_jsonl(path: str | Path, parse: Callable,
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
                 errors.append(RecordError(line=lineno, message=str(exc)))
                 continue
-            yield item
+            yield (lineno, item) if numbered else item
 
 
 def is_jsonl_line(line: bytes) -> bool:
@@ -344,13 +549,30 @@ def write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
 
 
 def load_triples(path: str | Path) -> TripleLoadResult:
-    """Read Triple JSONL; malformed lines become error records, not crashes.
+    """Read Triple JSONL into a :class:`MentionTable`; malformed lines become
+    error records, not crashes.
 
-    An unreadable file is fatal (raises OSError); a bad line is collected
-    with its 1-based line number and processing continues.
+    Each line is decoded once and its values go straight into the columns
+    (:meth:`MentionTable.add_json`); the spans are then checked per column.
+    A triple those checks refuse is left out, with the message of the
+    per-line check (``validate``) at its line. An unreadable file is fatal
+    (raises OSError); a bad line is collected with its 1-based line number
+    and processing continues.
     """
-    result = TripleLoadResult()
-    result.triples = list(iter_jsonl(path, triple_from_json, result.errors))
+    table = MentionTable(TRAJECTORY_ROLES)
+    result = TripleLoadResult(table)
+    lines = [line for line, _ in iter_jsonl(path, table.add_json, result.errors, numbered=True)]
+    faults = table.span_faults()
+    if faults:
+        refused = set()
+        for row, triple in zip(faults, table.take(faults).objects()):
+            try:
+                triple.validate()
+            except ValueError as exc:
+                refused.add(row)
+                result.errors.append(RecordError(line=lines[row], message=str(exc)))
+        result.triples = table.take(row for row in range(len(table)) if row not in refused)
+        result.errors.sort(key=lambda error: error.line)
     return result
 
 
@@ -369,72 +591,61 @@ def dump_candidates(cands: Iterable[CandidateQuadruple], path: str | Path) -> No
 # ---------------------------------------------------------------------------
 # Candidate generation
 
-def _merge_occurrences(a: EntityMention, b: EntityMention, role: str) -> EntityMention:
-    # Same normalized surface by construction; union the spans, dropping
-    # any span that would overlap an already-kept one.
-    spans = sorted(set(a.occurrences) | set(b.occurrences))
-    kept: list[tuple[int, int]] = []
-    for start, end in spans:
-        if not kept or start >= kept[-1][1]:
-            kept.append((start, end))
-    return EntityMention(role=role, surface=a.surface, occurrences=tuple(kept))
+def generate_candidates(triples: MentionTable | Sequence[TrajectoryTriple]) -> MentionTable:
+    """Pair co-occurring triples of each segment into candidate quadruples.
 
-
-def _triple_sort_key(t: TrajectoryTriple) -> tuple:
-    return (t.person.norm, t.time.norm, t.location.norm, t.person.surface,
-            t.person.occurrences[0])
-
-
-def pair_candidates(triples: Sequence[TrajectoryTriple]) -> list[CandidateQuadruple]:
-    """Pair co-occurring triples of one segment into candidate quadruples.
-
-    Two triples co-occur when their normalized time surfaces match, their
-    normalized location surfaces match, and the persons differ. The person
-    with the lexicographically smaller normalized surface becomes Person1.
-    Output order and content are invariant under input permutation.
+    Triples are grouped by (doc_id, segment_id), groups in sorted order. Two
+    triples of a group co-occur when their normalized time surfaces match,
+    their normalized location surfaces match, and the persons differ. The
+    person with the lexicographically smaller normalized surface becomes
+    Person1; the time and location mentions hold both triples' occurrences.
+    A group's candidates are in the order of their normalized surfaces, one
+    per (persons, time, location), so their order and content do not depend
+    on the order of the triples (ties keep the first triple). Returns a
+    table like ``triples``; a sequence of triples goes in through
+    :meth:`MentionTable.from_triples`.
     """
-    if not triples:
-        return []
-    seg_keys = {(t.segment.doc_id, t.segment.segment_id) for t in triples}
-    if len(seg_keys) > 1:
-        raise ValueError("pair_candidates expects triples from a single segment")
-
-    ordered = sorted(triples, key=_triple_sort_key)
-    seen: set[tuple] = set()
-    out: list[CandidateQuadruple] = []
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            a, b = ordered[i], ordered[j]
-            if a.person.norm == b.person.norm:
-                continue
-            if a.time.norm != b.time.norm or a.location.norm != b.location.norm:
-                continue
-            first, second = (a, b) if (a.person.norm, a.person.surface) <= (
-                b.person.norm, b.person.surface) else (b, a)
-            cand = CandidateQuadruple(
-                segment=first.segment,
-                person1=first.person.with_role("Person1"),
-                person2=second.person.with_role("Person2"),
-                time=_merge_occurrences(first.time, second.time, "Time"),
-                location=_merge_occurrences(first.location, second.location, "Location"),
-            )
-            key = cand.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(cand)
-    out.sort(key=lambda c: (c.person1.norm, c.person2.norm, c.time.norm, c.location.norm))
-    return out
-
-
-def generate_candidates(triples: Sequence[TrajectoryTriple]) -> list[CandidateQuadruple]:
-    """Group triples by segment and pair within each group, in stable order."""
-    groups: dict[tuple[str, str], list[TrajectoryTriple]] = {}
-    for t in triples:
-        groups.setdefault((t.segment.doc_id, t.segment.segment_id), []).append(t)
-    out: list[CandidateQuadruple] = []
+    if not isinstance(triples, MentionTable):
+        triples = MentionTable.from_triples(triples)
+    norms, surfaces, surface = triples.norms, triples.surfaces, triples.surface
+    bounds, starts, ends = triples.bounds, triples.starts, triples.ends
+    groups: dict[tuple, list[int]] = {}
+    for row, seg in enumerate(triples.segment):
+        groups.setdefault(triples.envelopes[seg][:2], []).append(row)
+    out = MentionTable(INTERACTION_ROLES, like=triples)
     for key in sorted(groups):
-        out.extend(pair_candidates(groups[key]))
+        rows = groups[key]
+        if len(rows) < 2:
+            continue
+        # (person, time, location norms, person surface, first person span), by row
+        ordered = sorted([(norms[surface[3 * row]], norms[surface[3 * row + 1]],
+                           norms[surface[3 * row + 2]], surfaces[surface[3 * row]],
+                           (starts[bounds[3 * row]], ends[bounds[3 * row]]), row)
+                          for row in rows])  # ties in row order
+        found: dict[tuple, tuple[int, int]] = {}
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1:]:
+                if a[0] == b[0] or a[1] != b[1] or a[2] != b[2]:
+                    continue
+                first, second = (a, b) if a[0::3] <= b[0::3] else (b, a)
+                found.setdefault((first[0], second[0], a[1], a[2]), (first[5], second[5]))
+        for key in sorted(found):
+            first, second = found[key]
+            out.segment.append(triples.segment[first])
+            for m in (3 * first, 3 * second):
+                out._mention(surface[m], starts[bounds[m]:bounds[m + 1]],
+                             ends[bounds[m]:bounds[m + 1]])
+            for m, n in ((3 * first + 1, 3 * second + 1), (3 * first + 2, 3 * second + 2)):
+                m_starts, m_ends = starts[bounds[m]:bounds[m + 1]], ends[bounds[m]:bounds[m + 1]]
+                n_starts, n_ends = starts[bounds[n]:bounds[n + 1]], ends[bounds[n]:bounds[n + 1]]
+                if m_starts != n_starts or m_ends != n_ends:
+                    # unite the spans, dropping a span that overlaps a kept one
+                    kept: list[tuple[int, int]] = []
+                    for start, end in sorted({*zip(m_starts, m_ends), *zip(n_starts, n_ends)}):
+                        if not kept or start >= kept[-1][1]:
+                            kept.append((start, end))
+                    m_starts, m_ends = [start for start, _ in kept], [end for _, end in kept]
+                out._mention(surface[m], m_starts, m_ends)
     return out
 
 

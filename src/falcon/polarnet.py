@@ -639,19 +639,36 @@ def interaction_distance(location: tuple[float, float] | None,
 
 def record_distances(records: Records, node_attrs: dict[str, dict]) -> list[float | None]:
     """Per record, :func:`interaction_distance` from its location to both
-    people's ``birthplace``; None where any of the three is missing. Each
-    distance is computed with ``math``, as one call per record would."""
+    people's ``birthplace``; None where any of the three is missing. A leg
+    depends only on its two points, so each distinct (location, birthplace)
+    leg is computed once with :func:`haversine_km`, and each record adds its
+    two legs in :func:`interaction_distance`'s order: every distance has the
+    bits of one call per record."""
     table = _as_table(records)
     birthplaces = [node_attrs.get(key, {}).get("birthplace") for key in table.keys]
     placed = np.array([bool(bp) for bp in birthplaces], dtype=bool)
     computed = np.flatnonzero(~np.isnan(table.lat) & ~np.isnan(table.lon)
                               & placed[table.person1] & placed[table.person2])
     distances: list[float | None] = [None] * len(table)
-    for i, lat, lon, p1, p2 in zip(computed.tolist(), table.lat[computed].tolist(),
-                                   table.lon[computed].tolist(),
-                                   table.person1[computed].tolist(),
-                                   table.person2[computed].tolist()):
-        distances[i] = interaction_distance((lat, lon), birthplaces[p1], birthplaces[p2])
+    if not len(computed):
+        return distances
+    # each distinct point by its bits: the records' locations, the people's birthplaces
+    locations, location = np.unique(
+        np.stack([table.lat[computed], table.lon[computed]], axis=1).view(np.int64),
+        axis=0, return_inverse=True)
+    places, place = np.unique(
+        np.array([bp if bp else (np.nan, np.nan) for bp in birthplaces], dtype=float)
+        .view(np.int64), axis=0, return_inverse=True)
+    locations, places = locations.view(float).tolist(), places.view(float).tolist()
+    legs, leg = np.unique(np.concatenate([
+        location.ravel() * len(places) + place.ravel()[table.person1[computed]],
+        location.ravel() * len(places) + place.ravel()[table.person2[computed]]]),
+        return_inverse=True)
+    lengths = np.array([haversine_km(*locations[code // len(places)], *places[code % len(places)])
+                        for code in legs.tolist()])
+    for i, distance in zip(computed.tolist(),
+                           (lengths[leg[:len(computed)]] + lengths[leg[len(computed):]]).tolist()):
+        distances[i] = distance
     return distances
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import LabeledExample, LabeledTriple, decompose_candidate
+from .dataset import LabeledExample, LabeledTriple
 from .encoder import (
     INTERACTION_ROLES,
     TRAJECTORY_ROLES,
@@ -28,7 +28,9 @@ from .encoder import (
     ContextOverflowError,
     MarkedInput,
     PackedInputs,
-    input_key,
+    Views,
+    candidate_views,
+    input_keys,
     pack,
     row_matmul,
     softmax,
@@ -43,7 +45,7 @@ from .fusion import (
     gate_backward,
     gate_forward,
 )
-from .ingest import CandidateQuadruple, TrajectoryTriple
+from .ingest import CandidateQuadruple, MentionTable
 
 PROB_EPS = 1e-7
 C_MIN = 1e-3
@@ -376,17 +378,20 @@ class FeatureStore:
     """The frozen inputs of forward passes, each prepared once per distinct
     input while the store lives and held once, packed for batched forwards.
 
-    ``inputs`` maps an :func:`~falcon.encoder.input_key` to the input's row
-    in the pack of its role layout, ``features`` a trajectory view's key to
-    its row of frozen-extractor features. A filled candidate is a row of
-    indices (interaction, trajectories 1 and 2, features 1 and 2; -1 when
-    not filled); a batch gathers the packs by them. A fill marks its new
-    inputs, all of them in one pass per store, so a window overflow is
-    known per candidate; their backbone pass and pooling wait for
-    :meth:`packed`, which runs them for every input of the layout marked
-    since, in batches. The extractor reads
-    its inputs from ``frozen_inputs``: the store itself when ``shared`` (its
-    backbone settings equal the model's), else a store of its own encoder.
+    A fill reads its inputs as columns (:class:`~falcon.encoder.Views`: a
+    candidate table's interaction and trajectory views, or the triples of
+    pretraining), so no input is a Python object before it is marked.
+    ``inputs`` maps an input's key (:func:`~falcon.encoder.input_keys`) to
+    its row in the pack of its role layout, ``features`` a trajectory
+    view's key to its row of frozen-extractor features. A filled candidate
+    is a row of indices (interaction, trajectories 1 and 2, features 1 and
+    2; -1 when not filled); a batch gathers the packs by them. A fill marks
+    its new inputs, all of them in one pass per store and layout, so a
+    window overflow is known per candidate; their backbone pass and pooling
+    wait for :meth:`packed`, which runs them for every input of the layout
+    marked since, in batches. The extractor reads its inputs from
+    ``frozen_inputs``: the store itself when ``shared`` (its backbone
+    settings equal the model's), else a store of its own encoder.
     """
 
     def __init__(self, encoder: ArBertEncoder,
@@ -414,86 +419,109 @@ class FeatureStore:
                      for k in BACKBONE_SETTINGS)
         return cls(model.encoder, frozen, shared)
 
-    def fill(self, views) -> tuple[np.ndarray, list[str | None]]:
-        """Prepare each (segment, entities) view not stored yet; returns each
-        view's row and reason (-1 and the reason when it overflows its
-        backbone window, else None)."""
-        rows, reasons = self._fill(views, lambda view: [view], [(self, False)])
+    def fill(self, views: Views) -> tuple[np.ndarray, list[str | None]]:
+        """Prepare each view not stored yet; returns each view's row and
+        reason (-1 and the reason when it overflows its backbone window,
+        else None)."""
+        rows, reasons = self._fill(len(views), [(self, False, views, 0)])
         return rows[:, 0], reasons
 
-    def fill_candidates(self, cands: Sequence[CandidateQuadruple], with_tra: bool = False,
+    def fill_candidates(self, cands: MentionTable | Sequence[CandidateQuadruple],
+                        with_tra: bool = False,
                         with_features: bool = True) -> tuple[np.ndarray, list[str | None]]:
         """:meth:`fill` for each candidate's interaction view, with
         ``with_tra`` its trajectory views, and with ``with_features`` (and an
-        extractor) their frozen features; returns (n, 5) rows and reasons."""
+        extractor) their frozen features; returns (n, 5) rows and reasons.
+        Candidate objects go in through
+        :meth:`~falcon.ingest.MentionTable.from_candidates`."""
+        if not isinstance(cands, MentionTable):
+            cands = MentionTable.from_candidates(cands)
+        n = len(cands)
         with_features = with_features and self.frozen is not None
-        columns = [(self, False), *[(self, False) if with_tra else None] * 2,
-                   *[(self.frozen_inputs, True) if with_features else None] * 2]
-
-        def views(cand):
-            tra = [_triple_view(t) for t in decompose_candidate(cand)]
-            return [(cand.segment, cand.entities()), *tra, *tra]
-
-        out = self._fill(cands, views, columns)
+        inter, tra = candidate_views(cands)
+        columns = [(self, False, inter, 0),
+                   *([(self, False, tra, 0), (self, False, tra, n)] if with_tra else [None] * 2),
+                   *([(self.frozen_inputs, True, tra, 0), (self.frozen_inputs, True, tra, n)]
+                     if with_features else [None] * 2)]
+        out = self._fill(n, columns)
         if self._pending:  # one batched frozen forward for the new features
             packed = self.frozen_inputs.packed(TRAJECTORY_ROLES).take(self._pending)
             self._features = np.concatenate([self._features, self.frozen.features(packed)])
             self._pending = []
         return out
 
-    def _fill(self, items, views, columns):
-        """Rows and reasons of ``items``. ``views(item)`` gives one view per
-        column; a column is (store, is_feature), or None when not filled.
-        Every view that its store does not hold yet is marked first, in one
-        pass per store with the store's own encoder. Then the items take
-        their rows in order, and an item stops at its first view that
-        overflows its window (its row stays -1), or raises what its first
-        view that cannot be marked raises."""
-        plans, new = [], {}  # new: per store, each view it lacks by input key
-        for item in items:
-            keys = []
-            for column, view in zip(columns, views(item)):
-                key = None
-                if column is not None:
-                    key = input_key(*view)
-                    if key not in column[0].inputs:
-                        new.setdefault(column[0], {}).setdefault(key, view)
-                keys.append(key)
-            plans.append(keys)
-        marks = {store: dict(zip(lacking, store.encoder.mark(list(lacking.values()))))
-                 for store, lacking in new.items()}
-        rows = np.full((len(items), len(columns)), -1)
-        reasons: list[str | None] = []
-        for i, keys in enumerate(plans):
-            try:
-                rows[i] = [-1 if key is None else self._row(*column, key, marks)
-                           for column, key in zip(columns, keys)]
-                reasons.append(None)
-            except ContextOverflowError as exc:
-                reasons.append(str(exc))
-        return rows, reasons
+    def _fill(self, n: int, columns):
+        """Rows and reasons of ``n`` items. Column c is (store, is_feature,
+        views, offset), item i's view in it is ``views`` row ``offset + i``,
+        or None when not filled. Every view that its store does not hold yet
+        is marked first, in one pass per store, with the store's own
+        encoder. An item stops at its first view that overflows its window
+        (its row stays -1); the views it reaches are stored, column by
+        column. The first item, in order, whose first failing view cannot be
+        marked raises what marking it raised, once the items before it are
+        stored."""
+        filled = [(c, *column) for c, column in enumerate(columns) if column is not None]
+        keys = {}  # per views: each view's input key
+        lacking = {}  # per store: the index in each views of each view it lacks, by input key
+        for _, store, _, views, _ in filled:
+            if views not in keys:
+                keys[views] = input_keys(views)
+            new = lacking.setdefault(store, {}).setdefault(views, {})
+            for j, key in enumerate(keys[views]):
+                if key not in store.inputs:
+                    new.setdefault(key, j)
+        marks = {}  # per store: each view it lacks, marked, by input key
+        for store, new in lacking.items():
+            marked = store.encoder.mark([views.take(list(index.values()))
+                                         for views, index in new.items()])
+            marks[store] = dict(zip([key for index in new.values() for key in index], marked))
 
-    def _row(self, store: "FeatureStore", is_feature: bool, key: tuple, marks) -> int:
-        """The row of one filled view: its input's row in ``store``, or its
-        feature's row in this store."""
+        # each item's first view that overflows or cannot be marked, and what marking it raised
+        stop = np.full(n, len(columns))
+        error: list[Exception | None] = [None] * n
+        for c, store, _, views, offset in reversed(filled):
+            lacks = marks[store]
+            for i, key in enumerate(keys[views][offset:offset + n]):
+                marked = lacks.get(key)
+                if isinstance(marked, Exception):
+                    stop[i], error[i] = c, marked
+        raising = next((i for i, exc in enumerate(error)
+                        if exc is not None and not isinstance(exc, ContextOverflowError)), n)
+        rows = np.full((n, len(columns)), -1)
+        for c, store, is_feature, views, offset in filled:
+            reach = np.flatnonzero(stop[:raising + 1] > c).tolist()
+            column_keys = keys[views]
+            rows[reach, c] = self._rows(store, is_feature, views.roles,
+                                        [column_keys[offset + i] for i in reach], marks)
+        if raising < n:
+            raise error[raising].with_traceback(None)
+        rows[stop < len(columns)] = -1
+        return rows, [None if exc is None else str(exc) for exc in error]
+
+    def _rows(self, store: "FeatureStore", is_feature: bool, roles: tuple[str, ...],
+              keys: list[tuple], marks) -> list[int]:
+        """The rows of filled views of one layout: their inputs' rows in
+        ``store``, or their features' rows in this store."""
         if not is_feature:
-            return store._add(key, marks)
-        if key not in self.features:
-            self._pending.append(store._add(key, marks))
-            self.features[key] = len(self._features) + len(self._pending) - 1
-        return self.features[key]
+            return store._add(roles, keys, marks)
+        new = [key for key in dict.fromkeys(keys) if key not in self.features]
+        if new:
+            base = len(self._features) + len(self._pending)
+            self._pending += store._add(roles, new, marks)
+            self.features.update(zip(new, range(base, base + len(new))))
+        return [self.features[key] for key in keys]
 
-    def _add(self, key: tuple, marks) -> int:
-        """The row of the input at ``key``, stored from ``marks`` when new."""
-        if key not in self.inputs:
-            marked = marks[self][key]
-            if isinstance(marked, Exception):
-                raise marked.with_traceback(None)
-            pending = self._marked.setdefault(marked.roles, [])
-            packed = self._packs.get(marked.roles)
-            self.inputs[key] = len(pending) + (0 if packed is None else len(packed.cls))
-            pending.append(marked)
-        return self.inputs[key]
+    def _add(self, roles: tuple[str, ...], keys: list[tuple], marks) -> list[int]:
+        """The rows of the inputs at ``keys`` (of one layout), each new one
+        stored from ``marks``."""
+        new = [key for key in dict.fromkeys(keys) if key not in self.inputs]
+        if new:
+            pending = self._marked.setdefault(roles, [])
+            packed = self._packs.get(roles)
+            base = len(pending) + (0 if packed is None else len(packed.cls))
+            pending += map(marks[self].__getitem__, new)
+            self.inputs.update(zip(new, range(base, base + len(new))))
+        return [self.inputs[key] for key in keys]
 
     def packed(self, roles: tuple[str, ...]) -> PackedInputs:
         """Every stored input of one role layout in one pack (the inputs of
@@ -513,11 +541,6 @@ class FeatureStore:
                if with_tra else None)
         features = self._features[rows[:, 3:5].T] if rows[0, 3] >= 0 else None
         return self.packed(INTERACTION_ROLES).take(rows[:, 0]), tra, features
-
-
-def _triple_view(triple: TrajectoryTriple) -> tuple:
-    """The (segment, entities) encoder input of one trajectory triple."""
-    return triple.segment, (triple.person, triple.time, triple.location)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +723,7 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
     extractor = FrozenTrajectoryExtractor(config)
     history: list[dict] = []
     store = FeatureStore(extractor.encoder)
-    rows, reasons = store.fill([_triple_view(item.triple) for item in corpus])
+    rows, reasons = store.fill(Views.of(MentionTable.from_triples(item.triple for item in corpus)))
     kept = [i for i, reason in enumerate(reasons) if reason is None]
     if result is not None:
         result.history = history
@@ -728,26 +751,35 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
 # ---------------------------------------------------------------------------
 # Prediction
 
+def score_candidates(model: InteractionModel, cands: MentionTable,
+                     store: FeatureStore | None = None) -> tuple[np.ndarray, list[str | None]]:
+    """The interaction score of each candidate of a table, in one batched
+    forward: (scores, reasons), a score NaN and its reason set where the
+    candidate's input overflows its backbone window. Reads and extends
+    ``store`` (training passes its own); without one, the call fills a fresh
+    store and drops it after. A candidate's score is the same bits whatever
+    else the call scores (see :func:`~falcon.encoder.row_matmul`)."""
+    store = FeatureStore.for_model(model) if store is None else store
+    rows, reasons = store.fill_candidates(cands, with_features=model.uses_features)
+    scores = np.full(len(cands), np.nan)
+    ok = np.flatnonzero(rows[:, 0] >= 0)
+    if len(ok):
+        scores[ok] = model.forward_batch(*store.gather(rows[ok]))[0][:, 1]
+    return scores, reasons
+
+
 def predict(model: InteractionModel, candidates: Sequence[CandidateQuadruple],
             threshold: float | None = None,
             store: FeatureStore | None = None) -> list[Prediction]:
-    """Score candidates in one batched forward and label each by ``threshold``
-    (default: the model's ``config.threshold``); context overflows are marked
-    skipped, never dropped. Reads and extends ``store`` (training passes its
-    own); without one, the call fills a fresh store and drops it after. A
-    candidate's score is the same bits whatever else the call scores (see
-    :func:`~falcon.encoder.row_matmul`)."""
+    """:func:`score_candidates` of candidate objects, each labeled by
+    ``threshold`` (default: the model's ``config.threshold``); context
+    overflows are marked skipped, never dropped."""
     threshold = model.config.threshold if threshold is None else threshold
-    store = FeatureStore.for_model(model) if store is None else store
-    rows, reasons = store.fill_candidates(candidates, with_features=model.uses_features)
-    ok = [i for i, reason in enumerate(reasons) if reason is None]
-    scores = model.forward_batch(*store.gather(rows[ok]))[0][:, 1] if ok else []
-    out = [Prediction(candidate=cand, score=None, label=None, skipped=True, reason=reason)
-           for cand, reason in zip(candidates, reasons)]
-    for i, score in zip(ok, scores):
-        out[i] = Prediction(candidate=candidates[i], score=float(score),
-                            label=int(score >= threshold))
-    return out
+    scores, reasons = score_candidates(model, MentionTable.from_candidates(candidates), store)
+    return [Prediction(candidate=cand, score=None, label=None, skipped=True, reason=reason)
+            if reason is not None else
+            Prediction(candidate=cand, score=score, label=int(score >= threshold))
+            for cand, score, reason in zip(candidates, scores.tolist(), reasons)]
 
 
 # ---------------------------------------------------------------------------

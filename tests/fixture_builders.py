@@ -21,8 +21,8 @@ from falcon.ingest import (
     EntityMention,
     TextSegment,
     TrajectoryTriple,
+    generate_candidates,
     normalize_surface,
-    pair_candidates,
 )
 from falcon.polarnet import SignedGraph
 
@@ -99,7 +99,7 @@ def build_audit_fixture(seed: int = 11):
                     time=ta.time, location=ta.location))
                 continue
             triples.extend([ta, tb])
-            gold.extend(pair_candidates([ta, tb]))
+            gold.extend(generate_candidates([ta, tb]).objects())
     return documents, triples, gold
 
 

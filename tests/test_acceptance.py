@@ -6,13 +6,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from falcon import fixtures
 from falcon.backbone import DeterministicStubBackbone
-from falcon.dataset import decompose_candidate, dump_labeled_triples, dump_examples, split_dataset
+from falcon.dataset import dump_labeled_triples, dump_examples, split_dataset
 from falcon.encoder import ArBertEncoder, attend
 from falcon.extract import FixtureLLMClient, classify_records, extract_corpus, load_records
 from falcon.fusion import (
@@ -23,7 +24,13 @@ from falcon.fusion import (
     gate_backward,
     gate_forward,
 )
-from falcon.ingest import EntityMention, TextSegment, TrajectoryTriple, dump_triples, pair_candidates
+from falcon.ingest import (
+    EntityMention,
+    TextSegment,
+    TrajectoryTriple,
+    dump_triples,
+    generate_candidates,
+)
 from falcon.polarnet import (
     build_graph,
     fit_power_law,
@@ -90,8 +97,8 @@ def test_criterion_01_shape_contracts(corpus):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d), seed=1)
         quad, _ = enc.forward(cand.segment, cand.entities())
         ok &= quad.shape == (5 * d,)
-        t1, _ = decompose_candidate(cand)
-        tri, _ = enc.forward(t1.segment, (t1.person, t1.time, t1.location))
+        person = replace(cand.person1, role="Person")  # the first trajectory half
+        tri, _ = enc.forward(cand.segment, (person, cand.time, cand.location))
         ok &= tri.shape == (4 * d,)
 
         extractor = FrozenTrajectoryExtractor(TrainConfig(hidden_size=d, seed=2))
@@ -355,7 +362,7 @@ def test_criterion_08_candidate_generation(corpus):
                                     time=mention("Time", "1950"),
                                     location=mention("Location", "Lima"))
                    for nm in names]
-        ok &= len(pair_candidates(triples)) == k * (k - 1) // 2
+        ok &= len(generate_candidates(triples)) == k * (k - 1) // 2
     report(8, "candidate generation", ok, "fig-1a quadruple + C(k,2) for k<=6")
 
 

@@ -13,9 +13,10 @@ import falcon
 from falcon.backbone import DeterministicStubBackbone
 from falcon.cli import main
 from falcon.dataset import load_labeled_triples
-from falcon.encoder import ContextOverflowError, canonical_entities, insert_markers
+from falcon.encoder import ContextOverflowError, insert_markers, views_of
 from falcon.extract import dump_records
 from falcon.fixtures import political_records_fixture
+from falcon.ingest import CandidateQuadruple, EntityMention, TextSegment, TrajectoryTriple
 from falcon.training import InteractionModel
 
 
@@ -110,6 +111,26 @@ def test_predict_eval_and_extract(workspace):
         == summary["candidates"]
 
 
+def test_extract_builds_no_mention_segment_triple_or_candidate_object(workspace, monkeypatch):
+    # Extraction runs on columns from the triple file to the record lines.
+    built = []
+    for cls in (EntityMention, TextSegment, TrajectoryTriple, CandidateQuadruple):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__, **kwargs:
+                            built.append(type(self).__name__) or _init(self, *args, **kwargs))
+    EntityMention(role="Time", surface="1950", occurrences=((0, 4),))
+    assert built == ["EntityMention"]  # the count sees a construction
+    built.clear()
+    res = CliRunner().invoke(main, [
+        "extract", "--triples", str(workspace / "fx" / "triples.jsonl"),
+        "--checkpoint", str(workspace / "model.ckpt"),
+        "--out", str(workspace / "counted_records.jsonl"),
+        "--gazetteer", str(workspace / "fx" / "gazetteer.json")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads(res.output.strip().splitlines()[-1])
+    assert summary["candidates"] > 0 and summary["positives"] > 0
+    assert built == []
+
+
 def test_classify_and_analyze_pipeline(workspace):
     runner = CliRunner()
     records = workspace / "records.jsonl"
@@ -198,8 +219,8 @@ def test_train_commands_report_skipped(workspace):
     assert res.exit_code == 0, res.output
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=20)
     triples = [item.triple for item in load_labeled_triples(trajectories)]
-    marked = insert_markers([(t.segment, canonical_entities((t.person, t.time, t.location)))
-                             for t in triples], backbone)
+    marked = insert_markers([views_of([(t.segment, (t.person, t.time, t.location))
+                                       for t in triples])], backbone)
     overflowing = sum(isinstance(m, ContextOverflowError) for m in marked)
     assert 0 < json.loads(res.output)["skipped"] == overflowing
 
@@ -743,6 +764,33 @@ EXTRACT_DIGESTS = {
     "short_typed.jsonl":
         "2c302b8c261d8f71e49dfa9d22dddd3ff481759158301699ad117a6484156718",
 }
+
+
+def test_extract_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Surfaces and segments are interned in the order first seen, never through
+    # a set, so two interpreters with other string hashes write the same bytes.
+    import hashlib
+
+    outputs = []
+    for seed in ("1", "2"):
+        cwd = tmp_path / f"hashseed{seed}"
+        cwd.mkdir()
+        (cwd / "full.cfg").write_text("hidden_size = 4\nlearning_rate = 0.005\n"
+                                      "max_epochs = 2\nbatch_size = 16\nseed = 5\n")
+        runs = _extract_runs(str(cwd / "fx"))
+        commands = [runs[name] for name in ("fixture", "split", "full_pretrain", "full_train",
+                                            "full_extract", "full_classify")]
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(falcon.__file__).parents[1]))
+        code = ("from falcon.cli import main\n"
+                f"for args in {commands!r}:\n"
+                "    main(args, standalone_mode=False)\n")
+        subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True,
+                       capture_output=True)
+        outputs.append({name: hashlib.sha256((cwd / name).read_bytes()).hexdigest()
+                        for name in ("full_records.jsonl", "full_summary.json",
+                                     "full_typed.jsonl")})
+    assert outputs[0] == outputs[1] == {name: EXTRACT_DIGESTS[name] for name in outputs[0]}
 
 
 def test_every_extract_output_matches_its_pinned_digest(tmp_path):

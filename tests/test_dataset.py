@@ -1,8 +1,10 @@
 import pytest
 
+from falcon.encoder import candidate_views
+from falcon.ingest import MentionTable
+
 from falcon.dataset import (
     LabeledExample,
-    decompose_candidate,
     dump_examples,
     example_from_json,
     example_to_json,
@@ -17,32 +19,49 @@ def fig1a_example(corpus):
                 if ex.candidate.segment.doc_id == "fix0000")
 
 
+def trajectory_halves(cands):
+    """Each candidate's two trajectory views as (person, time, location)
+    (surface, role, occurrences) triples, read back from the columns."""
+    table = MentionTable.from_candidates(cands)
+    _, tra = candidate_views(table)
+    counts, index = tra.occurrences()
+    spans = list(zip(tra.starts[index].tolist(), tra.ends[index].tolist()))
+    out, j = [], 0
+    for v, mentions in enumerate(tra.mention.tolist()):
+        view = []
+        for role, m, count in zip(tra.roles, mentions, counts[v].tolist()):
+            view.append((table.surfaces[table.surface[m]], role, tuple(spans[j:j + count])))
+            j += count
+        out.append(tuple(view))
+    n = len(table)
+    return [(out[i], out[n + i]) for i in range(n)]
+
+
 def test_decompose_fig1a(corpus):
     ex = fig1a_example(corpus)
-    t1, t2 = decompose_candidate(ex.candidate)
-    assert t1.person.surface == "Berg"
-    assert t2.person.surface == "Niemans"
+    (t1, t2), = trajectory_halves([ex.candidate])
+    assert t1[0][0] == "Berg" and t2[0][0] == "Niemans"
     for t in (t1, t2):
-        assert t.person.role == "Person"
-        assert t.time.surface == "1950"
-        assert t.location.surface == "The Hague"
-    # time/location shared by reference
-    assert t1.time is ex.candidate.time and t2.time is ex.candidate.time
-    assert t1.location is ex.candidate.location
+        assert [role for _, role, _ in t] == ["Person", "Time", "Location"]
+        assert t[1][0] == "1950" and t[2][0] == "The Hague"
+        # time/location are the candidate's, shared by both halves
+        assert t[1][2] == ex.candidate.time.occurrences
+        assert t[2][2] == ex.candidate.location.occurrences
+    assert t1[0][2] == ex.candidate.person1.occurrences
+    assert t2[0][2] == ex.candidate.person2.occurrences
 
 
 def test_decompose_deterministic_and_idempotent(corpus):
     ex = fig1a_example(corpus)
-    first = decompose_candidate(ex.candidate)
-    second = decompose_candidate(ex.candidate)
-    assert first == second
+    first = trajectory_halves([ex.candidate])
+    assert trajectory_halves([ex.candidate]) == first
     rec = example_from_json(example_to_json(ex))
-    assert decompose_candidate(rec.candidate) == first
+    assert trajectory_halves([rec.candidate]) == first
 
 
 def test_triple_count_is_twice_quadruple_count(corpus):
-    triples = [t for ex in corpus.examples for t in decompose_candidate(ex.candidate)]
-    assert len(triples) == 2 * len(corpus.examples)
+    _, tra = candidate_views(MentionTable.from_candidates(ex.candidate for ex in corpus.examples))
+    assert len(tra) == 2 * len(corpus.examples)
 
 
 def test_label_entailment_enforced(corpus):

@@ -20,6 +20,7 @@ from falcon.encoder import (
     insert_markers,
     pack,
     pool_spans,
+    views_of,
 )
 from falcon.ingest import EntityMention, TextSegment
 from fixture_builders import unmarkable_views
@@ -163,7 +164,7 @@ def mark_one(segment, entities, backbone):
     """:func:`insert_markers` of one view, raising its error, and the view's
     tokens rebuilt from their spans in the marked text; each token's key is
     its ``token_key``."""
-    marked, = insert_markers([(segment, entities)], backbone)
+    marked, = insert_markers([views_of([(segment, entities)])], backbone)
     if isinstance(marked, Exception):
         raise marked
     text = mark(segment.text, _cuts(entities))
@@ -261,7 +262,7 @@ def test_one_pass_marks_each_view_as_it_marks_it_alone_errors_included():
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=32)
     views = unmarkable_views()
     names = ["ok", "overlap", "overflow", "empty", "ok", "overflow"]
-    together = insert_markers([views[name] for name in names], backbone)
+    together = insert_markers([views_of([views[name] for name in names])], backbone)
     assert [type(m).__name__ for m in together] == [
         "MarkedInput", "MarkerOverlapError", "ContextOverflowError", "ValueError",
         "MarkedInput", "ContextOverflowError"]
@@ -270,7 +271,7 @@ def test_one_pass_marks_each_view_as_it_marks_it_alone_errors_included():
                                 "window holds 31")
     assert str(together[3]) == "occurrence of ' ' produced no tokens"
     for name, got in zip(names, together):
-        alone, = insert_markers([views[name]], backbone)
+        alone, = insert_markers([views_of([views[name]])], backbone)
         if isinstance(got, Exception):
             assert type(got) is type(alone) and str(got) == str(alone)
         else:
@@ -379,7 +380,7 @@ def test_token_spans_match_scan_reference(table):
         fulls.append(full)
     assert windowed > 100
     # one pass over every view marks each view as it marks it alone
-    for together, alone in zip(insert_markers(views, unbounded), fulls):
+    for together, alone in zip(insert_markers([views_of(views)], unbounded), fulls):
         assert together.keys.tobytes() == alone.keys.tobytes()
         assert together.spans.tobytes() == alone.spans.tobytes()
         assert together.occurrences.tobytes() == alone.occurrences.tobytes()
@@ -516,7 +517,7 @@ def test_encode_marked_keeps_each_backbone_call_within_budget(monkeypatch):
     enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=4, max_tokens=10 ** 6))
     views = [_random_segment(rng, 3 if case % 2 else 300) for case in range(300)]
     views[150:150] = [_long_occurrence_segment(ENCODE_BUDGET + 20)]
-    marked = enc.mark(views)
+    marked = enc.mark([views_of(views)])
     packed = enc.encode_marked(marked)
     assert sum(len(inputs) for inputs, _, _ in calls) == len(marked) and len(calls) > 5
     # at most ENCODE_BUDGET rows a call, unless the call holds one input that

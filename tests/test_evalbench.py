@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 
 from falcon.backbone import DeterministicStubBackbone
-from falcon.dataset import decompose_candidate, split_dataset
-from falcon.encoder import input_key
+from falcon.dataset import split_dataset
+from falcon.encoder import candidate_views, input_keys
 from falcon.evalbench import (
     AblationTable,
     ablation_configs,
@@ -14,6 +14,7 @@ from falcon.evalbench import (
     run_ablations,
 )
 from falcon.fusion import FrozenTrajectoryExtractor
+from falcon.ingest import MentionTable
 from falcon.training import InteractionModel, TrainConfig, predict, pretrain_trajectory_extractor, train
 
 
@@ -98,12 +99,8 @@ def test_ablations_encode_each_distinct_input_once(corpus, monkeypatch):
     run_ablations(examples, config, frozen_extractor=extractor)
     # The full config reads the interaction view of every split and, through
     # the extractor (same backbone settings), every trajectory view.
-    keys = set()
-    for ex in examples:
-        keys.add(input_key(ex.candidate.segment, ex.candidate.entities()))
-        keys.update(input_key(t.segment, (t.person, t.time, t.location))
-                    for t in decompose_candidate(ex.candidate))
-    assert sum(calls) == len(keys)
+    inter, tra = candidate_views(MentionTable.from_candidates(ex.candidate for ex in examples))
+    assert sum(calls) == len({*input_keys(inter), *input_keys(tra)})
     assert max(calls) > 1  # batched
 
 

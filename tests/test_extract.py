@@ -9,6 +9,7 @@ from falcon.dataset import split_dataset
 from falcon.extract import (
     FixtureLLMClient,
     HttpChatClient,
+    InteractionRecord,
     TransportError,
     classify_records,
     classify_type,
@@ -16,9 +17,9 @@ from falcon.extract import (
     load_records,
     normalize_time,
     parse_type,
-    record_from_candidate,
+    record_json,
 )
-from falcon.ingest import dumps_record, generate_candidates, iter_jsonl
+from falcon.ingest import MentionTable, dumps_record, generate_candidates, iter_jsonl
 from falcon.training import InteractionModel, TrainConfig, pretrain_trajectory_extractor, train
 from fixture_builders import time_surface_fixture
 
@@ -53,16 +54,22 @@ def test_time_fixture_agreement_at_least_98_percent():
     assert agree / len(entries) >= 0.98
 
 
+def record_of(cand, score, gazetteer=None):
+    """The record extraction writes for one candidate object."""
+    return InteractionRecord.from_json(
+        record_json(MentionTable.from_candidates([cand]), 0, score, gazetteer))
+
+
 def test_out_of_span_year_dropped_from_record(corpus):
     cand = corpus.examples[0].candidate
-    rec = record_from_candidate(cand, 0.9)
+    rec = record_of(cand, 0.9)
     assert rec.time_year == int(cand.time.surface)
     # craft a surface outside the supported span
     from dataclasses import replace
 
     far = replace(cand, time=replace(cand.time, surface="2525",
                                      occurrences=cand.time.occurrences))
-    rec2 = record_from_candidate(far, 0.9)
+    rec2 = record_of(far, 0.9)
     assert rec2.time_year is None
     assert rec2.time_surface == "2525"
 
@@ -242,7 +249,7 @@ def canned_client(tmp_path, responses):
 
 
 def record_stub(corpus, i=0):
-    return record_from_candidate(corpus.examples[i].candidate, 0.9)
+    return record_of(corpus.examples[i].candidate, 0.9)
 
 
 def test_fixture_client_round_robin(tmp_path, corpus):

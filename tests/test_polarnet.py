@@ -638,6 +638,36 @@ def test_record_distance_uses_attr_birthplaces():
     assert got == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_record_distances_equal_one_call_per_record_bit_for_bit(seed):
+    # Few places, shared by many records and people, some of them missing;
+    # integer, negative-zero and subnormal coordinates included.
+    rng = random.Random(seed)
+    spots = [(rng.uniform(-89, 89), rng.uniform(-179, 179)) for _ in range(5)]
+    spots += [(0.0, -0.0), (-0.0, 0.0), (12, -70), (5e-324, 1.0)]
+    names = [f"Person {i}" for i in range(12)]
+    attrs = {normalize_surface(name): {"party": "Republican"} for name in names}
+    for key in attrs:
+        if rng.random() < 0.8:
+            attrs[key]["birthplace"] = list(rng.choice(spots))
+    records = []
+    for i in range(300):
+        p1, p2 = sorted(rng.sample(names, 2))
+        lat, lon = rng.choice(spots) if rng.random() < 0.85 else (None, None)
+        records.append(make_record(i, p1, p2, "Neutral", lat=lat, lon=lon))
+    want = []
+    for rec in records:
+        bp1 = attrs[normalize_surface(rec.person1)].get("birthplace")
+        bp2 = attrs[normalize_surface(rec.person2)].get("birthplace")
+        location = None if rec.lat is None else (float(rec.lat), float(rec.lon))
+        want.append(interaction_distance(location, bp1, bp2))
+    got = record_distances(records, attrs)
+    assert [d is None for d in got] == [d is None for d in want]
+    assert 0 < sum(d is None for d in want) < len(want)
+    assert [float.hex(d) for d in got if d is not None] == [
+        float.hex(d) for d in want if d is not None]
+
+
 # ---------------------------------------------------------------------------
 # graph statistics
 

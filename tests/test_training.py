@@ -5,13 +5,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from falcon import fixtures, training
+from falcon import encoder, fixtures
 from falcon.backbone import DeterministicStubBackbone
-from falcon.dataset import LabeledExample, decompose_candidate, split_dataset
-from falcon.encoder import ENCODE_BUDGET, ArBertEncoder, MarkerOverlapError, input_key
+from falcon.dataset import LabeledExample, split_dataset
+from falcon.encoder import (
+    ENCODE_BUDGET,
+    ArBertEncoder,
+    MarkerOverlapError,
+    Views,
+    candidate_views,
+    input_keys,
+    views_of,
+)
 from falcon.evalbench import ABLATION_GRID, compute_metrics
 from falcon.fusion import FrozenTrajectoryExtractor
-from falcon.ingest import CandidateQuadruple, EntityMention, TextSegment, generate_candidates
+from falcon.ingest import (
+    CandidateQuadruple,
+    EntityMention,
+    MentionTable,
+    TextSegment,
+    generate_candidates,
+)
 from falcon.training import (
     AdamW,
     FeatureStore,
@@ -274,7 +288,7 @@ def test_a_candidates_score_does_not_depend_on_its_batch(corpus):
     by_doc: dict = {}
     for triple in corpus.triples:
         by_doc.setdefault(triple.segment.doc_id, []).append(triple)
-    docs = [generate_candidates(by_doc[doc_id]) for doc_id in sorted(by_doc)]
+    docs = [generate_candidates(by_doc[doc_id]).objects() for doc_id in sorted(by_doc)]
     docs.append([_ragged_candidate(i, counts) for i, counts in
                  enumerate([(12, 1, 2, 1), (5, 9, 1, 3), (2, 2, 7, 1), (1, 1, 1, 1)])])
     everything = [cand for doc in docs for cand in doc]
@@ -347,11 +361,21 @@ def test_no_train_split_is_error(corpus, extractor):
         train(model, corpus.examples)
 
 
-def _rows_read(encoder, views):
-    """The hidden rows encoding (segment, entities) views reads: each
-    view's CLS row and the rows inside its occurrence spans."""
-    return sum(1 + int((m.occurrences[:, 3] - m.occurrences[:, 2] + 1).sum())
-               for m in encoder.mark(views))
+def _distinct_inputs(marker, views_list):
+    """The distinct inputs among ``views_list`` (Views): their count and the
+    hidden rows encoding them reads, each one's CLS row and the rows inside
+    its occurrence spans."""
+    parts, seen = [], set()
+    for views in views_list:
+        index = []
+        for j, key in enumerate(input_keys(views)):
+            if key not in seen:
+                seen.add(key)
+                index.append(j)
+        parts.append(views.take(index))
+    rows = sum(1 + int((m.occurrences[:, 3] - m.occurrences[:, 2] + 1).sum())
+               for m in marker.mark(parts))
+    return len(seen), rows
 
 
 def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
@@ -367,32 +391,26 @@ def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
     marker = ArBertEncoder(DeterministicStubBackbone(config.hidden_size, config.max_tokens))
     triples = corpus.labeled_triples
     extractor, _ = pretrain_trajectory_extractor(triples, config)
-    views = {input_key(t.triple.segment, (t.triple.person, t.triple.time, t.triple.location)):
-             (t.triple.segment, (t.triple.person, t.triple.time, t.triple.location))
-             for t in triples}
-    assert sum(n for n, _ in calls) == len(views)
-    assert sum(rows for _, rows in calls) == _rows_read(marker, list(views.values()))
+    views = Views.of(MentionTable.from_triples(t.triple for t in triples))
+    assert (sum(n for n, _ in calls), sum(rows for _, rows in calls)) == _distinct_inputs(
+        marker, [views])
 
     examples = split_dataset(corpus.examples, seed=0)
     for ft in (False, True):
         # The trajectory task reads the train examples' trajectory views; the
         # frozen features (ft) read the val examples' ones too. The extractor
         # has the model's backbone settings, so both encoders share one store.
-        views = {}
-        for ex in examples:
-            if ex.split in ("train", "val"):
-                view = (ex.candidate.segment, ex.candidate.entities())
-                views[input_key(*view)] = view
-            if ex.split == "train" or (ft and ex.split == "val"):
-                for t in decompose_candidate(ex.candidate):
-                    view = (t.segment, (t.person, t.time, t.location))
-                    views[input_key(*view)] = view
+        views = []
+        for split in ("train", "val"):
+            inter, tra = candidate_views(MentionTable.from_candidates(
+                ex.candidate for ex in examples if ex.split == split))
+            views += [inter, tra] if split == "train" or ft else [inter]
         calls.clear()
         run = replace(config, fusion_mode="gated" if ft else "off")
         result = train(InteractionModel(run, frozen=extractor if ft else None), examples)
         assert len(result.history) == 3
-        assert sum(n for n, _ in calls) == len(views), f"ft={ft}"
-        assert sum(rows for _, rows in calls) == _rows_read(marker, list(views.values()))
+        assert (sum(n for n, _ in calls), sum(rows for _, rows in calls)) == _distinct_inputs(
+            marker, views), f"ft={ft}"
         assert all(rows <= ENCODE_BUDGET or n == 1 for n, rows in calls)
         assert max(n for n, _ in calls) > 1  # batched
 
@@ -461,26 +479,29 @@ def test_a_candidate_stops_at_its_first_view_that_overflows(corpus, extractor):
 def test_a_fill_raises_what_its_first_unmarkable_view_raises():
     views = unmarkable_views()
     store = FeatureStore(ArBertEncoder(DeterministicStubBackbone(hidden_size=4, max_tokens=32)))
-    rows, reasons = store.fill([views[name] for name in ("ok", "overflow", "ok", "overflow")])
+    rows, reasons = store.fill(views_of([views[name] for name in ("ok", "overflow", "ok",
+                                                                   "overflow")]))
     assert rows.tolist() == [0, -1, 0, -1]
     assert reasons[0] is reasons[2] is None and reasons[1] == reasons[3]
     assert reasons[1].startswith("context overflow")
     with pytest.raises(ValueError, match="produced no tokens"):
-        store.fill([views[name] for name in ("overflow", "empty", "overlap")])
+        store.fill(views_of([views[name] for name in ("overflow", "empty", "overlap")]))
     with pytest.raises(MarkerOverlapError):
-        store.fill([views[name] for name in ("ok", "overlap", "empty")])
+        store.fill(views_of([views[name] for name in ("ok", "overlap", "empty")]))
     assert len(store.inputs) == 1
 
 
-def test_predict_decomposes_each_candidate_once(corpus, extractor, monkeypatch):
-    calls = []
-    decompose = training.decompose_candidate
-    monkeypatch.setattr(training, "decompose_candidate",
-                        lambda cand: calls.append(cand) or decompose(cand))
+def test_predict_marks_each_distinct_view_once_in_one_pass(corpus, extractor, monkeypatch):
+    calls = []  # per marking pass: the views marked
+    insert_markers = encoder.insert_markers
+    monkeypatch.setattr(encoder, "insert_markers", lambda views, backbone: calls.append(
+        sum(map(len, views))) or insert_markers(views, backbone))
     model = InteractionModel(TrainConfig(hidden_size=4, seed=1), frozen=extractor)
     cands = [ex.candidate for ex in corpus.examples[:12]]
     assert not any(p.skipped for p in predict(model, cands))
-    assert len(calls) == len(cands)
+    # the extractor shares the model's store: one pass for every view it lacks
+    inter, tra = candidate_views(MentionTable.from_candidates(cands))
+    assert calls == [len({*input_keys(inter), *input_keys(tra)})]
 
 
 def test_validation_is_prediction_on_the_training_store(corpus, extractor):
