@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from pathlib import Path
@@ -11,10 +10,12 @@ from typing import TYPE_CHECKING
 import click
 
 from . import dataset as ds
-from . import evalbench, extract, fixtures, ingest
+from . import extract, ingest
 
 # `training` and `polarnet` load NumPy, so only the commands that compute with
-# them import them, and the other commands start without it.
+# them import them, and the other commands start without it. `evalbench`,
+# `fixtures` and `csv` serve a command or two each, which import them, so no
+# other command compiles or loads them at start-up.
 if TYPE_CHECKING:
     from . import training as tr
 
@@ -200,6 +201,7 @@ def predict_cmd(checkpoint, cand_path, out_path, threshold):
 @click.option("--out", "out_path", type=click.Path())
 def eval_cmd(checkpoint, data_path, split, out_path):
     """Evaluate a checkpoint on one split of a labeled dataset."""
+    from . import evalbench
     from . import training as tr
 
     model = tr.InteractionModel.load(checkpoint)
@@ -221,6 +223,7 @@ def eval_cmd(checkpoint, data_path, split, out_path):
 @click.option("--frozen", "frozen_path", required=True, type=click.Path(exists=True))
 def ablate_cmd(config_path, data_path, out_dir, frozen_path):
     """Run the six-configuration ablation grid and write CSV + text tables."""
+    from . import evalbench
     from . import training as tr
 
     config = _load_train_config(config_path)
@@ -355,6 +358,8 @@ def analyze_trends(records_path, attrs_path, bin_size, out_csv, out_json):
 @click.option("--out-csv", "out_csv", required=True, type=click.Path())
 def analyze_distance(records_path, attrs_path, out_csv):
     """Per-record interaction distances (location to both birthplaces)."""
+    import csv
+
     from . import polarnet
 
     table, attrs = _load_table_attrs(records_path, attrs_path)
@@ -413,6 +418,8 @@ def analyze_export(records_path, attrs_path, out_edges, out_gexf):
 @click.option("--seed", default=7, show_default=True)
 def fixture_cmd(out_dir, n_docs, seed):
     """Materialize the deterministic fixture corpus for offline runs."""
+    from . import fixtures
+
     corpus = fixtures.build_fixture_corpus(n_docs=n_docs, seed=seed)
     out = Path(out_dir)
     (out / "docs").mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,6 @@ the record as the typing step and the analyses read it back.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import operator
 import os
@@ -141,6 +140,8 @@ def record_json(cands: MentionTable, row: int, score: float,
     and the normalized surfaces; its year is the time surface's
     (:func:`normalize_time`) when inside ``YEAR_RANGE``; a gazetteer entry
     of its location adds the entry's lat, lon and state."""
+    import hashlib  # here: loading it is a few ms of every command's start-up
+
     doc_id, segment_id, char_start, char_end, _ = cands.envelopes[cands.segment[row]]
     person1, person2, time_, location = cands.surface[4 * row:4 * row + 4]
     norms, surfaces = cands.norms, cands.surfaces

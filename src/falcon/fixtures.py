@@ -154,6 +154,9 @@ def paragraph_triples(segment: TextSegment, rendered: RenderedParagraph,
 # ---------------------------------------------------------------------------
 # The 50-document fixture corpus
 
+# Paragraphs per pairing call of build_fixture_corpus
+PAIR_BATCH = 64
+
 @dataclass
 class FixtureCorpus:
     documents: list[Document] = field(default_factory=list)
@@ -218,7 +221,19 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
             "profession": ["Politics & Law", "Education", "Journalism"][i % 3],
         }
 
-    paragraphs = []  # (segment, rendered, person a) of each paragraph, in order
+    pending = []  # (segment, rendered, person a) of each paragraph not paired yet
+
+    def pair_pending():
+        """A paragraph is a segment of its two triples, the last ones added,
+        so it has at most one candidate. Paragraphs are paired PAIR_BATCH at
+        a time: one call per paragraph costs more time, one per corpus holds
+        every rendered paragraph until the end."""
+        cands = {c.segment.segment_id: c for c in generate_candidates(
+            corpus.triples[len(corpus.triples) - 2 * len(pending):]).objects()}
+        for segment, rendered, a in pending:
+            if segment.segment_id in cands:
+                corpus.examples.append(_attach_labels(cands[segment.segment_id], rendered, a))
+        pending.clear()
 
     def add_paragraph_set(doc_id, person_a, specs):
         doc, rows = _build_doc(doc_id, person_a, specs)
@@ -228,7 +243,9 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
             corpus.triples.extend([ta, tb])
             corpus.labeled_triples.append(LabeledTriple(ta, rendered.y_tra_a))
             corpus.labeled_triples.append(LabeledTriple(tb, rendered.y_tra_b))
-            paragraphs.append((segment, rendered, a))
+            pending.append((segment, rendered, a))
+        if len(pending) >= PAIR_BATCH:
+            pair_pending()
 
     # canonical docs
     fig1a = _pos_met("Niemans", "Berg", "1950", "The Hague")
@@ -252,13 +269,7 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
             specs.append((template(person_a, b, t, l), person_a, b, t, l))
         add_paragraph_set(f"fix{i:04d}", person_a, specs)
 
-    # each paragraph is a segment of its two triples: at most one candidate
-    cands = {(c.segment.doc_id, c.segment.segment_id): c
-             for c in generate_candidates(corpus.triples).objects()}
-    for segment, rendered, a in paragraphs:
-        cand = cands.get((segment.doc_id, segment.segment_id))
-        if cand:
-            corpus.examples.append(_attach_labels(cand, rendered, a))
+    pair_pending()
 
     corpus.llm_responses = [
         "Cooperative", "Adversarial", "Neutral", "Cooperative",

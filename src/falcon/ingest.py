@@ -20,6 +20,7 @@ columns through :meth:`MentionTable.from_triples`,
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, islice
@@ -58,7 +59,7 @@ class Document:
             raise ValueError(f"unknown document source {self.source!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextSegment:
     segment_id: str
     doc_id: str
@@ -73,7 +74,7 @@ class TextSegment:
             raise ValueError(f"segment {self.segment_id!r}: text/offset length mismatch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityMention:
     """A role-tagged entity with every occurrence span inside its segment."""
 
@@ -116,7 +117,7 @@ def validate_mention(mention: EntityMention, segment_text: str) -> None:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryTriple:
     segment: TextSegment
     person: EntityMention
@@ -132,7 +133,7 @@ class TrajectoryTriple:
             validate_mention(m, self.segment.text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateQuadruple:
     segment: TextSegment
     person1: EntityMention
@@ -193,11 +194,11 @@ class MentionTable:
         else:
             for name in self._SHARED:
                 setattr(self, name, getattr(like, name))
-        self.segment: list[int] = []
-        self.surface: list[int] = []
-        self.bounds: list[int] = [0]
-        self.starts: list[int] = []
-        self.ends: list[int] = []
+        self.segment = array("q")
+        self.surface = array("q")
+        self.bounds = array("q", [0])
+        self.starts = array("q")
+        self.ends = array("q")
 
     def __len__(self) -> int:
         return len(self.segment)
@@ -220,8 +221,8 @@ class MentionTable:
     def _mention(self, surface: int, starts: list[int], ends: list[int]) -> None:
         """Append a mention: the id of its surface and its occurrences."""
         self.surface.append(surface)
-        self.starts += starts
-        self.ends += ends
+        self.starts.extend(starts)
+        self.ends.extend(ends)
         self.bounds.append(len(self.starts))
 
     def add(self, segment: TextSegment, entities: Sequence[EntityMention]) -> None:
@@ -240,10 +241,11 @@ class MentionTable:
     def add_json(self, obj) -> None:
         """Append the triple of one decoded Triple JSONL line. A line whose
         values all have their JSON types (strings, integer offsets, spans of
-        two integers) and whose segment is well formed goes into the columns
-        as read; any other goes through :func:`triple_from_json`, which
-        raises what is wrong with it or returns the triple to append. The
-        spans are checked apart, per column (:meth:`span_faults`)."""
+        two integers inside the segment) and whose segment is well formed
+        goes into the columns as read; any other goes through
+        :func:`triple_from_json`, which raises what is wrong with it or
+        returns the triple to append. The spans are checked apart, per
+        column (:meth:`span_faults`)."""
         if not self._add_checked_json(obj):
             t = triple_from_json(obj)
             self.add(t.segment, (t.person, t.time, t.location))
@@ -259,18 +261,19 @@ class MentionTable:
             seg = self._envelope_ids.get(envelope)
         except (KeyError, TypeError):  # not an object, a key missing, or an unhashable value
             return False
-        if seg is None:
-            doc_id, segment_id, start, end, text = envelope
-            if not (type(doc_id) is str and type(segment_id) is str and type(text) is str
-                    and type(start) is int and type(end) is int
-                    and 0 <= start < end and len(text) == end - start):
-                return False
+        doc_id, segment_id, start, end, text = envelope
+        if seg is None and not (type(doc_id) is str and type(segment_id) is str
+                                and type(text) is str and type(start) is int
+                                and type(end) is int and 0 <= start < end
+                                and len(text) == end - start):
+            return False
         for surface, occurrences in mentions:
             if type(surface) is not str or type(occurrences) is not list or not occurrences:
                 return False
-            for span in occurrences:
+            for span in occurrences:  # two integers inside the segment
                 if (type(span) is not list or len(span) != 2
-                        or type(span[0]) is not int or type(span[1]) is not int):
+                        or type(span[0]) is not int or type(span[1]) is not int
+                        or not 0 <= span[0] <= len(text) or not 0 <= span[1] <= len(text)):
                     return False
         self.segment.append(self._envelope(envelope) if seg is None else seg)
         starts, ends = self.starts, self.ends
@@ -287,8 +290,8 @@ class MentionTable:
         refuses: one outside its segment, one that overlaps or precedes the
         one before it, or one whose text does not normalise to the mention's
         surface."""
-        arity, bounds, starts, ends, norms = (len(self.roles), self.bounds, self.starts,
-                                              self.ends, self.norms)
+        arity, bounds, starts, ends = len(self.roles), self.bounds, self.starts, self.ends
+        surfaces, norms = self.surfaces, self.norms
         texts = [envelope[4] for envelope in self.envelopes]
         faults: list[int] = []
         for m, (text, sid, a, b) in enumerate(zip(
@@ -298,7 +301,8 @@ class MentionTable:
             for j in range(a, b):
                 start, end = starts[j], ends[j]
                 if (not prev <= start < end <= len(text)
-                        or normalize_surface(text[start:end]) != norms[sid]):
+                        or text[start:end] != surfaces[sid]  # most spans read their surface
+                        and normalize_surface(text[start:end]) != norms[sid]):
                     if not faults or faults[-1] != m // arity:
                         faults.append(m // arity)
                     break
@@ -315,15 +319,15 @@ class MentionTable:
             out.surface = self.surface[first:last]
             out.starts = self.starts[bounds[first]:bounds[last]]
             out.ends = self.ends[bounds[first]:bounds[last]]
-            out.bounds = [b - bounds[first] for b in bounds[first:last + 1]]
+            out.bounds = array("q", [b - bounds[first] for b in bounds[first:last + 1]])
             return out
         rows = list(rows)
         mentions = [m for row in rows for m in range(row * arity, row * arity + arity)]
-        out.segment = [self.segment[row] for row in rows]
-        out.surface = [self.surface[m] for m in mentions]
-        out.starts = [x for m in mentions for x in self.starts[bounds[m]:bounds[m + 1]]]
-        out.ends = [x for m in mentions for x in self.ends[bounds[m]:bounds[m + 1]]]
-        out.bounds = [0, *accumulate(bounds[m + 1] - bounds[m] for m in mentions)]
+        out.segment = array("q", [self.segment[row] for row in rows])
+        out.surface = array("q", [self.surface[m] for m in mentions])
+        out.starts = array("q", [x for m in mentions for x in self.starts[bounds[m]:bounds[m + 1]]])
+        out.ends = array("q", [x for m in mentions for x in self.ends[bounds[m]:bounds[m + 1]]])
+        out.bounds = array("q", [0, *accumulate(bounds[m + 1] - bounds[m] for m in mentions)])
         return out
 
     def doc_ids(self) -> list[str]:
