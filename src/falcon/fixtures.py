@@ -157,6 +157,7 @@ def paragraph_triples(segment: TextSegment, rendered: RenderedParagraph,
 # Paragraphs per pairing call of build_fixture_corpus
 PAIR_BATCH = 64
 
+
 @dataclass
 class FixtureCorpus:
     documents: list[Document] = field(default_factory=list)

@@ -175,10 +175,11 @@ class MentionTable:
     ``m = i * len(roles) + k``: its surface is ``surfaces[surface[m]]``
     (normalized: ``norms[surface[m]]``), each distinct surface held once, and
     its occurrences are the spans ``(starts[j], ends[j])`` for j in
-    ``bounds[m]:bounds[m + 1]``. Envelopes and surfaces take ids in the
-    order first seen, so a table does not depend on the hash seed. A table
-    made ``like`` another (:meth:`take`, :func:`generate_candidates`) shares
-    its envelopes and surfaces.
+    ``bounds[m]:bounds[m + 1]``; the integer columns are ``array('q')``.
+    Envelopes and surfaces take ids in the order first seen, so a table
+    does not depend on the hash seed. A table made ``like`` another
+    (:meth:`take`, :func:`generate_candidates`) shares its envelopes and
+    surfaces.
     """
 
     _SHARED = ("envelopes", "_envelope_ids", "surfaces", "norms", "_surface_ids")
