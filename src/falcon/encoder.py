@@ -170,7 +170,7 @@ def input_keys(views: Views) -> list[tuple]:
     bytes) with the bytes of the view's occurrence counts and spans, the
     smallest form a training run's store keeps one of per input."""
     counts, index = views.occurrences()
-    n_views, n_slots = counts.shape
+    n_slots = counts.shape[1]
     per_view = counts.sum(axis=1)
     size = n_slots + 2 * per_view
     at = np.cumsum(size) - size

@@ -634,8 +634,8 @@ def generate_candidates(triples: MentionTable | Sequence[TrajectoryTriple]) -> M
                     continue
                 first, second = (a, b) if a[0::3] <= b[0::3] else (b, a)
                 found.setdefault((first[0], second[0], a[1], a[2]), (first[5], second[5]))
-        for key in sorted(found):
-            first, second = found[key]
+        for pair in sorted(found):
+            first, second = found[pair]
             out.segment.append(triples.segment[first])
             for m in (3 * first, 3 * second):
                 out._mention(surface[m], starts[bounds[m]:bounds[m + 1]],
