@@ -1,8 +1,5 @@
 import pytest
 
-from falcon.encoder import candidate_views
-from falcon.ingest import MentionTable
-
 from falcon.dataset import (
     LabeledExample,
     dump_examples,
@@ -12,6 +9,8 @@ from falcon.dataset import (
     split_dataset,
     summarize,
 )
+from falcon.encoder import candidate_views
+from falcon.ingest import MentionTable
 
 
 def fig1a_example(corpus):
