@@ -36,6 +36,7 @@ gradient checks use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,6 +56,24 @@ ROLE_KEYS = ("cls", "person1", "person2", "person", "time", "location")
 # It bounds the call's temporaries: unbounded, a perfbench ``train`` pass
 # computes each store in one call, and its heap peak rises by about 6 %.
 ENCODE_BUDGET = 512
+
+
+def flat_size(shapes: dict[str, tuple[int, ...]]) -> int:
+    """The entries of arrays of the given shapes, all together."""
+    return sum(math.prod(shape) for shape in shapes.values())
+
+
+def flat_views(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Consecutive pieces of the 1-D ``vector``, one per name in order, as
+    views of the given shapes; they must cover it exactly."""
+    views, at = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = vector[at:at + size].reshape(shape)
+        at += size
+    if at != vector.size:
+        raise ValueError(f"arrays of {at} entries do not cover a vector of {vector.size}")
+    return views
 
 
 class ContextOverflowError(Exception):
@@ -402,7 +421,7 @@ def _budget_runs(rows: list[int]):
 class EncoderCache:
     """What :meth:`ArBertEncoder.backward` reads of a batched forward."""
 
-    keys: tuple[str, ...]  # parameter key per slot: "cls", then one per role
+    slots: list[int]       # the ROLE_KEYS index of each slot's projection: cls, then each role
     tanh_out: np.ndarray   # (B, 1 + S, d)
     packed: PackedInputs
     scores: np.ndarray     # (B, S, K)
@@ -413,23 +432,50 @@ class ArBertEncoder:
     """Attention-enhanced entity encoder over the backbone.
 
     Trainable parameters: the occurrence-attention map (``attn.w``,
-    ``attn.b``) and one tanh-linear projection per role slot. Gradients for
-    all of them are produced by :meth:`backward`; the backbone is treated
-    as fixed.
+    ``attn.b``) and one tanh-linear projection per role slot. They live in
+    one float64 vector, ``vector``, in the blocks of :meth:`shapes`: every
+    role's projection matrix in one block and every role's bias in another,
+    so a forward reads a layout's projections with one index. ``params``
+    names views into it (``proj.<role>.W`` and ``.b`` per role of
+    :data:`ROLE_KEYS`), and ``grads`` the same views into the gradient
+    vector ``grad``, into which :meth:`backward` adds; the backbone is
+    treated as fixed. A model passes slices of its own two vectors as
+    ``vector`` and ``grad`` (zeroed); by default the encoder makes its own.
     """
 
-    def __init__(self, backbone: DeterministicStubBackbone, seed: int = 0):
+    def __init__(self, backbone: DeterministicStubBackbone, seed: int = 0,
+                 vector: np.ndarray | None = None, grad: np.ndarray | None = None):
         self.backbone = backbone
         d = backbone.hidden_size
+        shapes = self.shapes(d)
+        self.vector = np.zeros(flat_size(shapes)) if vector is None else vector
+        self.grad = np.zeros(flat_size(shapes)) if grad is None else grad
+        self._blocks = flat_views(self.vector, shapes)
+        self._grad_blocks = flat_views(self.grad, shapes)
+        self.params = self.named(self.vector)
+        self.grads = self.named(self.grad)
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(d)
-        self.params: dict[str, np.ndarray] = {
-            "attn.w": rng.normal(0.0, scale, size=d),
-            "attn.b": np.zeros(()),
-        }
-        for key in ROLE_KEYS:
-            self.params[f"proj.{key}.W"] = rng.normal(0.0, scale, size=(d, d))
-            self.params[f"proj.{key}.b"] = np.zeros(d)
+        self.params["attn.w"][...] = rng.normal(0.0, scale, size=d)
+        for w in self._blocks["proj.W"]:
+            w[...] = rng.normal(0.0, scale, size=(d, d))
+
+    @staticmethod
+    def shapes(d: int) -> dict[str, tuple[int, ...]]:
+        """The parameter blocks of an encoder of width ``d``, in vector order:
+        the attention map, then the projection matrices and the projection
+        biases of every role, by :data:`ROLE_KEYS`."""
+        n = len(ROLE_KEYS)
+        return {"attn.w": (d,), "attn.b": (), "proj.W": (n, d, d), "proj.b": (n, d)}
+
+    def named(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a vector laid out as ``vector``, by parameter name."""
+        blocks = flat_views(vector, self.shapes(self.hidden_size))
+        out = {"attn.w": blocks["attn.w"], "attn.b": blocks["attn.b"]}
+        for i, key in enumerate(ROLE_KEYS):
+            out[f"proj.{key}.W"] = blocks["proj.W"][i]
+            out[f"proj.{key}.b"] = blocks["proj.b"][i]
+        return out
 
     @property
     def hidden_size(self) -> int:
@@ -492,12 +538,10 @@ class ArBertEncoder:
         p = self.params
         scores, weights, agg = attend(packed.occ, packed.mask, p["attn.w"], p["attn.b"])
         t = np.tanh(np.concatenate([packed.cls[:, None], agg], axis=1))
-        keys = ("cls",) + tuple(r.lower() for r in packed.roles)
-        w = np.stack([p[f"proj.{k}.W"] for k in keys])
-        b = np.stack([p[f"proj.{k}.b"] for k in keys])
-        out = row_matmul(t, w) + b
+        slots = [0] + [ROLE_KEYS.index(role.lower()) for role in packed.roles]
+        out = row_matmul(t, self._blocks["proj.W"][slots]) + self._blocks["proj.b"][slots]
         return (out.reshape(len(t), -1),
-                EncoderCache(keys=keys, tanh_out=t, packed=packed, scores=scores,
+                EncoderCache(slots=slots, tanh_out=t, packed=packed, scores=scores,
                              weights=weights))
 
     def forward(self, segment: TextSegment, entities: Sequence[EntityMention]):
@@ -505,28 +549,27 @@ class ArBertEncoder:
         out, cache = self.forward_batch(self.prepare(segment, entities))
         return out[0], cache
 
-    def backward(self, d_out: np.ndarray, cache: EncoderCache,
-                 grads: dict[str, np.ndarray]) -> None:
-        """Accumulate parameter gradients of a forward pass, summed over its
-        batch.
+    def backward(self, d_out: np.ndarray, cache: EncoderCache) -> None:
+        """Add the parameter gradients of a forward pass, summed over its
+        batch, into ``grad``.
 
         ``d_out`` is the loss gradient w.r.t. the features, (B, (1+S)*d) or
         one vector when B=1; gradients stop at the backbone's hidden states.
         """
         t = cache.tanh_out
         d_slots = d_out.reshape(t.shape)
-        w = np.stack([self.params[f"proj.{k}.W"] for k in cache.keys])
-        d_w = np.einsum("bsi,bsj->sij", d_slots, t)
-        d_b = d_slots.sum(axis=0)
-        for s, key in enumerate(cache.keys):
-            grads[f"proj.{key}.W"] += d_w[s]
-            grads[f"proj.{key}.b"] += d_b[s]
+        slots = cache.slots
+        self._grad_blocks["proj.W"][slots] += np.einsum("bsi,bsj->sij", d_slots, t)
+        self._grad_blocks["proj.b"][slots] += d_slots.sum(axis=0)
+        w = self._blocks["proj.W"][slots]
         d_pre = (d_slots.swapaxes(0, 1) @ w).swapaxes(0, 1) * (1.0 - t ** 2)
         # slot 0 is CLS: its gradient stops at the backbone
         packed = cache.packed
         d_z = attend_backward(d_pre[:, 1:], packed.occ, cache.scores, cache.weights)
-        grads["attn.w"] += np.einsum("bsk,bskd->d", d_z, packed.occ)
-        grads["attn.b"] += d_z.sum()
+        self.grads["attn.w"] += np.einsum("bsk,bskd->d", d_z, packed.occ)
+        self.grads["attn.b"] += d_z.sum()
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+        """Zero ``grad``; returns its named views, ``grads``."""
+        self.grad.fill(0.0)
+        return self.grads

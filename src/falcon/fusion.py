@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .backbone import DeterministicStubBackbone
-from .encoder import ArBertEncoder, PackedInputs, row_matmul, softmax
+from .encoder import ArBertEncoder, PackedInputs, flat_size, flat_views, row_matmul, softmax
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -122,36 +122,74 @@ def fuse(h_inter: np.ndarray, h1_a: np.ndarray, h2_a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Frozen trajectory extractor
 
+def copy_params(views: dict[str, np.ndarray], arrays: dict[str, np.ndarray],
+                source: str) -> None:
+    """Copy ``arrays`` into the parameter ``views`` of the same names. Every
+    view must have its array, in its shape, and every array its view: a
+    missing name, an unknown name or a wrong shape raises
+    ``ValueError("<source>: ...")`` naming the array, before anything is
+    copied."""
+    for name, view in views.items():
+        if name not in arrays:
+            raise ValueError(f"{source}: array {name!r} is missing")
+        if np.shape(arrays[name]) != view.shape:
+            raise ValueError(f"{source}: array {name!r} has shape {np.shape(arrays[name])}, "
+                             f"expected {view.shape}")
+    unknown = sorted(arrays.keys() - views.keys())
+    if unknown:
+        raise ValueError(f"{source}: unknown array {unknown[0]!r}")
+    for name, view in views.items():
+        view[...] = arrays[name]
+
+
 class EncoderModel:
     """A model built on an :class:`ArBertEncoder`, described by one
     :class:`~falcon.training.TrainConfig`: ``config`` builds the backbone
     and the encoder, and the encoder's parameters appear as ``enc.<name>``
-    beside the model's own ``params``."""
+    beside the model's own ``params``.
 
-    params: dict[str, np.ndarray]
+    Every parameter lives in one float64 vector, ``vector``: the encoder's
+    blocks (:meth:`ArBertEncoder.shapes`), then the model's own arrays, in
+    the order the subclass gives their initial values. ``params`` and the
+    encoder's ``params`` are views into it, and ``grads`` (every name) the
+    same views into the gradient vector ``grad``, into which the backward
+    passes add. So an optimizer step is one update of ``vector``, and
+    :meth:`zero_grads` one fill of ``grad``."""
 
-    def __init__(self, config: TrainConfig):
+    def __init__(self, config: TrainConfig, initial: dict[str, np.ndarray]):
         self.config = config
         backbone = DeterministicStubBackbone(config.hidden_size, config.max_tokens)
-        self.encoder = ArBertEncoder(backbone, seed=config.seed)
+        n = flat_size(ArBertEncoder.shapes(config.hidden_size))
+        self._shapes = {name: value.shape for name, value in initial.items()}
+        self.vector = np.zeros(n + flat_size(self._shapes))
+        self.grad = np.zeros_like(self.vector)
+        self.encoder = ArBertEncoder(backbone, config.seed, self.vector[:n], self.grad[:n])
+        self.params = flat_views(self.vector[n:], self._shapes)
+        for name, value in initial.items():
+            self.params[name][...] = value
+        self.grads = self.named(self.grad)
 
-    def all_params(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.params.items()}
-        out.update(self.params)
+    def named(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a vector laid out as ``vector``, by parameter name."""
+        n = self.encoder.vector.size
+        out = {f"enc.{k}": v for k, v in self.encoder.named(vector[:n]).items()}
+        out.update(flat_views(vector[n:], self._shapes))
         return out
 
-    def set_params(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, v in arrays.items():
-            if k.startswith("enc."):
-                self.encoder.params[k[4:]] = v.copy()
-            else:
-                self.params[k] = v.copy()
+    def all_params(self) -> dict[str, np.ndarray]:
+        return self.named(self.vector)
+
+    def set_params(self, arrays: dict[str, np.ndarray], source: str = "parameters") -> None:
+        """Copy ``arrays`` into the parameters (:func:`copy_params`)."""
+        copy_params(self.all_params(), arrays, source)
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.all_params().items()}
+        return self.named(self.vector.copy())
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.all_params().items()}
+        """Zero ``grad``; returns its named views, ``grads``."""
+        self.grad.fill(0.0)
+        return self.grads
 
 
 class FrozenTrajectoryExtractor(EncoderModel):
@@ -163,16 +201,15 @@ class FrozenTrajectoryExtractor(EncoderModel):
     """
 
     def __init__(self, config: TrainConfig):
-        super().__init__(config)
         d = config.hidden_size
         rng = np.random.default_rng(config.seed + 1)
-        self.params = {
+        super().__init__(config, {
             "mlp.W1": rng.normal(0.0, 1.0 / np.sqrt(4 * d), size=(d, 4 * d)),
             "mlp.b1": np.zeros(d),
             "mlp.W2": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)),
             "mlp.b2": np.zeros(d),
             "head.W": rng.normal(0.0, 1.0 / np.sqrt(d), size=(2, d)),
-        }
+        })
         self.frozen = False
 
     def freeze(self) -> None:
@@ -198,10 +235,10 @@ class FrozenTrajectoryExtractor(EncoderModel):
         feat, mlp_cache = self._mlp_feature(h_prime)
         return softmax(row_matmul(feat, self.params["head.W"])), (enc_cache, mlp_cache, feat)
 
-    def backward_train(self, d_logits: np.ndarray, caches, grads: dict[str, np.ndarray]):
-        """Accumulate gradients of (B, 2) logit gradients."""
+    def backward_train(self, d_logits: np.ndarray, caches) -> None:
+        """Add the gradients of (B, 2) logit gradients into ``grad``."""
         enc_cache, (h_prime, a1), feat = caches
-        p = self.params
+        p, grads = self.params, self.grads
         grads["head.W"] += d_logits.T @ feat
         d_feat = d_logits @ p["head.W"]
         grads["mlp.W2"] += d_feat.T @ a1
@@ -209,8 +246,7 @@ class FrozenTrajectoryExtractor(EncoderModel):
         d_z1 = (d_feat @ p["mlp.W2"]) * (1.0 - a1 ** 2)
         grads["mlp.W1"] += d_z1.T @ h_prime
         grads["mlp.b1"] += d_z1.sum(axis=0)
-        enc_grads = {k[4:]: grads[k] for k in grads if k.startswith("enc.")}
-        self.encoder.backward(d_z1 @ p["mlp.W1"], enc_cache, enc_grads)
+        self.encoder.backward(d_z1 @ p["mlp.W1"], enc_cache)
 
     # -- persistence ---------------------------------------------------------
     def save(self, path: str | Path, history: list | None = None) -> None:
@@ -228,7 +264,7 @@ class FrozenTrajectoryExtractor(EncoderModel):
         if meta.get("kind") != "trajectory-extractor":
             raise ValueError(f"{path} is not a trajectory extractor checkpoint")
         extractor = cls(config_from_meta(path, meta["config"]))
-        extractor.set_params(arrays)
+        extractor.set_params(arrays, str(path))
         if meta.get("frozen"):
             extractor.freeze()
         return extractor

@@ -39,6 +39,7 @@ from .evalbench import compute_metrics
 from .fusion import (
     EncoderModel,
     FrozenTrajectoryExtractor,
+    copy_params,
     cross_attention_backward,
     cross_attention_forward,
     fuse,
@@ -189,52 +190,49 @@ def multitask_loss_grad_c(l_inter: float, l_tra: float, c1: float, c2: float):
 # Optimizer
 
 class AdamW:
-    """Decoupled-weight-decay adaptive-moment optimizer.
+    """Decoupled-weight-decay adaptive-moment optimizer of a model's
+    parameters.
 
-    Biases and the adaptive-weight scalars are exempt from decay; the
-    adaptive scalars are clamped to |c| >= 1e-3 after each step.
+    Biases (names ending in ``.b``) and the adaptive-weight scalars ``c``
+    are exempt from decay; ``c`` is clamped to |c| >= 1e-3 after each step.
 
-    The moments live in flat vectors over every parameter (in the order of
-    the ``params`` given at construction), so a step is a few elementwise
-    calls over one vector plus one gather and one write-back per array; the
-    arithmetic is the per-array update's, element for element.
+    The model (:class:`~falcon.fusion.EncoderModel`) holds every parameter
+    in one flat vector and every gradient in another, and the moments and
+    the per-entry decay are flat vectors of the same layout, so a step is a
+    few elementwise calls that update the moments and the parameters in
+    place; the arithmetic is the per-array update's, element for element.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
+    def __init__(self, model: EncoderModel, lr: float):
         self.lr = lr
         self.t = 0
-        self.names = list(params)
-        self.slices, n = [], 0
-        for name in self.names:
-            self.slices.append(slice(n, n + params[name].size))
-            n += params[name].size
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
+        self.params, self.grad = model.vector, model.grad
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
         # ADAM_WEIGHT_DECAY on decayed entries, 0 on exempt ones (0 * p adds nothing)
-        self.decay = np.zeros(n)
-        for name, at in zip(self.names, self.slices):
+        self.decay = np.zeros_like(self.params)
+        for name, view in model.named(self.decay).items():
             if not self._decay_exempt(name):
-                self.decay[at] = ADAM_WEIGHT_DECAY
+                view[...] = ADAM_WEIGHT_DECAY
+        self.c = model.params.get("c")
 
     @staticmethod
     def _decay_exempt(name: str) -> bool:
         return name.endswith(".b") or name == "c"
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self) -> None:
+        """One update of the parameters from the model's gradient."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        g = np.concatenate([grads[k].ravel() for k in self.names])
-        p = np.concatenate([params[k].ravel() for k in self.names])
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
-        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
-        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS) + self.decay * p
-        p -= self.lr * update
-        for name, at in zip(self.names, self.slices):
-            params[name][...] = p[at].reshape(params[name].shape)
-        if "c" in params:
-            c = params["c"]
-            np.copyto(c, np.sign(c) * np.maximum(np.abs(c), C_MIN))
+        g, p = self.grad, self.params
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1 - ADAM_BETA2) * g * g
+        p -= self.lr * ((self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS) + self.decay * p)
+        if self.c is not None:
+            np.copyto(self.c, np.sign(self.c) * np.maximum(np.abs(self.c), C_MIN))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +252,18 @@ class InteractionModel(EncoderModel):
 
     def __init__(self, config: TrainConfig,
                  frozen: FrozenTrajectoryExtractor | None = None):
-        super().__init__(config)
+        d = config.hidden_size
+        head_in = 7 * d if config.fusion_mode in ("gated", "concat") else 5 * d
+        rng = np.random.default_rng(config.seed + 2)
+        params: dict[str, np.ndarray] = {}
+        if config.fusion_mode == "gated":
+            params["fusion.W_gate"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
+            params["fusion.W_Q"] = rng.normal(0.0, 1.0 / np.sqrt(5 * d), size=(d, 5 * d))
+        params["head.inter.W"] = rng.normal(0.0, 1.0 / np.sqrt(head_in), size=(2, head_in))
+        if config.mt:
+            params["head.tra.W"] = rng.normal(0.0, 1.0 / np.sqrt(4 * d), size=(2, 4 * d))
+            if config.aw:
+                params["c"] = np.array([1.0, 1.0])
         self.frozen = frozen
         if config.fusion_mode != "off":
             if frozen is None:
@@ -265,22 +274,7 @@ class InteractionModel(EncoderModel):
                     f"model d={config.hidden_size}")
             if not frozen.frozen:
                 raise ValueError("trajectory extractor must be frozen before fusion")
-
-        d = config.hidden_size
-        head_in = 7 * d if config.fusion_mode in ("gated", "concat") else 5 * d
-        rng = np.random.default_rng(config.seed + 2)
-        self.params: dict[str, np.ndarray] = {}
-        if config.fusion_mode == "gated":
-            self.params["fusion.W_gate"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
-            self.params["fusion.W_Q"] = rng.normal(0.0, 1.0 / np.sqrt(5 * d),
-                                                   size=(d, 5 * d))
-        self.params["head.inter.W"] = rng.normal(0.0, 1.0 / np.sqrt(head_in),
-                                                 size=(2, head_in))
-        if config.mt:
-            self.params["head.tra.W"] = rng.normal(0.0, 1.0 / np.sqrt(4 * d),
-                                                   size=(2, 4 * d))
-            if config.aw:
-                self.params["c"] = np.array([1.0, 1.0])
+        super().__init__(config, params)
 
     # -- forward and backward -------------------------------------------------
     def forward_batch(self, inter: PackedInputs, tra: PackedInputs | None = None,
@@ -312,12 +306,12 @@ class InteractionModel(EncoderModel):
         return p_inter, p_tra, cache
 
     def backward_batch(self, cache: dict, d_logits_inter: np.ndarray,
-                       d_logits_tra: np.ndarray | None, grads: dict[str, np.ndarray]) -> None:
-        """Accumulate the gradients of (B, 2) interaction and (2, B, 2)
-        trajectory logit gradients, summed over the batch."""
+                       d_logits_tra: np.ndarray | None) -> None:
+        """Add the gradients of (B, 2) interaction and (2, B, 2) trajectory
+        logit gradients, summed over the batch, into ``grad``."""
         cfg = self.config
         d = cfg.hidden_size
-        p = self.params
+        p, grads = self.params, self.grads
         grads["head.inter.W"] += d_logits_inter.T @ cache["h_fused"]
         d_fused = d_logits_inter @ p["head.inter.W"]
         d_h_inter = d_fused[:, :5 * d]
@@ -329,12 +323,11 @@ class InteractionModel(EncoderModel):
             d_wg, _ = gate_backward(np.stack([d_g1, d_g2]), cache["gate"], p["fusion.W_gate"])
             grads["fusion.W_gate"] += d_wg
 
-        enc_grads = {k[4:]: grads[k] for k in grads if k.startswith("enc.")}
-        self.encoder.backward(d_h_inter, cache["inter"], enc_grads)
+        self.encoder.backward(d_h_inter, cache["inter"])
         if d_logits_tra is not None:
             d_logits_tra = d_logits_tra.reshape(-1, 2)
             grads["head.tra.W"] += d_logits_tra.T @ cache["h_tra"]
-            self.encoder.backward(d_logits_tra @ p["head.tra.W"], cache["tra"], enc_grads)
+            self.encoder.backward(d_logits_tra @ p["head.tra.W"], cache["tra"])
 
     @property
     def uses_features(self) -> bool:
@@ -355,6 +348,9 @@ class InteractionModel(EncoderModel):
 
     @classmethod
     def load(cls, path: str | Path) -> "InteractionModel":
+        """The model a checkpoint holds; its arrays must be the model's
+        parameters and, under ``frozen.``, its extractor's, each in its shape
+        (:func:`~falcon.fusion.copy_params`)."""
         arrays, meta = load_archive(path)
         if meta.get("kind") != "interaction-model":
             raise ValueError(f"{path} is not an interaction model checkpoint")
@@ -362,12 +358,12 @@ class InteractionModel(EncoderModel):
         frozen = None
         if "frozen_config" in meta:
             frozen = FrozenTrajectoryExtractor(config_from_meta(path, meta["frozen_config"]))
-            frozen.set_params({k[len("frozen."):]: v for k, v in arrays.items()
-                               if k.startswith("frozen.")})
             frozen.freeze()
         model = cls(config, frozen=frozen)
-        model.set_params({k: v for k, v in arrays.items()
-                          if not k.startswith("frozen.")})
+        views = model.all_params()
+        if frozen is not None:
+            views.update((f"frozen.{k}", v) for k, v in frozen.all_params().items())
+        copy_params(views, arrays, str(path))
         return model
 
 
@@ -547,8 +543,9 @@ class FeatureStore:
 # Batched objective
 
 def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
-                grads: dict[str, np.ndarray] | None, store: FeatureStore, rows: np.ndarray):
-    """Forward (and optionally backward) one batch; returns loss components.
+                backward: bool, store: FeatureStore, rows: np.ndarray):
+    """Forward (and with ``backward``, add the gradient into the model's
+    ``grad``) one batch; returns loss components.
     ``rows`` are the examples' rows in ``store``
     (:meth:`FeatureStore.fill_candidates`, with trajectories when the
     model is multi-task)."""
@@ -573,13 +570,12 @@ def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
         total = l_inter
         w_inter, w_tra = 1.0, 0.0
 
-    if grads is not None:
+    if backward:
         d_tra = (p_tra - _one_hot(y_tra)) * (w_tra * 0.5 / n) if cfg.mt else None
-        model.backward_batch(cache, (p_inter - _one_hot(y_inter)) * (w_inter / n), d_tra,
-                             grads)
+        model.backward_batch(cache, (p_inter - _one_hot(y_inter)) * (w_inter / n), d_tra)
         if cfg.mt and cfg.aw:
             g1, g2 = multitask_loss_grad_c(l_inter, l_tra, c1, c2)
-            grads["c"] += np.array([g1, g2])
+            model.grads["c"] += np.array([g1, g2])
 
     return total, l_inter, l_tra
 
@@ -600,30 +596,30 @@ class TrainResult:
     skipped: int = 0  # items left out: their marked spans overflow the window
 
 
-def _fit(params: dict[str, np.ndarray], zero_grads, items: Sequence,
-         config: TrainConfig, batch_step, end_epoch) -> None:
+def _fit(model: EncoderModel, items: Sequence, config: TrainConfig, batch_step,
+         end_epoch) -> None:
     """The epoch loop shared by both training stages.
 
     Each epoch visits ``items`` in a seeded permutation, in minibatches of
-    ``config.batch_size``. ``batch_step(batch, grads)`` adds the batch
-    gradient into the zeroed ``grads`` and returns the batch's loss terms,
-    the total first; a non-finite total aborts before the AdamW step.
+    ``config.batch_size``. ``batch_step(batch)`` adds the batch gradient
+    into the model's zeroed ``grad`` and returns the batch's loss terms, the
+    total first; a non-finite total aborts before the AdamW step.
     ``end_epoch(epoch, means)`` receives the example-weighted epoch means
     of those terms and returns True to stop early.
     """
-    optimizer = AdamW(params, lr=config.learning_rate)
+    optimizer = AdamW(model, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(items))
         sums = None
         for start in range(0, len(order), config.batch_size):
             batch = [items[i] for i in order[start:start + config.batch_size]]
-            grads = zero_grads()
-            terms = batch_step(batch, grads)
+            model.zero_grads()
+            terms = batch_step(batch)
             if not math.isfinite(terms[0]):
                 raise TrainingDiverged(
                     f"non-finite loss {terms[0]} at epoch {epoch}, batch offset {start}")
-            optimizer.step(params, grads)
+            optimizer.step()
             weighted = [term * len(batch) for term in terms]
             sums = weighted if sums is None else [a + b for a, b in zip(sums, weighted)]
         if end_epoch(epoch, [total / len(items) for total in sums]):
@@ -667,8 +663,8 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     best_f1 = -1.0
     stale = 0
 
-    def batch_step(batch, grads):
-        total, l_inter, l_tra = _batch_pass(model, [train_set[i] for i in batch], grads,
+    def batch_step(batch):
+        total, l_inter, l_tra = _batch_pass(model, [train_set[i] for i in batch], True,
                                             store, rows[batch])
         return total, l_inter, l_tra or 0.0
 
@@ -702,7 +698,7 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
         result.history.append(entry)
         return bool(val_set) and stale >= config.patience
 
-    _fit(model.all_params(), model.zero_grads, kept, config, batch_step, end_epoch)
+    _fit(model, kept, config, batch_step, end_epoch)
     model.set_params(best_params)
     result.best_val_f1 = best_f1 if val_set else None
     return result
@@ -733,17 +729,17 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
     packed = store.packed(TRAJECTORY_ROLES)
     labels = np.array([item.y_tra for item in corpus])
 
-    def batch_step(batch, grads):
+    def batch_step(batch):
         probs, caches = extractor.forward_train(packed.take(rows[batch]))
         y = labels[batch]
-        extractor.backward_train((probs - _one_hot(y)) / len(batch), caches, grads)
+        extractor.backward_train((probs - _one_hot(y)) / len(batch), caches)
         return (binary_cross_entropy(probs[:, 1], y),)
 
     def end_epoch(epoch, means):
         history.append({"epoch": epoch, "loss": means[0]})
         return False
 
-    _fit(extractor.all_params(), extractor.zero_grads, kept, config, batch_step, end_epoch)
+    _fit(extractor, kept, config, batch_step, end_epoch)
     extractor.freeze()
     return extractor, history
 

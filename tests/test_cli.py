@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -17,7 +18,7 @@ from falcon.encoder import ContextOverflowError, insert_markers, views_of
 from falcon.extract import dump_records
 from falcon.fixtures import political_records_fixture
 from falcon.ingest import CandidateQuadruple, EntityMention, TextSegment, TrajectoryTriple
-from falcon.training import InteractionModel
+from falcon.training import InteractionModel, load_archive, save_archive
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +445,21 @@ def test_a_bad_gazetteer_value_is_an_error_line(workspace, tmp_path, key, value,
     assert res.exit_code == 1, res.output
     assert res.output == f"Error: {bad}: {reason}\n"
     assert not out.exists()
+
+
+def test_a_checkpoint_that_does_not_match_its_model_is_an_error_line(workspace, tmp_path):
+    # eval loads a model checkpoint, train --frozen an extractor checkpoint
+    runner = CliRunner()
+    for name, flag, command in (
+            ("model.ckpt", "--checkpoint", ["eval"]),
+            ("extractor.ckpt", "--frozen", ["train", "--out", str(tmp_path / "out.ckpt")])):
+        arrays, meta = load_archive(workspace / name)
+        bad = tmp_path / name
+        save_archive(bad, {**arrays, "bogus": np.zeros(1)}, meta)
+        res = runner.invoke(main, [*command, flag, str(bad),
+                                   "--data", str(workspace / "fx" / "labeled_split.jsonl")])
+        assert res.exit_code == 1, res.output
+        assert res.output == f"Error: {bad}: unknown array 'bogus'\n"
 
 
 def test_a_bad_gazetteer_fails_before_the_checkpoint_is_read(workspace, tmp_path):

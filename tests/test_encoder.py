@@ -757,14 +757,14 @@ def test_encode_dimensions_quadruple_and_triple():
     for d in (4, 768):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d), seed=0)
         vector, cache = enc.forward(seg_of(FIG_TEXT), fig_entities())
-        assert vector.shape == (len(cache.keys) * d,) == (5 * d,)
+        assert vector.shape == (len(cache.slots) * d,) == (5 * d,)
     text = "Niemans in The Hague in 1950"
     entities = [mention("Person", "Niemans", text), mention("Time", "1950", text),
                 mention("Location", "The Hague", text)]
     for d in (4, 768):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d), seed=0)
         vector, cache = enc.forward(seg_of(text), entities)
-        assert vector.shape == (len(cache.keys) * d,) == (4 * d,)
+        assert vector.shape == (len(cache.slots) * d,) == (4 * d,)
 
 
 def _stub_rows_oracle(tokens, d, window=2):
@@ -844,7 +844,7 @@ def test_encoder_gradients_match_finite_differences():
 
     out, cache = enc.forward(segment, entities)
     grads = enc.zero_grads()
-    enc.backward(g, cache, grads)
+    enc.backward(g, cache)
 
     h = 1e-6
     for name in ("attn.w", "attn.b"):
@@ -853,11 +853,11 @@ def test_encoder_gradients_match_finite_differences():
             flat = p.reshape(-1) if p.ndim else None
             if p.ndim == 0:
                 orig = float(p)
-                enc.params[name] = np.array(orig + h)
+                enc.params[name][...] = orig + h
                 fp = g @ enc.forward(segment, entities)[0]
-                enc.params[name] = np.array(orig - h)
+                enc.params[name][...] = orig - h
                 fm = g @ enc.forward(segment, entities)[0]
-                enc.params[name] = np.array(orig)
+                enc.params[name][...] = orig
                 ana = float(grads[name])
             else:
                 orig = flat[i]

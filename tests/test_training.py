@@ -27,6 +27,11 @@ from falcon.ingest import (
     generate_candidates,
 )
 from falcon.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ADAM_WEIGHT_DECAY,
+    C_MIN,
     AdamW,
     FeatureStore,
     InteractionModel,
@@ -168,7 +173,7 @@ def _filled(model, batch):
 def test_mt_off_objective_is_interaction_loss_alone(corpus):
     config = TrainConfig(hidden_size=4, fusion_mode="off", mt=False, seed=3)
     model = InteractionModel(config)
-    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], None,
+    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], False,
                                         *_filled(model, corpus.examples[:4]))
     assert total == l_inter
     assert l_tra is None
@@ -178,7 +183,7 @@ def test_aw_off_objective_is_plain_sum(corpus, extractor):
     config = TrainConfig(hidden_size=4, aw=False, seed=3)
     model = InteractionModel(config, frozen=extractor)
     assert "c" not in model.params
-    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], None,
+    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], False,
                                         *_filled(model, corpus.examples[:4]))
     assert total == pytest.approx(l_inter + l_tra, abs=1e-12)
 
@@ -186,7 +191,7 @@ def test_aw_off_objective_is_plain_sum(corpus, extractor):
 def test_adaptive_objective_uses_formula(corpus, extractor):
     config = TrainConfig(hidden_size=4, seed=3)
     model = InteractionModel(config, frozen=extractor)
-    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], None,
+    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], False,
                                         *_filled(model, corpus.examples[:4]))
     assert total == pytest.approx(multitask_loss(l_inter, l_tra, 1.0, 1.0),
                                   abs=1e-12)
@@ -264,16 +269,16 @@ def test_objective_gradient_matches_finite_differences(name):
     batch = _ragged_examples()
     filled = _filled(model, batch)
     grads = model.zero_grads()
-    _batch_pass(model, batch, grads, *filled)
+    _batch_pass(model, batch, True, *filled)
     for key, param in model.all_params().items():
         flat = param.reshape(-1)
         assert np.shares_memory(flat, param)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = _batch_pass(model, batch, None, *filled)[0]
+            up = _batch_pass(model, batch, False, *filled)[0]
             flat[i] = orig - h
-            down = _batch_pass(model, batch, None, *filled)[0]
+            down = _batch_pass(model, batch, False, *filled)[0]
             flat[i] = orig
             numeric, analytic = (up - down) / (2 * h), grads[key].reshape(-1)[i]
             err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-4)
@@ -311,8 +316,8 @@ def test_padding_cannot_leak():
         rows, _ = store.fill_candidates([cands[i] for i in group], with_tra=True)
         _, _, cache = model.forward_batch(*store.gather(rows, with_tra=True))
         grads = model.zero_grads()
-        model.backward_batch(cache, d_inter[group], d_tra[:, group], grads)
-        return grads
+        model.backward_batch(cache, d_inter[group], d_tra[:, group])
+        return {key: value.copy() for key, value in grads.items()}
 
     batched = grads_of([0, 1, 2, 3])
     singles = [grads_of([i]) for i in range(4)]
@@ -429,11 +434,104 @@ def test_training_leaves_out_examples_the_frozen_window_cannot_hold():
 
 
 def test_adamw_clamps_adaptive_scalars():
-    params = {"c": np.array([1e-9, -1e-9])}
-    opt = AdamW(params, lr=0.0)
-    opt.step(params, {"c": np.zeros(2)})
+    model = InteractionModel(TrainConfig(hidden_size=2, fusion_mode="off"))
+    params = model.params
+    params["c"][...] = [1e-9, -1e-9]
+    opt = AdamW(model, lr=0.0)
+    model.zero_grads()
+    opt.step()
     assert abs(params["c"][0]) >= 1e-3
     assert abs(params["c"][1]) >= 1e-3
+
+
+def _per_array_adamw(params, steps, lr):
+    """AdamW applied to each array on its own: the reference for the flat
+    update. ``steps`` holds each step's gradients by name."""
+    params = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t, grads in enumerate(steps, start=1):
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
+        for k, p in params.items():
+            g = grads[k]
+            m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
+            v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g * g
+            decay = 0.0 if k.endswith(".b") or k == "c" else ADAM_WEIGHT_DECAY
+            update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + ADAM_EPS) + decay * p
+            params[k] = p - lr * update
+        if "c" in params:
+            c = params["c"]
+            params["c"] = np.sign(c) * np.maximum(np.abs(c), C_MIN)
+    return params
+
+
+@pytest.mark.parametrize("kind", ["extractor", "gated"])
+def test_adamw_equals_the_per_array_update_bit_for_bit(kind):
+    # Random parameters and gradients over every name, decay-exempt ones
+    # (enc.attn.b, enc.proj.*.b, c) and decayed ones that look alike
+    # (mlp.b1); c starts and stays inside the clamp, so every step clamps it.
+    config = TrainConfig(hidden_size=3, seed=2)
+    model = (FrozenTrajectoryExtractor(config) if kind == "extractor"
+             else InteractionModel(config, frozen=_frozen(3)))
+    rng = np.random.default_rng(9)
+    model.vector[...] = rng.normal(size=model.vector.size)
+    if kind == "gated":
+        model.params["c"][...] = [5e-4, -5e-4]
+    start, steps, lr = model.snapshot(), [], 1e-4
+    opt = AdamW(model, lr=lr)
+    for _ in range(6):
+        grads = model.zero_grads()
+        model.grad[...] = rng.normal(size=model.grad.size)
+        if kind == "gated":
+            grads["c"][...] = [1.0, -1.0]
+        steps.append({k: g.copy() for k, g in grads.items()})
+        opt.step()
+        if kind == "gated":
+            assert np.array_equal(np.abs(model.params["c"]), [C_MIN, C_MIN])
+    want = _per_array_adamw(start, steps, lr)
+    got = model.all_params()
+    assert got.keys() == want.keys()
+    for k in want:
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
+def test_parameters_and_gradients_stay_views_of_one_vector(tmp_path, corpus, extractor):
+    def assert_views(model):
+        for name, view in [*model.all_params().items(), *model.params.items(),
+                           *(("enc." + k, v) for k, v in model.encoder.params.items())]:
+            assert np.shares_memory(view, model.vector), name
+        for name, view in model.zero_grads().items():
+            assert np.shares_memory(view, model.grad), name
+
+    config = TrainConfig(hidden_size=4, max_epochs=2, learning_rate=5e-3, seed=5)
+    model = InteractionModel(config, frozen=extractor)
+    assert_views(model)
+    assert_views(extractor)
+    model.set_params(model.snapshot())
+    assert_views(model)
+    train(model, split_dataset(corpus.examples, seed=0))  # restores its best epoch
+    assert_views(model)
+    model.save(tmp_path / "model.ckpt")
+    extractor.save(tmp_path / "extractor.ckpt")
+    loaded = InteractionModel.load(tmp_path / "model.ckpt")
+    assert_views(loaded)
+    assert_views(loaded.frozen)
+    assert_views(FrozenTrajectoryExtractor.load(tmp_path / "extractor.ckpt"))
+
+    # one step moves what the forward reads, the encoder's blocks included
+    batch = corpus.examples[:4]
+    store, rows = _filled(loaded, batch)
+    inter, tra, features = store.gather(rows, with_tra=True)
+    before = loaded.encoder.forward_batch(inter)[0], loaded.forward_batch(inter, tra, features)
+    opt = AdamW(loaded, lr=0.01)
+    loaded.zero_grads()
+    _batch_pass(loaded, batch, True, store, rows)
+    opt.step()
+    after = loaded.encoder.forward_batch(inter)[0], loaded.forward_batch(inter, tra, features)
+    assert not np.array_equal(before[0], after[0])
+    assert not np.array_equal(before[1][0], after[1][0])
+    assert not np.array_equal(before[1][1], after[1][1])
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +660,31 @@ def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path, trained_model
             load(path)
         assert str(err.value) == (f"{path}: checkpoint config key {key!r} is not a "
                                   "TrainConfig field; retrain with this version"), field
+
+
+@pytest.mark.parametrize("loader, prefix, weight", [("model", "", "head.inter.W"),
+                                                    ("model", "frozen.", "head.W"),
+                                                    ("extractor", "", "head.W")])
+def test_a_checkpoint_whose_arrays_do_not_match_the_model_is_refused(
+        tmp_path, trained_model, loader, prefix, weight):
+    # A missing array, an unknown one and one of another shape are each
+    # refused with the checkpoint's path and the array's name: in a model
+    # checkpoint, in its frozen.* arrays and in an extractor checkpoint.
+    path = tmp_path / "bad.ckpt"
+    save, load = ((trained_model.save, InteractionModel.load) if loader == "model"
+                  else (trained_model.frozen.save, FrozenTrajectoryExtractor.load))
+    save(path)
+    good, meta = load_archive(path)
+    for edit, reason in (
+            ({prefix + weight: None}, f"array {prefix + weight!r} is missing"),
+            ({prefix + "bogus": np.zeros(3)}, f"unknown array {prefix + 'bogus'!r}"),
+            ({prefix + "enc.attn.w": np.zeros(5)},
+             f"array {prefix + 'enc.attn.w'!r} has shape (5,), expected (4,)")):
+        arrays = {k: v for k, v in {**good, **edit}.items() if v is not None}
+        save_archive(path, arrays, meta)
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {reason}"
 
 
 def test_config_file_roundtrip(tmp_path):
