@@ -446,9 +446,10 @@ def test_adamw_clamps_adaptive_scalars():
 
 def _per_array_adamw(params, steps, lr):
     """AdamW applied to each array on its own: the reference for the flat
-    update. ``steps`` holds each step's gradients by name."""
-    params = {k: v.copy() for k, v in params.items()}
-    m = {k: np.zeros_like(v) for k, v in params.items()}
+    update. ``steps`` holds each step's gradients by name; returns the
+    parameters and the two moments, by name."""
+    params = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     for t, grads in enumerate(steps, start=1):
         bc1 = 1.0 - ADAM_BETA1 ** t
@@ -463,37 +464,38 @@ def _per_array_adamw(params, steps, lr):
         if "c" in params:
             c = params["c"]
             params["c"] = np.sign(c) * np.maximum(np.abs(c), C_MIN)
-    return params
+    return params, m, v
 
 
 @pytest.mark.parametrize("kind", ["extractor", "gated"])
 def test_adamw_equals_the_per_array_update_bit_for_bit(kind):
     # Random parameters and gradients over every name, decay-exempt ones
     # (enc.attn.b, enc.proj.*.b, c) and decayed ones that look alike
-    # (mlp.b1); c starts and stays inside the clamp, so every step clamps it.
+    # (mlp.b1). c[0] starts inside the clamp with no gradient, so every
+    # step clamps it; c[1] is left free, where a decay would show.
     config = TrainConfig(hidden_size=3, seed=2)
     model = (FrozenTrajectoryExtractor(config) if kind == "extractor"
              else InteractionModel(config, frozen=_frozen(3)))
     rng = np.random.default_rng(9)
     model.vector[...] = rng.normal(size=model.vector.size)
     if kind == "gated":
-        model.params["c"][...] = [5e-4, -5e-4]
-    start, steps, lr = model.snapshot(), [], 1e-4
+        model.params["c"][0] = 1e-9
+    start, steps, lr = model.snapshot(), [], 0.05
     opt = AdamW(model, lr=lr)
     for _ in range(6):
         grads = model.zero_grads()
         model.grad[...] = rng.normal(size=model.grad.size)
         if kind == "gated":
-            grads["c"][...] = [1.0, -1.0]
+            grads["c"][0] = 0.0
         steps.append({k: g.copy() for k, g in grads.items()})
         opt.step()
         if kind == "gated":
-            assert np.array_equal(np.abs(model.params["c"]), [C_MIN, C_MIN])
-    want = _per_array_adamw(start, steps, lr)
-    got = model.all_params()
-    assert got.keys() == want.keys()
-    for k in want:
-        assert got[k].tobytes() == want[k].tobytes(), k
+            assert model.params["c"][0] == C_MIN
+    for got, want in zip((model.all_params(), model.named(opt.m), model.named(opt.v)),
+                         _per_array_adamw(start, steps, lr)):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
 
 
 def test_parameters_and_gradients_stay_views_of_one_vector(tmp_path, corpus, extractor):
@@ -519,19 +521,22 @@ def test_parameters_and_gradients_stay_views_of_one_vector(tmp_path, corpus, ext
     assert_views(loaded.frozen)
     assert_views(FrozenTrajectoryExtractor.load(tmp_path / "extractor.ckpt"))
 
-    # one step moves what the forward reads, the encoder's blocks included
+    # one step moves what the forward reads: after it, the model scores as
+    # a model given its stepped parameters does
     batch = corpus.examples[:4]
     store, rows = _filled(loaded, batch)
-    inter, tra, features = store.gather(rows, with_tra=True)
-    before = loaded.encoder.forward_batch(inter)[0], loaded.forward_batch(inter, tra, features)
+    gathered = store.gather(rows, with_tra=True)
+    before = loaded.forward_batch(*gathered)
     opt = AdamW(loaded, lr=0.01)
     loaded.zero_grads()
     _batch_pass(loaded, batch, True, store, rows)
     opt.step()
-    after = loaded.encoder.forward_batch(inter)[0], loaded.forward_batch(inter, tra, features)
-    assert not np.array_equal(before[0], after[0])
-    assert not np.array_equal(before[1][0], after[1][0])
-    assert not np.array_equal(before[1][1], after[1][1])
+    stepped = InteractionModel.load(tmp_path / "model.ckpt")
+    stepped.set_params(loaded.snapshot())
+    after, want = loaded.forward_batch(*gathered), stepped.forward_batch(*gathered)
+    for i in (0, 1):  # interaction and trajectory probabilities
+        assert not np.array_equal(before[i], after[i])
+        assert np.array_equal(after[i], want[i])
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +672,10 @@ def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path, trained_model
                                                     ("extractor", "", "head.W")])
 def test_a_checkpoint_whose_arrays_do_not_match_the_model_is_refused(
         tmp_path, trained_model, loader, prefix, weight):
-    # A missing array, an unknown one and one of another shape are each
-    # refused with the checkpoint's path and the array's name: in a model
-    # checkpoint, in its frozen.* arrays and in an extractor checkpoint.
+    # A missing array, an unknown one, one of another shape and one that is
+    # not numeric are each refused with the checkpoint's path and the
+    # array's name: in a model checkpoint, in its frozen.* arrays and in an
+    # extractor checkpoint.
     path = tmp_path / "bad.ckpt"
     save, load = ((trained_model.save, InteractionModel.load) if loader == "model"
                   else (trained_model.frozen.save, FrozenTrajectoryExtractor.load))
@@ -679,7 +685,9 @@ def test_a_checkpoint_whose_arrays_do_not_match_the_model_is_refused(
             ({prefix + weight: None}, f"array {prefix + weight!r} is missing"),
             ({prefix + "bogus": np.zeros(3)}, f"unknown array {prefix + 'bogus'!r}"),
             ({prefix + "enc.attn.w": np.zeros(5)},
-             f"array {prefix + 'enc.attn.w'!r} has shape (5,), expected (4,)")):
+             f"array {prefix + 'enc.attn.w'!r} has shape (5,), expected (4,)"),
+            ({prefix + "enc.attn.b": np.array("x")},
+             f"array {prefix + 'enc.attn.b'!r} has dtype <U1, not a number")):
         arrays = {k: v for k, v in {**good, **edit}.items() if v is not None}
         save_archive(path, arrays, meta)
         with pytest.raises(ValueError) as err:
