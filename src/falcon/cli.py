@@ -167,11 +167,14 @@ def train_cmd(config_path, data_path, out_path, frozen_path):
                            "config_hash": config.config_hash()}))
 
 
-def _prediction_json(p: tr.Prediction) -> dict:
-    rec = ingest.candidate_to_json(p.candidate)
-    rec.update(score=p.score, label=p.label, skipped=p.skipped)
-    if p.reason:
-        rec["reason"] = p.reason
+def _prediction_json(cand, score: float, label: int, reason: str | None) -> dict:
+    """A ``predict`` output line: a skipped candidate has a null score and
+    label, and its reason."""
+    rec = ingest.candidate_to_json(cand)
+    if reason is None:
+        rec.update(score=score, label=label, skipped=False)
+    else:
+        rec.update(score=None, label=None, skipped=True, reason=reason)
     return rec
 
 
@@ -187,11 +190,13 @@ def predict_cmd(checkpoint, cand_path, out_path, threshold):
 
     model = tr.InteractionModel.load(checkpoint)
     candidates = ingest.load_candidates(cand_path)
-    preds = tr.predict(model, candidates, threshold=threshold)
-    ingest.write_jsonl(out_path, map(_prediction_json, preds))
-    n_pos = sum(1 for p in preds if p.label == 1)
-    click.echo(json.dumps({"candidates": len(preds), "positives": n_pos,
-                           "skipped": sum(1 for p in preds if p.skipped)}))
+    scores, labels, reasons = tr.predict(
+        model, ingest.MentionTable.from_candidates(candidates), threshold=threshold)
+    ingest.write_jsonl(out_path, map(_prediction_json, candidates, scores.tolist(),
+                                     labels.tolist(), reasons))
+    skipped = sum(reason is not None for reason in reasons)
+    click.echo(json.dumps({"candidates": len(candidates), "positives": int(labels.sum()),
+                           "skipped": skipped}))
 
 
 @main.command("eval")

@@ -11,6 +11,8 @@ import io
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from .ingest import MentionTable
+
 # The six ablation rows: name -> TrainConfig field overrides.
 ABLATION_GRID = {
     "full": {},
@@ -101,16 +103,6 @@ def compute_metrics(predictions: Sequence[int], gold: Sequence[int],
                         recall_undefined=(tp + fn == 0))
 
 
-def _report_predictions(preds, examples, dataset_id: str,
-                        config_hash: str) -> MetricReport:
-    """Metrics of ``predict`` output against the examples' interaction labels."""
-    report = compute_metrics([p.label if p.label is not None else 0 for p in preds],
-                             [ex.y_inter for ex in examples],
-                             dataset_id=dataset_id, config_hash=config_hash)
-    report.skipped = sum(p.skipped for p in preds)
-    return report
-
-
 @dataclass
 class AblationRow:
     name: str
@@ -159,7 +151,7 @@ def run_ablations(examples, base_config, frozen_extractor,
     row shares one feature store: the configs differ only in trainable
     parts, so each distinct input is encoded once for the whole study.
     """
-    from .training import FeatureStore, InteractionModel, predict, train
+    from .training import FeatureStore, InteractionModel, train
 
     test_set = [ex for ex in examples if ex.split == "test"]
     table = AblationTable()
@@ -169,18 +161,22 @@ def run_ablations(examples, base_config, frozen_extractor,
         model = InteractionModel(config, frozen=frozen)
         store = store or FeatureStore.for_model(model, frozen_extractor)
         train(model, examples, store=store)
-        preds = predict(model, [ex.candidate for ex in test_set], store=store)
-        config_hash = config.config_hash()
         table.rows.append(AblationRow(
-            name=name, config_hash=config_hash, seed=config.seed,
-            report=_report_predictions(preds, test_set, dataset_id, config_hash)))
+            name=name, config_hash=config.config_hash(), seed=config.seed,
+            report=evaluate_transfer(model, test_set, dataset_id, store)))
     return table
 
 
-def evaluate_transfer(model, external_examples, dataset_id: str = "external") -> MetricReport:
-    """Score an already-trained model on an external labeled corpus; no retraining."""
+def evaluate_transfer(model, examples, dataset_id: str = "external",
+                      store=None) -> MetricReport:
+    """Metrics of an already-trained model's labels (:func:`~falcon.training.predict`,
+    on ``store`` when given) against the examples' interaction labels; no
+    retraining. A skipped candidate counts as a negative and in ``skipped``."""
     from .training import predict
 
-    preds = predict(model, [ex.candidate for ex in external_examples])
-    return _report_predictions(preds, external_examples, dataset_id,
-                               model.config.config_hash())
+    _, labels, reasons = predict(
+        model, MentionTable.from_candidates(ex.candidate for ex in examples), store=store)
+    report = compute_metrics(labels.tolist(), [ex.y_inter for ex in examples],
+                             dataset_id=dataset_id, config_hash=model.config.config_hash())
+    report.skipped = sum(reason is not None for reason in reasons)
+    return report

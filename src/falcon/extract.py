@@ -7,9 +7,9 @@ document and byte-identical across clean re-runs.
 
 :func:`extract_corpus` works on columns from the triples to the record
 lines: it pairs a triple table into a candidate table
-(:func:`~falcon.ingest.generate_candidates`), scores chunks of its rows
-(:func:`~falcon.training.score_candidates`) and builds each record line from
-the kept row's columns (:func:`record_json`). :class:`InteractionRecord` is
+(:func:`~falcon.ingest.generate_candidates`), scores and labels chunks of
+its rows (:func:`~falcon.training.predict`) and builds each record line from
+the positive row's columns (:func:`record_json`). :class:`InteractionRecord` is
 the record as the typing step and the analyses read it back.
 """
 
@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 
 from .ingest import (
     MentionTable,
-    TrajectoryTriple,
     dumps_record,
     generate_candidates,
     is_jsonl_line,
@@ -223,26 +222,23 @@ def _document_chunks(docs: Iterable[tuple[str, Sequence]]):
         yield run
 
 
-def extract_corpus(triples: MentionTable | Sequence[TrajectoryTriple], model,
+def extract_corpus(triples: MentionTable, model,
                    out_path: str | Path, threshold: float | None = None,
                    summary_path: str | Path | None = None,
                    state_path: str | Path | None = None,
                    gazetteer: dict | None = None, excluded_lines: int = 0) -> ExtractSummary:
     """Pair, score, and stream positive records per document in sorted order.
 
-    ``triples`` is a triple table (:func:`~falcon.ingest.load_triples`) or a
-    sequence of triples (through
-    :meth:`~falcon.ingest.MentionTable.from_triples`). A candidate is
-    positive when its score reaches ``threshold`` (default: the model's
-    ``config.threshold``). ``excluded_lines`` counts the triple lines the
-    caller could not read; it is reported in the summary (and its file) as
-    is.
-
-    Documents are scored in chunks of whole documents, one
-    :func:`~falcon.training.score_candidates` call per chunk of at most
-    ``EXTRACT_CHUNK`` candidates. A candidate's score depends only on the
-    candidate and the model, not on its chunk, so the output is the same
-    bytes however the documents are chunked.
+    ``triples`` is a triple table (:func:`~falcon.ingest.load_triples`).
+    Documents are scored and labeled in chunks of whole documents, one
+    :func:`~falcon.training.predict` call per chunk of at most
+    ``EXTRACT_CHUNK`` candidates, by ``threshold`` (default: the model's
+    ``config.threshold``); a candidate that ``predict`` labels 1 is a
+    record, one it gives a reason is skipped. A candidate's score depends
+    only on the candidate and the model, not on its chunk, so the output is
+    the same bytes however the documents are chunked. ``excluded_lines``
+    counts the triple lines the caller could not read; it is reported in
+    the summary (and its file) as is.
 
     With ``state_path`` the run is resumable: after each document's records
     are flushed, one line with its doc_id, counts and the output's byte size
@@ -250,11 +246,7 @@ def extract_corpus(triples: MentionTable | Sequence[TrajectoryTriple], model,
     their counts) and truncates the output to the last recorded size, so a
     run killed at any point resumes without duplicating or losing records.
     """
-    from .training import score_candidates
-
-    if not isinstance(triples, MentionTable):
-        triples = MentionTable.from_triples(triples)
-    threshold = model.config.threshold if threshold is None else threshold
+    from .training import predict
 
     summary = ExtractSummary(excluded_lines=excluded_lines)
     entries = _read_state_log(state_path) if state_path else []
@@ -279,18 +271,20 @@ def extract_corpus(triples: MentionTable | Sequence[TrajectoryTriple], model,
           open(state_path, "a", encoding="utf-8") if state_path else nullcontext() as log):
         for chunk in _document_chunks(pending):
             first = chunk[0][1].start
-            scores, reasons = score_candidates(model, cands.take(range(first, chunk[-1][1].stop)))
-            scores = scores.tolist()
+            scores, labels, reasons = predict(
+                model, cands.take(range(first, chunk[-1][1].stop)), threshold)
+            scores, labels = scores.tolist(), labels.tolist()
             for doc_id, rows in chunk:
                 counts = dict.fromkeys(DOC_COUNTS, 0)
                 counts["candidates"] = len(rows)
                 for row in rows:
-                    score = scores[row - first]
-                    if reasons[row - first] is not None:
+                    i = row - first
+                    if reasons[i] is not None:
                         counts["skipped"] += 1
-                    elif score >= threshold:
+                    elif labels[i]:
                         counts["positives"] += 1
-                        out.write(dumps_record(record_json(cands, row, score, gazetteer)) + "\n")
+                        record = record_json(cands, row, scores[i], gazetteer)
+                        out.write(dumps_record(record) + "\n")
                     else:
                         counts["negatives"] += 1
                 out.flush()

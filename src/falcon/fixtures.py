@@ -20,6 +20,7 @@ from .ingest import (
     CandidateQuadruple,
     Document,
     EntityMention,
+    MentionTable,
     TextSegment,
     TrajectoryTriple,
     generate_candidates,
@@ -229,8 +230,8 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
         so it has at most one candidate. Paragraphs are paired PAIR_BATCH at
         a time: one call per paragraph costs more time, one per corpus holds
         every rendered paragraph until the end."""
-        cands = {c.segment.segment_id: c for c in generate_candidates(
-            corpus.triples[len(corpus.triples) - 2 * len(pending):]).objects()}
+        cands = {c.segment.segment_id: c for c in generate_candidates(MentionTable.from_triples(
+            corpus.triples[len(corpus.triples) - 2 * len(pending):])).objects()}
         for segment, rendered, a in pending:
             if segment.segment_id in cands:
                 corpus.examples.append(_attach_labels(cands[segment.segment_id], rendered, a))

@@ -125,10 +125,11 @@ def fuse(h_inter: np.ndarray, h1_a: np.ndarray, h2_a: np.ndarray) -> np.ndarray:
 def copy_params(views: dict[str, np.ndarray], arrays: dict[str, np.ndarray],
                 source: str) -> None:
     """Copy ``arrays`` into the parameter ``views`` of the same names. Every
-    view must have its array, numeric and in its shape, and every array its
-    view: a missing name, an unknown name, a wrong shape or a non-numeric
-    dtype raises ``ValueError("<source>: ...")`` naming the array, before
-    anything is copied."""
+    view must have its array, numeric, finite and in its shape, and every
+    array its view: a missing name, an unknown name, a wrong shape, a
+    non-numeric dtype or a NaN or infinite entry raises
+    ``ValueError("<source>: ...")`` naming the array, before anything is
+    copied."""
     for name, view in views.items():
         if name not in arrays:
             raise ValueError(f"{source}: array {name!r} is missing")
@@ -138,6 +139,8 @@ def copy_params(views: dict[str, np.ndarray], arrays: dict[str, np.ndarray],
                              f"expected {view.shape}")
         if array.dtype.kind not in "biuf":
             raise ValueError(f"{source}: array {name!r} has dtype {array.dtype}, not a number")
+        if not np.isfinite(array).all():
+            raise ValueError(f"{source}: array {name!r} is not finite")
     unknown = sorted(arrays.keys() - views.keys())
     if unknown:
         raise ValueError(f"{source}: unknown array {unknown[0]!r}")

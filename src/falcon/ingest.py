@@ -10,11 +10,13 @@ Triples and candidates travel as columns (:class:`MentionTable`): each
 distinct segment envelope and surface is held once, and mentions are
 arrays of surface ids and occurrence spans. :func:`load_triples` decodes
 each line once into such a table and checks the spans per column;
-:func:`generate_candidates` pairs a table into another. The objects
-(:class:`TrajectoryTriple`, :class:`CandidateQuadruple`) are what the
-labeled files, the fixtures and the tests speak; they enter and leave the
-columns through :meth:`MentionTable.from_triples`,
-:meth:`MentionTable.from_candidates` and :meth:`MentionTable.objects`.
+:func:`generate_candidates` pairs a table into another. Every step after
+it (the feature store, scoring, extraction) takes a table too. The
+objects (:class:`TrajectoryTriple`, :class:`CandidateQuadruple`) are what
+the labeled files, the fixtures and the tests speak; a caller that holds
+them converts them once, through :meth:`MentionTable.from_triples` or
+:meth:`MentionTable.from_candidates`, and :meth:`MentionTable.objects`
+turns a table back into objects.
 """
 
 from __future__ import annotations
@@ -596,7 +598,7 @@ def dump_candidates(cands: Iterable[CandidateQuadruple], path: str | Path) -> No
 # ---------------------------------------------------------------------------
 # Candidate generation
 
-def generate_candidates(triples: MentionTable | Sequence[TrajectoryTriple]) -> MentionTable:
+def generate_candidates(triples: MentionTable) -> MentionTable:
     """Pair co-occurring triples of each segment into candidate quadruples.
 
     Triples are grouped by (doc_id, segment_id), groups in sorted order. Two
@@ -607,11 +609,8 @@ def generate_candidates(triples: MentionTable | Sequence[TrajectoryTriple]) -> M
     A group's candidates are in the order of their normalized surfaces, one
     per (persons, time, location), so their order and content do not depend
     on the order of the triples (ties keep the first triple). Returns a
-    table like ``triples``; a sequence of triples goes in through
-    :meth:`MentionTable.from_triples`.
+    table like ``triples``.
     """
-    if not isinstance(triples, MentionTable):
-        triples = MentionTable.from_triples(triples)
     norms, surfaces, surface = triples.norms, triples.surfaces, triples.surface
     bounds, starts, ends = triples.bounds, triples.starts, triples.ends
     groups: dict[tuple, list[int]] = {}

@@ -6,6 +6,12 @@ trajectory branches. Joint training combines the two binary
 cross-entropies either with fixed unit weights or with the adaptive
 scheme L_inter/(2*c1^2) + L_tra/(2*c2^2) + log(1+c1^2) + log(1+c2^2),
 where c1 and c2 are learnable scalars initialized to 1.
+
+:func:`predict` is the one scorer: it scores and labels a candidate table
+(:class:`~falcon.ingest.MentionTable`) in one batched forward. Training's
+validation, :func:`~falcon.evalbench.evaluate_transfer` (``eval`` and the
+ablation rows), ``falcon predict`` and
+:func:`~falcon.extract.extract_corpus` all call it.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .fusion import (
     gate_backward,
     gate_forward,
 )
-from .ingest import CandidateQuadruple, MentionTable
+from .ingest import MentionTable
 
 PROB_EPS = 1e-7
 C_MIN = 1e-3
@@ -238,15 +244,6 @@ class AdamW:
 # ---------------------------------------------------------------------------
 # Interaction model
 
-@dataclass
-class Prediction:
-    candidate: CandidateQuadruple
-    score: float | None
-    label: int | None
-    skipped: bool = False
-    reason: str | None = None
-
-
 class InteractionModel(EncoderModel):
     """Trainable encoder + feature transfer + classification heads."""
 
@@ -422,16 +419,11 @@ class FeatureStore:
         rows, reasons = self._fill(len(views), [(self, False, views, 0)])
         return rows[:, 0], reasons
 
-    def fill_candidates(self, cands: MentionTable | Sequence[CandidateQuadruple],
-                        with_tra: bool = False,
+    def fill_candidates(self, cands: MentionTable, with_tra: bool = False,
                         with_features: bool = True) -> tuple[np.ndarray, list[str | None]]:
         """:meth:`fill` for each candidate's interaction view, with
         ``with_tra`` its trajectory views, and with ``with_features`` (and an
-        extractor) their frozen features; returns (n, 5) rows and reasons.
-        Candidate objects go in through
-        :meth:`~falcon.ingest.MentionTable.from_candidates`."""
-        if not isinstance(cands, MentionTable):
-            cands = MentionTable.from_candidates(cands)
+        extractor) their frozen features; returns (n, 5) rows and reasons."""
         n = len(cands)
         with_features = with_features and self.frozen is not None
         inter, tra = candidate_views(cands)
@@ -649,13 +641,16 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
 
     result = TrainResult()
     store = FeatureStore.for_model(model) if store is None else store
-    rows, reasons = store.fill_candidates([ex.candidate for ex in train_set],
-                                          config.mt, model.uses_features)
+    rows, reasons = store.fill_candidates(
+        MentionTable.from_candidates(ex.candidate for ex in train_set),
+        config.mt, model.uses_features)
     kept = [i for i, reason in enumerate(reasons) if reason is None]
-    val_reasons = store.fill_candidates([ex.candidate for ex in val_set],
-                                        with_features=model.uses_features)[1]
-    val_set = [ex for ex, reason in zip(val_set, val_reasons) if reason is None]
-    result.skipped = len(reasons) - len(kept) + len(val_reasons) - len(val_set)
+    val_cands = MentionTable.from_candidates(ex.candidate for ex in val_set)
+    val_reasons = store.fill_candidates(val_cands, with_features=model.uses_features)[1]
+    val_kept = [i for i, reason in enumerate(val_reasons) if reason is None]
+    val_cands = val_cands.take(val_kept)
+    val_gold = [val_set[i].y_inter for i in val_kept]
+    result.skipped = len(reasons) - len(kept) + len(val_reasons) - len(val_kept)
     if not kept:
         raise ValueError("every train example overflows the backbone window")
 
@@ -678,10 +673,9 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
             "c1": float(model.params["c"][0]) if "c" in model.params else None,
             "c2": float(model.params["c"][1]) if "c" in model.params else None,
         }
-        if val_set:
-            labels = [p.label for p in predict(model, [ex.candidate for ex in val_set],
-                                               config.threshold, store=store)]
-            report = compute_metrics(labels, [ex.y_inter for ex in val_set])
+        if val_gold:
+            labels = predict(model, val_cands, store=store)[1]
+            report = compute_metrics(labels.tolist(), val_gold)
             f1 = report.f1 / 100  # MetricReport is in percent, the history in fractions
             entry.update(val_acc=report.accuracy / 100, val_precision=report.precision / 100,
                          val_recall=report.recall / 100, val_f1=f1)
@@ -696,11 +690,11 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
             best_params = model.snapshot()
             result.best_epoch = epoch
         result.history.append(entry)
-        return bool(val_set) and stale >= config.patience
+        return bool(val_gold) and stale >= config.patience
 
     _fit(model, kept, config, batch_step, end_epoch)
     model.set_params(best_params)
-    result.best_val_f1 = best_f1 if val_set else None
+    result.best_val_f1 = best_f1 if val_gold else None
     return result
 
 
@@ -745,37 +739,28 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
 
 
 # ---------------------------------------------------------------------------
-# Prediction
+# Scoring
 
-def score_candidates(model: InteractionModel, cands: MentionTable,
-                     store: FeatureStore | None = None) -> tuple[np.ndarray, list[str | None]]:
-    """The interaction score of each candidate of a table, in one batched
-    forward: (scores, reasons), a score NaN and its reason set where the
-    candidate's input overflows its backbone window. Reads and extends
-    ``store`` (training passes its own); without one, the call fills a fresh
-    store and drops it after. A candidate's score is the same bits whatever
-    else the call scores (see :func:`~falcon.encoder.row_matmul`)."""
+def predict(model: InteractionModel, cands: MentionTable, threshold: float | None = None,
+            store: FeatureStore | None = None) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """Score and label each candidate of a table, in one batched forward:
+    (scores, labels, reasons). A label is 1 where the score reaches
+    ``threshold`` (default: the model's ``config.threshold``). A candidate
+    whose input overflows its backbone window gets score NaN, label 0 and
+    its reason; every other reason is None. Reads and extends ``store``
+    (training passes its own); without one, the call fills a fresh store
+    and drops it after. A candidate's score is the same bits whatever else
+    the call scores (see :func:`~falcon.encoder.row_matmul`)."""
+    threshold = model.config.threshold if threshold is None else threshold
     store = FeatureStore.for_model(model) if store is None else store
     rows, reasons = store.fill_candidates(cands, with_features=model.uses_features)
     scores = np.full(len(cands), np.nan)
+    labels = np.zeros(len(cands), dtype=int)
     ok = np.flatnonzero(rows[:, 0] >= 0)
     if len(ok):
         scores[ok] = model.forward_batch(*store.gather(rows[ok]))[0][:, 1]
-    return scores, reasons
-
-
-def predict(model: InteractionModel, candidates: Sequence[CandidateQuadruple],
-            threshold: float | None = None,
-            store: FeatureStore | None = None) -> list[Prediction]:
-    """:func:`score_candidates` of candidate objects, each labeled by
-    ``threshold`` (default: the model's ``config.threshold``); context
-    overflows are marked skipped, never dropped."""
-    threshold = model.config.threshold if threshold is None else threshold
-    scores, reasons = score_candidates(model, MentionTable.from_candidates(candidates), store)
-    return [Prediction(candidate=cand, score=None, label=None, skipped=True, reason=reason)
-            if reason is not None else
-            Prediction(candidate=cand, score=score, label=int(score >= threshold))
-            for cand, score, reason in zip(candidates, scores.tolist(), reasons)]
+        labels[ok] = scores[ok] >= threshold
+    return scores, labels, reasons
 
 
 # ---------------------------------------------------------------------------

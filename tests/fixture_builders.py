@@ -19,6 +19,7 @@ from falcon.ingest import (
     CandidateQuadruple,
     Document,
     EntityMention,
+    MentionTable,
     TextSegment,
     TrajectoryTriple,
     generate_candidates,
@@ -99,7 +100,7 @@ def build_audit_fixture(seed: int = 11):
                     time=ta.time, location=ta.location))
                 continue
             triples.extend([ta, tb])
-            gold.extend(generate_candidates([ta, tb]).objects())
+            gold.extend(generate_candidates(MentionTable.from_triples([ta, tb])).objects())
     return documents, triples, gold
 
 

@@ -26,6 +26,7 @@ from falcon.fusion import (
 )
 from falcon.ingest import (
     EntityMention,
+    MentionTable,
     TextSegment,
     TrajectoryTriple,
     dump_triples,
@@ -82,7 +83,8 @@ def split_corpus(corpus):
 def _forward_one(model, cand):
     """The cache of the batched forward of ``cand`` alone, from a fresh store."""
     store = FeatureStore.for_model(model)
-    rows, (reason,) = store.fill_candidates([cand], with_features=model.uses_features)
+    rows, (reason,) = store.fill_candidates(MentionTable.from_candidates([cand]),
+                                            with_features=model.uses_features)
     assert reason is None, reason
     return model.forward_batch(*store.gather(rows))[2]
 
@@ -362,7 +364,7 @@ def test_criterion_08_candidate_generation(corpus):
                                     time=mention("Time", "1950"),
                                     location=mention("Location", "Lima"))
                    for nm in names]
-        ok &= len(generate_candidates(triples)) == k * (k - 1) // 2
+        ok &= len(generate_candidates(MentionTable.from_triples(triples))) == k * (k - 1) // 2
     report(8, "candidate generation", ok, "fig-1a quadruple + C(k,2) for k<=6")
 
 
@@ -378,12 +380,12 @@ def test_criterion_09_fixture_training(corpus):
 
     train_set = [ex for ex in examples if ex.split == "train"]
     val_set = [ex for ex in examples if ex.split == "val"]
-    train_preds = predict(model, [ex.candidate for ex in train_set])
-    train_acc = float(np.mean([p.label == ex.y_inter
-                               for p, ex in zip(train_preds, train_set)]))
-    val_preds = predict(model, [ex.candidate for ex in val_set])
-    val_acc = float(np.mean([p.label == ex.y_inter
-                             for p, ex in zip(val_preds, val_set)]))
+
+    def accuracy(subset):
+        labels = predict(model, MentionTable.from_candidates(ex.candidate for ex in subset))[1]
+        return float(np.mean(labels == [ex.y_inter for ex in subset]))
+
+    train_acc, val_acc = accuracy(train_set), accuracy(val_set)
     pos_rate = float(np.mean([ex.y_inter for ex in val_set]))
     majority = max(pos_rate, 1.0 - pos_rate)
     ok = train_acc >= 0.95 and val_acc > majority

@@ -462,6 +462,23 @@ def test_a_checkpoint_that_does_not_match_its_model_is_an_error_line(workspace, 
         assert res.output == f"Error: {bad}: unknown array 'bogus'\n"
 
 
+def test_a_checkpoint_with_a_non_finite_array_is_an_error_line(workspace, tmp_path):
+    # a NaN weight would label every candidate negative; eval and extract refuse it
+    arrays, meta = load_archive(workspace / "model.ckpt")
+    bad = tmp_path / "model.ckpt"
+    save_archive(bad, {**arrays, "head.inter.W": np.full_like(arrays["head.inter.W"], np.nan)},
+                 meta)
+    out = tmp_path / "records.jsonl"
+    runner = CliRunner()
+    for command in (["eval", "--data", str(workspace / "fx" / "labeled_split.jsonl")],
+                    ["extract", "--triples", str(workspace / "fx" / "triples.jsonl"),
+                     "--out", str(out)]):
+        res = runner.invoke(main, [*command, "--checkpoint", str(bad)])
+        assert res.exit_code == 1, res.output
+        assert res.output == f"Error: {bad}: array 'head.inter.W' is not finite\n"
+    assert not out.exists()
+
+
 def test_a_bad_gazetteer_fails_before_the_checkpoint_is_read(workspace, tmp_path):
     bad = tmp_path / "gazetteer.json"
     bad.write_text(json.dumps({"Boston": {"lat": "42.36"}}))

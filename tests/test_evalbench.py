@@ -99,9 +99,13 @@ def test_ablations_encode_each_distinct_input_once(corpus, monkeypatch):
     run_ablations(examples, config, frozen_extractor=extractor)
     # The full config reads the interaction view of every split and, through
     # the extractor (same backbone settings), every trajectory view.
-    inter, tra = candidate_views(MentionTable.from_candidates(ex.candidate for ex in examples))
+    inter, tra = candidate_views(_table(examples))
     assert sum(calls) == len({*input_keys(inter), *input_keys(tra)})
     assert max(calls) > 1  # batched
+
+
+def _table(examples):
+    return MentionTable.from_candidates(ex.candidate for ex in examples)
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +123,8 @@ def test_transfer_on_identity_corpus_matches_compute_metrics(trained):
     model, examples = trained
     test_set = [ex for ex in examples if ex.split == "test"]
     report = evaluate_transfer(model, test_set)
-    preds = predict(model, [ex.candidate for ex in test_set])
-    direct = compute_metrics([p.label for p in preds],
-                             [ex.y_inter for ex in test_set])
+    labels = predict(model, _table(test_set))[1]
+    direct = compute_metrics(labels.tolist(), [ex.y_inter for ex in test_set])
     assert report.to_json()["confusion"] == direct.to_json()["confusion"]
 
 
@@ -130,11 +133,11 @@ def test_transfer_matches_hand_scored_confusion(trained):
     subset = [ex for ex in examples if ex.split == "val"][:20]
     report = evaluate_transfer(model, subset)
     # oracle: recount the confusion cell by cell
-    preds = predict(model, [ex.candidate for ex in subset])
-    tp = sum(1 for p, ex in zip(preds, subset) if p.label == 1 and ex.y_inter == 1)
-    fp = sum(1 for p, ex in zip(preds, subset) if p.label == 1 and ex.y_inter == 0)
-    fn = sum(1 for p, ex in zip(preds, subset) if p.label == 0 and ex.y_inter == 1)
-    tn = sum(1 for p, ex in zip(preds, subset) if p.label == 0 and ex.y_inter == 0)
+    labels = predict(model, _table(subset))[1].tolist()
+    tp = sum(1 for label, ex in zip(labels, subset) if label == 1 and ex.y_inter == 1)
+    fp = sum(1 for label, ex in zip(labels, subset) if label == 1 and ex.y_inter == 0)
+    fn = sum(1 for label, ex in zip(labels, subset) if label == 0 and ex.y_inter == 1)
+    tn = sum(1 for label, ex in zip(labels, subset) if label == 0 and ex.y_inter == 0)
     assert (report.tp, report.fp, report.fn, report.tn) == (tp, fp, fn, tn)
 
 
@@ -151,9 +154,9 @@ def test_reports_count_skipped_candidates(corpus):
     # candidates; here only the test split holds them.
     config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, fusion_mode="off")
     model = InteractionModel(config)
-    preds = predict(model, [ex.candidate for ex in corpus.examples])
-    fits = [ex for ex, p in zip(corpus.examples, preds) if not p.skipped]
-    overflows = [ex for ex, p in zip(corpus.examples, preds) if p.skipped]
+    reasons = predict(model, _table(corpus.examples))[2]
+    fits = [ex for ex, reason in zip(corpus.examples, reasons) if reason is None]
+    overflows = [ex for ex, reason in zip(corpus.examples, reasons) if reason is not None]
     examples = ([replace(ex, split="train") for ex in fits[:20]]
                 + [replace(ex, split="val") for ex in fits[20:26]]
                 + [replace(ex, split="test") for ex in fits[26:36] + overflows[:4]])
@@ -175,8 +178,9 @@ def test_training_leaves_out_overflowing_examples(corpus):
     # scored as skipped.
     config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, fusion_mode="off")
     examples = split_dataset(corpus.examples, seed=0)
-    preds = predict(InteractionModel(config), [ex.candidate for ex in examples])
-    overflows = {split: sum(p.skipped for ex, p in zip(examples, preds) if ex.split == split)
+    reasons = predict(InteractionModel(config), _table(examples))[2]
+    overflows = {split: sum(reason is not None for ex, reason in zip(examples, reasons)
+                            if ex.split == split)
                  for split in ("train", "val", "test")}
     assert min(overflows.values()) > 0
 

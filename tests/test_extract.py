@@ -2,6 +2,7 @@ import http.server
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from falcon import extract
@@ -20,7 +21,13 @@ from falcon.extract import (
     record_json,
 )
 from falcon.ingest import MentionTable, dumps_record, generate_candidates, iter_jsonl
-from falcon.training import InteractionModel, TrainConfig, pretrain_trajectory_extractor, train
+from falcon.training import (
+    InteractionModel,
+    TrainConfig,
+    predict,
+    pretrain_trajectory_extractor,
+    train,
+)
 from fixture_builders import time_surface_fixture
 
 
@@ -78,6 +85,12 @@ def test_out_of_span_year_dropped_from_record(corpus):
 # corpus extraction
 
 @pytest.fixture(scope="module")
+def triples(corpus):
+    """The fixture corpus's triples as a table."""
+    return MentionTable.from_triples(corpus.triples)
+
+
+@pytest.fixture(scope="module")
 def trained(request):
     corpus = request.getfixturevalue("corpus")
     config = TrainConfig(hidden_size=4, max_epochs=3, learning_rate=5e-3, seed=5)
@@ -88,10 +101,10 @@ def trained(request):
     return model
 
 
-def test_extraction_accounting_and_recount(tmp_path, corpus, trained):
+def test_extraction_accounting_and_recount(tmp_path, corpus, triples, trained):
     out = tmp_path / "records.jsonl"
     summary_path = tmp_path / "summary.json"
-    summary = extract_corpus(corpus.triples, trained, out, threshold=0.5,
+    summary = extract_corpus(triples, trained, out, threshold=0.5,
                              summary_path=summary_path)
     # every candidate accounted for
     assert summary.positives + summary.negatives + summary.skipped == summary.candidates
@@ -103,31 +116,49 @@ def test_extraction_accounting_and_recount(tmp_path, corpus, trained):
     assert summary.candidates == len(corpus.examples)
 
 
-def test_threshold_above_one_emits_nothing(tmp_path, corpus, trained):
+def test_extraction_counts_are_predicts_labels_and_reasons(tmp_path, triples):
+    # A 20-token window overflows on some fixture candidates; the median
+    # score as threshold makes both labels occur among the others.
+    model = InteractionModel(TrainConfig(hidden_size=4, max_tokens=20, fusion_mode="off"))
+    cands = generate_candidates(triples)
+    scores, _, reasons = predict(model, cands)
+    threshold = float(np.nanmedian(scores))
+    _, labels, _ = predict(model, cands, threshold)
+    skipped = sum(reason is not None for reason in reasons)
     out = tmp_path / "records.jsonl"
-    summary = extract_corpus(corpus.triples, trained, out, threshold=1.0 + 1e-9)
+    summary = extract_corpus(triples, model, out, threshold=threshold)
+    assert skipped > 0 and 0 < labels.sum() < len(cands) - skipped
+    assert (summary.candidates, summary.positives, summary.negatives, summary.skipped) == (
+        len(cands), labels.sum(), len(cands) - skipped - labels.sum(), skipped)
+    assert [rec.score for rec in load_records(out)] == scores[labels == 1].tolist()
+
+
+def test_threshold_above_one_emits_nothing(tmp_path, triples, trained):
+    out = tmp_path / "records.jsonl"
+    summary = extract_corpus(triples, trained, out, threshold=1.0 + 1e-9)
     assert summary.positives == 0
     assert out.read_text() == ""
 
 
-def test_extraction_reruns_byte_identical(tmp_path, corpus, trained):
+def test_extraction_reruns_byte_identical(tmp_path, triples, trained):
     out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
-    extract_corpus(corpus.triples, trained, out1, threshold=0.5)
-    extract_corpus(corpus.triples, trained, out2, threshold=0.5)
+    extract_corpus(triples, trained, out1, threshold=0.5)
+    extract_corpus(triples, trained, out2, threshold=0.5)
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_extraction_resume_matches_clean_run(tmp_path, corpus, trained):
+def test_extraction_resume_matches_clean_run(tmp_path, corpus, triples, trained):
     clean = tmp_path / "clean.jsonl"
-    extract_corpus(corpus.triples, trained, clean, threshold=0.5)
+    extract_corpus(triples, trained, clean, threshold=0.5)
 
     resumed = tmp_path / "resumed.jsonl"
     state = tmp_path / "state.json"
     doc_ids = sorted({t.segment.doc_id for t in corpus.triples})
     first_half = [t for t in corpus.triples if t.segment.doc_id in doc_ids[:25]]
-    extract_corpus(first_half, trained, resumed, threshold=0.5, state_path=state)
+    extract_corpus(MentionTable.from_triples(first_half), trained, resumed, threshold=0.5,
+                   state_path=state)
     # second run sees the full corpus and must only process the remainder
-    extract_corpus(corpus.triples, trained, resumed, threshold=0.5,
+    extract_corpus(triples, trained, resumed, threshold=0.5,
                    state_path=state)
     assert resumed.read_bytes() == clean.read_bytes()
 
@@ -138,9 +169,9 @@ class Killed(Exception):
 
 @pytest.mark.parametrize("torn", [False, True], ids=["before-state-write", "torn-state"])
 def test_extraction_killed_at_state_write_resumes_byte_identical(
-        tmp_path, monkeypatch, corpus, trained, torn):
+        tmp_path, monkeypatch, corpus, triples, trained, torn):
     clean = tmp_path / "clean.jsonl"
-    clean_summary = extract_corpus(corpus.triples, trained, clean, threshold=0.5)
+    clean_summary = extract_corpus(triples, trained, clean, threshold=0.5)
     doc_ids = sorted({t.segment.doc_id for t in corpus.triples})
     victim = sorted({rec.doc_id for rec in load_records(clean)})[1]
 
@@ -160,10 +191,10 @@ def test_extraction_killed_at_state_write_resumes_byte_identical(
     with monkeypatch.context() as patch:
         patch.setattr(extract, "_append_state", append_state)
         with pytest.raises(Killed):
-            extract_corpus(corpus.triples, trained, out, threshold=0.5, state_path=state)
+            extract_corpus(triples, trained, out, threshold=0.5, state_path=state)
     # the victim's records reached the output before the kill
     assert victim in {rec.doc_id for rec in load_records(out)}
-    resumed_summary = extract_corpus(corpus.triples, trained, out, threshold=0.5,
+    resumed_summary = extract_corpus(triples, trained, out, threshold=0.5,
                                      state_path=state)
     assert out.read_bytes() == clean.read_bytes()
     assert resumed_summary == clean_summary
@@ -182,44 +213,46 @@ def trained8(request):
     return model
 
 
-def test_extraction_resumed_inside_a_chunk_matches_clean_run(tmp_path, corpus, trained8):
+def test_extraction_resumed_inside_a_chunk_matches_clean_run(tmp_path, corpus, triples, trained8):
     # A resume that starts at a document inside one of the clean run's
     # chunks scores the rest of that chunk in other batches. At d=8 a BLAS
     # product over many rows rounds a row differently with the row count,
     # so the bytes match only while a score depends on its candidate alone.
     clean = tmp_path / "clean.jsonl"
-    extract_corpus(corpus.triples, trained8, clean, threshold=0.5)
+    extract_corpus(triples, trained8, clean, threshold=0.5)
     by_doc: dict = {}
     for triple in corpus.triples:
         by_doc.setdefault(triple.segment.doc_id, []).append(triple)
     firsts = {chunk[0][0] for chunk in extract._document_chunks(
-        (doc_id, generate_candidates(by_doc[doc_id])) for doc_id in sorted(by_doc))}
+        (doc_id, generate_candidates(MentionTable.from_triples(by_doc[doc_id])))
+        for doc_id in sorted(by_doc))}
     inside = [i for i, doc_id in enumerate(sorted(by_doc)) if doc_id not in firsts]
     assert len(inside) > 20
     for k in inside[::5]:
         out, state = tmp_path / f"out{k}.jsonl", tmp_path / f"state{k}.json"
         head = set(sorted(by_doc)[:k])
-        extract_corpus([t for t in corpus.triples if t.segment.doc_id in head], trained8,
-                       out, threshold=0.5, state_path=state)
-        extract_corpus(corpus.triples, trained8, out, threshold=0.5, state_path=state)
+        extract_corpus(MentionTable.from_triples(t for t in corpus.triples
+                                                 if t.segment.doc_id in head),
+                       trained8, out, threshold=0.5, state_path=state)
+        extract_corpus(triples, trained8, out, threshold=0.5, state_path=state)
         assert out.read_bytes() == clean.read_bytes(), k
 
 
-def test_state_log_with_a_bad_inner_line_reports_its_line(tmp_path, corpus, trained):
+def test_state_log_with_a_bad_inner_line_reports_its_line(tmp_path, triples, trained):
     out, state = tmp_path / "out.jsonl", tmp_path / "state.json"
-    extract_corpus(corpus.triples, trained, out, threshold=0.5, state_path=state)
+    extract_corpus(triples, trained, out, threshold=0.5, state_path=state)
     lines = state.read_text(encoding="utf-8").splitlines(keepends=True)
     state.write_text("".join([lines[0], "{not json\n", *lines[1:]]), encoding="utf-8")
     with pytest.raises(ValueError, match=r"state\.json:2: "):
-        extract_corpus(corpus.triples, trained, out, threshold=0.5, state_path=state)
+        extract_corpus(triples, trained, out, threshold=0.5, state_path=state)
 
 
 @pytest.mark.parametrize("token", ["NaN", "1e400", '"\\ud800"'],
                          ids=["nan", "overflow", "lone-surrogate"])
-def test_state_log_last_line_the_reader_refuses_is_cut_as_torn(tmp_path, corpus, trained,
+def test_state_log_last_line_the_reader_refuses_is_cut_as_torn(tmp_path, triples, trained,
                                                                token):
     out, state = tmp_path / "out.jsonl", tmp_path / "state.json"
-    extract_corpus(corpus.triples, trained, out, threshold=0.5, state_path=state)
+    extract_corpus(triples, trained, out, threshold=0.5, state_path=state)
     lines = state.read_text(encoding="utf-8").splitlines(keepends=True)
     torn = lines[-1].replace("{", f'{{"note":{token},', 1)
     (tmp_path / "torn.jsonl").write_text(torn, encoding="utf-8")
@@ -230,10 +263,10 @@ def test_state_log_last_line_the_reader_refuses_is_cut_as_torn(tmp_path, corpus,
     assert state.read_text(encoding="utf-8") == "".join(lines[:-1])
 
 
-def test_gazetteer_enrichment(tmp_path, corpus, trained):
+def test_gazetteer_enrichment(tmp_path, corpus, triples, trained):
     gaz = {k.casefold(): v for k, v in corpus.gazetteer.items()}
     out = tmp_path / "records.jsonl"
-    extract_corpus(corpus.triples, trained, out, threshold=0.5, gazetteer=gaz)
+    extract_corpus(triples, trained, out, threshold=0.5, gazetteer=gaz)
     recs = load_records(out)
     assert recs, "fixture model should emit at least one positive"
     assert all(r.lat is not None and r.lon is not None for r in recs)

@@ -11,6 +11,7 @@ from falcon.extract import load_records
 from falcon.ingest import (
     CandidateQuadruple,
     EntityMention,
+    MentionTable,
     RecordError,
     TextSegment,
     TrajectoryTriple,
@@ -288,8 +289,13 @@ def test_fig1a_record_roundtrip_byte_identical(tmp_path):
 # ---------------------------------------------------------------------------
 # candidate pairing
 
+def pair(triples):
+    """The candidate objects :func:`generate_candidates` pairs from triple objects."""
+    return generate_candidates(MentionTable.from_triples(triples)).objects()
+
+
 def test_fig1a_pairing_orders_persons_lexicographically():
-    cands = generate_candidates(_fig1a_triples()).objects()
+    cands = pair(_fig1a_triples())
     assert len(cands) == 1
     cand = cands[0]
     assert cand.person1.surface == "Berg"
@@ -304,14 +310,14 @@ def test_time_mismatch_produces_nothing():
     seg = make_segment("A stood in Paris in 1950. B stood in Paris in 1951.")
     t1 = make_triple(seg, "A", "1950", "Paris")
     t2 = make_triple(seg, "B", "1951", "Paris")
-    assert generate_candidates([t1, t2]).objects() == []
+    assert pair([t1, t2]) == []
 
 
 def test_four_cooccurring_triples_give_all_pairs():
     names = ["Ada", "Bo", "Cy", "Dee"]
     seg = make_segment("Ada Bo Cy Dee all in Lima in 1950 together.")
     triples = [make_triple(seg, n, "1950", "Lima") for n in names]
-    cands = generate_candidates(triples).objects()
+    cands = pair(triples)
     # oracle: brute-force enumeration of unordered person pairs
     expected = {tuple(sorted((a.casefold(), b.casefold())))
                 for a, b in itertools.combinations(names, 2)}
@@ -325,14 +331,14 @@ def test_pairing_symmetric_under_permutation():
     triples = [make_triple(seg, n, "1950", "Lima") for n in ["Ada", "Bo", "Cy"]]
     base = [(c.person1.norm, c.person2.norm, c.time.norm, c.location.norm,
              c.time.occurrences, c.location.occurrences)
-            for c in generate_candidates(triples).objects()]
+            for c in pair(triples)]
     rng = random.Random(5)
     for _ in range(10):
         shuffled = triples[:]
         rng.shuffle(shuffled)
         other = [(c.person1.norm, c.person2.norm, c.time.norm, c.location.norm,
                   c.time.occurrences, c.location.occurrences)
-                 for c in generate_candidates(shuffled).objects()]
+                 for c in pair(shuffled)]
         assert other == base
 
 
@@ -341,7 +347,7 @@ def test_pair_surfaces_match_sources_after_normalization():
     t1 = make_triple(seg, "Ada", "1950", "The Hague")
     seg_b = seg
     t2 = make_triple(seg_b, "Bo", "1950", "The Hague")
-    for cand in generate_candidates([t1, t2]).objects():
+    for cand in pair([t1, t2]):
         assert cand.time.norm == t1.time.norm == t2.time.norm
         assert cand.location.norm == t1.location.norm == t2.location.norm
 
@@ -349,7 +355,7 @@ def test_pair_surfaces_match_sources_after_normalization():
 def test_same_person_never_paired():
     seg = make_segment("Ada came to Lima in 1950. Ada stayed in Lima in 1950.")
     t1 = make_triple(seg, "Ada", "1950", "Lima")
-    assert generate_candidates([t1, t1]).objects() == []
+    assert pair([t1, t1]) == []
 
 
 def candidate_key(cand):
@@ -421,13 +427,13 @@ def test_generate_candidates_pairs_as_the_object_pairing_did():
         group = [t for t in triples if t.segment is seg]
         for _ in range(3):  # in any order, ties between equal sort keys kept in it
             rng.shuffle(group)
-            assert generate_candidates(group).objects() == _pair_oracle(group)
+            assert pair(group) == _pair_oracle(group)
     rng.shuffle(triples)
     want = [cand for seg in sorted(segments, key=lambda seg: (seg.doc_id, seg.segment_id))
             for cand in _pair_oracle([t for t in triples if t.segment is seg])]
     assert len(want) > 40
     assert any(len(c.time.occurrences) > 1 for c in want)
-    assert generate_candidates(triples).objects() == want
+    assert pair(triples) == want
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +443,7 @@ def test_audit_fixture_reaches_94_percent(audit_fixture):
     docs, triples, gold = audit_fixture
     assert len(docs) == 12
     gold_keys = set(map(candidate_key, gold))
-    produced_keys = set(map(candidate_key, generate_candidates(triples).objects()))
+    produced_keys = set(map(candidate_key, pair(triples)))
     cov = len(gold_keys & produced_keys) / len(gold_keys)
     assert cov >= 0.94
     assert cov < 1.0  # the granularity-mismatch case stays uncaptured

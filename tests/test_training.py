@@ -161,10 +161,15 @@ def test_wo_ft_mt_is_encoder_plus_linear_head():
     assert model.params["head.inter.W"].shape == (2, 20)
 
 
+def _table(cands):
+    """Candidate objects as a table."""
+    return MentionTable.from_candidates(cands)
+
+
 def _filled(model, batch):
     """A store filled with ``batch`` as training fills one, and the batch's rows."""
     store = FeatureStore.for_model(model)
-    rows, reasons = store.fill_candidates([ex.candidate for ex in batch], model.config.mt,
+    rows, reasons = store.fill_candidates(_table(ex.candidate for ex in batch), model.config.mt,
                                           model.uses_features)
     assert not any(reasons)
     return store, rows
@@ -289,18 +294,31 @@ def test_a_candidates_score_does_not_depend_on_its_batch(corpus):
     # Each candidate scored alone, with its document, and in one call over
     # the corpus plus candidates with up to 12 occurrences of an entity: the
     # batch size and the occurrence padding differ in each, the bits do not.
+    # The last candidate's Time occurs over more tokens than the window holds.
     model = InteractionModel(TrainConfig(hidden_size=8, seed=3), frozen=_frozen(8))
     by_doc: dict = {}
     for triple in corpus.triples:
         by_doc.setdefault(triple.segment.doc_id, []).append(triple)
-    docs = [generate_candidates(by_doc[doc_id]).objects() for doc_id in sorted(by_doc)]
+    docs = [generate_candidates(MentionTable.from_triples(by_doc[doc_id])).objects()
+            for doc_id in sorted(by_doc)]
     docs.append([_ragged_candidate(i, counts) for i, counts in
-                 enumerate([(12, 1, 2, 1), (5, 9, 1, 3), (2, 2, 7, 1), (1, 1, 1, 1)])])
+                 enumerate([(12, 1, 2, 1), (5, 9, 1, 3), (2, 2, 7, 1), (1, 1, 1, 1),
+                            (1, 1, 200, 1)])])
     everything = [cand for doc in docs for cand in doc]
-    scores = [p.score for p in predict(model, everything)]
-    assert None not in scores
-    assert [p.score for doc in docs for p in predict(model, doc)] == scores
-    assert [predict(model, [cand])[0].score for cand in everything] == scores
+    scores, labels, reasons = predict(model, _table(everything))
+    skipped = np.array([reason is not None for reason in reasons])
+    assert np.flatnonzero(skipped).tolist() == [len(everything) - 1]
+    assert "window holds 511" in reasons[-1]
+    assert np.isnan(scores[-1]) and labels[-1] == 0
+    assert not np.isnan(scores[:-1]).any()
+    # labels are the scores against the threshold, both labels occurring
+    threshold = float(np.median(scores[:-1]))
+    labels = predict(model, _table(everything), threshold)[1]
+    assert labels[:-1].tolist() == (scores[:-1] >= threshold).tolist()
+    assert 0 < labels.sum() < len(everything) - 1 and labels[-1] == 0
+    per_doc = np.concatenate([predict(model, _table(doc))[0] for doc in docs])
+    alone = np.concatenate([predict(model, _table([cand]))[0] for cand in everything])
+    assert per_doc.tobytes() == alone.tobytes() == scores.tobytes()
 
 
 def test_padding_cannot_leak():
@@ -313,7 +331,7 @@ def test_padding_cannot_leak():
 
     def grads_of(group):
         store = FeatureStore.for_model(model)
-        rows, _ = store.fill_candidates([cands[i] for i in group], with_tra=True)
+        rows, _ = store.fill_candidates(_table(cands[i] for i in group), with_tra=True)
         _, _, cache = model.forward_batch(*store.gather(rows, with_tra=True))
         grads = model.zero_grads()
         model.backward_batch(cache, d_inter[group], d_tra[:, group])
@@ -428,9 +446,10 @@ def test_training_leaves_out_examples_the_frozen_window_cannot_hold():
     config = TrainConfig(hidden_size=4, max_epochs=2, seed=5)
     model = InteractionModel(config, frozen=extractor)
     result = train(model, examples)
-    preds = predict(model, [ex.candidate for ex in examples if ex.split != "test"])
-    assert result.skipped == sum(p.skipped for p in preds) > 0
-    assert all("window holds 19" in p.reason for p in preds if p.skipped)
+    reasons = [reason for reason in predict(
+        model, _table(ex.candidate for ex in examples if ex.split != "test"))[2] if reason]
+    assert result.skipped == len(reasons) > 0
+    assert all("window holds 19" in reason for reason in reasons)
 
 
 def test_adamw_clamps_adaptive_scalars():
@@ -554,18 +573,18 @@ def trained_model(request, extractor):
 
 
 def test_threshold_zero_marks_everything_positive(corpus, trained_model):
-    preds = predict(trained_model, [ex.candidate for ex in corpus.examples[:10]],
-                    threshold=0.0)
-    assert all(p.label == 1 for p in preds if not p.skipped)
+    cands = _table(ex.candidate for ex in corpus.examples[:10])
+    _, labels, reasons = predict(trained_model, cands, threshold=0.0)
+    assert not any(reasons) and labels.tolist() == [1] * 10
 
 
 def test_context_overflow_yields_skip_not_drop(corpus, extractor):
     config = TrainConfig(hidden_size=4, max_tokens=8, seed=1)
     model = InteractionModel(config, frozen=extractor)
-    preds = predict(model, [ex.candidate for ex in corpus.examples[:5]])
-    assert len(preds) == 5
-    assert all(p.skipped for p in preds)
-    assert all("context overflow" in p.reason for p in preds)
+    scores, labels, reasons = predict(model, _table(ex.candidate for ex in corpus.examples[:5]))
+    assert len(scores) == len(labels) == len(reasons) == 5
+    assert np.isnan(scores).all() and not labels.any()
+    assert all("context overflow" in reason for reason in reasons)
 
 
 def test_a_candidate_stops_at_its_first_view_that_overflows(corpus, extractor):
@@ -574,7 +593,7 @@ def test_a_candidate_stops_at_its_first_view_that_overflows(corpus, extractor):
     model = InteractionModel(TrainConfig(hidden_size=4, max_tokens=8, seed=1), frozen=extractor)
     store = FeatureStore.for_model(model)
     assert store.frozen_inputs is not store
-    rows, reasons = store.fill_candidates([ex.candidate for ex in corpus.examples[:5]])
+    rows, reasons = store.fill_candidates(_table(ex.candidate for ex in corpus.examples[:5]))
     assert (rows == -1).all() and all("window holds 7" in r for r in reasons)
     assert not store.inputs and not store.features and not store.frozen_inputs.inputs
 
@@ -600,10 +619,10 @@ def test_predict_marks_each_distinct_view_once_in_one_pass(corpus, extractor, mo
     monkeypatch.setattr(encoder, "insert_markers", lambda views, backbone: calls.append(
         sum(map(len, views))) or insert_markers(views, backbone))
     model = InteractionModel(TrainConfig(hidden_size=4, seed=1), frozen=extractor)
-    cands = [ex.candidate for ex in corpus.examples[:12]]
-    assert not any(p.skipped for p in predict(model, cands))
+    cands = _table(ex.candidate for ex in corpus.examples[:12])
+    assert not any(predict(model, cands)[2])
     # the extractor shares the model's store: one pass for every view it lacks
-    inter, tra = candidate_views(MentionTable.from_candidates(cands))
+    inter, tra = candidate_views(cands)
     assert calls == [len({*input_keys(inter), *input_keys(tra)})]
 
 
@@ -621,11 +640,12 @@ def test_validation_is_prediction_on_the_training_store(corpus, extractor):
     for store in (shared, FeatureStore(model.encoder, extractor, shared=False), None):
         if store is not None:  # filled as training fills its store
             for split in ("train", "val"):
-                store.fill_candidates([ex.candidate for ex in examples if ex.split == split],
+                store.fill_candidates(_table(ex.candidate for ex in examples if ex.split == split),
                                       with_tra=split == "train")
-        runs.append(predict(model, [ex.candidate for ex in val_set], store=store))
-    assert len({tuple((p.score, p.label) for p in preds) for preds in runs}) == 1
-    report = compute_metrics([p.label for p in runs[0]], [ex.y_inter for ex in val_set])
+        scores, labels, _ = predict(model, _table(ex.candidate for ex in val_set), store=store)
+        runs.append((scores.tobytes(), tuple(labels.tolist())))
+    assert len(set(runs)) == 1
+    report = compute_metrics(runs[0][1], [ex.y_inter for ex in val_set])
     assert result.history[-1]["val_f1"] == report.f1 / 100
     assert result.history[-1]["val_acc"] == report.accuracy / 100
 
@@ -634,11 +654,11 @@ def test_checkpoint_roundtrip_predict_bit_identical(tmp_path, corpus, trained_mo
     path = tmp_path / "model.ckpt"
     trained_model.save(path)
     loaded = InteractionModel.load(path)
-    cands = [ex.candidate for ex in corpus.examples[:12]]
-    a = predict(trained_model, cands)
-    b = predict(loaded, cands)
-    assert [p.score for p in a] == [p.score for p in b]
-    assert [p.label for p in a] == [p.label for p in b]
+    cands = _table(ex.candidate for ex in corpus.examples[:12])
+    (a_scores, a_labels, _), (b_scores, b_labels, _) = (predict(trained_model, cands),
+                                                        predict(loaded, cands))
+    assert a_scores.tobytes() == b_scores.tobytes()
+    assert a_labels.tolist() == b_labels.tolist()
 
 
 @pytest.mark.parametrize("key, value", [("ft", True), ("optimizer", "adamw"),
@@ -672,10 +692,10 @@ def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path, trained_model
                                                     ("extractor", "", "head.W")])
 def test_a_checkpoint_whose_arrays_do_not_match_the_model_is_refused(
         tmp_path, trained_model, loader, prefix, weight):
-    # A missing array, an unknown one, one of another shape and one that is
-    # not numeric are each refused with the checkpoint's path and the
-    # array's name: in a model checkpoint, in its frozen.* arrays and in an
-    # extractor checkpoint.
+    # A missing array, an unknown one, one of another shape, one that is
+    # not numeric and one with a NaN or an infinite entry are each refused
+    # with the checkpoint's path and the array's name: in a model
+    # checkpoint, in its frozen.* arrays and in an extractor checkpoint.
     path = tmp_path / "bad.ckpt"
     save, load = ((trained_model.save, InteractionModel.load) if loader == "model"
                   else (trained_model.frozen.save, FrozenTrajectoryExtractor.load))
@@ -687,7 +707,11 @@ def test_a_checkpoint_whose_arrays_do_not_match_the_model_is_refused(
             ({prefix + "enc.attn.w": np.zeros(5)},
              f"array {prefix + 'enc.attn.w'!r} has shape (5,), expected (4,)"),
             ({prefix + "enc.attn.b": np.array("x")},
-             f"array {prefix + 'enc.attn.b'!r} has dtype <U1, not a number")):
+             f"array {prefix + 'enc.attn.b'!r} has dtype <U1, not a number"),
+            ({prefix + weight: np.full_like(good[prefix + weight], np.nan)},
+             f"array {prefix + weight!r} is not finite"),
+            ({prefix + "enc.attn.w": np.array([0.0, 1.0, -np.inf, 2.0])},
+             f"array {prefix + 'enc.attn.w'!r} is not finite")):
         arrays = {k: v for k, v in {**good, **edit}.items() if v is not None}
         save_archive(path, arrays, meta)
         with pytest.raises(ValueError) as err:
