@@ -852,3 +852,63 @@ def test_every_extract_output_matches_its_pinned_digest(tmp_path):
     assert any(r and "window holds 21" in r for r in reasons)
     assert any(r and "window holds 15" in r for r in reasons)
     assert digests == EXTRACT_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs of the labeled-data commands
+
+def _labeled_runs(root: Path) -> dict:
+    """The commands of :func:`test_every_labeled_output_matches_its_pinned_digest`,
+    by name: two fixtures, two splits, a summary and the candidates of one
+    fixture. None of them multiplies a matrix, so their bytes do not depend
+    on the BLAS kernel."""
+    fx = root / "fx"
+    return {
+        "fixture": ["fixture", "--out-dir", str(fx), "--docs", "12", "--seed", "11"],
+        "fixture50": ["fixture", "--out-dir", str(root / "fx50")],
+        "split": ["dataset", "split", "--in", str(fx / "labeled.jsonl"),
+                  "--out", str(root / "split.jsonl"), "--seed", "0"],
+        "split_by_doc": ["dataset", "split", "--in", str(fx / "labeled.jsonl"),
+                         "--out", str(root / "split_by_doc.jsonl"), "--seed", "3",
+                         "--ratios", "0.5,0.25,0.25", "--by-doc"],
+        "summarize": ["dataset", "summarize", "--in", str(root / "split.jsonl")],
+        "ingest": ["ingest", "--docs", str(fx / "docs"), "--triples", str(fx / "triples.jsonl"),
+                   "--out", str(root / "candidates.jsonl")],
+    }
+
+
+# SHA-256 of what the labeled-data commands write and print on the runs of
+# ``_labeled_runs``: the fixture files, both splits, the summary and the
+# candidates, and each command's stdout.
+LABELED_DIGESTS = {
+    "candidates.jsonl": "b365b6411b0f78b35b112450a526c8b942888ba946179994f0ff44ac60b59fc7",
+    "fixture.stdout": "474d9b33a4b54165ec2dfc17de37ead9c33a0ba01ea3cb88a4a0e9c9e230beff",
+    "fixture50.stdout": "70314355e149b0ab5f816ade215a8f99d4a8f710f28c9dfb782c7152ab30a954",
+    "fx/labeled.jsonl": "b14c1a5a70b9320e29f4e97fac368d4a3b7d0ed721729685ba7b9f0598b2a8fb",
+    "fx/trajectories.jsonl": "99ae3573219ebf6b4274f22e22e984d964ece586483063cb887286684da3c5f8",
+    "fx/triples.jsonl": "fe3dfea6f3413b3b2efb0565a0801214c871f55d719af89381bc5dbff1231529",
+    "fx50/labeled.jsonl": "fd5c805e975854b3638c4bb7002cc2cedf7a5a74db611ab18deff11aa1913b06",
+    "fx50/trajectories.jsonl": "6b6c8adfc95469a165c5706d922c150beba0ededa25093ced763eaacdb624f31",
+    "fx50/triples.jsonl": "5b96b3a2e71ae0259c3ccc1dec15093975d0cc53b59134fcf27f16fdfc2b5d6f",
+    "ingest.stdout": "34d76f58a373b17acceeb782d3ecf0b7df6a3ba87ce50199998e22740d7390f4",
+    "split.jsonl": "1d1d3d41af5437b117d14c675d3a7efbf1eb47547da27235ea2989480244babb",
+    "split.stdout": "7d87779700cb7780c4327f40ac0bcf599319430d9aafbf5d47170a4281d91e72",
+    "split_by_doc.jsonl": "eafcbf294df5d129d264635166f3d69c8aa1519721eb9b69503413ceeab15d66",
+    "split_by_doc.stdout": "8584deeb06addf4e3688b5188f1e66e9fbbe8e2c6eba2aa8172aa83339e5af17",
+    "summarize.stdout": "90bbef94565cccb394427815ee4e6de4028286f0e35e5d040051717fe29c2c99",
+}
+
+
+def test_every_labeled_output_matches_its_pinned_digest(tmp_path):
+    import hashlib
+
+    runner = CliRunner()
+    digests = {}
+    for name, args in _labeled_runs(tmp_path).items():
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, (name, res.output)
+        digests[f"{name}.stdout"] = hashlib.sha256(res.stdout.encode()).hexdigest()
+    for name in LABELED_DIGESTS:
+        if not name.endswith(".stdout"):
+            digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digests == LABELED_DIGESTS
