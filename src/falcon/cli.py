@@ -64,7 +64,7 @@ def ingest_cmd(docs, triples_path, out_path, errors_path):
         click.echo(f"warning: {len(table) - orphans - len(rows)} triples' segment text "
                    "differs from their document at their offsets", err=True)
     candidates = ingest.generate_candidates(table.take(rows))
-    ingest.dump_candidates(candidates.objects(), out_path)
+    ingest.dump_rows(candidates, out_path)
     if errors_path:
         ingest.write_jsonl(errors_path, ({"line": err.line, "message": err.message}
                                          for err in result.errors))
@@ -132,10 +132,10 @@ def pretrain_tra_cmd(config_path, data_path, out_path):
                            "config_hash": config.config_hash()}))
 
 
-def _load_training_examples(data_path) -> list:
+def _load_training_examples(data_path) -> ds.LabeledTable:
     """The labeled examples of ``data_path``, which must have a train split."""
     examples = ds.load_examples(data_path)
-    if not any(ex.split == "train" for ex in examples):
+    if "train" not in examples.split:
         raise ValueError(f"{data_path}: no examples with split='train' "
                          "(run falcon dataset split)")
     return examples
@@ -167,10 +167,9 @@ def train_cmd(config_path, data_path, out_path, frozen_path):
                            "config_hash": config.config_hash()}))
 
 
-def _prediction_json(cand, score: float, label: int, reason: str | None) -> dict:
-    """A ``predict`` output line: a skipped candidate has a null score and
-    label, and its reason."""
-    rec = ingest.candidate_to_json(cand)
+def _prediction_json(rec: dict, score: float, label: int, reason: str | None) -> dict:
+    """A ``predict`` output line, from its candidate's line ``rec``: a
+    skipped candidate has a null score and label, and its reason."""
     if reason is None:
         rec.update(score=score, label=label, skipped=False)
     else:
@@ -190,10 +189,10 @@ def predict_cmd(checkpoint, cand_path, out_path, threshold):
 
     model = tr.InteractionModel.load(checkpoint)
     candidates = ingest.load_candidates(cand_path)
-    scores, labels, reasons = tr.predict(
-        model, ingest.MentionTable.from_candidates(candidates), threshold=threshold)
-    ingest.write_jsonl(out_path, map(_prediction_json, candidates, scores.tolist(),
-                                     labels.tolist(), reasons))
+    scores, labels, reasons = tr.predict(model, candidates, threshold=threshold)
+    lines = (ingest.row_json(candidates, row) for row in range(len(candidates)))
+    ingest.write_jsonl(out_path, map(_prediction_json, lines, scores.tolist(), labels.tolist(),
+                                     reasons))
     skipped = sum(reason is not None for reason in reasons)
     click.echo(json.dumps({"candidates": len(candidates), "positives": int(labels.sum()),
                            "skipped": skipped}))
@@ -431,8 +430,8 @@ def fixture_cmd(out_dir, n_docs, seed):
     ingest.write_jsonl(out / "docs" / "corpus.jsonl",
                        ({"doc_id": doc.doc_id, "title": doc.title, "text": doc.text,
                          "source": doc.source} for doc in corpus.documents))
-    ingest.dump_triples(corpus.triples, out / "triples.jsonl")
-    ds.dump_labeled_triples(corpus.labeled_triples, out / "trajectories.jsonl")
+    ingest.dump_rows(corpus.triples, out / "triples.jsonl")
+    ds.dump_examples(corpus.labeled_triples, out / "trajectories.jsonl")
     ds.dump_examples(corpus.examples, out / "labeled.jsonl")
     attrs_obj = {v["name"]: {k: x for k, x in v.items() if k != "name"}
                  for v in corpus.node_attrs.values()}

@@ -1,70 +1,142 @@
 """Labeled examples, splits and summaries.
 
-Every labeled example carries the interaction label plus the two per-person
-trajectory labels of the quadruple's (person, time, location) halves (its
-trajectory views, :func:`falcon.encoder.candidate_views`); an interaction
-entails both presences.
+A labeled file is read into a :class:`LabeledTable`: the mentions of its
+rows as a :class:`~falcon.ingest.MentionTable`, read by the one reader of
+every mention file (:func:`~falcon.ingest.read_mentions`), plus a column
+per label and the split column. Labeled JSONL holds candidate quadruples
+with the interaction label and the two per-person trajectory labels of the
+quadruple's (person, time, location) halves (its trajectory views,
+:func:`falcon.encoder.candidate_views`); an interaction entails both
+presences. The labeled trajectory corpus holds triples with one trajectory
+label each. Every output line is built from a row.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field, replace
+from array import array
+from copy import copy
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ingest import (
-    CandidateQuadruple,
-    TrajectoryTriple,
-    candidate_from_json,
-    candidate_to_json,
-    iter_jsonl,
-    triple_from_json,
-    triple_to_json,
+    INTERACTION_ROLES,
+    TRAJECTORY_ROLES,
+    MentionTable,
+    read_mentions,
+    row_json,
     write_jsonl,
 )
 
 SPLITS = ("train", "val", "test")
+# The labels of a row, by the roles of its mentions
+LABELS = {INTERACTION_ROLES: ("y_inter", "y_tra1", "y_tra2"), TRAJECTORY_ROLES: ("y_tra",)}
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    candidate: CandidateQuadruple
-    y_inter: int
-    y_tra1: int
-    y_tra2: int
-    split: str | None = None
+class LabeledTable:
+    """Labeled rows as columns: ``mentions`` holds each row's candidate
+    quadruple or trajectory triple, ``labels`` a 0/1 column (``array('b')``)
+    per name of :data:`LABELS`, and ``split`` each row's split (None when
+    unsplit, and always for triples). Iterating yields the rows as
+    :class:`LabeledRow`."""
 
-    def __post_init__(self):
-        for name, y in (("y_inter", self.y_inter), ("y_tra1", self.y_tra1),
-                        ("y_tra2", self.y_tra2)):
+    def __init__(self, mentions: MentionTable):
+        self.mentions = mentions
+        self.labels = {name: array("b") for name in LABELS[mentions.roles]}
+        self.split: list[str | None] = []
+
+    def __len__(self) -> int:
+        return len(self.split)
+
+    def __iter__(self):
+        return (LabeledRow(self, row) for row in range(len(self)))
+
+    def take(self, rows: Iterable[int]) -> "LabeledTable":
+        """The rows at ``rows``, in that order."""
+        rows = list(rows)
+        out = LabeledTable(self.mentions.take(rows))
+        for name, column in self.labels.items():
+            out.labels[name] = array("b", [column[row] for row in rows])
+        out.split = [self.split[row] for row in rows]
+        return out
+
+    def add_json(self, obj) -> str | None:
+        """Append the row of one decoded line: its mentions
+        (:meth:`~falcon.ingest.MentionTable.add_json`, which raises for a bad
+        line), then its labels and split. Returns what is wrong with those,
+        if anything, having appended them only when nothing is: a missing
+        label, one that does not equal 0 or 1, an interaction without both
+        presences, or an unknown split."""
+        self.mentions.add_json(obj)
+        try:
+            values = [obj[name] for name in self.labels]
+        except KeyError as exc:
+            return str(exc)
+        for name, y in zip(self.labels, values):
             if y not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {y!r}")
-        if self.y_inter == 1 and not (self.y_tra1 == 1 and self.y_tra2 == 1):
-            raise ValueError("label entailment violated: y_inter=1 requires both y_tra=1")
-        if self.split is not None and self.split not in SPLITS:
-            raise ValueError(f"unknown split {self.split!r}")
+                return f"{name} must be 0 or 1, got {y!r}"
+        split = None
+        if len(values) == 3:
+            if values[0] == 1 and not (values[1] == 1 and values[2] == 1):
+                return "label entailment violated: y_inter=1 requires both y_tra=1"
+            split = obj.get("split")
+            if split is not None and split not in SPLITS:
+                return f"unknown split {split!r}"
+        for column, y in zip(self.labels.values(), values):
+            column.append(int(y))
+        self.split.append(split)
+        return None
 
 
-def split_dataset(examples: Sequence[LabeledExample],
-                  ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
+class LabeledRow(NamedTuple):
+    """Row ``index`` of a :class:`LabeledTable`. perfbench reads ``.split``
+    of the rows of :func:`load_examples` and of ``train``'s examples, and
+    passes lists of rows to :func:`~falcon.evalbench.evaluate_transfer`."""
+
+    table: LabeledTable
+    index: int
+
+    @property
+    def split(self) -> str | None:
+        return self.table.split[self.index]
+
+
+def select(rows: Iterable[LabeledRow]) -> LabeledTable:
+    """The rows, in order, as one table: an empty candidate table when there
+    are none. Rows of more than one table raise ValueError."""
+    rows = list(rows)
+    if not rows:
+        return LabeledTable(MentionTable(INTERACTION_ROLES))
+    table = rows[0].table
+    if any(row.table is not table for row in rows):
+        raise ValueError("rows of more than one labeled table")
+    return table.take(row.index for row in rows)
+
+
+def split_dataset(examples: LabeledTable,
+                  ratios: Sequence[float] = (0.7, 0.1, 0.2),
                   seed: int = 0,
-                  group_by_doc: bool = False) -> list[LabeledExample]:
+                  group_by_doc: bool = False) -> LabeledTable:
     """Assign train/val/test splits by floor-plus-largest-remainder allocation.
 
     Deterministic under ``seed``; sizes land within one example of the exact
     proportions and the assignment partitions the input. With
     ``group_by_doc`` all examples of one document share a split (leakage
-    guard; off by default).
+    guard; off by default). Returns a table of the same rows with the new
+    splits; ``examples`` is left as it is. Ratios must be finite and
+    non-negative and sum to 1.
     """
+    if not all(0 <= r < math.inf for r in ratios):
+        raise ValueError(f"split ratios must be finite and non-negative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
 
     if group_by_doc:
-        units: list[list[int]] = []
         by_doc: dict[str, list[int]] = {}
-        for i, ex in enumerate(examples):
-            by_doc.setdefault(ex.candidate.segment.doc_id, []).append(i)
+        for i, doc_id in enumerate(examples.mentions.doc_ids()):
+            by_doc.setdefault(doc_id, []).append(i)
         units = [by_doc[k] for k in sorted(by_doc)]
     else:
         units = [[i] for i in range(len(examples))]
@@ -80,15 +152,15 @@ def split_dataset(examples: Sequence[LabeledExample],
     for i in remainders[: n - sum(sizes)]:
         sizes[i] += 1
 
-    assignment: dict[int, str] = {}
+    out = copy(examples)
+    out.split = [None] * len(examples)
     cursor = 0
     for split, size in zip(SPLITS, sizes):
         for unit_idx in order[cursor:cursor + size]:
             for ex_idx in units[unit_idx]:
-                assignment[ex_idx] = split
+                out.split[ex_idx] = split
         cursor += size
-
-    return [replace(ex, split=assignment[i]) for i, ex in enumerate(examples)]
+    return out
 
 
 @dataclass
@@ -115,73 +187,51 @@ class DatasetSummary:
         }
 
 
-def summarize(examples: Iterable[LabeledExample]) -> DatasetSummary:
-    summary = DatasetSummary()
-    for ex in examples:
-        if ex.y_inter == 1:
-            summary.interaction_pos += 1
-        else:
-            summary.interaction_neg += 1
-        for y in (ex.y_tra1, ex.y_tra2):
-            if y == 1:
-                summary.trajectory_pos += 1
-            else:
-                summary.trajectory_neg += 1
-        if ex.split is not None:
-            summary.split_sizes[ex.split] = summary.split_sizes.get(ex.split, 0) + 1
+def summarize(examples: LabeledTable) -> DatasetSummary:
+    labels, n = examples.labels, len(examples)
+    summary = DatasetSummary(interaction_pos=sum(labels["y_inter"]),
+                             trajectory_pos=sum(labels["y_tra1"]) + sum(labels["y_tra2"]))
+    summary.interaction_neg = n - summary.interaction_pos
+    summary.trajectory_neg = 2 * n - summary.trajectory_pos
+    for split in examples.split:
+        if split is not None:
+            summary.split_sizes[split] = summary.split_sizes.get(split, 0) + 1
     return summary
 
 
 # ---------------------------------------------------------------------------
-# Labeled JSONL
+# Labeled JSONL, and the labeled trajectory corpus (for pretraining the
+# frozen extractor): Triple JSONL lines plus a binary y_tra label.
 
-def example_to_json(ex: LabeledExample) -> dict:
-    rec = candidate_to_json(ex.candidate)
-    rec["y_inter"] = ex.y_inter
-    rec["y_tra1"] = ex.y_tra1
-    rec["y_tra2"] = ex.y_tra2
-    if ex.split is not None:
-        rec["split"] = ex.split
-    return rec
+def _load_labeled(path: str | Path, roles: tuple[str, ...]) -> LabeledTable:
+    table = LabeledTable(MentionTable(roles))
+    read_mentions(path, table.mentions, table.add_json)
+    return table
 
 
-def example_from_json(obj: dict) -> LabeledExample:
-    return LabeledExample(
-        candidate=candidate_from_json(obj),
-        y_inter=int(obj["y_inter"]),
-        y_tra1=int(obj["y_tra1"]),
-        y_tra2=int(obj["y_tra2"]),
-        split=obj.get("split"),
-    )
+def load_examples(path: str | Path) -> LabeledTable:
+    """Read Labeled JSONL; the first bad line raises
+    ``ValueError("path:line: reason")`` (:meth:`LabeledTable.add_json`)."""
+    return _load_labeled(path, INTERACTION_ROLES)
 
 
-def load_examples(path: str | Path) -> list[LabeledExample]:
-    """Read Labeled JSONL, rejecting records that violate label entailment."""
-    return list(iter_jsonl(path, example_from_json))
+def load_labeled_triples(path: str | Path) -> LabeledTable:
+    """Read the labeled trajectory corpus, as :func:`load_examples` reads
+    Labeled JSONL."""
+    return _load_labeled(path, TRAJECTORY_ROLES)
 
 
-def dump_examples(examples: Iterable[LabeledExample], path: str | Path) -> None:
-    write_jsonl(path, map(example_to_json, examples))
+def dump_examples(examples: LabeledTable, path: str | Path) -> None:
+    """Write each row as its line: :func:`~falcon.ingest.row_json`, then its
+    labels, then its split when it has one."""
+    labels = list(examples.labels.items())
 
+    def line(row: int) -> dict:
+        rec = row_json(examples.mentions, row)
+        for name, column in labels:
+            rec[name] = column[row]
+        if examples.split[row] is not None:
+            rec["split"] = examples.split[row]
+        return rec
 
-# Labeled trajectory corpus (for pretraining the frozen extractor):
-# Triple JSONL envelope plus a binary y_tra label.
-
-@dataclass(frozen=True)
-class LabeledTriple:
-    triple: TrajectoryTriple
-    y_tra: int
-
-    def __post_init__(self):
-        if self.y_tra not in (0, 1):
-            raise ValueError(f"y_tra must be 0 or 1, got {self.y_tra!r}")
-
-
-def load_labeled_triples(path: str | Path) -> list[LabeledTriple]:
-    return list(iter_jsonl(path, lambda obj: LabeledTriple(
-        triple=triple_from_json(obj), y_tra=int(obj["y_tra"]))))
-
-
-def dump_labeled_triples(items: Iterable[LabeledTriple], path: str | Path) -> None:
-    write_jsonl(path, (dict(triple_to_json(item.triple), y_tra=item.y_tra)
-                       for item in items))
+    write_jsonl(path, map(line, range(len(examples))))

@@ -11,7 +11,7 @@ import io
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .ingest import MentionTable
+from .dataset import select
 
 # The six ablation rows: name -> TrainConfig field overrides.
 ABLATION_GRID = {
@@ -170,13 +170,15 @@ def run_ablations(examples, base_config, frozen_extractor,
 def evaluate_transfer(model, examples, dataset_id: str = "external",
                       store=None) -> MetricReport:
     """Metrics of an already-trained model's labels (:func:`~falcon.training.predict`,
-    on ``store`` when given) against the examples' interaction labels; no
-    retraining. A skipped candidate counts as a negative and in ``skipped``."""
+    on ``store`` when given) against the interaction labels of ``examples``,
+    rows of one :class:`~falcon.dataset.LabeledTable`; no retraining. A
+    skipped candidate counts as a negative and in ``skipped``; no rows give
+    an all-zero report."""
     from .training import predict
 
-    _, labels, reasons = predict(
-        model, MentionTable.from_candidates(ex.candidate for ex in examples), store=store)
-    report = compute_metrics(labels.tolist(), [ex.y_inter for ex in examples],
+    examples = select(examples)
+    _, labels, reasons = predict(model, examples.mentions, store=store)
+    report = compute_metrics(labels.tolist(), examples.labels["y_inter"].tolist(),
                              dataset_id=dataset_id, config_hash=model.config.config_hash())
     report.skipped = sum(reason is not None for reason in reasons)
     return report

@@ -14,10 +14,11 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .dataset import LabeledExample, LabeledTriple
+from .dataset import LabeledTable
 from .extract import InteractionRecord
 from .ingest import (
-    CandidateQuadruple,
+    INTERACTION_ROLES,
+    TRAJECTORY_ROLES,
     Document,
     EntityMention,
     MentionTable,
@@ -155,29 +156,24 @@ def paragraph_triples(segment: TextSegment, rendered: RenderedParagraph,
 # ---------------------------------------------------------------------------
 # The 50-document fixture corpus
 
-# Paragraphs per pairing call of build_fixture_corpus
-PAIR_BATCH = 64
-
-
 @dataclass
 class FixtureCorpus:
+    """The documents, the triples (``labeled_triples.mentions``, with each
+    triple's trajectory label) and the labeled candidates (``examples``) of
+    a fixture corpus, with its attribute tables and canned responses."""
+
     documents: list[Document] = field(default_factory=list)
-    triples: list[TrajectoryTriple] = field(default_factory=list)
-    labeled_triples: list[LabeledTriple] = field(default_factory=list)
-    examples: list[LabeledExample] = field(default_factory=list)
+    labeled_triples: LabeledTable = field(
+        default_factory=lambda: LabeledTable(MentionTable(TRAJECTORY_ROLES)))
+    examples: LabeledTable = field(
+        default_factory=lambda: LabeledTable(MentionTable(INTERACTION_ROLES)))
     node_attrs: dict = field(default_factory=dict)
     gazetteer: dict = field(default_factory=dict)
     llm_responses: list = field(default_factory=list)
 
-
-def _attach_labels(cand: CandidateQuadruple, rendered: RenderedParagraph,
-                   a: str) -> LabeledExample:
-    if cand.person1.norm == normalize_surface(a):
-        y1, y2 = rendered.y_tra_a, rendered.y_tra_b
-    else:
-        y1, y2 = rendered.y_tra_b, rendered.y_tra_a
-    return LabeledExample(candidate=cand, y_inter=rendered.y_inter,
-                          y_tra1=y1, y_tra2=y2)
+    @property
+    def triples(self) -> MentionTable:
+        return self.labeled_triples.mentions
 
 
 def _build_doc(doc_id: str, person_a: str, paragraphs: list[tuple]) -> tuple:
@@ -223,31 +219,19 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
             "profession": ["Politics & Law", "Education", "Journalism"][i % 3],
         }
 
-    pending = []  # (segment, rendered, person a) of each paragraph not paired yet
-
-    def pair_pending():
-        """A paragraph is a segment of its two triples, the last ones added,
-        so it has at most one candidate. Paragraphs are paired PAIR_BATCH at
-        a time: one call per paragraph costs more time, one per corpus holds
-        every rendered paragraph until the end."""
-        cands = {c.segment.segment_id: c for c in generate_candidates(MentionTable.from_triples(
-            corpus.triples[len(corpus.triples) - 2 * len(pending):])).objects()}
-        for segment, rendered, a in pending:
-            if segment.segment_id in cands:
-                corpus.examples.append(_attach_labels(cands[segment.segment_id], rendered, a))
-        pending.clear()
+    paragraphs = []  # (segment_id, rendered, person a) of each paragraph
 
     def add_paragraph_set(doc_id, person_a, specs):
         doc, rows = _build_doc(doc_id, person_a, specs)
         corpus.documents.append(doc)
+        y_tra = corpus.labeled_triples.labels["y_tra"]
         for segment, rendered, a, b, t, l in rows:
-            ta, tb = paragraph_triples(segment, rendered, a, b, t, l)
-            corpus.triples.extend([ta, tb])
-            corpus.labeled_triples.append(LabeledTriple(ta, rendered.y_tra_a))
-            corpus.labeled_triples.append(LabeledTriple(tb, rendered.y_tra_b))
-            pending.append((segment, rendered, a))
-        if len(pending) >= PAIR_BATCH:
-            pair_pending()
+            for triple, y in zip(paragraph_triples(segment, rendered, a, b, t, l),
+                                 (rendered.y_tra_a, rendered.y_tra_b)):
+                corpus.triples.add(segment, (triple.person, triple.time, triple.location))
+                y_tra.append(y)
+                corpus.labeled_triples.split.append(None)
+            paragraphs.append((segment.segment_id, rendered, a))
 
     # canonical docs
     fig1a = _pos_met("Niemans", "Berg", "1950", "The Hague")
@@ -271,7 +255,22 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
             specs.append((template(person_a, b, t, l), person_a, b, t, l))
         add_paragraph_set(f"fix{i:04d}", person_a, specs)
 
-    pair_pending()
+    # A paragraph is a segment of its two triples, so it has at most one
+    # candidate; the examples are in the order of their paragraphs.
+    cands = generate_candidates(corpus.triples)
+    row_of = {cands.envelopes[seg][1]: row for row, seg in enumerate(cands.segment)}
+    paired = [(row_of[segment_id], rendered, a) for segment_id, rendered, a in paragraphs
+              if segment_id in row_of]
+    corpus.examples = LabeledTable(cands.take(row for row, _, _ in paired))
+    labels = corpus.examples.labels
+    for row, rendered, a in paired:
+        if cands.norms[cands.surface[4 * row]] == normalize_surface(a):
+            y1, y2 = rendered.y_tra_a, rendered.y_tra_b
+        else:
+            y1, y2 = rendered.y_tra_b, rendered.y_tra_a
+        for name, y in zip(labels, (rendered.y_inter, y1, y2)):
+            labels[name].append(y)
+        corpus.examples.split.append(None)
 
     corpus.llm_responses = [
         "Cooperative", "Adversarial", "Neutral", "Cooperative",

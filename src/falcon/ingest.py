@@ -8,15 +8,16 @@ text segment.
 
 Triples and candidates travel as columns (:class:`MentionTable`): each
 distinct segment envelope and surface is held once, and mentions are
-arrays of surface ids and occurrence spans. :func:`load_triples` decodes
-each line once into such a table and checks the spans per column;
-:func:`generate_candidates` pairs a table into another. Every step after
-it (the feature store, scoring, extraction) takes a table too. The
-objects (:class:`TrajectoryTriple`, :class:`CandidateQuadruple`) are what
-the labeled files, the fixtures and the tests speak; a caller that holds
-them converts them once, through :meth:`MentionTable.from_triples` or
-:meth:`MentionTable.from_candidates`, and :meth:`MentionTable.objects`
-turns a table back into objects.
+arrays of surface ids and occurrence spans. Every file of mentions (the
+triples, the candidates and both labeled files) is read by one reader,
+:func:`read_mentions`: it decodes each line once into such a table and
+checks the spans per column. :func:`generate_candidates` pairs a table
+into another, and every step after it (the feature store, scoring,
+extraction) takes a table too; each output line is built from a row
+(:func:`row_json`). The objects (:class:`TextSegment`,
+:class:`EntityMention`, :class:`TrajectoryTriple`) are what the fixture
+generator synthesises and what :func:`row_from_json`, the per-line check
+that names what is wrong with a bad line, builds.
 """
 
 from __future__ import annotations
@@ -98,25 +99,22 @@ def _check_role(role: str) -> None:
         raise ValueError(f"unknown entity role {role!r}")
 
 
-def validate_mention(mention: EntityMention, segment_text: str) -> None:
-    """Check span ordering, bounds, non-overlap, and surface agreement."""
+def mention_fault(role: str, surface: str, occurrences, segment_text: str) -> str | None:
+    """What is wrong with a mention's spans, or None: the first occurrence,
+    in order, that lies outside the segment, that overlaps or precedes the
+    one before it, or whose text does not normalise to the surface."""
+    norm = normalize_surface(surface)
     prev_end = -1
-    for start, end in mention.occurrences:
+    for start, end in occurrences:
         if not (0 <= start < end <= len(segment_text)):
-            raise ValueError(
-                f"{mention.role} occurrence ({start},{end}) out of segment bounds"
-            )
+            return f"{role} occurrence ({start},{end}) out of segment bounds"
         if start < prev_end:
-            raise ValueError(
-                f"{mention.role} occurrences overlap or are unsorted at ({start},{end})"
-            )
+            return f"{role} occurrences overlap or are unsorted at ({start},{end})"
         prev_end = end
         span_text = segment_text[start:end]
-        if normalize_surface(span_text) != mention.norm:
-            raise ValueError(
-                f"{mention.role} span text {span_text!r} does not match surface "
-                f"{mention.surface!r}"
-            )
+        if normalize_surface(span_text) != norm:
+            return f"{role} span text {span_text!r} does not match surface {surface!r}"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,36 +123,6 @@ class TrajectoryTriple:
     person: EntityMention
     time: EntityMention
     location: EntityMention
-
-    def validate(self) -> None:
-        if self.person.role != "Person":
-            raise ValueError(f"triple person role must be 'Person', got {self.person.role!r}")
-        if self.time.role != "Time" or self.location.role != "Location":
-            raise ValueError("triple time/location roles mislabeled")
-        for m in (self.person, self.time, self.location):
-            validate_mention(m, self.segment.text)
-
-
-@dataclass(frozen=True, slots=True)
-class CandidateQuadruple:
-    segment: TextSegment
-    person1: EntityMention
-    person2: EntityMention
-    time: EntityMention
-    location: EntityMention
-
-    def validate(self) -> None:
-        if self.person1.role != "Person1" or self.person2.role != "Person2":
-            raise ValueError("quadruple person roles mislabeled")
-        if self.time.role != "Time" or self.location.role != "Location":
-            raise ValueError("quadruple time/location roles mislabeled")
-        if self.person1.norm == self.person2.norm:
-            raise ValueError("quadruple persons must differ")
-        for m in self.entities():
-            validate_mention(m, self.segment.text)
-
-    def entities(self) -> tuple[EntityMention, ...]:
-        return (self.person1, self.person2, self.time, self.location)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +210,17 @@ class MentionTable:
             self.bounds.append(len(self.starts))
 
     def add_json(self, obj) -> None:
-        """Append the triple of one decoded Triple JSONL line. A line whose
-        values all have their JSON types (strings, integer offsets, spans of
-        two integers inside the segment) and whose segment is well formed
-        goes into the columns as read; any other goes through
-        :func:`triple_from_json`, which raises what is wrong with it or
-        returns the triple to append. The spans are checked apart, per
-        column (:meth:`span_faults`)."""
+        """Append the row of one decoded line of a mention file: its segment
+        envelope, then the mention of each role under the role's key in
+        lower case (``person``, or ``person1`` and ``person2``, then ``time``
+        and ``location``). A line whose values all have their JSON types
+        (strings, integer offsets, spans of two integers inside the segment),
+        whose segment is well formed and whose persons differ goes into the
+        columns as read; any other goes through :func:`row_from_json`, which
+        raises what is wrong with it or returns the row to append. The spans
+        are checked apart, per column (:meth:`span_faults`)."""
         if not self._add_checked_json(obj):
-            t = triple_from_json(obj)
-            self.add(t.segment, (t.person, t.time, t.location))
+            self.add(*row_from_json(obj, self.roles))
 
     def _add_checked_json(self, obj) -> bool:
         """:meth:`add_json` of a line that needs no conversion; False, with
@@ -260,7 +229,7 @@ class MentionTable:
             envelope = (obj["doc_id"], obj["segment_id"], obj["char_start"], obj["char_end"],
                         obj["segment_text"])
             mentions = [(m["surface"], m["occurrences"])
-                        for m in (obj["person"], obj["time"], obj["location"])]
+                        for m in [obj[role.lower()] for role in self.roles]]
             seg = self._envelope_ids.get(envelope)
         except (KeyError, TypeError):  # not an object, a key missing, or an unhashable value
             return False
@@ -278,6 +247,9 @@ class MentionTable:
                         or type(span[0]) is not int or type(span[1]) is not int
                         or not 0 <= span[0] <= len(text) or not 0 <= span[1] <= len(text)):
                     return False
+        if (self.roles == INTERACTION_ROLES
+                and normalize_surface(mentions[0][0]) == normalize_surface(mentions[1][0])):
+            return False
         self.segment.append(self._envelope(envelope) if seg is None else seg)
         starts, ends = self.starts, self.ends
         for surface, occurrences in mentions:
@@ -288,15 +260,15 @@ class MentionTable:
             self.bounds.append(len(starts))
         return True
 
-    def span_faults(self) -> list[int]:
-        """The rows with a mention whose occurrences :func:`validate_mention`
-        refuses: one outside its segment, one that overlaps or precedes the
+    def span_faults(self) -> dict[int, str]:
+        """The rows with a mention whose occurrences :func:`mention_fault`
+        refuses (one outside its segment, one that overlaps or precedes the
         one before it, or one whose text does not normalise to the mention's
-        surface."""
-        arity, bounds, starts, ends = len(self.roles), self.bounds, self.starts, self.ends
-        surfaces, norms = self.surfaces, self.norms
+        surface), each with the fault of its first such mention."""
+        roles, bounds, starts, ends = self.roles, self.bounds, self.starts, self.ends
+        arity, surfaces, norms = len(roles), self.surfaces, self.norms
         texts = [envelope[4] for envelope in self.envelopes]
-        faults: list[int] = []
+        faults: dict[int, str] = {}
         for m, (text, sid, a, b) in enumerate(zip(
                 [texts[seg] for seg in self.segment for _ in range(arity)], self.surface,
                 bounds, islice(bounds, 1, None))):
@@ -306,8 +278,8 @@ class MentionTable:
                 if (not prev <= start < end <= len(text)
                         or text[start:end] != surfaces[sid]  # most spans read their surface
                         and normalize_surface(text[start:end]) != norms[sid]):
-                    if not faults or faults[-1] != m // arity:
-                        faults.append(m // arity)
+                    faults.setdefault(m // arity, mention_fault(
+                        roles[m % arity], surfaces[sid], zip(starts[a:b], ends[a:b]), text))
                     break
                 prev = end
         return faults
@@ -337,46 +309,6 @@ class MentionTable:
         """Each row's doc_id."""
         return [self.envelopes[seg][0] for seg in self.segment]
 
-    def objects(self) -> list:
-        """The rows as :class:`TrajectoryTriple` or :class:`CandidateQuadruple`
-        objects, by the table's roles."""
-        build = TrajectoryTriple if self.roles == TRAJECTORY_ROLES else CandidateQuadruple
-        arity, bounds, starts, ends = len(self.roles), self.bounds, self.starts, self.ends
-        surfaces, surface = self.surfaces, self.surface
-        segments: dict[int, TextSegment] = {}
-        out = []
-        for row, seg in enumerate(self.segment):
-            if seg not in segments:
-                doc_id, segment_id, start, end, text = self.envelopes[seg]
-                segments[seg] = TextSegment(segment_id, doc_id, start, end, text)
-            out.append(build(segments[seg], *[
-                EntityMention(role, surfaces[surface[m]],
-                              tuple(zip(starts[bounds[m]:bounds[m + 1]],
-                                        ends[bounds[m]:bounds[m + 1]])))
-                for m, role in enumerate(self.roles, row * arity)]))
-        return out
-
-    @classmethod
-    def from_triples(cls, triples: Iterable[TrajectoryTriple]) -> "MentionTable":
-        """Triples as a table, through the span checks of :func:`load_triples`:
-        a triple that fails them raises what its ``validate`` raises."""
-        triples = list(triples)
-        table = cls(TRAJECTORY_ROLES)
-        for t in triples:
-            table.add(t.segment, (t.person, t.time, t.location))
-        for row in table.span_faults():
-            triples[row].validate()
-        return table
-
-    @classmethod
-    def from_candidates(cls, cands: Iterable[CandidateQuadruple]) -> "MentionTable":
-        """Candidates as a table, as they are: their loader and the pairer
-        check them, and marking refuses spans that it cannot mark."""
-        table = cls(INTERACTION_ROLES)
-        for cand in cands:
-            table.add(cand.segment, cand.entities())
-        return table
-
 
 @dataclass
 class TripleLoadResult:
@@ -384,73 +316,41 @@ class TripleLoadResult:
     errors: list[RecordError] = field(default_factory=list)
 
 
-def _mention_to_json(m: EntityMention) -> dict:
-    return {"surface": m.surface, "occurrences": [list(span) for span in m.occurrences]}
+def row_from_json(obj: dict, roles: tuple[str, ...]) -> tuple[TextSegment, list[EntityMention]]:
+    """The per-line check of a line of a mention file: its segment and its
+    mentions in ``roles`` (:meth:`MentionTable.add_json`), each value
+    converted by ``int`` where it must be an integer. A line with a key
+    missing, a value ``int`` refuses, a bad segment, a mention without
+    occurrences, persons of a quadruple that normalise alike, or a span
+    :func:`mention_fault` refuses raises what is wrong with it first."""
+    segment = TextSegment(obj["segment_id"], obj["doc_id"], int(obj["char_start"]),
+                          int(obj["char_end"]), obj["segment_text"])
+    mentions = []
+    for role in roles:
+        mention = obj[role.lower()]
+        occurrences = tuple(tuple(int(x) for x in span) for span in mention["occurrences"])
+        mentions.append(EntityMention(role, mention["surface"], occurrences))
+    if roles == INTERACTION_ROLES and mentions[0].norm == mentions[1].norm:
+        raise ValueError("quadruple persons must differ")
+    for mention in mentions:
+        fault = mention_fault(mention.role, mention.surface, mention.occurrences, segment.text)
+        if fault:
+            raise ValueError(fault)
+    return segment, mentions
 
 
-def _mention_from_json(obj: dict, role: str) -> EntityMention:
-    occurrences = tuple(tuple(int(x) for x in span) for span in obj["occurrences"])
-    return EntityMention(role=role, surface=obj["surface"], occurrences=occurrences)
-
-
-def _segment_from_json(obj: dict) -> TextSegment:
-    return TextSegment(
-        segment_id=obj["segment_id"],
-        doc_id=obj["doc_id"],
-        char_start=int(obj["char_start"]),
-        char_end=int(obj["char_end"]),
-        text=obj["segment_text"],
-    )
-
-
-def _envelope(segment: TextSegment) -> dict:
-    return {
-        "doc_id": segment.doc_id,
-        "segment_id": segment.segment_id,
-        "char_start": segment.char_start,
-        "char_end": segment.char_end,
-        "segment_text": segment.text,
-    }
-
-
-def triple_to_json(triple: TrajectoryTriple) -> dict:
-    rec = _envelope(triple.segment)
-    rec["person"] = _mention_to_json(triple.person)
-    rec["time"] = _mention_to_json(triple.time)
-    rec["location"] = _mention_to_json(triple.location)
+def row_json(table: MentionTable, row: int) -> dict:
+    """Row ``row`` of a table as a line of its file writes it: the segment
+    envelope, then each role's mention under its key (:meth:`MentionTable.add_json`)."""
+    doc_id, segment_id, char_start, char_end, text = table.envelopes[table.segment[row]]
+    rec = {"doc_id": doc_id, "segment_id": segment_id, "char_start": char_start,
+           "char_end": char_end, "segment_text": text}
+    bounds, starts, ends = table.bounds, table.starts, table.ends
+    for m, role in enumerate(table.roles, row * len(table.roles)):
+        a, b = bounds[m], bounds[m + 1]
+        rec[role.lower()] = {"surface": table.surfaces[table.surface[m]],
+                             "occurrences": [list(span) for span in zip(starts[a:b], ends[a:b])]}
     return rec
-
-
-def triple_from_json(obj: dict) -> TrajectoryTriple:
-    triple = TrajectoryTriple(
-        segment=_segment_from_json(obj),
-        person=_mention_from_json(obj["person"], "Person"),
-        time=_mention_from_json(obj["time"], "Time"),
-        location=_mention_from_json(obj["location"], "Location"),
-    )
-    triple.validate()
-    return triple
-
-
-def candidate_to_json(cand: CandidateQuadruple) -> dict:
-    rec = _envelope(cand.segment)
-    rec["person1"] = _mention_to_json(cand.person1)
-    rec["person2"] = _mention_to_json(cand.person2)
-    rec["time"] = _mention_to_json(cand.time)
-    rec["location"] = _mention_to_json(cand.location)
-    return rec
-
-
-def candidate_from_json(obj: dict) -> CandidateQuadruple:
-    cand = CandidateQuadruple(
-        segment=_segment_from_json(obj),
-        person1=_mention_from_json(obj["person1"], "Person1"),
-        person2=_mention_from_json(obj["person2"], "Person2"),
-        time=_mention_from_json(obj["time"], "Time"),
-        location=_mention_from_json(obj["location"], "Location"),
-    )
-    cand.validate()
-    return cand
 
 
 # One JSONL line of a JSON value: json.dumps with these options, through one
@@ -555,44 +455,62 @@ def write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
             fh.write(dumps_record(obj) + "\n")
 
 
-def load_triples(path: str | Path) -> TripleLoadResult:
-    """Read Triple JSONL into a :class:`MentionTable`; malformed lines become
-    error records, not crashes.
+def read_mentions(path: str | Path, table: MentionTable, add: Callable | None = None,
+                  errors: list[RecordError] | None = None) -> set[int]:
+    """Read a mention file into ``table``, a row a line, and return the rows
+    of the lines it refuses.
 
     Each line is decoded once and its values go straight into the columns
-    (:meth:`MentionTable.add_json`); the spans are then checked per column.
-    A triple those checks refuse is left out, with the message of the
-    per-line check (``validate``) at its line. An unreadable file is fatal
-    (raises OSError); a bad line is collected with its 1-based line number
-    and processing continues.
+    (``add``, by default :meth:`MentionTable.add_json`); the spans are then
+    checked per column (:meth:`MentionTable.span_faults`). ``add`` may
+    return what else is wrong with a line it has appended (a label), which
+    the line's span fault comes before. Each refused line goes into
+    ``errors`` with its 1-based line number, in line order; without
+    ``errors`` the first raises ``ValueError("path:line: reason")``. A
+    reader whose ``add`` fills columns of its own (labels) passes no
+    ``errors``, as a refused line would leave those columns out of step
+    with the table. An unreadable file raises OSError.
     """
-    table = MentionTable(TRAJECTORY_ROLES)
-    result = TripleLoadResult(table)
-    lines = [line for line, _ in iter_jsonl(path, table.add_json, result.errors, numbered=True)]
+    found: list[RecordError] = []
+    read = list(iter_jsonl(path, add or table.add_json, found, numbered=True))
     faults = table.span_faults()
-    if faults:
-        refused = set()
-        for row, triple in zip(faults, table.take(faults).objects()):
-            try:
-                triple.validate()
-            except ValueError as exc:
-                refused.add(row)
-                result.errors.append(RecordError(line=lines[row], message=str(exc)))
-        result.triples = table.take(row for row in range(len(table)) if row not in refused)
-        result.errors.sort(key=lambda error: error.line)
+    refused = set()
+    for row, (line, problem) in enumerate(read):
+        message = faults.get(row, problem)
+        if message is not None:
+            refused.add(row)
+            found.append(RecordError(line=line, message=message))
+    found.sort(key=lambda error: error.line)
+    if errors is None and found:
+        raise ValueError(f"{path}:{found[0].line}: {found[0].message}")
+    if errors is not None:
+        errors.extend(found)
+    return refused
+
+
+def load_triples(path: str | Path) -> TripleLoadResult:
+    """Read Triple JSONL into a :class:`MentionTable` (:func:`read_mentions`);
+    a bad line becomes an error record with its line number, not a crash,
+    and its triple is left out. An unreadable file raises OSError."""
+    result = TripleLoadResult(MentionTable(TRAJECTORY_ROLES))
+    refused = read_mentions(path, result.triples, errors=result.errors)
+    if refused:
+        result.triples = result.triples.take(
+            row for row in range(len(result.triples)) if row not in refused)
     return result
 
 
-def dump_triples(triples: Iterable[TrajectoryTriple], path: str | Path) -> None:
-    write_jsonl(path, map(triple_to_json, triples))
+def load_candidates(path: str | Path) -> MentionTable:
+    """Read Candidate JSONL into a :class:`MentionTable` (:func:`read_mentions`);
+    a bad line raises ``ValueError("path:line: reason")``."""
+    table = MentionTable(INTERACTION_ROLES)
+    read_mentions(path, table)
+    return table
 
 
-def load_candidates(path: str | Path) -> list[CandidateQuadruple]:
-    return list(iter_jsonl(path, candidate_from_json))
-
-
-def dump_candidates(cands: Iterable[CandidateQuadruple], path: str | Path) -> None:
-    write_jsonl(path, map(candidate_to_json, cands))
+def dump_rows(table: MentionTable, path: str | Path) -> None:
+    """Write a table's rows, one :func:`row_json` line each."""
+    write_jsonl(path, (row_json(table, row) for row in range(len(table))))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import LabeledExample, LabeledTriple
+from .dataset import LabeledTable
 from .encoder import (
     INTERACTION_ROLES,
     TRAJECTORY_ROLES,
@@ -534,21 +534,21 @@ class FeatureStore:
 # ---------------------------------------------------------------------------
 # Batched objective
 
-def _batch_pass(model: InteractionModel, batch: Sequence[LabeledExample],
+def _batch_pass(model: InteractionModel, labels: np.ndarray,
                 backward: bool, store: FeatureStore, rows: np.ndarray):
     """Forward (and with ``backward``, add the gradient into the model's
     ``grad``) one batch; returns loss components.
-    ``rows`` are the examples' rows in ``store``
-    (:meth:`FeatureStore.fill_candidates`, with trajectories when the
-    model is multi-task)."""
+    ``labels`` are the examples' (3, B) y_inter, y_tra1 and y_tra2, and
+    ``rows`` their rows in ``store`` (:meth:`FeatureStore.fill_candidates`,
+    with trajectories when the model is multi-task)."""
     cfg = model.config
-    n = len(batch)
+    n = labels.shape[1]
     p_inter, p_tra, cache = model.forward_batch(*store.gather(rows, cfg.mt))
-    y_inter = np.array([ex.y_inter for ex in batch])
+    y_inter = labels[0]
     l_inter = binary_cross_entropy(p_inter[:, 1], y_inter)
     l_tra = None
     if cfg.mt:
-        y_tra = np.array([[ex.y_tra1 for ex in batch], [ex.y_tra2 for ex in batch]])
+        y_tra = labels[1:]
         l_tra = trajectory_loss(p_tra[0, :, 1], y_tra[0], p_tra[1, :, 1], y_tra[1])
 
     if cfg.mt and cfg.aw:
@@ -618,7 +618,7 @@ def _fit(model: EncoderModel, items: Sequence, config: TrainConfig, batch_step,
             break
 
 
-def train(model: InteractionModel, examples: Sequence[LabeledExample],
+def train(model: InteractionModel, examples: LabeledTable,
           store: FeatureStore | None = None) -> TrainResult:
     """Train on split=='train', early-stop on validation F1, restore the best.
 
@@ -630,27 +630,25 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     from its packed arrays. Train and val examples with an input that
     overflows its backbone window are left out and counted in
     ``TrainResult.skipped``. Validation is :func:`predict` on that store,
-    scored by :func:`~falcon.evalbench.compute_metrics`. ``store`` lets
-    runs with the same backbone and extractor share one store.
+    of the val rows filled once, scored by
+    :func:`~falcon.evalbench.compute_metrics`. ``store`` lets runs with the
+    same backbone and extractor share one store.
     """
     config = model.config
-    train_set = [ex for ex in examples if ex.split == "train"]
-    val_set = [ex for ex in examples if ex.split == "val"]
-    if not train_set:
+    train_set, val_set = (examples.take(i for i, split in enumerate(examples.split)
+                                        if split == name) for name in ("train", "val"))
+    if not len(train_set):
         raise ValueError("no examples with split='train'")
 
     result = TrainResult()
     store = FeatureStore.for_model(model) if store is None else store
-    rows, reasons = store.fill_candidates(
-        MentionTable.from_candidates(ex.candidate for ex in train_set),
-        config.mt, model.uses_features)
+    rows, reasons = store.fill_candidates(train_set.mentions, config.mt, model.uses_features)
     kept = [i for i, reason in enumerate(reasons) if reason is None]
-    val_cands = MentionTable.from_candidates(ex.candidate for ex in val_set)
-    val_reasons = store.fill_candidates(val_cands, with_features=model.uses_features)[1]
-    val_kept = [i for i, reason in enumerate(val_reasons) if reason is None]
-    val_cands = val_cands.take(val_kept)
-    val_gold = [val_set[i].y_inter for i in val_kept]
-    result.skipped = len(reasons) - len(kept) + len(val_reasons) - len(val_kept)
+    labels = np.array(list(train_set.labels.values()), dtype=int)  # y_inter, y_tra1, y_tra2
+    val_filled = store.fill_candidates(val_set.mentions, with_features=model.uses_features)
+    val_kept = [i for i, reason in enumerate(val_filled[1]) if reason is None]
+    val_gold = [val_set.labels["y_inter"][i] for i in val_kept]
+    result.skipped = len(reasons) - len(kept) + len(val_set) - len(val_kept)
     if not kept:
         raise ValueError("every train example overflows the backbone window")
 
@@ -659,8 +657,7 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     stale = 0
 
     def batch_step(batch):
-        total, l_inter, l_tra = _batch_pass(model, [train_set[i] for i in batch], True,
-                                            store, rows[batch])
+        total, l_inter, l_tra = _batch_pass(model, labels[:, batch], True, store, rows[batch])
         return total, l_inter, l_tra or 0.0
 
     def end_epoch(epoch, means):
@@ -674,8 +671,8 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
             "c2": float(model.params["c"][1]) if "c" in model.params else None,
         }
         if val_gold:
-            labels = predict(model, val_cands, store=store)[1]
-            report = compute_metrics(labels.tolist(), val_gold)
+            val_labels = predict(model, val_set.mentions, store=store, filled=val_filled)[1]
+            report = compute_metrics(val_labels[val_kept].tolist(), val_gold)
             f1 = report.f1 / 100  # MetricReport is in percent, the history in fractions
             entry.update(val_acc=report.accuracy / 100, val_precision=report.precision / 100,
                          val_recall=report.recall / 100, val_f1=f1)
@@ -698,7 +695,7 @@ def train(model: InteractionModel, examples: Sequence[LabeledExample],
     return result
 
 
-def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: TrainConfig,
+def pretrain_trajectory_extractor(corpus: LabeledTable, config: TrainConfig,
                                   result: TrainResult | None = None,
                                   ) -> tuple[FrozenTrajectoryExtractor, list[dict]]:
     """Train the trajectory extractor on labeled triples, then freeze it.
@@ -713,7 +710,7 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
     extractor = FrozenTrajectoryExtractor(config)
     history: list[dict] = []
     store = FeatureStore(extractor.encoder)
-    rows, reasons = store.fill(Views.of(MentionTable.from_triples(item.triple for item in corpus)))
+    rows, reasons = store.fill(Views.of(corpus.mentions))
     kept = [i for i, reason in enumerate(reasons) if reason is None]
     if result is not None:
         result.history = history
@@ -721,7 +718,7 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
     if not kept:
         raise ValueError("every trajectory triple overflows the backbone window")
     packed = store.packed(TRAJECTORY_ROLES)
-    labels = np.array([item.y_tra for item in corpus])
+    labels = np.array(corpus.labels["y_tra"], dtype=int)
 
     def batch_step(batch):
         probs, caches = extractor.forward_train(packed.take(rows[batch]))
@@ -742,18 +739,21 @@ def pretrain_trajectory_extractor(corpus: Sequence[LabeledTriple], config: Train
 # Scoring
 
 def predict(model: InteractionModel, cands: MentionTable, threshold: float | None = None,
-            store: FeatureStore | None = None) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+            store: FeatureStore | None = None, filled: tuple | None = None,
+            ) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
     """Score and label each candidate of a table, in one batched forward:
     (scores, labels, reasons). A label is 1 where the score reaches
     ``threshold`` (default: the model's ``config.threshold``). A candidate
     whose input overflows its backbone window gets score NaN, label 0 and
     its reason; every other reason is None. Reads and extends ``store``
     (training passes its own); without one, the call fills a fresh store
-    and drops it after. A candidate's score is the same bits whatever else
-    the call scores (see :func:`~falcon.encoder.row_matmul`)."""
+    and drops it after. ``filled``, when given, is what
+    :meth:`FeatureStore.fill_candidates` returned for ``cands`` on ``store``
+    (training fills its val rows once). A candidate's score is the same
+    bits whatever else the call scores (see :func:`~falcon.encoder.row_matmul`)."""
     threshold = model.config.threshold if threshold is None else threshold
     store = FeatureStore.for_model(model) if store is None else store
-    rows, reasons = store.fill_candidates(cands, with_features=model.uses_features)
+    rows, reasons = filled or store.fill_candidates(cands, with_features=model.uses_features)
     scores = np.full(len(cands), np.nan)
     labels = np.zeros(len(cands), dtype=int)
     ok = np.flatnonzero(rows[:, 0] >= 0)

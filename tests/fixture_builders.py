@@ -1,10 +1,13 @@
-"""Fixture builders that only the tests use: the coverage-audit corpus, the
-hand-labeled time surfaces, encoder views that cannot be marked and two
-graphs with a known community answer.
+"""Fixture builders that only the tests use: tables from and to triple and
+candidate objects, the coverage-audit corpus, the hand-labeled time
+surfaces, encoder views that cannot be marked and two graphs with a known
+community answer.
 They build on the package's fixture pieces (:mod:`falcon.fixtures`)."""
 
 import random
+from dataclasses import dataclass
 
+from falcon.dataset import LabeledTable
 from falcon.fixtures import (
     LOCATIONS,
     NAMES,
@@ -16,7 +19,8 @@ from falcon.fixtures import (
     random_signed_graph,
 )
 from falcon.ingest import (
-    CandidateQuadruple,
+    INTERACTION_ROLES,
+    TRAJECTORY_ROLES,
     Document,
     EntityMention,
     MentionTable,
@@ -26,6 +30,62 @@ from falcon.ingest import (
     normalize_surface,
 )
 from falcon.polarnet import SignedGraph
+
+
+# ---------------------------------------------------------------------------
+# Tables from and to objects
+
+@dataclass(frozen=True, slots=True)
+class CandidateQuadruple:
+    """A candidate quadruple as objects: a row of a candidate table."""
+
+    segment: TextSegment
+    person1: EntityMention
+    person2: EntityMention
+    time: EntityMention
+    location: EntityMention
+
+
+def table_of(items) -> MentionTable:
+    """Triple objects, or candidate objects, as a table, as they are."""
+    items = list(items)
+    roles = INTERACTION_ROLES if items and isinstance(items[0], CandidateQuadruple) \
+        else TRAJECTORY_ROLES
+    table = MentionTable(roles)
+    for item in items:
+        table.add(item.segment, [getattr(item, role.lower()) for role in roles])
+    return table
+
+
+def objects(table: MentionTable) -> list:
+    """The rows of a table as :class:`TrajectoryTriple` or
+    :class:`CandidateQuadruple` objects, by the table's roles."""
+    build = TrajectoryTriple if table.roles == TRAJECTORY_ROLES else CandidateQuadruple
+    arity, bounds, starts, ends = len(table.roles), table.bounds, table.starts, table.ends
+    out = []
+    for row, seg in enumerate(table.segment):
+        doc_id, segment_id, start, end, text = table.envelopes[seg]
+        out.append(build(TextSegment(segment_id, doc_id, start, end, text), *[
+            EntityMention(role, table.surfaces[table.surface[m]],
+                          tuple(zip(starts[bounds[m]:bounds[m + 1]], ends[bounds[m]:bounds[m + 1]])))
+            for m, role in enumerate(table.roles, row * arity)]))
+    return out
+
+
+def labeled_of(cands, labels, split=None) -> LabeledTable:
+    """Candidate objects with their (y_inter, y_tra1, y_tra2) labels, all in
+    ``split``, as a labeled table."""
+    table = LabeledTable(table_of(cands))
+    for ys in labels:
+        for column, y in zip(table.labels.values(), ys):
+            column.append(y)
+        table.split.append(split)
+    return table
+
+
+def in_split(table: LabeledTable, *splits) -> LabeledTable:
+    """The rows of a labeled table in one of ``splits``."""
+    return table.take(row for row, split in enumerate(table.split) if split in splits)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +160,7 @@ def build_audit_fixture(seed: int = 11):
                     time=ta.time, location=ta.location))
                 continue
             triples.extend([ta, tb])
-            gold.extend(generate_candidates(MentionTable.from_triples([ta, tb])).objects())
+            gold.extend(objects(generate_candidates(table_of([ta, tb]))))
     return documents, triples, gold
 
 

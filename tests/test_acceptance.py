@@ -13,7 +13,7 @@ import pytest
 
 from falcon import fixtures
 from falcon.backbone import DeterministicStubBackbone
-from falcon.dataset import dump_labeled_triples, dump_examples, split_dataset
+from falcon.dataset import dump_examples, split_dataset
 from falcon.encoder import ArBertEncoder, attend
 from falcon.extract import FixtureLLMClient, classify_records, extract_corpus, load_records
 from falcon.fusion import (
@@ -26,10 +26,9 @@ from falcon.fusion import (
 )
 from falcon.ingest import (
     EntityMention,
-    MentionTable,
     TextSegment,
     TrajectoryTriple,
-    dump_triples,
+    dump_rows,
     generate_candidates,
 )
 from falcon.polarnet import (
@@ -52,6 +51,7 @@ from falcon.training import (
     pretrain_trajectory_extractor,
     train,
 )
+from fixture_builders import in_split, objects, table_of
 
 
 def report(number, name, ok, detail=""):
@@ -83,7 +83,7 @@ def split_corpus(corpus):
 def _forward_one(model, cand):
     """The cache of the batched forward of ``cand`` alone, from a fresh store."""
     store = FeatureStore.for_model(model)
-    rows, (reason,) = store.fill_candidates(MentionTable.from_candidates([cand]),
+    rows, (reason,) = store.fill_candidates(table_of([cand]),
                                             with_features=model.uses_features)
     assert reason is None, reason
     return model.forward_batch(*store.gather(rows))[2]
@@ -91,13 +91,13 @@ def _forward_one(model, cand):
 
 def test_criterion_01_shape_contracts(corpus):
     t0 = time.time()
-    ex = corpus.examples[0]
-    cand = ex.candidate
+    cand = objects(corpus.examples.mentions.take([0]))[0]
     ok = True
     details = []
     for d in (4, 768):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d), seed=1)
-        quad, _ = enc.forward(cand.segment, cand.entities())
+        quad, _ = enc.forward(cand.segment, (cand.person1, cand.person2, cand.time,
+                                             cand.location))
         ok &= quad.shape == (5 * d,)
         person = replace(cand.person1, role="Person")  # the first trajectory half
         tri, _ = enc.forward(cand.segment, (person, cand.time, cand.location))
@@ -341,10 +341,10 @@ def test_criterion_07_null_model_contract():
 
 
 def test_criterion_08_candidate_generation(corpus):
-    fig1a = [ex for ex in corpus.examples
-             if ex.candidate.segment.doc_id == "fix0000"]
+    fig1a = [cand for cand in objects(corpus.examples.mentions)
+             if cand.segment.doc_id == "fix0000"]
     ok = len(fig1a) == 1
-    cand = fig1a[0].candidate
+    cand = fig1a[0]
     ok &= (cand.person1.surface, cand.person2.surface) == ("Berg", "Niemans")
     ok &= cand.time.surface == "1950"
     ok &= cand.location.surface == "The Hague"
@@ -364,7 +364,7 @@ def test_criterion_08_candidate_generation(corpus):
                                     time=mention("Time", "1950"),
                                     location=mention("Location", "Lima"))
                    for nm in names]
-        ok &= len(generate_candidates(MentionTable.from_triples(triples))) == k * (k - 1) // 2
+        ok &= len(generate_candidates(table_of(triples))) == k * (k - 1) // 2
     report(8, "candidate generation", ok, "fig-1a quadruple + C(k,2) for k<=6")
 
 
@@ -378,15 +378,14 @@ def test_criterion_09_fixture_training(corpus):
     model = InteractionModel(cfg, frozen=extractor)
     train(model, examples)
 
-    train_set = [ex for ex in examples if ex.split == "train"]
-    val_set = [ex for ex in examples if ex.split == "val"]
+    train_set, val_set = in_split(examples, "train"), in_split(examples, "val")
 
     def accuracy(subset):
-        labels = predict(model, MentionTable.from_candidates(ex.candidate for ex in subset))[1]
-        return float(np.mean(labels == [ex.y_inter for ex in subset]))
+        labels = predict(model, subset.mentions)[1]
+        return float(np.mean(labels == subset.labels["y_inter"]))
 
     train_acc, val_acc = accuracy(train_set), accuracy(val_set)
-    pos_rate = float(np.mean([ex.y_inter for ex in val_set]))
+    pos_rate = float(np.mean(val_set.labels["y_inter"]))
     majority = max(pos_rate, 1.0 - pos_rate)
     ok = train_acc >= 0.95 and val_acc > majority
     report(9, "fixture training quality", ok,
@@ -397,10 +396,10 @@ def test_criterion_09_fixture_training(corpus):
 def _run_e2e(corpus, out_dir):
     """ingest -> train -> extract -> type -> graph -> reports, all offline."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    dump_triples(corpus.triples, out_dir / "triples.jsonl")
+    dump_rows(corpus.triples, out_dir / "triples.jsonl")
     examples = split_dataset(corpus.examples, seed=0)
     dump_examples(examples, out_dir / "labeled.jsonl")
-    dump_labeled_triples(corpus.labeled_triples, out_dir / "trajectories.jsonl")
+    dump_examples(corpus.labeled_triples, out_dir / "trajectories.jsonl")
 
     cfg = TrainConfig(hidden_size=4, max_epochs=6, learning_rate=5e-3,
                       batch_size=16, seed=5, patience=99)

@@ -14,11 +14,12 @@ import falcon
 from falcon.backbone import DeterministicStubBackbone
 from falcon.cli import main
 from falcon.dataset import load_labeled_triples
-from falcon.encoder import ContextOverflowError, insert_markers, views_of
+from falcon.encoder import ContextOverflowError, Views, insert_markers
 from falcon.extract import dump_records
 from falcon.fixtures import political_records_fixture
-from falcon.ingest import CandidateQuadruple, EntityMention, TextSegment, TrajectoryTriple
+from falcon.ingest import EntityMention, TextSegment, TrajectoryTriple
 from falcon.training import InteractionModel, load_archive, save_archive
+from fixture_builders import CandidateQuadruple
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +113,9 @@ def test_predict_eval_and_extract(workspace):
         == summary["candidates"]
 
 
-def test_extract_builds_no_mention_segment_triple_or_candidate_object(workspace, monkeypatch):
-    # Extraction runs on columns from the triple file to the record lines.
+def _count_constructions(monkeypatch) -> list:
+    """The names of the mention, segment, triple and candidate objects built
+    from now on, in order."""
     built = []
     for cls in (EntityMention, TextSegment, TrajectoryTriple, CandidateQuadruple):
         monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__, **kwargs:
@@ -121,6 +123,12 @@ def test_extract_builds_no_mention_segment_triple_or_candidate_object(workspace,
     EntityMention(role="Time", surface="1950", occurrences=((0, 4),))
     assert built == ["EntityMention"]  # the count sees a construction
     built.clear()
+    return built
+
+
+def test_extract_builds_no_mention_segment_triple_or_candidate_object(workspace, monkeypatch):
+    # Extraction runs on columns from the triple file to the record lines.
+    built = _count_constructions(monkeypatch)
     res = CliRunner().invoke(main, [
         "extract", "--triples", str(workspace / "fx" / "triples.jsonl"),
         "--checkpoint", str(workspace / "model.ckpt"),
@@ -129,6 +137,44 @@ def test_extract_builds_no_mention_segment_triple_or_candidate_object(workspace,
     assert res.exit_code == 0, res.output
     summary = json.loads(res.output.strip().splitlines()[-1])
     assert summary["candidates"] > 0 and summary["positives"] > 0
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["ingest", "dataset split", "dataset summarize",
+                                     "pretrain-tra", "train", "eval", "predict", "ablate"])
+def test_no_command_but_fixture_builds_a_mention_segment_triple_or_candidate_object(
+        workspace, monkeypatch, command):
+    # Every labeled or candidate file is read into columns, and every line
+    # written from a row.
+    fx, out = workspace / "fx", workspace / "counted"
+    out.mkdir(exist_ok=True)
+    (out / "one_epoch.cfg").write_text("hidden_size = 4\nmax_epochs = 1\nseed = 5\n")
+    ingest = ["ingest", "--docs", str(fx / "docs"), "--triples", str(fx / "triples.jsonl"),
+              "--out", str(out / "candidates.jsonl")]
+    split = str(fx / "labeled_split.jsonl")
+    config, frozen = ["--config", str(out / "one_epoch.cfg")], [
+        "--frozen", str(workspace / "extractor.ckpt")]
+    commands = {
+        "ingest": ingest,
+        "dataset split": ["dataset", "split", "--in", str(fx / "labeled.jsonl"),
+                          "--out", str(out / "split.jsonl")],
+        "dataset summarize": ["dataset", "summarize", "--in", split],
+        "pretrain-tra": ["pretrain-tra", *config, "--data", str(fx / "trajectories.jsonl"),
+                         "--out", str(out / "extractor.ckpt")],
+        "train": ["train", *config, "--data", split, "--out", str(out / "model.ckpt"), *frozen],
+        "eval": ["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", split],
+        "predict": ["predict", "--checkpoint", str(workspace / "model.ckpt"),
+                    "--candidates", str(out / "candidates.jsonl"),
+                    "--out", str(out / "preds.jsonl")],
+        "ablate": ["ablate", *config, "--data", split, "--out-dir", str(out / "ablations"),
+                   *frozen],
+    }
+    runner = CliRunner()
+    if command == "predict":
+        assert runner.invoke(main, ingest).exit_code == 0
+    built = _count_constructions(monkeypatch)
+    res = runner.invoke(main, commands[command])
+    assert res.exit_code == 0, res.output
     assert built == []
 
 
@@ -219,9 +265,7 @@ def test_train_commands_report_skipped(workspace):
                                str(trajectories), "--out", str(workspace / "short.ckpt")])
     assert res.exit_code == 0, res.output
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=20)
-    triples = [item.triple for item in load_labeled_triples(trajectories)]
-    marked = insert_markers([views_of([(t.segment, (t.person, t.time, t.location))
-                                       for t in triples])], backbone)
+    marked = insert_markers([Views.of(load_labeled_triples(trajectories).mentions)], backbone)
     overflowing = sum(isinstance(m, ContextOverflowError) for m in marked)
     assert 0 < json.loads(res.output)["skipped"] == overflowing
 

@@ -1,10 +1,9 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 from falcon.backbone import DeterministicStubBackbone
-from falcon.dataset import split_dataset
+from falcon.dataset import select, split_dataset
 from falcon.encoder import candidate_views, input_keys
 from falcon.evalbench import (
     AblationTable,
@@ -14,8 +13,8 @@ from falcon.evalbench import (
     run_ablations,
 )
 from falcon.fusion import FrozenTrajectoryExtractor
-from falcon.ingest import MentionTable
 from falcon.training import InteractionModel, TrainConfig, predict, pretrain_trajectory_extractor, train
+from fixture_builders import in_split
 
 
 def test_metrics_from_confusion_counts():
@@ -73,9 +72,9 @@ def test_ablation_grid_has_six_distinct_configs():
 
 
 def test_run_ablations_produces_six_reports(corpus):
-    examples = split_dataset(corpus.examples[:40], seed=0)
+    examples = split_dataset(corpus.examples.take(range(40)), seed=0)
     config = TrainConfig(hidden_size=4, max_epochs=1, learning_rate=5e-3, seed=2)
-    extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples[:30],
+    extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples.take(range(30)),
                                                  config)
     table = run_ablations(examples, config, frozen_extractor=extractor,
                           dataset_id="fixture")
@@ -88,9 +87,9 @@ def test_run_ablations_produces_six_reports(corpus):
 
 
 def test_ablations_encode_each_distinct_input_once(corpus, monkeypatch):
-    examples = split_dataset(corpus.examples[:40], seed=0)
+    examples = split_dataset(corpus.examples.take(range(40)), seed=0)
     config = TrainConfig(hidden_size=4, max_epochs=1, learning_rate=5e-3, seed=2)
-    extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples[:30], config)
+    extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples.take(range(30)), config)
     calls = []  # per backbone call: its inputs
     encode_at = DeterministicStubBackbone.encode_at
     monkeypatch.setattr(DeterministicStubBackbone, "encode_at",
@@ -99,13 +98,9 @@ def test_ablations_encode_each_distinct_input_once(corpus, monkeypatch):
     run_ablations(examples, config, frozen_extractor=extractor)
     # The full config reads the interaction view of every split and, through
     # the extractor (same backbone settings), every trajectory view.
-    inter, tra = candidate_views(_table(examples))
+    inter, tra = candidate_views(examples.mentions)
     assert sum(calls) == len({*input_keys(inter), *input_keys(tra)})
     assert max(calls) > 1  # batched
-
-
-def _table(examples):
-    return MentionTable.from_candidates(ex.candidate for ex in examples)
 
 
 @pytest.fixture(scope="module")
@@ -123,8 +118,8 @@ def test_transfer_on_identity_corpus_matches_compute_metrics(trained):
     model, examples = trained
     test_set = [ex for ex in examples if ex.split == "test"]
     report = evaluate_transfer(model, test_set)
-    labels = predict(model, _table(test_set))[1]
-    direct = compute_metrics(labels.tolist(), [ex.y_inter for ex in test_set])
+    labels = predict(model, in_split(examples, "test").mentions)[1]
+    direct = compute_metrics(labels.tolist(), in_split(examples, "test").labels["y_inter"].tolist())
     assert report.to_json()["confusion"] == direct.to_json()["confusion"]
 
 
@@ -133,12 +128,21 @@ def test_transfer_matches_hand_scored_confusion(trained):
     subset = [ex for ex in examples if ex.split == "val"][:20]
     report = evaluate_transfer(model, subset)
     # oracle: recount the confusion cell by cell
-    labels = predict(model, _table(subset))[1].tolist()
-    tp = sum(1 for label, ex in zip(labels, subset) if label == 1 and ex.y_inter == 1)
-    fp = sum(1 for label, ex in zip(labels, subset) if label == 1 and ex.y_inter == 0)
-    fn = sum(1 for label, ex in zip(labels, subset) if label == 0 and ex.y_inter == 1)
-    tn = sum(1 for label, ex in zip(labels, subset) if label == 0 and ex.y_inter == 0)
+    labels = predict(model, select(subset).mentions)[1].tolist()
+    gold = [examples.labels["y_inter"][ex.index] for ex in subset]
+    tp = sum(1 for label, y in zip(labels, gold) if label == 1 and y == 1)
+    fp = sum(1 for label, y in zip(labels, gold) if label == 1 and y == 0)
+    fn = sum(1 for label, y in zip(labels, gold) if label == 0 and y == 1)
+    tn = sum(1 for label, y in zip(labels, gold) if label == 0 and y == 0)
     assert (report.tp, report.fp, report.fn, report.tn) == (tp, fp, fn, tn)
+
+
+def test_transfer_on_no_rows_is_an_all_zero_report(trained):
+    # ablate reports this row when the data has no test split
+    model, _ = trained
+    report = evaluate_transfer(model, [])
+    assert (report.tp, report.fp, report.fn, report.tn, report.skipped) == (0, 0, 0, 0, 0)
+    assert report.formatted() == {"Acc": "0.00", "P": "0.00", "R": "0.00", "F1": "0.00"}
 
 
 def _narrow_extractor():
@@ -154,13 +158,12 @@ def test_reports_count_skipped_candidates(corpus):
     # candidates; here only the test split holds them.
     config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, fusion_mode="off")
     model = InteractionModel(config)
-    reasons = predict(model, _table(corpus.examples))[2]
-    fits = [ex for ex, reason in zip(corpus.examples, reasons) if reason is None]
-    overflows = [ex for ex, reason in zip(corpus.examples, reasons) if reason is not None]
-    examples = ([replace(ex, split="train") for ex in fits[:20]]
-                + [replace(ex, split="val") for ex in fits[20:26]]
-                + [replace(ex, split="test") for ex in fits[26:36] + overflows[:4]])
-    test_set = examples[26:]
+    reasons = predict(model, corpus.examples.mentions)[2]
+    fits = [row for row, reason in enumerate(reasons) if reason is None]
+    overflows = [row for row, reason in enumerate(reasons) if reason is not None]
+    examples = corpus.examples.take(fits[:36] + overflows[:4])
+    examples.split = ["train"] * 20 + ["val"] * 6 + ["test"] * 14
+    test_set = [ex for ex in examples if ex.split == "test"]
 
     report = evaluate_transfer(model, test_set)
     assert report.skipped == 4
@@ -178,9 +181,9 @@ def test_training_leaves_out_overflowing_examples(corpus):
     # scored as skipped.
     config = TrainConfig(hidden_size=4, max_tokens=20, max_epochs=1, fusion_mode="off")
     examples = split_dataset(corpus.examples, seed=0)
-    reasons = predict(InteractionModel(config), _table(examples))[2]
-    overflows = {split: sum(reason is not None for ex, reason in zip(examples, reasons)
-                            if ex.split == split)
+    reasons = predict(InteractionModel(config), examples.mentions)[2]
+    overflows = {split: sum(reason is not None for s, reason in zip(examples.split, reasons)
+                            if s == split)
                  for split in ("train", "val", "test")}
     assert min(overflows.values()) > 0
 

@@ -20,7 +20,7 @@ from falcon.extract import (
     parse_type,
     record_json,
 )
-from falcon.ingest import MentionTable, dumps_record, generate_candidates, iter_jsonl
+from falcon.ingest import dumps_record, generate_candidates, iter_jsonl
 from falcon.training import (
     InteractionModel,
     TrainConfig,
@@ -28,7 +28,7 @@ from falcon.training import (
     pretrain_trajectory_extractor,
     train,
 )
-from fixture_builders import time_surface_fixture
+from fixture_builders import objects, table_of, time_surface_fixture
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +64,11 @@ def test_time_fixture_agreement_at_least_98_percent():
 def record_of(cand, score, gazetteer=None):
     """The record extraction writes for one candidate object."""
     return InteractionRecord.from_json(
-        record_json(MentionTable.from_candidates([cand]), 0, score, gazetteer))
+        record_json(table_of([cand]), 0, score, gazetteer))
 
 
 def test_out_of_span_year_dropped_from_record(corpus):
-    cand = corpus.examples[0].candidate
+    cand = objects(corpus.examples.mentions.take([0]))[0]
     rec = record_of(cand, 0.9)
     assert rec.time_year == int(cand.time.surface)
     # craft a surface outside the supported span
@@ -87,7 +87,12 @@ def test_out_of_span_year_dropped_from_record(corpus):
 @pytest.fixture(scope="module")
 def triples(corpus):
     """The fixture corpus's triples as a table."""
-    return MentionTable.from_triples(corpus.triples)
+    return corpus.triples
+
+
+def _of_docs(triples, doc_ids):
+    """The rows of a triple table whose document is one of ``doc_ids``."""
+    return triples.take(row for row, doc_id in enumerate(triples.doc_ids()) if doc_id in doc_ids)
 
 
 @pytest.fixture(scope="module")
@@ -147,15 +152,14 @@ def test_extraction_reruns_byte_identical(tmp_path, triples, trained):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_extraction_resume_matches_clean_run(tmp_path, corpus, triples, trained):
+def test_extraction_resume_matches_clean_run(tmp_path, triples, trained):
     clean = tmp_path / "clean.jsonl"
     extract_corpus(triples, trained, clean, threshold=0.5)
 
     resumed = tmp_path / "resumed.jsonl"
     state = tmp_path / "state.json"
-    doc_ids = sorted({t.segment.doc_id for t in corpus.triples})
-    first_half = [t for t in corpus.triples if t.segment.doc_id in doc_ids[:25]]
-    extract_corpus(MentionTable.from_triples(first_half), trained, resumed, threshold=0.5,
+    doc_ids = sorted(set(triples.doc_ids()))
+    extract_corpus(_of_docs(triples, doc_ids[:25]), trained, resumed, threshold=0.5,
                    state_path=state)
     # second run sees the full corpus and must only process the remainder
     extract_corpus(triples, trained, resumed, threshold=0.5,
@@ -169,10 +173,10 @@ class Killed(Exception):
 
 @pytest.mark.parametrize("torn", [False, True], ids=["before-state-write", "torn-state"])
 def test_extraction_killed_at_state_write_resumes_byte_identical(
-        tmp_path, monkeypatch, corpus, triples, trained, torn):
+        tmp_path, monkeypatch, triples, trained, torn):
     clean = tmp_path / "clean.jsonl"
     clean_summary = extract_corpus(triples, trained, clean, threshold=0.5)
-    doc_ids = sorted({t.segment.doc_id for t in corpus.triples})
+    doc_ids = sorted(set(triples.doc_ids()))
     victim = sorted({rec.doc_id for rec in load_records(clean)})[1]
 
     out, state = tmp_path / "out.jsonl", tmp_path / "state.json"
@@ -213,26 +217,21 @@ def trained8(request):
     return model
 
 
-def test_extraction_resumed_inside_a_chunk_matches_clean_run(tmp_path, corpus, triples, trained8):
+def test_extraction_resumed_inside_a_chunk_matches_clean_run(tmp_path, triples, trained8):
     # A resume that starts at a document inside one of the clean run's
     # chunks scores the rest of that chunk in other batches. At d=8 a BLAS
     # product over many rows rounds a row differently with the row count,
     # so the bytes match only while a score depends on its candidate alone.
     clean = tmp_path / "clean.jsonl"
     extract_corpus(triples, trained8, clean, threshold=0.5)
-    by_doc: dict = {}
-    for triple in corpus.triples:
-        by_doc.setdefault(triple.segment.doc_id, []).append(triple)
+    doc_ids = sorted(set(triples.doc_ids()))
     firsts = {chunk[0][0] for chunk in extract._document_chunks(
-        (doc_id, generate_candidates(MentionTable.from_triples(by_doc[doc_id])))
-        for doc_id in sorted(by_doc))}
-    inside = [i for i, doc_id in enumerate(sorted(by_doc)) if doc_id not in firsts]
+        (doc_id, generate_candidates(_of_docs(triples, {doc_id}))) for doc_id in doc_ids)}
+    inside = [i for i, doc_id in enumerate(doc_ids) if doc_id not in firsts]
     assert len(inside) > 20
     for k in inside[::5]:
         out, state = tmp_path / f"out{k}.jsonl", tmp_path / f"state{k}.json"
-        head = set(sorted(by_doc)[:k])
-        extract_corpus(MentionTable.from_triples(t for t in corpus.triples
-                                                 if t.segment.doc_id in head),
+        extract_corpus(_of_docs(triples, set(doc_ids[:k])),
                        trained8, out, threshold=0.5, state_path=state)
         extract_corpus(triples, trained8, out, threshold=0.5, state_path=state)
         assert out.read_bytes() == clean.read_bytes(), k
@@ -282,7 +281,7 @@ def canned_client(tmp_path, responses):
 
 
 def record_stub(corpus, i=0):
-    return record_of(corpus.examples[i].candidate, 0.9)
+    return record_of(objects(corpus.examples.mentions.take([i]))[0], 0.9)
 
 
 def test_fixture_client_round_robin(tmp_path, corpus):

@@ -10,6 +10,7 @@ from falcon.fusion import (
     gate_forward,
 )
 from falcon.training import TrainConfig, pretrain_trajectory_extractor
+from fixture_builders import objects
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def test_fusion_dim_mismatch_is_error():
 def small_extractor(request):
     corpus = request.getfixturevalue("corpus")
     config = TrainConfig(hidden_size=4, max_epochs=2, learning_rate=5e-3, seed=5)
-    extractor, history = pretrain_trajectory_extractor(corpus.labeled_triples[:50],
+    extractor, history = pretrain_trajectory_extractor(corpus.labeled_triples.take(range(50)),
                                                        config)
     return extractor, history
 
@@ -173,7 +174,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path, small_extractor):
 
 def test_frozen_extractor_refuses_training_forward(small_extractor, corpus):
     extractor, _ = small_extractor
-    t = corpus.labeled_triples[0].triple
+    t = objects(corpus.triples.take([0]))[0]
     with pytest.raises(RuntimeError, match="frozen"):
         extractor.forward_train(extractor.encoder.prepare(t.segment,
                                                           (t.person, t.time, t.location)))
@@ -181,7 +182,7 @@ def test_frozen_extractor_refuses_training_forward(small_extractor, corpus):
 
 def test_frozen_features_deterministic(small_extractor, corpus):
     extractor, _ = small_extractor
-    t = corpus.labeled_triples[0].triple
+    t = objects(corpus.triples.take([0]))[0]
     view = (t.segment, (t.person, t.time, t.location))
     f1 = extractor.features(extractor.encoder.prepare(*view))[0]
     f2 = extractor.features(extractor.encoder.prepare(*view))[0]

@@ -9,24 +9,24 @@ import pytest
 from falcon.dataset import load_examples, load_labeled_triples
 from falcon.extract import load_records
 from falcon.ingest import (
-    CandidateQuadruple,
+    TRAJECTORY_ROLES,
     EntityMention,
-    MentionTable,
     RecordError,
     TextSegment,
     TrajectoryTriple,
-    dump_triples,
+    dump_rows,
     dumps_record,
     generate_candidates,
     iter_jsonl,
     load_candidates,
     load_documents,
     load_triples,
-    triple_from_json,
-    triple_to_json,
+    row_from_json,
+    row_json,
     write_jsonl,
 )
 from falcon.polarnet import load_record_table
+from fixture_builders import CandidateQuadruple, objects, table_of
 
 
 def test_a_mention_carries_its_normalized_surface():
@@ -76,7 +76,7 @@ def test_load_triples_well_formed(tmp_path):
     triples = _fig1a_triples() + [make_triple(
         make_segment("In 1971, Ash met Bell in Rome today.", seg_id="d1:s1"),
         "Ash", "1971", "Rome")]
-    dump_triples(triples, path)
+    dump_rows(table_of(triples), path)
     result = load_triples(path)
     assert len(result.triples) == 3
     assert result.errors == []
@@ -84,7 +84,7 @@ def test_load_triples_well_formed(tmp_path):
 
 def test_load_triples_overlapping_spans_collected(tmp_path):
     triples = _fig1a_triples()
-    good = [triple_to_json(t) for t in triples]
+    good = [row_json(table_of([t]), 0) for t in triples]
     bad = json.loads(json.dumps(good[0]))
     bad["person"]["occurrences"] = [[9, 16], [12, 20]]
     path = tmp_path / "triples.jsonl"
@@ -117,7 +117,8 @@ READER_TEXT = "In 1950, Niemans met Berg in The Hague; Niemans stayed on."
 
 
 def _reader_line() -> dict:
-    return triple_to_json(make_triple(make_segment(READER_TEXT), "Niemans", "1950", "The Hague"))
+    return row_json(table_of([make_triple(make_segment(READER_TEXT), "Niemans", "1950",
+                                          "The Hague")]), 0)
 
 
 def _edited(edit):
@@ -159,6 +160,12 @@ READER_LINES = {
 }
 
 
+def _per_line_check(obj) -> TrajectoryTriple:
+    """The triple of one decoded line, or what the per-line check raises."""
+    segment, mentions = row_from_json(obj, TRAJECTORY_ROLES)
+    return TrajectoryTriple(segment, *mentions)
+
+
 @pytest.mark.parametrize("kind", sorted(READER_LINES))
 def test_the_column_reader_reports_each_bad_line_as_the_per_line_check(tmp_path, kind):
     make, message = READER_LINES[kind]
@@ -168,9 +175,9 @@ def test_the_column_reader_reports_each_bad_line_as_the_per_line_check(tmp_path,
     result = load_triples(path)
     assert result.errors == ([] if message is None else [RecordError(2, message)])
     oracle_errors = []  # the per-line check over the same file
-    oracle = list(iter_jsonl(path, triple_from_json, oracle_errors))
+    oracle = list(iter_jsonl(path, _per_line_check, oracle_errors))
     assert result.errors == oracle_errors
-    assert result.triples.objects() == oracle
+    assert objects(result.triples) == oracle
 
 
 def test_the_column_reader_keeps_line_order_around_many_bad_lines(tmp_path):
@@ -184,7 +191,7 @@ def test_the_column_reader_keeps_line_order_around_many_bad_lines(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = load_triples(path)
     assert result.errors == want
-    assert result.triples.objects() == list(iter_jsonl(path, triple_from_json, []))
+    assert objects(result.triples) == list(iter_jsonl(path, _per_line_check, []))
     assert len(result.triples.envelopes) == 1  # the one segment envelope, held once
 
 
@@ -216,7 +223,7 @@ def test_a_record_with_a_non_finite_token_is_refused_at_its_line(tmp_path, token
 @pytest.mark.parametrize("token", ["NaN", "1e400", '"\\ud800"'],
                          ids=["nan", "overflow", "lone-surrogate"])
 def test_load_triples_collects_a_line_the_decoder_refuses(tmp_path, token):
-    good = dumps_record(triple_to_json(_fig1a_triples()[0]))
+    good = dumps_record(row_json(table_of(_fig1a_triples()[:1]), 0))
     path = tmp_path / "triples.jsonl"
     path.write_text(good + "\n" + good.replace("{", f'{{"note":{token},', 1) + "\n",
                     encoding="utf-8")
@@ -278,11 +285,11 @@ def test_load_triples_unreadable_file_fatal(tmp_path):
 
 def test_fig1a_record_roundtrip_byte_identical(tmp_path):
     path = tmp_path / "triples.jsonl"
-    dump_triples(_fig1a_triples(), path)
+    dump_rows(table_of(_fig1a_triples()), path)
     original = path.read_bytes()
     result = load_triples(path)
     path2 = tmp_path / "again.jsonl"
-    dump_triples(result.triples.objects(), path2)
+    dump_rows(result.triples, path2)
     assert path2.read_bytes() == original
 
 
@@ -291,7 +298,7 @@ def test_fig1a_record_roundtrip_byte_identical(tmp_path):
 
 def pair(triples):
     """The candidate objects :func:`generate_candidates` pairs from triple objects."""
-    return generate_candidates(MentionTable.from_triples(triples)).objects()
+    return objects(generate_candidates(table_of(triples)))
 
 
 def test_fig1a_pairing_orders_persons_lexicographically():

@@ -7,7 +7,7 @@ import pytest
 
 from falcon import encoder, fixtures
 from falcon.backbone import DeterministicStubBackbone
-from falcon.dataset import LabeledExample, split_dataset
+from falcon.dataset import split_dataset
 from falcon.encoder import (
     ENCODE_BUDGET,
     ArBertEncoder,
@@ -19,13 +19,7 @@ from falcon.encoder import (
 )
 from falcon.evalbench import ABLATION_GRID, compute_metrics
 from falcon.fusion import FrozenTrajectoryExtractor
-from falcon.ingest import (
-    CandidateQuadruple,
-    EntityMention,
-    MentionTable,
-    TextSegment,
-    generate_candidates,
-)
+from falcon.ingest import EntityMention, TextSegment, generate_candidates
 from falcon.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -49,7 +43,14 @@ from falcon.training import (
     train,
     trajectory_loss,
 )
-from fixture_builders import unmarkable_views
+from fixture_builders import (
+    CandidateQuadruple,
+    in_split,
+    labeled_of,
+    objects,
+    table_of,
+    unmarkable_views,
+)
 
 
 @pytest.fixture(scope="module")
@@ -161,16 +162,15 @@ def test_wo_ft_mt_is_encoder_plus_linear_head():
     assert model.params["head.inter.W"].shape == (2, 20)
 
 
-def _table(cands):
-    """Candidate objects as a table."""
-    return MentionTable.from_candidates(cands)
+def _labels(batch):
+    """The (3, B) labels of a labeled table, as training passes them."""
+    return np.array(list(batch.labels.values()), dtype=int)
 
 
 def _filled(model, batch):
     """A store filled with ``batch`` as training fills one, and the batch's rows."""
     store = FeatureStore.for_model(model)
-    rows, reasons = store.fill_candidates(_table(ex.candidate for ex in batch), model.config.mt,
-                                          model.uses_features)
+    rows, reasons = store.fill_candidates(batch.mentions, model.config.mt, model.uses_features)
     assert not any(reasons)
     return store, rows
 
@@ -178,8 +178,8 @@ def _filled(model, batch):
 def test_mt_off_objective_is_interaction_loss_alone(corpus):
     config = TrainConfig(hidden_size=4, fusion_mode="off", mt=False, seed=3)
     model = InteractionModel(config)
-    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], False,
-                                        *_filled(model, corpus.examples[:4]))
+    batch = corpus.examples.take(range(4))
+    total, l_inter, l_tra = _batch_pass(model, _labels(batch), False, *_filled(model, batch))
     assert total == l_inter
     assert l_tra is None
 
@@ -188,16 +188,16 @@ def test_aw_off_objective_is_plain_sum(corpus, extractor):
     config = TrainConfig(hidden_size=4, aw=False, seed=3)
     model = InteractionModel(config, frozen=extractor)
     assert "c" not in model.params
-    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], False,
-                                        *_filled(model, corpus.examples[:4]))
+    batch = corpus.examples.take(range(4))
+    total, l_inter, l_tra = _batch_pass(model, _labels(batch), False, *_filled(model, batch))
     assert total == pytest.approx(l_inter + l_tra, abs=1e-12)
 
 
 def test_adaptive_objective_uses_formula(corpus, extractor):
     config = TrainConfig(hidden_size=4, seed=3)
     model = InteractionModel(config, frozen=extractor)
-    total, l_inter, l_tra = _batch_pass(model, corpus.examples[:4], False,
-                                        *_filled(model, corpus.examples[:4]))
+    batch = corpus.examples.take(range(4))
+    total, l_inter, l_tra = _batch_pass(model, _labels(batch), False, *_filled(model, batch))
     assert total == pytest.approx(multitask_loss(l_inter, l_tra, 1.0, 1.0),
                                   abs=1e-12)
 
@@ -216,7 +216,7 @@ def test_feature_transfer_requires_frozen():
 def test_softmax_head_outputs_sum_to_one(corpus, extractor):
     config = TrainConfig(hidden_size=4, seed=1)
     model = InteractionModel(config, frozen=extractor)
-    store, rows = _filled(model, corpus.examples[:20])
+    store, rows = _filled(model, corpus.examples.take(range(20)))
     p_inter, p_tra, _ = model.forward_batch(*store.gather(rows, with_tra=True))
     for i in range(20):
         for probs in (p_inter[i], p_tra[0, i], p_tra[1, i]):
@@ -250,11 +250,9 @@ def _ragged_candidate(i, counts):
 def _ragged_examples():
     """Four labeled candidates whose entities occur one to three times each,
     so that a batch of them pads its occurrence rows."""
-    return [LabeledExample(_ragged_candidate(i, counts), *labels, split="train")
-            for i, (counts, labels) in enumerate([((1, 1, 1, 1), (1, 1, 1)),
-                                                  ((3, 1, 2, 1), (0, 1, 0)),
-                                                  ((2, 3, 1, 2), (0, 0, 1)),
-                                                  ((1, 2, 3, 3), (0, 1, 1))])]
+    counts = [(1, 1, 1, 1), (3, 1, 2, 1), (2, 3, 1, 2), (1, 2, 3, 3)]
+    return labeled_of([_ragged_candidate(i, c) for i, c in enumerate(counts)],
+                      [(1, 1, 1), (0, 1, 0), (0, 0, 1), (0, 1, 1)], split="train")
 
 
 def _frozen(d):
@@ -274,16 +272,16 @@ def test_objective_gradient_matches_finite_differences(name):
     batch = _ragged_examples()
     filled = _filled(model, batch)
     grads = model.zero_grads()
-    _batch_pass(model, batch, True, *filled)
+    _batch_pass(model, _labels(batch), True, *filled)
     for key, param in model.all_params().items():
         flat = param.reshape(-1)
         assert np.shares_memory(flat, param)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = _batch_pass(model, batch, False, *filled)[0]
+            up = _batch_pass(model, _labels(batch), False, *filled)[0]
             flat[i] = orig - h
-            down = _batch_pass(model, batch, False, *filled)[0]
+            down = _batch_pass(model, _labels(batch), False, *filled)[0]
             flat[i] = orig
             numeric, analytic = (up - down) / (2 * h), grads[key].reshape(-1)[i]
             err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-4)
@@ -296,16 +294,14 @@ def test_a_candidates_score_does_not_depend_on_its_batch(corpus):
     # batch size and the occurrence padding differ in each, the bits do not.
     # The last candidate's Time occurs over more tokens than the window holds.
     model = InteractionModel(TrainConfig(hidden_size=8, seed=3), frozen=_frozen(8))
-    by_doc: dict = {}
-    for triple in corpus.triples:
-        by_doc.setdefault(triple.segment.doc_id, []).append(triple)
-    docs = [generate_candidates(MentionTable.from_triples(by_doc[doc_id])).objects()
-            for doc_id in sorted(by_doc)]
+    doc_ids = corpus.triples.doc_ids()
+    docs = [objects(generate_candidates(corpus.triples.take(
+        row for row, doc in enumerate(doc_ids) if doc == doc_id))) for doc_id in sorted(set(doc_ids))]
     docs.append([_ragged_candidate(i, counts) for i, counts in
                  enumerate([(12, 1, 2, 1), (5, 9, 1, 3), (2, 2, 7, 1), (1, 1, 1, 1),
                             (1, 1, 200, 1)])])
     everything = [cand for doc in docs for cand in doc]
-    scores, labels, reasons = predict(model, _table(everything))
+    scores, labels, reasons = predict(model, table_of(everything))
     skipped = np.array([reason is not None for reason in reasons])
     assert np.flatnonzero(skipped).tolist() == [len(everything) - 1]
     assert "window holds 511" in reasons[-1]
@@ -313,11 +309,11 @@ def test_a_candidates_score_does_not_depend_on_its_batch(corpus):
     assert not np.isnan(scores[:-1]).any()
     # labels are the scores against the threshold, both labels occurring
     threshold = float(np.median(scores[:-1]))
-    labels = predict(model, _table(everything), threshold)[1]
+    labels = predict(model, table_of(everything), threshold)[1]
     assert labels[:-1].tolist() == (scores[:-1] >= threshold).tolist()
     assert 0 < labels.sum() < len(everything) - 1 and labels[-1] == 0
-    per_doc = np.concatenate([predict(model, _table(doc))[0] for doc in docs])
-    alone = np.concatenate([predict(model, _table([cand]))[0] for cand in everything])
+    per_doc = np.concatenate([predict(model, table_of(doc))[0] for doc in docs])
+    alone = np.concatenate([predict(model, table_of([cand]))[0] for cand in everything])
     assert per_doc.tobytes() == alone.tobytes() == scores.tobytes()
 
 
@@ -325,13 +321,13 @@ def test_padding_cannot_leak():
     # A candidate differentiated alone (its own occurrence count sets the
     # padding) and inside a batch padded for longer candidates.
     model = InteractionModel(TrainConfig(hidden_size=4, seed=3), frozen=_frozen(4))
-    cands = [ex.candidate for ex in _ragged_examples()]
+    cands = objects(_ragged_examples().mentions)
     rng = np.random.default_rng(0)
     d_inter, d_tra = rng.normal(size=(4, 2)), rng.normal(size=(2, 4, 2))
 
     def grads_of(group):
         store = FeatureStore.for_model(model)
-        rows, _ = store.fill_candidates(_table(cands[i] for i in group), with_tra=True)
+        rows, _ = store.fill_candidates(table_of(cands[i] for i in group), with_tra=True)
         _, _, cache = model.forward_batch(*store.gather(rows, with_tra=True))
         grads = model.zero_grads()
         model.backward_batch(cache, d_inter[group], d_tra[:, group])
@@ -414,7 +410,7 @@ def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
     marker = ArBertEncoder(DeterministicStubBackbone(config.hidden_size, config.max_tokens))
     triples = corpus.labeled_triples
     extractor, _ = pretrain_trajectory_extractor(triples, config)
-    views = Views.of(MentionTable.from_triples(t.triple for t in triples))
+    views = Views.of(triples.mentions)
     assert (sum(n for n, _ in calls), sum(rows for _, rows in calls)) == _distinct_inputs(
         marker, [views])
 
@@ -425,8 +421,7 @@ def test_training_encodes_each_distinct_input_once(corpus, monkeypatch):
         # has the model's backbone settings, so both encoders share one store.
         views = []
         for split in ("train", "val"):
-            inter, tra = candidate_views(MentionTable.from_candidates(
-                ex.candidate for ex in examples if ex.split == split))
+            inter, tra = candidate_views(in_split(examples, split).mentions)
             views += [inter, tra] if split == "train" or ft else [inter]
         calls.clear()
         run = replace(config, fusion_mode="gated" if ft else "off")
@@ -447,7 +442,7 @@ def test_training_leaves_out_examples_the_frozen_window_cannot_hold():
     model = InteractionModel(config, frozen=extractor)
     result = train(model, examples)
     reasons = [reason for reason in predict(
-        model, _table(ex.candidate for ex in examples if ex.split != "test"))[2] if reason]
+        model, in_split(examples, "train", "val").mentions)[2] if reason]
     assert result.skipped == len(reasons) > 0
     assert all("window holds 19" in reason for reason in reasons)
 
@@ -542,13 +537,13 @@ def test_parameters_and_gradients_stay_views_of_one_vector(tmp_path, corpus, ext
 
     # one step moves what the forward reads: after it, the model scores as
     # a model given its stepped parameters does
-    batch = corpus.examples[:4]
+    batch = corpus.examples.take(range(4))
     store, rows = _filled(loaded, batch)
     gathered = store.gather(rows, with_tra=True)
     before = loaded.forward_batch(*gathered)
     opt = AdamW(loaded, lr=0.01)
     loaded.zero_grads()
-    _batch_pass(loaded, batch, True, store, rows)
+    _batch_pass(loaded, _labels(batch), True, store, rows)
     opt.step()
     stepped = InteractionModel.load(tmp_path / "model.ckpt")
     stepped.set_params(loaded.snapshot())
@@ -573,7 +568,7 @@ def trained_model(request, extractor):
 
 
 def test_threshold_zero_marks_everything_positive(corpus, trained_model):
-    cands = _table(ex.candidate for ex in corpus.examples[:10])
+    cands = corpus.examples.mentions.take(range(10))
     _, labels, reasons = predict(trained_model, cands, threshold=0.0)
     assert not any(reasons) and labels.tolist() == [1] * 10
 
@@ -581,7 +576,7 @@ def test_threshold_zero_marks_everything_positive(corpus, trained_model):
 def test_context_overflow_yields_skip_not_drop(corpus, extractor):
     config = TrainConfig(hidden_size=4, max_tokens=8, seed=1)
     model = InteractionModel(config, frozen=extractor)
-    scores, labels, reasons = predict(model, _table(ex.candidate for ex in corpus.examples[:5]))
+    scores, labels, reasons = predict(model, corpus.examples.mentions.take(range(5)))
     assert len(scores) == len(labels) == len(reasons) == 5
     assert np.isnan(scores).all() and not labels.any()
     assert all("context overflow" in reason for reason in reasons)
@@ -593,7 +588,7 @@ def test_a_candidate_stops_at_its_first_view_that_overflows(corpus, extractor):
     model = InteractionModel(TrainConfig(hidden_size=4, max_tokens=8, seed=1), frozen=extractor)
     store = FeatureStore.for_model(model)
     assert store.frozen_inputs is not store
-    rows, reasons = store.fill_candidates(_table(ex.candidate for ex in corpus.examples[:5]))
+    rows, reasons = store.fill_candidates(corpus.examples.mentions.take(range(5)))
     assert (rows == -1).all() and all("window holds 7" in r for r in reasons)
     assert not store.inputs and not store.features and not store.frozen_inputs.inputs
 
@@ -619,7 +614,7 @@ def test_predict_marks_each_distinct_view_once_in_one_pass(corpus, extractor, mo
     monkeypatch.setattr(encoder, "insert_markers", lambda views, backbone: calls.append(
         sum(map(len, views))) or insert_markers(views, backbone))
     model = InteractionModel(TrainConfig(hidden_size=4, seed=1), frozen=extractor)
-    cands = _table(ex.candidate for ex in corpus.examples[:12])
+    cands = corpus.examples.mentions.take(range(12))
     assert not any(predict(model, cands)[2])
     # the extractor shares the model's store: one pass for every view it lacks
     inter, tra = candidate_views(cands)
@@ -633,28 +628,41 @@ def test_validation_is_prediction_on_the_training_store(corpus, extractor):
     result = train(model, examples)
     assert result.best_epoch == 0  # the model holds the last epoch's parameters
 
-    val_set = [ex for ex in examples if ex.split == "val"]
+    val_set = in_split(examples, "val")
     shared = FeatureStore.for_model(model)
     assert shared.frozen_inputs is shared  # the extractor has the model's backbone settings
     runs = []
     for store in (shared, FeatureStore(model.encoder, extractor, shared=False), None):
         if store is not None:  # filled as training fills its store
             for split in ("train", "val"):
-                store.fill_candidates(_table(ex.candidate for ex in examples if ex.split == split),
-                                      with_tra=split == "train")
-        scores, labels, _ = predict(model, _table(ex.candidate for ex in val_set), store=store)
+                store.fill_candidates(in_split(examples, split).mentions, with_tra=split == "train")
+        scores, labels, _ = predict(model, val_set.mentions, store=store)
         runs.append((scores.tobytes(), tuple(labels.tolist())))
     assert len(set(runs)) == 1
-    report = compute_metrics(runs[0][1], [ex.y_inter for ex in val_set])
+    report = compute_metrics(runs[0][1], val_set.labels["y_inter"].tolist())
     assert result.history[-1]["val_f1"] == report.f1 / 100
     assert result.history[-1]["val_acc"] == report.accuracy / 100
+
+
+def test_training_fills_its_train_and_val_rows_once(corpus, extractor, monkeypatch):
+    # Validation scores the val rows every epoch from the one fill before
+    # the first epoch.
+    calls = []  # the candidates of each fill
+    fill = FeatureStore.fill_candidates
+    monkeypatch.setattr(FeatureStore, "fill_candidates", lambda self, cands, *args, **kwargs:
+                        calls.append(len(cands)) or fill(self, cands, *args, **kwargs))
+    examples = split_dataset(corpus.examples, seed=0)
+    config = TrainConfig(hidden_size=4, max_epochs=4, learning_rate=5e-3, seed=5, patience=10)
+    result = train(InteractionModel(config, frozen=extractor), examples)
+    assert len(result.history) == 4 and all("val_f1" in entry for entry in result.history)
+    assert calls == [len(in_split(examples, "train")), len(in_split(examples, "val"))]
 
 
 def test_checkpoint_roundtrip_predict_bit_identical(tmp_path, corpus, trained_model):
     path = tmp_path / "model.ckpt"
     trained_model.save(path)
     loaded = InteractionModel.load(path)
-    cands = _table(ex.candidate for ex in corpus.examples[:12])
+    cands = corpus.examples.mentions.take(range(12))
     (a_scores, a_labels, _), (b_scores, b_labels, _) = (predict(trained_model, cands),
                                                         predict(loaded, cands))
     assert a_scores.tobytes() == b_scores.tobytes()
