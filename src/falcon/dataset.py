@@ -65,10 +65,10 @@ class LabeledTable:
     def add_json(self, obj) -> str | None:
         """Append the row of one decoded line: its mentions
         (:meth:`~falcon.ingest.MentionTable.add_json`, which raises for a bad
-        line), then its labels and split. Returns what is wrong with those,
-        if anything, having appended them only when nothing is: a missing
-        label, one that does not equal 0 or 1, an interaction without both
-        presences, or an unknown split."""
+        line), then its labels and split. A missing label, one that does not
+        equal 0 or 1, an interaction without both presences or an unknown
+        split is returned as what is wrong, and then neither is appended:
+        the reader stops at that line (:func:`~falcon.ingest.read_mentions`)."""
         self.mentions.add_json(obj)
         try:
             values = [obj[name] for name in self.labels]
@@ -78,7 +78,7 @@ class LabeledTable:
             if y not in (0, 1):
                 return f"{name} must be 0 or 1, got {y!r}"
         split = None
-        if len(values) == 3:
+        if len(values) == 3:  # an interaction label and its two presences
             if values[0] == 1 and not (values[1] == 1 and values[2] == 1):
                 return "label entailment violated: y_inter=1 requires both y_tra=1"
             split = obj.get("split")
@@ -189,14 +189,12 @@ class DatasetSummary:
 
 def summarize(examples: LabeledTable) -> DatasetSummary:
     labels, n = examples.labels, len(examples)
-    summary = DatasetSummary(interaction_pos=sum(labels["y_inter"]),
-                             trajectory_pos=sum(labels["y_tra1"]) + sum(labels["y_tra2"]))
-    summary.interaction_neg = n - summary.interaction_pos
-    summary.trajectory_neg = 2 * n - summary.trajectory_pos
+    inter, tra = sum(labels["y_inter"]), sum(labels["y_tra1"]) + sum(labels["y_tra2"])
+    sizes: dict[str, int] = {}
     for split in examples.split:
         if split is not None:
-            summary.split_sizes[split] = summary.split_sizes.get(split, 0) + 1
-    return summary
+            sizes[split] = sizes.get(split, 0) + 1
+    return DatasetSummary(inter, n - inter, tra, 2 * n - tra, sizes)
 
 
 # ---------------------------------------------------------------------------

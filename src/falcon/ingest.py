@@ -135,9 +135,10 @@ class RecordError:
 
 
 class MentionTable:
-    """Rows of role-tagged mentions in text segments, as columns: the
-    trajectory triples of a file (``TRAJECTORY_ROLES``) or the candidate
-    quadruples paired from them (``INTERACTION_ROLES``).
+    """Rows of role-tagged mentions in text segments, as columns: trajectory
+    triples (``TRAJECTORY_ROLES``) or candidate quadruples
+    (``INTERACTION_ROLES``). A line of a file holds the mention in role
+    ``roles[k]`` under the key ``keys[k]``, the role in lower case.
 
     Row i lies in the segment envelope ``envelopes[segment[i]]``, a
     (doc_id, segment_id, char_start, char_end, text) tuple held once however
@@ -156,6 +157,7 @@ class MentionTable:
 
     def __init__(self, roles: tuple[str, ...], like: "MentionTable | None" = None):
         self.roles = roles
+        self.keys = tuple(role.lower() for role in roles)
         if like is None:
             self.envelopes: list[tuple] = []
             self._envelope_ids: dict[tuple, int] = {}
@@ -229,7 +231,7 @@ class MentionTable:
             envelope = (obj["doc_id"], obj["segment_id"], obj["char_start"], obj["char_end"],
                         obj["segment_text"])
             mentions = [(m["surface"], m["occurrences"])
-                        for m in [obj[role.lower()] for role in self.roles]]
+                        for m in [obj[key] for key in self.keys]]
             seg = self._envelope_ids.get(envelope)
         except (KeyError, TypeError):  # not an object, a key missing, or an unhashable value
             return False
@@ -346,9 +348,9 @@ def row_json(table: MentionTable, row: int) -> dict:
     rec = {"doc_id": doc_id, "segment_id": segment_id, "char_start": char_start,
            "char_end": char_end, "segment_text": text}
     bounds, starts, ends = table.bounds, table.starts, table.ends
-    for m, role in enumerate(table.roles, row * len(table.roles)):
+    for m, key in enumerate(table.keys, row * len(table.keys)):
         a, b = bounds[m], bounds[m + 1]
-        rec[role.lower()] = {"surface": table.surfaces[table.surface[m]],
+        rec[key] = {"surface": table.surfaces[table.surface[m]],
                              "occurrences": [list(span) for span in zip(starts[a:b], ends[a:b])]}
     return rec
 
