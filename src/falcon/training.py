@@ -635,9 +635,9 @@ def train(model: InteractionModel, examples: LabeledTable,
     same backbone and extractor share one store.
     """
     config = model.config
-    train_set, val_set = (examples.take(i for i, split in enumerate(examples.split)
-                                        if split == name) for name in ("train", "val"))
-    if not len(train_set):
+    train_set = examples.take(i for i, split in enumerate(examples.split) if split == "train")
+    val_set = examples.take(i for i, split in enumerate(examples.split) if split == "val")
+    if not train_set:
         raise ValueError("no examples with split='train'")
 
     result = TrainResult()

@@ -3,7 +3,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from falcon.cli import main
 from falcon.dataset import (
     LabeledTable,
     dump_examples,
@@ -208,10 +210,6 @@ def test_split_refuses_a_negative_or_non_finite_ratio(corpus, ratios):
 
 @pytest.mark.parametrize("ratios", ["1.2,-0.1,-0.1", "nan,0,0"])
 def test_dataset_split_refuses_a_negative_or_non_finite_ratio(tmp_path, corpus, ratios):
-    from click.testing import CliRunner
-
-    from falcon.cli import main
-
     dump_examples(corpus.examples, tmp_path / "labeled.jsonl")
     res = CliRunner().invoke(main, ["dataset", "split", "--in", str(tmp_path / "labeled.jsonl"),
                                     "--out", str(tmp_path / "split.jsonl"), "--ratios", ratios])

@@ -118,8 +118,9 @@ def test_transfer_on_identity_corpus_matches_compute_metrics(trained):
     model, examples = trained
     test_set = [ex for ex in examples if ex.split == "test"]
     report = evaluate_transfer(model, test_set)
-    labels = predict(model, in_split(examples, "test").mentions)[1]
-    direct = compute_metrics(labels.tolist(), in_split(examples, "test").labels["y_inter"].tolist())
+    test_table = in_split(examples, "test")
+    labels = predict(model, test_table.mentions)[1]
+    direct = compute_metrics(labels.tolist(), test_table.labels["y_inter"].tolist())
     assert report.to_json()["confusion"] == direct.to_json()["confusion"]
 
 
