@@ -73,11 +73,13 @@ def _scan_joined(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tokens of ``text`` as (starts, ends), and the sum of the UTF-8
     bytes of its characters before each offset."""
     codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    kind = _CHAR_CLASS[np.minimum(codes, len(_CHAR_CLASS) - 1)]
-    word, marker = kind == _WORD, kind == _MARKER
-    edge = np.diff(word, prepend=False, append=False)  # True where a word run starts or ends
+    kind = _CHAR_CLASS[np.minimum(codes, len(_CHAR_CLASS) - 1, dtype=np.intp)]
     cum = np.zeros(len(codes) + 1, dtype=np.int64)
     np.cumsum(_utf8_byte_sums(codes, cum[1:]), out=cum[1:])
+    del codes  # the per-character arrays are a fill's peak memory: each goes once read
+    word, marker = kind == _WORD, kind == _MARKER
+    del kind
+    edge = np.diff(word, prepend=False, append=False)  # True where a word run starts or ends
     return (np.flatnonzero(marker | edge[:-1] & word),
             np.flatnonzero(marker | edge[1:] & word) + 1, cum)
 
@@ -117,64 +119,71 @@ class DeterministicStubBackbone:
         token, so a cut splits the token it falls inside and leaves the rest
         whole.
 
-        Returns (keys, spans, bounds, brackets), the tokens of every view one
-        view after another: view v's tokens are ``bounds[v]:bounds[v + 1]``;
-        ``keys`` holds each token's :meth:`token_key`, ``spans`` its (start,
-        end) in its view's marked text, and ``brackets[k]`` the index of cut
-        k's marker among its view's tokens.
+        Returns (keys, bounds, brackets), the tokens of every view one view
+        after another: view v's tokens are ``bounds[v]:bounds[v + 1]``;
+        ``keys`` holds each token's :meth:`token_key`, and ``brackets[k]`` the
+        index of cut k's marker among its view's tokens.
         """
         starts = np.cumsum([0] + [len(t) + 1 for t in texts])  # of each text, joined by "\n"
         tok_start, tok_end, cum = _scan_joined("\n".join(texts))
 
-        # every token of each view's text, then each cut strictly inside a token
+        # view v's text tokens are first[v]:first[v] + counts[v] of the
+        # joined text's, and before[v] text tokens belong to the views before it
         view_start = starts[view_text]
         first = np.searchsorted(tok_start, view_start)
         counts = np.searchsorted(tok_start, starts[view_text + 1]) - first
-        n_views = len(view_text)
-        tok = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        before = np.cumsum(counts) - counts
+        # each cut's global offset, and its (view, offset) as one ascending key;
+        # a cut strictly inside a token splits it there, once per offset
         at = view_start[cut_view] + cut_offset
-        inside = np.searchsorted(tok_end, at, side="right")
-        split = np.flatnonzero(inside < len(tok_start))
-        split = split[tok_start[inside[split]] < at[split]]
-        # two cuts at one offset split a token once
-        split = split[np.diff(cut_view[split] * len(cum) + at[split], prepend=-1) != 0]
+        key = cut_view * len(cum) + at
+        cut_at = np.searchsorted(tok_end, at, side="right")  # the first token ending past it
+        inner = np.flatnonzero(cut_at < len(tok_start))
+        inner = inner[tok_start[cut_at[inner]] < at[inner]]
+        split = inner[np.diff(key[inner], prepend=-1) != 0]
+        split_at, split_tok = at[split], cut_at[split]
+        # A token's key is its text token's, unless a cut splits it: its
+        # first piece ends at its first split, and its rest after each split
+        # at its next split, the last at its end.
+        last_split = np.ones(len(split), dtype=bool)  # of its token in its view
+        last_split[:-1] = np.diff(before[cut_view[split]] - first[cut_view[split]] + split_tok) != 0
+        first_split = np.ones(len(split), dtype=bool)
+        first_split[1:] = last_split[:-1]
+        rest_end = tok_end[split_tok]
+        rest_end[:-1][~last_split[:-1]] = split_at[1:][~last_split[:-1]]
+        rest_keys = _keys(cum[rest_end] - cum[split_at])
+        first_keys = _keys(cum[split_at[first_split]] - cum[tok_start[split_tok[first_split]]])
+        text_keys = _keys(cum[tok_end] - cum[tok_start])
+        del cum, tok_start, tok_end, at  # before the per-token arrays, a fill's peak
 
-        # pieces (a token, or its rest after a split) and markers, each at its
-        # offset, sorted by (view, offset, marker first), cuts in their order
-        view = np.concatenate([np.repeat(np.arange(n_views), counts), cut_view[split], cut_view])
-        offset = np.concatenate([tok_start[tok], at[split], at])
-        tok = np.concatenate([tok, inside[split], np.full(len(at), -1)])
-        order = np.argsort((view * len(cum) + offset) * 2 + (tok >= 0), kind="stable")
-        view, offset, tok = view[order], offset[order], tok[order]
-        del order  # these arrays are a fill's peak memory: each goes once read
-        is_marker = tok < 0
-        cut_at = np.flatnonzero(is_marker)  # the markers stay in cut order
-        piece = np.flatnonzero(~is_marker)
-        end = tok_end[tok[piece]]
-        # a piece ends where the next piece of its token in its view starts
-        cont = (tok[piece[1:]] == tok[piece[:-1]]) & (view[piece[1:]] == view[piece[:-1]])
-        del tok
-        end[:-1][cont] = offset[piece[1:]][cont]
-        keys = np.empty(len(offset))
-        total = cum[end]
-        total -= cum[offset[piece]]
-        keys[piece] = _keys(total)
+        # A view's tokens: its text tokens in order, each cut's marker before
+        # the tokens at its offset (the cuts in their order), and after the
+        # markers at a split, the rest of the split token. Each marker's index
+        # among all tokens counts the cuts, text tokens and rests before it;
+        # each rest follows the last marker at its offset, each split token's
+        # first piece precedes the markers of its first split, and the text
+        # tokens fill the other indices in order.
+        n_views = len(view_text)
+        per_view = (counts + np.bincount(cut_view, minlength=n_views)
+                    + np.bincount(cut_view[split], minlength=n_views))
+        bounds = np.concatenate([[0], np.cumsum(per_view)])
+        cut_at[inner] += 1  # now the text tokens that start before the cut
+        cut_at += np.arange(len(cut_at))
+        cut_at += (before - first)[cut_view]
+        cut_at += np.searchsorted(key[split], key)
+        rest_at = cut_at[np.searchsorted(key, key[split], side="right") - 1] + 1
+        del key, inner
+        keys = np.empty(int(bounds[-1]))
         keys[cut_at] = _keys(_utf8_byte_sums(cut_marker))
-
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(view, minlength=n_views))])
-        # from a global offset to one in the view's marked text: less the
-        # view's start, plus the markers before it in its view
-        per_view = np.bincount(cut_view, minlength=n_views)
-        shift = np.cumsum(is_marker)
-        shift -= is_marker
-        shift -= (np.cumsum(per_view) - per_view + view_start)[view]
-        del view
-        spans = np.empty((len(shift), 2), dtype=np.int32)
-        spans[:, 0] = offset + shift
-        spans[:, 1] = spans[:, 0] + 1
-        spans[piece, 1] = end + shift[piece]
-        brackets = cut_at - bounds[cut_view]
-        return keys, spans, bounds, brackets
+        keys[rest_at] = rest_keys
+        is_text = np.ones(len(keys), dtype=bool)
+        is_text[cut_at] = is_text[rest_at] = False
+        tok = np.repeat(first - before, counts)  # each text token's, of its view's text
+        tok += np.arange(len(tok))
+        keys[is_text] = text_keys[tok]
+        del tok
+        keys[cut_at[split[first_split]] - 1] = first_keys
+        return keys, bounds, cut_at - bounds[cut_view]
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Hidden states of shape (len(tokens) + 1, hidden_size); row 0 is CLS."""

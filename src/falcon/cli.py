@@ -89,18 +89,31 @@ def dataset_summarize(in_path):
     click.echo(json.dumps(ds.summarize(examples).to_json(), indent=2))
 
 
+def _split_ratios(ctx, param, value: str) -> tuple[float, ...]:
+    """``--ratios`` as three numbers that :func:`~falcon.dataset.check_ratios`
+    accepts, checked before any file is read."""
+    try:
+        ratios = tuple(float(x) for x in value.split(","))
+    except ValueError:
+        ratios = ()
+    if len(ratios) != 3:
+        raise click.BadParameter(f"needs three comma-separated numbers, got {value!r}")
+    try:
+        ds.check_ratios(ratios)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
+    return ratios
+
+
 @dataset_group.command("split")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--seed", default=0, show_default=True)
-@click.option("--ratios", default="0.7,0.1,0.2", show_default=True)
+@click.option("--ratios", default="0.7,0.1,0.2", show_default=True, callback=_split_ratios)
 @click.option("--by-doc", is_flag=True, help="Group examples by document.")
 def dataset_split(in_path, out_path, seed, ratios, by_doc):
     examples = ds.load_examples(in_path)
-    parts = tuple(float(x) for x in ratios.split(","))
-    if len(parts) != 3:
-        raise click.UsageError("--ratios needs three comma-separated numbers")
-    split = ds.split_dataset(examples, ratios=parts, seed=seed, group_by_doc=by_doc)
+    split = ds.split_dataset(examples, ratios=ratios, seed=seed, group_by_doc=by_doc)
     ds.dump_examples(split, out_path)
     click.echo(json.dumps(ds.summarize(split).to_json()["split_sizes"]))
 
@@ -189,12 +202,18 @@ def predict_cmd(checkpoint, cand_path, out_path, threshold):
 
     model = tr.InteractionModel.load(checkpoint)
     candidates = ingest.load_candidates(cand_path)
-    scores, labels, reasons = tr.predict(model, candidates, threshold=threshold)
+    # scored in runs of EXTRACT_CHUNK candidates, each on a fresh store, as extract scores
+    scores, labels, reasons = [], [], []
+    for start in range(0, len(candidates), extract.EXTRACT_CHUNK):
+        run = candidates.take(range(start, min(start + extract.EXTRACT_CHUNK, len(candidates))))
+        run_scores, run_labels, run_reasons = tr.predict(model, run, threshold=threshold)
+        scores += run_scores.tolist()
+        labels += run_labels.tolist()
+        reasons += run_reasons
     lines = (ingest.row_json(candidates, row) for row in range(len(candidates)))
-    ingest.write_jsonl(out_path, map(_prediction_json, lines, scores.tolist(), labels.tolist(),
-                                     reasons))
+    ingest.write_jsonl(out_path, map(_prediction_json, lines, scores, labels, reasons))
     skipped = sum(reason is not None for reason in reasons)
-    click.echo(json.dumps({"candidates": len(candidates), "positives": int(labels.sum()),
+    click.echo(json.dumps({"candidates": len(candidates), "positives": sum(labels),
                            "skipped": skipped}))
 
 

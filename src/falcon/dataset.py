@@ -115,6 +115,15 @@ def select(rows: Iterable[LabeledRow]) -> LabeledTable:
     return table.take(row.index for row in rows)
 
 
+def check_ratios(ratios: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless the split ratios are finite and
+    non-negative and sum to 1."""
+    if not all(0 <= r < math.inf for r in ratios):
+        raise ValueError(f"split ratios must be finite and non-negative, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+
+
 def split_dataset(examples: LabeledTable,
                   ratios: Sequence[float] = (0.7, 0.1, 0.2),
                   seed: int = 0,
@@ -126,12 +135,9 @@ def split_dataset(examples: LabeledTable,
     ``group_by_doc`` all examples of one document share a split (leakage
     guard; off by default). Returns a table of the same rows with the new
     splits; ``examples`` is left as it is. Ratios must be finite and
-    non-negative and sum to 1.
+    non-negative and sum to 1 (:func:`check_ratios`).
     """
-    if not all(0 <= r < math.inf for r in ratios):
-        raise ValueError(f"split ratios must be finite and non-negative, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+    check_ratios(ratios)
 
     if group_by_doc:
         by_doc: dict[str, list[int]] = {}

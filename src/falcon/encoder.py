@@ -18,9 +18,9 @@ gives a candidate table's interaction and trajectory views, and
 :func:`input_keys` gives each view the key a store holds it by. The frozen
 half runs in two steps: :meth:`ArBertEncoder.mark` inserts the markers and
 tokenizes many inputs in one array pass (:func:`insert_markers`, over the
-backbone's ``tokenize_views``) into :class:`MarkedInput` values, each
-token's backbone key and character span with no token strings (here a
-window overflow is known), and :meth:`ArBertEncoder.encode_marked` runs
+backbone's ``tokenize_views``) into :class:`MarkedInputs`, columns of
+each token's backbone key with no token strings (here a window overflow
+is known), and :meth:`ArBertEncoder.encode_marked` runs
 the backbone and occurrence pooling of many marked inputs into a
 :class:`PackedInputs`.
 The backbone computes only the hidden rows that pooling reads, each
@@ -84,22 +84,64 @@ class MarkerOverlapError(ValueError):
     """Occurrence spans of different entities overlap."""
 
 
-@dataclass(frozen=True, slots=True)
-class MarkedInput:
-    """One marked input, windowed: what the backbone encodes of it.
+def _gather(values: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """``values[starts[i]:stops[i]]`` for each i, one after another, and the
+    bounds of each run in the result."""
+    counts = stops - starts
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    index = np.repeat(starts - bounds[:-1], counts)
+    index += np.arange(len(index))
+    return values[index], bounds
 
-    ``keys`` (n,) holds each token's backbone input, and ``spans`` (n, 2)
-    its (start, end) in the marked text, the segment text with every
-    marker in. ``occurrences`` (k, 4) holds (entity, occurrence, first
-    row, last row) per entity occurrence, by entity then occurrence; the
-    rows are inclusive, in the hidden matrix where row 0 is CLS; marking
-    leaves no two occurrences sharing a row.
+
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
+class MarkedInputs:
+    """Marked inputs of one role layout, windowed: what the backbone encodes
+    of them, as columns.
+
+    Input i's tokens are ``keys[bounds[i]:bounds[i + 1]]``, each token's
+    backbone input, and its entity occurrences are rows
+    ``occ_bounds[i]:occ_bounds[i + 1]`` of ``occurrences`` (k, 4): (entity,
+    occurrence, first row, last row), by entity then occurrence; the rows
+    are inclusive, in the input's hidden matrix where row 0 is CLS; marking
+    leaves no two occurrences sharing a row. ``errors`` maps an input that
+    could not be marked to what marking it raised; such an input has no
+    tokens and no occurrences.
     """
 
     roles: tuple[str, ...]
-    keys: np.ndarray
-    spans: np.ndarray
-    occurrences: np.ndarray
+    keys: np.ndarray         # (T,)
+    bounds: np.ndarray       # (N + 1,)
+    occurrences: np.ndarray  # (K, 4)
+    occ_bounds: np.ndarray   # (N + 1,)
+    errors: dict[int, Exception]
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    @staticmethod
+    def concat(parts: Sequence["MarkedInputs"]) -> "MarkedInputs":
+        """The inputs of ``parts`` (of one layout, none with an error), one
+        part after another."""
+        if len(parts) == 1:
+            return parts[0]
+
+        def bounds(runs):  # each part's bounds, past the runs of the parts before it
+            ends = np.cumsum([0] + [b[-1] for b in runs]).tolist()
+            return np.concatenate([[0], *(b[1:] + end for b, end in zip(runs, ends))])
+        return MarkedInputs(parts[0].roles, np.concatenate([part.keys for part in parts]),
+                            bounds([part.bounds for part in parts]),
+                            np.concatenate([part.occurrences for part in parts]),
+                            bounds([part.occ_bounds for part in parts]), {})
+
+    def take(self, index) -> "MarkedInputs":
+        """The inputs at ``index``."""
+        index = np.asarray(index, dtype=np.int64)
+        keys, bounds = _gather(self.keys, self.bounds[index], self.bounds[index + 1])
+        occ, occ_bounds = _gather(self.occurrences, self.occ_bounds[index],
+                                  self.occ_bounds[index + 1])
+        errors = {k: self.errors[i] for k, i in enumerate(index.tolist()) if i in self.errors}
+        return MarkedInputs(self.roles, keys, bounds, occ, occ_bounds, errors)
 
 
 def canonical_entities(entities: Sequence[EntityMention]) -> list[EntityMention]:
@@ -206,7 +248,7 @@ def input_keys(views: Views) -> list[tuple]:
 
 
 def insert_markers(views: Sequence[Views],
-                   backbone: DeterministicStubBackbone) -> list[MarkedInput | Exception]:
+                   backbone: DeterministicStubBackbone) -> list[MarkedInputs]:
     """Wrap every entity occurrence of each view in its role's marker
     character and map the occurrences to token spans (inclusive, in
     hidden-matrix coordinates where row 0 is CLS), every view of every
@@ -214,20 +256,17 @@ def insert_markers(views: Sequence[Views],
     pass. Selects a window centered on the marked occurrences when
     the marked text exceeds the backbone's token budget.
 
-    Returns per view, one :class:`Views` after another, its
-    :class:`MarkedInput`, or the error marking it raises:
+    Returns per :class:`Views` its views' :class:`MarkedInputs`, whose
+    ``errors`` hold what marking a view raises:
     :class:`MarkerOverlapError` when occurrences overlap, a ``ValueError``
     when an occurrence holds no token, and :class:`ContextOverflowError`
     when the occurrences do not fit in one window.
     """
-    parts = [part for part in views if len(part)]
-    if not parts:
-        return []
     # per view: its distinct text, its part and its entities; per entity, by
     # view: its slot, its occurrence count and its marker
     texts: dict[str, int] = {}
     view_text, n_ent, slot, n_occ, marker, occ_start, occ_end = ([] for _ in range(7))
-    for part in parts:
+    for part in views:
         envelopes, inverse = np.unique(part.text, return_inverse=True)
         ids = [texts.setdefault(part.table.envelopes[e][4], len(texts)) for e in envelopes.tolist()]
         view_text.append(np.array(ids, dtype=np.int64)[inverse])
@@ -238,8 +277,8 @@ def insert_markers(views: Sequence[Views],
         marker.append(np.tile([ord(MARKERS[role]) for role in part.roles], len(part)))
         occ_start.append(part.starts[occ])
         occ_end.append(part.ends[occ])
-    view_part = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
-    part_start = np.cumsum([0] + [len(part) for part in parts])
+    view_part = np.repeat(np.arange(len(views)), [len(part) for part in views])
+    part_start = np.cumsum([0] + [len(part) for part in views])
     view_text, n_ent, slot, n_occ, marker, start, end = map(
         np.concatenate, (view_text, n_ent, slot, n_occ, marker, occ_start, occ_end))
     # per occurrence, by view, entity and occurrence
@@ -248,13 +287,14 @@ def insert_markers(views: Sequence[Views],
     entity = np.repeat(slot, n_occ)
     index = np.arange(len(view)) - np.repeat(np.cumsum(n_occ) - n_occ, n_occ)
     marker = np.repeat(marker, n_occ)
+    del n_ent, slot, n_occ, occ_start, occ_end
 
-    out: list[MarkedInput | Exception | None] = [None] * n_views
+    out: list[Exception | None] = [None] * n_views
 
     def fail(error, j, message):  # occurrence j's view fails with its first error
         v, e = int(view[j]), int(entity[j])
         if out[v] is None:
-            part = parts[view_part[v]]
+            part = views[view_part[v]]
             m = part.mention[v - part_start[view_part[v]], e]
             out[v] = error(message.format(start=start[j], role=part.roles[e],
                                           surface=part.table.surfaces[part.table.surface[m]]))
@@ -268,7 +308,7 @@ def insert_markers(views: Sequence[Views],
              "occurrence spans overlap near offset {start} ({role} {surface!r})")
     order = order[np.array([error is None for error in out], dtype=bool)[view[order]]]
 
-    keys, token_spans, bounds, brackets = backbone.tokenize_views(
+    keys, bounds, brackets = backbone.tokenize_views(
         list(texts), view_text, np.repeat(view[order], 2),
         np.stack([start[order], end[order]], axis=1).ravel(), np.repeat(marker[order], 2))
     first, last = np.zeros(len(view), dtype=np.int64), np.zeros(len(view), dtype=np.int64)
@@ -292,17 +332,23 @@ def insert_markers(views: Sequence[Views],
                 f"context overflow: marked occurrences span {hi[v] - lo[v] + 1} tokens, "
                 f"window holds {window_len}")
 
+    # each view's window and occurrence rows; none of a view that failed
     shift = 1 - begin[view]  # row 0 of the hidden matrix is CLS
     rows = np.stack([entity, index, first + shift, last + shift], axis=1)
-    occ_bounds = np.concatenate([[0], np.cumsum(np.bincount(view, minlength=n_views))]).tolist()
-    token_bounds = (bounds[:-1] + begin).tolist()
-    token_ends = (bounds[:-1] + begin + np.minimum(length, window_len)).tolist()
-    for v, p in enumerate(view_part.tolist()):
-        if out[v] is None:
-            a, b = token_bounds[v], token_ends[v]
-            out[v] = MarkedInput(parts[p].roles, keys[a:b], token_spans[a:b],
-                                 rows[occ_bounds[v]:occ_bounds[v + 1]])
-    return out
+    ok = np.array([error is None for error in out], dtype=bool)
+    token_lo = bounds[:-1] + begin
+    token_hi = np.where(ok, token_lo + np.minimum(length, window_len), token_lo)
+    occ_lo = np.concatenate([[0], np.cumsum(np.bincount(view, minlength=n_views))])
+    occ_hi = np.where(ok, occ_lo[1:], occ_lo[:-1])
+    marked = []
+    for p, part in enumerate(views):
+        at = slice(part_start[p], part_start[p + 1])
+        part_keys, part_bounds = _gather(keys, token_lo[at], token_hi[at])
+        occurrences, occ_bounds = _gather(rows, occ_lo[:-1][at], occ_hi[at])
+        errors = {v: error for v, error in enumerate(out[at]) if error is not None}
+        marked.append(MarkedInputs(part.roles, part_keys, part_bounds, occurrences, occ_bounds,
+                                   errors))
+    return marked
 
 
 def pool_spans(hidden: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -382,7 +428,10 @@ class PackedInputs:
     mask: np.ndarray  # (N, S, K) bool
 
     def take(self, index) -> "PackedInputs":
-        """The inputs at ``index`` (a gather along the first axis)."""
+        """The inputs at ``index`` (a gather along the first axis); the pack
+        itself when that is every input in order, as no pack is written to."""
+        if np.array_equal(index, np.arange(len(self.cls))):
+            return self
         return PackedInputs(self.roles, self.cls[index], self.occ[index], self.mask[index])
 
 
@@ -481,27 +530,25 @@ class ArBertEncoder:
     def hidden_size(self) -> int:
         return self.backbone.hidden_size
 
-    def mark(self, views: Sequence[Views]) -> list[MarkedInput | Exception]:
-        """Markers and tokenization of many inputs in one pass: per view its
-        marked form or the error marking it raises (:func:`insert_markers`)."""
+    def mark(self, views: Sequence[Views]) -> list[MarkedInputs]:
+        """Markers and tokenization of many inputs in one pass: per
+        :class:`Views` its marked inputs and the errors marking them raises
+        (:func:`insert_markers`)."""
         return insert_markers(views, self.backbone)
 
-    def encode_marked(self, marked: Sequence[MarkedInput]) -> PackedInputs:
-        """The backbone and occurrence pooling of marked inputs of one role
-        layout, as one pack. The backbone computes only the rows pooling
-        reads: each input's CLS row and the rows of its occurrence spans,
-        each row once where the spans are disjoint, as marking makes them.
-        One backbone call and one pooling gather per run of inputs that
-        need at most ``ENCODE_BUDGET`` rows."""
-        cells = np.concatenate([m.occurrences for m in marked])
-        counts = np.fromiter((len(m.occurrences) for m in marked), dtype=np.int64,
-                             count=len(marked))
-        item = np.repeat(np.arange(len(marked)), counts)  # each occurrence's input
+    def encode_marked(self, marked: MarkedInputs) -> PackedInputs:
+        """The backbone and occurrence pooling of marked inputs (of one role
+        layout, none with an error), as one pack. The backbone computes only
+        the rows pooling reads: each input's CLS row and the rows of its
+        occurrence spans, each row once where the spans are disjoint, as
+        marking makes them. One backbone call and one pooling gather per run
+        of inputs that need at most ``ENCODE_BUDGET`` rows."""
+        cells, occ_bounds, bounds = marked.occurrences, marked.occ_bounds, marked.bounds
+        item = np.repeat(np.arange(len(marked)), np.diff(occ_bounds))  # each occurrence's input
         sizes = cells[:, 3] - cells[:, 2] + 1  # the rows of each occurrence span
-        occ_bounds = np.concatenate([[0], np.cumsum(counts)])
         needs = 1 + np.diff(np.concatenate([[0], np.cumsum(sizes)])[occ_bounds])  # per input
         cls = np.empty((len(marked), self.hidden_size))
-        occ = np.zeros((len(marked), len(marked[0].roles), int(cells[:, 1].max()) + 1,
+        occ = np.zeros((len(marked), len(marked.roles), int(cells[:, 1].max()) + 1,
                         self.hidden_size))
         mask = np.zeros(occ.shape[:3], dtype=bool)
         for a, b in _budget_runs(needs.tolist()):
@@ -511,14 +558,15 @@ class ArBertEncoder:
             first = n + np.cumsum(size) - size
             spans = np.repeat(cells[at, 2] - first, size) + np.arange(n, first[-1] + size[-1])
             hidden = self.backbone.encode_at(
-                [m.keys for m in marked[a:b]],
+                [marked.keys[i:j] for i, j in zip(bounds[a:b].tolist(),
+                                                  bounds[a + 1:b + 1].tolist())],
                 np.concatenate([np.arange(n), np.repeat(item[at] - a, size)]),
                 np.concatenate([np.zeros(n, dtype=np.int64), spans]))
             where = (item[at], cells[at, 0], cells[at, 1])
             occ[where] = pool_spans(hidden, first, first + size - 1)
             mask[where] = True
             cls[a:b] = hidden[:n]
-        return PackedInputs(marked[0].roles, cls, occ, mask)
+        return PackedInputs(marked.roles, cls, occ, mask)
 
     def prepare(self, segment: TextSegment,
                 entities: Sequence[EntityMention]) -> PackedInputs:
@@ -527,9 +575,9 @@ class ArBertEncoder:
         (:meth:`mark`, then :meth:`encode_marked`); raises what marking
         raises."""
         marked, = self.mark([views_of([(segment, entities)])])
-        if isinstance(marked, Exception):
-            raise marked
-        return self.encode_marked([marked])
+        if marked.errors:
+            raise marked.errors[0]
+        return self.encode_marked(marked)
 
     def forward_batch(self, packed: PackedInputs):
         """Occurrence attention, tanh and the role projections of a batch of

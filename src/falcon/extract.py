@@ -46,13 +46,15 @@ LLM_ATTEMPTS = 3
 LLM_TIMEOUT_S = 30.0
 # Seconds before the first retry of a failed try; each later wait doubles.
 LLM_BACKOFF_S = 0.5
-# Candidates per scoring call of ``extract_corpus``: whole documents are
-# grouped up to this many, a larger document is a call of its own. On the
-# perfbench ``extract`` corpus (d=8, 2 vCPU) the command's CPU time is flat
-# within noise from 48 to 128 (about 0.44 s, against 0.84 s at one document
-# per call), while peak RSS grows with the chunk (+0.3 MB at 64, +0.7 MB at
-# 128 and +4.8 MB at 512 over one document per call).
-EXTRACT_CHUNK = 64
+# Candidates per scoring call of ``extract_corpus``, which groups whole
+# documents up to this many (a larger document is a call of its own), and of
+# ``falcon predict``. It is the largest chunk that keeps perfbench
+# ``extract``'s peak RSS within 46.1 MB, its peak when the chunk was 64
+# (d = 8, 2 vCPU, seed 1, 20 s runs): 256 scores 1,166 items per reference
+# second at 45.8 MB, against 945 at 45.2 MB at 64, 1,174 at 46.5 MB at 384
+# and 1,199 at 47.0 MB at 512. At d = 768 a fill of 256 candidates peaks
+# 63 MB above its start (33 MB at 64).
+EXTRACT_CHUNK = 256
 
 _YEAR_RE = re.compile(r"(?<!\d)(\d{3,4})(?!\d)")
 

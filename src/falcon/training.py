@@ -32,7 +32,7 @@ from .encoder import (
     TRAJECTORY_ROLES,
     ArBertEncoder,
     ContextOverflowError,
-    MarkedInput,
+    MarkedInputs,
     PackedInputs,
     Views,
     candidate_views,
@@ -63,6 +63,9 @@ ADAM_WEIGHT_DECAY = 0.01
 # The settings that decide the frozen half of an encoder input; the frozen
 # extractor reads the model's prepared inputs when all of them are equal.
 BACKBONE_SETTINGS = ("hidden_size", "max_tokens")
+# Trajectory inputs per frozen forward of a fill: it bounds the forward's
+# temporaries, about 1.2 KB an input at d = 8.
+FEATURE_RUN = 128
 
 
 class TrainingDiverged(RuntimeError):
@@ -391,14 +394,20 @@ class FeatureStore:
                  frozen: FrozenTrajectoryExtractor | None = None, shared: bool = False):
         self.encoder = encoder
         self.frozen = frozen
-        self.frozen_inputs = (self if shared else None if frozen is None
-                              else FeatureStore(frozen.encoder))
+        self.shared = shared
+        # the extractor's own store; a shared store is not kept in itself, as
+        # that cycle would hold a dropped store until the garbage collector runs
+        self._frozen_store = None if shared or frozen is None else FeatureStore(frozen.encoder)
         self.inputs: dict[tuple, int] = {}
         self.features: dict[tuple, int] = {}
         self._packs: dict[tuple, PackedInputs] = {}  # per role layout
-        self._marked: dict[tuple, list[MarkedInput]] = {}  # not encoded yet
+        self._marked: dict[tuple, list[MarkedInputs]] = {}  # not encoded yet
         self._features = np.empty((0, encoder.hidden_size))
         self._pending: list[int] = []  # frozen_inputs rows of features not computed yet
+
+    @property
+    def frozen_inputs(self) -> "FeatureStore | None":
+        return self if self.shared else self._frozen_store
 
     @classmethod
     def for_model(cls, model: InteractionModel,
@@ -432,9 +441,11 @@ class FeatureStore:
                    *([(self.frozen_inputs, True, tra, 0), (self.frozen_inputs, True, tra, n)]
                      if with_features else [None] * 2)]
         out = self._fill(n, columns)
-        if self._pending:  # one batched frozen forward for the new features
-            packed = self.frozen_inputs.packed(TRAJECTORY_ROLES).take(self._pending)
-            self._features = np.concatenate([self._features, self.frozen.features(packed)])
+        if self._pending:  # batched frozen forwards for the new features
+            packed = self.frozen_inputs.packed(TRAJECTORY_ROLES)
+            self._features = np.concatenate([self._features, *(
+                self.frozen.features(packed.take(self._pending[a:a + FEATURE_RUN]))
+                for a in range(0, len(self._pending), FEATURE_RUN))])
             self._pending = []
         return out
 
@@ -458,11 +469,12 @@ class FeatureStore:
             for j, key in enumerate(keys[views]):
                 if key not in store.inputs:
                     new.setdefault(key, j)
-        marks = {}  # per store: each view it lacks, marked, by input key
+        marks = {}  # per store: each view it lacks, by input key: its marked inputs and index there
         for store, new in lacking.items():
-            marked = store.encoder.mark([views.take(list(index.values()))
-                                         for views, index in new.items()])
-            marks[store] = dict(zip([key for index in new.values() for key in index], marked))
+            parts = store.encoder.mark([views.take(list(index.values()))
+                                        for views, index in new.items()])
+            marks[store] = {key: (marked, j) for marked, index in zip(parts, new.values())
+                            for j, key in enumerate(index)}
 
         # each item's first view that overflows or cannot be marked, and what marking it raised
         stop = np.full(n, len(columns))
@@ -470,9 +482,9 @@ class FeatureStore:
         for c, store, _, views, offset in reversed(filled):
             lacks = marks[store]
             for i, key in enumerate(keys[views][offset:offset + n]):
-                marked = lacks.get(key)
-                if isinstance(marked, Exception):
-                    stop[i], error[i] = c, marked
+                marked, j = lacks.get(key, (None, None))
+                if marked is not None and j in marked.errors:
+                    stop[i], error[i] = c, marked.errors[j]
         raising = next((i for i, exc in enumerate(error)
                         if exc is not None and not isinstance(exc, ContextOverflowError)), n)
         rows = np.full((n, len(columns)), -1)
@@ -502,21 +514,28 @@ class FeatureStore:
     def _add(self, roles: tuple[str, ...], keys: list[tuple], marks) -> list[int]:
         """The rows of the inputs at ``keys`` (of one layout), each new one
         stored from ``marks``."""
-        new = [key for key in dict.fromkeys(keys) if key not in self.inputs]
+        new = {}  # the new inputs' keys and indices, per marked inputs they are in
+        for key in dict.fromkeys(keys):
+            if key not in self.inputs:
+                marked, j = marks[self][key]
+                new_keys, index = new.setdefault(marked, ([], []))
+                new_keys.append(key)
+                index.append(j)
         if new:
             pending = self._marked.setdefault(roles, [])
             packed = self._packs.get(roles)
-            base = len(pending) + (0 if packed is None else len(packed.cls))
-            pending += map(marks[self].__getitem__, new)
-            self.inputs.update(zip(new, range(base, base + len(new))))
+            base = sum(map(len, pending)) + (0 if packed is None else len(packed.cls))
+            for marked, (new_keys, index) in new.items():
+                pending.append(marked.take(index))
+                self.inputs.update(zip(new_keys, range(base, base + len(index))))
+                base += len(index)
         return [self.inputs[key] for key in keys]
 
     def packed(self, roles: tuple[str, ...]) -> PackedInputs:
         """Every stored input of one role layout in one pack (the inputs of
         that layout marked since the last call encoded and merged in)."""
-        marked = self._marked.pop(roles, [])
-        if marked:
-            added = self.encoder.encode_marked(marked)
+        if roles in self._marked:  # the marked inputs go once concatenated
+            added = self.encoder.encode_marked(MarkedInputs.concat(self._marked.pop(roles)))
             merged = self._packs.get(roles)
             self._packs[roles] = added if merged is None else pack([merged, added])
         return self._packs[roles]
@@ -758,7 +777,9 @@ def predict(model: InteractionModel, cands: MentionTable, threshold: float | Non
     labels = np.zeros(len(cands), dtype=int)
     ok = np.flatnonzero(rows[:, 0] >= 0)
     if len(ok):
-        scores[ok] = model.forward_batch(*store.gather(rows[ok]))[0][:, 1]
+        inputs = store.gather(rows[ok])
+        del store  # the forward reads only the gathered inputs: a store made here goes first
+        scores[ok] = model.forward_batch(*inputs)[0][:, 1]
         labels[ok] = scores[ok] >= threshold
     return scores, labels, reasons
 

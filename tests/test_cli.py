@@ -113,6 +113,40 @@ def test_predict_eval_and_extract(workspace):
         == summary["candidates"]
 
 
+def test_predict_scores_in_runs_the_bytes_of_one_call(workspace, monkeypatch):
+    # falcon predict scores runs of EXTRACT_CHUNK candidates, each on a store
+    # of its own; a 20-token window skips some candidates of each run.
+    from falcon import extract, training
+
+    runner = CliRunner()
+    candidates = workspace / "run_candidates.jsonl"
+    res = runner.invoke(main, ["ingest", "--docs", str(workspace / "fx" / "docs"),
+                               "--triples", str(workspace / "fx" / "triples.jsonl"),
+                               "--out", str(candidates)])
+    assert res.exit_code == 0, res.output
+    short = workspace / "run_short.ckpt"
+    InteractionModel(training.TrainConfig(hidden_size=4, max_tokens=20, fusion_mode="off"),
+                     ).save(short)
+    calls = []
+    scorer = training.predict
+    monkeypatch.setattr(training, "predict", lambda model, cands, **kwargs: calls.append(
+        len(cands)) or scorer(model, cands, **kwargs))
+    for checkpoint in (workspace / "model.ckpt", short):
+        runs = []
+        for chunk in (7, 10 ** 6):
+            monkeypatch.setattr(extract, "EXTRACT_CHUNK", chunk)
+            calls.clear()
+            out = workspace / f"run_preds_{chunk}.jsonl"
+            res = runner.invoke(main, ["predict", "--checkpoint", str(checkpoint),
+                                       "--candidates", str(candidates), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            n = json.loads(res.output)["candidates"]
+            assert calls == [min(chunk, n - start) for start in range(0, n, chunk)]
+            runs.append((out.read_bytes(), res.output))
+        assert runs[0] == runs[1]
+    assert json.loads(res.output)["skipped"] > 0
+
+
 def _count_constructions(monkeypatch) -> list:
     """The names of the mention, segment, triple and candidate objects built
     from now on, in order."""
@@ -265,8 +299,8 @@ def test_train_commands_report_skipped(workspace):
                                str(trajectories), "--out", str(workspace / "short.ckpt")])
     assert res.exit_code == 0, res.output
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=20)
-    marked = insert_markers([Views.of(load_labeled_triples(trajectories).mentions)], backbone)
-    overflowing = sum(isinstance(m, ContextOverflowError) for m in marked)
+    marked, = insert_markers([Views.of(load_labeled_triples(trajectories).mentions)], backbone)
+    overflowing = sum(isinstance(error, ContextOverflowError) for error in marked.errors.values())
     assert 0 < json.loads(res.output)["skipped"] == overflowing
 
     res = runner.invoke(main, ["train", "--config", str(cfg), "--data",

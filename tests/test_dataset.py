@@ -213,9 +213,28 @@ def test_dataset_split_refuses_a_negative_or_non_finite_ratio(tmp_path, corpus, 
     dump_examples(corpus.examples, tmp_path / "labeled.jsonl")
     res = CliRunner().invoke(main, ["dataset", "split", "--in", str(tmp_path / "labeled.jsonl"),
                                     "--out", str(tmp_path / "split.jsonl"), "--ratios", ratios])
-    assert res.exit_code == 1, res.output
+    assert res.exit_code == 2, res.output
     parts = tuple(float(x) for x in ratios.split(","))
-    assert res.output == f"Error: split ratios must be finite and non-negative, got {parts}\n"
+    assert res.output.splitlines()[-1] == (
+        f"Error: Invalid value for '--ratios': split ratios must be finite and non-negative, "
+        f"got {parts}")
+    assert not (tmp_path / "split.jsonl").exists()
+
+
+@pytest.mark.parametrize("ratios, reason", [
+    ("0.7,0.3", "needs three comma-separated numbers, got '0.7,0.3'"),
+    ("0.7,x,0.3", "needs three comma-separated numbers, got '0.7,x,0.3'"),
+    ("0.7,0.2,0.2", "split ratios must sum to 1, got (0.7, 0.2, 0.2)"),
+    ("inf,0,0", "split ratios must be finite and non-negative, got (inf, 0.0, 0.0)"),
+])
+def test_dataset_split_checks_ratios_before_reading_the_labeled_file(tmp_path, ratios, reason):
+    # The labeled file's first line is bad too: --ratios is reported, not the line.
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_text("not json\n", encoding="utf-8")
+    res = CliRunner().invoke(main, ["dataset", "split", "--in", str(labeled),
+                                    "--out", str(tmp_path / "split.jsonl"), "--ratios", ratios])
+    assert res.exit_code == 2, res.output
+    assert res.output.splitlines()[-1] == f"Error: Invalid value for '--ratios': {reason}"
     assert not (tmp_path / "split.jsonl").exists()
 
 

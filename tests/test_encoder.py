@@ -12,7 +12,7 @@ from falcon.encoder import (
     TRAJECTORY_ROLES,
     ArBertEncoder,
     ContextOverflowError,
-    MarkedInput,
+    MarkedInputs,
     MarkerOverlapError,
     PackedInputs,
     attend,
@@ -162,13 +162,15 @@ def entity_spans(marked):
 
 def mark_one(segment, entities, backbone):
     """:func:`insert_markers` of one view, raising its error, and the view's
-    tokens rebuilt from their spans in the marked text; each token's key is
-    its ``token_key``."""
+    tokens: the reference tokenizer's tokens of its marked text
+    (:func:`_scan_token_spans`), in the window that puts its first
+    occurrence on its marked row; each token's key is its ``token_key``."""
     marked, = insert_markers([views_of([(segment, entities)])], backbone)
-    if isinstance(marked, Exception):
-        raise marked
-    text = mark(segment.text, _cuts(entities))
-    tokens = [text[start:end] for start, end in marked.spans.tolist()]
+    if marked.errors:
+        raise marked.errors[0]
+    marked_text, full_spans = _scan_token_spans(segment.text, canonical_entities(entities))
+    offset = full_spans[0][0][0] - (entity_spans(marked)[0][0][0] - 1)
+    tokens = [tok for tok, _, _ in _tokenize_loop(marked_text)][offset:offset + len(marked.keys)]
     assert marked.keys.tolist() == [backbone.token_key(t) for t in tokens]
     return marked, tokens
 
@@ -262,21 +264,24 @@ def test_one_pass_marks_each_view_as_it_marks_it_alone_errors_included():
     backbone = DeterministicStubBackbone(hidden_size=4, max_tokens=32)
     views = unmarkable_views()
     names = ["ok", "overlap", "overflow", "empty", "ok", "overflow"]
-    together = insert_markers([views_of([views[name] for name in names])], backbone)
-    assert [type(m).__name__ for m in together] == [
-        "MarkedInput", "MarkerOverlapError", "ContextOverflowError", "ValueError",
-        "MarkedInput", "ContextOverflowError"]
-    assert str(together[1]) == "occurrence spans overlap near offset 2 (Time 'a me')"
-    assert str(together[2]) == ("context overflow: marked occurrences span 51 tokens, "
-                                "window holds 31")
-    assert str(together[3]) == "occurrence of ' ' produced no tokens"
-    for name, got in zip(names, together):
+    together, = insert_markers([views_of([views[name] for name in names])], backbone)
+    errors = together.errors
+    assert [type(errors[j]).__name__ if j in errors else None for j in range(len(names))] == [
+        None, "MarkerOverlapError", "ContextOverflowError", "ValueError",
+        None, "ContextOverflowError"]
+    assert str(errors[1]) == "occurrence spans overlap near offset 2 (Time 'a me')"
+    assert str(errors[2]) == ("context overflow: marked occurrences span 51 tokens, "
+                              "window holds 31")
+    assert str(errors[3]) == "occurrence of ' ' produced no tokens"
+    for j, name in enumerate(names):
         alone, = insert_markers([views_of([views[name]])], backbone)
-        if isinstance(got, Exception):
-            assert type(got) is type(alone) and str(got) == str(alone)
+        got = together.take([j])
+        if j in errors:
+            assert type(errors[j]) is type(alone.errors[0])
+            assert str(errors[j]) == str(alone.errors[0])
+            assert not got.keys.size and not got.occurrences.size
         else:
             assert got.keys.tobytes() == alone.keys.tobytes()
-            assert got.spans.tobytes() == alone.spans.tobytes()
             assert got.occurrences.tobytes() == alone.occurrences.tobytes()
 
 
@@ -380,10 +385,10 @@ def test_token_spans_match_scan_reference(table):
         fulls.append(full)
     assert windowed > 100
     # one pass over every view marks each view as it marks it alone
-    for together, alone in zip(insert_markers([views_of(views)], unbounded), fulls):
-        assert together.keys.tobytes() == alone.keys.tobytes()
-        assert together.spans.tobytes() == alone.spans.tobytes()
-        assert together.occurrences.tobytes() == alone.occurrences.tobytes()
+    together, = insert_markers([views_of(views)], unbounded)
+    for j, alone in enumerate(fulls):
+        assert together.take([j]).keys.tobytes() == alone.keys.tobytes()
+        assert together.take([j]).occurrences.tobytes() == alone.occurrences.tobytes()
 
 
 def _cuts(entities):
@@ -394,15 +399,15 @@ def _cuts(entities):
 
 
 def _assert_splice_matches_marked_text(backbone, views):
-    """Tokenize (text, cuts) views in one pass. Each view's token spans are
-    the loop tokenizer's over its marked text, each key is its token's
-    ``token_key``, and each bracket is its marker's token. Returns per view
-    the tokens, rebuilt from their spans, and the brackets."""
+    """Tokenize (text, cuts) views in one pass. Each view's keys are the
+    ``token_key`` of each of the loop tokenizer's tokens over its marked
+    text, and each bracket is its marker's token. Returns per view those
+    tokens and the brackets."""
     texts = {}
     view_text = [texts.setdefault(text, len(texts)) for text, _ in views]
     cuts = [(v, offset, marker) for v, (_, view_cuts) in enumerate(views)
             for offset, marker in view_cuts]
-    keys, spans, bounds, brackets = backbone.tokenize_views(
+    keys, bounds, brackets = backbone.tokenize_views(
         list(texts), np.array(view_text, dtype=np.int64),
         np.array([v for v, _, _ in cuts], dtype=np.int64),
         np.array([offset for _, offset, _ in cuts], dtype=np.int64),
@@ -411,9 +416,7 @@ def _assert_splice_matches_marked_text(backbone, views):
     for v, (text, view_cuts) in enumerate(views):
         marked_text = mark(text, view_cuts)
         ref = _tokenize_loop(marked_text)
-        got = spans[bounds[v]:bounds[v + 1]].tolist()
-        assert got == [[start, end] for _, start, end in ref]
-        tokens = [marked_text[start:end] for start, end in got]
+        tokens = [tok for tok, _, _ in ref]
         assert keys[bounds[v]:bounds[v + 1]].tolist() == [backbone.token_key(t) for t in tokens]
         view_brackets = brackets[k:k + len(view_cuts)].tolist()
         k += len(view_cuts)
@@ -517,7 +520,7 @@ def test_encode_marked_keeps_each_backbone_call_within_budget(monkeypatch):
     enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=4, max_tokens=10 ** 6))
     views = [_random_segment(rng, 3 if case % 2 else 300) for case in range(300)]
     views[150:150] = [_long_occurrence_segment(ENCODE_BUDGET + 20)]
-    marked = enc.mark([views_of(views)])
+    marked, = enc.mark([views_of(views)])
     packed = enc.encode_marked(marked)
     assert sum(len(inputs) for inputs, _, _ in calls) == len(marked) and len(calls) > 5
     # at most ENCODE_BUDGET rows a call, unless the call holds one input that
@@ -528,15 +531,15 @@ def test_encode_marked_keeps_each_backbone_call_within_budget(monkeypatch):
     computed, done = [], 0
     for inputs, item, pos in calls:
         for j, keys in enumerate(inputs):
-            assert keys.tobytes() == marked[done + j].keys.tobytes()
+            assert keys.tobytes() == marked.take([done + j]).keys.tobytes()
         computed += zip((done + item).tolist(), pos.tolist())
         done += len(inputs)
     read = {(i, 0) for i in range(len(marked))} | {
-        (i, p) for i, m in enumerate(marked) for _, _, a, b in m.occurrences.tolist()
+        (i, p) for i in range(len(marked)) for _, _, a, b in marked.take([i]).occurrences.tolist()
         for p in range(a, b + 1)}
     assert len(computed) == len(read) and set(computed) == read
     calls.clear()
-    one_by_one = [enc.encode_marked([m]) for m in marked]
+    one_by_one = [enc.encode_marked(marked.take([i])) for i in range(len(marked))]
     assert len(calls) == len(marked)
     _assert_packs_equal(packed, pack(one_by_one))
 
@@ -554,6 +557,12 @@ def _pooled_by_full_encode(backbone, marked, tokens):
     return PackedInputs(marked.roles, hidden[:1], occ, mask)
 
 
+def _one_input(roles, keys, occurrences):
+    """:class:`MarkedInputs` of one input."""
+    return MarkedInputs(roles, keys, np.array([0, len(keys)]), occurrences,
+                        np.array([0, len(occurrences)]), {})
+
+
 def _one_token_inputs(backbone, words):
     """Trajectory inputs of one token, every occurrence on it, and one of two
     tokens: not what marking makes (its markers are tokens too, and no two
@@ -563,13 +572,11 @@ def _one_token_inputs(backbone, words):
     for tokens in ([w] for w in words):
         occurrences = np.array([[s, 0, 1, 1] for s in range(3)], dtype=np.int64)
         keys = np.array([backbone.token_key(t) for t in tokens])
-        out.append((MarkedInput(TRAJECTORY_ROLES, keys, np.zeros((1, 2), dtype=np.int32),
-                                occurrences), tokens))
+        out.append((_one_input(TRAJECTORY_ROLES, keys, occurrences), tokens))
     tokens = words[:2]
     occurrences = np.array([[0, 0, 1, 2], [1, 0, 1, 1], [2, 0, 2, 2]], dtype=np.int64)
     keys = np.array([backbone.token_key(t) for t in tokens])
-    out.append((MarkedInput(TRAJECTORY_ROLES, keys, np.zeros((2, 2), dtype=np.int32),
-                            occurrences), tokens))
+    out.append((_one_input(TRAJECTORY_ROLES, keys, occurrences), tokens))
     return out
 
 
@@ -600,7 +607,7 @@ def test_encode_marked_equals_full_encode_and_span_means(hidden_size, window):
     enc = ArBertEncoder(wide)  # no parameter reaches encode_marked
     for backbone, marked, tokens in cases:
         enc.backbone = backbone
-        _assert_packs_equal(enc.encode_marked([marked]),
+        _assert_packs_equal(enc.encode_marked(marked),
                             _pooled_by_full_encode(backbone, marked, tokens))
     # many inputs in one call, one-token inputs among them
     enc.backbone = wide
@@ -609,7 +616,7 @@ def test_encode_marked_equals_full_encode_and_span_means(hidden_size, window):
         if layout == TRAJECTORY_ROLES:
             batch += _one_token_inputs(wide, ["Ada", "Oslo", "#"])
         rng.shuffle(batch)
-        _assert_packs_equal(enc.encode_marked([m for m, _ in batch]),
+        _assert_packs_equal(enc.encode_marked(MarkedInputs.concat([m for m, _ in batch])),
                             pack([_pooled_by_full_encode(wide, m, t) for m, t in batch]))
 
 

@@ -237,6 +237,30 @@ def test_extraction_resumed_inside_a_chunk_matches_clean_run(tmp_path, triples, 
         assert out.read_bytes() == clean.read_bytes(), k
 
 
+def test_extraction_writes_the_same_bytes_at_every_chunk_size(tmp_path, monkeypatch, triples,
+                                                              trained8):
+    # From about a document per call to the whole corpus in one: the records,
+    # the summary and the state log are the same bytes at each chunk size.
+    import falcon.training
+
+    n = len(generate_candidates(triples))
+    calls, n_calls, outputs = [], [], set()
+    scorer = falcon.training.predict
+    monkeypatch.setattr(falcon.training, "predict", lambda model, cands, *args: calls.append(
+        len(cands)) or scorer(model, cands, *args))
+    for k, chunk in enumerate((1, 64, extract.EXTRACT_CHUNK, n + 1)):
+        monkeypatch.setattr(extract, "EXTRACT_CHUNK", chunk)
+        calls.clear()
+        paths = [tmp_path / f"{name}{k}" for name in ("records", "summary", "state")]
+        extract_corpus(triples, trained8, paths[0], threshold=0.5, summary_path=paths[1],
+                       state_path=paths[2])
+        assert sum(calls) == n
+        n_calls.append(len(calls))
+        outputs.add(tuple(path.read_bytes() for path in paths))
+    assert n_calls[0] > n_calls[1] > 1 == n_calls[-1]
+    assert len(outputs) == 1
+
+
 def test_state_log_with_a_bad_inner_line_reports_its_line(tmp_path, triples, trained):
     out, state = tmp_path / "out.jsonl", tmp_path / "state.json"
     extract_corpus(triples, trained, out, threshold=0.5, state_path=state)

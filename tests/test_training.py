@@ -392,7 +392,7 @@ def _distinct_inputs(marker, views_list):
                 seen.add(key)
                 index.append(j)
         parts.append(views.take(index))
-    rows = sum(1 + int((m.occurrences[:, 3] - m.occurrences[:, 2] + 1).sum())
+    rows = sum(len(m) + int((m.occurrences[:, 3] - m.occurrences[:, 2] + 1).sum())
                for m in marker.mark(parts))
     return len(seen), rows
 
