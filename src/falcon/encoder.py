@@ -13,8 +13,7 @@ The encoder splits at the frozen/trainable boundary. The frozen half
 depends only on (backbone, segment, entity spans). Its inputs arrive as
 columns: :class:`Views` read the segments and mentions of a
 :class:`~falcon.ingest.MentionTable` as arrays (:func:`candidate_views`
-gives a candidate table's interaction and trajectory views, and
-:func:`views_of` builds views from (segment, entities) objects), and
+gives a candidate table's interaction and trajectory views), and
 :func:`input_keys` gives each view the key a store holds it by. The frozen
 half runs in two steps: :meth:`ArBertEncoder.mark` inserts the markers and
 tokenizes many inputs in one array pass (:func:`insert_markers`, over the
@@ -26,12 +25,11 @@ the backbone and occurrence pooling of many marked inputs into a
 The backbone computes only the hidden rows that pooling reads, each
 input's CLS row and the rows inside its occurrence spans, in one call and
 one pooling gather per run of at most ``ENCODE_BUDGET`` such rows.
-:meth:`ArBertEncoder.prepare` is that path for one input.
 :meth:`ArBertEncoder.forward_batch` runs the trainable rest over packs of
 many (see :func:`pack`), so a training loop can prepare each distinct input
 once and step in minibatches. Every training and scoring path runs the
-batched forward; :meth:`ArBertEncoder.forward` is the batch of one that the
-gradient checks use.
+batched forward; :meth:`ArBertEncoder.forward` runs both halves over views
+in one call, for the gradient checks.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .backbone import MARKERS, DeterministicStubBackbone
-from .ingest import INTERACTION_ROLES, TRAJECTORY_ROLES, EntityMention, MentionTable, TextSegment
+from .ingest import TRAJECTORY_ROLES, MentionTable
 
 # A candidate's trajectory triples: the slots of its Person1, then its
 # Person2, with its Time and Location (the quadruple's two halves)
@@ -144,19 +142,6 @@ class MarkedInputs:
         return MarkedInputs(self.roles, keys, bounds, occ, occ_bounds, errors)
 
 
-def canonical_entities(entities: Sequence[EntityMention]) -> list[EntityMention]:
-    """Order entities as (Person1, Person2, Time, Location) or (Person, Time, Location)."""
-    roles = sorted(e.role for e in entities)
-    if roles == sorted(INTERACTION_ROLES):
-        order = INTERACTION_ROLES
-    elif roles == sorted(TRAJECTORY_ROLES):
-        order = TRAJECTORY_ROLES
-    else:
-        raise ValueError(f"unsupported role set {roles}")
-    by_role = {e.role: e for e in entities}
-    return [by_role[r] for r in order]
-
-
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class Views:
     """Encoder inputs of one role layout, as columns of a
@@ -208,20 +193,6 @@ def candidate_views(cands: MentionTable) -> tuple[Views, Views]:
     tra = inter.mention[:, TRAJECTORY_SLOTS].transpose(1, 0, 2).reshape(-1, len(TRAJECTORY_ROLES))
     return inter, Views(TRAJECTORY_ROLES, cands, np.tile(inter.text, len(TRAJECTORY_SLOTS)), tra,
                         inter.bounds, inter.starts, inter.ends)
-
-
-def views_of(pairs: Sequence[tuple[TextSegment, Sequence[EntityMention]]]) -> Views:
-    """(segment, entities) pairs of one role layout as views, the entities in
-    canonical order (:func:`canonical_entities`, which raises on a role set
-    of neither layout)."""
-    entities = [canonical_entities(entities) for _, entities in pairs]
-    roles = {tuple(e.role for e in ents) for ents in entities}
-    if len(roles) > 1:
-        raise ValueError(f"views of more than one role layout: {sorted(roles)}")
-    table = MentionTable(roles.pop() if roles else TRAJECTORY_ROLES)
-    for (segment, _), ents in zip(pairs, entities):
-        table.add(segment, ents)
-    return Views.of(table)
 
 
 def input_keys(views: Views) -> list[tuple]:
@@ -415,12 +386,12 @@ def attend_backward(d_agg: np.ndarray, occ: np.ndarray, scores: np.ndarray,
 @dataclass(frozen=True, slots=True)
 class PackedInputs:
     """The frozen half of encoder inputs of one role layout, padded to a
-    common shape: what :meth:`ArBertEncoder.prepare` returns for one input
-    and the unit of every batched forward. ``cls[n]`` is the CLS row of
+    common shape: what :meth:`ArBertEncoder.encode_marked` returns and the
+    unit of every batched forward. ``cls[n]`` is the CLS row of
     input n and ``occ[n, s, :k]`` the k pooled occurrence rows of its
     entity s (canonical role order), flagged in ``mask``; the rest is zero.
     It depends only on the backbone, the segment text and the entities'
-    roles and spans (see :func:`input_key`)."""
+    roles and spans (see :func:`input_keys`)."""
 
     roles: tuple[str, ...]
     cls: np.ndarray   # (N, d)
@@ -568,17 +539,6 @@ class ArBertEncoder:
             cls[a:b] = hidden[:n]
         return PackedInputs(marked.roles, cls, occ, mask)
 
-    def prepare(self, segment: TextSegment,
-                entities: Sequence[EntityMention]) -> PackedInputs:
-        """Markers, tokenization, backbone and occurrence pooling: the part of
-        :meth:`forward` that no encoder parameter reaches, as a pack of one
-        (:meth:`mark`, then :meth:`encode_marked`); raises what marking
-        raises."""
-        marked, = self.mark([views_of([(segment, entities)])])
-        if marked.errors:
-            raise marked.errors[0]
-        return self.encode_marked(marked)
-
     def forward_batch(self, packed: PackedInputs):
         """Occurrence attention, tanh and the role projections of a batch of
         prepared inputs; returns ((B, (1+S)*d) features, cache for
@@ -592,10 +552,16 @@ class ArBertEncoder:
                 EncoderCache(slots=slots, tanh_out=t, packed=packed, scores=scores,
                              weights=weights))
 
-    def forward(self, segment: TextSegment, entities: Sequence[EntityMention]):
-        """:meth:`forward_batch` of one input: (feature vector, cache)."""
-        out, cache = self.forward_batch(self.prepare(segment, entities))
-        return out[0], cache
+    # No command calls forward; it stays because perfbench traces it as the
+    # span ``encoder.forward`` and its test names it.
+    def forward(self, views: Views):
+        """:meth:`forward_batch` of views (of one role layout) after
+        :meth:`mark` and :meth:`encode_marked`: ((V, (1+S)*d) features, cache);
+        raises what marking the first view that fails raises."""
+        marked, = self.mark([views])
+        if marked.errors:
+            raise next(iter(marked.errors.values()))
+        return self.forward_batch(self.encode_marked(marked))
 
     def backward(self, d_out: np.ndarray, cache: EncoderCache) -> None:
         """Add the parameter gradients of a forward pass, summed over its

@@ -20,10 +20,7 @@ from .ingest import (
     INTERACTION_ROLES,
     TRAJECTORY_ROLES,
     Document,
-    EntityMention,
     MentionTable,
-    TextSegment,
-    TrajectoryTriple,
     generate_candidates,
     normalize_surface,
 )
@@ -134,25 +131,6 @@ POSITIVE_TEMPLATES = [_pos_met, _pos_festival, _pos_debate]
 NEGATIVE_TEMPLATES = [_neg_afar, _neg_never_met, _neg_recalled]
 
 
-def _mention(role, surface, spans) -> EntityMention:
-    return EntityMention(role=role, surface=surface,
-                         occurrences=tuple(tuple(s) for s in spans))
-
-
-def paragraph_triples(segment: TextSegment, rendered: RenderedParagraph,
-                      a: str, b: str, t: str, l: str):
-    """Two trajectory triples (one per person) sharing time/location spans."""
-    time_m = _mention("Time", t, rendered.spans["T"])
-    loc_m = _mention("Location", l, rendered.spans["L"])
-    triple_a = TrajectoryTriple(segment=segment,
-                                person=_mention("Person", a, rendered.spans["A"]),
-                                time=time_m, location=loc_m)
-    triple_b = TrajectoryTriple(segment=segment,
-                                person=_mention("Person", b, rendered.spans["B"]),
-                                time=time_m, location=loc_m)
-    return triple_a, triple_b
-
-
 # ---------------------------------------------------------------------------
 # The 50-document fixture corpus
 
@@ -177,8 +155,9 @@ class FixtureCorpus:
 
 
 def _build_doc(doc_id: str, person_a: str, paragraphs: list[tuple]) -> tuple:
-    """Assemble a document from rendered paragraphs; returns
-    (document, [(segment, rendered, a, b, t, l), ...])."""
+    """Assemble a document from rendered paragraphs; returns (document,
+    [(envelope, rendered, a, b, t, l), ...]) with each paragraph's segment
+    envelope (doc_id, segment_id, char_start, char_end, text)."""
     intro = f"{person_a} spent a lifetime between small towns and archives."
     texts = [intro] + [p[0].text for p in paragraphs]
     doc_text = "\n\n".join(texts)
@@ -186,11 +165,9 @@ def _build_doc(doc_id: str, person_a: str, paragraphs: list[tuple]) -> tuple:
     out = []
     offset = len(intro) + 2
     for i, (rendered, a, b, t, l) in enumerate(paragraphs):
-        segment = TextSegment(
-            segment_id=f"{doc_id}:s{i + 1}", doc_id=doc_id,
-            char_start=offset, char_end=offset + len(rendered.text),
-            text=rendered.text)
-        out.append((segment, rendered, a, b, t, l))
+        envelope = (doc_id, f"{doc_id}:s{i + 1}", offset, offset + len(rendered.text),
+                    rendered.text)
+        out.append((envelope, rendered, a, b, t, l))
         offset += len(rendered.text) + 2
     return doc, out
 
@@ -225,13 +202,15 @@ def build_fixture_corpus(n_docs: int = 50, seed: int = 7) -> FixtureCorpus:
         doc, rows = _build_doc(doc_id, person_a, specs)
         corpus.documents.append(doc)
         y_tra = corpus.labeled_triples.labels["y_tra"]
-        for segment, rendered, a, b, t, l in rows:
-            for triple, y in zip(paragraph_triples(segment, rendered, a, b, t, l),
-                                 (rendered.y_tra_a, rendered.y_tra_b)):
-                corpus.triples.add(segment, (triple.person, triple.time, triple.location))
+        for envelope, rendered, a, b, t, l in rows:
+            # two trajectory triples, one per person, sharing the time and location
+            spans = rendered.spans
+            for person, tag, y in ((a, "A", rendered.y_tra_a), (b, "B", rendered.y_tra_b)):
+                corpus.triples._append_row(
+                    envelope, ((person, spans[tag]), (t, spans["T"]), (l, spans["L"])))
                 y_tra.append(y)
                 corpus.labeled_triples.split.append(None)
-            paragraphs.append((segment.segment_id, rendered, a))
+            paragraphs.append((envelope[1], rendered, a))
 
     # canonical docs
     fig1a = _pos_met("Niemans", "Berg", "1950", "The Hague")

@@ -11,13 +11,12 @@ distinct segment envelope and surface is held once, and mentions are
 arrays of surface ids and occurrence spans. Every file of mentions (the
 triples, the candidates and both labeled files) is read by one reader,
 :func:`read_mentions`: it decodes each line once into such a table and
-checks the spans per column. :func:`generate_candidates` pairs a table
-into another, and every step after it (the feature store, scoring,
-extraction) takes a table too; each output line is built from a row
-(:func:`row_json`). The objects (:class:`TextSegment`,
-:class:`EntityMention`, :class:`TrajectoryTriple`) are what the fixture
-generator synthesises and what :func:`row_from_json`, the per-line check
-that names what is wrong with a bad line, builds.
+checks the spans per column. A line that needs a conversion or fails a
+check goes through :func:`row_from_json`, the per-line check that names
+what is wrong with it or returns its plain values. :func:`generate_candidates`
+pairs a table into another, and every step after it (the feature store,
+scoring, extraction) takes a table too; each output line is built from a
+row (:func:`row_json`). No module builds a per-line mention object.
 """
 
 from __future__ import annotations
@@ -28,14 +27,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import orjson
 
 DOCUMENT_SOURCES = ("wikipedia", "britannica", "fixture")
 
-PERSON_ROLES = ("Person1", "Person2", "Person")
-ENTITY_ROLES = PERSON_ROLES + ("Time", "Location")
 # The roles of a candidate quadruple and of a trajectory triple, in the
 # order of their mentions (the encoder's canonical order)
 INTERACTION_ROLES = ("Person1", "Person2", "Time", "Location")
@@ -62,43 +59,6 @@ class Document:
             raise ValueError(f"unknown document source {self.source!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class TextSegment:
-    segment_id: str
-    doc_id: str
-    char_start: int
-    char_end: int
-    text: str
-
-    def __post_init__(self):
-        if not (0 <= self.char_start < self.char_end):
-            raise ValueError(f"segment {self.segment_id!r}: bad offsets")
-        if len(self.text) != self.char_end - self.char_start:
-            raise ValueError(f"segment {self.segment_id!r}: text/offset length mismatch")
-
-
-@dataclass(frozen=True, slots=True)
-class EntityMention:
-    """A role-tagged entity with every occurrence span inside its segment."""
-
-    role: str
-    surface: str
-    occurrences: tuple[tuple[int, int], ...]
-    # normalize_surface(surface), computed once
-    norm: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_role(self.role)
-        if not self.occurrences:
-            raise ValueError(f"{self.role} mention {self.surface!r} has no occurrences")
-        object.__setattr__(self, "norm", normalize_surface(self.surface))
-
-
-def _check_role(role: str) -> None:
-    if role not in ENTITY_ROLES:
-        raise ValueError(f"unknown entity role {role!r}")
-
-
 def mention_fault(role: str, surface: str, occurrences, segment_text: str) -> str | None:
     """What is wrong with a mention's spans, or None: the first occurrence,
     in order, that lies outside the segment, that overlaps or precedes the
@@ -117,14 +77,6 @@ def mention_fault(role: str, surface: str, occurrences, segment_text: str) -> st
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryTriple:
-    segment: TextSegment
-    person: EntityMention
-    time: EntityMention
-    location: EntityMention
-
-
 # ---------------------------------------------------------------------------
 # Triple / candidate JSONL
 
@@ -137,7 +89,7 @@ class RecordError:
 class MentionTable:
     """Rows of role-tagged mentions in text segments, as columns: trajectory
     triples (``TRAJECTORY_ROLES``) or candidate quadruples
-    (``INTERACTION_ROLES``). A line of a file holds the mention in role
+    (``INTERACTION_ROLES``); any other roles raise ValueError. A line of a file holds the mention in role
     ``roles[k]`` under the key ``keys[k]``, the role in lower case.
 
     Row i lies in the segment envelope ``envelopes[segment[i]]``, a
@@ -156,6 +108,8 @@ class MentionTable:
     _SHARED = ("envelopes", "_envelope_ids", "surfaces", "norms", "_surface_ids")
 
     def __init__(self, roles: tuple[str, ...], like: "MentionTable | None" = None):
+        if roles not in (INTERACTION_ROLES, TRAJECTORY_ROLES):
+            raise ValueError(f"unsupported role set {roles}")
         self.roles = roles
         self.keys = tuple(role.lower() for role in roles)
         if like is None:
@@ -198,19 +152,6 @@ class MentionTable:
         self.ends.extend(ends)
         self.bounds.append(len(self.starts))
 
-    def add(self, segment: TextSegment, entities: Sequence[EntityMention]) -> None:
-        """Append one row: its segment and one mention per role, in the order
-        of ``roles`` (the mentions' own roles are not read)."""
-        self.segment.append(self._envelope((segment.doc_id, segment.segment_id,
-                                            segment.char_start, segment.char_end,
-                                            segment.text)))
-        for e in entities:
-            self.surface.append(self._surface(e.surface))
-            for start, end in e.occurrences:
-                self.starts.append(start)
-                self.ends.append(end)
-            self.bounds.append(len(self.starts))
-
     def add_json(self, obj) -> None:
         """Append the row of one decoded line of a mention file: its segment
         envelope, then the mention of each role under the role's key in
@@ -219,40 +160,45 @@ class MentionTable:
         (strings, integer offsets, spans of two integers inside the segment),
         whose segment is well formed and whose persons differ goes into the
         columns as read; any other goes through :func:`row_from_json`, which
-        raises what is wrong with it or returns the row to append. The spans
-        are checked apart, per column (:meth:`span_faults`)."""
-        if not self._add_checked_json(obj):
-            self.add(*row_from_json(obj, self.roles))
+        raises what is wrong with it or returns the values to append. The
+        spans are checked apart, per column (:meth:`span_faults`)."""
+        self._append_row(*(self._checked_row(obj) or row_from_json(obj, self.roles)))
 
-    def _add_checked_json(self, obj) -> bool:
-        """:meth:`add_json` of a line that needs no conversion; False, with
-        nothing appended, for any other."""
+    def _checked_row(self, obj) -> tuple | None:
+        """The envelope and (surface, occurrences) mentions of a line that
+        needs no conversion, as read; None for any other."""
         try:
             envelope = (obj["doc_id"], obj["segment_id"], obj["char_start"], obj["char_end"],
                         obj["segment_text"])
             mentions = [(m["surface"], m["occurrences"])
                         for m in [obj[key] for key in self.keys]]
-            seg = self._envelope_ids.get(envelope)
+            known = envelope in self._envelope_ids
         except (KeyError, TypeError):  # not an object, a key missing, or an unhashable value
-            return False
+            return None
         doc_id, segment_id, start, end, text = envelope
-        if seg is None and not (type(doc_id) is str and type(segment_id) is str
-                                and type(text) is str and type(start) is int
-                                and type(end) is int and 0 <= start < end
-                                and len(text) == end - start):
-            return False
+        if not known and not (type(doc_id) is str and type(segment_id) is str
+                              and type(text) is str and type(start) is int
+                              and type(end) is int and 0 <= start < end
+                              and len(text) == end - start):
+            return None
         for surface, occurrences in mentions:
             if type(surface) is not str or type(occurrences) is not list or not occurrences:
-                return False
+                return None
             for span in occurrences:  # two integers inside the segment
                 if (type(span) is not list or len(span) != 2
                         or type(span[0]) is not int or type(span[1]) is not int
                         or not 0 <= span[0] <= len(text) or not 0 <= span[1] <= len(text)):
-                    return False
+                    return None
         if (self.roles == INTERACTION_ROLES
                 and normalize_surface(mentions[0][0]) == normalize_surface(mentions[1][0])):
-            return False
-        self.segment.append(self._envelope(envelope) if seg is None else seg)
+            return None
+        return envelope, mentions
+
+    def _append_row(self, envelope: tuple, mentions) -> None:
+        """Append one row: its segment envelope, then per role, in the order
+        of ``roles``, its mention's surface and (start, end) occurrences. The
+        fixture generator appends its rows here too."""
+        self.segment.append(self._envelope(envelope))
         starts, ends = self.starts, self.ends
         for surface, occurrences in mentions:
             self.surface.append(self._surface(surface))
@@ -260,7 +206,6 @@ class MentionTable:
                 starts.append(start)
                 ends.append(end)
             self.bounds.append(len(starts))
-        return True
 
     def span_faults(self) -> dict[int, str]:
         """The rows with a mention whose occurrences :func:`mention_fault`
@@ -318,27 +263,49 @@ class TripleLoadResult:
     errors: list[RecordError] = field(default_factory=list)
 
 
-def row_from_json(obj: dict, roles: tuple[str, ...]) -> tuple[TextSegment, list[EntityMention]]:
-    """The per-line check of a line of a mention file: its segment and its
-    mentions in ``roles`` (:meth:`MentionTable.add_json`), each value
-    converted by ``int`` where it must be an integer. A line with a key
-    missing, a value ``int`` refuses, a bad segment, a mention without
-    occurrences, persons of a quadruple that normalise alike, or a span
-    :func:`mention_fault` refuses raises what is wrong with it first."""
-    segment = TextSegment(obj["segment_id"], obj["doc_id"], int(obj["char_start"]),
-                          int(obj["char_end"]), obj["segment_text"])
-    mentions = []
+def _whole(value, what: str) -> int:
+    """``int(value)``, but a float with a fractional part, which ``int``
+    would truncate, raises ValueError naming ``what`` it is."""
+    if type(value) is float and not value.is_integer():
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def row_from_json(obj: dict, roles: tuple[str, ...]) -> tuple[tuple, list[tuple]]:
+    """The per-line check of a line of a mention file: its segment envelope
+    (doc_id, segment_id, char_start, char_end, text) and, per role of
+    ``roles``, its mention's (surface, occurrences)
+    (:meth:`MentionTable.add_json`), each offset converted by ``int``. A
+    line with a key missing, an offset ``int`` refuses or would truncate, a
+    bad segment, a mention without occurrences, persons of a quadruple that
+    normalise alike, or a span :func:`mention_fault` refuses raises what is
+    wrong with it first."""
+    segment_id, doc_id = obj["segment_id"], obj["doc_id"]
+    start = _whole(obj["char_start"], "char_start")
+    end = _whole(obj["char_end"], "char_end")
+    text = obj["segment_text"]
+    if not 0 <= start < end:
+        raise ValueError(f"segment {segment_id!r}: bad offsets")
+    if len(text) != end - start:
+        raise ValueError(f"segment {segment_id!r}: text/offset length mismatch")
+    mentions, norms = [], []
     for role in roles:
         mention = obj[role.lower()]
-        occurrences = tuple(tuple(int(x) for x in span) for span in mention["occurrences"])
-        mentions.append(EntityMention(role, mention["surface"], occurrences))
-    if roles == INTERACTION_ROLES and mentions[0].norm == mentions[1].norm:
+        what = f"{role} occurrence offset"
+        occurrences = tuple(tuple(_whole(x, what) for x in span)
+                            for span in mention["occurrences"])
+        surface = mention["surface"]
+        if not occurrences:
+            raise ValueError(f"{role} mention {surface!r} has no occurrences")
+        norms.append(normalize_surface(surface))
+        mentions.append((surface, occurrences))
+    if roles == INTERACTION_ROLES and norms[0] == norms[1]:
         raise ValueError("quadruple persons must differ")
-    for mention in mentions:
-        fault = mention_fault(mention.role, mention.surface, mention.occurrences, segment.text)
+    for role, (surface, occurrences) in zip(roles, mentions):
+        fault = mention_fault(role, surface, occurrences, text)
         if fault:
             raise ValueError(fault)
-    return segment, mentions
+    return (doc_id, segment_id, start, end, text), mentions
 
 
 def row_json(table: MentionTable, row: int) -> dict:

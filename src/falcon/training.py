@@ -28,8 +28,6 @@ import numpy as np
 
 from .dataset import LabeledTable
 from .encoder import (
-    INTERACTION_ROLES,
-    TRAJECTORY_ROLES,
     ArBertEncoder,
     ContextOverflowError,
     MarkedInputs,
@@ -52,7 +50,7 @@ from .fusion import (
     gate_backward,
     gate_forward,
 )
-from .ingest import MentionTable
+from .ingest import INTERACTION_ROLES, TRAJECTORY_ROLES, MentionTable
 
 PROB_EPS = 1e-7
 C_MIN = 1e-3

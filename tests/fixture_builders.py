@@ -1,39 +1,86 @@
-"""Fixture builders that only the tests use: tables from and to triple and
-candidate objects, the coverage-audit corpus, the hand-labeled time
-surfaces, encoder views that cannot be marked and two graphs with a known
-community answer.
+"""Fixture builders that only the tests use: the per-line mention objects
+(segments, mentions, triples and candidates) with tables from and to
+them, encoder views of them, the coverage-audit corpus, the hand-labeled
+time surfaces, encoder views that cannot be marked and two graphs with a
+known community answer.
 They build on the package's fixture pieces (:mod:`falcon.fixtures`)."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from falcon.dataset import LabeledTable
+from falcon.encoder import Views
 from falcon.fixtures import (
     LOCATIONS,
     NAMES,
     POSITIVE_TEMPLATES,
     _build_doc,
     _make_graph,
-    _mention,
-    paragraph_triples,
     random_signed_graph,
 )
 from falcon.ingest import (
     INTERACTION_ROLES,
     TRAJECTORY_ROLES,
     Document,
-    EntityMention,
     MentionTable,
-    TextSegment,
-    TrajectoryTriple,
     generate_candidates,
     normalize_surface,
 )
 from falcon.polarnet import SignedGraph
 
-
 # ---------------------------------------------------------------------------
-# Tables from and to objects
+# Mention objects: the oracles the column tables are checked against
+
+# Every role; each layout's roles are in this order
+ENTITY_ROLES = ("Person1", "Person2", "Person", "Time", "Location")
+
+
+@dataclass(frozen=True, slots=True)
+class TextSegment:
+    segment_id: str
+    doc_id: str
+    char_start: int
+    char_end: int
+    text: str
+
+    def __post_init__(self):
+        if not (0 <= self.char_start < self.char_end):
+            raise ValueError(f"segment {self.segment_id!r}: bad offsets")
+        if len(self.text) != self.char_end - self.char_start:
+            raise ValueError(f"segment {self.segment_id!r}: text/offset length mismatch")
+
+
+@dataclass(frozen=True, slots=True)
+class EntityMention:
+    """A role-tagged entity with every occurrence span inside its segment."""
+
+    role: str
+    surface: str
+    occurrences: tuple[tuple[int, int], ...]
+    # normalize_surface(surface), computed once
+    norm: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_role(self.role)
+        if not self.occurrences:
+            raise ValueError(f"{self.role} mention {self.surface!r} has no occurrences")
+        object.__setattr__(self, "norm", normalize_surface(self.surface))
+
+
+def _check_role(role: str) -> None:
+    if role not in ENTITY_ROLES:
+        raise ValueError(f"unknown entity role {role!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class TrajectoryTriple:
+    """A trajectory triple as objects: a row of a triple table."""
+
+    segment: TextSegment
+    person: EntityMention
+    time: EntityMention
+    location: EntityMention
+
 
 @dataclass(frozen=True, slots=True)
 class CandidateQuadruple:
@@ -46,6 +93,14 @@ class CandidateQuadruple:
     location: EntityMention
 
 
+def add_row(table: MentionTable, segment: TextSegment, entities) -> None:
+    """Append one row to ``table``: its segment and one mention per role,
+    in the order of ``table.roles`` (the mentions' own roles are not read)."""
+    table._append_row((segment.doc_id, segment.segment_id, segment.char_start,
+                       segment.char_end, segment.text),
+                      [(e.surface, e.occurrences) for e in entities])
+
+
 def table_of(items) -> MentionTable:
     """Triple objects, or candidate objects, as a table, as they are."""
     items = list(items)
@@ -53,7 +108,7 @@ def table_of(items) -> MentionTable:
         else TRAJECTORY_ROLES
     table = MentionTable(roles)
     for item in items:
-        table.add(item.segment, [getattr(item, role.lower()) for role in roles])
+        add_row(table, item.segment, [getattr(item, role.lower()) for role in roles])
     return table
 
 
@@ -70,6 +125,26 @@ def objects(table: MentionTable) -> list:
                           tuple(zip(starts[bounds[m]:bounds[m + 1]], ends[bounds[m]:bounds[m + 1]])))
             for m, role in enumerate(table.roles, row * arity)]))
     return out
+
+
+def canonical_entities(entities) -> list[EntityMention]:
+    """Entities in the order of their layout's roles: (Person1, Person2,
+    Time, Location) or (Person, Time, Location)."""
+    return sorted(entities, key=lambda e: ENTITY_ROLES.index(e.role))
+
+
+def views_of(pairs) -> Views:
+    """(segment, entities) pairs of one role layout as encoder views, a row
+    of one table each, the entities in canonical order; a role set of
+    neither layout raises ValueError (:class:`MentionTable` refuses it)."""
+    rows = [(segment, canonical_entities(entities)) for segment, entities in pairs]
+    roles = {tuple(e.role for e in entities) for _, entities in rows}
+    if len(roles) > 1:
+        raise ValueError(f"views of more than one role layout: {sorted(roles)}")
+    table = MentionTable(roles.pop() if roles else TRAJECTORY_ROLES)
+    for segment, entities in rows:
+        add_row(table, segment, entities)
+    return Views.of(table)
 
 
 def labeled_of(cands, labels, split=None) -> LabeledTable:
@@ -114,6 +189,10 @@ def unmarkable_views():
 # ---------------------------------------------------------------------------
 # Coverage-audit fixture: 12 documents with hand-listed gold interactions
 
+def _mention(role, surface, spans) -> EntityMention:
+    return EntityMention(role=role, surface=surface, occurrences=tuple(tuple(s) for s in spans))
+
+
 def build_audit_fixture(seed: int = 11):
     """Gold interactions vs. extractable triples for the coverage audit.
 
@@ -140,11 +219,16 @@ def build_audit_fixture(seed: int = 11):
             specs.append((template(person_a, b, t, l), person_a, b, t, l))
         doc, rows = _build_doc(f"audit{i:02d}", person_a, specs)
         documents.append(doc)
-        for j, (segment, rendered, a, b, t, l) in enumerate(rows):
-            ta, tb = paragraph_triples(segment, rendered, a, b, t, l)
+        for j, (envelope, rendered, a, b, t, l) in enumerate(rows):
+            doc_id, segment_id, start, end, text = envelope
+            segment = TextSegment(segment_id, doc_id, start, end, text)
+            spans = rendered.spans
+            time, location = _mention("Time", t, spans["T"]), _mention("Location", l, spans["L"])
+            ta, tb = (TrajectoryTriple(segment, _mention("Person", person, spans[tag]),
+                                       time, location) for person, tag in ((a, "A"), (b, "B")))
             if i == 0 and j == 0:
                 # person B's extractor saw only the bare year inside "March <year>"
-                ts, te = rendered.spans["T"][0]
+                ts, te = spans["T"][0]
                 year_only = _mention("Time", t[len("March "):],
                                      [(ts + len("March "), te)])
                 tb = TrajectoryTriple(segment=segment, person=tb.person,
@@ -153,10 +237,8 @@ def build_audit_fixture(seed: int = 11):
                 first, second = sorted((a, b), key=normalize_surface)
                 gold.append(CandidateQuadruple(
                     segment=segment,
-                    person1=_mention("Person1", first,
-                                     rendered.spans["A" if first == a else "B"]),
-                    person2=_mention("Person2", second,
-                                     rendered.spans["A" if second == a else "B"]),
+                    person1=_mention("Person1", first, spans["A" if first == a else "B"]),
+                    person2=_mention("Person2", second, spans["A" if second == a else "B"]),
                     time=ta.time, location=ta.location))
                 continue
             triples.extend([ta, tb])

@@ -24,13 +24,7 @@ from falcon.fusion import (
     gate_backward,
     gate_forward,
 )
-from falcon.ingest import (
-    EntityMention,
-    TextSegment,
-    TrajectoryTriple,
-    dump_rows,
-    generate_candidates,
-)
+from falcon.ingest import dump_rows, generate_candidates
 from falcon.polarnet import (
     build_graph,
     fit_power_law,
@@ -51,7 +45,15 @@ from falcon.training import (
     pretrain_trajectory_extractor,
     train,
 )
-from fixture_builders import in_split, objects, table_of
+from fixture_builders import (
+    EntityMention,
+    TextSegment,
+    TrajectoryTriple,
+    in_split,
+    objects,
+    table_of,
+    views_of,
+)
 
 
 def report(number, name, ok, detail=""):
@@ -96,11 +98,11 @@ def test_criterion_01_shape_contracts(corpus):
     details = []
     for d in (4, 768):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d), seed=1)
-        quad, _ = enc.forward(cand.segment, (cand.person1, cand.person2, cand.time,
-                                             cand.location))
+        (quad,), _ = enc.forward(views_of([(cand.segment, (cand.person1, cand.person2,
+                                                           cand.time, cand.location))]))
         ok &= quad.shape == (5 * d,)
         person = replace(cand.person1, role="Person")  # the first trajectory half
-        tri, _ = enc.forward(cand.segment, (person, cand.time, cand.location))
+        (tri,), _ = enc.forward(views_of([(cand.segment, (person, cand.time, cand.location))]))
         ok &= tri.shape == (4 * d,)
 
         extractor = FrozenTrajectoryExtractor(TrainConfig(hidden_size=d, seed=2))
@@ -168,11 +170,12 @@ def test_criterion_03_gradient_oracle(corpus):
         EntityMention(role="Time", surface="1950", occurrences=find_all("1950")),
         EntityMention(role="Location", surface="Oslo", occurrences=find_all("Oslo")),
     ]
+    views = views_of([(segment, entities)])
     for case in range(20):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d),
                             seed=1000 + case)
         g = rng.normal(size=5 * d)
-        _, cache = enc.forward(segment, entities)
+        _, cache = enc.forward(views)
         grads = enc.zero_grads()
         enc.backward(g, cache)
         for name in ("attn.w", "attn.b"):
@@ -181,18 +184,18 @@ def test_criterion_03_gradient_oracle(corpus):
                 if p.ndim == 0:
                     orig = float(p)
                     enc.params[name][...] = orig + h
-                    fp = g @ enc.forward(segment, entities)[0]
+                    fp = g @ enc.forward(views)[0][0]
                     enc.params[name][...] = orig - h
-                    fm = g @ enc.forward(segment, entities)[0]
+                    fm = g @ enc.forward(views)[0][0]
                     enc.params[name][...] = orig
                     ana = float(grads[name])
                 else:
                     flat = p.reshape(-1)
                     orig = flat[i]
                     flat[i] = orig + h
-                    fp = g @ enc.forward(segment, entities)[0]
+                    fp = g @ enc.forward(views)[0][0]
                     flat[i] = orig - h
-                    fm = g @ enc.forward(segment, entities)[0]
+                    fm = g @ enc.forward(views)[0][0]
                     flat[i] = orig
                     ana = grads[name].reshape(-1)[i]
                 worst["attn"] = max(worst["attn"], _rel_err(ana, (fp - fm) / (2 * h)))

@@ -17,9 +17,8 @@ from falcon.dataset import load_labeled_triples
 from falcon.encoder import ContextOverflowError, Views, insert_markers
 from falcon.extract import dump_records
 from falcon.fixtures import political_records_fixture
-from falcon.ingest import EntityMention, TextSegment, TrajectoryTriple
 from falcon.training import InteractionModel, load_archive, save_archive
-from fixture_builders import CandidateQuadruple
+from fixture_builders import CandidateQuadruple, EntityMention, TextSegment, TrajectoryTriple
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +148,8 @@ def test_predict_scores_in_runs_the_bytes_of_one_call(workspace, monkeypatch):
 
 def _count_constructions(monkeypatch) -> list:
     """The names of the mention, segment, triple and candidate objects built
-    from now on, in order."""
+    from now on, in order. The classes live in the tests (``fixture_builders``),
+    as ``src/falcon`` defines none (see the test below)."""
     built = []
     for cls in (EntityMention, TextSegment, TrajectoryTriple, CandidateQuadruple):
         monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__, **kwargs:
@@ -174,12 +174,36 @@ def test_extract_builds_no_mention_segment_triple_or_candidate_object(workspace,
     assert built == []
 
 
-@pytest.mark.parametrize("command", ["ingest", "dataset split", "dataset summarize",
+def test_the_package_defines_and_imports_no_per_line_mention_object():
+    import ast
+
+    from falcon.encoder import ArBertEncoder
+    from falcon.ingest import MentionTable
+
+    names = {"TextSegment", "EntityMention", "TrajectoryTriple", "CandidateQuadruple",
+             "views_of", "canonical_entities"}
+    found = []
+    for path in sorted(Path(falcon.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                defined = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined = [node.id]
+            else:
+                continue
+            found += [(path.name, name) for name in defined if name in names]
+    assert found == []
+    assert not hasattr(MentionTable, "add") and not hasattr(ArBertEncoder, "prepare")
+
+
+@pytest.mark.parametrize("command", ["fixture", "ingest", "dataset split", "dataset summarize",
                                      "pretrain-tra", "train", "eval", "predict", "ablate"])
-def test_no_command_but_fixture_builds_a_mention_segment_triple_or_candidate_object(
+def test_no_command_builds_a_mention_segment_triple_or_candidate_object(
         workspace, monkeypatch, command):
-    # Every labeled or candidate file is read into columns, and every line
-    # written from a row.
+    # The fixture appends its rows to columns, every labeled or candidate
+    # file is read into columns, and every line written from a row.
     fx, out = workspace / "fx", workspace / "counted"
     out.mkdir(exist_ok=True)
     (out / "one_epoch.cfg").write_text("hidden_size = 4\nmax_epochs = 1\nseed = 5\n")
@@ -189,6 +213,7 @@ def test_no_command_but_fixture_builds_a_mention_segment_triple_or_candidate_obj
     config, frozen = ["--config", str(out / "one_epoch.cfg")], [
         "--frozen", str(workspace / "extractor.ckpt")]
     commands = {
+        "fixture": ["fixture", "--out-dir", str(out / "fx"), "--docs", "12"],
         "ingest": ingest,
         "dataset split": ["dataset", "split", "--in", str(fx / "labeled.jsonl"),
                           "--out", str(out / "split.jsonl")],
@@ -990,3 +1015,44 @@ def test_every_labeled_output_matches_its_pinned_digest(tmp_path):
         if not name.endswith(".stdout"):
             digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digests == LABELED_DIGESTS
+
+
+# SHA-256 of every file ``falcon fixture --docs N --seed 1`` writes, and of its
+# stdout, at the document counts of perfbench's ``train`` (100) and ``extract``
+# (400) set-ups: a rewrite of the generator cannot change unseen what the
+# benchmark measures.
+PERFBENCH_FIXTURE_DIGESTS = {
+    "100.stdout": "c9d2fa71856a878f4cadd35884130a7da70bb863272839599ff39e402ced2c48",
+    "100/attrs.json": "8f2e5ab128ee1380d81a84a101e9c5dfd618b393a8146418013b30a6a924a2a2",
+    "100/docs/corpus.jsonl": "766315001f0e3402e01db79c26cbe05522ebd8631ecbdf311998dff89ad20bdf",
+    "100/gazetteer.json": "6822ebb8f5d3295ae7af3f2b192e0b239d96cc601b07d2d8f25d3df43f899d13",
+    "100/labeled.jsonl": "7eef3525c5e80c0b7671d8783ad2bf269f8afbc68d980405e3751af6efdb2ad3",
+    "100/llm_responses.json": "555ded27a7f86d56b17ceb4487fba62f1fbdd50fe8dd041905fb73837c3005e2",
+    "100/trajectories.jsonl": "f6b3190ef790b11f12ef2089c91e1cbe75da5ca817da5eb71129c5d680bdb962",
+    "100/triples.jsonl": "f5aaefd5bfaa608ab8336af74174b3cd78d9b06664d3b03d42b010eb43451120",
+    "400.stdout": "2e1a782848252834c7be4e4b1540c4074934afdc9d815bce700a4e3658da7273",
+    "400/attrs.json": "8f2e5ab128ee1380d81a84a101e9c5dfd618b393a8146418013b30a6a924a2a2",
+    "400/docs/corpus.jsonl": "f2c5e88a4a3f526489edfebf86329837a5b3af57f3c7cbf155a521601cc6f119",
+    "400/gazetteer.json": "6822ebb8f5d3295ae7af3f2b192e0b239d96cc601b07d2d8f25d3df43f899d13",
+    "400/labeled.jsonl": "13d6ad9cfb76e0bca02281e62097f428bc90e51200eaf5bd10f0b1b233acd6bd",
+    "400/llm_responses.json": "555ded27a7f86d56b17ceb4487fba62f1fbdd50fe8dd041905fb73837c3005e2",
+    "400/trajectories.jsonl": "81eeae996ca9daea94604488fd94be48379badfda294a0471f93a9189e8d9437",
+    "400/triples.jsonl": "fa93c000ad8b8770c1159c3b36ab4d033232d1efef9c5179acc536ba6f7e6758",
+}
+
+
+def test_the_perfbench_fixtures_match_their_pinned_digests(tmp_path):
+    import hashlib
+
+    runner = CliRunner()
+    digests = {}
+    for docs in (100, 400):
+        res = runner.invoke(main, ["fixture", "--out-dir", str(tmp_path / str(docs)),
+                                   "--docs", str(docs), "--seed", "1"])
+        assert res.exit_code == 0, res.output
+        digests[f"{docs}.stdout"] = hashlib.sha256(res.stdout.encode()).hexdigest()
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            digests[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    assert digests == PERFBENCH_FIXTURE_DIGESTS

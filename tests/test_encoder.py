@@ -7,23 +7,25 @@ import pytest
 from falcon.backbone import SPACE_CODES, DeterministicStubBackbone
 from falcon.encoder import (
     ENCODE_BUDGET,
-    INTERACTION_ROLES,
     MARKERS,
-    TRAJECTORY_ROLES,
     ArBertEncoder,
     ContextOverflowError,
     MarkedInputs,
     MarkerOverlapError,
     PackedInputs,
     attend,
-    canonical_entities,
     insert_markers,
     pack,
     pool_spans,
+)
+from falcon.ingest import INTERACTION_ROLES, TRAJECTORY_ROLES
+from fixture_builders import (
+    EntityMention,
+    TextSegment,
+    canonical_entities,
+    unmarkable_views,
     views_of,
 )
-from falcon.ingest import EntityMention, TextSegment
-from fixture_builders import unmarkable_views
 
 
 def seg_of(text):
@@ -763,14 +765,14 @@ def test_padding_and_batch_leave_attention_bits_unchanged():
 def test_encode_dimensions_quadruple_and_triple():
     for d in (4, 768):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d), seed=0)
-        vector, cache = enc.forward(seg_of(FIG_TEXT), fig_entities())
+        (vector,), cache = enc.forward(views_of([(seg_of(FIG_TEXT), fig_entities())]))
         assert vector.shape == (len(cache.slots) * d,) == (5 * d,)
     text = "Niemans in The Hague in 1950"
     entities = [mention("Person", "Niemans", text), mention("Time", "1950", text),
                 mention("Location", "The Hague", text)]
     for d in (4, 768):
         enc = ArBertEncoder(DeterministicStubBackbone(hidden_size=d), seed=0)
-        vector, cache = enc.forward(seg_of(text), entities)
+        (vector,), cache = enc.forward(views_of([(seg_of(text), entities)]))
         assert vector.shape == (len(cache.slots) * d,) == (4 * d,)
 
 
@@ -799,7 +801,7 @@ def test_encode_matches_full_arithmetic_oracle():
     enc = ArBertEncoder(backbone, seed=7)
     segment = seg_of(FIG_TEXT)
     entities = fig_entities()
-    got = enc.forward(segment, entities)[0]
+    got = enc.forward(views_of([(segment, entities)]))[0][0]
 
     # oracle: replay every stage with independent scalar arithmetic
     marked, tokens = mark_one(segment, entities, backbone)
@@ -834,7 +836,7 @@ def test_encode_rejects_bad_role_sets():
     text = "Niemans in 1950"
     entities = [mention("Person1", "Niemans", text), mention("Time", "1950", text)]
     with pytest.raises(ValueError, match="role set"):
-        enc.forward(seg_of(text), entities)
+        enc.forward(views_of([(seg_of(text), entities)]))
 
 
 def test_encoder_gradients_match_finite_differences():
@@ -849,7 +851,8 @@ def test_encoder_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     g = rng.normal(size=5 * d)
 
-    out, cache = enc.forward(segment, entities)
+    views = views_of([(segment, entities)])
+    out, cache = enc.forward(views)
     grads = enc.zero_grads()
     enc.backward(g, cache)
 
@@ -861,17 +864,17 @@ def test_encoder_gradients_match_finite_differences():
             if p.ndim == 0:
                 orig = float(p)
                 enc.params[name][...] = orig + h
-                fp = g @ enc.forward(segment, entities)[0]
+                fp = g @ enc.forward(views)[0][0]
                 enc.params[name][...] = orig - h
-                fm = g @ enc.forward(segment, entities)[0]
+                fm = g @ enc.forward(views)[0][0]
                 enc.params[name][...] = orig
                 ana = float(grads[name])
             else:
                 orig = flat[i]
                 flat[i] = orig + h
-                fp = g @ enc.forward(segment, entities)[0]
+                fp = g @ enc.forward(views)[0][0]
                 flat[i] = orig - h
-                fm = g @ enc.forward(segment, entities)[0]
+                fm = g @ enc.forward(views)[0][0]
                 flat[i] = orig
                 ana = grads[name].reshape(-1)[i]
             num = (fp - fm) / (2 * h)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from falcon.encoder import Views
 from falcon.fusion import (
     FrozenTrajectoryExtractor,
     cross_attention_forward,
@@ -10,7 +11,6 @@ from falcon.fusion import (
     gate_forward,
 )
 from falcon.training import TrainConfig, pretrain_trajectory_extractor
-from fixture_builders import objects
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +174,16 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path, small_extractor):
 
 def test_frozen_extractor_refuses_training_forward(small_extractor, corpus):
     extractor, _ = small_extractor
-    t = objects(corpus.triples.take([0]))[0]
+    encoder = extractor.encoder
+    marked, = encoder.mark([Views.of(corpus.triples.take([0]))])
     with pytest.raises(RuntimeError, match="frozen"):
-        extractor.forward_train(extractor.encoder.prepare(t.segment,
-                                                          (t.person, t.time, t.location)))
+        extractor.forward_train(encoder.encode_marked(marked))
 
 
 def test_frozen_features_deterministic(small_extractor, corpus):
     extractor, _ = small_extractor
-    t = objects(corpus.triples.take([0]))[0]
-    view = (t.segment, (t.person, t.time, t.location))
-    f1 = extractor.features(extractor.encoder.prepare(*view))[0]
-    f2 = extractor.features(extractor.encoder.prepare(*view))[0]
+    encoder, view = extractor.encoder, Views.of(corpus.triples.take([0]))
+    f1, f2 = (extractor.features(encoder.encode_marked(encoder.mark([view])[0]))[0]
+              for _ in range(2))
     assert np.array_equal(f1, f2)
     assert f1.shape == (4,)

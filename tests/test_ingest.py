@@ -10,10 +10,7 @@ from falcon.dataset import load_examples, load_labeled_triples
 from falcon.extract import load_records
 from falcon.ingest import (
     TRAJECTORY_ROLES,
-    EntityMention,
     RecordError,
-    TextSegment,
-    TrajectoryTriple,
     dump_rows,
     dumps_record,
     generate_candidates,
@@ -26,7 +23,14 @@ from falcon.ingest import (
     write_jsonl,
 )
 from falcon.polarnet import load_record_table
-from fixture_builders import CandidateQuadruple, objects, table_of
+from fixture_builders import (
+    CandidateQuadruple,
+    EntityMention,
+    TextSegment,
+    TrajectoryTriple,
+    objects,
+    table_of,
+)
 
 
 def test_a_mention_carries_its_normalized_surface():
@@ -157,13 +161,19 @@ READER_LINES = {
     "integral-float-offset": (_occurrences("time", [[3.0, 7]]), None),
     "numeric-string-offset": (_occurrences("time", [["3", 7]]), None),
     "bool-offset": (_edited(lambda obj: obj.__setitem__("char_start", False)), None),
+    "fractional-offset": (_occurrences("time", [[3, 7.5]]),
+                          "Time occurrence offset 7.5 is not an integer"),
+    "fractional-segment-offset": (_edited(lambda obj: obj.__setitem__("char_end", 58.9)),
+                                  "char_end 58.9 is not an integer"),
 }
 
 
 def _per_line_check(obj) -> TrajectoryTriple:
     """The triple of one decoded line, or what the per-line check raises."""
-    segment, mentions = row_from_json(obj, TRAJECTORY_ROLES)
-    return TrajectoryTriple(segment, *mentions)
+    (doc_id, segment_id, start, end, text), mentions = row_from_json(obj, TRAJECTORY_ROLES)
+    return TrajectoryTriple(TextSegment(segment_id, doc_id, start, end, text), *[
+        EntityMention(role, surface, occurrences)
+        for role, (surface, occurrences) in zip(TRAJECTORY_ROLES, mentions)])
 
 
 @pytest.mark.parametrize("kind", sorted(READER_LINES))

@@ -85,6 +85,11 @@ KINDS = {
     "numeric-string-offset": (FORMATS,
                               lambda obj, p: _edit(obj, "time.occurrences", [["3", 7]]), None),
     "bool-offset": (FORMATS, lambda obj, p: _edit(obj, "char_start", False), None),
+    # int() would truncate these to 7 and 58, which the spans and the text allow
+    "fractional-offset": (FORMATS, lambda obj, p: _edit(obj, "time.occurrences", [[3, 7.5]]),
+                          "Time occurrence offset 7.5 is not an integer"),
+    "fractional-segment-offset": (FORMATS, lambda obj, p: _edit(obj, "char_end", 58.9),
+                                  "char_end 58.9 is not an integer"),
     "persons-alike": (("labeled", "candidates"),
                       lambda obj, p: _edit(obj, "person1", {"surface": "NIEMANS ",
                                                             "occurrences": [[9, 16]]}),

@@ -15,11 +15,10 @@ from falcon.encoder import (
     Views,
     candidate_views,
     input_keys,
-    views_of,
 )
 from falcon.evalbench import ABLATION_GRID, compute_metrics
 from falcon.fusion import FrozenTrajectoryExtractor
-from falcon.ingest import EntityMention, TextSegment, generate_candidates
+from falcon.ingest import generate_candidates
 from falcon.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -45,11 +44,14 @@ from falcon.training import (
 )
 from fixture_builders import (
     CandidateQuadruple,
+    EntityMention,
+    TextSegment,
     in_split,
     labeled_of,
     objects,
     table_of,
     unmarkable_views,
+    views_of,
 )
 
 
