@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -29,6 +30,7 @@ from falcon.training import (
     FeatureStore,
     InteractionModel,
     TrainConfig,
+    TrainResult,
     TrainingDiverged,
     _batch_pass,
     binary_cross_entropy,
@@ -890,3 +892,44 @@ def test_training_checkpoints_match_golden_digests(tmp_path):
             want = (float.fromhex(total), float.fromhex(norm))
             assert np.allclose(got, want, rtol=REFERENCE_TOL, atol=REFERENCE_TOL), (name, key)
     assert {name: _checkpoint_digest(a) for name, a in arrays.items()} == GOLDEN_CHECKPOINTS
+
+
+# Checkpoints of the paths the golden runs leave out, from the same fixture
+# and settings: "narrow" trains the full model at max_tokens 20, with its own
+# extractor ("narrow-extractor"), so 15 of the 146 triples and 23 of the 73
+# train and val examples overflow their window and are left out; "concat"
+# trains concatenated features with fixed unit weights (aw off); "single"
+# trains the interaction task alone (mt off). Each digest is the
+# checkpoint's (:func:`_checkpoint_digest`) continued with its history's
+# JSON, so the epoch losses, which alone see the loss of a run without
+# adaptive weights, are pinned too.
+GOLDEN_PATH_CHECKPOINTS = {"narrow-extractor": "bdd738f660721cf1", "narrow": "4cd3a34a3f9e6679",
+                           "concat": "aef4ca6bccd2feaf", "single": "1d87510c819ff816"}
+
+
+def test_training_paths_match_golden_digests():
+    corpus = fixtures.build_fixture_corpus(n_docs=30, seed=7)
+    examples = split_dataset(corpus.examples, seed=0)
+    config = TrainConfig(hidden_size=8, max_epochs=3, learning_rate=0.05,
+                         batch_size=16, patience=3, seed=5)
+    extractor, _ = pretrain_trajectory_extractor(corpus.labeled_triples, config)
+    narrow = replace(config, max_tokens=20)
+    narrow_result = TrainResult()
+    narrow_extractor, history = pretrain_trajectory_extractor(corpus.labeled_triples, narrow,
+                                                              narrow_result)
+    assert narrow_result.skipped == 15
+    models = {"narrow": InteractionModel(narrow, frozen=narrow_extractor),
+              "concat": InteractionModel(replace(config, fusion_mode="concat", aw=False),
+                                         frozen=extractor),
+              "single": InteractionModel(replace(config, mt=False), frozen=extractor)}
+
+    def digest(model, history):
+        return hashlib.sha256((_checkpoint_digest(model.all_params())
+                               + json.dumps(history, sort_keys=True)).encode()).hexdigest()[:16]
+
+    digests = {"narrow-extractor": digest(narrow_extractor, history)}
+    for name, model in models.items():
+        result = train(model, examples)
+        assert result.skipped == (23 if name == "narrow" else 0)
+        digests[name] = digest(model, result.history)
+    assert digests == GOLDEN_PATH_CHECKPOINTS
