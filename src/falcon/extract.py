@@ -105,7 +105,10 @@ class InteractionRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "InteractionRecord":
-        """Rebuild a record; every key that ``to_json`` always writes is required."""
+        """Rebuild a record; every key that ``to_json`` always writes is
+        required, and every value that a record table keeps is checked as
+        :func:`_record_columns` checks it."""
+        _record_columns(obj)
         return cls(*_required_values(obj), *map(obj.get, OPTIONAL_RECORD_KEYS))
 
 
@@ -115,6 +118,47 @@ RECORD_KEYS = tuple(f.name for f in fields(InteractionRecord) if f.default is MI
 OPTIONAL_RECORD_KEYS = tuple(f.name for f in fields(InteractionRecord)
                              if f.default is not MISSING)
 _required_values = operator.itemgetter(*RECORD_KEYS)  # KeyError names a missing key
+# The four required values a record table keeps, out of all of them in RECORD_KEYS order
+_kept_values = operator.itemgetter(*map(RECORD_KEYS.index,
+                                        ("record_id", "person1", "person2", "time_year")))
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+_NUMBER = (int, float)
+
+
+def _refused(key: str, value, expected: str) -> ValueError:
+    return ValueError(f"{key} must be {expected}, not {type(value).__name__}")
+
+
+def _record_columns(obj: dict) -> tuple:
+    """(record_id, person1, person2, time_year, interaction_type, lat, lon,
+    state) of a record object, each value that a record table keeps
+    checked: the people are strings, the year an int64 above the least one
+    or null, the type and the state strings or null, lat and lon numbers or
+    null (a bool is none of these). A missing required key raises KeyError,
+    any other fault ``ValueError(reason)``; both readers of records,
+    :meth:`InteractionRecord.from_json` and
+    :func:`~falcon.polarnet.load_record_table`, call it."""
+    record_id, person1, person2, year = _kept_values(_required_values(obj))
+    itype, lat, lon, state = (obj.get("interaction_type"), obj.get("lat"),
+                              obj.get("lon"), obj.get("state"))
+    if type(person1) is not str:
+        raise _refused("person1", person1, "a string")
+    if type(person2) is not str:
+        raise _refused("person2", person2, "a string")
+    if year is not None:
+        if type(year) is not int:
+            raise _refused("time_year", year, "an integer or null")
+        if not _INT64_MIN < year <= _INT64_MAX:
+            raise ValueError(f"time_year {year} is out of range")
+    if itype is not None and type(itype) is not str:
+        raise _refused("interaction_type", itype, "a string or null")
+    if lat is not None and type(lat) not in _NUMBER:
+        raise _refused("lat", lat, "a number or null")
+    if lon is not None and type(lon) not in _NUMBER:
+        raise _refused("lon", lon, "a number or null")
+    if state is not None and type(state) is not str:
+        raise _refused("state", state, "a string or null")
+    return record_id, person1, person2, year, itype, lat, lon, state
 # The gazetteer values a record takes, in the order of OPTIONAL_RECORD_KEYS
 _GEOCODE_KEYS = ("lat", "lon", "state")
 

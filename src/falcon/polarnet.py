@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from array import array
 from dataclasses import asdict, dataclass, field
 from itertools import compress
@@ -23,7 +22,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from . import accel
-from .extract import INTERACTION_TYPES, RECORD_KEYS, InteractionRecord
+from .extract import INTERACTION_TYPES, InteractionRecord, _record_columns
 from .ingest import iter_jsonl, load_name_table, normalize_surface
 
 TYPE_WEIGHTS = dict(zip(INTERACTION_TYPES, (-2.0, 2.0, 1.0)))
@@ -50,15 +49,9 @@ class DegenerateGraphError(ValueError):
 # Records as columns
 
 # The year column's marker of an undated record; a year is above it.
-_INT64 = np.iinfo(np.int64)
-NO_YEAR = _INT64.min
+NO_YEAR = np.iinfo(np.int64).min
 _TYPE_CODES = {t: i for i, t in enumerate(INTERACTION_TYPES)}
 _CODE_WEIGHTS = np.array([TYPE_WEIGHTS[t] for t in INTERACTION_TYPES])
-# The four required values the table keeps, out of all of them in RECORD_KEYS
-# order: a line that lacks any required key fails as ``load_records`` fails.
-_required_values = operator.itemgetter(*RECORD_KEYS)
-_kept_values = operator.itemgetter(*map(RECORD_KEYS.index,
-                                        ("record_id", "person1", "person2", "time_year")))
 _NUMBER = (int, float)
 
 
@@ -113,13 +106,10 @@ class RecordTable:
 Records = Union[RecordTable, Sequence[InteractionRecord]]
 
 
-def _refused(key: str, value, expected: str) -> ValueError:
-    return ValueError(f"{key} must be {expected}, not {type(value).__name__}")
-
-
 class _TableBuilder:
     """Appends one record object per ``add``: it checks the value of every
-    column the table keeps and interns each person surface and state."""
+    column the table keeps (:func:`~falcon.extract._record_columns`) and
+    interns each person surface and state."""
 
     def __init__(self):
         self.surfaces: dict[str, int] = {}  # person surface -> id in first-seen order
@@ -132,43 +122,15 @@ class _TableBuilder:
         self.record_id: list[str] = []
 
     def add(self, obj: dict) -> None:
-        record_id, person1, person2, year = _kept_values(_required_values(obj))
-        itype, lat, lon, state = (obj.get("interaction_type"), obj.get("lat"),
-                                  obj.get("lon"), obj.get("state"))
-        if type(person1) is not str:
-            raise _refused("person1", person1, "a string")
-        if type(person2) is not str:
-            raise _refused("person2", person2, "a string")
-        if year is None:
-            year = NO_YEAR
-        elif type(year) is not int:  # a bool is refused too
-            raise _refused("time_year", year, "an integer or null")
-        elif not NO_YEAR < year <= _INT64.max:
-            raise ValueError(f"time_year {year} is out of range")
-        if itype is not None and type(itype) is not str:
-            raise _refused("interaction_type", itype, "a string or null")
-        if lat is None:
-            lat = math.nan
-        elif type(lat) not in _NUMBER:
-            raise _refused("lat", lat, "a number or null")
-        if lon is None:
-            lon = math.nan
-        elif type(lon) not in _NUMBER:
-            raise _refused("lon", lon, "a number or null")
-        if state is None:
-            state = -1
-        elif type(state) is str:
-            state = self.states.setdefault(state, len(self.states))
-        else:
-            raise _refused("state", state, "a string or null")
+        record_id, person1, person2, year, itype, lat, lon, state = _record_columns(obj)
         surfaces = self.surfaces
         self.person1.append(surfaces.setdefault(person1, len(surfaces)))
         self.person2.append(surfaces.setdefault(person2, len(surfaces)))
-        self.year.append(year)
+        self.year.append(NO_YEAR if year is None else year)
         self.type_code.append(_TYPE_CODES.get(itype, -1))
-        self.lat.append(lat)
-        self.lon.append(lon)
-        self.state.append(state)
+        self.lat.append(math.nan if lat is None else lat)
+        self.lon.append(math.nan if lon is None else lon)
+        self.state.append(-1 if state is None else self.states.setdefault(state, len(self.states)))
         self.record_id.append(record_id)
 
     def table(self) -> RecordTable:

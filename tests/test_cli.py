@@ -794,26 +794,37 @@ ANALYZE_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(ANALYZE_OUTPUTS))
+@pytest.mark.parametrize("command", [*sorted(ANALYZE_OUTPUTS), "classify-type"])
 @pytest.mark.parametrize("key, value, reason", [
     ("time_year", "1999", "time_year must be an integer or null, not str"),
     ("time_year", True, "time_year must be an integer or null, not bool"),
+    ("time_year", -2 ** 63, f"time_year {-2 ** 63} is out of range"),
     ("person1", 7, "person1 must be a string, not int"),
     ("interaction_type", 1, "interaction_type must be a string or null, not int"),
     ("lat", "42.0", "lat must be a number or null, not str"),
     ("state", ["MA"], "state must be a string or null, not list"),
 ])
 def test_a_bad_record_value_is_an_error_line(tmp_path, command, key, value, reason):
+    # classify-type refuses the line as every analyze command does, before
+    # it types a record or writes one
     records, attrs = _analysis_inputs(tmp_path)
     lines = records.read_text().splitlines()
     bad = json.loads(lines[1])
     bad[key] = value
     lines[1] = json.dumps(bad)
     records.write_text("\n".join(lines) + "\n")
-    res = CliRunner().invoke(main, ["analyze", command, "--records", str(records),
-                                    "--attrs", str(attrs), *ANALYZE_OUTPUTS[command]])
+    if command == "classify-type":
+        responses = tmp_path / "responses.json"
+        responses.write_text(json.dumps(["Neutral"]))
+        args = ["classify-type", "--records", str(records), "--llm", f"fixture:{responses}",
+                "--out", str(tmp_path / "typed-again.jsonl")]
+    else:
+        args = ["analyze", command, "--records", str(records), "--attrs", str(attrs),
+                *ANALYZE_OUTPUTS[command]]
+    res = CliRunner().invoke(main, args)
     assert res.exit_code == 1, res.output
     assert res.output == f"Error: {records}:2: {reason}\n"
+    assert not (tmp_path / "typed-again.jsonl").exists()
 
 
 @pytest.mark.parametrize("command, field, value, reason", [
