@@ -34,6 +34,7 @@ in one call, for the gradient checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -343,7 +344,7 @@ def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     (a BLAS product of many rows takes a different path per row count), so
     a candidate scores the same bits alone, with its document or in any
     batch."""
-    return (x[..., None, :] @ np.swapaxes(w, -1, -2))[..., 0, :]
+    return (x[..., None, :] @ w.swapaxes(-1, -2))[..., 0, :]
 
 
 def last_axis_sum(x: np.ndarray) -> np.ndarray:
@@ -401,7 +402,7 @@ class PackedInputs:
     def take(self, index) -> "PackedInputs":
         """The inputs at ``index`` (a gather along the first axis); the pack
         itself when that is every input in order, as no pack is written to."""
-        if np.array_equal(index, np.arange(len(self.cls))):
+        if len(index) == len(self.cls) and np.array_equal(index, np.arange(len(self.cls))):
             return self
         return PackedInputs(self.roles, self.cls[index], self.occ[index], self.mask[index])
 
@@ -437,11 +438,20 @@ def _budget_runs(rows: list[int]):
         yield start, len(rows)
 
 
+@functools.cache
+def _slots(roles: tuple[str, ...]) -> np.ndarray:
+    """The :data:`ROLE_KEYS` index of each slot's projection in a role
+    layout: cls, then each role; one array per layout."""
+    slots = np.array([0] + [ROLE_KEYS.index(role.lower()) for role in roles])
+    slots.flags.writeable = False  # shared by every forward of the layout
+    return slots
+
+
 @dataclass
 class EncoderCache:
     """What :meth:`ArBertEncoder.backward` reads of a batched forward."""
 
-    slots: list[int]       # the ROLE_KEYS index of each slot's projection: cls, then each role
+    slots: np.ndarray      # the ROLE_KEYS index of each slot's projection: cls, then each role
     tanh_out: np.ndarray   # (B, 1 + S, d)
     packed: PackedInputs
     scores: np.ndarray     # (B, S, K)
@@ -546,7 +556,7 @@ class ArBertEncoder:
         p = self.params
         scores, weights, agg = attend(packed.occ, packed.mask, p["attn.w"], p["attn.b"])
         t = np.tanh(np.concatenate([packed.cls[:, None], agg], axis=1))
-        slots = [0] + [ROLE_KEYS.index(role.lower()) for role in packed.roles]
+        slots = _slots(packed.roles)
         out = row_matmul(t, self._blocks["proj.W"][slots]) + self._blocks["proj.b"][slots]
         return (out.reshape(len(t), -1),
                 EncoderCache(slots=slots, tanh_out=t, packed=packed, scores=scores,

@@ -31,12 +31,11 @@ if TYPE_CHECKING:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) where x >= 0, else exp(x) / (1 + exp(x)): neither
+    exp overflows, and exp(-|x|) is the exp of each side."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import math
 import typing
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -161,18 +160,20 @@ def config_from_meta(path: str | Path, values: dict) -> TrainConfig:
 # ---------------------------------------------------------------------------
 # Losses
 
-def _check_labels(labels: np.ndarray) -> None:
-    bad = (labels != 0) & (labels != 1)
-    if bad.any():
-        raise ValueError(f"labels outside {{0,1}}: {sorted(set(labels[bad].tolist()))}")
-
-
 def binary_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean of -log(p) where the label is 1 and -log(1 - p) where it is 0,
+    with p clipped to [PROB_EPS, 1 - PROB_EPS]: one log of the probability
+    each label picks, the bits of -mean(y log p + (1 - y) log(1 - p))."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
-    _check_labels(labels)
-    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-    return float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
+    ones = labels == 1
+    bad = ~ones & (labels != 0)
+    if bad.any():
+        raise ValueError(f"labels outside {{0,1}}: {sorted(set(labels[bad].tolist()))}")
+    # np.clip and np.mean, bit for bit, without their Python wrappers
+    p = np.minimum(np.maximum(probs, PROB_EPS), 1.0 - PROB_EPS)
+    logs = np.log(np.where(ones, p, 1 - p))
+    return float(-(np.add.reduce(logs, axis=None) / logs.size))
 
 
 def trajectory_loss(probs1, labels1, probs2, labels2) -> float:
@@ -216,6 +217,8 @@ class AdamW:
         self.params, self.grad = model.vector, model.grad
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
+        # a step's two intermediates, so that it allocates nothing
+        self._work = np.empty_like(self.params), np.empty_like(self.params)
         # ADAM_WEIGHT_DECAY on decayed entries, 0 on exempt ones (0 * p adds nothing)
         self.decay = np.zeros_like(self.params)
         for name, view in model.named(self.decay).items():
@@ -228,16 +231,27 @@ class AdamW:
         return name.endswith(".b") or name == "c"
 
     def step(self) -> None:
-        """One update of the parameters from the model's gradient."""
+        """One update of the parameters from the model's gradient, in place:
+        p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + decay * p), each
+        operation of that expression in its order, into two work vectors."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        g, p = self.grad, self.params
-        self.m *= ADAM_BETA1
-        self.m += (1 - ADAM_BETA1) * g
-        self.v *= ADAM_BETA2
-        self.v += (1 - ADAM_BETA2) * g * g
-        p -= self.lr * ((self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS) + self.decay * p)
+        g, p, m, v = self.grad, self.params, self.m, self.v
+        a, b = self._work
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        np.multiply(g, 1 - ADAM_BETA2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, bc1, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        a += np.multiply(self.decay, p, out=b)
+        a *= self.lr
+        p -= a
         if self.c is not None:
             np.copyto(self.c, np.sign(self.c) * np.maximum(np.abs(self.c), C_MIN))
 
@@ -580,8 +594,8 @@ def _batch_pass(model: InteractionModel, labels: np.ndarray,
         w_inter, w_tra = 1.0, 0.0
 
     if backward:
-        d_tra = (p_tra - _one_hot(y_tra)) * (w_tra * 0.5 / n) if cfg.mt else None
-        model.backward_batch(cache, (p_inter - _one_hot(y_inter)) * (w_inter / n), d_tra)
+        d_tra = _less_targets(p_tra, y_tra) * (w_tra * 0.5 / n) if cfg.mt else None
+        model.backward_batch(cache, _less_targets(p_inter, y_inter) * (w_inter / n), d_tra)
         if cfg.mt and cfg.aw:
             g1, g2 = multitask_loss_grad_c(l_inter, l_tra, c1, c2)
             model.grads["c"] += np.array([g1, g2])
@@ -589,9 +603,13 @@ def _batch_pass(model: InteractionModel, labels: np.ndarray,
     return total, l_inter, l_tra
 
 
-def _one_hot(labels: np.ndarray) -> np.ndarray:
-    """(..., 2) targets [1 - y, y] of binary labels."""
-    return np.stack([1 - labels, labels], axis=-1)
+def _less_targets(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(..., 2) class probabilities less the targets [1 - y, y] of binary
+    labels, in a copy, with no target array built."""
+    out = probs.copy()
+    out[..., 0] -= 1 - labels
+    out[..., 1] -= labels
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +623,13 @@ class TrainResult:
     skipped: int = 0  # items left out: their marked spans overflow the window
 
 
-def _fit(model: EncoderModel, items: Sequence, config: TrainConfig, batch_step,
+def _fit(model: EncoderModel, items: np.ndarray, config: TrainConfig, batch_step,
          end_epoch) -> None:
     """The epoch loop shared by both training stages.
 
-    Each epoch visits ``items`` in a seeded permutation, in minibatches of
-    ``config.batch_size``. ``batch_step(batch)`` adds the batch gradient
+    Each epoch visits ``items`` (an int64 array) in a seeded permutation, in
+    minibatches of ``config.batch_size``, each an array of items.
+    ``batch_step(batch)`` adds the batch gradient
     into the model's zeroed ``grad`` and returns the batch's loss terms, the
     total first; a non-finite total aborts before the AdamW step.
     ``end_epoch(epoch, means)`` receives the example-weighted epoch means
@@ -622,7 +641,7 @@ def _fit(model: EncoderModel, items: Sequence, config: TrainConfig, batch_step,
         order = rng.permutation(len(items))
         sums = None
         for start in range(0, len(order), config.batch_size):
-            batch = [items[i] for i in order[start:start + config.batch_size]]
+            batch = items[order[start:start + config.batch_size]]
             model.zero_grads()
             terms = batch_step(batch)
             if not math.isfinite(terms[0]):
@@ -660,13 +679,13 @@ def train(model: InteractionModel, examples: LabeledTable,
     result = TrainResult()
     store = FeatureStore.for_model(model) if store is None else store
     rows, reasons = store.fill_candidates(train_set.mentions, config.mt, model.uses_features)
-    kept = [i for i, reason in enumerate(reasons) if reason is None]
+    kept = np.flatnonzero([reason is None for reason in reasons])
     labels = np.array(list(train_set.labels.values()), dtype=int)  # y_inter, y_tra1, y_tra2
     val_filled = store.fill_candidates(val_set.mentions, with_features=model.uses_features)
     val_kept = [i for i, reason in enumerate(val_filled[1]) if reason is None]
     val_gold = [val_set.labels["y_inter"][i] for i in val_kept]
     result.skipped = len(reasons) - len(kept) + len(val_set) - len(val_kept)
-    if not kept:
+    if not len(kept):
         raise ValueError("every train example overflows the backbone window")
 
     best_params = model.snapshot()
@@ -728,11 +747,11 @@ def pretrain_trajectory_extractor(corpus: LabeledTable, config: TrainConfig,
     history: list[dict] = []
     store = FeatureStore(extractor.encoder)
     rows, reasons = store.fill(Views.of(corpus.mentions))
-    kept = [i for i, reason in enumerate(reasons) if reason is None]
+    kept = np.flatnonzero([reason is None for reason in reasons])
     if result is not None:
         result.history = history
         result.skipped = len(corpus) - len(kept)
-    if not kept:
+    if not len(kept):
         raise ValueError("every trajectory triple overflows the backbone window")
     packed = store.packed(TRAJECTORY_ROLES)
     labels = np.array(corpus.labels["y_tra"], dtype=int)
@@ -740,7 +759,7 @@ def pretrain_trajectory_extractor(corpus: LabeledTable, config: TrainConfig,
     def batch_step(batch):
         probs, caches = extractor.forward_train(packed.take(rows[batch]))
         y = labels[batch]
-        extractor.backward_train((probs - _one_hot(y)) / len(batch), caches)
+        extractor.backward_train(_less_targets(probs, y) / len(batch), caches)
         return (binary_cross_entropy(probs[:, 1], y),)
 
     def end_epoch(epoch, means):

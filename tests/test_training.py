@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from falcon.training import (
     ADAM_EPS,
     ADAM_WEIGHT_DECAY,
     C_MIN,
+    PROB_EPS,
     AdamW,
     FeatureStore,
     InteractionModel,
@@ -33,6 +35,7 @@ from falcon.training import (
     TrainResult,
     TrainingDiverged,
     _batch_pass,
+    _less_targets,
     binary_cross_entropy,
     load_archive,
     load_config,
@@ -94,6 +97,40 @@ def test_loss_rejects_nonbinary_labels():
     with pytest.raises(ValueError) as info:
         binary_cross_entropy(np.full(5, 0.5), np.array([2, 1, -1, 2, 0]))
     assert str(info.value) == "labels outside {0,1}: [-1, 2]"
+
+
+def _probabilities(rng, shape):
+    """Random probabilities of ``shape`` with 0, 1 and the clip bounds
+    among them."""
+    probs = rng.random(shape)
+    flat = probs.reshape(-1)
+    flat[:6] = [0.0, 1.0, PROB_EPS, 1.0 - PROB_EPS, PROB_EPS / 2, 1.0 - PROB_EPS / 2]
+    return probs
+
+
+@pytest.mark.parametrize("shape", [(40,), (2, 40)])
+def test_loss_equals_the_two_log_formula_bit_for_bit(shape):
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        probs, labels = _probabilities(rng, shape), rng.integers(0, 2, size=shape)
+        p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+        want = float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
+        assert binary_cross_entropy(probs, labels).hex() == want.hex()
+    for label in (0, 1):  # every label alike
+        labels = np.full(shape, label)
+        p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+        want = float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
+        assert binary_cross_entropy(probs, labels).hex() == want.hex()
+
+
+@pytest.mark.parametrize("shape", [(40,), (2, 40)])
+def test_probabilities_less_targets_equal_the_one_hot_difference_bit_for_bit(shape):
+    rng = np.random.default_rng(4)
+    probs, labels = _probabilities(rng, (*shape, 2)), rng.integers(0, 2, size=shape)
+    before = probs.copy()
+    want = probs - np.stack([1 - labels, labels], axis=-1)
+    assert _less_targets(probs, labels).tobytes() == want.tobytes()
+    assert probs.tobytes() == before.tobytes()  # the probabilities are left as they were
 
 
 def test_trajectory_loss_averages_branches():
@@ -460,6 +497,19 @@ def test_adamw_clamps_adaptive_scalars():
     opt.step()
     assert abs(params["c"][0]) >= 1e-3
     assert abs(params["c"][1]) >= 1e-3
+
+
+def test_an_adamw_step_allocates_no_parameter_sized_array():
+    model = InteractionModel(TrainConfig(hidden_size=16, fusion_mode="off"))
+    opt = AdamW(model, lr=0.05)
+    model.grad[...] = np.random.default_rng(5).normal(size=model.grad.size)
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.vector.nbytes
 
 
 def _per_array_adamw(params, steps, lr):
