@@ -106,6 +106,8 @@ _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
 
 def _field_problem(name: str, value) -> str | None:
     """Why ``value`` is out of range for the TrainConfig field ``name``, or None."""
+    if name == "learning_rate" and not math.isfinite(value):
+        return "learning_rate must be a finite positive number"
     if name in ("learning_rate", "batch_size", "max_epochs", "hidden_size",
                 "max_tokens") and value <= 0:
         return f"{name} must be positive"
@@ -149,12 +151,16 @@ def load_config(path: str | Path) -> TrainConfig:
 
 def config_from_meta(path: str | Path, values: dict) -> TrainConfig:
     """The TrainConfig a checkpoint's meta records as ``values``; a key that
-    TrainConfig no longer has raises ``ValueError("path: ...")``."""
+    TrainConfig no longer has, or a value out of its field's range, raises
+    ``ValueError("path: ...")``."""
     stale = [key for key in values if key not in TrainConfig.__dataclass_fields__]
     if stale:
         raise ValueError(f"{path}: checkpoint config key {stale[0]!r} is not a "
                          "TrainConfig field; retrain with this version")
-    return TrainConfig(**values)
+    try:
+        return TrainConfig(**values)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

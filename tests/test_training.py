@@ -749,6 +749,28 @@ def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path, trained_model
                                   "TrainConfig field; retrain with this version"), field
 
 
+@pytest.mark.parametrize("value, reason", [
+    (math.nan, "learning_rate must be a finite positive number"),
+    (math.inf, "learning_rate must be a finite positive number"),
+    (0.0, "learning_rate must be positive")])
+def test_checkpoint_with_a_config_value_out_of_range_is_refused(tmp_path, trained_model,
+                                                                value, reason):
+    # A model's config, the config of its frozen extractor, and an extractor
+    # checkpoint's config are each refused, with the checkpoint's path.
+    path = tmp_path / "bad.ckpt"
+    for field, save, load in (
+            ("config", trained_model.save, InteractionModel.load),
+            ("frozen_config", trained_model.save, InteractionModel.load),
+            ("config", trained_model.frozen.save, FrozenTrajectoryExtractor.load)):
+        save(path)
+        arrays, meta = load_archive(path)
+        meta[field]["learning_rate"] = value
+        save_archive(path, arrays, meta)
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {reason}", field
+
+
 @pytest.mark.parametrize("loader, prefix, weight", [("model", "", "head.inter.W"),
                                                     ("model", "frozen.", "head.W"),
                                                     ("extractor", "", "head.W")])
@@ -801,6 +823,9 @@ def test_config_file_roundtrip(tmp_path):
     ("hidden_size = abc", "hidden_size takes int, not 'abc'"),
     ("mt = maybe", "mt takes bool, not 'maybe'"),
     ("batch_size = 0", "batch_size must be positive"),
+    ("learning_rate = 0", "learning_rate must be positive"),
+    ("learning_rate = nan", "learning_rate must be a finite positive number"),
+    ("learning_rate = inf", "learning_rate must be a finite positive number"),
     ("fusion_mode = bogus", "unknown fusion_mode 'bogus'"),
     ("optimizer = sgd", "unknown key 'optimizer'"),
     ("attention_norm = l2", "unknown key 'attention_norm'"),
