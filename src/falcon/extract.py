@@ -131,13 +131,12 @@ def _refused(key: str, value, expected: str) -> ValueError:
 
 def _record_columns(obj: dict) -> tuple:
     """(record_id, person1, person2, time_year, interaction_type, lat, lon,
-    state) of a record object, each value that a record table keeps
-    checked: the people are strings, the year an int64 above the least one
-    or null, the type and the state strings or null, lat and lon numbers or
-    null (a bool is none of these). A missing required key raises KeyError,
-    any other fault ``ValueError(reason)``; both readers of records,
-    :meth:`InteractionRecord.from_json` and
-    :func:`~falcon.polarnet.load_record_table`, call it."""
+    state) of a record object, checked: the people are strings, the year an
+    int64 above the least one or null, the type and the state strings or
+    null, lat and lon numbers or null (a bool is none of these). A missing
+    required key raises KeyError, a bad value ``ValueError(reason)``. Both
+    readers of records call it: :meth:`InteractionRecord.from_json` and
+    :func:`~falcon.polarnet.load_record_table`."""
     record_id, person1, person2, year = _kept_values(_required_values(obj))
     itype, lat, lon, state = (obj.get("interaction_type"), obj.get("lat"),
                               obj.get("lon"), obj.get("state"))
@@ -159,12 +158,14 @@ def _record_columns(obj: dict) -> tuple:
     if state is not None and type(state) is not str:
         raise _refused("state", state, "a string or null")
     return record_id, person1, person2, year, itype, lat, lon, state
+
+
 # The gazetteer values a record takes, in the order of OPTIONAL_RECORD_KEYS
 _GEOCODE_KEYS = ("lat", "lon", "state")
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)  # a bool is not a number
+    return type(value) in _NUMBER  # a bool is not a number
 
 
 _GAZETTEER_CHECKS = (("lat", _is_number, "a number"), ("lon", _is_number, "a number"),

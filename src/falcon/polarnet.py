@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from . import accel
-from .extract import INTERACTION_TYPES, InteractionRecord, _record_columns
+from .extract import _NUMBER, INTERACTION_TYPES, InteractionRecord, _record_columns
 from .ingest import iter_jsonl, load_name_table, normalize_surface
 
 TYPE_WEIGHTS = dict(zip(INTERACTION_TYPES, (-2.0, 2.0, 1.0)))
@@ -52,7 +52,6 @@ class DegenerateGraphError(ValueError):
 NO_YEAR = np.iinfo(np.int64).min
 _TYPE_CODES = {t: i for i, t in enumerate(INTERACTION_TYPES)}
 _CODE_WEIGHTS = np.array([TYPE_WEIGHTS[t] for t in INTERACTION_TYPES])
-_NUMBER = (int, float)
 
 
 @dataclass
